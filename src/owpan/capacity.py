@@ -16,13 +16,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .channels import (
-    beers_lambert_transmittance,
-    diffuse_gain,
-    fso_capture_fraction,
-    gaussian_beam_radius,
-    los_gain,
-)
+from .channels import diffuse_gain, fso_gain, los_gain
 from .params import LinkBudgetParams
 
 __all__ = [
@@ -49,18 +43,19 @@ class SnrBudget:
     """Inputs of the SNR composition for one link.
 
     ``pr_over_n0_db`` is the received-power to noise-density ratio in dB
-    (so its linear form has units of Hz), ``bandwidth`` in Hz.
+    (so its linear form has units of Hz), ``bandwidth`` in Hz.  The ratio
+    and ``channel_gain`` may be arrays, which broadcast against each other.
     """
 
-    pr_over_n0_db: float
+    pr_over_n0_db: float | np.ndarray
     responsivity: float
-    channel_gain: float
+    channel_gain: float | np.ndarray
     bandwidth: float = 10e6
 
     def __post_init__(self) -> None:
         if self.bandwidth <= 0.0:
             raise ValueError(f"bandwidth must be > 0, got {self.bandwidth!r}")
-        if not 0.0 <= self.channel_gain <= 1.0:
+        if not np.all((0.0 <= self.channel_gain) & (self.channel_gain <= 1.0)):
             raise ValueError(f"channel_gain must lie in [0, 1], got {self.channel_gain!r}")
         if self.responsivity < 0.0:
             raise ValueError(f"responsivity must be >= 0, got {self.responsivity!r}")
@@ -113,7 +108,7 @@ class CapacityCurve:
             raise ValueError("capacities must be finite and non-negative")
 
 
-def electrical_snr(budget: SnrBudget) -> float:
+def electrical_snr(budget: SnrBudget) -> float | np.ndarray:
     """Post-detection SNR of an intensity-modulated link.
 
     SNR = (responsivity * gain)^2 * 10^(pr_over_n0/10) / bandwidth.  The
@@ -124,18 +119,19 @@ def electrical_snr(budget: SnrBudget) -> float:
     return photo * photo * 10.0 ** (budget.pr_over_n0_db / 10.0) / budget.bandwidth
 
 
-def link_capacity(snr: float, bandwidth: float) -> float:
-    """Shannon capacity B*log2(1 + SNR) in bit/s.
+def link_capacity(snr: float | np.ndarray, bandwidth: float) -> float | np.ndarray:
+    """Shannon capacity B*log2(1 + SNR) in bit/s, element-wise for an array.
 
     Computed via log1p so deeply attenuated links keep a positive
     capacity instead of rounding to zero; the sweeps' ordering
     properties rely on that.
     """
-    if snr < 0.0:
+    if np.any(snr < 0.0):
         raise ValueError(f"snr must be >= 0, got {snr!r}")
     if bandwidth <= 0.0:
         raise ValueError(f"bandwidth must be > 0, got {bandwidth!r}")
-    return bandwidth * math.log1p(snr) / _LN2
+    capacity = bandwidth * np.log1p(snr) / _LN2
+    return float(capacity) if np.ndim(capacity) == 0 else capacity
 
 
 def cascade_capacity(capacities: Sequence[float]) -> float:
@@ -164,22 +160,23 @@ def indoor_link_capacity(params: LinkBudgetParams) -> float:
 
 def outdoor_link_capacity(
     params: LinkBudgetParams,
-    alpha_db_per_km: float,
-    span: float | None = None,
-    pr_over_n0_db: float | None = None,
-) -> float:
+    alpha_db_per_km: float | np.ndarray,
+    span: float | np.ndarray | None = None,
+    pr_over_n0_db: float | np.ndarray | None = None,
+) -> float | np.ndarray:
     """Capacity of the laser backbone at one attenuation coefficient.
 
-    Built from the gain factors directly (not OutdoorChannelParams) so a
-    span of exactly zero, the natural left edge of a distance sweep, is
+    The last three arguments may be arrays, which broadcast against each
+    other.  Built on :func:`fso_gain`, not OutdoorChannelParams, so a span
+    of exactly zero, the natural left edge of a distance sweep, is
     representable.
     """
-    span_m = params.span if span is None else span
-    if span_m < 0.0:
-        raise ValueError(f"span must be >= 0, got {span_m!r}")
-    radius = gaussian_beam_radius(params.beam_waist, params.wavelength, span_m)
-    gain = beers_lambert_transmittance(alpha_db_per_km, span_m) * fso_capture_fraction(
-        params.detector_area, radius
+    gain = fso_gain(
+        alpha_db_per_km,
+        params.span if span is None else span,
+        params.detector_area,
+        params.beam_waist,
+        params.wavelength,
     )
     snr = electrical_snr(
         SnrBudget(
@@ -217,29 +214,26 @@ def sweep_capacity(
     every curve to the same floor.
     """
     grid = spec.grid()
-    curves = []
-    for alpha in params.attenuation_coeffs:
-        caps = []
-        for x in grid:
-            if spec.variable is SweepVariable.PR_OVER_N0_DB:
-                c = outdoor_link_capacity(params, alpha, pr_over_n0_db=float(x))
-            else:
-                c = outdoor_link_capacity(params, alpha, span=float(x))
-            if end_to_end:
-                c = cascade_capacity(
-                    [params.rf_capacity, c, indoor_link_capacity(params)]
-                )
-            caps.append(c)
-        curves.append(
-            CapacityCurve(
-                variable=spec.variable,
-                alpha_db_per_km=alpha,
-                x=tuple(float(x) for x in grid),
-                capacity_bps=tuple(caps),
-                fixed_params=params,
-            )
+    # one row per attenuation coefficient, one column per grid point
+    alphas = np.asarray(params.attenuation_coeffs)[:, np.newaxis]
+    if spec.variable is SweepVariable.PR_OVER_N0_DB:
+        caps = outdoor_link_capacity(params, alphas, pr_over_n0_db=grid)
+    else:
+        caps = outdoor_link_capacity(params, alphas, span=grid)
+    if end_to_end:
+        floor = cascade_capacity([params.rf_capacity, indoor_link_capacity(params)])
+        caps = np.minimum(caps, floor)
+    x = tuple(grid.tolist())
+    return [
+        CapacityCurve(
+            variable=spec.variable,
+            alpha_db_per_km=alpha,
+            x=x,
+            capacity_bps=tuple(row),
+            fixed_params=params,
         )
-    return curves
+        for alpha, row in zip(params.attenuation_coeffs, caps.tolist())
+    ]
 
 
 def write_curves_csv(curves: Iterable[CapacityCurve], stream: IO[str]) -> None:

@@ -8,7 +8,8 @@ parameter sets, so concurrent use needs no locking.
 
 Internally all quantities are SI (m, m^2, s, Hz, rad); attenuation
 coefficients are the lone exception and stay in dB/km, matching how they are
-normally quoted.
+normally quoted.  The laser-hop functions also take numpy arrays, which
+broadcast against each other, and check every element as they check a scalar.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "ChannelGain",
@@ -30,6 +33,7 @@ __all__ = [
     "beers_lambert_transmittance",
     "gaussian_beam_radius",
     "fso_capture_fraction",
+    "fso_gain",
     "fso_link_gain",
 ]
 
@@ -198,44 +202,63 @@ def indoor_frequency_response(f: float, p: IndoorChannelParams) -> complex:
     return direct + diffuse
 
 
-def beers_lambert_transmittance(attenuation_db_per_km: float, span_m: float) -> ChannelGain:
+def _gain(value) -> ChannelGain | np.ndarray:
+    """A scalar as :class:`ChannelGain`; an array after the same [0, 1] check."""
+    if np.ndim(value) == 0:
+        return ChannelGain(value)
+    if not ((0.0 <= value) & (value <= 1.0)).all():
+        raise ValueError(f"channel gain outside [0, 1] in {value!r}")
+    return value
+
+
+def beers_lambert_transmittance(attenuation_db_per_km, span_m) -> ChannelGain | np.ndarray:
     """Atmospheric power transmittance 10^(-alpha L / 10) with L in km."""
-    if attenuation_db_per_km < 0.0:
+    if np.any(attenuation_db_per_km < 0.0):
         raise ValueError(f"attenuation must be >= 0, got {attenuation_db_per_km!r}")
-    if span_m < 0.0:
+    if np.any(span_m < 0.0):
         raise ValueError(f"span must be >= 0, got {span_m!r}")
-    return ChannelGain(10.0 ** (-attenuation_db_per_km * (span_m / 1000.0) / 10.0))
+    return _gain(10.0 ** (-attenuation_db_per_km * (span_m / 1000.0) / 10.0))
 
 
-def gaussian_beam_radius(beam_waist: float, wavelength: float, span_m: float) -> float:
+def gaussian_beam_radius(beam_waist, wavelength, span_m) -> float | np.ndarray:
     """1/e^2 beam radius after propagating span_m from the waist.
 
     w(L) = w0 sqrt(1 + (L / zR)^2) with Rayleigh range zR = pi w0^2 / lambda,
     asymptotically w(L) -> theta L with theta = lambda / (pi w0).
     """
-    if beam_waist <= 0.0 or wavelength <= 0.0:
+    if np.any(beam_waist <= 0.0) or np.any(wavelength <= 0.0):
         raise ValueError("beam waist and wavelength must be strictly positive")
-    if span_m < 0.0:
+    if np.any(span_m < 0.0):
         raise ValueError(f"span must be >= 0, got {span_m!r}")
     rayleigh = math.pi * beam_waist**2 / wavelength
-    return beam_waist * math.hypot(1.0, span_m / rayleigh)
+    radius = beam_waist * np.hypot(1.0, span_m / rayleigh)
+    return float(radius) if np.ndim(radius) == 0 else radius
 
 
-def fso_capture_fraction(detector_area: float, beam_radius: float) -> ChannelGain:
+def fso_capture_fraction(detector_area, beam_radius) -> ChannelGain | np.ndarray:
     """Fraction of a centered Gaussian beam collected by the detector.
 
     1 - exp(-2 A / (pi w^2)): the on-axis encircled power of a Gaussian
     profile over an aperture of area A, assuming no pointing error.
     """
-    if detector_area <= 0.0 or beam_radius <= 0.0:
+    if np.any(detector_area <= 0.0) or np.any(beam_radius <= 0.0):
         raise ValueError("detector area and beam radius must be strictly positive")
-    return ChannelGain(-math.expm1(-2.0 * detector_area / (math.pi * beam_radius**2)))
+    return _gain(-np.expm1(-2.0 * detector_area / (math.pi * beam_radius**2)))
+
+
+def fso_gain(
+    attenuation_db_per_km, span_m, detector_area, beam_waist, wavelength
+) -> ChannelGain | np.ndarray:
+    """Laser link gain, transmittance times capture fraction: the one
+    composition of the laser hop.  Unlike :class:`OutdoorChannelParams`
+    it admits a span of zero, the left edge of a distance sweep."""
+    radius = gaussian_beam_radius(beam_waist, wavelength, span_m)
+    return _gain(
+        beers_lambert_transmittance(attenuation_db_per_km, span_m)
+        * fso_capture_fraction(detector_area, radius)
+    )
 
 
 def fso_link_gain(p: OutdoorChannelParams) -> ChannelGain:
     """End-to-end laser link gain: transmittance times capture fraction."""
-    radius = gaussian_beam_radius(p.beam_waist, p.wavelength, p.span)
-    return ChannelGain(
-        beers_lambert_transmittance(p.attenuation_coeff, p.span)
-        * fso_capture_fraction(p.detector_area, radius)
-    )
+    return fso_gain(p.attenuation_coeff, p.span, p.detector_area, p.beam_waist, p.wavelength)

@@ -151,9 +151,6 @@ class Topology:
         except KeyError:
             raise TopologyError(f"no node with address {address}") from None
 
-    def links_from(self, address: int) -> list:
-        return [link for link in self.links if link.src == address]
-
 
 @dataclass(frozen=True)
 class TopologyClass:

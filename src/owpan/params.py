@@ -60,7 +60,6 @@ class LinkBudgetParams:
     laser_responsivity: float = 0.8  # A/W
     pd_responsivity: float = 0.8  # A/W
     pr_over_n0: float = 30.0  # dB
-    amplifier_gain: float = 1.0
     beam_waist: float = 0.588e-3  # m
     wavelength: float = 1550e-9  # m
     rf_capacity: float = math.inf  # bit/s
@@ -100,10 +99,6 @@ class LinkBudgetParams:
             raise ParamsError(
                 f"half_intensity_angle: must lie in (0, pi/2), "
                 f"got {self.half_intensity_angle!r}"
-            )
-        if self.amplifier_gain < 0.0:
-            raise ParamsError(
-                f"amplifier_gain: must be >= 0, got {self.amplifier_gain!r}"
             )
         if self.sweep_points < 2:
             raise ParamsError(
@@ -188,7 +183,6 @@ _KEY_UNITS: dict[str, tuple[dict[str, float], bool]] = {
     "laser_responsivity": (_RESP, False),
     "pd_responsivity": (_RESP, False),
     "pr_over_n0": (_DB, False),
-    "amplifier_gain": (_BARE, False),
     "beam_waist": (_LENGTH, False),
     "wavelength": (_LENGTH, False),
     "rf_capacity": (_RATE, False),
@@ -221,14 +215,14 @@ def _parse_value(key: str, body: str) -> object:
         raise ValueError("empty value")
     values = []
     for p in parts:
-        if p.lower() in ("inf", "infinity"):
-            values.append(math.inf)
-            continue
         try:
-            values.append(float(p))
+            v = float(p) * factor
         except ValueError:
             raise ValueError(f"{p!r} is not a number") from None
-    values = [v * factor for v in values]
+        # an unbounded RF uplink is the one meaningful infinity
+        if math.isnan(v) or (math.isinf(v) and key != "rf_capacity"):
+            raise ValueError(f"{p!r} does not convert to a finite value")
+        values.append(v)
     if key == "sweep_points":
         v = values[0]
         if v != int(v):

@@ -93,13 +93,18 @@ def _bits_to_nibbles(bits: np.ndarray) -> np.ndarray:
     )
 
 
-def _rs_block_pad(nibbles: np.ndarray, k: int, even_blocks: bool) -> np.ndarray:
-    blocks = -(-nibbles.size // k) if nibbles.size else 1
-    if even_blocks and blocks % 2:
+def _add_rs(nibbles: np.ndarray, mode: PhyMode) -> np.ndarray:
+    """RS-encode whole zero-padded blocks; the inverse of :func:`_strip_rs`."""
+    rs = mode.outer_code
+    if rs is None:
+        return nibbles
+    blocks = -(-nibbles.size // rs.k) if nibbles.size else 1
+    # 8b/10b packs symbols into bytes, so odd-length blocks must pair up
+    if mode.line_code is LineCode.EIGHT_B_TEN_B and rs.n % 2 and blocks % 2:
         blocks += 1
-    padded = np.zeros(blocks * k, dtype=np.uint8)
+    padded = np.zeros(blocks * rs.k, dtype=np.uint8)
     padded[: nibbles.size] = nibbles
-    return padded.reshape(blocks, k)
+    return rs_encode(padded.reshape(blocks, rs.k), rs).ravel()
 
 
 def encode_to_chips(payload: bytes, mode: PhyMode) -> np.ndarray:
@@ -112,23 +117,12 @@ def encode_to_chips(payload: bytes, mode: PhyMode) -> np.ndarray:
     )
 
     if mode.line_code is LineCode.EIGHT_B_TEN_B:
-        if mode.outer_code is None:
-            coded_bytes = wire
-        else:
-            rs = mode.outer_code
-            even_blocks = rs.n % 2 == 1  # odd-length blocks must pair up
-            blocks = _rs_block_pad(_bytes_to_nibbles(wire), rs.k, even_blocks)
-            coded_bytes = _nibbles_to_bytes(rs_encode(blocks, rs).ravel())
-        chips, _ = line_codes.encode_8b10b(coded_bytes)
+        if mode.outer_code is not None:
+            wire = _nibbles_to_bytes(_add_rs(_bytes_to_nibbles(wire), mode))
+        chips, _ = line_codes.encode_8b10b(wire)
         return chips
 
-    nibbles = _bytes_to_nibbles(wire)
-    if mode.outer_code is not None:
-        rs = mode.outer_code
-        coded = rs_encode(_rs_block_pad(nibbles, rs.k, False), rs).ravel()
-    else:
-        coded = nibbles
-
+    coded = _add_rs(_bytes_to_nibbles(wire), mode)
     if mode.line_code is LineCode.FOUR_B_SIX_B:
         return line_codes.encode_4b6b(coded)
 
@@ -143,24 +137,20 @@ def decode_from_chips(chips: np.ndarray, mode: PhyMode) -> bytes:
     _require_bound(mode)
     try:
         if mode.line_code is LineCode.EIGHT_B_TEN_B:
-            coded_bytes, _ = line_codes.decode_8b10b(chips)
-            if mode.outer_code is None:
-                wire = coded_bytes
-            else:
-                rs = mode.outer_code
-                symbols = _bytes_to_nibbles(coded_bytes)
-                if symbols.size == 0 or symbols.size % rs.n:
-                    raise FrameDecodeError(
-                        f"{symbols.size} symbols do not form whole RS({rs.n},{rs.k}) blocks"
-                    )
-                wire = _nibbles_to_bytes(rs_decode(symbols.reshape(-1, rs.n), rs).ravel())
+            wire, _ = line_codes.decode_8b10b(chips)
+            if mode.outer_code is not None:
+                wire = _strip_rs(_bytes_to_nibbles(wire), mode)
         elif mode.line_code is LineCode.FOUR_B_SIX_B:
             coded = line_codes.decode_4b6b(chips)
             wire = _strip_rs(coded, mode)
         else:
             bits = line_codes.manchester_decode(chips)
             if mode.inner_code is not None:
-                bits = viterbi_decode(bits, mode.inner_code)
+                try:
+                    bits = viterbi_decode(bits, mode.inner_code)
+                except ValueError as exc:
+                    # a stream cut to a length the code rate cannot produce
+                    raise FrameDecodeError(str(exc)) from exc
             wire = _strip_rs(_bits_to_nibbles(bits), mode)
     except (LineCodeError, RsDecodeError, ModulationError) as exc:
         raise FrameDecodeError(str(exc)) from exc
@@ -178,6 +168,7 @@ def decode_from_chips(chips: np.ndarray, mode: PhyMode) -> bytes:
 
 
 def _strip_rs(symbols: np.ndarray, mode: PhyMode) -> np.ndarray:
+    """RS-decode whole blocks into bytes; the inverse of :func:`_add_rs`."""
     if mode.outer_code is None:
         return _nibbles_to_bytes(symbols)
     rs = mode.outer_code
@@ -218,12 +209,8 @@ def chips_to_hex(chips: np.ndarray) -> str:
     of four; consumers that need the exact count must carry it separately.
     """
     chips = np.asarray(chips, dtype=np.uint8).ravel()
-    pad = (-chips.size) % 4
-    if pad:
-        chips = np.concatenate([chips, np.zeros(pad, np.uint8)])
-    groups = chips.reshape(-1, 4).astype(np.int64)
-    digits = (groups[:, 0] << 3) | (groups[:, 1] << 2) | (groups[:, 2] << 1) | groups[:, 3]
-    text = "".join(np.char.mod("%x", digits))
+    nibbles = _bits_to_nibbles(np.concatenate([chips, np.zeros((-chips.size) % 4, np.uint8)]))
+    text = _nibbles_to_bytes(nibbles).tobytes().hex()[: nibbles.size]
     lines = [text[i : i + 16] for i in range(0, len(text), 16)]
     return "\n".join(lines) + "\n"
 
@@ -231,5 +218,4 @@ def chips_to_hex(chips: np.ndarray) -> str:
 def chips_from_hex(text: str) -> np.ndarray:
     """Parse a :func:`chips_to_hex` dump back to chips (nibble-padded)."""
     digits = [int(c, 16) for c in "".join(text.split())]
-    arr = np.asarray(digits, dtype=np.uint8)
-    return ((arr[:, None] >> np.arange(3, -1, -1)) & 1).astype(np.uint8).ravel()
+    return _nibbles_to_bits(np.asarray(digits, dtype=np.uint8))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from owpan import capacity
 from owpan.capacity import (
     CSV_HEADER,
     CapacityCurve,
@@ -220,6 +221,101 @@ class TestSweeps:
             SweepSpec(SweepVariable.SPAN_M, 100.0, 50.0, points=10)
         with pytest.raises(ValueError):
             SweepSpec(SweepVariable.SPAN_M, 0.0, 100.0, points=1)
+
+
+def laser_capacity_closed_form(p, alpha, span, pr_db):
+    """The laser-hop capacity written out with the math module alone."""
+    radius_sq = p.beam_waist**2 * (1.0 + (span * p.wavelength / (math.pi * p.beam_waist**2)) ** 2)
+    capture = -math.expm1(-2.0 * p.detector_area / (math.pi * radius_sq))
+    transmittance = 10.0 ** (-alpha * span / 10000.0)
+    photo = p.laser_responsivity * transmittance * capture
+    snr = photo**2 * 10.0 ** (pr_db / 10.0) / p.bandwidth
+    return p.bandwidth * math.log1p(snr) / math.log(2.0)
+
+
+class TestSweepClosedForm:
+    """Every point of a sweep against the closed form, to 1e-13 relative."""
+
+    PARAMS = [
+        LinkBudgetParams(),
+        LinkBudgetParams(
+            attenuation_coeffs=(0.0, 12.5, 117.3), span=900.0, pr_over_n0=55.0, rf_capacity=3e6
+        ),
+    ]
+    SPECS = [
+        SweepSpec(SweepVariable.SPAN_M, 0.0, 5000.0, points=101),
+        SweepSpec(SweepVariable.PR_OVER_N0_DB, -10.0, 60.0, points=71),
+    ]
+
+    @pytest.mark.parametrize("params", PARAMS, ids=["defaults", "custom"])
+    @pytest.mark.parametrize("spec", SPECS, ids=["span", "pr_n0"])
+    @pytest.mark.parametrize("end_to_end", [False, True], ids=["laser", "e2e"])
+    def test_every_point(self, params, spec, end_to_end):
+        floor = min(params.rf_capacity, indoor_link_capacity(params))
+        curves = sweep_capacity(params, spec, end_to_end=end_to_end)
+        assert [c.alpha_db_per_km for c in curves] == list(params.attenuation_coeffs)
+        for curve in curves:
+            assert curve.x == tuple(spec.grid().tolist())
+            for x, got in zip(curve.x, curve.capacity_bps):
+                assert type(got) is float
+                if spec.variable is SweepVariable.SPAN_M:
+                    span, pr_db = x, params.pr_over_n0
+                else:
+                    span, pr_db = params.span, x
+                want = laser_capacity_closed_form(params, curve.alpha_db_per_km, span, pr_db)
+                if end_to_end:
+                    want = min(want, floor)
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_span_zero_column_ignores_attenuation(self):
+        p = LinkBudgetParams()
+        curves = sweep_capacity(p, SweepSpec(SweepVariable.SPAN_M, 0.0, 100.0, points=3))
+        at_zero = {c.capacity_bps[0] for c in curves}
+        assert at_zero == {outdoor_link_capacity(p, 0.0, span=0.0)}
+
+    def test_one_channel_call_per_sweep(self, monkeypatch):
+        calls = {"outdoor": 0, "indoor": 0}
+
+        def counting(name, f):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(
+            capacity, "outdoor_link_capacity", counting("outdoor", outdoor_link_capacity)
+        )
+        monkeypatch.setattr(
+            capacity, "indoor_link_capacity", counting("indoor", indoor_link_capacity)
+        )
+        spec = SweepSpec(SweepVariable.SPAN_M, 0.0, 2000.0, points=200)
+        sweep_capacity(LinkBudgetParams(), spec, end_to_end=True)
+        assert calls == {"outdoor": 1, "indoor": 1}
+        sweep_capacity(LinkBudgetParams(), spec)
+        assert calls == {"outdoor": 2, "indoor": 1}
+
+
+class TestArrayCapacity:
+    def test_outdoor_array_rejects_one_negative_element(self):
+        p = LinkBudgetParams()
+        with pytest.raises(ValueError, match="span"):
+            outdoor_link_capacity(p, 5.0, span=np.array([0.0, -1.0, 2.0]))
+        with pytest.raises(ValueError, match="attenuation"):
+            outdoor_link_capacity(p, np.array([5.0, -2.0]))
+
+    def test_link_capacity_array_rejects_one_negative_snr(self):
+        with pytest.raises(ValueError, match="snr"):
+            link_capacity(np.array([1.0, -1e-3]), 1e6)
+
+    def test_scalar_calls_return_float(self):
+        p = LinkBudgetParams()
+        assert type(link_capacity(3.0, 1.0)) is float
+        assert type(outdoor_link_capacity(p, 5.0)) is float
+        assert type(indoor_link_capacity(p)) is float
+        assert type(end_to_end_capacity(p, 5.0)) is float
+        b = SnrBudget(pr_over_n0_db=30.0, responsivity=0.8, channel_gain=0.5)
+        assert type(electrical_snr(b)) is float
 
 
 class TestCsvExport:

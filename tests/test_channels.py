@@ -9,6 +9,7 @@ import math
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from owpan.channels import (
     beers_lambert_transmittance,
     diffuse_gain,
     fso_capture_fraction,
+    fso_gain,
     fso_link_gain,
     gaussian_beam_radius,
     indoor_frequency_response,
@@ -294,6 +296,75 @@ class TestFsoLinkGain:
     def test_lossless_limit(self):
         p = default_outdoor(attenuation_coeff=0.0, detector_area=100.0, span=1.0)
         assert fso_link_gain(p) == pytest.approx(1.0, rel=1e-6)
+
+
+class TestArrayInputs:
+    """The laser-hop functions broadcast over arrays; a sweep is one call."""
+
+    ALPHAS = np.array([[0.0], [5.0], [37.5], [80.0], [150.0]])
+    SPANS = np.array([0.0, 0.5, 10.0, 160.0, 777.7, 2000.0, 5000.0])
+    W0, LAM = 0.588e-3, 1550e-9
+
+    # numpy's SIMD pow and expm1 may round an array element differently
+    # from the same call on a scalar, within a few ulp
+    MAX_ULP = 4
+
+    def scalar_grid(self, f):
+        return np.array(
+            [[f(a, s) for s in self.SPANS.tolist()] for a in self.ALPHAS.ravel().tolist()]
+        )
+
+    def test_transmittance_matches_scalar_calls(self):
+        got = beers_lambert_transmittance(self.ALPHAS, self.SPANS)
+        assert got.shape == (5, 7)
+        np.testing.assert_array_max_ulp(
+            got, self.scalar_grid(beers_lambert_transmittance), self.MAX_ULP
+        )
+
+    def test_beam_radius_matches_scalar_calls(self):
+        got = gaussian_beam_radius(self.W0, self.LAM, self.SPANS)
+        want = [gaussian_beam_radius(self.W0, self.LAM, s) for s in self.SPANS.tolist()]
+        np.testing.assert_array_max_ulp(got, np.array(want), self.MAX_ULP)
+
+    def test_capture_fraction_matches_scalar_calls(self):
+        areas = np.array([[1e-8], [100e-6], [1.0]])
+        radii = np.array([1e-5, 0.134, 3.0, 10.0])
+        got = fso_capture_fraction(areas, radii)
+        want = [[fso_capture_fraction(a, r) for r in radii.tolist()] for a in areas.ravel().tolist()]
+        np.testing.assert_array_max_ulp(got, np.array(want), self.MAX_ULP)
+
+    def test_link_gain_matches_scalar_calls(self):
+        def scalar(alpha, span):
+            return fso_gain(alpha, span, 100e-6, self.W0, self.LAM)
+
+        got = fso_gain(self.ALPHAS, self.SPANS, 100e-6, self.W0, self.LAM)
+        np.testing.assert_array_max_ulp(got, self.scalar_grid(scalar), self.MAX_ULP)
+
+    def test_scalar_calls_keep_scalar_types(self):
+        assert type(beers_lambert_transmittance(5.0, 160.0)) is ChannelGain
+        assert type(gaussian_beam_radius(self.W0, self.LAM, 160.0)) is float
+        assert type(fso_capture_fraction(100e-6, 0.134)) is ChannelGain
+        assert type(fso_gain(5.0, 160.0, 100e-6, self.W0, self.LAM)) is ChannelGain
+        assert type(fso_link_gain(default_outdoor())) is ChannelGain
+
+    def test_one_negative_element_is_rejected(self):
+        spans = np.array([0.0, 10.0, -1e-9, 100.0])
+        with pytest.raises(ValueError, match="span"):
+            beers_lambert_transmittance(5.0, spans)
+        with pytest.raises(ValueError, match="span"):
+            gaussian_beam_radius(self.W0, self.LAM, spans)
+        with pytest.raises(ValueError, match="span"):
+            fso_gain(5.0, spans, 100e-6, self.W0, self.LAM)
+        with pytest.raises(ValueError, match="attenuation"):
+            beers_lambert_transmittance(np.array([5.0, -0.5]), 160.0)
+        with pytest.raises(ValueError, match="strictly positive"):
+            fso_capture_fraction(100e-6, np.array([0.1, 0.0]))
+
+    def test_nan_gain_is_rejected_in_arrays_as_in_scalars(self):
+        with pytest.raises(ValueError, match="outside"):
+            beers_lambert_transmittance(5.0, math.nan)
+        with pytest.raises(ValueError, match="outside"):
+            beers_lambert_transmittance(5.0, np.array([160.0, math.nan]))
 
 
 class TestParamValidation:

@@ -157,6 +157,18 @@ def test_capacity_sweep_rejects_bad_reflectivity(tmp_path, capsys):
     assert "wall_reflectivity" in err
 
 
+@pytest.mark.parametrize("line", ["sweep_points = inf", "pr_over_n0 = nan dB"])
+def test_capacity_sweep_rejects_non_finite_params(tmp_path, capsys, line):
+    params = tmp_path / "bad.txt"
+    params.write_text(line + "\n")
+    code, out, err = run_cli(
+        ["capacity-sweep", "--var", "pr_n0", "--params", str(params)], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: line 1: " + line.split()[0])
+
+
 def test_attenuation_unit_equivalence(tmp_path, capsys):
     a = tmp_path / "km.txt"
     a.write_text("attenuation_coeffs = 5 dB/km\n")

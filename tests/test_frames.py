@@ -190,3 +190,18 @@ def test_modes_share_one_chip_alphabet():
             assert chips.size % 6 == 0
         else:
             assert chips.size % 2 == 0
+
+
+@pytest.mark.parametrize("mode", BOUND_MODES, ids=lambda m: m.name)
+def test_cut_padded_or_shifted_streams_yield_bytes_or_frame_error(mode):
+    """The receive chain is total over wrong-length streams: cutting or
+    padding the end, or dropping chips from the front, gives the payload
+    or a FrameDecodeError, never another exception."""
+    chips = encode_to_chips(b"cut me", mode)
+    for k in range(1, 40):
+        zeros = np.zeros(k, np.uint8)
+        for damaged in (chips[:-k], np.concatenate([chips, zeros]), chips[k:]):
+            try:
+                assert isinstance(decode_from_chips(damaged, mode), bytes)
+            except FrameDecodeError:
+                pass

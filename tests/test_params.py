@@ -28,7 +28,6 @@ class TestDefaults:
         assert p.laser_responsivity == 0.8
         assert p.pd_responsivity == 0.8
         assert p.pr_over_n0 == 30.0
-        assert p.amplifier_gain == 1.0
         assert p.beam_waist == 0.588e-3
         assert p.wavelength == 1550e-9
         assert p.divergence == 8.38e-7
@@ -80,6 +79,7 @@ class TestUnits:
     def test_rate_units_and_infinity(self):
         assert parse_params(["rf_capacity = 54 Mbps"]).rf_capacity == 54e6
         assert math.isinf(parse_params(["rf_capacity = inf"]).rf_capacity)
+        assert math.isinf(parse_params(["rf_capacity = Infinity Mbps"]).rf_capacity)
 
     def test_attenuation_list(self):
         p = parse_params(["attenuation_coeffs = 5, 20, 50, 80 dB/km"])
@@ -131,6 +131,23 @@ class TestErrors:
     def test_empty_attenuation_list(self):
         with pytest.raises(ParamsError):
             parse_params(["attenuation_coeffs = dB/km"])
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "sweep_points = inf",
+            "attenuation_coeffs = 5, nan dB/km",
+            "pr_over_n0 = nan dB",
+            "pr_over_n0 = inf dB",
+            "span = 1e400 m",
+            "span = 1e308 km",
+            "rf_capacity = nan",
+        ],
+    )
+    def test_non_finite_values_name_line_and_key(self, line):
+        key = line.split()[0]
+        with pytest.raises(ParamsError, match=f"line 2: {key}: .* finite"):
+            parse_params(["# non-finite", line])
 
 
 class TestAccessors:

@@ -124,6 +124,15 @@ def test_df_decode_failure_is_signalled():
         df_relay(broken)
 
 
+def test_df_cut_cc_frame_is_a_relay_error():
+    # two chips (eight samples) fewer: one coded bit short of rate 1/4
+    mode = mode_by_name("phy1-ook-11k")
+    frame = encode_frame(b"cut", mode)
+    cut = type(frame)(payload=b"", mode=mode, chips=frame.chips, waveform=frame.waveform[:-8])
+    with pytest.raises(RelayDecodeError):
+        df_relay(cut)
+
+
 # ------------------------------------------------------------------- routing
 
 def test_shortest_route_is_fewest_hops():
