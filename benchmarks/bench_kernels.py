@@ -6,6 +6,11 @@ prints a table with the per-call median and the speedup.  The pure
 backend is always present; the native rows are skipped when the
 extension is not built (pip install compiles it unless OWPAN_NO_EXT=1).
 
+The first rows are frame-sized calls, a 32-byte frame's work: a 3-block
+RS encode, a noiseless 3-block RS decode and a 270-step rate-1/3 Viterbi.
+There the per-call overhead dominates; in the large batches after them,
+the per-block or per-step cost does.
+
 Usage:
     python3 benchmarks/bench_kernels.py [--blocks N] [--steps N] [--repeat N]
 """
@@ -37,6 +42,15 @@ def _median_call_s(fn, repeat: int) -> float:
 def build_workloads(blocks: int, steps: int):
     rng = np.random.default_rng(12)
     loads = []
+
+    frame_data = rng.integers(0, 16, size=(3, 11), dtype=np.uint8)
+    loads.append(("rs_encode k=11 x3", "rs_encode_blocks", (frame_data, 11)))
+    frame_code = _pure.rs_encode_blocks(frame_data, 11)
+    loads.append(("rs_decode k=11 x3 clean", "rs_decode_blocks", (frame_code, 11)))
+    frame_obs = rng.integers(0, 2, size=270 * 3).astype(np.uint8)
+    loads.append(
+        ("viterbi rate 1/3 x270 steps", "viterbi_decode", (frame_obs, _TABLE_R13))
+    )
 
     for k in (7, 11):
         data = rng.integers(0, 16, size=(blocks, k), dtype=np.uint8)
@@ -89,7 +103,7 @@ def main() -> None:
             # one warm call keeps table setup out of the measurement
             fn(*fn_args)
             per[bname] = _median_call_s(lambda: fn(*fn_args), args.repeat)
-            row.append(f"{per[bname] * 1e3:>10.2f}ms")
+            row.append(f"{per[bname] * 1e6:>10.0f}us")
         if _native:
             row.append(f"{per['pure'] / per['native']:>9.1f}x")
         print(" ".join(row))

@@ -9,11 +9,26 @@ callables:
 * ``viterbi_decode(obs, table)``  -- hard-decision Viterbi with erasures
 
 The RS routines are vectorized across the block axis, the Viterbi routine
-across the 64 trellis states, so the Python-level loop count stays small
-(symbols per block, or trellis steps) independent of batch size.
+across the trellis states, so the Python-level loop count of a call does
+not depend on the batch size:
+
+* ``rs_encode_blocks``: no loop; one gather from the products of the
+  code's parity matrix, XOR-reduced per row.
+* ``rs_decode_blocks``: no loop when every syndrome is zero, as for every
+  noiseless frame.  Otherwise 15-k Berlekamp-Massey steps and 15-k steps
+  building the evaluator, over the rows with a non-zero syndrome only.
+* ``viterbi_decode``: one iteration of two ufunc calls per trellis step,
+  then one per step for the traceback.
+
+Tables that depend only on ``k`` or on the trellis output table are built
+once, cached and read-only.  When both predecessors of a state have the
+same path metric, the Viterbi keeps the even word ``2*state``; the native
+kernel breaks ties the same way.
 """
 
 from __future__ import annotations
+
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -44,10 +59,46 @@ for _a in range(1, 16):
 _INV = np.ones(16, dtype=np.uint8)  # _INV[0] is a dummy; callers mask zeros
 _INV[1:] = _EXP[15 - _LOG[np.arange(1, 16)]]
 
+# a located root alpha^j marks an error in column 14 - (15 - j) % 15
+_ROOT_COL = (14 - (15 - np.arange(15)) % 15) % 15
 
-def _gf_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise GF(16) product; zero factors give zero."""
-    return _MUL[a, b]
+# bit offsets of the GF(16) symbols packed one per nibble into a uint64
+_NIBBLES = np.arange(0, 64, 4, dtype=np.uint64)
+
+# the largest trellis output width R; the branch-metric table has 3^R rows
+_MAX_NOUT = 6
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _check_k(k: int) -> None:
+    if not 0 < k < _N:
+        raise ValueError(f"k must lie in 1..{_N - 1}, got {k}")
+
+
+def _linear_map(mat: np.ndarray) -> np.ndarray:
+    """Tabulate the GF(16)-linear map of rows x -> x @ mat, mat (m, r <= 16).
+
+    Entry 16*j + v holds v * mat[j], its r symbols packed into one uint64,
+    symbol i in bits 4i..4i+3.  Packed words add by XOR, so the map of a
+    row is the XOR of the m entries its symbols select (:func:`_apply`).
+    """
+    m, r = mat.shape
+    prods = _MUL[:, mat].astype(np.uint64) << _NIBBLES[:r]  # (16, m, r)
+    return _readonly(np.bitwise_or.reduce(prods, axis=2).T.reshape(16 * m))
+
+
+def _apply(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Packed images of ``rows`` (N, m) under a :func:`_linear_map` table."""
+    return np.bitwise_xor.reduce(table[rows + np.arange(0, table.size, 16)], axis=1)
+
+
+def _unpack(words: np.ndarray, r: int) -> np.ndarray:
+    """(N, r) symbols of packed words."""
+    return ((words[:, None] >> _NIBBLES[:r]) & np.uint64(15)).astype(np.uint8)
 
 
 def _generator_poly(nroots: int) -> np.ndarray:
@@ -55,10 +106,52 @@ def _generator_poly(nroots: int) -> np.ndarray:
     g = np.zeros(nroots + 1, dtype=np.uint8)
     g[0] = 1
     for i in range(1, nroots + 1):
-        root = _EXP[i]
-        shifted = np.concatenate(([0], g[:-1]))
-        g = shifted ^ _gf_mul(g, np.uint8(root))
+        g = np.concatenate(([0], g[:-1])).astype(np.uint8) ^ _MUL[g, _EXP[i]]
     return g
+
+
+@cache
+def _parity_map(k: int) -> np.ndarray:
+    """Data symbols -> the 15-k parity symbols, as a :func:`_linear_map`.
+
+    Row j of the map is the parity of the unit message e_j, taken from the
+    systematic encoder's LFSR run once over all k unit messages.
+    """
+    nroots = _N - k
+    gdesc = _generator_poly(nroots)[-2::-1]  # x^(nroots-1) coefficient first
+    unit = np.eye(k, dtype=np.uint8)
+    par = np.zeros((k, nroots), dtype=np.uint8)
+    for j in range(k):
+        fb = unit[:, j] ^ par[:, 0]
+        par = np.concatenate([par[:, 1:], np.zeros((k, 1), np.uint8)], axis=1)
+        par ^= _MUL[fb[:, None], gdesc[None, :]]
+    return _linear_map(par)
+
+
+@cache
+def _syndrome_map(nroots: int) -> np.ndarray:
+    """Codeword -> syndromes S_1..S_nroots, as a :func:`_linear_map`.
+
+    S_i = sum_j c_j alpha^(i*p_j), where column j holds the coefficient of
+    x^p_j, p_j = 14 - j.
+    """
+    powers = (14 - np.arange(_N))[:, None] * np.arange(1, nroots + 1)[None, :]
+    return _linear_map(_EXP[powers % 15])
+
+
+@cache
+def _locator_tables(nroots: int) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluation at alpha^j, j = 0..14, of a polynomial of degree <= nroots+1.
+
+    Both are :func:`_linear_map` tables from the coefficients (ascending)
+    to the 15 values.  ``chien`` evaluates the polynomial itself, and
+    ``deriv`` evaluates x times its formal derivative: in characteristic 2
+    that keeps the odd-degree terms only.
+    """
+    degs = np.arange(nroots + 2)[:, None]
+    powers = _EXP[(degs * np.arange(15)) % 15]
+    odd = np.where(degs % 2 == 1, _EXP[((degs - 1) * np.arange(15)) % 15], 0)
+    return _linear_map(powers), _linear_map(odd.astype(np.uint8))
 
 
 def rs_encode_blocks(data: np.ndarray, k: int) -> np.ndarray:
@@ -67,29 +160,14 @@ def rs_encode_blocks(data: np.ndarray, k: int) -> np.ndarray:
     Systematic: the codeword row is the data followed by 15-k parity
     symbols (descending powers left to right).
     """
+    _check_k(k)
     data = np.ascontiguousarray(data, dtype=np.uint8)
     if data.ndim != 2 or data.shape[1] != k:
         raise ValueError(f"data must have shape (N, {k})")
     if data.size and data.max() > 15:
         raise ValueError("RS symbols must lie in 0..15")
-    nroots = _N - k
-    g = _generator_poly(nroots)[:-1]  # drop the monic leading 1
-    gdesc = g[::-1].copy()  # x^(nroots-1) coefficient first
-    nblk = data.shape[0]
-    par = np.zeros((nblk, nroots), dtype=np.uint8)
-    for j in range(k):
-        fb = data[:, j] ^ par[:, 0]
-        par = np.concatenate([par[:, 1:], np.zeros((nblk, 1), np.uint8)], axis=1)
-        par ^= _gf_mul(fb[:, None], gdesc[None, :])
+    par = _unpack(_apply(_parity_map(k), data), _N - k)
     return np.concatenate([data, par], axis=1)
-
-
-def _syndromes(code: np.ndarray, nroots: int) -> np.ndarray:
-    # S_i = sum_j c_j alpha^(i*j); column 0 holds the x^14 coefficient
-    powers = (14 - np.arange(_N))[None, :] * np.arange(1, nroots + 1)[:, None]
-    alpha = _EXP[powers % 15]
-    prod = _gf_mul(code[:, None, :], alpha[None, :, :])
-    return np.bitwise_xor.reduce(prod, axis=2)
 
 
 def rs_decode_blocks(code: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -99,16 +177,36 @@ def rs_decode_blocks(code: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     that either raise the ``failed`` flag or, unavoidably for any
     bounded-distance decoder, miscorrect to a nearby codeword.
     """
+    _check_k(k)
     code = np.ascontiguousarray(code, dtype=np.uint8)
     if code.ndim != 2 or code.shape[1] != _N:
         raise ValueError(f"code must have shape (N, {_N})")
     if code.size and code.max() > 15:
         raise ValueError("RS symbols must lie in 0..15")
     nroots = _N - k
+    synd = _apply(_syndrome_map(nroots), code)
+    out = code[:, :k].copy()
+    failed = np.zeros(code.shape[0], dtype=bool)
+    # a row with all-zero syndromes is a codeword and stays as it is
+    dirty = np.flatnonzero(synd)
+    if dirty.size:
+        fixed, failed[dirty] = _correct(code[dirty], _unpack(synd[dirty], nroots))
+        out[dirty] = fixed[:, :k]
+    return out, failed
+
+
+def _product_coeff(a: np.ndarray, b: np.ndarray, l: int) -> np.ndarray:
+    """Coefficient l of the row-wise products a(x) * b(x), ascending rows."""
+    return np.bitwise_xor.reduce(_MUL[a[:, : l + 1], b[:, l::-1]], axis=1)
+
+
+def _correct(code: np.ndarray, synd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounded-distance correction of rows with non-zero syndromes ``synd``.
+
+    Returns the corrected rows, or the received ones where ``failed``.
+    """
+    nblk, nroots = synd.shape
     t = nroots // 2
-    nblk = code.shape[0]
-    synd = _syndromes(code, nroots)  # (N, nroots)
-    clean = ~synd.any(axis=1)
 
     # Berlekamp-Massey, branchless across the batch.  err/old are the
     # locator and its shifted companion, coefficients ascending.
@@ -120,65 +218,57 @@ def rs_decode_blocks(code: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     elen = np.ones(nblk, dtype=np.int64)
     olen = np.ones(nblk, dtype=np.int64)
     for i in range(nroots):
-        m = min(i, width - 1)
-        if m:
-            prod = _MUL[err[:, 1 : m + 1], synd[:, i - 1 :: -1][:, :m]]
-            delta = synd[:, i] ^ np.bitwise_xor.reduce(prod, axis=1)
-        else:
-            delta = synd[:, i].copy()
-        old = np.concatenate([np.zeros((nblk, 1), np.uint8), old[:, :-1]], axis=1)
-        olen = olen + 1
-        upd = delta != 0
-        swap = upd & (olen > elen)
+        # discrepancy of the locator against syndrome i (err[:, 0] stays 1)
+        delta = _product_coeff(err, synd, i)
+        old[:, 1:] = old[:, :-1]
+        old[:, 0] = 0
+        olen += 1
+        swap = (delta != 0) & (olen > elen)
         err_prev = err
-        err = err ^ np.where(upd[:, None], _MUL[delta[:, None], old], 0)
+        err = err ^ _MUL[delta[:, None], old]
         old = np.where(swap[:, None], _MUL[_INV[delta][:, None], err_prev], old)
-        elen_new = np.where(swap, olen, elen)
-        olen = np.where(swap, elen, olen)
-        elen = elen_new
+        elen, olen = np.where(swap, olen, elen), np.where(swap, elen, olen)
     nerr = elen - 1
 
-    # Chien search: evaluate the locator at alpha^j for j = 0..14; a root
-    # at alpha^j marks an error at position power (15 - j) % 15.
-    degs = np.arange(width)
-    chien = _EXP[(np.arange(15)[:, None] * degs[None, :]) % 15]  # (15, width)
-    evals = np.bitwise_xor.reduce(_MUL[err[:, None, :], chien[None, :, :]], axis=2)
-    is_root = evals == 0  # (N, 15)
-    nroots_found = is_root.sum(axis=1)
-    failed = (~clean) & ((nerr > t) | (nroots_found != nerr))
+    # Chien search: a root of the locator at alpha^j marks an error in
+    # column _ROOT_COL[j].  The root count must match the locator degree.
+    chien, deriv = _locator_tables(nroots)
+    is_root = _unpack(_apply(chien, err), 15) == 0  # (N, 15)
+    failed = (nerr > t) | (is_root.sum(axis=1) != nerr)
 
-    # Forney: omega = S(x) * locator mod x^nroots, magnitudes from the
-    # formal derivative (odd-degree terms only in characteristic 2).
-    conv = _MUL[synd[:, :, None], err[:, None, :]]  # (N, nroots, width)
-    omega = np.zeros((nblk, nroots), dtype=np.uint8)
-    for l in range(nroots):
-        j = np.arange(l + 1)
-        omega[:, l] = np.bitwise_xor.reduce(conv[:, j, l - j], axis=1)
-    xpow = _EXP[(np.arange(15)[:, None] * np.arange(nroots)[None, :]) % 15]
-    om_at = np.bitwise_xor.reduce(_MUL[omega[:, None, :], xpow[None, :, :]], axis=2)
-    # x * d/dx of the locator keeps odd-degree terms only; zeroing the even
-    # columns of the power table bakes that in (GF product with 0 is 0)
-    dpow = _EXP[(np.arange(15)[:, None] * (degs[None, :] - 1)) % 15]
-    dpow[:, degs % 2 == 0] = 0
-    der_at = np.bitwise_xor.reduce(_MUL[err[:, None, :], dpow[None, :, :]], axis=2)
-    bad_deriv = is_root & (der_at == 0)
-    failed |= bad_deriv.any(axis=1)
-    mag = _MUL[om_at, _INV[der_at]]  # _INV[0] rows are masked via failed
-
-    corr = np.zeros((nblk, _N), dtype=np.uint8)
-    cols = (14 - (15 - np.arange(15)) % 15) % 15  # root index j -> column
-    apply = is_root & ~failed[:, None]
-    rows_idx, j_idx = np.nonzero(apply)
-    corr[rows_idx, cols[j_idx]] = mag[rows_idx, j_idx]
-    fixed = code ^ corr
+    # Forney, at the roots of the rows still correctable: omega = S(x) *
+    # locator mod x^nroots, magnitude omega / (x * locator').
+    omega = np.stack([_product_coeff(err, synd, l) for l in range(nroots)], axis=1)
+    rows, roots = np.nonzero(is_root & ~failed[:, None])
+    at_root = _NIBBLES[roots]
+    # omega has degree < nroots: its map is the first nroots rows of chien's
+    om = (_apply(chien[: 16 * nroots], omega)[rows] >> at_root) & np.uint64(15)
+    der = (_apply(deriv, err)[rows] >> at_root) & np.uint64(15)
+    failed[rows[der == 0]] = True
+    keep = ~failed[rows]
+    fixed = code.copy()
+    fixed[rows[keep], _ROOT_COL[roots[keep]]] ^= _MUL[om[keep], _INV[der[keep]]]
 
     # A bounded-distance result must be a codeword; anything else is a
     # decoder fault, so re-checking syndromes here costs little and turns
     # silent corruption into a failure flag.
-    recheck = _syndromes(fixed, nroots).any(axis=1)
-    failed |= recheck
-    out = np.where(failed[:, None], code, fixed)
-    return out[:, :k].copy(), failed
+    ok = np.flatnonzero(~failed)
+    failed[ok[_apply(_syndrome_map(nroots), fixed[ok]) != 0]] = True
+    fixed[failed] = code[failed]
+    return fixed, failed
+
+
+@lru_cache(maxsize=8)
+def _branch_metrics(table_bytes: bytes, nout: int) -> np.ndarray:
+    """(3^R, 128) Hamming distances from each observation symbol to each word.
+
+    Symbol s holds chip j in base-3 digit j (0, 1, or 2 for an erasure,
+    which adds no distance); word w's chips are row w of the output table.
+    """
+    table = np.frombuffer(table_bytes, dtype=np.uint8).reshape(128, nout)
+    digits = (np.arange(3**nout)[:, None] // 3 ** np.arange(nout)) % 3
+    differ = (table[None, :, :] != digits[:, None, :]) & (digits != 2)[:, None, :]
+    return _readonly(differ.sum(axis=2, dtype=np.int32))
 
 
 def viterbi_decode(obs: np.ndarray, out_table: np.ndarray) -> np.ndarray:
@@ -191,43 +281,38 @@ def viterbi_decode(obs: np.ndarray, out_table: np.ndarray) -> np.ndarray:
     """
     obs = np.ascontiguousarray(obs, dtype=np.uint8)
     out_table = np.ascontiguousarray(out_table, dtype=np.uint8)
+    if out_table.ndim != 2 or out_table.shape[0] != 128:
+        raise ValueError("out_table must have shape (128, R)")
     nout = out_table.shape[1]
+    if not 0 < nout <= _MAX_NOUT:
+        raise ValueError(f"out_table width {nout} outside 1..{_MAX_NOUT}")
     if obs.size % nout:
         raise ValueError(f"observation length {obs.size} not a multiple of {nout}")
+    if obs.size and obs.max() > 2:
+        raise ValueError("observations must be 0, 1 or 2 (erased)")
     steps = obs.size // nout
-    obs2 = obs.reshape(steps, nout)
-    known = obs2 != 2
-
-    # branch metrics for every (step, word) pair up front; erased chips
-    # contribute no distance
-    bm_all = ((out_table[None, :, :] != obs2[:, None, :]) & known[:, None, :]).sum(
-        axis=2, dtype=np.int32
-    )  # (steps, 128)
+    symbols = obs.reshape(steps, nout) @ 3 ** np.arange(nout)
+    bm = _branch_metrics(out_table.tobytes(), nout)[symbols]  # (steps, 128)
 
     # transition w = (bit<<6)|state maps to next state w>>1, so the two
-    # predecessors of state ns are words 2*ns and 2*ns+1.  ext[w] below is
-    # pm[w & 63] + bm[w]; pairing consecutive words gives both candidates
-    # for each next state without any gather.
-    w0 = np.arange(0, 128, 2, dtype=np.uint8)
+    # predecessors of state ns are words 2*ns and 2*ns+1.  pm holds the
+    # path metrics twice, pm[w] = metric of state w & 63, so adding it to
+    # a step's branch metrics in place gives every candidate; the minimum
+    # of each even/odd pair is written back into both halves.
+    pm = np.full(128, 1 << 20, dtype=np.int32)
+    pm[0] = pm[64] = 0
+    pm_halves = pm.reshape(2, 64)
+    even, odd = bm[:, 0::2], bm[:, 1::2]
+    for ext, ext_even, ext_odd in zip(bm, even, odd):
+        np.add(pm, ext, out=ext)
+        np.minimum(ext_even, ext_odd, out=pm_halves)
+    # survivor of next state ns: word 2*ns + 1 only if strictly better
+    take_odd = (odd < even).tobytes()
 
-    big = np.int32(1 << 20)
-    pm = np.full(64, big, dtype=np.int32)
-    pm[0] = 0
-    ext = np.empty(128, dtype=np.int32)
-    back = np.empty((steps, 64), dtype=np.uint8)
-    for tstep in range(steps):
-        ext[:64] = pm
-        ext[64:] = pm
-        ext += bm_all[tstep]
-        pair = ext.reshape(64, 2)
-        take1 = pair[:, 1] < pair[:, 0]
-        pm = pair.min(axis=1)
-        back[tstep] = w0 + take1
-
-    bits = np.empty(steps, dtype=np.uint8)
+    bits = bytearray(steps)
     state = 0  # zero tail always drives the encoder back to state 0
     for tstep in range(steps - 1, -1, -1):
-        w = back[tstep, state]
+        w = 2 * state + take_odd[tstep * 64 + state]
         bits[tstep] = w >> 6
         state = w & 63
-    return bits
+    return np.frombuffer(bits, dtype=np.uint8)

@@ -68,6 +68,13 @@ class LinkBudgetParams:
     def __post_init__(self) -> None:
         if not self.attenuation_coeffs:
             raise ParamsError("attenuation_coeffs: need at least one value")
+        for f in fields(self):
+            if f.name == "rf_capacity":
+                continue  # an unbounded RF uplink is the one meaningful infinity
+            value = getattr(self, f.name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if not math.isfinite(v):
+                    raise ParamsError(f"{f.name}: must be finite, got {v!r}")
         for a in self.attenuation_coeffs:
             if a < 0.0:
                 raise ParamsError(f"attenuation_coeffs: {a!r} is negative")

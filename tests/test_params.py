@@ -150,6 +150,29 @@ class TestErrors:
             parse_params(["# non-finite", line])
 
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("attenuation_coeffs", (5.0, math.nan)),
+            ("attenuation_coeffs", (math.inf,)),
+            ("pr_over_n0", math.nan),
+            ("pr_over_n0", -math.inf),
+            ("span", math.inf),
+            ("divergence", math.nan),
+            ("irradiance_angle", math.inf),
+            ("sweep_points", math.inf),
+        ],
+    )
+    def test_constructor_rejects_non_finite_values(self, field, value):
+        with pytest.raises(ParamsError, match=f"{field}: must be finite"):
+            LinkBudgetParams(**{field: value})
+
+    def test_constructor_keeps_infinite_rf_capacity(self):
+        assert LinkBudgetParams(rf_capacity=math.inf).rf_capacity == math.inf
+        with pytest.raises(ParamsError, match="rf_capacity"):
+            LinkBudgetParams(rf_capacity=math.nan)
+
+
 class TestAccessors:
     def test_indoor_view_carries_fields_over(self):
         p = LinkBudgetParams()
