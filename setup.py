@@ -2,28 +2,16 @@ import os
 
 from setuptools import Extension, setup
 
-# The compiled kernels are an optional speedup; the package falls back to the
-# pure-Python implementations in owpan._kernels._pure when the extension is
-# absent.  Set OWPAN_NO_EXT=1 to skip the build entirely.
+# The compiled kernels are an optional speedup: a C compiler and the Python
+# headers are all they need.  When the build fails, the package falls back
+# to the pure-numpy kernels in owpan._kernels._pure.  Set OWPAN_NO_EXT=1 to
+# skip the build entirely.
 ext_modules = []
 if not os.environ.get("OWPAN_NO_EXT"):
-    try:
-        import numpy
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "owpan._kernels._native",
-                    ["src/owpan/_kernels/_native.pyx"],
-                    include_dirs=[numpy.get_include()],
-                    define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
-                    extra_compile_args=["-O3"],
-                )
-            ],
-            language_level="3",
+    ext_modules = [
+        Extension(
+            "owpan._kernels._native", ["src/owpan/_kernels/_native.c"], optional=True
         )
-    except ImportError:
-        ext_modules = []
+    ]
 
 setup(ext_modules=ext_modules)

@@ -2,7 +2,10 @@
 
 Importing this package binds ``rs_encode_blocks``, ``rs_decode_blocks`` and
 ``viterbi_decode`` to the compiled extension when it is available, else to
-the pure-numpy fallback.  Set ``OWPAN_KERNELS=pure`` or ``=native`` to force
+the pure-numpy fallback.  The extension is ``_native.c``, one hand-written
+C file that needs only a C compiler and the Python headers; ``pip install``
+or ``python3 setup.py build_ext --inplace`` builds it.  Both backends give
+bit-identical results.  Set ``OWPAN_KERNELS=pure`` or ``=native`` to force
 a backend (forcing ``native`` raises if the extension is missing, instead
 of silently degrading).
 """

@@ -1,0 +1,478 @@
+/* Compiled decoder hot loops: the native twin of owpan._kernels._pure.
+ *
+ * The same three callables with the same contract, bit for bit:
+ *
+ *   rs_encode_blocks(data, k)       systematic RS(15, k) over GF(16)
+ *   rs_decode_blocks(code, k)       batched bounded-distance decoding
+ *   viterbi_decode(obs, out_table)  hard-decision Viterbi with erasures
+ *
+ * Inputs are read through the buffer protocol (PEP 3118); anything that
+ * is not already a C-contiguous uint8 ndarray goes through
+ * numpy.ascontiguousarray(x, dtype=uint8) first, as in _pure.  Outputs
+ * are made with numpy.empty, so neither the numpy C API nor Cython is
+ * needed.  The design follows Karn's libfec:
+ *
+ * - RS parity and syndromes are the packed GF(16)-linear maps of _pure:
+ *   entry 16*j + v holds v times row j, one symbol per nibble of a
+ *   uint64, so a map costs one lookup and one XOR per input symbol.
+ *   Rows with a non-zero syndrome run Berlekamp-Massey, Chien and Forney
+ *   exactly as _pure._correct does.
+ * - Viterbi reads the 128 branch metrics of a step from one row of a
+ *   cached 3^R x 128 table, runs add-compare-select over the 64 states
+ *   and keeps each step's survivor decisions in one uint64.
+ */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <stdint.h>
+#include <string.h>
+
+#define N 15
+#define MAX_NOUT 6
+#define NCACHE 4
+
+static uint8_t EXP[30], LOG[16], MUL[16][16], INV[16];
+static uint64_t PARITY[N][16 * N];   /* PARITY[k]: k data symbols -> 15-k parity */
+static uint64_t SYNDROME[N][16 * N]; /* SYNDROME[nroots]: codeword -> S_1..S_nroots */
+
+static PyObject *np_empty, *np_ascontiguousarray, *np_ndarray, *dtype_u8, *dtype_bool;
+
+/* Tabulate x -> x @ mat for mat (m, r <= 16): see _pure._linear_map. */
+static void linear_map(uint64_t *table, const uint8_t *mat, int m, int r)
+{
+    for (int j = 0; j < m; j++)
+        for (int v = 0; v < 16; v++) {
+            uint64_t w = 0;
+            for (int i = 0; i < r; i++)
+                w |= (uint64_t)MUL[v][mat[j * r + i]] << (4 * i);
+            table[16 * j + v] = w;
+        }
+}
+
+static uint64_t apply(const uint64_t *table, const uint8_t *row, int m)
+{
+    uint64_t w = 0;
+    for (int j = 0; j < m; j++)
+        w ^= table[16 * j + row[j]];
+    return w;
+}
+
+static void init_tables(void)
+{
+    /* GF(16) generated by x^4 + x + 1; EXP is doubled so that the sum of
+       two logs indexes it without a modulo */
+    int x = 1;
+    for (int i = 0; i < 15; i++) {
+        EXP[i] = EXP[i + 15] = (uint8_t)x;
+        LOG[x] = (uint8_t)i;
+        x <<= 1;
+        if (x & 0x10)
+            x ^= 0x13;
+    }
+    for (int a = 1; a < 16; a++) {
+        INV[a] = EXP[15 - LOG[a]];
+        for (int b = 1; b < 16; b++)
+            MUL[a][b] = EXP[LOG[a] + LOG[b]];
+    }
+    uint8_t mat[N * N];
+    for (int nroots = 1; nroots < N; nroots++) {
+        /* column j holds the coefficient of x^(14-j) */
+        for (int j = 0; j < N; j++)
+            for (int i = 0; i < nroots; i++)
+                mat[j * nroots + i] = EXP[((14 - j) * (i + 1)) % 15];
+        linear_map(SYNDROME[nroots], mat, N, nroots);
+
+        /* generator prod_{i=1..nroots} (x - alpha^i), ascending; row u of
+           the parity map is the systematic LFSR's parity of message e_u */
+        int k = N - nroots;
+        uint8_t g[N + 1] = {1};
+        for (int i = 1; i <= nroots; i++) {
+            for (int j = i; j > 0; j--)
+                g[j] = g[j - 1] ^ MUL[g[j]][EXP[i]];
+            g[0] = MUL[g[0]][EXP[i]];
+        }
+        for (int u = 0; u < k; u++) {
+            uint8_t *par = mat + u * nroots;
+            memset(par, 0, nroots);
+            for (int s = 0; s < k; s++) {
+                uint8_t fb = (s == u) ^ par[0];
+                memmove(par, par + 1, nroots - 1);
+                par[nroots - 1] = 0;
+                for (int i = 0; i < nroots; i++)
+                    par[i] ^= MUL[fb][g[nroots - 1 - i]];
+            }
+        }
+        linear_map(PARITY[k], mat, k, nroots);
+    }
+}
+
+/* Read obj as C-contiguous uint8 bytes into view; released by the caller. */
+static int get_u8(PyObject *obj, Py_buffer *view)
+{
+    if (Py_TYPE(obj) == (PyTypeObject *)np_ndarray &&
+        PyObject_GetBuffer(obj, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) == 0) {
+        if (view->itemsize == 1 && strcmp(view->format, "B") == 0)
+            return 0;
+        PyBuffer_Release(view);
+    }
+    PyErr_Clear();
+    PyObject *arr = PyObject_CallFunctionObjArgs(np_ascontiguousarray, obj, dtype_u8, NULL);
+    if (arr == NULL)
+        return -1;
+    int rc = PyObject_GetBuffer(arr, view, PyBUF_C_CONTIGUOUS);
+    Py_DECREF(arr);
+    return rc;
+}
+
+/* numpy.empty(shape, dtype) with its data pointer; n1 < 0 makes it 1-D. */
+static PyObject *new_array(Py_ssize_t n0, Py_ssize_t n1, PyObject *dtype, uint8_t **data)
+{
+    PyObject *shape = n1 < 0 ? Py_BuildValue("(n)", n0) : Py_BuildValue("(nn)", n0, n1);
+    if (shape == NULL)
+        return NULL;
+    PyObject *arr = PyObject_CallFunctionObjArgs(np_empty, shape, dtype, NULL);
+    Py_DECREF(shape);
+    Py_buffer view;
+    if (arr == NULL || PyObject_GetBuffer(arr, &view, PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS)) {
+        Py_XDECREF(arr);
+        return NULL;
+    }
+    *data = view.buf; /* arr owns the memory and nothing else can resize it */
+    PyBuffer_Release(&view);
+    return arr;
+}
+
+static int get_k(PyObject *obj, int *k)
+{
+    int overflow;
+    long v = PyLong_AsLongAndOverflow(obj, &overflow);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    if (overflow || v < 1 || v >= N) {
+        PyErr_Format(PyExc_ValueError, "k must lie in 1..%d, got %S", N - 1, obj);
+        return -1;
+    }
+    *k = (int)v;
+    return 0;
+}
+
+static int check_rows(const Py_buffer *view, int width, const char *name)
+{
+    if (view->ndim != 2 || view->shape[1] != width) {
+        PyErr_Format(PyExc_ValueError, "%s must have shape (N, %d)", name, width);
+        return -1;
+    }
+    const uint8_t *p = view->buf;
+    uint8_t any = 0;
+    for (Py_ssize_t i = 0; i < view->len; i++)
+        any |= p[i];
+    if (any > 15) {
+        PyErr_SetString(PyExc_ValueError, "RS symbols must lie in 0..15");
+        return -1;
+    }
+    return 0;
+}
+
+static PyObject *rs_encode_blocks(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"data", "k", NULL};
+    PyObject *obj, *k_obj, *out = NULL;
+    int k;
+    Py_buffer in;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO", kwlist, &obj, &k_obj) ||
+        get_k(k_obj, &k) || get_u8(obj, &in))
+        return NULL;
+    uint8_t *o;
+    if (check_rows(&in, k, "data") == 0 && (out = new_array(in.shape[0], N, dtype_u8, &o))) {
+        const uint8_t *d = in.buf;
+        int nroots = N - k;
+        for (Py_ssize_t row = 0; row < in.shape[0]; row++, d += k, o += N) {
+            uint64_t par = apply(PARITY[k], d, k);
+            memcpy(o, d, k);
+            for (int i = 0; i < nroots; i++)
+                o[k + i] = (par >> (4 * i)) & 15;
+        }
+    }
+    PyBuffer_Release(&in);
+    return out;
+}
+
+/* Coefficient l of a(x) * b(x), coefficients ascending. */
+static uint8_t product_coeff(const uint8_t *a, const uint8_t *b, int l)
+{
+    uint8_t acc = 0;
+    for (int j = 0; j <= l; j++)
+        acc ^= MUL[a[j]][b[l - j]];
+    return acc;
+}
+
+/* Sum of coef[d] * alpha^((d + shift) * j) over d = first, first+step, ... < n. */
+static uint8_t eval_at(const uint8_t *coef, int first, int step, int n, int shift, int j)
+{
+    uint8_t acc = 0;
+    for (int d = first; d < n; d += step)
+        acc ^= MUL[coef[d]][EXP[((d + shift) * j) % 15]];
+    return acc;
+}
+
+/* Bounded-distance correction of a row with packed syndromes != 0, step
+   for step as _pure._correct; returns 1, leaving the row as it was, if
+   the row fails. */
+static int correct(uint8_t *row, uint64_t packed, int nroots)
+{
+    int t = nroots / 2, width = nroots + 2, elen = 1, olen = 1;
+    uint8_t synd[N], err[N + 2] = {1}, old[N + 2] = {1}, prev[N + 2], omega[N];
+    for (int i = 0; i < nroots; i++)
+        synd[i] = (packed >> (4 * i)) & 15;
+
+    /* Berlekamp-Massey; err/old are the locator and its shifted companion */
+    for (int i = 0; i < nroots; i++) {
+        uint8_t delta = product_coeff(err, synd, i);
+        memmove(old + 1, old, width - 1);
+        old[0] = 0;
+        olen++;
+        memcpy(prev, err, width);
+        for (int j = 0; j < width; j++)
+            err[j] ^= MUL[delta][old[j]];
+        if (delta && olen > elen) {
+            for (int j = 0; j < width; j++)
+                old[j] = MUL[INV[delta]][prev[j]];
+            int swap = elen;
+            elen = olen;
+            olen = swap;
+        }
+    }
+    int nerr = elen - 1, nroot = 0, roots[N];
+    if (nerr > t)
+        return 1;
+
+    /* Chien: a root at alpha^j marks an error in column (j + 14) % 15 */
+    for (int j = 0; j < N; j++)
+        if (eval_at(err, 0, 1, width, 0, j) == 0)
+            roots[nroot++] = j;
+    if (nroot != nerr)
+        return 1;
+
+    /* Forney: omega = S(x) * locator mod x^nroots, magnitude
+       omega / (x * locator'), whose terms are the odd-degree ones */
+    for (int l = 0; l < nroots; l++)
+        omega[l] = product_coeff(err, synd, l);
+    uint8_t fixed[N];
+    memcpy(fixed, row, N);
+    for (int i = 0; i < nroot; i++) {
+        int j = roots[i];
+        uint8_t der = eval_at(err, 1, 2, width, -1, j);
+        if (der == 0)
+            return 1;
+        fixed[(j + 14) % 15] ^= MUL[eval_at(omega, 0, 1, nroots, 0, j)][INV[der]];
+    }
+    /* a bounded-distance result must be a codeword */
+    if (apply(SYNDROME[nroots], fixed, N))
+        return 1;
+    memcpy(row, fixed, N);
+    return 0;
+}
+
+static PyObject *rs_decode_blocks(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"code", "k", NULL};
+    PyObject *obj, *k_obj, *out = NULL, *failed = NULL;
+    int k;
+    Py_buffer in;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO", kwlist, &obj, &k_obj) ||
+        get_k(k_obj, &k) || get_u8(obj, &in))
+        return NULL;
+    uint8_t *o, *f;
+    if (check_rows(&in, N, "code") == 0 && (out = new_array(in.shape[0], k, dtype_u8, &o)) &&
+        (failed = new_array(in.shape[0], -1, dtype_bool, &f))) {
+        const uint8_t *c = in.buf;
+        int nroots = N - k;
+        for (Py_ssize_t row = 0; row < in.shape[0]; row++, c += N, o += k) {
+            /* a row with all-zero syndromes is a codeword; correct()
+               leaves a failed row as it was received */
+            uint64_t synd = apply(SYNDROME[nroots], c, N);
+            uint8_t cw[N];
+            memcpy(cw, c, N);
+            f[row] = synd && correct(cw, synd, nroots);
+            memcpy(o, cw, k);
+        }
+    }
+    PyBuffer_Release(&in);
+    if (failed == NULL) {
+        Py_XDECREF(out);
+        return NULL;
+    }
+    return Py_BuildValue("(NN)", out, failed);
+}
+
+/* (3^R, 128) Hamming distances from each observation symbol to each
+   word, cached by output table: see _pure._branch_metrics.  A row holds
+   the even words 0, 2, ..., 126 first and then the odd ones, so the two
+   candidates for state ns sit at ns and 64 + ns. */
+static struct {
+    int nout;
+    uint8_t table[128 * MAX_NOUT];
+    uint8_t *bm;
+} cache[NCACHE];
+static int cache_next;
+
+static const uint8_t *branch_metrics(const uint8_t *table, int nout)
+{
+    for (int i = 0; i < NCACHE; i++)
+        if (cache[i].bm && cache[i].nout == nout && !memcmp(cache[i].table, table, 128 * nout))
+            return cache[i].bm;
+    int nsym = 1;
+    for (int j = 0; j < nout; j++)
+        nsym *= 3;
+    uint8_t *bm = PyMem_Malloc(128 * nsym);
+    if (bm == NULL) {
+        PyErr_NoMemory();
+        return NULL;
+    }
+    for (int s = 0; s < nsym; s++)
+        for (int w = 0; w < 128; w++) {
+            int dist = 0;
+            for (int j = 0, rest = s; j < nout; j++, rest /= 3)
+                dist += rest % 3 != 2 && table[w * nout + j] != rest % 3;
+            bm[128 * s + 64 * (w & 1) + (w >> 1)] = (uint8_t)dist;
+        }
+    PyMem_Free(cache[cache_next].bm);
+    cache[cache_next].bm = bm;
+    cache[cache_next].nout = nout;
+    memcpy(cache[cache_next].table, table, 128 * nout);
+    cache_next = (cache_next + 1) % NCACHE;
+    return bm;
+}
+
+static PyObject *viterbi(const uint8_t *obs, Py_ssize_t steps, const uint8_t *table, int nout)
+{
+    const uint8_t *bm = branch_metrics(table, nout);
+    uint8_t *bits;
+    PyObject *out = bm ? new_array(steps, -1, dtype_u8, &bits) : NULL;
+    if (out == NULL)
+        return NULL;
+    uint64_t *dec = PyMem_Malloc(steps ? steps * sizeof(uint64_t) : 1);
+    if (dec == NULL) {
+        Py_DECREF(out);
+        return PyErr_NoMemory();
+    }
+    /* word w = (bit << 6) | state leads to state w >> 1, so the two
+       predecessors of state ns are words 2*ns and 2*ns + 1, from states
+       2*ns & 63 and (2*ns + 1) & 63: states i and i + 32 share the pair
+       of states 2i, 2i + 1.  The odd word survives only if strictly
+       better. */
+    int32_t pm[64], npm[64];
+    uint8_t odd[64];
+    for (int s = 0; s < 64; s++)
+        pm[s] = 1 << 20; /* the encoder starts in state 0 */
+    pm[0] = 0;
+    for (Py_ssize_t t = 0; t < steps; t++, obs += nout) {
+        int sym = 0;
+        for (int j = nout - 1; j >= 0; j--)
+            sym = 3 * sym + obs[j];
+        const uint8_t *even_bm = bm + 128 * sym, *odd_bm = even_bm + 64;
+        for (int i = 0; i < 32; i++) {
+            int32_t e0 = pm[2 * i] + even_bm[i], o0 = pm[2 * i + 1] + odd_bm[i];
+            int32_t e1 = pm[2 * i] + even_bm[i + 32], o1 = pm[2 * i + 1] + odd_bm[i + 32];
+            npm[i] = o0 < e0 ? o0 : e0;
+            npm[i + 32] = o1 < e1 ? o1 : e1;
+            odd[i] = o0 < e0;
+            odd[i + 32] = o1 < e1;
+        }
+        /* eight 0/1 bytes at a time to eight bits: byte b of v, at bit
+           8b, lands in bit 56 + b of the product */
+        uint64_t packed = 0;
+        for (int q = 0; q < 8; q++) {
+            uint64_t v = 0;
+            for (int b = 0; b < 8; b++)
+                v |= (uint64_t)odd[8 * q + b] << (8 * b);
+            packed |= (v * 0x0102040810204080ULL) >> 56 << (8 * q);
+        }
+        dec[t] = packed;
+        memcpy(pm, npm, sizeof pm);
+    }
+    /* the zero tail always drives the encoder back to state 0 */
+    for (Py_ssize_t t = steps - 1, state = 0; t >= 0; t--) {
+        int w = 2 * state + ((dec[t] >> state) & 1);
+        bits[t] = w >> 6;
+        state = w & 63;
+    }
+    PyMem_Free(dec);
+    return out;
+}
+
+static PyObject *viterbi_decode(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"obs", "out_table", NULL};
+    PyObject *obs_obj, *table_obj, *out = NULL;
+    Py_buffer obs, table;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO", kwlist, &obs_obj, &table_obj) ||
+        get_u8(obs_obj, &obs))
+        return NULL;
+    if (get_u8(table_obj, &table)) {
+        PyBuffer_Release(&obs);
+        return NULL;
+    }
+    int nout = table.ndim == 2 ? (int)table.shape[1] : 0;
+    const uint8_t *o = obs.buf;
+    uint8_t top = 0;
+    for (Py_ssize_t i = 0; i < obs.len; i++)
+        top = o[i] > top ? o[i] : top;
+    if (table.ndim != 2 || table.shape[0] != 128)
+        PyErr_SetString(PyExc_ValueError, "out_table must have shape (128, R)");
+    else if (nout < 1 || nout > MAX_NOUT)
+        PyErr_Format(PyExc_ValueError, "out_table width %d outside 1..%d", nout, MAX_NOUT);
+    else if (obs.len % nout)
+        PyErr_Format(PyExc_ValueError, "observation length %zd not a multiple of %d", obs.len,
+                     nout);
+    else if (top > 2)
+        PyErr_SetString(PyExc_ValueError, "observations must be 0, 1 or 2 (erased)");
+    else
+        out = viterbi(obs.buf, obs.len / nout, table.buf, nout);
+    PyBuffer_Release(&obs);
+    PyBuffer_Release(&table);
+    return out;
+}
+
+static PyMethodDef methods[] = {
+    {"rs_encode_blocks", (PyCFunction)(void (*)(void))rs_encode_blocks,
+     METH_VARARGS | METH_KEYWORDS,
+     "Encode rows of data (shape (N, k), symbols 0..15) into systematic RS(15, k)."},
+    {"rs_decode_blocks", (PyCFunction)(void (*)(void))rs_decode_blocks,
+     METH_VARARGS | METH_KEYWORDS,
+     "Decode rows of code (shape (N, 15)); returns (data, failed)."},
+    {"viterbi_decode", (PyCFunction)(void (*)(void))viterbi_decode,
+     METH_VARARGS | METH_KEYWORDS,
+     "Hard-decision Viterbi over the 64-state rate-1/R trellis, with erasures."},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT, "_native",
+    "Compiled decoder kernels; the contract is owpan._kernels._pure's.", -1, methods,
+};
+
+PyMODINIT_FUNC PyInit__native(void)
+{
+    init_tables();
+    PyObject *np = PyImport_ImportModule("numpy");
+    if (np == NULL)
+        return NULL;
+    PyObject *dtype = PyObject_GetAttrString(np, "dtype");
+    np_empty = PyObject_GetAttrString(np, "empty");
+    np_ascontiguousarray = PyObject_GetAttrString(np, "ascontiguousarray");
+    np_ndarray = PyObject_GetAttrString(np, "ndarray");
+    Py_DECREF(np);
+    if (dtype == NULL || !np_empty || !np_ascontiguousarray || !np_ndarray)
+        return NULL;
+    dtype_u8 = PyObject_CallFunction(dtype, "s", "u1");
+    dtype_bool = PyObject_CallFunction(dtype, "s", "?");
+    Py_DECREF(dtype);
+    if (dtype_u8 == NULL || dtype_bool == NULL)
+        return NULL;
+    PyObject *m = PyModule_Create(&module);
+    if (m && PyModule_AddStringConstant(m, "BACKEND", "native")) {
+        Py_DECREF(m);
+        return NULL;
+    }
+    return m;
+}

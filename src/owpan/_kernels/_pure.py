@@ -1,24 +1,28 @@
 """Pure-numpy implementations of the decoder hot loops.
 
-These are the fallback for :mod:`owpan._kernels._native` and the reference
-the native kernels are tested against.  Both backends expose the same three
-callables:
+These are the fallback for :mod:`owpan._kernels._native`, compiled from
+the hand-written ``_native.c``, and the readable reference that kernel
+must match bit for bit.  Both backends expose the same three callables:
 
 * ``rs_encode_blocks(data, k)``   -- systematic RS(15, k) over GF(16)
 * ``rs_decode_blocks(code, k)``   -- batched bounded-distance decoding
 * ``viterbi_decode(obs, table)``  -- hard-decision Viterbi with erasures
 
-The RS routines are vectorized across the block axis, the Viterbi routine
-across the trellis states, so the Python-level loop count of a call does
-not depend on the batch size:
+Each converts its arrays to uint8 and raises ``ValueError`` for a shape,
+``k``, symbol or observation outside the contract; a failed RS row
+returns the received data.  The RS routines are vectorized across the
+block axis, the Viterbi routine across the trellis states, so the
+Python-level loop count of a call does not depend on the batch size:
 
 * ``rs_encode_blocks``: no loop; one gather from the products of the
   code's parity matrix, XOR-reduced per row.
 * ``rs_decode_blocks``: no loop when every syndrome is zero, as for every
   noiseless frame.  Otherwise 15-k Berlekamp-Massey steps and 15-k steps
   building the evaluator, over the rows with a non-zero syndrome only.
-* ``viterbi_decode``: one iteration of two ufunc calls per trellis step,
-  then one per step for the traceback.
+* ``viterbi_decode``: one iteration of three numpy calls per trellis
+  step, then one per step for the traceback.  The branch metrics are
+  gathered per block of steps and the survivor decisions kept bit-packed,
+  8 bytes per step, so memory stays bounded on a 64 KiB frame.
 
 Tables that depend only on ``k`` or on the trellis output table are built
 once, cached and read-only.  When both predecessors of a state have the
@@ -67,6 +71,8 @@ _NIBBLES = np.arange(0, 64, 4, dtype=np.uint64)
 
 # the largest trellis output width R; the branch-metric table has 3^R rows
 _MAX_NOUT = 6
+# Viterbi steps per block of gathered branch metrics, (block, 128) int32
+_BLOCK_STEPS = 2048
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -291,28 +297,36 @@ def viterbi_decode(obs: np.ndarray, out_table: np.ndarray) -> np.ndarray:
     if obs.size and obs.max() > 2:
         raise ValueError("observations must be 0, 1 or 2 (erased)")
     steps = obs.size // nout
-    symbols = obs.reshape(steps, nout) @ 3 ** np.arange(nout)
-    bm = _branch_metrics(out_table.tobytes(), nout)[symbols]  # (steps, 128)
+    chips = obs.reshape(steps, nout)
+    digits = 3 ** np.arange(nout)
+    table = _branch_metrics(out_table.tobytes(), nout)
 
     # transition w = (bit<<6)|state maps to next state w>>1, so the two
     # predecessors of state ns are words 2*ns and 2*ns+1.  pm holds the
     # path metrics twice, pm[w] = metric of state w & 63, so adding it to
     # a step's branch metrics in place gives every candidate; the minimum
-    # of each even/odd pair is written back into both halves.
+    # of each even/odd pair goes into the first half and is copied to the
+    # second.  The metrics are gathered one block of steps at a time, and
+    # the survivor decisions kept as 8 bytes per step: bit ns is set when
+    # word 2*ns + 1 survives, which it does only if strictly better.
     pm = np.full(128, 1 << 20, dtype=np.int32)
     pm[0] = pm[64] = 0
-    pm_halves = pm.reshape(2, 64)
-    even, odd = bm[:, 0::2], bm[:, 1::2]
-    for ext, ext_even, ext_odd in zip(bm, even, odd):
-        np.add(pm, ext, out=ext)
-        np.minimum(ext_even, ext_odd, out=pm_halves)
-    # survivor of next state ns: word 2*ns + 1 only if strictly better
-    take_odd = (odd < even).tobytes()
+    pm_lo, pm_hi = pm[:64], pm[64:]
+    decisions = bytearray(8 * steps)
+    for start in range(0, steps, _BLOCK_STEPS):
+        bm = table[chips[start : start + _BLOCK_STEPS] @ digits]  # (block, 128)
+        even, odd = bm[:, 0::2], bm[:, 1::2]
+        for ext, ext_even, ext_odd in zip(bm, even, odd):
+            np.add(pm, ext, out=ext)
+            np.minimum(ext_even, ext_odd, out=pm_lo)
+            pm_hi[:] = pm_lo
+        packed = np.packbits(odd < even, axis=1, bitorder="little")
+        decisions[8 * start : 8 * (start + len(bm))] = packed.tobytes()
 
     bits = bytearray(steps)
     state = 0  # zero tail always drives the encoder back to state 0
     for tstep in range(steps - 1, -1, -1):
-        w = 2 * state + take_odd[tstep * 64 + state]
+        w = 2 * state + (decisions[8 * tstep + (state >> 3)] >> (state & 7) & 1)
         bits[tstep] = w >> 6
         state = w & 63
     return np.frombuffer(bits, dtype=np.uint8)

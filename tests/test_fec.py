@@ -209,6 +209,13 @@ def test_rs_rejects_bad_shapes_and_symbols():
         rs_decode(np.zeros((2, 14), np.uint8), code)
     with pytest.raises(ValueError):
         rs_encode(np.full((1, 11), 16, np.uint8), code)
+    # the kernels check the symbol range, also behind a shortened code's pad
+    with pytest.raises(ValueError):
+        rs_decode(np.full((1, 15), 16, np.uint8), code)
+    with pytest.raises(ValueError):
+        rs_encode(np.full((1, 5), 200, np.uint8), RsCode(9, 5))
+    with pytest.raises(ValueError):
+        rs_decode(np.full((1, 9), 16, np.uint8), RsCode(9, 5))
 
 
 # ------------------------------------------------- convolutional code oracle

@@ -1,8 +1,14 @@
 """Pure-numpy and compiled kernels must be bit-identical on every input."""
 
 import hashlib
+import importlib.util
 import os
+import shutil
+import subprocess
+import sys
+import sysconfig
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +23,24 @@ except ImportError:
     _native = None
 
 needs_native = pytest.mark.skipif(_native is None, reason="compiled extension not built")
+
+# every importable backend, the pure reference first
+BACKENDS = [_pure] if _native is None else [_pure, _native]
+
+
+def _on_backends(cases, ids):
+    """Parameters (backend, case) for every case on every importable backend.
+
+    A case keeps its bare id on the pure backend and is prefixed with the
+    backend's name on any other.
+    """
+    return [
+        pytest.param(
+            backend, case, id=case_id if backend is _pure else f"{backend.BACKEND}-{case_id}"
+        )
+        for backend in BACKENDS
+        for case, case_id in zip(cases, ids)
+    ]
 
 
 def test_backend_reports_itself():
@@ -54,8 +78,9 @@ def test_rs_decode_backends_agree():
         out_p, fail_p = _pure.rs_decode_blocks(code.copy(), k)
         out_n, fail_n = _native.rs_decode_blocks(code.copy(), k)
         assert fail_p.tolist() == fail_n.tolist()
-        ok = ~fail_p
-        assert out_p[ok].tolist() == out_n[ok].tolist()
+        # a failed row returns the received data
+        assert out_p.tolist() == out_n.tolist()
+        assert out_n[fail_n].tolist() == code[fail_n, :k].tolist()
 
 
 @needs_native
@@ -84,15 +109,18 @@ def test_full_frame_chain_backend_independent():
         assert decode_from_chips(chips, mode) == payload
 
 
-# --- pure backend pinned to its recorded outputs -----------------------------
+# --- every backend pinned to the recorded pure outputs -----------------------
 #
 # The agreement tests above skip when the extension is not built, so these
-# digests are what keeps a rewrite of the pure kernels bit-identical.  They
-# were recorded from the straightforward implementation (per-row BM, Chien
-# and Forney on every row, the k-step LFSR encoder, the per-step compare-and-
-# sum Viterbi) on the seeded inputs built below, with numpy 2.4: a numpy
-# release that changes the streams of its seeded Generator changes the
-# inputs, and the digests must then be recorded again from that code.
+# digests are what keeps a rewrite of either backend bit-identical.  They
+# were recorded from the straightforward pure implementation (per-row BM,
+# Chien and Forney on every row, the k-step LFSR encoder, the per-step
+# compare-and-sum Viterbi) on the seeded inputs built below, with numpy 2.4:
+# a numpy release that changes the streams of its seeded Generator changes
+# the inputs, and the digests must then be recorded again from that code.
+# The tests are named for the pure reference and run on every importable
+# backend; test_native_source_matches_pinned_digests also builds the C
+# source of a plain checkout, where no extension is built.
 
 _PINNED = {
     "viterbi_r13": "bcafe0649c51dff799d0a32d9decfe9d7c60fec1e0c628a06a68aea53311feae",
@@ -113,30 +141,30 @@ def _random_symbol_errors(rng, row, nerr):
     row[pos] ^= rng.integers(1, 16, size=nerr).astype(np.uint8)
 
 
-def _pinned_viterbi(table):
+def _pinned_viterbi(backend, table):
     h = hashlib.sha256()
     rng = np.random.default_rng(101 + table.shape[1])
     code = ConvCode(Fraction(1, table.shape[1]))
     for steps in range(1, 401, 3):
         # uniform 0/1/2 observations: ties on nearly every step
         obs = rng.integers(0, 3, size=steps * table.shape[1], dtype=np.uint8)
-        _digest_update(h, _pure.viterbi_decode(obs, table))
+        _digest_update(h, backend.viterbi_decode(obs, table))
         # a codeword with flips and erasures: the decoding the codec does
         if steps > 6:
             obs = cc_encode(rng.integers(0, 2, size=steps - 6), code)
             obs[rng.random(obs.size) < 0.05] ^= 1
             obs[rng.random(obs.size) < 0.05] = 2
-            _digest_update(h, _pure.viterbi_decode(obs, table))
+            _digest_update(h, backend.viterbi_decode(obs, table))
     return h.hexdigest()
 
 
-def _pinned_rs_encode():
+def _pinned_rs_encode(backend):
     h = hashlib.sha256()
     rng = np.random.default_rng(202)
     for k in range(1, 15):
         for nblk in (0, 1, 3, 64):
             data = rng.integers(0, 16, size=(nblk, k), dtype=np.uint8)
-            _digest_update(h, _pure.rs_encode_blocks(data, k))
+            _digest_update(h, backend.rs_encode_blocks(data, k))
     return h.hexdigest()
 
 
@@ -159,31 +187,59 @@ def _rs_decode_batches(rng, k):
         yield code
 
 
-def _pinned_rs_decode():
+def _pinned_rs_decode(backend):
     h = hashlib.sha256()
     rng = np.random.default_rng(303)
     for k in range(1, 15):
         for code in _rs_decode_batches(rng, k):
-            data, failed = _pure.rs_decode_blocks(code, k)
+            data, failed = backend.rs_decode_blocks(code, k)
             _digest_update(h, data, failed)
     return h.hexdigest()
 
 
 _PINNED_FNS = {
-    "viterbi_r13": lambda: _pinned_viterbi(_TABLE_R13),
-    "viterbi_r14": lambda: _pinned_viterbi(_TABLE_R14),
+    "viterbi_r13": lambda backend: _pinned_viterbi(backend, _TABLE_R13),
+    "viterbi_r14": lambda backend: _pinned_viterbi(backend, _TABLE_R14),
     "rs_encode": _pinned_rs_encode,
     "rs_decode": _pinned_rs_decode,
 }
 
 
-@pytest.mark.parametrize("name", sorted(_PINNED))
-def test_pure_outputs_match_pinned_digest(name):
-    assert _PINNED_FNS[name]() == _PINNED[name]
+@pytest.mark.parametrize("backend,name", _on_backends(sorted(_PINNED), sorted(_PINNED)))
+def test_pure_outputs_match_pinned_digest(backend, name):
+    assert _PINNED_FNS[name](backend) == _PINNED[name]
 
 
-@pytest.mark.parametrize("table", [_TABLE_R13, _TABLE_R14], ids=["r13", "r14"])
-def test_pure_viterbi_is_maximum_likelihood(table):
+def _c_toolchain_present() -> bool:
+    cc = (sysconfig.get_config_var("CC") or "").split()
+    headers = Path(sysconfig.get_paths()["include"], "Python.h")
+    return bool(cc) and shutil.which(cc[0]) is not None and headers.is_file()
+
+
+@pytest.mark.skipif(not _c_toolchain_present(), reason="no C compiler or Python.h")
+def test_native_source_matches_pinned_digests(tmp_path):
+    """Build _native.c with setuptools into tmp_path and pin its outputs."""
+    from setuptools import Distribution, Extension
+
+    source = Path(__file__).parents[1] / "src" / "owpan" / "_kernels" / "_native.c"
+    ext = Extension("owpan._kernels._native", [str(source)])
+    dist = Distribution({"name": "owpan-native-check", "ext_modules": [ext]})
+    build = dist.get_command_obj("build_ext")
+    build.build_lib = str(tmp_path)
+    build.build_temp = str(tmp_path / "temp")
+    dist.run_command("build_ext")
+    spec = importlib.util.spec_from_file_location(ext.name, build.get_ext_fullpath(ext.name))
+    built = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(built)
+    assert built.BACKEND == "native"
+    for name, digest in _PINNED.items():
+        assert _PINNED_FNS[name](built) == digest, name
+
+
+@pytest.mark.parametrize(
+    "backend,table", _on_backends([_TABLE_R13, _TABLE_R14], ["r13", "r14"])
+)
+def test_pure_viterbi_is_maximum_likelihood(backend, table):
     """Over all 2^n messages plus the zero tail, none is nearer the input."""
     rng = np.random.default_rng(404 + table.shape[1])
     code = ConvCode(Fraction(1, table.shape[1]))
@@ -194,7 +250,7 @@ def test_pure_viterbi_is_maximum_likelihood(table):
             obs = book[rng.integers(len(book))].copy()
             obs[rng.random(obs.size) < 0.15] ^= 1
             obs[rng.random(obs.size) < 0.15] = 2
-            bits = _pure.viterbi_decode(obs, table)
+            bits = backend.viterbi_decode(obs, table)
             assert bits.size == nbits + 6 and not bits[nbits:].any()
             # erased chips carry no distance
             dist = ((book != obs) & (obs != 2)).sum(axis=1)
@@ -223,14 +279,15 @@ def test_pure_cached_tables_reject_writes():
 def test_pure_outputs_do_not_alias_cached_tables():
     rng = np.random.default_rng(8)
     outputs = []
-    for k in (1, 7, 11, 14):
-        data = rng.integers(0, 16, size=(4, k), dtype=np.uint8)
-        code = _pure.rs_encode_blocks(data, k)
-        outputs += [code, *_pure.rs_decode_blocks(code, k)]
-        code[:, 0] ^= 1
-        outputs += list(_pure.rs_decode_blocks(code, k))
-    for table in (_TABLE_R13, _TABLE_R14):
-        outputs.append(_pure.viterbi_decode(np.zeros(30 * table.shape[1]), table))
+    for backend in BACKENDS:
+        for k in (1, 7, 11, 14):
+            data = rng.integers(0, 16, size=(4, k), dtype=np.uint8)
+            code = backend.rs_encode_blocks(data, k)
+            outputs += [code, *backend.rs_decode_blocks(code, k)]
+            code[:, 0] ^= 1
+            outputs += list(backend.rs_decode_blocks(code, k))
+        for table in (_TABLE_R13, _TABLE_R14):
+            outputs.append(backend.viterbi_decode(np.zeros(30 * table.shape[1]), table))
     for out in outputs:
         assert out.flags.writeable
         assert not any(np.shares_memory(out, t) for t in _pure_caches())
@@ -263,16 +320,48 @@ def test_pure_batch_decode_equals_row_by_row(k):
 
 
 @pytest.mark.parametrize(
-    "call",
-    [
-        lambda: _pure.rs_encode_blocks(np.zeros((1, 15), np.uint8), 15),
-        lambda: _pure.rs_decode_blocks(np.zeros((1, 15), np.uint8), 0),
-        lambda: _pure.viterbi_decode(np.full(9, 3, np.uint8), _TABLE_R13),
-        lambda: _pure.viterbi_decode(np.zeros(7, np.uint8), np.zeros((128, 7))),
-        lambda: _pure.viterbi_decode(np.zeros(6, np.uint8), _TABLE_R13[:64]),
-    ],
-    ids=["encode-k15", "decode-k0", "obs-3", "table-width-7", "table-64-rows"],
+    "backend,call",
+    _on_backends(
+        [
+            lambda m: m.rs_encode_blocks(np.zeros((1, 15), np.uint8), 15),
+            lambda m: m.rs_decode_blocks(np.zeros((1, 15), np.uint8), 0),
+            lambda m: m.viterbi_decode(np.full(9, 3, np.uint8), _TABLE_R13),
+            lambda m: m.viterbi_decode(np.zeros(7, np.uint8), np.zeros((128, 7))),
+            lambda m: m.viterbi_decode(np.zeros(6, np.uint8), _TABLE_R13[:64]),
+        ],
+        ["encode-k15", "decode-k0", "obs-3", "table-width-7", "table-64-rows"],
+    ),
 )
-def test_pure_rejects_inputs_outside_the_contract(call):
+def test_pure_rejects_inputs_outside_the_contract(backend, call):
     with pytest.raises(ValueError):
-        call()
+        call(backend)
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs the resource module")
+def test_pure_viterbi_memory_does_not_grow_with_the_trellis():
+    """200,000 steps at R = 4 add a few MB of peak memory, not 100 MB.
+
+    The branch metrics are gathered one block of steps at a time and the
+    survivor decisions kept as 8 bytes per step; a (steps, 128) int32
+    metric array would add 102 MB.  Measured in a fresh process, whose
+    peak RSS this one call sets.
+    """
+    script = (
+        "import resource, numpy as np\n"
+        "from owpan._kernels import _pure\n"
+        "from owpan.phy.fec import _TABLE_R14\n"
+        "obs = np.random.default_rng(1).integers(0, 3, 4 * 200_000).astype(np.uint8)\n"
+        "_pure.viterbi_decode(obs[:400], _TABLE_R14)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "_pure.viterbi_decode(obs, _TABLE_R14)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    src = str(Path(_pure.__file__).parents[2])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    grown_kb = int(done.stdout)
+    if sys.platform == "darwin":
+        grown_kb //= 1024  # ru_maxrss is in bytes there
+    assert grown_kb < 16 * 1024
