@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .. import _kernels
+from .line_codes import _as_bits, _as_uint8
 
 __all__ = [
     "RsCode",
@@ -95,8 +96,8 @@ class ConvCode:
 
 
 def _as_symbols(x, width: int, name: str) -> np.ndarray:
-    # the kernels check the symbol range; a symbol above 15 raises there
-    arr = np.asarray(x, dtype=np.uint8)
+    # the kernels check the symbol range; a symbol in 16..255 raises there
+    arr = _as_uint8(x, 255, f"{name} symbols must lie in 0..15")
     if arr.ndim != 2 or arr.shape[1] != width:
         raise ValueError(f"{name} must have shape (nblocks, {width})")
     return arr
@@ -172,9 +173,7 @@ def cc_encode(bits, code: ConvCode) -> np.ndarray:
     Output length is (len(bits)+6)/rate; the rate-2/3 puncturing requires
     an even number of input bits including the tail.
     """
-    bits = np.asarray(bits, dtype=np.uint8).ravel()
-    if bits.size and bits.max() > 1:
-        raise ValueError("bits must contain only 0s and 1s")
+    bits = _as_bits(bits, "bits")
     tailed = np.concatenate([bits, np.zeros(_TAIL, np.uint8)])
     if code.rate == Fraction(1, 4):
         table = _TABLE_R14
@@ -195,9 +194,7 @@ def viterbi_decode(coded, code: ConvCode) -> np.ndarray:
     Punctured positions are restored as erasures, which the trellis metric
     skips, so the rate-2/3 stream decodes on the rate-1/3 trellis.
     """
-    coded = np.asarray(coded, dtype=np.uint8).ravel()
-    if coded.size and coded.max() > 1:
-        raise ValueError("coded bits must contain only 0s and 1s")
+    coded = _as_bits(coded, "coded bits")
     if code.rate == Fraction(1, 4):
         table, obs = _TABLE_R14, coded
     elif code.rate == Fraction(1, 3):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import line_codes, modulation
 from .fec import RsDecodeError, cc_encode, rs_decode, rs_encode, viterbi_decode
-from .line_codes import LineCodeError
+from .line_codes import LineCodeError, _chip_table, _pack
 from .modes import LineCode, Modulation, PhyMode
 from .modulation import ModulationError
 
@@ -75,22 +75,11 @@ def _nibbles_to_bytes(nibbles: np.ndarray) -> np.ndarray:
     return ((nibbles[0::2] << 4) | nibbles[1::2]).astype(np.uint8)
 
 
-_NIBBLE_BITS = ((np.arange(16, dtype=np.uint8)[:, None] >> np.arange(3, -1, -1)) & 1).astype(
-    np.uint8
-)
+_NIBBLE_BITS = _chip_table(np.arange(16), 4)
 
 
 def _nibbles_to_bits(nibbles: np.ndarray) -> np.ndarray:
     return _NIBBLE_BITS[nibbles].ravel()
-
-
-def _bits_to_nibbles(bits: np.ndarray) -> np.ndarray:
-    if bits.size % 4:
-        raise FrameDecodeError(f"bit stream length {bits.size} is not nibble-aligned")
-    groups = bits.reshape(-1, 4).astype(np.int64)
-    return ((groups[:, 0] << 3) | (groups[:, 1] << 2) | (groups[:, 2] << 1) | groups[:, 3]).astype(
-        np.uint8
-    )
 
 
 def _add_rs(nibbles: np.ndarray, mode: PhyMode) -> np.ndarray:
@@ -151,7 +140,9 @@ def decode_from_chips(chips: np.ndarray, mode: PhyMode) -> bytes:
                 except ValueError as exc:
                     # a stream cut to a length the code rate cannot produce
                     raise FrameDecodeError(str(exc)) from exc
-            wire = _strip_rs(_bits_to_nibbles(bits), mode)
+            if bits.size % 4:
+                raise FrameDecodeError(f"bit stream length {bits.size} is not nibble-aligned")
+            wire = _strip_rs(_pack(bits, 4), mode)
     except (LineCodeError, RsDecodeError, ModulationError) as exc:
         raise FrameDecodeError(str(exc)) from exc
 
@@ -209,7 +200,7 @@ def chips_to_hex(chips: np.ndarray) -> str:
     of four; consumers that need the exact count must carry it separately.
     """
     chips = np.asarray(chips, dtype=np.uint8).ravel()
-    nibbles = _bits_to_nibbles(np.concatenate([chips, np.zeros((-chips.size) % 4, np.uint8)]))
+    nibbles = _pack(np.concatenate([chips, np.zeros((-chips.size) % 4, np.uint8)]), 4)
     text = _nibbles_to_bytes(nibbles).tobytes().hex()[: nibbles.size]
     lines = [text[i : i + 16] for i in range(0, len(text), 16)]
     return "\n".join(lines) + "\n"

@@ -34,11 +34,38 @@ class LineCodeError(ValueError):
         self.index = index
 
 
-def _as_bits(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.uint8).ravel()
-    if arr.size and arr.max() > 1:
-        raise ValueError(f"{name} must contain only 0s and 1s")
+def _as_uint8(x, top: int, message: str) -> np.ndarray:
+    """``x`` cast to uint8, or ValueError(message) unless it holds integers
+    in 0..top only: 256, -255, 0.5 and NaN would not survive the cast."""
+    arr = np.asarray(x)
+    if arr.dtype != np.uint8:
+        with np.errstate(invalid="ignore"):
+            cast = arr.astype(np.uint8)
+        if not np.array_equal(cast, arr):
+            raise ValueError(message)
+        arr = cast
+    if top < 255 and arr.size and arr.max() > top:
+        raise ValueError(message)
     return arr
+
+
+def _as_bits(x, name: str) -> np.ndarray:
+    return _as_uint8(x, 1, f"{name} must contain only 0s and 1s").ravel()
+
+
+def _chip_table(words: np.ndarray, width: int) -> np.ndarray:
+    # row i: the ``width`` chips of words[i], MSB first
+    return ((words[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
+
+
+# MSB-first chip weights of a word, in the narrowest dtype that holds it
+_WEIGHTS = {w: 1 << np.arange(w - 1, -1, -1, dtype=np.uint8) for w in (4, 6)}
+_WEIGHTS[10] = 1 << np.arange(9, -1, -1, dtype=np.uint16)
+
+
+def _pack(chips: np.ndarray, width: int) -> np.ndarray:
+    """Pack each group of ``width`` chips, MSB first, into one word."""
+    return chips.reshape(-1, width) @ _WEIGHTS[width]
 
 
 # Manchester: bit 0 -> chips 01, bit 1 -> chips 10 (IEEE convention:
@@ -82,17 +109,13 @@ TABLE_4B6B = np.array(
 
 _REV_4B6B = np.full(64, -1, dtype=np.int16)
 _REV_4B6B[TABLE_4B6B] = np.arange(16)
-
-_BIT_COLS_6 = np.arange(5, -1, -1)
+_CHIPS_4B6B = _chip_table(TABLE_4B6B, 6)
 
 
 def encode_4b6b(nibbles) -> np.ndarray:
     """Map nibble values (0..15) to their 6-chip codewords, MSB first."""
-    nibbles = np.asarray(nibbles, dtype=np.uint8).ravel()
-    if nibbles.size and nibbles.max() > 15:
-        raise ValueError("nibbles must lie in 0..15")
-    words = TABLE_4B6B[nibbles]
-    return ((words[:, None] >> _BIT_COLS_6) & 1).astype(np.uint8).ravel()
+    nibbles = _as_uint8(nibbles, 15, "nibbles must lie in 0..15").ravel()
+    return _CHIPS_4B6B[nibbles].ravel()
 
 
 def decode_4b6b(chips) -> np.ndarray:
@@ -100,8 +123,7 @@ def decode_4b6b(chips) -> np.ndarray:
     chips = _as_bits(chips, "chips")
     if chips.size % 6:
         raise LineCodeError("chip stream length must be a multiple of 6", chips.size // 6)
-    groups = chips.reshape(-1, 6)
-    words = (groups << _BIT_COLS_6).sum(axis=1)
+    words = _pack(chips, 6)
     nibbles = _REV_4B6B[words]
     bad = nibbles < 0
     if bad.any():
@@ -159,7 +181,7 @@ _REV4[0b1000] = 7  # A7 at positive disparity
 _DISP6 = (2 * _popcount(np.arange(64, dtype=np.uint8), 6) - 6).astype(np.int8)
 _DISP4 = (2 * _popcount(np.arange(16, dtype=np.uint8), 4) - 4).astype(np.int8)
 
-_BIT_COLS_10 = np.arange(9, -1, -1)
+_CHIPS_8B10B = _chip_table(np.arange(1024), 10)
 
 
 def _check_disparity(rd: int) -> int:
@@ -176,7 +198,7 @@ def encode_8b10b(data, disparity: int = -1) -> tuple[np.ndarray, int]:
     MSB of the 6b sub-block first.
     """
     rd0 = _check_disparity(disparity)
-    data = np.asarray(data, dtype=np.uint8).ravel()
+    data = _as_uint8(data, 255, "data must hold byte values 0..255").ravel()
     if data.size == 0:
         return np.empty(0, dtype=np.uint8), rd0
     x5 = data & 31
@@ -197,7 +219,7 @@ def encode_8b10b(data, disparity: int = -1) -> tuple[np.ndarray, int]:
     word4 = np.where(alt7, np.where(neg_mid, 0b0111, 0b1000), word4)
 
     words = (word6.astype(np.uint16) << 4) | word4
-    chips = ((words[:, None] >> _BIT_COLS_10) & 1).astype(np.uint8).ravel()
+    chips = _CHIPS_8B10B[words].ravel()
     rd_out = -1 if bool(neg_in[-1] ^ flips[-1]) else 1
     return chips, rd_out
 
@@ -215,15 +237,14 @@ def decode_8b10b(chips, disparity: int = -1) -> tuple[np.ndarray, int]:
         raise LineCodeError("chip stream length must be a multiple of 10", chips.size // 10)
     if chips.size == 0:
         return np.empty(0, dtype=np.uint8), rd0
-    groups = chips.reshape(-1, 10)
-    words = (groups << _BIT_COLS_10).sum(axis=1)
-    w6 = (words >> 4).astype(np.int64)
-    w4 = (words & 0xF).astype(np.int64)
+    words = _pack(chips, 10)
+    w6 = words >> 4
+    w4 = words & 0xF
 
     x5 = _REV6[w6]
     x3 = _REV4[w4]
-    d6 = _DISP6[w6].astype(np.int64)
-    d4 = _DISP4[w4].astype(np.int64)
+    d6 = _DISP6[w6]
+    d4 = _DISP4[w4]
 
     flips = (d6 != 0) ^ (d4 != 0)
     neg_in = np.zeros(words.size, dtype=bool)

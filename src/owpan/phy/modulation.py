@@ -10,11 +10,16 @@ is a leading pulse, bit 0 a trailing pulse, and the pulse width equals the
 dimming duty cycle.  Pulse edges that fall inside a sample are represented
 by that sample taking the covered fraction as its amplitude, which keeps
 the per-symbol mean exactly equal to the duty cycle at any dimming value.
+
+Waveforms are built and read one block of chips at a time, so peak memory
+is the waveform plus O(block).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .line_codes import _as_bits
 
 __all__ = [
     "SAMPLES_PER_CHIP",
@@ -26,36 +31,51 @@ __all__ = [
 ]
 
 SAMPLES_PER_CHIP = 4
+# chips per pass; np.take copies a block's uint8 indices as 8-byte intp
+_BLOCK = 1 << 14
 
 
 class ModulationError(ValueError):
     """Demodulation met an ambiguous or malformed waveform."""
 
 
-def _as_chips(chips) -> np.ndarray:
-    arr = np.asarray(chips, dtype=np.uint8).ravel()
-    if arr.size and arr.max() > 1:
-        raise ValueError("chips must contain only 0s and 1s")
-    return arr
+def _modulate(chips, table: np.ndarray) -> np.ndarray:
+    # row c of the (2, SAMPLES_PER_CHIP) table holds the samples of chip c
+    chips = _as_bits(chips, "chips")
+    out = np.empty((chips.size, SAMPLES_PER_CHIP))
+    for i in range(0, chips.size, _BLOCK):
+        np.take(table, chips[i : i + _BLOCK], axis=0, out=out[i : i + _BLOCK], mode="clip")
+    return out.ravel()
+
+
+def _per_chip(samples) -> np.ndarray:
+    samples = np.asarray(samples, dtype=np.float64).ravel()
+    if samples.size % SAMPLES_PER_CHIP:
+        raise ModulationError(f"sample count {samples.size} is not a whole number of chips")
+    return samples.reshape(-1, SAMPLES_PER_CHIP)
+
+
+def _check_high(high: float) -> None:
+    if not 0.0 < high < np.inf:
+        raise ValueError(f"high level must be finite and > 0, got {high!r}")
 
 
 def ook_modulate(chips, high: float = 1.0) -> np.ndarray:
     """Chip 1 -> ``high`` level, chip 0 -> dark, four samples each."""
-    chips = _as_chips(chips)
-    if high <= 0.0:
-        raise ValueError(f"high level must be > 0, got {high!r}")
-    return np.repeat(chips.astype(np.float64) * high, SAMPLES_PER_CHIP)
+    _check_high(high)
+    return _modulate(chips, np.array([[0.0] * SAMPLES_PER_CHIP, [high] * SAMPLES_PER_CHIP]))
 
 
 def ook_demodulate(samples, high: float = 1.0) -> np.ndarray:
     """Threshold each chip period's mean at half the high level."""
-    samples = np.asarray(samples, dtype=np.float64).ravel()
-    if samples.size % SAMPLES_PER_CHIP:
-        raise ModulationError(
-            f"sample count {samples.size} is not a whole number of chips"
-        )
-    means = samples.reshape(-1, SAMPLES_PER_CHIP).mean(axis=1)
-    return (means > high / 2.0).astype(np.uint8)
+    _check_high(high)
+    per = _per_chip(samples)
+    chips = np.empty(len(per), dtype=bool)
+    for i in range(0, len(per), _BLOCK):
+        b = per[i : i + _BLOCK]
+        # ((s0 + s1) + s2) + s3, the order in which numpy's mean(axis=1) sums
+        chips[i : i + _BLOCK] = (b[:, 0] + b[:, 1] + b[:, 2] + b[:, 3]) / 4 > high / 2.0
+    return chips.view(np.uint8)
 
 
 def _vppm_symbols(dimming: float) -> tuple[np.ndarray, np.ndarray]:
@@ -70,12 +90,10 @@ def _vppm_symbols(dimming: float) -> tuple[np.ndarray, np.ndarray]:
 
 def vppm_modulate(bits, dimming: float) -> np.ndarray:
     """Map bits to pulse-position symbols with duty cycle ``dimming``."""
-    bits = _as_chips(bits)
     if not 0.0 < dimming < 1.0:
         raise ValueError(f"dimming must lie in (0, 1), got {dimming!r}")
     leading, trailing = _vppm_symbols(dimming)
-    out = np.where(bits[:, None].astype(bool), leading[None, :], trailing[None, :])
-    return out.ravel()
+    return _modulate(bits, np.array([trailing, leading]))
 
 
 def vppm_demodulate(samples, dimming: float | None = None) -> np.ndarray:
@@ -85,18 +103,14 @@ def vppm_demodulate(samples, dimming: float | None = None) -> np.ndarray:
     halves tie exactly are ambiguous and rejected (at any dimming < 1 a
     clean symbol always leans one way).
     """
-    samples = np.asarray(samples, dtype=np.float64).ravel()
-    if samples.size % SAMPLES_PER_CHIP:
-        raise ModulationError(
-            f"sample count {samples.size} is not a whole number of chips"
-        )
-    per = samples.reshape(-1, SAMPLES_PER_CHIP)
-    half = SAMPLES_PER_CHIP // 2
-    e_first = per[:, :half].sum(axis=1)
-    e_second = per[:, half:].sum(axis=1)
-    ties = e_first == e_second
-    if ties.any():
-        raise ModulationError(
-            f"ambiguous VPPM symbol at index {int(np.argmax(ties))}: equal half energies"
-        )
-    return (e_first > e_second).astype(np.uint8)
+    per = _per_chip(samples)
+    bits = np.empty(len(per), dtype=bool)
+    for i in range(0, len(per), _BLOCK):
+        b = per[i : i + _BLOCK]
+        e_first, e_second = b[:, 0] + b[:, 1], b[:, 2] + b[:, 3]
+        ties = e_first == e_second
+        if ties.any():
+            idx = i + int(np.argmax(ties))
+            raise ModulationError(f"ambiguous VPPM symbol at index {idx}: equal half energies")
+        bits[i : i + _BLOCK] = e_first > e_second
+    return bits.view(np.uint8)

@@ -4,7 +4,6 @@ import hashlib
 import importlib.util
 import os
 import shutil
-import subprocess
 import sys
 import sysconfig
 from fractions import Fraction
@@ -338,7 +337,7 @@ def test_pure_rejects_inputs_outside_the_contract(backend, call):
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="needs the resource module")
-def test_pure_viterbi_memory_does_not_grow_with_the_trellis():
+def test_pure_viterbi_memory_does_not_grow_with_the_trellis(run_fresh):
     """200,000 steps at R = 4 add a few MB of peak memory, not 100 MB.
 
     The branch metrics are gathered one block of steps at a time and the
@@ -356,12 +355,7 @@ def test_pure_viterbi_memory_does_not_grow_with_the_trellis():
         "_pure.viterbi_decode(obs, _TABLE_R14)\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
     )
-    src = str(Path(_pure.__file__).parents[2])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-    )
-    grown_kb = int(done.stdout)
+    grown_kb = int(run_fresh(script))
     if sys.platform == "darwin":
         grown_kb //= 1024  # ru_maxrss is in bytes there
     assert grown_kb < 16 * 1024

@@ -1,10 +1,13 @@
 """Line-code round trips, DC balance, and decoder error reporting."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from owpan.phy.fec import ConvCode, RsCode, cc_encode, rs_decode, rs_encode, viterbi_decode
 from owpan.phy.line_codes import (
     TABLE_4B6B,
     LineCodeError,
@@ -15,6 +18,7 @@ from owpan.phy.line_codes import (
     manchester_decode,
     manchester_encode,
 )
+from owpan.phy.modulation import ook_modulate, vppm_modulate
 
 bit_lists = st.lists(st.integers(0, 1), max_size=200)
 nibble_lists = st.lists(st.integers(0, 15), max_size=200)
@@ -216,3 +220,46 @@ def test_8b10b_disparity_violation_detected():
 def test_8b10b_rejects_bad_length():
     with pytest.raises(LineCodeError):
         decode_8b10b([0, 1] * 7)
+
+
+# ------------------------------------------- symbol range checked before the cast
+
+# every entry point that casts its symbols to uint8, called on a 1-D pair
+# of values resized to the shape it takes
+_UINT8_ENTRY_POINTS = {
+    "ook_modulate": ook_modulate,
+    "vppm_modulate": lambda x: vppm_modulate(x, 0.5),
+    "manchester_encode": manchester_encode,
+    "manchester_decode": manchester_decode,
+    "encode_4b6b": encode_4b6b,
+    "decode_4b6b": lambda x: decode_4b6b(np.resize(x, 6)),
+    "encode_8b10b": encode_8b10b,
+    "decode_8b10b": lambda x: decode_8b10b(np.resize(x, 10)),
+    "rs_encode": lambda x: rs_encode(np.resize(x, (1, 11)), RsCode(15, 11)),
+    "rs_decode": lambda x: rs_decode(np.resize(x, (1, 15)), RsCode(15, 11)),
+    "cc_encode": lambda x: cc_encode(x, ConvCode(Fraction(1, 3))),
+    "viterbi_decode": lambda x: viterbi_decode(np.resize(x, 24), ConvCode(Fraction(1, 3))),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_UINT8_ENTRY_POINTS))
+def test_values_the_uint8_cast_would_change_are_rejected(entry):
+    """256 would wrap to 0, -255 to 1 and 0.5 truncate to 0: each raises a
+    plain ValueError, as arrays and as lists, instead of being encoded."""
+    call = _UINT8_ENTRY_POINTS[entry]
+    for bad in (256, -255, 0.5, np.nan):
+        for x in (np.array([bad, 1]), [bad, 1]):
+            with pytest.raises(ValueError) as exc:
+                call(x)
+            assert exc.type is ValueError, (bad, type(x))
+    # floats that the cast keeps behave as the same uint8 values (the
+    # resized pair is no RS codeword, so rs_decode raises on both)
+    assert _outcome(call, np.array([1.0, 0.0])) == _outcome(call, np.array([1, 0], np.uint8))
+
+
+def _outcome(call, x):
+    try:
+        result = call(x)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [np.asarray(r).tolist() for r in (result if isinstance(result, tuple) else (result,))]

@@ -13,6 +13,7 @@ from owpan.phy.modulation import (
     vppm_demodulate,
     vppm_modulate,
 )
+from owpan.phy.modulation import _BLOCK
 
 bit_lists = st.lists(st.integers(0, 1), max_size=120)
 dimmings = st.floats(min_value=0.05, max_value=0.95)
@@ -114,3 +115,92 @@ def test_empty_streams():
     assert ook_demodulate([]).size == 0
     assert vppm_modulate([], 0.5).size == 0
     assert vppm_demodulate([]).size == 0
+
+
+def test_ook_rejects_non_finite_levels():
+    for high in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            ook_modulate([0, 1], high=high)
+        with pytest.raises(ValueError):
+            ook_demodulate(np.zeros(SAMPLES_PER_CHIP), high=high)
+
+
+# --- the block-wise demodulators against the unblocked expressions ----------
+#
+# The demodulators reduce one block of _BLOCK chips at a time.  These
+# oracles are the whole-array expressions they replaced; decisions and the
+# reported tie index must match them on any float input, NaN and inf
+# included, at chip counts on both sides of the block edges.
+
+CHIP_COUNTS = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5]
+
+
+def _ook_oracle(samples, high):
+    samples = np.asarray(samples, dtype=np.float64).ravel()
+    means = samples.reshape(-1, SAMPLES_PER_CHIP).mean(axis=1)
+    return (means > high / 2.0).astype(np.uint8)
+
+
+def _vppm_oracle(samples):
+    per = np.asarray(samples, dtype=np.float64).reshape(-1, SAMPLES_PER_CHIP)
+    e_first = per[:, :2].sum(axis=1)
+    e_second = per[:, 2:].sum(axis=1)
+    ties = e_first == e_second
+    if ties.any():
+        return f"ambiguous VPPM symbol at index {int(np.argmax(ties))}: equal half energies"
+    return (e_first > e_second).astype(np.uint8)
+
+
+def _vppm_outcome(samples):
+    try:
+        return vppm_demodulate(samples)
+    except ModulationError as exc:
+        return str(exc)
+
+
+def _noisy(waveform, rng):
+    """Gaussian noise, with about one sample in 500 set to NaN or +-inf."""
+    noisy = waveform + rng.normal(scale=0.4, size=waveform.size)
+    hits = rng.random(noisy.size) < 0.002
+    noisy[hits] = rng.choice([np.nan, np.inf, -np.inf], size=int(hits.sum()))
+    return noisy
+
+
+@pytest.mark.parametrize("nchips", CHIP_COUNTS)
+def test_ook_demodulate_matches_unblocked_oracle(nchips):
+    rng = np.random.default_rng(nchips)
+    chips = rng.integers(0, 2, nchips).astype(np.uint8)
+    for high in (1.0, 2.5):
+        wf = _noisy(ook_modulate(chips, high), rng)
+        assert np.array_equal(ook_demodulate(wf, high), _ook_oracle(wf, high))
+        single = wf.astype(np.float32)
+        assert np.array_equal(ook_demodulate(single, high), _ook_oracle(single, high))
+    # chips on the edge: summed left to right, ((-2.5 + 1e17) - 1e17) + 2.5
+    # is 2.5 while the other orders round to 0; a mean of exactly high/2 is 0
+    edge = np.tile([-2.5, 1e17, -1e17, 2.5, 0.5, 0.5, 0.5, 0.5], max(nchips, 1))
+    assert _ook_oracle(edge, 1.0).tolist() == [1, 0] * max(nchips, 1)
+    assert np.array_equal(ook_demodulate(edge), _ook_oracle(edge, 1.0))
+
+
+@pytest.mark.parametrize("nchips", CHIP_COUNTS)
+def test_vppm_demodulate_matches_unblocked_oracle(nchips):
+    rng = np.random.default_rng(nchips)
+    bits = rng.integers(0, 2, nchips).astype(np.uint8)
+    for dimming in (0.25, 0.5, 0.75):
+        wf = _noisy(vppm_modulate(bits, dimming), rng)
+        expected = _vppm_oracle(wf)
+        outcome = _vppm_outcome(wf)
+        if isinstance(expected, str):
+            assert outcome == expected
+        else:
+            assert np.array_equal(outcome, expected)
+
+
+def test_vppm_tie_in_a_later_block_reports_its_global_index():
+    wf = vppm_modulate(np.ones(3 * _BLOCK + 5, np.uint8), 0.5)
+    at = 2 * _BLOCK + 7
+    wf[at * SAMPLES_PER_CHIP : (at + 1) * SAMPLES_PER_CHIP] = 0.5
+    wf[-SAMPLES_PER_CHIP:] = 0.5  # a later tie in a later block
+    assert _vppm_oracle(wf) == _vppm_outcome(wf)
+    with pytest.raises(ModulationError, match=f"index {at}:"):
+        vppm_demodulate(wf)
