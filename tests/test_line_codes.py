@@ -1,5 +1,6 @@
 """Line-code round trips, DC balance, and decoder error reporting."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -220,6 +221,40 @@ def test_8b10b_disparity_violation_detected():
 def test_8b10b_rejects_bad_length():
     with pytest.raises(LineCodeError):
         decode_8b10b([0, 1] * 7)
+
+
+def _8b10b_outcome(call, x, rd):
+    """Output bytes and disparity out, or error message and index."""
+    try:
+        out, rd_out = call(x, disparity=rd)
+    except LineCodeError as exc:
+        return f"{exc}|{exc.index}"
+    return f"{bytes(out).hex()}|{rd_out}"
+
+
+def test_8b10b_every_word_matches_pinned_digest():
+    """Every byte encoded and every 10-chip word decoded, at both running
+    disparities, including the errors the decoder reports."""
+    words = ((np.arange(1024)[:, None] >> np.arange(9, -1, -1)) & 1).astype(np.uint8)
+    lines = []
+    for rd in (-1, 1):
+        lines += [_8b10b_outcome(encode_8b10b, [b], rd) for b in range(256)]
+        lines += [_8b10b_outcome(decode_8b10b, w, rd) for w in words]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "f82de5b3907e29de7c3e167ebc5b4d585fc945e92edb714aa9a4ec3ebd8d91cd"
+
+
+def test_8b10b_reports_the_first_bad_word_of_either_kind():
+    # the RD- form of D.0.0 violates disparity at RD+; 0000000000 is off the
+    # code and leaves the running disparity where it was
+    violation = encode_8b10b([0x00], disparity=-1)[0].tolist()
+    invalid = [0] * 10
+    with pytest.raises(LineCodeError) as exc:
+        decode_8b10b(violation + invalid, disparity=+1)
+    assert exc.value.index == 0 and "disparity" in str(exc.value)
+    with pytest.raises(LineCodeError) as exc:
+        decode_8b10b(invalid + violation, disparity=+1)
+    assert exc.value.index == 0 and "invalid" in str(exc.value)
 
 
 # ------------------------------------------- symbol range checked before the cast
