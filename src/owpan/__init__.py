@@ -22,14 +22,11 @@ from .capacity import (
     write_curves_csv,
 )
 from .channels import (
-    BeamConsistencyWarning,
     ChannelGain,
     IndoorChannelParams,
-    OutdoorChannelParams,
     beers_lambert_transmittance,
     diffuse_gain,
     fso_capture_fraction,
-    fso_link_gain,
     gaussian_beam_radius,
     indoor_frequency_response,
     lambertian_order,
@@ -40,13 +37,11 @@ from .params import LinkBudgetParams, ParamsError, load_params, parse_params
 __version__ = "0.1.0"
 
 __all__ = [
-    "BeamConsistencyWarning",
     "CSV_HEADER",
     "CapacityCurve",
     "ChannelGain",
     "IndoorChannelParams",
     "LinkBudgetParams",
-    "OutdoorChannelParams",
     "ParamsError",
     "SnrBudget",
     "SweepSpec",
@@ -58,7 +53,6 @@ __all__ = [
     "electrical_snr",
     "end_to_end_capacity",
     "fso_capture_fraction",
-    "fso_link_gain",
     "gaussian_beam_radius",
     "indoor_frequency_response",
     "indoor_link_capacity",

@@ -167,9 +167,8 @@ def outdoor_link_capacity(
     """Capacity of the laser backbone at one attenuation coefficient.
 
     The last three arguments may be arrays, which broadcast against each
-    other.  Built on :func:`fso_gain`, not OutdoorChannelParams, so a span
-    of exactly zero, the natural left edge of a distance sweep, is
-    representable.
+    other.  Built on :func:`fso_gain`, so a span of exactly zero, the
+    natural left edge of a distance sweep, is representable.
     """
     gain = fso_gain(
         alpha_db_per_km,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +23,6 @@ import numpy as np
 __all__ = [
     "ChannelGain",
     "IndoorChannelParams",
-    "OutdoorChannelParams",
-    "BeamConsistencyWarning",
     "lambertian_order",
     "los_gain",
     "diffuse_gain",
@@ -34,12 +31,7 @@ __all__ = [
     "gaussian_beam_radius",
     "fso_capture_fraction",
     "fso_gain",
-    "fso_link_gain",
 ]
-
-
-class BeamConsistencyWarning(UserWarning):
-    """Configured beam divergence disagrees with the diffraction limit."""
 
 
 class ChannelGain(float):
@@ -95,53 +87,6 @@ class IndoorChannelParams:
         if not 0.0 < self.half_intensity_angle < math.pi / 2:
             raise ValueError(
                 f"half_intensity_angle must lie in (0, pi/2), got {self.half_intensity_angle!r}"
-            )
-
-
-@dataclass(frozen=True)
-class OutdoorChannelParams:
-    """Laser link parameters: atmosphere, beam geometry and detector.
-
-    ``attenuation_coeff`` is in dB/km, ``span`` in m, ``detector_area`` in
-    m^2, ``beam_waist`` and ``wavelength`` in m, ``divergence`` in rad.
-    A waist/divergence pair that disagrees with the diffraction relation
-    theta = lambda / (pi * w0) by more than 5% triggers a
-    :class:`BeamConsistencyWarning` (not an error: quoted datasheet values
-    are occasionally inconsistent and both readings remain usable).
-    """
-
-    attenuation_coeff: float
-    span: float
-    detector_area: float
-    beam_waist: float
-    wavelength: float
-    divergence: float
-    responsivity: float
-
-    def __post_init__(self) -> None:
-        if self.attenuation_coeff < 0.0:
-            raise ValueError(
-                f"attenuation_coeff must be >= 0, got {self.attenuation_coeff!r}"
-            )
-        positive = {
-            "span": self.span,
-            "detector_area": self.detector_area,
-            "beam_waist": self.beam_waist,
-            "wavelength": self.wavelength,
-            "divergence": self.divergence,
-            "responsivity": self.responsivity,
-        }
-        for name, value in positive.items():
-            if not value > 0.0:
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
-        natural = self.wavelength / (math.pi * self.beam_waist)
-        if abs(self.divergence - natural) / self.divergence > 0.05:
-            warnings.warn(
-                f"divergence {self.divergence:.4g} rad differs from the "
-                f"diffraction-limited value {natural:.4g} rad implied by the "
-                f"beam waist; check waist/divergence units",
-                BeamConsistencyWarning,
-                stacklevel=2,
             )
 
 
@@ -250,15 +195,11 @@ def fso_gain(
     attenuation_db_per_km, span_m, detector_area, beam_waist, wavelength
 ) -> ChannelGain | np.ndarray:
     """Laser link gain, transmittance times capture fraction: the one
-    composition of the laser hop.  Unlike :class:`OutdoorChannelParams`
-    it admits a span of zero, the left edge of a distance sweep."""
+    composition of the laser hop.  It admits a span of zero, the left
+    edge of a distance sweep."""
     radius = gaussian_beam_radius(beam_waist, wavelength, span_m)
     return _gain(
         beers_lambert_transmittance(attenuation_db_per_km, span_m)
         * fso_capture_fraction(detector_area, radius)
     )
 
-
-def fso_link_gain(p: OutdoorChannelParams) -> ChannelGain:
-    """End-to-end laser link gain: transmittance times capture fraction."""
-    return fso_gain(p.attenuation_coeff, p.span, p.detector_area, p.beam_waist, p.wavelength)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable
 
-from .channels import IndoorChannelParams, OutdoorChannelParams
+from .channels import IndoorChannelParams
 
 __all__ = ["LinkBudgetParams", "ParamsError", "load_params", "parse_params"]
 
@@ -45,7 +45,6 @@ class LinkBudgetParams:
     attenuation_coeffs: tuple[float, ...] = (5.0, 20.0, 50.0, 80.0)  # dB/km
     span: float = 160.0  # m
     detector_area: float = 100e-6  # m^2
-    divergence: float = 8.38e-7  # rad
     room_area: float = 25.0  # m^2
     pd_area: float = 26e-6  # m^2
     wall_reflectivity: float = 0.7
@@ -128,28 +127,6 @@ class LinkBudgetParams:
             responsivity=self.pd_responsivity,
         )
 
-    def outdoor(
-        self, attenuation_coeff: float | None = None, span: float | None = None
-    ) -> OutdoorChannelParams:
-        """The laser backbone's channel parameters, for one attenuation value.
-
-        ``attenuation_coeff`` defaults to the first configured value.
-        """
-        alpha = (
-            self.attenuation_coeffs[0]
-            if attenuation_coeff is None
-            else attenuation_coeff
-        )
-        return OutdoorChannelParams(
-            attenuation_coeff=alpha,
-            span=self.span if span is None else span,
-            detector_area=self.detector_area,
-            beam_waist=self.beam_waist,
-            wavelength=self.wavelength,
-            divergence=self.divergence,
-            responsivity=self.laser_responsivity,
-        )
-
 
 # unit name -> multiplier into the SI (or quoted) target unit
 _LENGTH = {"m": 1.0, "mm": 1e-3, "cm": 1e-2, "km": 1e3, "um": 1e-6, "nm": 1e-9}
@@ -175,7 +152,6 @@ _KEY_UNITS: dict[str, tuple[dict[str, float], bool]] = {
     "attenuation_coeffs": (_ATTEN, True),
     "span": (_LENGTH, False),
     "detector_area": (_AREA, False),
-    "divergence": (_ANGLE, False),
     "room_area": (_AREA, False),
     "pd_area": (_AREA, False),
     "wall_reflectivity": (_BARE, False),

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .. import _kernels
-from .line_codes import _as_bits, _as_uint8
+from .line_codes import _as_bits, _as_uint8, _popcount
 
 __all__ = [
     "RsCode",
@@ -146,10 +146,7 @@ def rs_decode(blocks, code: RsCode) -> np.ndarray:
 def _out_table(gens: tuple[int, ...]) -> np.ndarray:
     # row index: (input bit << 6) | state, state = previous six bits
     w = np.arange(128, dtype=np.uint16)
-    cols = []
-    for g in gens:
-        masked = w & g
-        cols.append(sum((masked >> i) & 1 for i in range(7)) & 1)
+    cols = [_popcount(w & g, 7) & 1 for g in gens]
     return np.stack(cols, axis=1).astype(np.uint8)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import line_codes, modulation
 from .fec import RsDecodeError, cc_encode, rs_decode, rs_encode, viterbi_decode
-from .line_codes import LineCodeError, _chip_table, _pack
+from .line_codes import LineCodeError, _as_bits, _chip_table, _pack
 from .modes import LineCode, Modulation, PhyMode
 from .modulation import ModulationError
 
@@ -199,7 +199,7 @@ def chips_to_hex(chips: np.ndarray) -> str:
     The final nibble is zero-padded when the chip count is not a multiple
     of four; consumers that need the exact count must carry it separately.
     """
-    chips = np.asarray(chips, dtype=np.uint8).ravel()
+    chips = _as_bits(chips, "chips")
     nibbles = _pack(np.concatenate([chips, np.zeros((-chips.size) % 4, np.uint8)]), 4)
     text = _nibbles_to_bytes(nibbles).tobytes().hex()[: nibbles.size]
     lines = [text[i : i + 16] for i in range(0, len(text), 16)]

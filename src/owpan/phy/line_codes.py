@@ -7,7 +7,13 @@ one.  Chip order within a codeword is MSB first throughout.
 
 The 8b/10b here is the IBM data-character code (5b/6b + 3b/4b with running
 disparity and the alternate D.x.A7 encoding); control (K) characters are
-not needed by any PHY mode and are treated as invalid.
+not needed by any PHY mode and are treated as invalid.  Its rules are
+evaluated once, at import, over all 256 bytes and all 1024 words at both
+running disparities.  Whether a word flips the disparity does not depend
+on the state, so a call takes the disparity before each word from a
+prefix xor of the flips and then reads its chips, or its byte and
+validity, from those tables.  The decoder accepts what the rules accept
+(330 words at each disparity), not only the 256 the encoder emits there.
 """
 
 from __future__ import annotations
@@ -132,9 +138,9 @@ def decode_4b6b(chips) -> np.ndarray:
     return nibbles.astype(np.uint8)
 
 
-# 8b/10b tables.  The stored 6b/4b words are the encodings used at
-# positive running disparity; entries flagged in *_FLIP are complemented
-# at negative disparity.  *_UNBAL marks words that flip the disparity.
+# 8b/10b code rules.  The stored 6b/4b words are the encodings used at
+# positive running disparity; flip6/flip4 mark the entries complemented at
+# negative disparity, unbal6/unbal4 the words that flip the disparity.
 _T5B6B = np.array(
     [
         0b011000, 0b100010, 0b010010, 0b110001, 0b001010, 0b101001,
@@ -156,38 +162,68 @@ def _popcount(values: np.ndarray, nbits: int) -> np.ndarray:
     return sum((values >> i) & 1 for i in range(nbits))
 
 
-_UNBAL6 = _popcount(_T5B6B, 6) != 3
-_FLIP6 = _UNBAL6.copy()
-_FLIP6[7] = True  # D.x7's balanced word still alternates (000111/111000)
-_UNBAL4 = _popcount(_T3B4B, 4) != 2
-_FLIP4 = _UNBAL4.copy()
-_FLIP4[3] = True  # D.3.x likewise (0011/1100)
+def _tables_8b10b():
+    """The code rules evaluated over every byte and every 10-chip word at
+    both running disparities; row 1 of a (2, n) table is RD -1 before it."""
+    unbal6 = _popcount(_T5B6B, 6) != 3
+    flip6 = unbal6.copy()
+    flip6[7] = True  # D.x7's balanced word still alternates (000111/111000)
+    unbal4 = _popcount(_T3B4B, 4) != 2
+    flip4 = unbal4.copy()
+    flip4[3] = True  # D.3.x likewise (0011/1100)
+    neg = np.array([[False], [True]])
 
-# alternate D.x.A7: replaces the primary 4b word to avoid five-chip runs
-_A7_AT_NEG = np.zeros(32, dtype=bool)
-_A7_AT_NEG[[17, 18, 20]] = True
-_A7_AT_POS = np.zeros(32, dtype=bool)
-_A7_AT_POS[[11, 13, 14]] = True
+    byte = np.arange(256)
+    x5, x3 = byte & 31, byte >> 5
+    t6, t4 = _T5B6B[x5].astype(int), _T3B4B[x3].astype(int)
+    word6 = np.where(neg & flip6[x5], t6 ^ 0x3F, t6)
+    neg_mid = neg ^ unbal6[x5]  # disparity between the sub-blocks
+    # alternate D.x.A7: replaces the primary 4b word to avoid five-chip runs
+    alt7 = (x3 == 7) & np.where(neg_mid, np.isin(x5, (17, 18, 20)), np.isin(x5, (11, 13, 14)))
+    word4 = np.where(neg_mid & flip4[x3], t4 ^ 0xF, t4)
+    word4 = np.where(alt7, np.where(neg_mid, 0b0111, 0b1000), word4)
+    enc_chips = _chip_table(((word6 << 4) | word4).ravel(), 10).reshape(2, 256, 10)
+    enc_flip = unbal6[x5] ^ unbal4[x3]
 
-_REV6 = np.full(64, -1, dtype=np.int16)
-_REV6[_T5B6B] = np.arange(32)
-_REV6[(~_T5B6B & 0x3F)[_FLIP6]] = np.arange(32)[_FLIP6]
-_REV4 = np.full(16, -1, dtype=np.int16)
-_REV4[_T3B4B] = np.arange(8)
-_REV4[(~_T3B4B & 0xF)[_FLIP4]] = np.arange(8)[_FLIP4]
-_REV4[0b0111] = 7  # A7 at negative disparity
-_REV4[0b1000] = 7  # A7 at positive disparity
+    rev6 = np.full(64, -1)
+    rev6[_T5B6B] = np.arange(32)
+    rev6[(_T5B6B ^ 0x3F)[flip6]] = np.arange(32)[flip6]
+    rev4 = np.full(16, -1)
+    rev4[_T3B4B] = np.arange(8)
+    rev4[(_T3B4B ^ 0xF)[flip4]] = np.arange(8)[flip4]
+    rev4[[0b0111, 0b1000]] = 7  # A7 at negative and at positive disparity
+    w6, w4 = np.arange(1024) >> 4, np.arange(1024) & 0xF
+    x5, x3 = rev6[w6], rev4[w4]
+    d6, d4 = 2 * _popcount(w6, 6) - 6, 2 * _popcount(w4, 4) - 4
+    rd_in = np.where(neg, -1, 1)
+    # sub-block disparity must move against the running state and the
+    # running state must stay in {-1, +1}
+    bad_disp = (d6 != 0) & (np.sign(d6) != -rd_in)
+    bad_disp |= (d4 != 0) & (np.sign(d4) != -np.sign(rd_in + d6))
+    status = np.where((x5 < 0) | (x3 < 0), 1, 2 * bad_disp).astype(np.uint8)
+    dec_byte = ((x3 << 5 | x5) & 0xFF).astype(np.uint8)  # read only where valid
+    return enc_chips, enc_flip, dec_byte, (d6 != 0) ^ (d4 != 0), status
 
-_DISP6 = (2 * _popcount(np.arange(64, dtype=np.uint8), 6) - 6).astype(np.int8)
-_DISP4 = (2 * _popcount(np.arange(16, dtype=np.uint8), 4) - 4).astype(np.int8)
 
-_CHIPS_8B10B = _chip_table(np.arange(1024), 10)
+# _ENC_CHIPS[neg, byte]: the 10 chips; _ENC_FLIP[byte]: flips the disparity;
+# _DEC_STATUS[neg, word]: 0 valid, 1 off the code, 2 disparity violation
+_ENC_CHIPS, _ENC_FLIP, _DEC_BYTE, _DEC_FLIP, _DEC_STATUS = _tables_8b10b()
 
 
 def _check_disparity(rd: int) -> int:
     if rd not in (-1, 1):
         raise ValueError(f"running disparity must be -1 or +1, got {rd!r}")
     return rd
+
+
+def _running(flips: np.ndarray, rd0: int) -> tuple[np.ndarray, int]:
+    """Whether the running disparity is -1 before each word, and its value
+    after the last.  A word flips it or not whatever the state, so the
+    whole trajectory is a prefix xor."""
+    neg_in = np.zeros(flips.size, dtype=bool)
+    np.bitwise_xor.accumulate(flips[:-1], out=neg_in[1:])
+    neg_in ^= rd0 < 0
+    return neg_in, -1 if neg_in[-1] ^ flips[-1] else 1
 
 
 def encode_8b10b(data, disparity: int = -1) -> tuple[np.ndarray, int]:
@@ -201,27 +237,8 @@ def encode_8b10b(data, disparity: int = -1) -> tuple[np.ndarray, int]:
     data = _as_uint8(data, 255, "data must hold byte values 0..255").ravel()
     if data.size == 0:
         return np.empty(0, dtype=np.uint8), rd0
-    x5 = data & 31
-    x3 = data >> 5
-
-    # Each byte flips the running disparity iff its 6b and 4b halves
-    # disagree on balance, independent of the state itself, so the whole
-    # disparity trajectory is a prefix xor.
-    flips = _UNBAL6[x5] ^ _UNBAL4[x3]
-    neg_in = np.zeros(data.size, dtype=bool)  # True: RD -1 before the byte
-    np.bitwise_xor.accumulate(flips[:-1], out=neg_in[1:])
-    neg_in ^= rd0 < 0
-    word6 = np.where(neg_in & _FLIP6[x5], ~_T5B6B[x5] & 0x3F, _T5B6B[x5])
-    neg_mid = neg_in ^ _UNBAL6[x5]  # disparity between the sub-blocks
-
-    alt7 = (x3 == 7) & ((neg_mid & _A7_AT_NEG[x5]) | (~neg_mid & _A7_AT_POS[x5]))
-    word4 = np.where(neg_mid & _FLIP4[x3], ~_T3B4B[x3] & 0xF, _T3B4B[x3])
-    word4 = np.where(alt7, np.where(neg_mid, 0b0111, 0b1000), word4)
-
-    words = (word6.astype(np.uint16) << 4) | word4
-    chips = _CHIPS_8B10B[words].ravel()
-    rd_out = -1 if bool(neg_in[-1] ^ flips[-1]) else 1
-    return chips, rd_out
+    neg_in, rd_out = _running(_ENC_FLIP[data], rd0)
+    return _ENC_CHIPS[neg_in.view(np.uint8), data].ravel(), rd_out
 
 
 def decode_8b10b(chips, disparity: int = -1) -> tuple[np.ndarray, int]:
@@ -238,33 +255,10 @@ def decode_8b10b(chips, disparity: int = -1) -> tuple[np.ndarray, int]:
     if chips.size == 0:
         return np.empty(0, dtype=np.uint8), rd0
     words = _pack(chips, 10)
-    w6 = words >> 4
-    w4 = words & 0xF
-
-    x5 = _REV6[w6]
-    x3 = _REV4[w4]
-    d6 = _DISP6[w6]
-    d4 = _DISP4[w4]
-
-    flips = (d6 != 0) ^ (d4 != 0)
-    neg_in = np.zeros(words.size, dtype=bool)
-    np.bitwise_xor.accumulate(flips[:-1], out=neg_in[1:])
-    neg_in ^= rd0 < 0
-    rd_in = np.where(neg_in, -1, 1)
-    rd_mid = rd_in + d6
-
-    bad_code = (x5 < 0) | (x3 < 0)
-    # sub-block disparity must move against the running state and the
-    # running state must stay in {-1, +1}
-    bad_disp = (d6 != 0) & (np.sign(d6) != -rd_in)
-    bad_disp |= (d4 != 0) & (np.sign(d4) != -np.sign(rd_mid))
-    bad = bad_code | bad_disp
-    if bad.any():
-        idx = int(np.argmax(bad))
-        if bad_code[idx]:
-            raise LineCodeError(f"invalid 8b10b codeword {words[idx]:010b}", idx)
-        raise LineCodeError(f"8b10b disparity violation in word {words[idx]:010b}", idx)
-
-    data = ((x3.astype(np.uint16) << 5) | x5.astype(np.uint16)).astype(np.uint8)
-    rd_out = -1 if bool(neg_in[-1] ^ flips[-1]) else 1
-    return data, rd_out
+    neg_in, rd_out = _running(_DEC_FLIP[words], rd0)
+    status = _DEC_STATUS[neg_in.view(np.uint8), words]
+    if status.any():
+        idx = int(np.argmax(status != 0))
+        kind = "invalid 8b10b codeword" if status[idx] == 1 else "8b10b disparity violation in word"
+        raise LineCodeError(f"{kind} {words[idx]:010b}", idx)
+    return _DEC_BYTE[words], rd_out

@@ -6,7 +6,6 @@ library is checked against independent values, not against itself.
 """
 
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,15 +14,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from owpan.channels import (
-    BeamConsistencyWarning,
     ChannelGain,
     IndoorChannelParams,
-    OutdoorChannelParams,
     beers_lambert_transmittance,
     diffuse_gain,
     fso_capture_fraction,
     fso_gain,
-    fso_link_gain,
     gaussian_beam_radius,
     indoor_frequency_response,
     lambertian_order,
@@ -49,18 +45,16 @@ def default_indoor(**overrides) -> IndoorChannelParams:
     return IndoorChannelParams(**base)
 
 
-def default_outdoor(**overrides) -> OutdoorChannelParams:
+def default_fso_gain(**overrides):
     base = dict(
-        attenuation_coeff=5.0,
-        span=160.0,
+        attenuation_db_per_km=5.0,
+        span_m=160.0,
         detector_area=100e-6,
         beam_waist=0.588e-3,
         wavelength=1550e-9,
-        divergence=1550e-9 / (math.pi * 0.588e-3),
-        responsivity=0.8,
     )
     base.update(overrides)
-    return OutdoorChannelParams(**base)
+    return fso_gain(**base)
 
 
 class TestChannelGainType:
@@ -275,13 +269,13 @@ class TestCaptureFraction:
 
 class TestFsoLinkGain:
     def test_frozen_value_low_attenuation(self):
-        assert fso_link_gain(default_outdoor()) == pytest.approx(
+        assert default_fso_gain() == pytest.approx(
             2.932621984812173e-3, rel=1e-10
         )
 
     def test_attenuation_only_scales_transmittance(self):
-        lo = fso_link_gain(default_outdoor(attenuation_coeff=5.0))
-        hi = fso_link_gain(default_outdoor(attenuation_coeff=80.0))
+        lo = default_fso_gain(attenuation_db_per_km=5.0)
+        hi = default_fso_gain(attenuation_db_per_km=80.0)
         expected = beers_lambert_transmittance(80.0, 160.0) / beers_lambert_transmittance(
             5.0, 160.0
         )
@@ -289,13 +283,13 @@ class TestFsoLinkGain:
 
     def test_monotone_decreasing_in_attenuation(self):
         gains = [
-            fso_link_gain(default_outdoor(attenuation_coeff=a)) for a in (5, 20, 50, 80)
+            default_fso_gain(attenuation_db_per_km=a) for a in (5, 20, 50, 80)
         ]
         assert all(a > b for a, b in zip(gains, gains[1:]))
 
     def test_lossless_limit(self):
-        p = default_outdoor(attenuation_coeff=0.0, detector_area=100.0, span=1.0)
-        assert fso_link_gain(p) == pytest.approx(1.0, rel=1e-6)
+        gain = default_fso_gain(attenuation_db_per_km=0.0, detector_area=100.0, span_m=1.0)
+        assert gain == pytest.approx(1.0, rel=1e-6)
 
 
 class TestArrayInputs:
@@ -345,7 +339,7 @@ class TestArrayInputs:
         assert type(gaussian_beam_radius(self.W0, self.LAM, 160.0)) is float
         assert type(fso_capture_fraction(100e-6, 0.134)) is ChannelGain
         assert type(fso_gain(5.0, 160.0, 100e-6, self.W0, self.LAM)) is ChannelGain
-        assert type(fso_link_gain(default_outdoor())) is ChannelGain
+        assert type(default_fso_gain()) is ChannelGain
 
     def test_one_negative_element_is_rejected(self):
         spans = np.array([0.0, 10.0, -1e-9, 100.0])
@@ -375,29 +369,6 @@ class TestParamValidation:
     def test_indoor_rejects_nonpositive_area(self):
         with pytest.raises(ValueError, match="pd_area"):
             default_indoor(pd_area=0.0)
-
-    def test_outdoor_rejects_negative_attenuation(self):
-        with pytest.raises(ValueError, match="attenuation"):
-            default_outdoor(attenuation_coeff=-1.0)
-
-    def test_outdoor_consistent_beam_is_quiet(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            default_outdoor()
-
-    def test_outdoor_inconsistent_beam_warns(self):
-        # a 0.588 mm waist at 1550 nm implies ~8.4e-4 rad of divergence;
-        # quoting 8.38e-7 rad alongside it is off by three decades and is
-        # exactly the kind of units slip the warning exists to catch
-        with pytest.warns(BeamConsistencyWarning):
-            default_outdoor(divergence=8.38e-7)
-
-    def test_metre_waist_reading_pairs_with_small_divergence(self):
-        # with a 0.588 m waist the same 8.38e-7 rad figure is consistent
-        # (0.13% off the diffraction limit), so no warning
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            default_outdoor(beam_waist=0.588, divergence=8.38e-7)
 
     def test_replace_revalidates(self):
         p = default_indoor()

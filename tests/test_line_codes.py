@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from owpan.phy.fec import ConvCode, RsCode, cc_encode, rs_decode, rs_encode, viterbi_decode
+from owpan.phy.frames import chips_to_hex
 from owpan.phy.line_codes import (
     TABLE_4B6B,
     LineCodeError,
@@ -274,6 +275,7 @@ _UINT8_ENTRY_POINTS = {
     "rs_decode": lambda x: rs_decode(np.resize(x, (1, 15)), RsCode(15, 11)),
     "cc_encode": lambda x: cc_encode(x, ConvCode(Fraction(1, 3))),
     "viterbi_decode": lambda x: viterbi_decode(np.resize(x, 24), ConvCode(Fraction(1, 3))),
+    "chips_to_hex": chips_to_hex,
 }
 
 
@@ -290,6 +292,12 @@ def test_values_the_uint8_cast_would_change_are_rejected(entry):
     # floats that the cast keeps behave as the same uint8 values (the
     # resized pair is no RS codeword, so rs_decode raises on both)
     assert _outcome(call, np.array([1.0, 0.0])) == _outcome(call, np.array([1, 0], np.uint8))
+
+
+def test_chips_to_hex_rejects_a_chip_of_two():
+    # the 2 would pack to nibble 16 and vanish from the dump
+    with pytest.raises(ValueError, match="only 0s and 1s"):
+        chips_to_hex(np.array([2, 0, 0, 0, 1, 1, 1, 1]))
 
 
 def _outcome(call, x):

@@ -30,7 +30,6 @@ class TestDefaults:
         assert p.pr_over_n0 == 30.0
         assert p.beam_waist == 0.588e-3
         assert p.wavelength == 1550e-9
-        assert p.divergence == 8.38e-7
         assert math.isinf(p.rf_capacity)
         assert p.sweep_points == 200
 
@@ -69,7 +68,9 @@ class TestUnits:
         assert parse_params(["incidence_angle = 70 deg"]).incidence_angle == pytest.approx(
             math.radians(70)
         )
-        assert parse_params(["divergence = 0.838 urad"]).divergence == pytest.approx(8.38e-7)
+        assert parse_params(["half_intensity_angle = 523600 urad"]).half_intensity_angle == (
+            pytest.approx(0.5236)
+        )
 
     def test_frequency_and_time_units(self):
         p = parse_params(["bandwidth = 10 MHz", "los_delay = 0.01 ns"])
@@ -95,6 +96,11 @@ class TestErrors:
     def test_unknown_key_names_line(self):
         with pytest.raises(ParamsError, match="line 2.*frobnicator"):
             parse_params(["span = 1 m", "frobnicator = 3"])
+
+    def test_divergence_is_not_a_key(self):
+        # the laser hop takes its spread from the beam waist and wavelength
+        with pytest.raises(ParamsError, match="unknown key 'divergence'"):
+            parse_params(["divergence = 0.838 urad"])
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ParamsError, match="duplicate"):
@@ -158,7 +164,7 @@ class TestErrors:
             ("pr_over_n0", math.nan),
             ("pr_over_n0", -math.inf),
             ("span", math.inf),
-            ("divergence", math.nan),
+            ("incidence_angle", math.nan),
             ("irradiance_angle", math.inf),
             ("sweep_points", math.inf),
         ],
@@ -181,22 +187,6 @@ class TestAccessors:
         assert ind.distance == p.led_distance
         assert ind.responsivity == p.pd_responsivity
         assert ind.cutoff_frequency == p.cutoff_frequency
-
-    def test_outdoor_view_defaults_to_first_attenuation(self):
-        p = LinkBudgetParams()
-        with pytest.warns(UserWarning):
-            # the default waist/divergence pair is mutually inconsistent
-            # (three decades apart), so building the view warns by design
-            out = p.outdoor()
-        assert out.attenuation_coeff == 5.0
-        assert out.span == p.span
-
-    def test_outdoor_view_overrides(self):
-        p = LinkBudgetParams()
-        with pytest.warns(UserWarning):
-            out = p.outdoor(attenuation_coeff=80.0, span=1000.0)
-        assert out.attenuation_coeff == 80.0
-        assert out.span == 1000.0
 
     def test_base_layering(self):
         base = parse_params(["span = 500 m"])
