@@ -1,5 +1,6 @@
 """Relay elements and the discrete-event simulator."""
 
+import hashlib
 import io
 import math
 import random
@@ -321,3 +322,120 @@ def test_random_three_hop_saturation_sample():
         m = run_simulation(t, [FlowSpec("s", 1, 4)], duration=horizon, seed=1)
         assert m.throughput_bps <= min(caps) * (1 + 1e-9)
         assert m.throughput_bps >= min(caps) * 0.98
+
+
+# ------------------------------------------------------- pinned simulator output
+
+def _metrics_csv(topology, flows, duration, seed=0):
+    buf = io.StringIO()
+    write_metrics_csv(run_simulation(topology, flows, duration, seed=seed), buf)
+    return buf.getvalue()
+
+
+def _two_way_links(edges, capacity, delay, tech=lambda child: Technology.RF):
+    """One simplex link each way per (child, parent) edge."""
+    links = []
+    for child, parent in edges:
+        for a, b in ((child, parent), (parent, child)):
+            links.append(
+                Link(a, b, tech(child), capacity_bps=capacity(child), propagation_delay=delay(child))
+            )
+    return tuple(links)
+
+
+def _relay_tree_run(seed):
+    """Gateway 1, relays 2-3, access points 4-6, users 7-11: Poisson flows
+    from the gateway down to users and one saturating flow up from a user
+    on a 96 Mbps link into a 48 Mbps access hop."""
+    rng = random.Random(seed)
+    parents = {2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 4, 8: 4, 9: 5, 10: 6, 11: 6}
+    kinds = {1: RELAY, 2: RELAY, 3: RELAY, 4: AP, 5: AP, 6: AP}
+    users = list(range(7, 12))
+    sat = rng.choice(users)
+    caps = {}
+    delays = {}
+    for child in parents:
+        if child <= 3:
+            caps[child], delays[child] = rng.choice((1e9, 2.5e9)), rng.randrange(1, 20) * 1e-6
+        elif child <= 6:
+            caps[child], delays[child] = rng.choice((24e6, 36e6, 54e6)), rng.randrange(10, 500) * 1e-9
+        else:
+            caps[child], delays[child] = rng.choice((72e6, 96e6)), rng.randrange(5, 50) * 1e-9
+    caps[sat], caps[parents[sat]] = 96e6, 48e6
+    techs = [Technology.FSO, Technology.RF, Technology.VLC_LD, Technology.VLC_LED]
+    topology = Topology(
+        nodes=tuple(Node(a, kinds.get(a, UD)) for a in range(1, 12)),
+        links=_two_way_links(
+            parents.items(), caps.get, delays.get, lambda child: techs[child % 4]
+        ),
+    )
+    flows = [
+        FlowSpec(f"f{k}", 1, rng.choice(users), rate_bps=rng.uniform(0.2e6, 6e6),
+                 packet_bytes=rng.choice((64, 512, 1500)), start=rng.uniform(0.0, 2e-3))
+        for k in range(12)
+    ]
+    flows.append(FlowSpec("sat", sat, 1, packet_bytes=1500))
+    return _metrics_csv(topology, flows, 0.03, seed=seed)
+
+
+def _tie_heavy_run(seed):
+    """A random tree of 2-6 nodes with no propagation delay, 125 B packets
+    and 1, 2 or 4 Mbps links, so every service time is exact and many
+    events share an instant: saturating flows share a start and a first
+    link, and Poisson flows start on the same 0.25 ms grid."""
+    rng = random.Random(seed)
+    n = rng.randrange(2, 7)
+    edges = [(child, rng.randrange(1, child)) for child in range(2, n + 1)]
+    caps = {child: rng.choice((1e6, 2e6, 4e6)) for child, _ in edges}
+    topology = Topology(
+        nodes=tuple(Node(a, RELAY) for a in range(1, n + 1)),
+        links=_two_way_links(edges, caps.get, lambda child: 0.0),
+    )
+    src = rng.randrange(1, n + 1)
+    dst = rng.choice([a for a in range(1, n + 1) if a != src])
+    start = rng.choice((0.0, 0.25e-3, 1e-3))
+    flows = [FlowSpec("s0", src, dst, packet_bytes=125, start=start),
+             FlowSpec("s1", src, dst, packet_bytes=125, start=start)]
+    for k in range(rng.randrange(1, 4)):
+        flows.append(FlowSpec(f"s{k + 2}", rng.randrange(1, n + 1), rng.randrange(1, n + 1),
+                              packet_bytes=125, start=rng.randrange(4) * 0.25e-3))
+    for k in range(rng.randrange(0, 3)):
+        flows.append(FlowSpec(f"p{k}", rng.randrange(1, n + 1), rng.randrange(1, n + 1),
+                              rate_bps=rng.choice((0.2e6, 1e6)), packet_bytes=125,
+                              start=rng.randrange(4) * 0.25e-3))
+    return _metrics_csv(topology, flows, rng.choice((0.01, 0.0125, 0.02)), seed=seed)
+
+
+def _edge_case_runs():
+    chain = line_topology([1e6, 2e6], [1e-6, 0.0])
+    zero_hop = [FlowSpec("zp", 2, 2, rate_bps=0.5e6, packet_bytes=125),
+                FlowSpec("zs", 1, 1, packet_bytes=125), FlowSpec("a", 1, 3, rate_bps=0.3e6)]
+    late = [FlowSpec("late", 1, 3, start=5.0),
+            FlowSpec("now", 1, 2, rate_bps=0.4e6, packet_bytes=125)]
+    # 1 ms per packet on the first hop: the horizon falls mid-service
+    cut = [FlowSpec("sat", 1, 3, packet_bytes=125), FlowSpec("p", 2, 3, rate_bps=0.2e6)]
+    return [
+        _metrics_csv(chain, zero_hop, 0.05, seed=3),
+        _metrics_csv(chain, late, 0.01, seed=4),
+        _metrics_csv(chain, cut, 0.0105, seed=5),
+    ]
+
+
+def _digest(texts):
+    return hashlib.sha256("".join(texts).encode()).hexdigest()
+
+
+def test_simulator_output_matches_pinned_digests():
+    """The metrics CSV of seeded relay trees, tie-heavy random trees and the
+    edge cases (zero-hop flows, a flow starting after the horizon, a
+    horizon inside a packet's service) is pinned byte for byte."""
+    digests = {
+        "relay_trees": _digest(_relay_tree_run(seed) for seed in range(4)),
+        "tie_heavy": _digest(_tie_heavy_run(seed) for seed in range(100)),
+        "edge_cases": _digest(_edge_case_runs()),
+    }
+    assert digests == {
+        "relay_trees": "f2d7d8c56684da89fbb12c43813f363c32b2c970a45c4cca9061bbff2603e3ee",
+        "tie_heavy": "408ae1e829cd075771d95026deb3f849a95628f3f5a51ffc7613f6d196562319",
+        "edge_cases": "f9c3f59a16aa862a27836caa37b279bdb404bea7de4b448873cfb878d323eecb",
+    }
