@@ -6,7 +6,14 @@ reproducible for a given topology, traffic, duration, and seed.  Each
 flow draws from its own seeded random stream; flows are either Poisson
 sources at a configured offered load or saturating sources that keep
 their first hop permanently busy.
-"""
+
+An event is the flat tuple ``(time, seq, flow, hop, gen_time)``: hop -1
+injects a packet of the flow, hop k >= 0 is a packet generated at
+``gen_time`` reaching the k-th link of its route.  An injection serves
+hop 0 in the same step unless another queued event has exactly its
+time; then hop 0 is queued, so (time, seq) order decides as it would
+for separate events.  A packet leaving its last hop is counted delivered
+at once if it arrives by the horizon; no delivery event is queued."""
 
 from __future__ import annotations
 
@@ -14,6 +21,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from random import Random
 
 from .topology import Topology
@@ -177,67 +185,83 @@ def run_simulation(topology: Topology, flows, duration: float, seed: int = 0) ->
         raise SimulationError("flow names must be unique")
 
     routes = [shortest_route(topology, f.src, f.dst) for f in flows]
-    rngs = [Random(seed * _FLOW_SEED_STRIDE + i) for i in range(len(flows))]
-
-    next_free = [0.0] * len(topology.links)
-    busy = [0.0] * len(topology.links)
-    bits_carried = [0.0] * len(topology.links)
+    links = topology.links
+    next_free = [0.0] * len(links)
+    busy = [0.0] * len(links)
+    bits_carried = [0.0] * len(links)
 
     injected = [0] * len(flows)
     latencies = [[] for _ in flows]
 
-    heap = []
-    seq = 0
-
-    # event payloads: ("gen", flow_idx) or ("pkt", flow_idx, gen_time, hop)
-    for i, flow in enumerate(flows):
-        if flow.saturating:
-            first = flow.start
-        else:
-            pkt_rate = flow.rate_bps / (flow.packet_bytes * 8)
-            first = flow.start + rngs[i].expovariate(pkt_rate)
-        heapq.heappush(heap, (first, seq, ("gen", i)))
-        seq += 1
-
-    while heap and heap[0][0] <= duration:
-        time, _, event = heapq.heappop(heap)
-        if event[0] == "gen":
-            i = event[1]
-            flow = flows[i]
-            injected[i] += 1
-            heapq.heappush(heap, (time, seq, ("pkt", i, time, 0)))
-            seq += 1
-            if not flow.saturating:
-                pkt_rate = flow.rate_bps / (flow.packet_bytes * 8)
-                heapq.heappush(
-                    heap, (time + rngs[i].expovariate(pkt_rate), seq, ("gen", i))
-                )
-                seq += 1
-            continue
-
-        _, i, gen_time, hop = event
-        flow = flows[i]
-        route = routes[i]
-        if hop == len(route):
-            latencies[i].append(time - gen_time)
-            continue
-        link_idx = route[hop]
-        link = topology.links[link_idx]
-        start = max(time, next_free[link_idx])
-        service = flow.packet_bytes * 8 / link.capacity_bps
-        finish = start + service
-        next_free[link_idx] = finish
-        busy[link_idx] += max(0.0, min(finish, duration) - min(start, duration))
-        bits_carried[link_idx] += flow.packet_bytes * 8
-        heapq.heappush(
-            heap, (finish + link.propagation_delay, seq, ("pkt", i, gen_time, hop + 1))
+    # per flow: its hops as (link, service time, propagation delay, packet
+    # bits, last hop?, re-inject after it?) and the draw of its next Poisson
+    # gap (None when saturating); the heap starts with each first injection
+    hops, gaps, heap = [], [], []
+    for i, (flow, route) in enumerate(zip(flows, routes)):
+        size = flow.packet_bytes * 8
+        hops.append(tuple(
+            (idx, size / links[idx].capacity_bps, links[idx].propagation_delay, size,
+             n == len(route), n == 1 and flow.saturating)
+            for n, idx in enumerate(route, 1)
+        ))
+        gap = None if flow.saturating else partial(
+            Random(seed * _FLOW_SEED_STRIDE + i).expovariate, flow.rate_bps / size
         )
-        seq += 1
-        if hop == 0 and flow.saturating:
-            # keep the first hop backlogged: next packet the moment this
-            # one clears the transmitter
-            heapq.heappush(heap, (finish, seq, ("gen", i)))
-            seq += 1
+        gaps.append(gap)
+        heap.append((flow.start if gap is None else flow.start + gap(), i, i, -1, 0.0))
+    heapq.heapify(heap)
+    seq = len(heap)
+    heappush, heapreplace = heapq.heappush, heapq.heapreplace
+
+    while heap:
+        time, _, i, hop, gen_time = heap[0]
+        if time > duration:
+            break
+        # the first event scheduled replaces the handled one at heap[0]
+        put = heapreplace
+        if hop < 0:
+            injected[i] += 1
+            gap = gaps[i]
+            if not hops[i]:
+                latencies[i].append(0.0)
+            elif (len(heap) > 1 and heap[1][0] == time) or (len(heap) > 2 and heap[2][0] == time):
+                # another event shares this instant and precedes hop 0
+                put(heap, (time, seq, i, 0, time))
+                seq += 1
+                put = heappush
+            else:
+                hop, gen_time = 0, time
+            if gap is not None:
+                put(heap, (time + gap(), seq, i, -1, 0.0))
+                seq += 1
+                put = heappush
+        if hop >= 0:
+            link, service, delay, size, last, reinject = hops[i][hop]
+            start = next_free[link]
+            if time >= start:
+                start = time
+            finish = start + service
+            next_free[link] = finish
+            if finish <= duration:
+                busy[link] += finish - start
+            elif start < duration:
+                busy[link] += duration - start
+            bits_carried[link] += size
+            arrive = finish + delay
+            if not last:
+                put(heap, (arrive, seq, i, hop + 1, gen_time))
+                seq += 1
+                put = heappush
+            elif arrive <= duration:
+                latencies[i].append(arrive - gen_time)
+            if reinject:
+                # keep the first hop backlogged: next packet the moment this
+                # one clears the transmitter
+                put(heap, (finish, seq, i, -1, 0.0))
+                seq += 1
+                put = heappush
+        if put is heapreplace:
+            heapq.heappop(heap)
 
     flow_metrics = []
     all_latencies = []
