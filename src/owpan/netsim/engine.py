@@ -53,7 +53,8 @@ class FlowSpec:
     ``rate_bps`` is the mean offered load of a Poisson packet source;
     ``None`` (or infinity) makes the flow saturating: a new packet is
     injected the instant the previous one finishes serializing on the
-    first hop, keeping that link permanently backlogged.
+    first hop, keeping that link permanently backlogged.  An infinite
+    ``start`` means the flow never starts.
     """
 
     name: str
@@ -68,8 +69,8 @@ class FlowSpec:
             raise SimulationError("flow needs a non-empty name")
         if self.packet_bytes < 1:
             raise SimulationError(f"flow {self.name}: packet_bytes must be >= 1")
-        if self.start < 0:
-            raise SimulationError(f"flow {self.name}: start time must be >= 0")
+        if not self.start >= 0:
+            raise SimulationError(f"flow {self.name}: start time must be >= 0, got {self.start}")
         if self.rate_bps is not None and not self.rate_bps > 0:
             raise SimulationError(f"flow {self.name}: rate must be positive or saturating")
 
@@ -178,8 +179,8 @@ def run_simulation(topology: Topology, flows, duration: float, seed: int = 0) ->
     deterministic for fixed inputs.
     """
     flows = list(flows)
-    if duration <= 0:
-        raise SimulationError(f"duration must be positive, got {duration}")
+    if not 0 < duration < math.inf:
+        raise SimulationError(f"duration must be positive and finite, got {duration}")
     names = [f.name for f in flows]
     if len(set(names)) != len(names):
         raise SimulationError("flow names must be unique")

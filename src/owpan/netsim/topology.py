@@ -9,6 +9,7 @@ is exactly what the aggregate class captures.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
@@ -98,10 +99,14 @@ class Link:
             raise TopologyError(f"link endpoints coincide (address {self.src})")
         if self.scenario not in range(1, 7):
             raise TopologyError(f"scenario {self.scenario} not in 1..6")
-        if not self.capacity_bps > 0:
-            raise TopologyError(f"link capacity must be positive, got {self.capacity_bps}")
-        if self.propagation_delay < 0:
-            raise TopologyError("propagation delay must be non-negative")
+        if not 0 < self.capacity_bps < math.inf:
+            raise TopologyError(
+                f"link capacity must be positive and finite, got {self.capacity_bps}"
+            )
+        if not 0 <= self.propagation_delay < math.inf:
+            raise TopologyError(
+                f"propagation delay must be non-negative and finite, got {self.propagation_delay}"
+            )
         if self.channel_count < 1:
             raise TopologyError(f"channel count must be >= 1, got {self.channel_count}")
 

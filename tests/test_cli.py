@@ -337,6 +337,27 @@ def test_simulate_missing_file_is_domain_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "old, new, argv, message",
+    [
+        ("sim duration=20ms", "sim duration=inf", [], "duration must be positive and finite"),
+        ("sim duration=20ms", "sim duration=nan", [], "duration must be positive and finite"),
+        ("", "", ["--duration", "inf"], "duration must be positive and finite"),
+        ("capacity=54Mbps", "capacity=infGbps", [], "capacity must be positive and finite"),
+        ("delay=10ns", "delay=nan", [], "delay must be non-negative and finite"),
+        ("flow sat ud ap", "flow sat ud ap start=nan", [], "start time must be >= 0"),
+    ],
+)
+def test_simulate_rejects_non_finite_inputs(tmp_path, capsys, old, new, argv, message):
+    # each of these used to hang or to report a silently wrong run
+    cfg = tmp_path / "nonfinite.cfg"
+    cfg.write_text(TOPOLOGY.replace(old, new, 1))
+    code, _, err = run_cli(["simulate", "--topology", str(cfg), *argv], capsys)
+    assert code == 1
+    assert err.startswith("error:")
+    assert message in err
+
+
 def test_simulate_config_error_reported(tmp_path, capsys):
     cfg = tmp_path / "broken.cfg"
     cfg.write_text("node a kind=Spaceship\n")

@@ -287,6 +287,27 @@ def test_simulation_input_validation():
         run_simulation(t, [FlowSpec("a", 2, 1)], duration=0.1)  # no reverse link
 
 
+@pytest.mark.parametrize("duration", [math.inf, math.nan])
+def test_duration_must_be_finite(duration):
+    # an infinite horizon never returns; a NaN one gives NaN utilisation
+    with pytest.raises(SimulationError, match="finite"):
+        run_simulation(line_topology([1e6]), [FlowSpec("s", 1, 2)], duration=duration)
+
+
+def test_nan_start_is_rejected():
+    with pytest.raises(SimulationError, match="start time"):
+        FlowSpec("f", 1, 2, start=math.nan)
+
+
+def test_infinite_start_never_starts():
+    flows = [
+        FlowSpec("never", 1, 2, start=math.inf),
+        FlowSpec("p", 1, 2, rate_bps=1e6, start=math.inf),
+    ]
+    m = run_simulation(line_topology([1e6]), flows, duration=0.01)
+    assert (m.injected, m.links[0].utilization) == (0, 0.0)
+
+
 def test_metrics_csv_shape_and_determinism():
     t = line_topology([4e6, 2e6])
     flows = [FlowSpec("f", 1, 3, rate_bps=1e6)]

@@ -1,5 +1,6 @@
 """Topology validation, five-axis classification, and re-addressing."""
 
+import math
 import random
 
 import pytest
@@ -72,6 +73,20 @@ def test_link_field_validation():
         Link(1, 2, Technology.RF, propagation_delay=-1e-9)
     with pytest.raises(TopologyError):
         Link(1, 2, Technology.RF, channel_count=0)
+
+
+@pytest.mark.parametrize("capacity", [math.inf, math.nan])
+def test_link_capacity_must_be_finite(capacity):
+    # an infinite capacity serves in zero time, so a saturating flow never
+    # lets the clock advance
+    with pytest.raises(TopologyError, match="finite"):
+        Link(1, 2, Technology.RF, capacity_bps=capacity)
+
+
+@pytest.mark.parametrize("delay", [math.nan, math.inf])
+def test_link_delay_must_be_finite(delay):
+    with pytest.raises(TopologyError, match="finite"):
+        Link(1, 2, Technology.RF, propagation_delay=delay)
 
 
 def test_node_address_range():
