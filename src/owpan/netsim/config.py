@@ -73,15 +73,24 @@ def _split_attrs(parts, line_no: int) -> dict:
     return attrs
 
 
+# each enum's members by lower-cased value: names match case-insensitively
+_MEMBERS = {e: {m.value.lower(): m for m in e} for e in (NodeKind, BeamShape, Technology)}
+
+
+def _member(enum_type, raw: str, what: str, line_no: int):
+    try:
+        return _MEMBERS[enum_type][raw.lower()]
+    except KeyError:
+        known = ", ".join(m.value for m in enum_type)
+        raise ConfigError(
+            f"line {line_no}: unknown {what} {raw!r} (expected one of: {known})"
+        ) from None
+
+
 def _pop_enum(attrs, key, enum_type, default, line_no):
     if key not in attrs:
         return default
-    raw = attrs.pop(key)
-    for member in enum_type:
-        if member.value.lower() == raw.lower():
-            return member
-    known = ", ".join(m.value for m in enum_type)
-    raise ConfigError(f"line {line_no}: unknown {key} {raw!r} (expected one of: {known})")
+    return _member(enum_type, attrs.pop(key), key, line_no)
 
 
 def _reject_extras(attrs, line_no):
@@ -117,7 +126,7 @@ def parse_network_config(text: str) -> NetworkConfig:
             if node_kind is None:
                 raise ConfigError(f"line {line_no}: node {name!r} needs kind=")
             caps = frozenset(
-                _lookup_technology(t, line_no)
+                _member(Technology, t, "technology", line_no)
                 for t in attrs.pop("caps", "").split(",")
                 if t
             )
@@ -153,7 +162,7 @@ def parse_network_config(text: str) -> NetworkConfig:
             tech = attrs.pop("tech", None)
             if tech is None:
                 raise ConfigError(f"line {line_no}: link needs tech=")
-            technology = _lookup_technology(tech, line_no)
+            technology = _member(Technology, tech, "technology", line_no)
             capacity = _scaled(attrs.pop("capacity", "1e6"), _RATE_SUFFIXES, "capacity", line_no)
             delay = _scaled(attrs.pop("delay", "0"), _TIME_SUFFIXES, "delay", line_no)
             beam = _pop_enum(attrs, "beam", BeamShape, BeamShape.P2P, line_no)
@@ -243,14 +252,6 @@ def parse_network_config(text: str) -> NetworkConfig:
     return NetworkConfig(
         topology=topology, flows=tuple(flows), duration=duration, seed=seed
     )
-
-
-def _lookup_technology(raw: str, line_no: int) -> Technology:
-    for member in Technology:
-        if member.value.lower() == raw.lower():
-            return member
-    known = ", ".join(m.value for m in Technology)
-    raise ConfigError(f"line {line_no}: unknown technology {raw!r} (expected one of: {known})")
 
 
 def load_network_config(path: str) -> NetworkConfig:
