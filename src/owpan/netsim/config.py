@@ -4,7 +4,7 @@ Line-oriented format, one declaration per line, ``#`` comments:
 
     node <name> kind=<UserDevice|VlcAccessPoint|Relay> [caps=a,b] [protocols=p,q] [address=N]
     link <src> <dst> tech=<technology> [capacity=96Mbps] [delay=10ns]
-         [scenario=1..6] [beam=P2P|P2MP] [channels=N] [direction=simplex|half] [duplex=yes]
+         [scenario=1..6] [beam=P2P|P2MP] [channels=N] [direction=simplex|half] [duplex=yes|no]
     flow <name> <src> <dst> [rate=<bps>|saturate] [packet=<bytes>] [start=<s>]
     sim duration=<seconds> [seed=N]
 
@@ -48,7 +48,7 @@ _RATE_SUFFIXES = [("Gbps", 1e9), ("Mbps", 1e6), ("kbps", 1e3), ("bps", 1.0)]
 _TIME_SUFFIXES = [("ms", 1e-3), ("us", 1e-6), ("ns", 1e-9), ("ps", 1e-12), ("s", 1.0)]
 
 
-def _scaled(text: str, suffixes, what: str, line_no: int) -> float:
+def _scaled(text: str, suffixes, what: str) -> float:
     for suffix, scale in suffixes:
         if text.endswith(suffix):
             body = text[: -len(suffix)]
@@ -58,48 +58,87 @@ def _scaled(text: str, suffixes, what: str, line_no: int) -> float:
     try:
         return float(body) * scale
     except ValueError:
-        raise ConfigError(f"line {line_no}: bad {what} value {text!r}") from None
+        raise ValueError(f"bad {what} value {text!r}") from None
 
 
-def _split_attrs(parts, line_no: int) -> dict:
+def _split_attrs(parts) -> dict:
     attrs = {}
     for part in parts:
         if "=" not in part:
-            raise ConfigError(f"line {line_no}: expected key=value, got {part!r}")
+            raise ValueError(f"expected key=value, got {part!r}")
         key, _, value = part.partition("=")
         if key in attrs:
-            raise ConfigError(f"line {line_no}: duplicate attribute {key!r}")
+            raise ValueError(f"duplicate attribute {key!r}")
         attrs[key] = value
     return attrs
 
 
 # each enum's members by lower-cased value: names match case-insensitively
 _MEMBERS = {e: {m.value.lower(): m for m in e} for e in (NodeKind, BeamShape, Technology)}
+_DIRECTIONS = {"simplex": LinkDirection.SIMPLEX, "half": LinkDirection.HALF_OF_DUPLEX_PAIR}
+_DUPLEX = {"yes": True, "true": True, "1": True, "no": False, "false": False, "0": False}
 
 
-def _member(enum_type, raw: str, what: str, line_no: int):
+def _member(enum_type, raw: str, what: str):
     try:
         return _MEMBERS[enum_type][raw.lower()]
     except KeyError:
         known = ", ".join(m.value for m in enum_type)
-        raise ConfigError(
-            f"line {line_no}: unknown {what} {raw!r} (expected one of: {known})"
-        ) from None
+        raise ValueError(f"unknown {what} {raw!r} (expected one of: {known})") from None
 
 
-def _pop_enum(attrs, key, enum_type, default, line_no):
-    if key not in attrs:
-        return default
-    return _member(enum_type, attrs.pop(key), key, line_no)
+def _integer(text: str, message: str, base: int = 10) -> int:
+    try:
+        return int(text, base)
+    except ValueError:
+        raise ValueError(message) from None
 
 
-def _reject_extras(attrs, line_no):
-    if attrs:
-        raise ConfigError(f"line {line_no}: unknown attribute(s): {', '.join(sorted(attrs))}")
+def _address(addresses: dict, name: str) -> int:
+    try:
+        return addresses[name]
+    except KeyError:
+        raise ValueError(f"unknown node {name!r}") from None
+
+
+# optional keys of each directive: key -> (dataclass field, reader of the
+# text); an absent key takes the dataclass default
+_NODE_KEYS = {
+    "caps": (
+        "capabilities", lambda v: [_member(Technology, t, "technology") for t in v.split(",") if t]
+    ),
+    "protocols": ("protocols", lambda v: [p for p in v.split(",") if p]),
+}
+_LINK_KEYS = {
+    "capacity": ("capacity_bps", lambda v: _scaled(v, _RATE_SUFFIXES, "capacity")),
+    "delay": ("propagation_delay", lambda v: _scaled(v, _TIME_SUFFIXES, "delay")),
+    "beam": ("beam", lambda v: _member(BeamShape, v, "beam")),
+    "scenario": ("scenario", lambda v: _integer(v, "scenario/channels must be integers")),
+    "channels": ("channel_count", lambda v: _integer(v, "scenario/channels must be integers")),
+}
+_FLOW_KEYS = {
+    "rate": (
+        "rate_bps", lambda v: None if v == "saturate" else _scaled(v, _RATE_SUFFIXES, "rate")
+    ),
+    "packet": ("packet_bytes", lambda v: _integer(v, "packet must be an integer byte count")),
+    "start": ("start", lambda v: _scaled(v, _TIME_SUFFIXES, "start")),
+}
+
+
+def _pop_fields(attrs: dict, keys: dict) -> dict:
+    return {field: read(attrs.pop(key)) for key, (field, read) in keys.items() if key in attrs}
 
 
 def parse_network_config(text: str) -> NetworkConfig:
-    """Parse config text into a topology, flow list, and sim settings."""
+    """Parse config text into a topology, flow list, and sim settings.
+
+    The parser reads only syntax: tokens, unit suffixes, enum names and
+    integers.  Range rules belong to :class:`Node`, :class:`Link` and
+    :class:`FlowSpec`.  Any error a line causes, in its syntax or in a
+    value those reject, raises :class:`ConfigError` starting with
+    ``line N: ``.  Only the checks spanning lines (duplicate addresses,
+    unmatched duplex halves) name no line.
+    """
     nodes = []
     addresses = {}
     links = []
@@ -114,136 +153,75 @@ def parse_network_config(text: str) -> NetworkConfig:
             continue
         parts = line.split()
         kind = parts[0]
+        try:
+            if kind == "node":
+                if len(parts) < 2:
+                    raise ValueError("node needs a name")
+                name = parts[1]
+                if name in addresses:
+                    raise ValueError(f"duplicate node name {name!r}")
+                attrs = _split_attrs(parts[2:])
+                if "kind" not in attrs:
+                    raise ValueError(f"node {name!r} needs kind=")
+                node_kind = _member(NodeKind, attrs.pop("kind"), "kind")
+                fields = _pop_fields(attrs, _NODE_KEYS)
+                if "address" in attrs:
+                    address = _integer(attrs.pop("address"), "bad address", 0)
+                else:
+                    address = next_address
+                    next_address += 1
+                addresses[name] = address
+                nodes.append(Node(address=address, kind=node_kind, name=name, **fields))
 
-        if kind == "node":
-            if len(parts) < 2:
-                raise ConfigError(f"line {line_no}: node needs a name")
-            name = parts[1]
-            if name in addresses:
-                raise ConfigError(f"line {line_no}: duplicate node name {name!r}")
-            attrs = _split_attrs(parts[2:], line_no)
-            node_kind = _pop_enum(attrs, "kind", NodeKind, None, line_no)
-            if node_kind is None:
-                raise ConfigError(f"line {line_no}: node {name!r} needs kind=")
-            caps = frozenset(
-                _member(Technology, t, "technology", line_no)
-                for t in attrs.pop("caps", "").split(",")
-                if t
-            )
-            protocols = frozenset(p for p in attrs.pop("protocols", "").split(",") if p)
-            if "address" in attrs:
-                try:
-                    address = int(attrs.pop("address"), 0)
-                except ValueError:
-                    raise ConfigError(f"line {line_no}: bad address") from None
-            else:
-                address = next_address
-                next_address += 1
-            _reject_extras(attrs, line_no)
-            addresses[name] = address
-            nodes.append(
-                Node(
-                    address=address,
-                    kind=node_kind,
-                    capabilities=caps,
-                    protocols=protocols,
-                    name=name,
-                )
-            )
-
-        elif kind == "link":
-            if len(parts) < 3:
-                raise ConfigError(f"line {line_no}: link needs <src> <dst>")
-            src_name, dst_name = parts[1], parts[2]
-            for n in (src_name, dst_name):
-                if n not in addresses:
-                    raise ConfigError(f"line {line_no}: unknown node {n!r}")
-            attrs = _split_attrs(parts[3:], line_no)
-            tech = attrs.pop("tech", None)
-            if tech is None:
-                raise ConfigError(f"line {line_no}: link needs tech=")
-            technology = _member(Technology, tech, "technology", line_no)
-            capacity = _scaled(attrs.pop("capacity", "1e6"), _RATE_SUFFIXES, "capacity", line_no)
-            delay = _scaled(attrs.pop("delay", "0"), _TIME_SUFFIXES, "delay", line_no)
-            beam = _pop_enum(attrs, "beam", BeamShape, BeamShape.P2P, line_no)
-            try:
-                scenario = int(attrs.pop("scenario", "1"))
-                channels = int(attrs.pop("channels", "1"))
-            except ValueError:
-                raise ConfigError(f"line {line_no}: scenario/channels must be integers") from None
-            duplex = attrs.pop("duplex", "no").lower() in ("yes", "true", "1")
-            direction_raw = attrs.pop("direction", "half" if duplex else "simplex").lower()
-            if direction_raw not in ("simplex", "half"):
-                raise ConfigError(f"line {line_no}: direction must be simplex or half")
-            _reject_extras(attrs, line_no)
-            direction = (
-                LinkDirection.HALF_OF_DUPLEX_PAIR
-                if direction_raw == "half"
-                else LinkDirection.SIMPLEX
-            )
-            endpoint_pairs = [(src_name, dst_name)]
-            if duplex:
-                endpoint_pairs.append((dst_name, src_name))
-            for a, b in endpoint_pairs:
-                links.append(
-                    Link(
-                        src=addresses[a],
-                        dst=addresses[b],
-                        technology=technology,
-                        direction=direction,
-                        beam=beam,
-                        scenario=scenario,
-                        capacity_bps=capacity,
-                        propagation_delay=delay,
-                        channel_count=channels,
+            elif kind == "link":
+                if len(parts) < 3:
+                    raise ValueError("link needs <src> <dst>")
+                src, dst = _address(addresses, parts[1]), _address(addresses, parts[2])
+                attrs = _split_attrs(parts[3:])
+                if "tech" not in attrs:
+                    raise ValueError("link needs tech=")
+                technology = _member(Technology, attrs.pop("tech"), "technology")
+                fields = _pop_fields(attrs, _LINK_KEYS)
+                duplex = False
+                if "duplex" in attrs:
+                    duplex = _DUPLEX.get(attrs.pop("duplex").lower())
+                    if duplex is None:
+                        raise ValueError("duplex must be yes, true, 1, no, false or 0")
+                if "direction" in attrs:
+                    direction = _DIRECTIONS.get(attrs.pop("direction").lower())
+                    if direction is None:
+                        raise ValueError("direction must be simplex or half")
+                else:
+                    direction = _DIRECTIONS["half" if duplex else "simplex"]
+                pairs = [(src, dst), (dst, src)] if duplex else [(src, dst)]
+                for a, b in pairs:
+                    links.append(
+                        Link(src=a, dst=b, technology=technology, direction=direction, **fields)
                     )
+
+            elif kind == "flow":
+                if len(parts) < 4:
+                    raise ValueError("flow needs <name> <src> <dst>")
+                src, dst = _address(addresses, parts[2]), _address(addresses, parts[3])
+                attrs = _split_attrs(parts[4:])
+                fields = _pop_fields(attrs, _FLOW_KEYS)
+                flows.append(FlowSpec(name=parts[1], src=src, dst=dst, **fields))
+
+            elif kind == "sim":
+                attrs = _split_attrs(parts[1:])
+                if "duration" in attrs:
+                    duration = _scaled(attrs.pop("duration"), _TIME_SUFFIXES, "duration")
+                if "seed" in attrs:
+                    seed = _integer(attrs.pop("seed"), "bad seed", 0)
+
+            else:
+                raise ValueError(
+                    f"unknown directive {kind!r} (expected node, link, flow, or sim)"
                 )
-
-        elif kind == "flow":
-            if len(parts) < 4:
-                raise ConfigError(f"line {line_no}: flow needs <name> <src> <dst>")
-            name, src_name, dst_name = parts[1], parts[2], parts[3]
-            for n in (src_name, dst_name):
-                if n not in addresses:
-                    raise ConfigError(f"line {line_no}: unknown node {n!r}")
-            attrs = _split_attrs(parts[4:], line_no)
-            rate_raw = attrs.pop("rate", "saturate")
-            rate = None if rate_raw == "saturate" else _scaled(
-                rate_raw, _RATE_SUFFIXES, "rate", line_no
-            )
-            try:
-                packet = int(attrs.pop("packet", "1250"))
-            except ValueError:
-                raise ConfigError(f"line {line_no}: packet must be an integer byte count") from None
-            start = _scaled(attrs.pop("start", "0"), _TIME_SUFFIXES, "start", line_no)
-            _reject_extras(attrs, line_no)
-            flows.append(
-                FlowSpec(
-                    name=name,
-                    src=addresses[src_name],
-                    dst=addresses[dst_name],
-                    rate_bps=rate,
-                    packet_bytes=packet,
-                    start=start,
-                )
-            )
-
-        elif kind == "sim":
-            attrs = _split_attrs(parts[1:], line_no)
-            if "duration" in attrs:
-                duration = _scaled(attrs.pop("duration"), _TIME_SUFFIXES, "duration", line_no)
-            if "seed" in attrs:
-                try:
-                    seed = int(attrs.pop("seed"), 0)
-                except ValueError:
-                    raise ConfigError(f"line {line_no}: bad seed") from None
-            _reject_extras(attrs, line_no)
-
-        else:
-            raise ConfigError(
-                f"line {line_no}: unknown directive {kind!r} "
-                "(expected node, link, flow, or sim)"
-            )
+            if attrs:
+                raise ValueError(f"unknown attribute(s): {', '.join(sorted(attrs))}")
+        except ValueError as exc:
+            raise ConfigError(f"line {line_no}: {exc}") from exc
 
     try:
         topology = Topology(nodes=tuple(nodes), links=tuple(links))

@@ -205,6 +205,18 @@ def run_simulation(topology: Topology, flows, duration: float, seed: int = 0) ->
              n == len(route), n == 1 and flow.saturating)
             for n, idx in enumerate(route, 1)
         ))
+        # a step below the clock's resolution at the horizon would repeat one
+        # instant forever: a saturating flow steps by its first-hop service
+        # time (and has no step without a hop), a Poisson flow by its mean gap
+        if flow.saturating:
+            step = size / links[route[0]].capacity_bps if route else math.inf
+        else:
+            step = size / flow.rate_bps
+        if step < math.ulp(duration):
+            raise SimulationError(
+                f"flow {flow.name}: packet time step {step!r} s is below the clock "
+                f"resolution {math.ulp(duration)!r} s at duration {duration!r} s"
+            )
         gap = None if flow.saturating else partial(
             Random(seed * _FLOW_SEED_STRIDE + i).expovariate, flow.rate_bps / size
         )

@@ -219,29 +219,34 @@ def parse_params(
 ) -> LinkBudgetParams:
     """Parse configuration lines on top of ``base`` (default: built-ins).
 
-    Raises :class:`ParamsError` naming the line number and key on any
-    syntax, unit, or validation problem.
+    Raises :class:`ParamsError` starting with ``line N: `` and naming the
+    key for any syntax, unit or range problem in that line.  Each line is
+    applied as it is read, so :class:`LinkBudgetParams` is the one range
+    check.
     """
-    overrides: dict[str, object] = {}
+    params = base or LinkBudgetParams()
+    seen = set()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ParamsError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, body = line.partition("=")
+        key, eq, body = line.partition("=")
         key = key.strip()
         key = _ALIASES.get(key, key)
-        if key not in _KEY_UNITS:
-            raise ParamsError(f"line {lineno}: unknown key {key!r}")
-        if key in overrides:
-            raise ParamsError(f"line {lineno}: duplicate key {key!r}")
         try:
-            overrides[key] = _parse_value(key, body)
+            if not eq:
+                raise ParamsError(f"expected 'key = value', got {raw!r}")
+            if key not in _KEY_UNITS:
+                raise ParamsError(f"unknown key {key!r}")
+            if key in seen:
+                raise ParamsError(f"duplicate key {key!r}")
+            seen.add(key)
+            params = replace(params, **{key: _parse_value(key, body)})
+        except ParamsError as exc:  # the constructor's errors start with the key
+            raise ParamsError(f"line {lineno}: {exc}") from exc
         except ValueError as exc:
-            raise ParamsError(f"line {lineno}: {key}: {exc}") from None
-    # replace() re-runs validation, which raises ParamsError naming the key
-    return replace(base or LinkBudgetParams(), **overrides)
+            raise ParamsError(f"line {lineno}: {key}: {exc}") from exc
+    return params
 
 
 def load_params(path: str | Path | None) -> LinkBudgetParams:

@@ -358,6 +358,34 @@ def test_simulate_rejects_non_finite_inputs(tmp_path, capsys, old, new, argv, me
     assert message in err
 
 
+def test_simulate_value_error_names_its_line(tmp_path, capsys):
+    cfg = tmp_path / "nonfinite.cfg"
+    cfg.write_text(TOPOLOGY.replace("capacity=54Mbps", "capacity=infGbps", 1))
+    code, _, err = run_cli(["simulate", "--topology", str(cfg)], capsys)
+    assert code == 1
+    assert err.startswith("error: line 5: link capacity must be positive and finite")
+
+
+def test_simulate_rejects_step_below_clock_resolution(tmp_path):
+    # in a child process with a timeout, so that a clock which cannot
+    # advance fails this test instead of hanging the suite
+    cfg = tmp_path / "fine.cfg"
+    cfg.write_text(
+        "node a kind=Relay\nnode b kind=Relay\nlink a b tech=RF capacity=1e20\n"
+        "flow s a b start=1\nsim duration=2\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(owpan.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "owpan.cli", "simulate", "--topology", str(cfg)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: flow s: packet time step")
+
+
 def test_simulate_config_error_reported(tmp_path, capsys):
     cfg = tmp_path / "broken.cfg"
     cfg.write_text("node a kind=Spaceship\n")

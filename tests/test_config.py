@@ -1,8 +1,15 @@
 """Network configuration text parser."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from owpan.netsim.config import ConfigError, load_network_config, parse_network_config
+from owpan.netsim.config import (
+    ConfigError,
+    NetworkConfig,
+    load_network_config,
+    parse_network_config,
+)
 from owpan.netsim.topology import (
     BeamShape,
     LinkDirection,
@@ -138,6 +145,33 @@ def test_error_messages_carry_line_numbers():
             parse_network_config(text)
         assert fragment in str(exc.value), (text, str(exc.value))
 
+    # values the node, link and flow constructors reject name their line too
+    nodes = "node a kind=UserDevice\nnode b kind=Relay\n"
+    prefixed = [
+        (nodes + "link a b tech=RF capacity=0\n", "line 3: link capacity must be positive"),
+        (nodes + "flow f a b start=-1\n", "line 3: flow f: start time must be >= 0"),
+        (nodes + "flow f a b packet=0\n", "line 3: flow f: packet_bytes must be >= 1"),
+        (nodes + "flow f a b rate=0\n", "line 3: flow f: rate must be positive"),
+        (nodes + "link a b tech=RF scenario=9\n", "line 3: scenario 9 not in 1..6"),
+        (nodes + "link a a tech=RF\n", "line 3: link endpoints coincide"),
+        ("node a kind=UserDevice address=-1\n", "line 1: address -1 outside 64-bit range"),
+        (nodes + "link a b tech=RF duplex=maybe\n", "line 3: duplex must be yes, true, 1, no"),
+    ]
+    for text, prefix in prefixed:
+        with pytest.raises(ConfigError) as exc:
+            parse_network_config(text)
+        assert str(exc.value).startswith(prefix), (text, str(exc.value))
+
+
+@pytest.mark.parametrize(
+    "value, count", [("yes", 2), ("TRUE", 2), ("1", 2), ("no", 1), ("false", 1), ("0", 1)]
+)
+def test_duplex_values(value, count):
+    cfg = parse_network_config(
+        f"node a kind=UserDevice\nnode b kind=Relay\nlink a b tech=RF duplex={value}\n"
+    )
+    assert len(cfg.topology.links) == count
+
 
 def test_unmatched_half_is_a_config_error():
     with pytest.raises(ConfigError) as exc:
@@ -157,3 +191,56 @@ def test_load_from_file(tmp_path):
     cfg = load_network_config(str(path))
     assert len(cfg.topology.nodes) == 3
     assert cfg.seed == 11
+
+
+# a config line is drawn as its directive, the names after it (fitting,
+# repeated, unknown or missing), its required key, and keys with values at
+# and past the edges of their ranges
+_HEADS = {
+    "node": ["c", "a", ""],
+    "link": ["a b", "a a", "a zz", "a"],
+    "flow": ["f a b", "f a a", "f zz b", "f a"],
+    "sim": [""],
+    "teleport": ["a b"],
+}
+_REQUIRED = {"node": "kind=Relay", "link": "tech=RF"}
+_KEYS = {
+    "node": ["kind", "caps", "protocols", "address"],
+    "link": ["tech", "capacity", "delay", "scenario", "beam", "channels", "direction", "duplex"],
+    "flow": ["rate", "packet", "start"],
+    "sim": ["duration", "seed"],
+    "teleport": [],
+}
+_VALUES = [
+    "0", "-1", "1", "9", "inf", "nan", "1e400", str(2**64), "infGbps", "-5us", "1e20",
+    "1Mbps", "10ns", "0x10", "saturate", "yes", "maybe", "half", "simplex", "P2MP", "RF",
+    "FSO,RF", "Relay", "UserDevice", "",
+]
+# network-wide checks, which no single line causes
+_UNLINED = ("duplicate node address", "unmatched duplex half")
+
+
+@st.composite
+def _config_line(draw):
+    directive = draw(st.sampled_from(sorted(_HEADS)))
+    words = [directive, draw(st.sampled_from(_HEADS[directive]))]
+    if directive in _REQUIRED and draw(st.booleans()):
+        words.append(_REQUIRED[directive])
+    keys = st.sampled_from(_KEYS[directive] + ["colour"])
+    words += draw(st.lists(st.builds("{}={}".format, keys, st.sampled_from(_VALUES)), max_size=3))
+    return " ".join(words)
+
+
+_free_text = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")), max_size=40)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.integers(0, 3), st.one_of(_config_line(), _free_text))
+def test_parser_is_total_and_names_the_line(blank_lines, line):
+    text = "node a kind=UserDevice\nnode b kind=Relay\n" + "\n" * blank_lines + line
+    line_no = 3 + blank_lines
+    try:
+        assert isinstance(parse_network_config(text), NetworkConfig)
+    except ConfigError as exc:
+        message = str(exc)
+        assert message.startswith(f"line {line_no}: ") or message.startswith(_UNLINED), message

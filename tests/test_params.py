@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from owpan.params import LinkBudgetParams, ParamsError, load_params, parse_params
 
@@ -126,6 +128,18 @@ class TestErrors:
         with pytest.raises(ParamsError, match="span"):
             parse_params(["span = -5 m"])
 
+    @pytest.mark.parametrize(
+        "lines, prefix",
+        [
+            (["span = -5 m"], "line 1: span: must be strictly positive"),
+            (["span = 5 m", "wall_reflectivity = 1.5"], "line 2: wall_reflectivity: must lie in"),
+        ],
+    )
+    def test_range_errors_name_their_line(self, lines, prefix):
+        with pytest.raises(ParamsError) as exc:
+            parse_params(lines)
+        assert str(exc.value).startswith(prefix), str(exc.value)
+
     def test_sweep_points_must_be_integer(self):
         with pytest.raises(ParamsError, match="sweep_points"):
             parse_params(["sweep_points = 10.5"])
@@ -193,3 +207,35 @@ class TestAccessors:
         layered = parse_params(["pr_over_n0 = 10 dB"], base=base)
         assert layered.span == 500.0
         assert layered.pr_over_n0 == 10.0
+
+
+# a parameter line is drawn as a key, a number at or past the edges of the
+# ranges, and a unit of any family
+_PARAM_KEYS = [
+    "span", "attenuation_coeffs", "attenuation_coeff", "wall_reflectivity",
+    "half_intensity_angle", "rf_capacity", "sweep_points", "pr_over_n0", "bandwidth", "colour",
+]
+_NUMBERS = [
+    "0", "-1", "1", "1.5", "inf", "nan", "1e400", str(2**64), "-5", "1e308", "5, nan", "5,", "",
+]
+_UNITS = ["", "m", "km", "dB", "dB/km", "deg", "Hz", "ns", "Mbps", "mm^2", "us"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(0, 3),
+    st.one_of(
+        st.builds(
+            "{} = {} {}".format,
+            st.sampled_from(_PARAM_KEYS),
+            st.sampled_from(_NUMBERS),
+            st.sampled_from(_UNITS),
+        ),
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=40),
+    ),
+)
+def test_parser_is_total_and_names_the_line(blank_lines, line):
+    try:
+        assert isinstance(parse_params([""] * blank_lines + [line]), LinkBudgetParams)
+    except ParamsError as exc:
+        assert str(exc).startswith(f"line {blank_lines + 1}: "), str(exc)

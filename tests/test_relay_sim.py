@@ -3,11 +3,15 @@
 import hashlib
 import io
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import owpan
 from owpan.netsim.engine import (
     METRICS_CSV_HEADER,
     FlowSpec,
@@ -306,6 +310,38 @@ def test_infinite_start_never_starts():
     ]
     m = run_simulation(line_topology([1e6]), flows, duration=0.01)
     assert (m.injected, m.links[0].utilization) == (0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "capacity, flow",
+    [
+        # 1250 B over 1e20 bit/s is 1e-16 s, and 1.0 + 1e-16 == 1.0
+        ("1e20", "FlowSpec('s', 1, 2, start=1.0)"),
+        ("1e6", "FlowSpec('s', 1, 2, rate_bps=1e300, start=1.0)"),
+        # a Poisson flow with no hop still draws its gaps on the clock
+        ("1e6", "FlowSpec('s', 1, 1, rate_bps=1e300, start=1.0)"),
+    ],
+)
+def test_step_below_clock_resolution_is_rejected(capacity, flow):
+    # in a child process with a timeout, so that a clock which cannot
+    # advance fails this test instead of hanging the suite
+    script = (
+        "from owpan.netsim.engine import FlowSpec, SimulationError, run_simulation\n"
+        "from owpan.netsim.topology import Link, Node, NodeKind, Technology, Topology\n"
+        "nodes = (Node(1, NodeKind.RELAY), Node(2, NodeKind.RELAY))\n"
+        f"links = (Link(1, 2, Technology.RF, capacity_bps={capacity}),)\n"
+        "try:\n"
+        f"    run_simulation(Topology(nodes, links), [{flow}], duration=2.0)\n"
+        "except SimulationError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(owpan.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("flow s: packet time step")
+    assert "below the clock resolution" in done.stdout
 
 
 def test_metrics_csv_shape_and_determinism():
