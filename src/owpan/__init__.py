@@ -9,7 +9,6 @@ network simulator with topology classification.
 from .capacity import (
     CSV_HEADER,
     CapacityCurve,
-    SnrBudget,
     SweepSpec,
     SweepVariable,
     cascade_capacity,
@@ -23,7 +22,6 @@ from .capacity import (
 )
 from .channels import (
     ChannelGain,
-    IndoorChannelParams,
     beers_lambert_transmittance,
     diffuse_gain,
     fso_capture_fraction,
@@ -40,10 +38,8 @@ __all__ = [
     "CSV_HEADER",
     "CapacityCurve",
     "ChannelGain",
-    "IndoorChannelParams",
     "LinkBudgetParams",
     "ParamsError",
-    "SnrBudget",
     "SweepSpec",
     "SweepVariable",
     "__version__",

@@ -16,11 +16,10 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .channels import diffuse_gain, fso_gain, los_gain
+from .channels import _first_bad, diffuse_gain, fso_gain, los_gain
 from .params import LinkBudgetParams
 
 __all__ = [
-    "SnrBudget",
     "SweepVariable",
     "SweepSpec",
     "CapacityCurve",
@@ -36,29 +35,6 @@ __all__ = [
 
 CSV_HEADER = "x,alpha_dBkm,capacity_bps"
 _LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class SnrBudget:
-    """Inputs of the SNR composition for one link.
-
-    ``pr_over_n0_db`` is the received-power to noise-density ratio in dB
-    (so its linear form has units of Hz), ``bandwidth`` in Hz.  The ratio
-    and ``channel_gain`` may be arrays, which broadcast against each other.
-    """
-
-    pr_over_n0_db: float | np.ndarray
-    responsivity: float
-    channel_gain: float | np.ndarray
-    bandwidth: float = 10e6
-
-    def __post_init__(self) -> None:
-        if self.bandwidth <= 0.0:
-            raise ValueError(f"bandwidth must be > 0, got {self.bandwidth!r}")
-        if not np.all((0.0 <= self.channel_gain) & (self.channel_gain <= 1.0)):
-            raise ValueError(f"channel_gain must lie in [0, 1], got {self.channel_gain!r}")
-        if self.responsivity < 0.0:
-            raise ValueError(f"responsivity must be >= 0, got {self.responsivity!r}")
 
 
 class SweepVariable(enum.Enum):
@@ -80,6 +56,10 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.points < 2:
             raise ValueError(f"need at least 2 grid points, got {self.points!r}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError(
+                f"sweep range must be finite, got [{self.start!r}, {self.stop!r}]"
+            )
         if self.stop < self.start:
             raise ValueError(
                 f"sweep range must not be reversed, got [{self.start!r}, {self.stop!r}]"
@@ -108,15 +88,32 @@ class CapacityCurve:
             raise ValueError("capacities must be finite and non-negative")
 
 
-def electrical_snr(budget: SnrBudget) -> float | np.ndarray:
+def electrical_snr(
+    pr_over_n0_db: float | np.ndarray,
+    responsivity: float,
+    channel_gain: float | np.ndarray,
+    bandwidth: float = 10e6,
+) -> float | np.ndarray:
     """Post-detection SNR of an intensity-modulated link.
 
     SNR = (responsivity * gain)^2 * 10^(pr_over_n0/10) / bandwidth.  The
     square is the optical-to-electrical conversion; dividing by bandwidth
-    turns the noise density into in-band noise power.
+    turns the noise density into in-band noise power.  ``pr_over_n0_db`` is
+    the received-power to noise-density ratio in dB (so its linear form has
+    units of Hz), ``bandwidth`` in Hz.  The ratio and ``channel_gain`` may
+    be arrays, which broadcast against each other.
     """
-    photo = budget.responsivity * budget.channel_gain
-    return photo * photo * 10.0 ** (budget.pr_over_n0_db / 10.0) / budget.bandwidth
+    if bandwidth <= 0.0:
+        raise ValueError(f"bandwidth must be > 0, got {bandwidth!r}")
+    in_range = (0.0 <= channel_gain) & (channel_gain <= 1.0)
+    if not np.all(in_range):
+        raise ValueError(
+            f"channel_gain must lie in [0, 1], got {_first_bad(channel_gain, ~in_range)!r}"
+        )
+    if responsivity < 0.0:
+        raise ValueError(f"responsivity must be >= 0, got {responsivity!r}")
+    photo = responsivity * channel_gain
+    return photo * photo * 10.0 ** (pr_over_n0_db / 10.0) / bandwidth
 
 
 def link_capacity(snr: float | np.ndarray, bandwidth: float) -> float | np.ndarray:
@@ -126,8 +123,9 @@ def link_capacity(snr: float | np.ndarray, bandwidth: float) -> float | np.ndarr
     capacity instead of rounding to zero; the sweeps' ordering
     properties rely on that.
     """
-    if np.any(snr < 0.0):
-        raise ValueError(f"snr must be >= 0, got {snr!r}")
+    negative = snr < 0.0
+    if np.any(negative):
+        raise ValueError(f"snr must be >= 0, got {_first_bad(snr, negative)!r}")
     if bandwidth <= 0.0:
         raise ValueError(f"bandwidth must be > 0, got {bandwidth!r}")
     capacity = bandwidth * np.log1p(snr) / _LN2
@@ -145,16 +143,8 @@ def cascade_capacity(capacities: Sequence[float]) -> float:
 
 def indoor_link_capacity(params: LinkBudgetParams) -> float:
     """Capacity of the LED downlink at the DC channel gain."""
-    indoor = params.indoor()
-    gain = float(los_gain(indoor)) + float(diffuse_gain(indoor))
-    snr = electrical_snr(
-        SnrBudget(
-            pr_over_n0_db=params.pr_over_n0,
-            responsivity=params.pd_responsivity,
-            channel_gain=gain,
-            bandwidth=params.bandwidth,
-        )
-    )
+    gain = float(los_gain(params)) + float(diffuse_gain(params))
+    snr = electrical_snr(params.pr_over_n0, params.pd_responsivity, gain, params.bandwidth)
     return link_capacity(snr, params.bandwidth)
 
 
@@ -178,12 +168,10 @@ def outdoor_link_capacity(
         params.wavelength,
     )
     snr = electrical_snr(
-        SnrBudget(
-            pr_over_n0_db=params.pr_over_n0 if pr_over_n0_db is None else pr_over_n0_db,
-            responsivity=params.laser_responsivity,
-            channel_gain=gain,
-            bandwidth=params.bandwidth,
-        )
+        params.pr_over_n0 if pr_over_n0_db is None else pr_over_n0_db,
+        params.laser_responsivity,
+        gain,
+        params.bandwidth,
     )
     return link_capacity(snr, params.bandwidth)
 

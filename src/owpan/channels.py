@@ -3,8 +3,10 @@
 The indoor hop is a generalized-Lambertian LED downlink with a line-of-sight
 component and a single-bounce diffuse component; the outdoor hop is a narrow
 laser beam attenuated by the Beers-Lambert law and truncated by the finite
-receiver aperture.  Everything here is a pure function over immutable
-parameter sets, so concurrent use needs no locking.
+receiver aperture.  The LED-hop functions read the validated, frozen
+:class:`~owpan.params.LinkBudgetParams`, which holds every range rule of
+their inputs.  Everything here is a pure function, so concurrent use needs
+no locking.
 
 Internally all quantities are SI (m, m^2, s, Hz, rad); attenuation
 coefficients are the lone exception and stay in dB/km, matching how they are
@@ -16,13 +18,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .params import LinkBudgetParams
+
 __all__ = [
     "ChannelGain",
-    "IndoorChannelParams",
     "lambertian_order",
     "los_gain",
     "diffuse_gain",
@@ -44,52 +46,6 @@ class ChannelGain(float):
         return super().__new__(cls, value)
 
 
-@dataclass(frozen=True)
-class IndoorChannelParams:
-    """Geometry and receiver parameters of the LED-to-photodetector link.
-
-    Angles are in radians, areas in m^2, distances in m, delays in s.
-    ``los_delay``/``nlos_delay`` are the arrival times of the direct and the
-    wall-reflected path, ``cutoff_frequency`` the 3 dB corner of the diffuse
-    path's low-pass response.
-    """
-
-    half_intensity_angle: float
-    incidence_angle: float
-    irradiance_angle: float
-    pd_area: float
-    room_area: float
-    wall_reflectivity: float
-    distance: float
-    los_delay: float
-    nlos_delay: float
-    cutoff_frequency: float
-    responsivity: float
-
-    def __post_init__(self) -> None:
-        positive = {
-            "pd_area": self.pd_area,
-            "room_area": self.room_area,
-            "distance": self.distance,
-            "los_delay": self.los_delay,
-            "nlos_delay": self.nlos_delay,
-            "cutoff_frequency": self.cutoff_frequency,
-            "responsivity": self.responsivity,
-        }
-        for name, value in positive.items():
-            if not value > 0.0:
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
-        if not 0.0 <= self.wall_reflectivity < 1.0:
-            # the diffuse gain diverges at reflectivity 1
-            raise ValueError(
-                f"wall_reflectivity must lie in [0, 1), got {self.wall_reflectivity!r}"
-            )
-        if not 0.0 < self.half_intensity_angle < math.pi / 2:
-            raise ValueError(
-                f"half_intensity_angle must lie in (0, pi/2), got {self.half_intensity_angle!r}"
-            )
-
-
 def lambertian_order(half_intensity_angle: float) -> float:
     """Lambertian mode number m = -ln 2 / ln(cos(phi_half)).
 
@@ -103,7 +59,7 @@ def lambertian_order(half_intensity_angle: float) -> float:
     return -math.log(2.0) / math.log(math.cos(half_intensity_angle))
 
 
-def los_gain(p: IndoorChannelParams) -> ChannelGain:
+def los_gain(p: LinkBudgetParams) -> ChannelGain:
     """Line-of-sight gain of the generalized-Lambertian LED link.
 
     gain = (m+1) A / (2 pi d^2) * cos^m(irradiance) * cos(incidence),
@@ -115,20 +71,20 @@ def los_gain(p: IndoorChannelParams) -> ChannelGain:
     gain = (
         (m + 1.0)
         * p.pd_area
-        / (2.0 * math.pi * p.distance**2)
+        / (2.0 * math.pi * p.led_distance**2)
         * math.cos(p.irradiance_angle) ** m
         * math.cos(p.incidence_angle)
     )
     return ChannelGain(gain)
 
 
-def diffuse_gain(p: IndoorChannelParams) -> ChannelGain:
+def diffuse_gain(p: LinkBudgetParams) -> ChannelGain:
     """Single-bounce diffuse gain (A_pd / A_room) * rho / (1 - rho)."""
     rho = p.wall_reflectivity
     return ChannelGain(p.pd_area / p.room_area * rho / (1.0 - rho))
 
 
-def indoor_frequency_response(f: float, p: IndoorChannelParams) -> complex:
+def indoor_frequency_response(f: float, p: LinkBudgetParams) -> complex:
     """Two-path response: delayed LOS ray plus low-pass filtered diffuse ray.
 
     H(f) = g_los e^{-j 2 pi f t1} + g_dif e^{-j 2 pi f t2} / (1 + j f/f0)
@@ -147,21 +103,34 @@ def indoor_frequency_response(f: float, p: IndoorChannelParams) -> complex:
     return direct + diffuse
 
 
+def _first_bad(value, bad):
+    """``value`` if it is a scalar, else its first element where ``bad`` holds,
+    so a range error names one number instead of printing the array."""
+    if np.ndim(value) == 0:
+        return value
+    return np.asarray(value)[bad][0].item()
+
+
 def _gain(value) -> ChannelGain | np.ndarray:
     """A scalar as :class:`ChannelGain`; an array after the same [0, 1] check."""
     if np.ndim(value) == 0:
         return ChannelGain(value)
-    if not ((0.0 <= value) & (value <= 1.0)).all():
-        raise ValueError(f"channel gain outside [0, 1] in {value!r}")
+    in_range = (0.0 <= value) & (value <= 1.0)
+    if not in_range.all():
+        raise ValueError(f"channel gain outside [0, 1], got {_first_bad(value, ~in_range)!r}")
     return value
 
 
 def beers_lambert_transmittance(attenuation_db_per_km, span_m) -> ChannelGain | np.ndarray:
     """Atmospheric power transmittance 10^(-alpha L / 10) with L in km."""
-    if np.any(attenuation_db_per_km < 0.0):
-        raise ValueError(f"attenuation must be >= 0, got {attenuation_db_per_km!r}")
-    if np.any(span_m < 0.0):
-        raise ValueError(f"span must be >= 0, got {span_m!r}")
+    negative = attenuation_db_per_km < 0.0
+    if np.any(negative):
+        raise ValueError(
+            f"attenuation must be >= 0, got {_first_bad(attenuation_db_per_km, negative)!r}"
+        )
+    negative = span_m < 0.0
+    if np.any(negative):
+        raise ValueError(f"span must be >= 0, got {_first_bad(span_m, negative)!r}")
     return _gain(10.0 ** (-attenuation_db_per_km * (span_m / 1000.0) / 10.0))
 
 
@@ -173,8 +142,9 @@ def gaussian_beam_radius(beam_waist, wavelength, span_m) -> float | np.ndarray:
     """
     if np.any(beam_waist <= 0.0) or np.any(wavelength <= 0.0):
         raise ValueError("beam waist and wavelength must be strictly positive")
-    if np.any(span_m < 0.0):
-        raise ValueError(f"span must be >= 0, got {span_m!r}")
+    negative = span_m < 0.0
+    if np.any(negative):
+        raise ValueError(f"span must be >= 0, got {_first_bad(span_m, negative)!r}")
     rayleigh = math.pi * beam_waist**2 / wavelength
     radius = beam_waist * np.hypot(1.0, span_m / rayleigh)
     return float(radius) if np.ndim(radius) == 0 else radius

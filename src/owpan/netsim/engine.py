@@ -173,10 +173,25 @@ def _percentile(sorted_values, fraction):
 def run_simulation(topology: Topology, flows, duration: float, seed: int = 0) -> SimMetrics:
     """Run the network for ``duration`` seconds and collect metrics.
 
-    Packets still in flight at the horizon count as dropped, so
-    delivered + dropped always equals injected.  Event order is the
-    lexicographic (time, insertion sequence), which makes the whole run
-    deterministic for fixed inputs.
+    Event order is the lexicographic (time, insertion sequence), which
+    makes the whole run deterministic for fixed inputs.  What the numbers
+    mean:
+
+    - ``dropped`` counts packets still queued or in flight at the horizon,
+      so delivered + dropped always equals injected.  The simulator itself
+      never drops a packet.
+    - A link's ``bits_carried`` is its busy time by the horizon times its
+      capacity: the bits serialised by then, a packet cut by the horizon
+      counting in part.  Up to rounding it equals ``utilization *
+      capacity * duration``.  It is a float sum of service times, so 93
+      whole packets of 1000 B may read as ``743999.9999999971``.
+    - Every delivered packet's latency is kept until the end, because exact
+      nearest-rank percentiles need every value; memory grows with the
+      packets delivered.
+    - The number of events is not capped.  Run time grows with the sum over
+      flows of (duration / time step) times the flow's hops, where the step
+      is the first-hop service time of a saturating flow and the mean gap of
+      a Poisson flow.
     """
     flows = list(flows)
     if not 0 < duration < math.inf:
@@ -189,19 +204,18 @@ def run_simulation(topology: Topology, flows, duration: float, seed: int = 0) ->
     links = topology.links
     next_free = [0.0] * len(links)
     busy = [0.0] * len(links)
-    bits_carried = [0.0] * len(links)
 
     injected = [0] * len(flows)
     latencies = [[] for _ in flows]
 
-    # per flow: its hops as (link, service time, propagation delay, packet
-    # bits, last hop?, re-inject after it?) and the draw of its next Poisson
+    # per flow: its hops as (link, service time, propagation delay, last
+    # hop?, re-inject after it?) and the draw of its next Poisson
     # gap (None when saturating); the heap starts with each first injection
     hops, gaps, heap = [], [], []
     for i, (flow, route) in enumerate(zip(flows, routes)):
         size = flow.packet_bytes * 8
         hops.append(tuple(
-            (idx, size / links[idx].capacity_bps, links[idx].propagation_delay, size,
+            (idx, size / links[idx].capacity_bps, links[idx].propagation_delay,
              n == len(route), n == 1 and flow.saturating)
             for n, idx in enumerate(route, 1)
         ))
@@ -249,7 +263,7 @@ def run_simulation(topology: Topology, flows, duration: float, seed: int = 0) ->
                 seq += 1
                 put = heappush
         if hop >= 0:
-            link, service, delay, size, last, reinject = hops[i][hop]
+            link, service, delay, last, reinject = hops[i][hop]
             start = next_free[link]
             if time >= start:
                 start = time
@@ -259,7 +273,6 @@ def run_simulation(topology: Topology, flows, duration: float, seed: int = 0) ->
                 busy[link] += finish - start
             elif start < duration:
                 busy[link] += duration - start
-            bits_carried[link] += size
             arrive = finish + delay
             if not last:
                 put(heap, (arrive, seq, i, hop + 1, gen_time))
@@ -304,7 +317,7 @@ def run_simulation(topology: Topology, flows, duration: float, seed: int = 0) ->
             src=link.src,
             dst=link.dst,
             technology=link.technology.value,
-            bits_carried=bits_carried[idx],
+            bits_carried=busy[idx] * link.capacity_bps,
             utilization=busy[idx] / duration,
         )
         for idx, link in enumerate(topology.links)

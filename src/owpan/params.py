@@ -22,8 +22,6 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable
 
-from .channels import IndoorChannelParams
-
 __all__ = ["LinkBudgetParams", "ParamsError", "load_params", "parse_params"]
 
 
@@ -40,6 +38,10 @@ class LinkBudgetParams:
     ``rf_capacity`` is the fixed capacity assigned to the RF uplink,
     which is configured rather than modeled; it defaults to infinity so
     the optical links dominate any cascade unless the user says otherwise.
+    The LED-hop functions of :mod:`owpan.channels` read this type directly:
+    ``los_delay``/``nlos_delay`` are the arrival times of the direct and the
+    wall-reflected path, ``cutoff_frequency`` the 3 dB corner of the diffuse
+    path's low-pass response.
     """
 
     attenuation_coeffs: tuple[float, ...] = (5.0, 20.0, 50.0, 80.0)  # dB/km
@@ -98,6 +100,7 @@ class LinkBudgetParams:
             if not value > 0.0:
                 raise ParamsError(f"{name}: must be strictly positive, got {value!r}")
         if not 0.0 <= self.wall_reflectivity < 1.0:
+            # the diffuse gain diverges at reflectivity 1
             raise ParamsError(
                 f"wall_reflectivity: must lie in [0, 1), got {self.wall_reflectivity!r}"
             )
@@ -110,22 +113,6 @@ class LinkBudgetParams:
             raise ParamsError(
                 f"sweep_points: need at least 2, got {self.sweep_points!r}"
             )
-
-    def indoor(self) -> IndoorChannelParams:
-        """The LED downlink's channel parameters."""
-        return IndoorChannelParams(
-            half_intensity_angle=self.half_intensity_angle,
-            incidence_angle=self.incidence_angle,
-            irradiance_angle=self.irradiance_angle,
-            pd_area=self.pd_area,
-            room_area=self.room_area,
-            wall_reflectivity=self.wall_reflectivity,
-            distance=self.led_distance,
-            los_delay=self.los_delay,
-            nlos_delay=self.nlos_delay,
-            cutoff_frequency=self.cutoff_frequency,
-            responsivity=self.pd_responsivity,
-        )
 
 
 # unit name -> multiplier into the SI (or quoted) target unit

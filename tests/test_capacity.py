@@ -12,7 +12,6 @@ from owpan import capacity
 from owpan.capacity import (
     CSV_HEADER,
     CapacityCurve,
-    SnrBudget,
     SweepSpec,
     SweepVariable,
     cascade_capacity,
@@ -29,44 +28,47 @@ from owpan.params import LinkBudgetParams
 
 class TestElectricalSnr:
     def test_zero_gain_zero_snr(self):
-        b = SnrBudget(pr_over_n0_db=30.0, responsivity=0.8, channel_gain=0.0)
-        assert electrical_snr(b) == 0.0
+        assert electrical_snr(pr_over_n0_db=30.0, responsivity=0.8, channel_gain=0.0) == 0.0
 
     def test_identity_composition(self):
-        b = SnrBudget(pr_over_n0_db=0.0, responsivity=1.0, channel_gain=1.0, bandwidth=1.0)
-        assert electrical_snr(b) == 1.0
+        snr = electrical_snr(
+            pr_over_n0_db=0.0, responsivity=1.0, channel_gain=1.0, bandwidth=1.0
+        )
+        assert snr == 1.0
 
     def test_ten_db_is_a_factor_of_ten(self):
-        lo = SnrBudget(pr_over_n0_db=20.0, responsivity=0.8, channel_gain=0.3)
-        hi = SnrBudget(pr_over_n0_db=30.0, responsivity=0.8, channel_gain=0.3)
-        assert electrical_snr(hi) / electrical_snr(lo) == pytest.approx(10.0, rel=1e-12)
+        lo = electrical_snr(pr_over_n0_db=20.0, responsivity=0.8, channel_gain=0.3)
+        hi = electrical_snr(pr_over_n0_db=30.0, responsivity=0.8, channel_gain=0.3)
+        assert hi / lo == pytest.approx(10.0, rel=1e-12)
 
     def test_responsivity_gain_product_squared(self):
-        a = SnrBudget(pr_over_n0_db=10.0, responsivity=0.5, channel_gain=0.8)
-        b = SnrBudget(pr_over_n0_db=10.0, responsivity=0.8, channel_gain=0.5)
-        assert electrical_snr(a) == pytest.approx(electrical_snr(b), rel=1e-12)
+        a = electrical_snr(pr_over_n0_db=10.0, responsivity=0.5, channel_gain=0.8)
+        b = electrical_snr(pr_over_n0_db=10.0, responsivity=0.8, channel_gain=0.5)
+        assert a == pytest.approx(b, rel=1e-12)
 
     @given(
         st.floats(min_value=-20.0, max_value=40.0),
         st.floats(min_value=1e-6, max_value=1.0),
     )
     def test_strictly_increasing_in_db_and_gain(self, db, gain):
-        base = SnrBudget(pr_over_n0_db=db, responsivity=0.8, channel_gain=gain)
-        more_db = SnrBudget(pr_over_n0_db=db + 1.0, responsivity=0.8, channel_gain=gain)
-        assert electrical_snr(more_db) > electrical_snr(base)
+        base = electrical_snr(pr_over_n0_db=db, responsivity=0.8, channel_gain=gain)
+        more_db = electrical_snr(pr_over_n0_db=db + 1.0, responsivity=0.8, channel_gain=gain)
+        assert more_db > base
         if gain < 0.99:
-            more_gain = SnrBudget(
+            more_gain = electrical_snr(
                 pr_over_n0_db=db, responsivity=0.8, channel_gain=gain * 1.01
             )
-            assert electrical_snr(more_gain) > electrical_snr(base)
+            assert more_gain > base
 
     def test_rejects_gain_outside_unit_interval(self):
         with pytest.raises(ValueError):
-            SnrBudget(pr_over_n0_db=0.0, responsivity=1.0, channel_gain=1.5)
+            electrical_snr(pr_over_n0_db=0.0, responsivity=1.0, channel_gain=1.5)
 
     def test_rejects_nonpositive_bandwidth(self):
         with pytest.raises(ValueError):
-            SnrBudget(pr_over_n0_db=0.0, responsivity=1.0, channel_gain=0.5, bandwidth=0.0)
+            electrical_snr(
+                pr_over_n0_db=0.0, responsivity=1.0, channel_gain=0.5, bandwidth=0.0
+            )
 
 
 class TestLinkCapacity:
@@ -147,11 +149,9 @@ class TestLinkCapacities:
 
     def test_scaling_responsivity_against_gain_cancels(self):
         # capacity depends only on the responsivity * gain product
-        a = SnrBudget(pr_over_n0_db=12.0, responsivity=0.4, channel_gain=0.6)
-        b = SnrBudget(pr_over_n0_db=12.0, responsivity=0.8, channel_gain=0.3)
-        assert link_capacity(electrical_snr(a), 1e7) == pytest.approx(
-            link_capacity(electrical_snr(b), 1e7), rel=1e-12
-        )
+        a = electrical_snr(pr_over_n0_db=12.0, responsivity=0.4, channel_gain=0.6)
+        b = electrical_snr(pr_over_n0_db=12.0, responsivity=0.8, channel_gain=0.3)
+        assert link_capacity(a, 1e7) == pytest.approx(link_capacity(b, 1e7), rel=1e-12)
 
 
 class TestSweeps:
@@ -222,6 +222,13 @@ class TestSweeps:
         with pytest.raises(ValueError):
             SweepSpec(SweepVariable.SPAN_M, 0.0, 100.0, points=1)
 
+
+    @pytest.mark.parametrize(
+        "start, stop", [(math.nan, 10.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0)]
+    )
+    def test_spec_rejects_non_finite_range(self, start, stop):
+        with pytest.raises(ValueError, match="sweep range must be finite"):
+            SweepSpec(SweepVariable.SPAN_M, start, stop)
 
 def laser_capacity_closed_form(p, alpha, span, pr_db):
     """The laser-hop capacity written out with the math module alone."""
@@ -308,14 +315,41 @@ class TestArrayCapacity:
         with pytest.raises(ValueError, match="snr"):
             link_capacity(np.array([1.0, -1e-3]), 1e6)
 
+    def test_array_range_errors_name_the_first_offending_value(self):
+        grid = np.linspace(-5.0, 5.0, 200)
+        cases = [
+            (lambda: link_capacity(grid, 1e6), "snr must be >= 0, got -5.0"),
+            (
+                lambda: electrical_snr(30.0, 0.8, np.array([0.5, 1.5, 2.0])),
+                r"channel_gain must lie in \[0, 1\], got 1.5",
+            ),
+            (
+                lambda: outdoor_link_capacity(LinkBudgetParams(), 5.0, span=grid),
+                "span must be >= 0, got -5.0",
+            ),
+            (
+                lambda: outdoor_link_capacity(LinkBudgetParams(), np.array([5.0, -2.0])),
+                "attenuation must be >= 0, got -2.0",
+            ),
+            (
+                lambda: outdoor_link_capacity(
+                    LinkBudgetParams(), 5.0, span=np.array([160.0, math.nan])
+                ),
+                r"channel gain outside \[0, 1\], got nan",
+            ),
+        ]
+        for call, message in cases:
+            with pytest.raises(ValueError, match=message + "$"):
+                call()
+
     def test_scalar_calls_return_float(self):
         p = LinkBudgetParams()
         assert type(link_capacity(3.0, 1.0)) is float
         assert type(outdoor_link_capacity(p, 5.0)) is float
         assert type(indoor_link_capacity(p)) is float
         assert type(end_to_end_capacity(p, 5.0)) is float
-        b = SnrBudget(pr_over_n0_db=30.0, responsivity=0.8, channel_gain=0.5)
-        assert type(electrical_snr(b)) is float
+        snr = electrical_snr(pr_over_n0_db=30.0, responsivity=0.8, channel_gain=0.5)
+        assert type(snr) is float
 
 
 class TestCsvExport:

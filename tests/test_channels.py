@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from owpan.channels import (
     ChannelGain,
-    IndoorChannelParams,
     beers_lambert_transmittance,
     diffuse_gain,
     fso_capture_fraction,
@@ -25,24 +24,7 @@ from owpan.channels import (
     lambertian_order,
     los_gain,
 )
-
-
-def default_indoor(**overrides) -> IndoorChannelParams:
-    base = dict(
-        half_intensity_angle=0.5236,
-        incidence_angle=1.2217,
-        irradiance_angle=1.7453,
-        pd_area=26e-6,
-        room_area=25.0,
-        wall_reflectivity=0.7,
-        distance=2.5,
-        los_delay=0.01e-9,
-        nlos_delay=0.03e-9,
-        cutoff_frequency=1.7111e6,
-        responsivity=0.8,
-    )
-    base.update(overrides)
-    return IndoorChannelParams(**base)
+from owpan.params import LinkBudgetParams
 
 
 def default_fso_gain(**overrides):
@@ -94,27 +76,27 @@ class TestLambertianOrder:
 class TestLosGain:
     def test_frozen_on_axis_value_for_order_one(self):
         # m = 1, both angles zero: (m+1) A / (2 pi d^2) = 52e-6 / (2 pi 6.25)
-        p = default_indoor(
+        p = LinkBudgetParams(
             half_intensity_angle=math.pi / 3, irradiance_angle=0.0, incidence_angle=0.0
         )
         assert los_gain(p) == pytest.approx(1.32416912652457e-6, rel=1e-12)
 
     def test_default_irradiance_angle_clamps_to_zero(self):
         # 1.7453 rad is past 90 degrees, so the direct path contributes nothing
-        assert los_gain(default_indoor()) == 0.0
+        assert los_gain(LinkBudgetParams()) == 0.0
 
     def test_incidence_at_right_angle_clamps_to_zero(self):
-        p = default_indoor(irradiance_angle=0.3, incidence_angle=math.pi / 2)
+        p = LinkBudgetParams(irradiance_angle=0.3, incidence_angle=math.pi / 2)
         assert los_gain(p) == 0.0
 
     def test_inverse_square_distance(self):
-        near = default_indoor(irradiance_angle=0.2, incidence_angle=0.1, distance=2.5)
-        far = default_indoor(irradiance_angle=0.2, incidence_angle=0.1, distance=5.0)
+        near = LinkBudgetParams(irradiance_angle=0.2, incidence_angle=0.1, led_distance=2.5)
+        far = LinkBudgetParams(irradiance_angle=0.2, incidence_angle=0.1, led_distance=5.0)
         assert los_gain(near) / los_gain(far) == pytest.approx(4.0, rel=1e-12)
 
     def test_even_in_both_angles(self):
-        pos = default_indoor(irradiance_angle=0.5, incidence_angle=0.3)
-        neg = default_indoor(irradiance_angle=-0.5, incidence_angle=-0.3)
+        pos = LinkBudgetParams(irradiance_angle=0.5, incidence_angle=0.3)
+        neg = LinkBudgetParams(irradiance_angle=-0.5, incidence_angle=-0.3)
         assert los_gain(pos) == los_gain(neg)
 
     @given(
@@ -122,23 +104,23 @@ class TestLosGain:
         st.floats(min_value=-1.5, max_value=1.5),
     )
     def test_gain_in_unit_interval(self, irr, inc):
-        p = default_indoor(irradiance_angle=irr, incidence_angle=inc)
+        p = LinkBudgetParams(irradiance_angle=irr, incidence_angle=inc)
         assert 0.0 <= los_gain(p) <= 1.0
 
 
 class TestDiffuseGain:
     def test_frozen_value_default_room(self):
         # (A_pd/A_room) * rho/(1-rho), 26 mm^2 over 25 m^2 at rho = 0.7
-        assert diffuse_gain(default_indoor()) == pytest.approx(
+        assert diffuse_gain(LinkBudgetParams()) == pytest.approx(
             2.42666666666667e-6, rel=1e-12
         )
 
     def test_zero_reflectivity_kills_path(self):
-        assert diffuse_gain(default_indoor(wall_reflectivity=0.0)) == 0.0
+        assert diffuse_gain(LinkBudgetParams(wall_reflectivity=0.0)) == 0.0
 
     def test_monotone_in_reflectivity(self):
         gains = [
-            diffuse_gain(default_indoor(wall_reflectivity=rho))
+            diffuse_gain(LinkBudgetParams(wall_reflectivity=rho))
             for rho in (0.0, 0.2, 0.5, 0.7, 0.9)
         ]
         assert gains == sorted(gains)
@@ -147,11 +129,11 @@ class TestDiffuseGain:
 
 class TestFrequencyResponse:
     def test_frozen_magnitude_at_ten_megahertz(self):
-        h = indoor_frequency_response(10e6, default_indoor())
+        h = indoor_frequency_response(10e6, LinkBudgetParams())
         assert abs(h) == pytest.approx(4.0927860020245128e-7, rel=1e-11)
 
     def test_dc_equals_los_plus_diffuse(self):
-        p = default_indoor(irradiance_angle=0.2)
+        p = LinkBudgetParams(irradiance_angle=0.2)
         h0 = indoor_frequency_response(0.0, p)
         assert h0.imag == 0.0
         assert h0.real == pytest.approx(los_gain(p) + diffuse_gain(p), rel=1e-12)
@@ -159,20 +141,20 @@ class TestFrequencyResponse:
     def test_three_db_point_of_pure_diffuse_response(self):
         # LOS clamped off by the default irradiance angle, so the response
         # is one-pole low-pass: |H(f0)| = |H(0)| / sqrt(2)
-        p = default_indoor()
+        p = LinkBudgetParams()
         h0 = abs(indoor_frequency_response(0.0, p))
         hc = abs(indoor_frequency_response(p.cutoff_frequency, p))
         assert hc == pytest.approx(h0 / math.sqrt(2.0), rel=1e-12)
 
     def test_pure_diffuse_magnitude_non_increasing(self):
-        p = default_indoor()
+        p = LinkBudgetParams()
         freqs = [0.0, 1e5, 1e6, 5e6, 2e7, 1e8]
         mags = [abs(indoor_frequency_response(f, p)) for f in freqs]
         assert all(a >= b for a, b in zip(mags, mags[1:]))
 
     def test_rejects_negative_frequency(self):
         with pytest.raises(ValueError):
-            indoor_frequency_response(-1.0, default_indoor())
+            indoor_frequency_response(-1.0, LinkBudgetParams())
 
 
 class TestBeersLambert:
@@ -364,13 +346,13 @@ class TestArrayInputs:
 class TestParamValidation:
     def test_indoor_rejects_reflectivity_of_one(self):
         with pytest.raises(ValueError, match="wall_reflectivity"):
-            default_indoor(wall_reflectivity=1.0)
+            LinkBudgetParams(wall_reflectivity=1.0)
 
     def test_indoor_rejects_nonpositive_area(self):
         with pytest.raises(ValueError, match="pd_area"):
-            default_indoor(pd_area=0.0)
+            LinkBudgetParams(pd_area=0.0)
 
     def test_replace_revalidates(self):
-        p = default_indoor()
+        p = LinkBudgetParams()
         with pytest.raises(ValueError):
-            replace(p, distance=-1.0)
+            replace(p, led_distance=-1.0)

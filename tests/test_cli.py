@@ -169,6 +169,23 @@ def test_capacity_sweep_rejects_non_finite_params(tmp_path, capsys, line):
     assert err.startswith("error: line 1: " + line.split()[0])
 
 
+@pytest.mark.parametrize(
+    "bound, prefix",
+    [
+        (["--min", "nan"], "error: sweep range must be finite"),
+        (["--max", "inf"], "error: sweep range must be finite"),
+        (["--min", "-5"], "error: span must be >= 0, got -5.0"),
+    ],
+)
+def test_capacity_sweep_bad_range_is_one_short_line(capsys, recwarn, bound, prefix):
+    code, out, err = run_cli(["capacity-sweep", "--var", "L", *bound], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(prefix)
+    assert len(err.splitlines()) == 1 and len(err) < 200
+    assert len(recwarn) == 0
+
+
 def test_attenuation_unit_equivalence(tmp_path, capsys):
     a = tmp_path / "km.txt"
     a.write_text("attenuation_coeffs = 5 dB/km\n")

@@ -194,14 +194,6 @@ class TestErrors:
 
 
 class TestAccessors:
-    def test_indoor_view_carries_fields_over(self):
-        p = LinkBudgetParams()
-        ind = p.indoor()
-        assert ind.pd_area == p.pd_area
-        assert ind.distance == p.led_distance
-        assert ind.responsivity == p.pd_responsivity
-        assert ind.cutoff_frequency == p.cutoff_frequency
-
     def test_base_layering(self):
         base = parse_params(["span = 500 m"])
         layered = parse_params(["pr_over_n0 = 10 dB"], base=base)

@@ -10,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import owpan
 from owpan.netsim.engine import (
@@ -254,6 +256,40 @@ def test_utilization_and_bits_carried():
     assert link.bits_carried >= m.throughput_bps * m.duration
 
 
+@st.composite
+def _random_relay_run(draw):
+    """A random tree of 2-8 nodes, one link each way per edge, and 1-5
+    saturating or Poisson flows between random nodes."""
+    n = draw(st.integers(2, 8))
+    edges = [(child, draw(st.integers(1, child - 1))) for child in range(2, n + 1)]
+    caps = {child: draw(st.floats(1e6, 1e9)) for child, _ in edges}
+    delays = {child: draw(st.floats(0.0, 1e-4)) for child, _ in edges}
+    topology = Topology(
+        nodes=tuple(Node(a, RELAY) for a in range(1, n + 1)),
+        links=_two_way_links(edges, caps.get, delays.get),
+    )
+    node = st.integers(1, n)
+    flows = [
+        FlowSpec(f"f{k}", draw(node), draw(node),
+                 rate_bps=draw(st.one_of(st.none(), st.floats(1e5, 5e7))),
+                 packet_bytes=draw(st.integers(64, 1500)), start=draw(st.floats(0.0, 1e-3)))
+        for k in range(draw(st.integers(1, 5)))
+    ]
+    return topology, flows, draw(st.floats(1e-4, 3e-3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_relay_run())
+def test_bits_carried_is_what_the_link_serialised_by_the_horizon(run):
+    topology, flows, duration = run
+    m = run_simulation(topology, flows, duration)
+    for link, lm in zip(topology.links, m.links):
+        assert lm.bits_carried <= link.capacity_bps * duration
+        assert lm.bits_carried / (link.capacity_bps * duration) == pytest.approx(
+            lm.utilization, rel=1e-12
+        )
+
+
 def test_determinism_same_seed():
     t = line_topology([5e6, 3e6], [1e-6, 2e-6])
     flows = [
@@ -492,7 +528,7 @@ def test_simulator_output_matches_pinned_digests():
         "edge_cases": _digest(_edge_case_runs()),
     }
     assert digests == {
-        "relay_trees": "f2d7d8c56684da89fbb12c43813f363c32b2c970a45c4cca9061bbff2603e3ee",
-        "tie_heavy": "408ae1e829cd075771d95026deb3f849a95628f3f5a51ffc7613f6d196562319",
-        "edge_cases": "f9c3f59a16aa862a27836caa37b279bdb404bea7de4b448873cfb878d323eecb",
+        "relay_trees": "52e16115dccd88a97d276aa7aff2514015e7dc9a61e2e739e67952fe982a56a2",
+        "tie_heavy": "81e05e9dcf9bc0fbc139c5c3d41a85c7d1a114c966570f0405381861d5613d2f",
+        "edge_cases": "b8f7f4f4077247aa25345967608a06661f0295a9c529061bcccba87afe007dcb",
     }
