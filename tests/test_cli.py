@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, outputs, and exit codes."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -229,6 +230,37 @@ def test_capacity_sweep_end_to_end_flag(capsys):
     assert base != e2e
     for line_b, line_e in zip(base.splitlines()[1:], e2e.splitlines()[1:]):
         assert float(line_e.split(",")[2]) <= float(line_b.split(",")[2]) * (1 + 1e-12)
+
+
+# One run per swept variable, with and without --end-to-end, one custom grid,
+# and one params file that moves the LED hop (the end-to-end floor).
+_PINNED_SWEEPS = {
+    "L": (["--var", "L"],
+          "56672be26eceb81fe204cc31e3acef40240bc65af1a8d67423d0082bd896bc13"),
+    "L_end_to_end": (["--var", "L", "--end-to-end"],
+                     "0d2f468446ee52c579dfc9db9a747c0ab85f620ec24a5b046368cb369ebc2813"),
+    "pr_n0": (["--var", "pr_n0"],
+              "fb30d4072a388f8cf5afc74c992ede3e034f6ae0ee84065067c37e0187692133"),
+    "pr_n0_end_to_end": (["--var", "pr_n0", "--end-to-end"],
+                         "18a3cd0750df2f1d59e3245c905cd0dac5ce0fc17a818bb3f7e07d7557346fd5"),
+    "L_57_points": (["--var", "L", "--points", "57", "--min", "3", "--max", "9000"],
+                    "f360b863a479110bc9ab4f60dfb332456f62bb7a47dd278a9f246ff0067da1f3"),
+    "led_params": (["--var", "L", "--end-to-end", "--params", "{led}"],
+                   "aa8efdee786506b60f84a18dff139ddaf7defd62f700eeaf3d56111666cfaeba"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_SWEEPS))
+def test_capacity_sweep_csv_matches_pinned_digest(name, tmp_path, capsys):
+    """The sweep CSV is pinned byte for byte, every float as its repr."""
+    led = tmp_path / "led.txt"
+    led.write_text("led_distance = 1 m\nirradiance_angle = 60 deg\n")
+    argv, digest = _PINNED_SWEEPS[name]
+    code, out, _ = run_cli(
+        ["capacity-sweep", *(a.format(led=led) for a in argv)], capsys
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_capacity_sweep_gnuplot_script(tmp_path, capsys):
