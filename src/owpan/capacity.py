@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -82,9 +83,11 @@ class CapacityCurve:
     def __post_init__(self) -> None:
         if len(self.x) != len(self.capacity_bps):
             raise ValueError("x and capacity_bps must have equal length")
-        if any(b < a for a, b in zip(self.x, self.x[1:])):
+        if any(map(operator.gt, self.x, self.x[1:])):
             raise ValueError("sweep grid must be non-decreasing")
-        if any(c < 0.0 or not math.isfinite(c) for c in self.capacity_bps):
+        caps = self.capacity_bps
+        # finiteness first, so a NaN never reaches min()
+        if not all(map(math.isfinite, caps)) or (caps and min(caps) < 0.0):
             raise ValueError("capacities must be finite and non-negative")
 
 
@@ -101,10 +104,16 @@ def electrical_snr(
     turns the noise density into in-band noise power.  ``pr_over_n0_db`` is
     the received-power to noise-density ratio in dB (so its linear form has
     units of Hz), ``bandwidth`` in Hz.  The ratio and ``channel_gain`` may
-    be arrays, which broadcast against each other.
+    be arrays, which broadcast against each other; every element of the
+    ratio must be finite.
     """
     if bandwidth <= 0.0:
         raise ValueError(f"bandwidth must be > 0, got {bandwidth!r}")
+    finite = np.isfinite(pr_over_n0_db)
+    if not np.all(finite):
+        raise ValueError(
+            f"pr_over_n0_db must be finite, got {_first_bad(pr_over_n0_db, ~finite)!r}"
+        )
     in_range = (0.0 <= channel_gain) & (channel_gain <= 1.0)
     if not np.all(in_range):
         raise ValueError(
@@ -121,11 +130,13 @@ def link_capacity(snr: float | np.ndarray, bandwidth: float) -> float | np.ndarr
 
     Computed via log1p so deeply attenuated links keep a positive
     capacity instead of rounding to zero; the sweeps' ordering
-    properties rely on that.
+    properties rely on that.  Every SNR must be finite and >= 0; a NaN or
+    infinite one is rejected.
     """
-    negative = snr < 0.0
-    if np.any(negative):
-        raise ValueError(f"snr must be >= 0, got {_first_bad(snr, negative)!r}")
+    in_range = (snr >= 0.0) & np.isfinite(snr)
+    if not np.all(in_range):
+        bad = _first_bad(snr, ~in_range)
+        raise ValueError(f"snr must be {'>= 0' if bad < 0.0 else 'finite'}, got {bad!r}")
     if bandwidth <= 0.0:
         raise ValueError(f"bandwidth must be > 0, got {bandwidth!r}")
     capacity = bandwidth * np.log1p(snr) / _LN2
@@ -224,8 +235,21 @@ def sweep_capacity(
 
 
 def write_curves_csv(curves: Iterable[CapacityCurve], stream: IO[str]) -> None:
-    """Write curves as ``x,alpha_dBkm,capacity_bps`` rows, curve by curve."""
+    """Write curves as ``x,alpha_dBkm,capacity_bps`` rows, curve by curve.
+
+    Every number is Python's ``repr``, the shortest text that parses back
+    to the same float, so a reader recovers each curve exactly; the bytes
+    are pinned by digests in ``tests/test_cli.py``.  Each curve goes out
+    in one ``stream.write``.  The grid text is reused while consecutive
+    curves share one ``x`` tuple, as a sweep's curves do.
+    """
     stream.write(CSV_HEADER + "\n")
+    x = x_text = None
     for curve in curves:
-        for x, c in zip(curve.x, curve.capacity_bps):
-            stream.write(f"{x!r},{curve.alpha_db_per_km!r},{c!r}\n")
+        if curve.x is not x:
+            x = curve.x
+            x_text = [f"{v!r}," for v in x]
+        alpha = f"{curve.alpha_db_per_km!r},"
+        stream.write(
+            "".join([f"{xv}{alpha}{c!r}\n" for xv, c in zip(x_text, curve.capacity_bps)])
+        )

@@ -90,8 +90,8 @@ def indoor_frequency_response(f: float, p: LinkBudgetParams) -> complex:
     H(f) = g_los e^{-j 2 pi f t1} + g_dif e^{-j 2 pi f t2} / (1 + j f/f0)
     so |H(0)| = g_los + g_dif.
     """
-    if f < 0.0:
-        raise ValueError(f"frequency must be >= 0, got {f!r}")
+    if not (math.isfinite(f) and f >= 0.0):
+        raise ValueError(f"frequency must be finite and >= 0, got {f!r}")
     g_los = los_gain(p)
     g_dif = diffuse_gain(p)
     direct = g_los * cmath.exp(-2j * math.pi * f * p.los_delay)

@@ -70,6 +70,19 @@ class TestElectricalSnr:
                 pr_over_n0_db=0.0, responsivity=1.0, channel_gain=0.5, bandwidth=0.0
             )
 
+    @pytest.mark.parametrize(
+        "db, bad",
+        [
+            (math.nan, "nan"),
+            (math.inf, "inf"),
+            (-math.inf, "-inf"),
+            (np.array([10.0, math.nan, math.inf]), "nan"),
+        ],
+    )
+    def test_rejects_non_finite_ratio(self, db, bad):
+        with pytest.raises(ValueError, match=f"^pr_over_n0_db must be finite, got {bad}$"):
+            electrical_snr(pr_over_n0_db=db, responsivity=0.5, channel_gain=0.5)
+
 
 class TestLinkCapacity:
     def test_zero_snr_zero_capacity(self):
@@ -95,6 +108,21 @@ class TestLinkCapacity:
     def test_rejects_negative_snr(self):
         with pytest.raises(ValueError):
             link_capacity(-0.5, 1e6)
+
+    @pytest.mark.parametrize(
+        "snr, message",
+        [
+            (math.nan, "finite, got nan"),
+            (math.inf, "finite, got inf"),
+            (-math.inf, ">= 0, got -inf"),
+            (np.array([1.0, math.nan, -1.0]), "finite, got nan"),
+            (np.array([2.0, -1.0, math.inf]), ">= 0, got -1.0"),
+            (np.array([[0.0], [math.inf]]), "finite, got inf"),
+        ],
+    )
+    def test_rejects_non_finite_snr(self, snr, message):
+        with pytest.raises(ValueError, match=f"^snr must be {message}$"):
+            link_capacity(snr, 1e6)
 
 
 class TestCascade:
@@ -315,6 +343,12 @@ class TestArrayCapacity:
         with pytest.raises(ValueError, match="snr"):
             link_capacity(np.array([1.0, -1e-3]), 1e6)
 
+    def test_outdoor_array_rejects_one_non_finite_ratio(self):
+        p = LinkBudgetParams()
+        for db in (np.array([math.nan, 10.0]), math.inf):
+            with pytest.raises(ValueError, match="pr_over_n0_db must be finite"):
+                outdoor_link_capacity(p, 5.0, pr_over_n0_db=db)
+
     def test_array_range_errors_name_the_first_offending_value(self):
         grid = np.linspace(-5.0, 5.0, 200)
         cases = [
@@ -384,9 +418,102 @@ class TestCsvExport:
             assert float(row[2]) == c
 
 
+def _reference_csv(curves):
+    """The writer's output, one f-string per row."""
+    rows = [CSV_HEADER + "\n"]
+    for curve in curves:
+        for x, c in zip(curve.x, curve.capacity_bps):
+            rows.append(f"{x!r},{curve.alpha_db_per_km!r},{c!r}\n")
+    return "".join(rows)
+
+
+def _curve(x, caps, alpha=5.0):
+    return CapacityCurve(
+        variable=SweepVariable.SPAN_M,
+        alpha_db_per_km=alpha,
+        x=x,
+        capacity_bps=caps,
+        fixed_params=LinkBudgetParams(),
+    )
+
+
+class _RecordingStream:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+class TestCsvWriterMatchesReference:
+    """The writer against the row-by-row reference, one write per curve."""
+
+    GRID = (0.0, 1e-300, 0.5, 0.5, 2.25)
+
+    def hand_built(self):
+        grid = self.GRID
+        equal_copy = tuple(list(grid))
+        assert equal_copy == grid and equal_copy is not grid
+        return [
+            _curve(grid, (-0.0, 5e-324, 1e16, 1.0, 0.1), alpha=0.0),
+            _curve(grid, (1e16, 1e16, 3.0, 5e-324, -0.0), alpha=12.5),
+            _curve(equal_copy, (2.0, 1.0, 0.0, 1e-7, 7.0)),
+            _curve((10.0, 20.0), (1.5, 2.5), alpha=117.3),
+            _curve((), ()),
+            _curve(grid, (0.1, 0.2, 0.3, 0.4, 0.5), alpha=80.0),
+        ]
+
+    def sweeps(self):
+        p = LinkBudgetParams()
+        return sweep_capacity(p, SweepSpec(SweepVariable.SPAN_M, 0.0, 5000.0, 57)) + (
+            sweep_capacity(p, SweepSpec(SweepVariable.PR_OVER_N0_DB, -10.0, 60.0, 13), True)
+        )
+
+    @pytest.mark.parametrize("source", ["empty", "hand_built", "sweeps"])
+    def test_one_write_per_curve_equal_to_reference(self, source):
+        curves = [] if source == "empty" else getattr(self, source)()
+        stream = _RecordingStream()
+        write_curves_csv(curves, stream)
+        assert stream.writes[0] == CSV_HEADER + "\n"
+        assert stream.writes[1:] == [_reference_csv([c])[len(CSV_HEADER) + 1 :] for c in curves]
+        assert "".join(stream.writes) == _reference_csv(curves)
+
+    def test_generator_of_curves(self):
+        buf = io.StringIO()
+        write_curves_csv((c for c in self.hand_built()), buf)
+        assert buf.getvalue() == _reference_csv(self.hand_built())
+
+    def test_extreme_capacities_print_as_repr(self):
+        buf = io.StringIO()
+        write_curves_csv([_curve((0.0, 1.0, 2.0), (-0.0, 5e-324, 1e16))], buf)
+        assert buf.getvalue().splitlines()[1:] == [
+            "0.0,5.0,-0.0",
+            "1.0,5.0,5e-324",
+            "2.0,5.0,1e+16",
+        ]
+
+
 class TestCurveValidation:
+    @pytest.mark.parametrize(
+        "caps",
+        [
+            (1.0, math.nan),
+            (math.nan, -1.0),
+            (math.inf, 1.0),
+            (-math.inf,),
+            (2.0, -1e-300),
+        ],
+    )
+    def test_rejects_non_finite_or_negative_capacity(self, caps):
+        with pytest.raises(ValueError, match="^capacities must be finite and non-negative$"):
+            _curve(tuple(float(i) for i in range(len(caps))), caps)
+
+    def test_accepts_equal_neighbours_negative_zero_and_empty(self):
+        assert _curve((1.0, 1.0, 2.0), (0.0, -0.0, 3.0)).capacity_bps[1] == 0.0
+        assert _curve((), ()).x == ()
+
     def test_rejects_non_monotone_x(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^sweep grid must be non-decreasing$"):
             CapacityCurve(
                 variable=SweepVariable.SPAN_M,
                 alpha_db_per_km=5.0,

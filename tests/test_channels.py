@@ -156,6 +156,11 @@ class TestFrequencyResponse:
         with pytest.raises(ValueError):
             indoor_frequency_response(-1.0, LinkBudgetParams())
 
+    @pytest.mark.parametrize("f", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_frequency(self, f):
+        with pytest.raises(ValueError, match=f"^frequency must be finite and >= 0, got {f!r}$"):
+            indoor_frequency_response(f, LinkBudgetParams())
+
 
 class TestBeersLambert:
     def test_short_span_low_attenuation(self):
