@@ -36,6 +36,9 @@ __all__ = [
 
 CSV_HEADER = "x,alpha_dBkm,capacity_bps"
 _LN2 = math.log(2.0)
+# the largest Pr/N0 in dB whose linear form 10 ** (dB / 10) is a float:
+# about 1.78e308, against a largest float of about 1.80e308
+_MAX_DB = 3082.5
 
 
 class SweepVariable(enum.Enum):
@@ -105,22 +108,23 @@ def electrical_snr(
     the received-power to noise-density ratio in dB (so its linear form has
     units of Hz), ``bandwidth`` in Hz.  The ratio and ``channel_gain`` may
     be arrays, which broadcast against each other; every element of the
-    ratio must be finite.
+    ratio must be finite and at most ``_MAX_DB``, so its linear form does
+    not overflow.
     """
-    if bandwidth <= 0.0:
-        raise ValueError(f"bandwidth must be > 0, got {bandwidth!r}")
-    finite = np.isfinite(pr_over_n0_db)
-    if not np.all(finite):
-        raise ValueError(
-            f"pr_over_n0_db must be finite, got {_first_bad(pr_over_n0_db, ~finite)!r}"
-        )
+    if not 0.0 < bandwidth < math.inf:
+        raise ValueError(f"bandwidth must be finite and > 0, got {bandwidth!r}")
+    usable = np.isfinite(pr_over_n0_db) & (pr_over_n0_db <= _MAX_DB)
+    if not np.all(usable):
+        bad = _first_bad(pr_over_n0_db, ~usable)
+        rule = f"<= {_MAX_DB} dB" if math.isfinite(bad) else "finite"
+        raise ValueError(f"pr_over_n0_db must be {rule}, got {bad!r}")
     in_range = (0.0 <= channel_gain) & (channel_gain <= 1.0)
     if not np.all(in_range):
         raise ValueError(
             f"channel_gain must lie in [0, 1], got {_first_bad(channel_gain, ~in_range)!r}"
         )
-    if responsivity < 0.0:
-        raise ValueError(f"responsivity must be >= 0, got {responsivity!r}")
+    if not 0.0 <= responsivity < math.inf:
+        raise ValueError(f"responsivity must be finite and >= 0, got {responsivity!r}")
     photo = responsivity * channel_gain
     return photo * photo * 10.0 ** (pr_over_n0_db / 10.0) / bandwidth
 
@@ -137,8 +141,8 @@ def link_capacity(snr: float | np.ndarray, bandwidth: float) -> float | np.ndarr
     if not np.all(in_range):
         bad = _first_bad(snr, ~in_range)
         raise ValueError(f"snr must be {'>= 0' if bad < 0.0 else 'finite'}, got {bad!r}")
-    if bandwidth <= 0.0:
-        raise ValueError(f"bandwidth must be > 0, got {bandwidth!r}")
+    if not 0.0 < bandwidth < math.inf:
+        raise ValueError(f"bandwidth must be finite and > 0, got {bandwidth!r}")
     capacity = bandwidth * np.log1p(snr) / _LN2
     return float(capacity) if np.ndim(capacity) == 0 else capacity
 

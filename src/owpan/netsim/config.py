@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..params import _RATE, _TIME, _number, _split_unit
 from .engine import FlowSpec
 from .topology import (
     BeamShape,
@@ -44,19 +45,10 @@ class NetworkConfig:
     seed: int | None = None
 
 
-_RATE_SUFFIXES = [("Gbps", 1e9), ("Mbps", 1e6), ("kbps", 1e3), ("bps", 1.0)]
-_TIME_SUFFIXES = [("ms", 1e-3), ("us", 1e-6), ("ns", 1e-9), ("ps", 1e-12), ("s", 1.0)]
-
-
-def _scaled(text: str, suffixes, what: str) -> float:
-    for suffix, scale in suffixes:
-        if text.endswith(suffix):
-            body = text[: -len(suffix)]
-            break
-    else:
-        body, scale = text, 1.0
+def _quantity(text: str, units: dict, what: str) -> float:
+    # the unit tables and reader of the link-budget parameter file
     try:
-        return float(body) * scale
+        return _number(*_split_unit(text, units))
     except ValueError:
         raise ValueError(f"bad {what} value {text!r}") from None
 
@@ -110,18 +102,18 @@ _NODE_KEYS = {
     "protocols": ("protocols", lambda v: [p for p in v.split(",") if p]),
 }
 _LINK_KEYS = {
-    "capacity": ("capacity_bps", lambda v: _scaled(v, _RATE_SUFFIXES, "capacity")),
-    "delay": ("propagation_delay", lambda v: _scaled(v, _TIME_SUFFIXES, "delay")),
+    "capacity": ("capacity_bps", lambda v: _quantity(v, _RATE, "capacity")),
+    "delay": ("propagation_delay", lambda v: _quantity(v, _TIME, "delay")),
     "beam": ("beam", lambda v: _member(BeamShape, v, "beam")),
     "scenario": ("scenario", lambda v: _integer(v, "scenario/channels must be integers")),
     "channels": ("channel_count", lambda v: _integer(v, "scenario/channels must be integers")),
 }
 _FLOW_KEYS = {
     "rate": (
-        "rate_bps", lambda v: None if v == "saturate" else _scaled(v, _RATE_SUFFIXES, "rate")
+        "rate_bps", lambda v: None if v == "saturate" else _quantity(v, _RATE, "rate")
     ),
     "packet": ("packet_bytes", lambda v: _integer(v, "packet must be an integer byte count")),
-    "start": ("start", lambda v: _scaled(v, _TIME_SUFFIXES, "start")),
+    "start": ("start", lambda v: _quantity(v, _TIME, "start")),
 }
 
 
@@ -210,7 +202,7 @@ def parse_network_config(text: str) -> NetworkConfig:
             elif kind == "sim":
                 attrs = _split_attrs(parts[1:])
                 if "duration" in attrs:
-                    duration = _scaled(attrs.pop("duration"), _TIME_SUFFIXES, "duration")
+                    duration = _quantity(attrs.pop("duration"), _TIME, "duration")
                 if "seed" in attrs:
                     seed = _integer(attrs.pop("seed"), "bad seed", 0)
 

@@ -4,7 +4,8 @@ A parameter file is flat ``key = value [unit]`` text: one assignment per
 line, ``#`` comments, blank lines ignored.  Every key has an explicit unit
 table and everything is converted to SI here, at the boundary, so the rest
 of the package never sees a millimeter.  An empty file (or no file) yields
-the built-in defaults.
+the built-in defaults.  The network config (:mod:`owpan.netsim.config`)
+reads its rates and times with the same unit tables and reader.
 
 Example::
 
@@ -18,7 +19,7 @@ Example::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import Field, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -27,6 +28,41 @@ __all__ = ["LinkBudgetParams", "ParamsError", "load_params", "parse_params"]
 
 class ParamsError(ValueError):
     """Raised for unparseable or invalid parameter input."""
+
+
+def _longest_first(units: dict[str, float]) -> dict[str, float]:
+    # a unit is matched as a suffix, so 'mm' must be tried before 'm'
+    return dict(sorted(units.items(), key=lambda item: -len(item[0])))
+
+
+# unit name -> multiplier into the SI (or quoted) target unit; "" admits a
+# bare number
+_LENGTH = _longest_first({"m": 1.0, "mm": 1e-3, "cm": 1e-2, "km": 1e3, "um": 1e-6, "nm": 1e-9})
+_AREA = _longest_first(
+    {"m^2": 1.0, "m2": 1.0, "cm^2": 1e-4, "cm2": 1e-4, "mm^2": 1e-6, "mm2": 1e-6}
+)
+_ANGLE = _longest_first({"rad": 1.0, "mrad": 1e-3, "urad": 1e-6, "deg": math.pi / 180.0})
+_FREQ = _longest_first({"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9})
+_TIME = _longest_first({"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "ps": 1e-12, "": 1.0})
+_ATTEN = _longest_first({"dB/km": 1.0, "dB/m": 1e3})
+_DB = {"dB": 1.0}
+_RESP = {"A/W": 1.0, "": 1.0}
+_RATE = _longest_first(
+    {"bit/s": 1.0, "bps": 1.0, "kbps": 1e3, "Mbps": 1e6, "Gbps": 1e9, "": 1.0}
+)
+_BARE = {"": 1.0}
+
+# allowed ranges: (low, high, the interval as errors print it).  A square
+# bracket admits its bound, so only rf_capacity admits an infinity: an
+# unbounded RF uplink
+_ANY = (-math.inf, math.inf, "(-inf, inf)")
+_POSITIVE = (0.0, math.inf, "(0, inf)")
+
+
+def _param(default, units: dict[str, float], bounds: tuple = _ANY):
+    """A field with its unit table and allowed range; a tuple default
+    makes a comma list, an int default an integer."""
+    return field(default=default, metadata={"units": units, "range": bounds})
 
 
 @dataclass(frozen=True)
@@ -41,164 +77,97 @@ class LinkBudgetParams:
     The LED-hop functions of :mod:`owpan.channels` read this type directly:
     ``los_delay``/``nlos_delay`` are the arrival times of the direct and the
     wall-reflected path, ``cutoff_frequency`` the 3 dB corner of the diffuse
-    path's low-pass response.
+    path's low-pass response.  Each field declares its unit table and its
+    range; :meth:`__post_init__` checks every value against its range.
     """
 
-    attenuation_coeffs: tuple[float, ...] = (5.0, 20.0, 50.0, 80.0)  # dB/km
-    span: float = 160.0  # m
-    detector_area: float = 100e-6  # m^2
-    room_area: float = 25.0  # m^2
-    pd_area: float = 26e-6  # m^2
-    wall_reflectivity: float = 0.7
-    incidence_angle: float = 1.2217  # rad
-    half_intensity_angle: float = 0.5236  # rad
-    led_distance: float = 2.5  # m
-    irradiance_angle: float = 1.7453  # rad
-    bandwidth: float = 10e6  # Hz
-    cutoff_frequency: float = 1.7111e6  # Hz
-    los_delay: float = 0.01e-9  # s
-    nlos_delay: float = 0.03e-9  # s
-    laser_responsivity: float = 0.8  # A/W
-    pd_responsivity: float = 0.8  # A/W
-    pr_over_n0: float = 30.0  # dB
-    beam_waist: float = 0.588e-3  # m
-    wavelength: float = 1550e-9  # m
-    rf_capacity: float = math.inf  # bit/s
-    sweep_points: int = 200
+    attenuation_coeffs: tuple[float, ...] = _param(
+        (5.0, 20.0, 50.0, 80.0), _ATTEN, (0.0, math.inf, "[0, inf)")
+    )  # dB/km
+    span: float = _param(160.0, _LENGTH, _POSITIVE)  # m
+    detector_area: float = _param(100e-6, _AREA, _POSITIVE)  # m^2
+    room_area: float = _param(25.0, _AREA, _POSITIVE)  # m^2
+    pd_area: float = _param(26e-6, _AREA, _POSITIVE)  # m^2
+    # the diffuse gain diverges at reflectivity 1
+    wall_reflectivity: float = _param(0.7, _BARE, (0.0, 1.0, "[0, 1)"))
+    incidence_angle: float = _param(1.2217, _ANGLE)  # rad
+    half_intensity_angle: float = _param(0.5236, _ANGLE, (0.0, math.pi / 2, "(0, pi/2)"))  # rad
+    led_distance: float = _param(2.5, _LENGTH, _POSITIVE)  # m
+    irradiance_angle: float = _param(1.7453, _ANGLE)  # rad
+    bandwidth: float = _param(10e6, _FREQ, _POSITIVE)  # Hz
+    cutoff_frequency: float = _param(1.7111e6, _FREQ, _POSITIVE)  # Hz
+    los_delay: float = _param(0.01e-9, _TIME, _POSITIVE)  # s
+    nlos_delay: float = _param(0.03e-9, _TIME, _POSITIVE)  # s
+    laser_responsivity: float = _param(0.8, _RESP, _POSITIVE)  # A/W
+    pd_responsivity: float = _param(0.8, _RESP, _POSITIVE)  # A/W
+    pr_over_n0: float = _param(30.0, _DB)  # dB
+    beam_waist: float = _param(0.588e-3, _LENGTH, _POSITIVE)  # m
+    wavelength: float = _param(1550e-9, _LENGTH, _POSITIVE)  # m
+    rf_capacity: float = _param(math.inf, _RATE, (0.0, math.inf, "(0, inf]"))  # bit/s
+    sweep_points: int = _param(200, _BARE, (2, math.inf, "[2, inf)"))
 
     def __post_init__(self) -> None:
         if not self.attenuation_coeffs:
             raise ParamsError("attenuation_coeffs: need at least one value")
         for f in fields(self):
-            if f.name == "rf_capacity":
-                continue  # an unbounded RF uplink is the one meaningful infinity
+            low, high, interval = f.metadata["range"]
             value = getattr(self, f.name)
             for v in value if isinstance(value, tuple) else (value,):
+                if (low <= v if interval[0] == "[" else low < v) and (
+                    v <= high if interval[-1] == "]" else v < high
+                ):
+                    continue
                 if not math.isfinite(v):
                     raise ParamsError(f"{f.name}: must be finite, got {v!r}")
-        for a in self.attenuation_coeffs:
-            if a < 0.0:
-                raise ParamsError(f"attenuation_coeffs: {a!r} is negative")
-        positive = (
-            "span",
-            "detector_area",
-            "room_area",
-            "pd_area",
-            "led_distance",
-            "bandwidth",
-            "cutoff_frequency",
-            "los_delay",
-            "nlos_delay",
-            "laser_responsivity",
-            "pd_responsivity",
-            "beam_waist",
-            "wavelength",
-            "rf_capacity",
-        )
-        for name in positive:
-            value = getattr(self, name)
-            if not value > 0.0:
-                raise ParamsError(f"{name}: must be strictly positive, got {value!r}")
-        if not 0.0 <= self.wall_reflectivity < 1.0:
-            # the diffuse gain diverges at reflectivity 1
-            raise ParamsError(
-                f"wall_reflectivity: must lie in [0, 1), got {self.wall_reflectivity!r}"
-            )
-        if not 0.0 < self.half_intensity_angle < math.pi / 2:
-            raise ParamsError(
-                f"half_intensity_angle: must lie in (0, pi/2), "
-                f"got {self.half_intensity_angle!r}"
-            )
-        if self.sweep_points < 2:
-            raise ParamsError(
-                f"sweep_points: need at least 2, got {self.sweep_points!r}"
-            )
+                if interval.startswith("(0, inf"):
+                    raise ParamsError(f"{f.name}: must be strictly positive, got {v!r}")
+                raise ParamsError(f"{f.name}: must lie in {interval}, got {v!r}")
+            if isinstance(f.default, int) and value != int(value):
+                raise ParamsError(f"{f.name}: must be an integer, got {value!r}")
 
 
-# unit name -> multiplier into the SI (or quoted) target unit
-_LENGTH = {"m": 1.0, "mm": 1e-3, "cm": 1e-2, "km": 1e3, "um": 1e-6, "nm": 1e-9}
-_AREA = {
-    "m^2": 1.0,
-    "m2": 1.0,
-    "cm^2": 1e-4,
-    "cm2": 1e-4,
-    "mm^2": 1e-6,
-    "mm2": 1e-6,
-}
-_ANGLE = {"rad": 1.0, "mrad": 1e-3, "urad": 1e-6, "deg": math.pi / 180.0}
-_FREQ = {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9}
-_TIME = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "ps": 1e-12}
-_ATTEN = {"dB/km": 1.0, "dB/m": 1e3}
-_DB = {"dB": 1.0}
-_RESP = {"A/W": 1.0, "": 1.0}
-_RATE = {"bit/s": 1.0, "bps": 1.0, "kbps": 1e3, "Mbps": 1e6, "Gbps": 1e9, "": 1.0}
-_BARE = {"": 1.0}
-
-# key -> (unit table, list-valued?)
-_KEY_UNITS: dict[str, tuple[dict[str, float], bool]] = {
-    "attenuation_coeffs": (_ATTEN, True),
-    "span": (_LENGTH, False),
-    "detector_area": (_AREA, False),
-    "room_area": (_AREA, False),
-    "pd_area": (_AREA, False),
-    "wall_reflectivity": (_BARE, False),
-    "incidence_angle": (_ANGLE, False),
-    "half_intensity_angle": (_ANGLE, False),
-    "led_distance": (_LENGTH, False),
-    "irradiance_angle": (_ANGLE, False),
-    "bandwidth": (_FREQ, False),
-    "cutoff_frequency": (_FREQ, False),
-    "los_delay": (_TIME, False),
-    "nlos_delay": (_TIME, False),
-    "laser_responsivity": (_RESP, False),
-    "pd_responsivity": (_RESP, False),
-    "pr_over_n0": (_DB, False),
-    "beam_waist": (_LENGTH, False),
-    "wavelength": (_LENGTH, False),
-    "rf_capacity": (_RATE, False),
-    "sweep_points": (_BARE, False),
-}
-
-# singular spelling for the one list-valued key, purely for convenience
-_ALIASES = {"attenuation_coeff": "attenuation_coeffs"}
+# what the text before a unit may end in: a separator or the end of a number
+_NUMBER_END = " \t,.0123456789"
+_NUMBER_WORDS = ("inf", "infinity", "nan")
 
 
-def _split_unit(body: str, units: dict[str, float]) -> tuple[str, float]:
-    """Split a trailing unit token off ``body``; returns (numbers, factor)."""
-    body = body.strip()
-    # longest-first so 'dB/km' wins over a hypothetical bare 'dB'
-    for unit in sorted(units, key=len, reverse=True):
-        if unit and body.endswith(unit):
-            head = body[: -len(unit)]
-            if head == "" or head[-1] in " \t,0123456789.":
-                return head.rstrip(), units[unit]
+def _split_unit(text: str, units: dict[str, float]) -> tuple[str, float]:
+    """Split a trailing unit of ``units`` off ``text``; returns (numbers, factor).
+
+    A unit counts only where a number can end before it: the 'm' of
+    '5 dB/km' is no length unit, the 'Gbps' of 'infGbps' is a rate.
+    """
+    text = text.strip()
+    for unit, factor in units.items():
+        if unit and text.endswith(unit):
+            head = text[: -len(unit)]
+            # head[-1:] of an empty head is "", which is in every string
+            if head[-1:] in _NUMBER_END or head.lower().endswith(_NUMBER_WORDS):
+                return head.rstrip(), factor
     if "" in units:
-        return body, units[""]
+        return text, units[""]
     raise ValueError(f"missing unit (expected one of {', '.join(sorted(units))})")
 
 
-def _parse_value(key: str, body: str) -> object:
-    units, is_list = _KEY_UNITS[key]
-    numbers, factor = _split_unit(body, units)
-    parts = [p.strip() for p in numbers.split(",")] if is_list else [numbers.strip()]
-    if any(p == "" for p in parts) or not parts:
-        raise ValueError("empty value")
-    values = []
-    for p in parts:
-        try:
-            v = float(p) * factor
-        except ValueError:
-            raise ValueError(f"{p!r} is not a number") from None
-        # an unbounded RF uplink is the one meaningful infinity
-        if math.isnan(v) or (math.isinf(v) and key != "rf_capacity"):
-            raise ValueError(f"{p!r} does not convert to a finite value")
-        values.append(v)
-    if key == "sweep_points":
-        v = values[0]
-        if v != int(v):
-            raise ValueError(f"{v!r} is not an integer")
-        return int(v)
-    return tuple(values) if is_list else values[0]
+def _number(text: str, factor: float) -> float:
+    try:
+        return float(text) * factor
+    except ValueError:
+        raise ValueError(f"{text.strip()!r} is not a number") from None
+
+
+# key -> field, with the singular spelling of the one list-valued key
+_KEYS: dict[str, Field] = {f.name: f for f in fields(LinkBudgetParams)}
+_KEYS["attenuation_coeff"] = _KEYS["attenuation_coeffs"]
+
+
+def _parse_value(f: Field, body: str) -> object:
+    numbers, factor = _split_unit(body, f.metadata["units"])
+    if isinstance(f.default, tuple):
+        return tuple(_number(p, factor) for p in numbers.split(","))
+    v = _number(numbers, factor)
+    # a non-integer, inf or nan stays a float, for the range check to name
+    return int(v) if isinstance(f.default, int) and v.is_integer() else v
 
 
 def parse_params(
@@ -219,16 +188,18 @@ def parse_params(
             continue
         key, eq, body = line.partition("=")
         key = key.strip()
-        key = _ALIASES.get(key, key)
+        f = _KEYS.get(key)
+        if f is not None:
+            key = f.name
         try:
             if not eq:
                 raise ParamsError(f"expected 'key = value', got {raw!r}")
-            if key not in _KEY_UNITS:
+            if f is None:
                 raise ParamsError(f"unknown key {key!r}")
             if key in seen:
                 raise ParamsError(f"duplicate key {key!r}")
             seen.add(key)
-            params = replace(params, **{key: _parse_value(key, body)})
+            params = replace(params, **{key: _parse_value(f, body)})
         except ParamsError as exc:  # the constructor's errors start with the key
             raise ParamsError(f"line {lineno}: {exc}") from exc
         except ValueError as exc:
@@ -242,7 +213,3 @@ def load_params(path: str | Path | None) -> LinkBudgetParams:
         return LinkBudgetParams()
     text = Path(path).read_text(encoding="utf-8")
     return parse_params(text.splitlines())
-
-
-_FIELD_NAMES = {f.name for f in fields(LinkBudgetParams)}
-assert set(_KEY_UNITS) == _FIELD_NAMES, "unit table out of sync with the dataclass"

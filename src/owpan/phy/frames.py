@@ -125,6 +125,10 @@ def decode_from_chips(chips: np.ndarray, mode: PhyMode) -> bytes:
     """Invert :func:`encode_to_chips`; raises FrameDecodeError on any defect."""
     _require_bound(mode)
     try:
+        chips = _as_bits(chips, "chips")
+    except ValueError as exc:  # a sample that is no chip, e.g. 2, -1 or 0.5
+        raise FrameDecodeError(str(exc)) from exc
+    try:
         if mode.line_code is LineCode.EIGHT_B_TEN_B:
             wire, _ = line_codes.decode_8b10b(chips)
             if mode.outer_code is not None:
@@ -143,7 +147,7 @@ def decode_from_chips(chips: np.ndarray, mode: PhyMode) -> bytes:
             if bits.size % 4:
                 raise FrameDecodeError(f"bit stream length {bits.size} is not nibble-aligned")
             wire = _strip_rs(_pack(bits, 4), mode)
-    except (LineCodeError, RsDecodeError, ModulationError) as exc:
+    except (LineCodeError, RsDecodeError) as exc:
         raise FrameDecodeError(str(exc)) from exc
 
     data = bytes(wire.tobytes())

@@ -83,6 +83,28 @@ class TestElectricalSnr:
         with pytest.raises(ValueError, match=f"^pr_over_n0_db must be finite, got {bad}$"):
             electrical_snr(pr_over_n0_db=db, responsivity=0.5, channel_gain=0.5)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((10.0, math.nan, 0.5), "responsivity must be finite and >= 0, got nan"),
+            ((10.0, math.inf, 0.5), "responsivity must be finite and >= 0, got inf"),
+            ((10.0, 0.8, 0.5, math.nan), "bandwidth must be finite and > 0, got nan"),
+            ((10.0, 0.8, 0.5, math.inf), "bandwidth must be finite and > 0, got inf"),
+        ],
+    )
+    def test_rejects_non_finite_responsivity_and_bandwidth(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            electrical_snr(*args)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("db", [3082.6, 4000.0, np.array([30.0, 4000.0])])
+    def test_rejects_ratio_whose_linear_form_overflows(self, db):
+        with pytest.raises(ValueError, match=r"^pr_over_n0_db must be <= 3082.5 dB, got \d"):
+            electrical_snr(db, 0.8, 0.5)
+
+    def test_largest_ratio_stays_finite(self):
+        assert math.isfinite(electrical_snr(3082.5, 1.0, 1.0, 1.0))
+
 
 class TestLinkCapacity:
     def test_zero_snr_zero_capacity(self):
@@ -123,6 +145,12 @@ class TestLinkCapacity:
     def test_rejects_non_finite_snr(self, snr, message):
         with pytest.raises(ValueError, match=f"^snr must be {message}$"):
             link_capacity(snr, 1e6)
+
+    @pytest.mark.parametrize("bandwidth", [math.nan, math.inf])
+    def test_rejects_non_finite_bandwidth(self, bandwidth):
+        message = f"^bandwidth must be finite and > 0, got {bandwidth}$"
+        with pytest.raises(ValueError, match=message):
+            link_capacity(1.0, bandwidth)
 
 
 class TestCascade:

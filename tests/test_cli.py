@@ -187,6 +187,17 @@ def test_capacity_sweep_bad_range_is_one_short_line(capsys, recwarn, bound, pref
     assert len(recwarn) == 0
 
 
+@pytest.mark.filterwarnings("error")
+def test_capacity_sweep_ratio_past_float_range_is_one_error_line(capsys):
+    # 4000 dB is 1e400 in linear form, past the largest float
+    code, out, err = run_cli(
+        ["capacity-sweep", "--var", "pr_n0", "--max", "4000", "--points", "3"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: pr_over_n0_db must be <= 3082.5 dB, got 4000.0"]
+
+
 def test_attenuation_unit_equivalence(tmp_path, capsys):
     a = tmp_path / "km.txt"
     a.write_text("attenuation_coeffs = 5 dB/km\n")

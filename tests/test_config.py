@@ -1,5 +1,7 @@
 """Network configuration text parser."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from owpan.netsim.topology import (
     Technology,
     classify_topology,
 )
+from owpan.params import parse_params
 
 BASIC = """
 # a three-hop relayed chain
@@ -116,6 +119,27 @@ sim duration=1.5s
     assert cfg.topology.links[0].propagation_delay == pytest.approx(2e-6)
     assert cfg.flows[0].rate_bps == 250e3
     assert cfg.duration == 1.5
+
+
+def _spaced(text):
+    # '54Mbps' -> '54 Mbps', the spelling of a params file
+    return re.sub(r"^([\d.]+)", r"\1 ", text).strip()
+
+
+@pytest.mark.parametrize(
+    "rate, time", [("54Mbps", "10ns"), ("2.5Gbps", "3ms"), ("7bit/s", "1.5s"), ("250kbps", "0.2")]
+)
+def test_units_read_the_same_as_in_a_params_file(rate, time):
+    cfg = parse_network_config(
+        f"node a kind=UserDevice\nnode b kind=Relay\n"
+        f"link a b tech=RF capacity={rate} delay={time}\n"
+        f"flow f a b rate={rate} start={time}\nsim duration={time}\n"
+    )
+    link, flow = cfg.topology.links[0], cfg.flows[0]
+    for r, t in ((rate, time), (_spaced(rate), _spaced(time))):
+        p = parse_params([f"rf_capacity = {r}", f"los_delay = {t}"])
+        assert link.capacity_bps == flow.rate_bps == p.rf_capacity
+        assert link.propagation_delay == flow.start == cfg.duration == p.los_delay
 
 
 def test_missing_sim_line_leaves_none():

@@ -209,6 +209,17 @@ def test_cut_padded_or_shifted_streams_yield_bytes_or_frame_error(mode):
                 pass
 
 
+@pytest.mark.parametrize("mode", BOUND_MODES, ids=lambda m: m.name)
+@pytest.mark.parametrize(
+    "chips",
+    [np.full(60, 2), -np.ones(60), np.full(60, 0.5), np.full(60, np.nan)],
+    ids=["twos", "minus_ones", "halves", "nans"],
+)
+def test_samples_that_are_no_chips_raise_frame_errors(mode, chips):
+    with pytest.raises(FrameDecodeError, match="chips must contain only 0s and 1s"):
+        decode_from_chips(chips, mode)
+
+
 # --- encoder output pinned to the recorded outputs ----------------------------
 #
 # SHA-256 over the chips and the waveform of encode_frame for every bound

@@ -1,12 +1,17 @@
 """Parameter file parsing, unit conversion, and validation."""
 
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from owpan.params import LinkBudgetParams, ParamsError, load_params, parse_params
+
+FILE_FORMATS = Path(__file__).resolve().parents[1] / "docs" / "file-formats.md"
 
 
 class TestDefaults:
@@ -191,6 +196,34 @@ class TestErrors:
         assert LinkBudgetParams(rf_capacity=math.inf).rf_capacity == math.inf
         with pytest.raises(ParamsError, match="rf_capacity"):
             LinkBudgetParams(rf_capacity=math.nan)
+
+
+class TestDeclarations:
+    def test_every_field_declares_a_unit_table_and_a_range(self):
+        for f in fields(LinkBudgetParams):
+            units, (low, high, interval) = f.metadata["units"], f.metadata["range"]
+            assert units and all(isinstance(v, float) for v in units.values()), f.name
+            assert low < high and interval[0] in "[(" and interval[-1] in "])", f.name
+
+    def test_docs_key_table_lists_every_field_and_the_alias(self):
+        text = FILE_FORMATS.read_text(encoding="utf-8")
+        section = text.split("## Link-budget parameter file", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+        documented = {name for cell in rows for name in re.findall(r"`(\w+)`", cell)}
+        expected = {f.name for f in fields(LinkBudgetParams)} | {"attenuation_coeff"}
+        assert documented == expected
+
+    @pytest.mark.parametrize(
+        "field, value", [("sweep_points", 10.5), ("wall_reflectivity", 1.0)]
+    )
+    def test_constructor_applies_declared_ranges(self, field, value):
+        with pytest.raises(ParamsError, match=f"^{field}: must "):
+            LinkBudgetParams(**{field: value})
+
+    def test_bare_time_is_seconds_and_rate_units_include_infinity(self):
+        p = parse_params(["los_delay = 2e-11", "rf_capacity = infGbps"])
+        assert p.los_delay == 2e-11
+        assert p.rf_capacity == math.inf
 
 
 class TestAccessors:
