@@ -109,7 +109,7 @@ def electrical_snr(
     units of Hz), ``bandwidth`` in Hz.  The ratio and ``channel_gain`` may
     be arrays, which broadcast against each other; every element of the
     ratio must be finite and at most ``_MAX_DB``, so its linear form does
-    not overflow.
+    not overflow, and an SNR past the largest float raises ValueError.
     """
     if not 0.0 < bandwidth < math.inf:
         raise ValueError(f"bandwidth must be finite and > 0, got {bandwidth!r}")
@@ -126,7 +126,19 @@ def electrical_snr(
     if not 0.0 <= responsivity < math.inf:
         raise ValueError(f"responsivity must be finite and >= 0, got {responsivity!r}")
     photo = responsivity * channel_gain
-    return photo * photo * 10.0 ** (pr_over_n0_db / 10.0) / bandwidth
+    with np.errstate(over="ignore", invalid="ignore"):
+        snr = photo * photo * 10.0 ** (pr_over_n0_db / 10.0) / bandwidth
+    finite = np.isfinite(snr)
+    if not finite.all():
+        db, gain = (
+            float(np.broadcast_to(v, finite.shape)[~finite][0])
+            for v in (pr_over_n0_db, channel_gain)
+        )
+        raise ValueError(
+            f"snr overflows at pr_over_n0_db {db!r} dB, channel_gain {gain!r}, "
+            f"responsivity {responsivity!r} and bandwidth {bandwidth!r}"
+        )
+    return snr
 
 
 def link_capacity(snr: float | np.ndarray, bandwidth: float) -> float | np.ndarray:

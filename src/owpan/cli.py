@@ -235,6 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "gnuplot", None) and args.output == "-":
+        # the script plots the CSV by file name, and '-' is gnuplot's inline data
+        parser.error("capacity-sweep: --gnuplot needs --output <file>")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -201,6 +201,9 @@ def parse_network_config(text: str) -> NetworkConfig:
 
             elif kind == "sim":
                 attrs = _split_attrs(parts[1:])
+                for key, value in (("duration", duration), ("seed", seed)):
+                    if key in attrs and value is not None:
+                        raise ValueError(f"duplicate sim attribute {key!r}")
                 if "duration" in attrs:
                     duration = _quantity(attrs.pop("duration"), _TIME, "duration")
                 if "seed" in attrs:

@@ -81,9 +81,11 @@ class FlowSpec:
 
 @dataclass(frozen=True)
 class FlowMetrics:
+    """A row of packet counts and latency statistics: a flow's, or the total's."""
+
     name: str
-    src: int
-    dst: int
+    src: int | None
+    dst: int | None
     injected: int
     delivered: int
     dropped: int
@@ -92,6 +94,10 @@ class FlowMetrics:
     p50_latency_s: float
     p95_latency_s: float
     max_latency_s: float
+
+    def __post_init__(self):
+        if self.delivered + self.dropped != self.injected:
+            raise SimulationError("metric accounting broke: delivered + dropped != injected")
 
 
 @dataclass(frozen=True)
@@ -99,28 +105,21 @@ class LinkMetrics:
     index: int
     src: int
     dst: int
-    technology: str
     bits_carried: float
     utilization: float
 
+    @property
+    def name(self) -> str:
+        return f"link{self.index}"
+
 
 @dataclass(frozen=True)
-class SimMetrics:
+class SimMetrics(FlowMetrics):
+    """The total row (``all``, no ``src`` or ``dst``); ``flows`` and ``links`` hold the rest."""
+
     duration: float
-    injected: int
-    delivered: int
-    dropped: int
-    throughput_bps: float
-    mean_latency_s: float
-    p50_latency_s: float
-    p95_latency_s: float
-    max_latency_s: float
     flows: tuple
     links: tuple
-
-    def __post_init__(self):
-        if self.delivered + self.dropped != self.injected:
-            raise SimulationError("metric accounting broke: delivered + dropped != injected")
 
 
 def shortest_route(topology: Topology, src: int, dst: int) -> list:
@@ -168,6 +167,23 @@ def _percentile(sorted_values, fraction):
         return math.nan
     rank = max(1, math.ceil(fraction * len(sorted_values)))
     return sorted_values[rank - 1]
+
+
+def _packet_row(cls, injected, latencies, throughput_bps, **fields):
+    # sorts ``latencies`` in place, so each mean is a sum over the sorted list
+    latencies.sort()
+    delivered = len(latencies)
+    return cls(
+        injected=injected,
+        delivered=delivered,
+        dropped=injected - delivered,
+        throughput_bps=throughput_bps,
+        mean_latency_s=sum(latencies) / delivered if delivered else math.nan,
+        p50_latency_s=_percentile(latencies, 0.50),
+        p95_latency_s=_percentile(latencies, 0.95),
+        max_latency_s=latencies[-1] if latencies else math.nan,
+        **fields,
+    )
 
 
 def run_simulation(topology: Topology, flows, duration: float, seed: int = 0) -> SimMetrics:
@@ -289,65 +305,40 @@ def run_simulation(topology: Topology, flows, duration: float, seed: int = 0) ->
         if put is heapreplace:
             heapq.heappop(heap)
 
-    flow_metrics = []
-    all_latencies = []
-    for i, flow in enumerate(flows):
-        lats = sorted(latencies[i])
-        all_latencies.extend(lats)
-        delivered = len(lats)
-        flow_metrics.append(
-            FlowMetrics(
-                name=flow.name,
-                src=flow.src,
-                dst=flow.dst,
-                injected=injected[i],
-                delivered=delivered,
-                dropped=injected[i] - delivered,
-                throughput_bps=delivered * flow.packet_bytes * 8 / duration,
-                mean_latency_s=sum(lats) / delivered if delivered else math.nan,
-                p50_latency_s=_percentile(lats, 0.50),
-                p95_latency_s=_percentile(lats, 0.95),
-                max_latency_s=lats[-1] if lats else math.nan,
-            )
+    flow_metrics = tuple(
+        _packet_row(
+            FlowMetrics, count, lats, len(lats) * flow.packet_bytes * 8 / duration,
+            name=flow.name, src=flow.src, dst=flow.dst,
         )
-
+        for flow, count, lats in zip(flows, injected, latencies)
+    )
     link_metrics = tuple(
         LinkMetrics(
             index=idx,
             src=link.src,
             dst=link.dst,
-            technology=link.technology.value,
             bits_carried=busy[idx] * link.capacity_bps,
             utilization=busy[idx] / duration,
         )
         for idx, link in enumerate(topology.links)
     )
-
-    all_latencies.sort()
-    total_injected = sum(injected)
-    total_delivered = len(all_latencies)
-    return SimMetrics(
-        duration=duration,
-        injected=total_injected,
-        delivered=total_delivered,
-        dropped=total_injected - total_delivered,
-        throughput_bps=sum(f.throughput_bps for f in flow_metrics),
-        mean_latency_s=(
-            sum(all_latencies) / total_delivered if total_delivered else math.nan
-        ),
-        p50_latency_s=_percentile(all_latencies, 0.50),
-        p95_latency_s=_percentile(all_latencies, 0.95),
-        max_latency_s=all_latencies[-1] if all_latencies else math.nan,
-        flows=tuple(flow_metrics),
-        links=link_metrics,
+    # the flows' latencies are sorted runs by now, which the total's sort merges
+    return _packet_row(
+        SimMetrics, sum(injected), [t for lats in latencies for t in lats],
+        sum(f.throughput_bps for f in flow_metrics),
+        name="all", src=None, dst=None,
+        duration=duration, flows=flow_metrics, links=link_metrics,
     )
 
 
-METRICS_CSV_HEADER = (
-    "kind,name,src,dst,injected,delivered,dropped,"
-    "throughput_bps,mean_latency_s,p50_latency_s,p95_latency_s,max_latency_s,"
-    "bits_carried,utilization"
+# the CSV columns after kind and name; a row fills each column it has a
+# field for, except a None, and leaves the rest blank
+_CSV_COLUMNS = (
+    "src", "dst", "injected", "delivered", "dropped",
+    "throughput_bps", "mean_latency_s", "p50_latency_s", "p95_latency_s", "max_latency_s",
+    "bits_carried", "utilization",
 )
+METRICS_CSV_HEADER = ",".join(("kind", "name") + _CSV_COLUMNS)
 
 
 def write_metrics_csv(metrics: SimMetrics, stream) -> None:
@@ -357,23 +348,10 @@ def write_metrics_csv(metrics: SimMetrics, stream) -> None:
     written with repr so identical runs serialize identically.
     """
     stream.write(METRICS_CSV_HEADER + "\n")
-    for f in metrics.flows:
-        stream.write(
-            f"flow,{f.name},{f.src},{f.dst},{f.injected},{f.delivered},{f.dropped},"
-            f"{f.throughput_bps!r},{f.mean_latency_s!r},{f.p50_latency_s!r},"
-            f"{f.p95_latency_s!r},{f.max_latency_s!r},,\n"
-        )
-    for l in metrics.links:
-        stream.write(
-            f"link,link{l.index},{l.src},{l.dst},,,,,,,,,"
-            f"{l.bits_carried!r},{l.utilization!r}\n"
-        )
-    m = metrics
-    stream.write(
-        f"total,all,,,{m.injected},{m.delivered},{m.dropped},"
-        f"{m.throughput_bps!r},{m.mean_latency_s!r},{m.p50_latency_s!r},"
-        f"{m.p95_latency_s!r},{m.max_latency_s!r},,\n"
-    )
+    for kind, rows in (("flow", metrics.flows), ("link", metrics.links), ("total", (metrics,))):
+        for row in rows:
+            cells = ["" if v is None else repr(v) for v in map(vars(row).get, _CSV_COLUMNS)]
+            stream.write(f"{kind},{row.name},{','.join(cells)}\n")
 
 
 def metrics_summary(metrics: SimMetrics) -> str:

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import line_codes, modulation
-from .fec import RsDecodeError, cc_encode, rs_decode, rs_encode, viterbi_decode
-from .line_codes import LineCodeError, _as_bits, _chip_table, _pack
+from .fec import cc_encode, rs_decode, rs_encode, viterbi_decode
+from .line_codes import _as_bits, _chip_table, _pack
 from .modes import LineCode, Modulation, PhyMode
-from .modulation import ModulationError
 
 __all__ = [
     "Frame",
@@ -125,30 +124,28 @@ def decode_from_chips(chips: np.ndarray, mode: PhyMode) -> bytes:
     """Invert :func:`encode_to_chips`; raises FrameDecodeError on any defect."""
     _require_bound(mode)
     try:
-        chips = _as_bits(chips, "chips")
-    except ValueError as exc:  # a sample that is no chip, e.g. 2, -1 or 0.5
+        return _decode_chips(chips, mode)
+    except FrameDecodeError:
+        raise
+    except ValueError as exc:  # any other defect of the input, e.g. a chip of 2
         raise FrameDecodeError(str(exc)) from exc
-    try:
-        if mode.line_code is LineCode.EIGHT_B_TEN_B:
-            wire, _ = line_codes.decode_8b10b(chips)
-            if mode.outer_code is not None:
-                wire = _strip_rs(_bytes_to_nibbles(wire), mode)
-        elif mode.line_code is LineCode.FOUR_B_SIX_B:
-            coded = line_codes.decode_4b6b(chips)
-            wire = _strip_rs(coded, mode)
-        else:
-            bits = line_codes.manchester_decode(chips)
-            if mode.inner_code is not None:
-                try:
-                    bits = viterbi_decode(bits, mode.inner_code)
-                except ValueError as exc:
-                    # a stream cut to a length the code rate cannot produce
-                    raise FrameDecodeError(str(exc)) from exc
-            if bits.size % 4:
-                raise FrameDecodeError(f"bit stream length {bits.size} is not nibble-aligned")
-            wire = _strip_rs(_pack(bits, 4), mode)
-    except (LineCodeError, RsDecodeError) as exc:
-        raise FrameDecodeError(str(exc)) from exc
+
+
+def _decode_chips(chips: np.ndarray, mode: PhyMode) -> bytes:
+    chips = _as_bits(chips, "chips")
+    if mode.line_code is LineCode.EIGHT_B_TEN_B:
+        wire, _ = line_codes.decode_8b10b(chips)
+        if mode.outer_code is not None:
+            wire = _strip_rs(_bytes_to_nibbles(wire), mode)
+    elif mode.line_code is LineCode.FOUR_B_SIX_B:
+        wire = _strip_rs(line_codes.decode_4b6b(chips), mode)
+    else:
+        bits = line_codes.manchester_decode(chips)
+        if mode.inner_code is not None:
+            bits = viterbi_decode(bits, mode.inner_code)
+        if bits.size % 4:
+            raise FrameDecodeError(f"bit stream length {bits.size} is not nibble-aligned")
+        wire = _strip_rs(_pack(bits, 4), mode)
 
     data = bytes(wire.tobytes())
     if len(data) < _LENGTH_BYTES:
@@ -185,16 +182,19 @@ def encode_frame(payload: bytes, mode: PhyMode, dimming: float = 0.5) -> Frame:
 
 
 def decode_frame(waveform: np.ndarray, mode: PhyMode, dimming: float = 0.5) -> bytes:
-    """Demodulate and decode a waveform back to the payload bytes."""
+    """Demodulate and decode a waveform back to the payload bytes; raises
+    FrameDecodeError on any defect."""
     _require_bound(mode)
     try:
         if mode.modulation is Modulation.VPPM:
             chips = modulation.vppm_demodulate(waveform, dimming)
         else:
             chips = modulation.ook_demodulate(waveform)
-    except ModulationError as exc:
+        return _decode_chips(chips, mode)
+    except FrameDecodeError:
+        raise
+    except ValueError as exc:  # any other defect of the input, e.g. a string sample
         raise FrameDecodeError(str(exc)) from exc
-    return decode_from_chips(chips, mode)
 
 
 def chips_to_hex(chips: np.ndarray) -> str:

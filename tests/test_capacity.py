@@ -105,6 +105,18 @@ class TestElectricalSnr:
     def test_largest_ratio_stays_finite(self):
         assert math.isfinite(electrical_snr(3082.5, 1.0, 1.0, 1.0))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("db", [3082.0, np.array([3082.0]), np.array([30.0, 3082.0])])
+    def test_rejects_snr_that_overflows(self, db):
+        # the ratio is in range, but a responsivity of 10 A/W takes the SNR past
+        # the largest float; the message names the first offending element
+        with pytest.raises(
+            ValueError,
+            match=r"^snr overflows at pr_over_n0_db 3082\.0 dB, channel_gain 1\.0, "
+            r"responsivity 10\.0 and bandwidth 1\.0$",
+        ):
+            electrical_snr(db, 10.0, 1.0, 1.0)
+
 
 class TestLinkCapacity:
     def test_zero_snr_zero_capacity(self):

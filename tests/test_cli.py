@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import owpan
+from owpan import capacity as cap
 from owpan.cli import PARAMS_ENV_VAR, main
 
 TOPOLOGY = """
@@ -196,6 +197,36 @@ def test_capacity_sweep_ratio_past_float_range_is_one_error_line(capsys):
     assert code == 1
     assert out == ""
     assert err.splitlines() == ["error: pr_over_n0_db must be <= 3082.5 dB, got 4000.0"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_capacity_sweep_snr_past_float_range_is_one_error_line(tmp_path, capsys):
+    # each ratio is in range, but a 1e3 A/W responsivity over a 1 mm span
+    # squares to an SNR past the largest float
+    params = tmp_path / "p.txt"
+    params.write_text("laser_responsivity = 1e3 A/W\nbandwidth = 1 Hz\nspan = 1 mm\n")
+    code, out, err = run_cli(
+        ["capacity-sweep", "--var", "pr_n0", "--min", "3080", "--max", "3082",
+         "--points", "3", "--params", str(params)],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: snr overflows at pr_over_n0_db 3080.0 dB")
+
+
+def test_capacity_sweep_gnuplot_needs_an_output_file(tmp_path, capsys, monkeypatch):
+    # the script would plot '-', which gnuplot reads as inline data
+    script = tmp_path / "s.gp"
+    monkeypatch.setattr(cap, "sweep_capacity", None)  # fails if the sweep runs
+    with pytest.raises(SystemExit) as exc:
+        main(["capacity-sweep", "--var", "L", "--gnuplot", str(script)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--gnuplot needs --output <file>" in err
+    assert not script.exists()
 
 
 def test_attenuation_unit_equivalence(tmp_path, capsys):

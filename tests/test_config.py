@@ -149,6 +149,23 @@ def test_missing_sim_line_leaves_none():
     assert cfg.flows == ()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("sim duration=1\nsim duration=2 seed=3\n", "line 2: duplicate sim attribute 'duration'"),
+        ("sim seed=1\n# note\nsim duration=2 seed=3\n", "line 3: duplicate sim attribute 'seed'"),
+    ],
+)
+def test_repeated_sim_setting_is_rejected(text, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        parse_network_config(text)
+
+
+def test_sim_settings_may_span_lines():
+    config = parse_network_config("sim duration=2\nsim seed=3\n")
+    assert (config.duration, config.seed) == (2.0, 3)
+
+
 def test_error_messages_carry_line_numbers():
     cases = [
         ("node a\n", "line 1"),

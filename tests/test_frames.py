@@ -220,6 +220,23 @@ def test_samples_that_are_no_chips_raise_frame_errors(mode, chips):
         decode_from_chips(chips, mode)
 
 
+@pytest.mark.parametrize("mode", BOUND_MODES, ids=lambda m: m.name)
+def test_samples_that_are_no_numbers_raise_frame_errors(mode):
+    text = np.array(["a"] * 8)
+    with pytest.raises(FrameDecodeError, match="could not convert string to float"):
+        decode_frame(text, mode)
+    with pytest.raises(FrameDecodeError):
+        decode_from_chips(text, mode)
+
+
+@pytest.mark.parametrize("decode", [decode_frame, decode_from_chips])
+def test_catalog_only_mode_is_rejected_before_the_frame_boundary(decode):
+    # a caller error, not a defect of the received samples
+    with pytest.raises(ValueError, match="catalog-only") as exc:
+        decode(np.array(["a"] * 8), mode_by_name("phy3-csk"))
+    assert not isinstance(exc.value, FrameDecodeError)
+
+
 # --- encoder output pinned to the recorded outputs ----------------------------
 #
 # SHA-256 over the chips and the waveform of encode_frame for every bound

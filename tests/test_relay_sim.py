@@ -1,5 +1,6 @@
 """Relay elements and the discrete-event simulator."""
 
+import csv
 import hashlib
 import io
 import math
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import owpan
 from owpan.netsim.engine import (
     METRICS_CSV_HEADER,
+    FlowMetrics,
     FlowSpec,
     SimulationError,
     metrics_summary,
@@ -532,3 +534,34 @@ def test_simulator_output_matches_pinned_digests():
         "tie_heavy": "81e05e9dcf9bc0fbc139c5c3d41a85c7d1a114c966570f0405381861d5613d2f",
         "edge_cases": "b8f7f4f4077247aa25345967608a06661f0295a9c529061bcccba87afe007dcb",
     }
+
+
+def test_each_row_kind_fills_its_own_cells():
+    """On a pinned relay tree: flow rows leave the link columns blank, link
+    rows the packet and latency columns, and the total row src and dst."""
+    rows = list(csv.reader(io.StringIO(_relay_tree_run(0))))
+    header, rows = rows[0], rows[1:]
+    ends = ["src", "dst"]
+    packets = ["injected", "delivered", "dropped", "throughput_bps", "mean_latency_s",
+               "p50_latency_s", "p95_latency_s", "max_latency_s"]
+    filled = {
+        "flow": ["kind", "name", *ends, *packets],
+        "link": ["kind", "name", *ends, "bits_carried", "utilization"],
+        "total": ["kind", "name", *packets],
+    }
+    assert [row[0] for row in rows] == ["flow"] * 13 + ["link"] * 20 + ["total"]
+    assert [row[1] for row in rows] == (
+        [f"f{k}" for k in range(12)] + ["sat"] + [f"link{k}" for k in range(20)] + ["all"]
+    )
+    for row in rows:
+        assert [name for name, cell in zip(header, row, strict=True) if cell] == filled[row[0]]
+
+
+def test_every_row_keeps_the_accounting_invariant():
+    metrics = run_simulation(line_topology([4e6]), [FlowSpec("f", 1, 2, rate_bps=1e6)], 0.05)
+    assert isinstance(metrics, FlowMetrics)
+    assert (metrics.name, metrics.src, metrics.dst) == ("all", None, None)
+    stats = dict(throughput_bps=0.0, mean_latency_s=math.nan, p50_latency_s=math.nan,
+                 p95_latency_s=math.nan, max_latency_s=math.nan)
+    with pytest.raises(SimulationError, match=r"delivered \+ dropped != injected"):
+        FlowMetrics("f", 1, 2, injected=3, delivered=2, dropped=0, **stats)
