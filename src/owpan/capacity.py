@@ -128,7 +128,13 @@ def electrical_snr(
     photo = responsivity * channel_gain
     with np.errstate(over="ignore", invalid="ignore"):
         snr = photo * photo * 10.0 ** (pr_over_n0_db / 10.0) / bandwidth
-    finite = np.isfinite(snr)
+        finite = np.isfinite(snr)
+        if not finite.all():
+            # photo * photo can overflow where a small ratio would scale it
+            # back down; there, square photo * sqrt(ratio) instead
+            amplitude = photo * 10.0 ** (pr_over_n0_db / 20.0)
+            snr = np.where(finite, snr, np.square(amplitude) / bandwidth)[()]
+            finite = np.isfinite(snr)
     if not finite.all():
         db, gain = (
             float(np.broadcast_to(v, finite.shape)[~finite][0])

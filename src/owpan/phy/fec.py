@@ -36,12 +36,25 @@ __all__ = [
 CC_CONSTRAINT_LENGTH = 7
 _TAIL = CC_CONSTRAINT_LENGTH - 1
 
-_GENS_R13 = (0o133, 0o171, 0o165)
-_GENS_R14 = (0o117, 0o133, 0o171, 0o165)
-# puncture pattern over two rate-1/3 steps: keep 3 of 6 coded bits
-_PUNCTURE_R23 = np.array([1, 1, 0, 0, 0, 1], dtype=bool)
 
-CC_RATES = (Fraction(1, 4), Fraction(1, 3), Fraction(2, 3))
+def _out_table(gens: tuple[int, ...]) -> np.ndarray:
+    # row index: (input bit << 6) | state, state = previous six bits
+    w = np.arange(128, dtype=np.uint16)
+    cols = [_popcount(w & g, 7) & 1 for g in gens]
+    return np.stack(cols, axis=1).astype(np.uint8)
+
+
+_TABLE_R13 = _out_table((0o133, 0o171, 0o165))
+_TABLE_R14 = _out_table((0o117, 0o133, 0o171, 0o165))
+
+# each rate's trellis output table, and the coded bits it keeps over two
+# steps (None: all of them); rate 2/3 keeps 3 of 6 rate-1/3 bits
+_TRELLIS = {
+    Fraction(1, 4): (_TABLE_R14, None),
+    Fraction(1, 3): (_TABLE_R13, None),
+    Fraction(2, 3): (_TABLE_R13, np.array([1, 1, 0, 0, 0, 1], dtype=bool)),
+}
+CC_RATES = tuple(_TRELLIS)
 
 
 class RsDecodeError(ValueError):
@@ -103,16 +116,18 @@ def _as_symbols(x, width: int, name: str) -> np.ndarray:
     return arr
 
 
-def rs_encode(data, code: RsCode) -> np.ndarray:
-    """Encode blocks of ``code.k`` symbols; rows of shape (N, k) -> (N, n)."""
-    data = _as_symbols(data, code.k, "data")
+def _unshorten(rows: np.ndarray, code: RsCode) -> tuple[np.ndarray, int]:
+    """``rows`` behind the shortened code's virtual zero symbols, and their count."""
     pad = code.base_k - code.k
     if pad:
-        data = np.concatenate(
-            [np.zeros((data.shape[0], pad), np.uint8), data], axis=1
-        )
-    full = _kernels.rs_encode_blocks(data, code.base_k)
-    return full[:, pad:]
+        rows = np.concatenate([np.zeros((rows.shape[0], pad), np.uint8), rows], axis=1)
+    return rows, pad
+
+
+def rs_encode(data, code: RsCode) -> np.ndarray:
+    """Encode blocks of ``code.k`` symbols; rows of shape (N, k) -> (N, n)."""
+    data, pad = _unshorten(_as_symbols(data, code.k, "data"), code)
+    return _kernels.rs_encode_blocks(data, code.base_k)[:, pad:]
 
 
 def rs_decode(blocks, code: RsCode) -> np.ndarray:
@@ -121,12 +136,7 @@ def rs_decode(blocks, code: RsCode) -> np.ndarray:
     Raises :class:`RsDecodeError` if any row is flagged uncorrectable;
     the exception carries the failing row indices in ``.rows``.
     """
-    blocks = _as_symbols(blocks, code.n, "blocks")
-    pad = code.base_k - code.k
-    if pad:
-        blocks = np.concatenate(
-            [np.zeros((blocks.shape[0], pad), np.uint8), blocks], axis=1
-        )
+    blocks, pad = _unshorten(_as_symbols(blocks, code.n, "blocks"), code)
     data, failed = _kernels.rs_decode_blocks(blocks, code.base_k)
     if pad:
         # a correction inside the virtual prefix means the error pattern
@@ -141,17 +151,6 @@ def rs_decode(blocks, code: RsCode) -> np.ndarray:
         exc.rows = rows  # type: ignore[attr-defined]
         raise exc
     return data
-
-
-def _out_table(gens: tuple[int, ...]) -> np.ndarray:
-    # row index: (input bit << 6) | state, state = previous six bits
-    w = np.arange(128, dtype=np.uint16)
-    cols = [_popcount(w & g, 7) & 1 for g in gens]
-    return np.stack(cols, axis=1).astype(np.uint8)
-
-
-_TABLE_R13 = _out_table(_GENS_R13)
-_TABLE_R14 = _out_table(_GENS_R14)
 
 
 def _windows(bits: np.ndarray) -> np.ndarray:
@@ -171,18 +170,14 @@ def cc_encode(bits, code: ConvCode) -> np.ndarray:
     an even number of input bits including the tail.
     """
     bits = _as_bits(bits, "bits")
+    table, keep = _TRELLIS[code.rate]
     tailed = np.concatenate([bits, np.zeros(_TAIL, np.uint8)])
-    if code.rate == Fraction(1, 4):
-        table = _TABLE_R14
-    else:
-        table = _TABLE_R13
     coded = table[_windows(tailed)].ravel()
-    if code.rate == Fraction(2, 3):
-        if tailed.size % 2:
-            raise ValueError("rate-2/3 puncturing needs an even bit count")
-        keep = np.tile(_PUNCTURE_R23, tailed.size // 2)
-        coded = coded[keep]
-    return coded
+    if keep is None:
+        return coded
+    if tailed.size % 2:
+        raise ValueError(f"rate-{code.rate} puncturing needs an even bit count")
+    return coded[np.tile(keep, tailed.size // 2)]
 
 
 def viterbi_decode(coded, code: ConvCode) -> np.ndarray:
@@ -192,18 +187,16 @@ def viterbi_decode(coded, code: ConvCode) -> np.ndarray:
     skips, so the rate-2/3 stream decodes on the rate-1/3 trellis.
     """
     coded = _as_bits(coded, "coded bits")
-    if code.rate == Fraction(1, 4):
-        table, obs = _TABLE_R14, coded
-    elif code.rate == Fraction(1, 3):
-        table, obs = _TABLE_R13, coded
-    else:
-        table = _TABLE_R13
-        if coded.size % 3:
+    table, keep = _TRELLIS[code.rate]
+    obs = coded
+    if keep is not None:
+        kept = np.count_nonzero(keep)
+        if coded.size % kept:
             raise ValueError(
-                f"rate-2/3 stream length must be a multiple of 3, got {coded.size}"
+                f"rate-{code.rate} stream length must be a multiple of {kept}, got {coded.size}"
             )
-        obs = np.full(coded.size * 2, 2, dtype=np.uint8)
-        obs[np.tile(_PUNCTURE_R23, coded.size // 3)] = coded
+        obs = np.full(coded.size // kept * keep.size, 2, dtype=np.uint8)
+        obs[np.tile(keep, coded.size // kept)] = coded
     if obs.size % table.shape[1]:
         raise ValueError(f"coded length {coded.size} does not fit rate {code.rate}")
     bits = _kernels.viterbi_decode(obs, table)

@@ -3,9 +3,11 @@
 The transmit chain is: payload -> 2-byte big-endian length prefix ->
 GF(16) symbols -> RS outer code (whole blocks, zero-padded) ->
 convolutional inner code (OOK/Manchester modes only) -> line code ->
-intensity waveform.  The receive chain inverts it and uses the length
-prefix to discard block padding, so any payload from 0 to 65535 bytes
-round-trips through any mode.
+intensity waveform.  The receive chain inverts it stage by stage and uses
+the length prefix to discard block padding, so any payload from 0 to 65535
+bytes round-trips through any mode.  It is total: any input array yields
+the payload or a FrameDecodeError.  Only a catalog-only mode raises a plain
+ValueError, before any sample is read.
 
 The 8b/10b modes keep RS symbol padding aligned to whole bytes: RS(14,7)
 blocks are 7 bytes long by construction, and RS(15,12) data is padded to
@@ -81,8 +83,10 @@ def _nibbles_to_bits(nibbles: np.ndarray) -> np.ndarray:
     return _NIBBLE_BITS[nibbles].ravel()
 
 
-def _add_rs(nibbles: np.ndarray, mode: PhyMode) -> np.ndarray:
-    """RS-encode whole zero-padded blocks; the inverse of :func:`_strip_rs`."""
+def _add_rs(wire: np.ndarray, mode: PhyMode) -> np.ndarray:
+    """Wire bytes as nibbles, RS-encoded in whole zero-padded blocks; the
+    inverse of :func:`_strip_rs`."""
+    nibbles = _bytes_to_nibbles(wire)
     rs = mode.outer_code
     if rs is None:
         return nibbles
@@ -95,6 +99,19 @@ def _add_rs(nibbles: np.ndarray, mode: PhyMode) -> np.ndarray:
     return rs_encode(padded.reshape(blocks, rs.k), rs).ravel()
 
 
+def _strip_rs(symbols: np.ndarray, mode: PhyMode) -> np.ndarray:
+    """RS-decode whole blocks of nibbles into wire bytes, block padding
+    included; the inverse of :func:`_add_rs`."""
+    rs = mode.outer_code
+    if rs is not None:
+        if symbols.size == 0 or symbols.size % rs.n:
+            raise FrameDecodeError(
+                f"{symbols.size} symbols do not form whole RS({rs.n},{rs.k}) blocks"
+            )
+        symbols = rs_decode(symbols.reshape(-1, rs.n), rs).ravel()
+    return _nibbles_to_bytes(symbols)
+
+
 def encode_to_chips(payload: bytes, mode: PhyMode) -> np.ndarray:
     """Run the digital half of the transmit chain, yielding 0/1 chips."""
     _require_bound(mode)
@@ -103,72 +120,15 @@ def encode_to_chips(payload: bytes, mode: PhyMode) -> np.ndarray:
     wire = np.frombuffer(
         len(payload).to_bytes(_LENGTH_BYTES, "big") + bytes(payload), dtype=np.uint8
     )
-
+    coded = _add_rs(wire, mode)
     if mode.line_code is LineCode.EIGHT_B_TEN_B:
-        if mode.outer_code is not None:
-            wire = _nibbles_to_bytes(_add_rs(_bytes_to_nibbles(wire), mode))
-        chips, _ = line_codes.encode_8b10b(wire)
-        return chips
-
-    coded = _add_rs(_bytes_to_nibbles(wire), mode)
+        return line_codes.encode_8b10b(_nibbles_to_bytes(coded))[0]
     if mode.line_code is LineCode.FOUR_B_SIX_B:
         return line_codes.encode_4b6b(coded)
-
     bits = _nibbles_to_bits(coded)
     if mode.inner_code is not None:
         bits = cc_encode(bits, mode.inner_code)
     return line_codes.manchester_encode(bits)
-
-
-def decode_from_chips(chips: np.ndarray, mode: PhyMode) -> bytes:
-    """Invert :func:`encode_to_chips`; raises FrameDecodeError on any defect."""
-    _require_bound(mode)
-    try:
-        return _decode_chips(chips, mode)
-    except FrameDecodeError:
-        raise
-    except ValueError as exc:  # any other defect of the input, e.g. a chip of 2
-        raise FrameDecodeError(str(exc)) from exc
-
-
-def _decode_chips(chips: np.ndarray, mode: PhyMode) -> bytes:
-    chips = _as_bits(chips, "chips")
-    if mode.line_code is LineCode.EIGHT_B_TEN_B:
-        wire, _ = line_codes.decode_8b10b(chips)
-        if mode.outer_code is not None:
-            wire = _strip_rs(_bytes_to_nibbles(wire), mode)
-    elif mode.line_code is LineCode.FOUR_B_SIX_B:
-        wire = _strip_rs(line_codes.decode_4b6b(chips), mode)
-    else:
-        bits = line_codes.manchester_decode(chips)
-        if mode.inner_code is not None:
-            bits = viterbi_decode(bits, mode.inner_code)
-        if bits.size % 4:
-            raise FrameDecodeError(f"bit stream length {bits.size} is not nibble-aligned")
-        wire = _strip_rs(_pack(bits, 4), mode)
-
-    data = bytes(wire.tobytes())
-    if len(data) < _LENGTH_BYTES:
-        raise FrameDecodeError("frame shorter than its length prefix")
-    plen = int.from_bytes(data[:_LENGTH_BYTES], "big")
-    body = data[_LENGTH_BYTES:]
-    if plen > len(body):
-        raise FrameDecodeError(
-            f"length prefix claims {plen} bytes but only {len(body)} present"
-        )
-    return body[:plen]
-
-
-def _strip_rs(symbols: np.ndarray, mode: PhyMode) -> np.ndarray:
-    """RS-decode whole blocks into bytes; the inverse of :func:`_add_rs`."""
-    if mode.outer_code is None:
-        return _nibbles_to_bytes(symbols)
-    rs = mode.outer_code
-    if symbols.size == 0 or symbols.size % rs.n:
-        raise FrameDecodeError(
-            f"{symbols.size} symbols do not form whole RS({rs.n},{rs.k}) blocks"
-        )
-    return _nibbles_to_bytes(rs_decode(symbols.reshape(-1, rs.n), rs).ravel())
 
 
 def encode_frame(payload: bytes, mode: PhyMode, dimming: float = 0.5) -> Frame:
@@ -181,20 +141,52 @@ def encode_frame(payload: bytes, mode: PhyMode, dimming: float = 0.5) -> Frame:
     return Frame(payload=bytes(payload), mode=mode, chips=chips, waveform=waveform)
 
 
+def decode_from_chips(chips: np.ndarray, mode: PhyMode) -> bytes:
+    """Invert :func:`encode_to_chips`; raises FrameDecodeError on any defect."""
+    return _receive(chips, mode, demodulate=False)
+
+
 def decode_frame(waveform: np.ndarray, mode: PhyMode, dimming: float = 0.5) -> bytes:
     """Demodulate and decode a waveform back to the payload bytes; raises
-    FrameDecodeError on any defect."""
+    FrameDecodeError on any defect.  ``dimming`` is never read: VPPM compares
+    each chip's half energies, which works at any duty cycle below 1."""
+    return _receive(waveform, mode, demodulate=True)
+
+
+def _receive(signal: np.ndarray, mode: PhyMode, demodulate: bool) -> bytes:
+    """The receive chain: the transmit stages inverted in reverse order,
+    with every ValueError they raise reported as a FrameDecodeError."""
     _require_bound(mode)
     try:
-        if mode.modulation is Modulation.VPPM:
-            chips = modulation.vppm_demodulate(waveform, dimming)
+        if demodulate and mode.modulation is Modulation.VPPM:
+            signal = modulation.vppm_demodulate(signal)
+        elif demodulate:
+            signal = modulation.ook_demodulate(signal)
+        if mode.line_code is LineCode.EIGHT_B_TEN_B:
+            coded = _bytes_to_nibbles(line_codes.decode_8b10b(signal)[0])
+        elif mode.line_code is LineCode.FOUR_B_SIX_B:
+            coded = line_codes.decode_4b6b(signal)
         else:
-            chips = modulation.ook_demodulate(waveform)
-        return _decode_chips(chips, mode)
+            bits = line_codes.manchester_decode(signal)
+            if mode.inner_code is not None:
+                bits = viterbi_decode(bits, mode.inner_code)
+            if bits.size % 4:
+                raise FrameDecodeError(f"bit stream length {bits.size} is not nibble-aligned")
+            coded = _pack(bits, 4)
+        data = _strip_rs(coded, mode).tobytes()
     except FrameDecodeError:
         raise
-    except ValueError as exc:  # any other defect of the input, e.g. a string sample
+    except ValueError as exc:  # any other defect of the input, e.g. a chip of 2
         raise FrameDecodeError(str(exc)) from exc
+    if len(data) < _LENGTH_BYTES:
+        raise FrameDecodeError("frame shorter than its length prefix")
+    plen = int.from_bytes(data[:_LENGTH_BYTES], "big")
+    body = data[_LENGTH_BYTES:]
+    if plen > len(body):
+        raise FrameDecodeError(
+            f"length prefix claims {plen} bytes but only {len(body)} present"
+        )
+    return body[:plen]
 
 
 def chips_to_hex(chips: np.ndarray) -> str:

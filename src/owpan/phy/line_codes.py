@@ -42,11 +42,17 @@ class LineCodeError(ValueError):
 
 def _as_uint8(x, top: int, message: str) -> np.ndarray:
     """``x`` cast to uint8, or ValueError(message) unless it holds integers
-    in 0..top only: 256, -255, 0.5 and NaN would not survive the cast."""
+    in 0..top only: 256, -255, 0.5, NaN, complex values and None would not
+    survive the cast."""
     arr = np.asarray(x)
     if arr.dtype != np.uint8:
-        with np.errstate(invalid="ignore"):
-            cast = arr.astype(np.uint8)
+        if arr.dtype.kind == "c":
+            raise ValueError(message)
+        try:
+            with np.errstate(invalid="ignore"):
+                cast = arr.astype(np.uint8)
+        except TypeError:  # an object array holding None or a complex number
+            raise ValueError(message) from None
         if not np.array_equal(cast, arr):
             raise ValueError(message)
         arr = cast

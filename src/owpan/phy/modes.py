@@ -312,7 +312,7 @@ def write_catalog_tsv(stream: IO[str], phy_class: PhyClass | str | None = None) 
     stream.write("\t".join(CATALOG_COLUMNS) + "\n")
     for m in phy_mode_catalog(phy_class):
         outer = str(m.outer_code) if m.outer_code else "-"
-        inner = f"CC({m.inner_code.rate})" if m.inner_code else "-"
+        inner = str(m.inner_code) if m.inner_code else "-"
         row = (
             m.name,
             m.phy_class.value,

@@ -49,7 +49,13 @@ def _modulate(chips, table: np.ndarray) -> np.ndarray:
 
 
 def _per_chip(samples) -> np.ndarray:
-    samples = np.asarray(samples, dtype=np.float64).ravel()
+    samples = np.asarray(samples)
+    if samples.dtype.kind == "c":
+        raise ModulationError("samples must be real, got complex values")
+    try:
+        samples = np.asarray(samples, dtype=np.float64).ravel()  # float64 is not copied
+    except TypeError as exc:  # an object array holding, say, a complex number
+        raise ModulationError(f"samples must be real numbers: {exc}") from None
     if samples.size % SAMPLES_PER_CHIP:
         raise ModulationError(f"sample count {samples.size} is not a whole number of chips")
     return samples.reshape(-1, SAMPLES_PER_CHIP)
@@ -101,7 +107,8 @@ def vppm_demodulate(samples, dimming: float | None = None) -> np.ndarray:
 
     A leading pulse concentrates energy in the first half.  Symbols whose
     halves tie exactly are ambiguous and rejected (at any dimming < 1 a
-    clean symbol always leans one way).
+    clean symbol always leans one way).  ``dimming`` is never read: the
+    comparison works at any duty cycle below 1.
     """
     per = _per_chip(samples)
     bits = np.empty(len(per), dtype=bool)

@@ -117,6 +117,18 @@ class TestElectricalSnr:
         ):
             electrical_snr(db, 10.0, 1.0, 1.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_square_of_a_huge_photocurrent_scaled_back_down_is_finite(self):
+        # (1e200)^2 overflows, but the -4000 dB ratio brings the SNR back to 1
+        assert electrical_snr(-4000.0, 1e200, 1.0, 1.0) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_fallback_touches_only_non_finite_elements(self):
+        snr = electrical_snr(np.array([-4000.0, 10.0]), 1e200, np.array([1.0, 1e-200]), 1.0)
+        assert snr[0] == pytest.approx(1.0, rel=1e-12)
+        # computed in the direct form, bit for bit
+        assert snr[1] == electrical_snr(10.0, 1e200, 1e-200, 1.0)
+
 
 class TestLinkCapacity:
     def test_zero_snr_zero_capacity(self):

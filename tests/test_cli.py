@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, outputs, and exit codes."""
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -214,6 +215,22 @@ def test_capacity_sweep_snr_past_float_range_is_one_error_line(tmp_path, capsys)
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: snr overflows at pr_over_n0_db 3080.0 dB")
+
+
+@pytest.mark.filterwarnings("error")
+def test_capacity_sweep_huge_responsivity_at_tiny_ratio_is_finite(tmp_path, capsys):
+    # the photocurrent's square overflows, but the ratio scales it back down
+    params = tmp_path / "p.txt"
+    params.write_text("laser_responsivity = 1e200 A/W\n")
+    code, out, err = run_cli(
+        ["capacity-sweep", "--var", "pr_n0", "--min", "-4000", "--max", "-3990",
+         "--points", "3", "--params", str(params)],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    rows = out.splitlines()[1:]
+    assert len(rows) == 12
+    assert all(math.isfinite(float(row.split(",")[2])) for row in rows)
 
 
 def test_capacity_sweep_gnuplot_needs_an_output_file(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,9 @@
 """Full transmit/receive chain tests across the bound PHY modes."""
 
 import hashlib
+import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from owpan.phy import line_codes
+from owpan.phy.fec import ConvCode, RsCode, cc_encode, rs_decode, viterbi_decode
 from owpan.phy.frames import (
     MAX_PAYLOAD,
     FrameDecodeError,
+    _add_rs,
+    _strip_rs,
     chips_from_hex,
     chips_to_hex,
     decode_frame,
@@ -155,6 +160,16 @@ def test_catalog_only_modes_rejected():
         decode_frame(np.zeros(4), mode_by_name("phy5-mpm"))
 
 
+@pytest.mark.parametrize("mode", BOUND_MODES, ids=lambda m: m.name)
+def test_strip_rs_inverts_add_rs_up_to_block_padding(mode):
+    # wire bytes -> nibbles -> wire bytes, for every line code, 8b/10b included
+    for size in (0, 1, 2, 7, 39):
+        wire = np.arange(1, size + 1, dtype=np.uint8)
+        stripped = _strip_rs(_add_rs(wire, mode), mode)
+        assert stripped[:size].tobytes() == wire.tobytes()
+        assert not stripped[size:].any()
+
+
 def test_chip_dump_matches_golden():
     chips = encode_to_chips(b"W-OWPAN frame golden.", mode_by_name("phy1-ook-11k"))
     assert chips_to_hex(chips) == GOLDEN.read_text()
@@ -229,12 +244,103 @@ def test_samples_that_are_no_numbers_raise_frame_errors(mode):
         decode_from_chips(text, mode)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", BOUND_MODES, ids=lambda m: m.name)
+@pytest.mark.parametrize("decode", [decode_frame, decode_from_chips])
+@pytest.mark.parametrize(
+    "samples",
+    [np.array([None] * 8), np.ones(64) * (1 + 1j)],
+    ids=["object_none", "complex"],
+)
+def test_object_and_complex_samples_raise_frame_errors(mode, decode, samples):
+    with pytest.raises(FrameDecodeError):
+        decode(samples, mode)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", BOUND_MODES, ids=lambda m: m.name)
+def test_object_arrays_of_numbers_decode(mode):
+    frame = encode_frame(b"boxed", mode)
+    assert decode_frame(frame.waveform.astype(object), mode) == b"boxed"
+    assert decode_from_chips(frame.chips.astype(object), mode) == b"boxed"
+
+
 @pytest.mark.parametrize("decode", [decode_frame, decode_from_chips])
 def test_catalog_only_mode_is_rejected_before_the_frame_boundary(decode):
     # a caller error, not a defect of the received samples
     with pytest.raises(ValueError, match="catalog-only") as exc:
         decode(np.array(["a"] * 8), mode_by_name("phy3-csk"))
     assert not isinstance(exc.value, FrameDecodeError)
+
+
+def _garbled_rs_blocks(code):
+    blocks = np.zeros((2, code.n), np.uint8)
+    blocks[0] = np.arange(code.n)  # far outside the code's correction radius
+    return blocks
+
+
+# one input per message of the FEC and frame stages, each pinned in full
+_STAGE_ERRORS = {
+    "cc_encode_odd": (
+        lambda: cc_encode([1], ConvCode(Fraction(2, 3))),
+        "rate-2/3 puncturing needs an even bit count",
+    ),
+    "viterbi_r23_length": (
+        lambda: viterbi_decode([0] * 4, ConvCode(Fraction(2, 3))),
+        "rate-2/3 stream length must be a multiple of 3, got 4",
+    ),
+    "viterbi_r13_length": (
+        lambda: viterbi_decode([0] * 5, ConvCode(Fraction(1, 3))),
+        "coded length 5 does not fit rate 1/3",
+    ),
+    "viterbi_r14_length": (
+        lambda: viterbi_decode([0] * 6, ConvCode(Fraction(1, 4))),
+        "coded length 6 does not fit rate 1/4",
+    ),
+    "viterbi_short": (
+        lambda: viterbi_decode([0] * 12, ConvCode(Fraction(1, 4))),
+        "coded stream shorter than the tail",
+    ),
+    "rs_uncorrectable": (
+        lambda: rs_decode(_garbled_rs_blocks(RsCode(15, 11)), RsCode(15, 11)),
+        "RS(15,11): 1 of 2 blocks uncorrectable",
+    ),
+    "rs_shortened_uncorrectable": (
+        lambda: rs_decode(_garbled_rs_blocks(RsCode(14, 7)), RsCode(14, 7)),
+        "RS(14,7): 1 of 2 blocks uncorrectable",
+    ),
+    "frame_partial_rs_block": (
+        lambda: decode_from_chips(
+            line_codes.encode_4b6b([1] * 5), mode_by_name("phy1-vppm-124k")
+        ),
+        "5 symbols do not form whole RS(15,7) blocks",
+    ),
+    "frame_bits_not_nibbles": (
+        lambda: decode_from_chips(
+            line_codes.manchester_encode([0] * 6), mode_by_name("phy1-ook-100k")
+        ),
+        "bit stream length 6 is not nibble-aligned",
+    ),
+    "frame_no_prefix": (
+        lambda: decode_from_chips(
+            line_codes.encode_8b10b([7])[0], mode_by_name("phy2-ook-96m")
+        ),
+        "frame shorter than its length prefix",
+    ),
+    "frame_prefix_overrun": (
+        lambda: decode_from_chips(
+            line_codes.encode_8b10b([0, 5, 1])[0], mode_by_name("phy2-ook-96m")
+        ),
+        "length prefix claims 5 bytes but only 1 present",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _STAGE_ERRORS)
+def test_stage_error_messages_are_pinned(case):
+    call, message = _STAGE_ERRORS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # --- encoder output pinned to the recorded outputs ----------------------------
