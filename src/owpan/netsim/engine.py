@@ -12,14 +12,20 @@ injects a packet of the flow, hop k >= 0 is a packet generated at
 ``gen_time`` reaching the k-th link of its route.  An injection serves
 hop 0 in the same step unless another queued event has exactly its
 time; then hop 0 is queued, so (time, seq) order decides as it would
-for separate events.  A packet leaving its last hop is counted delivered
-at once if it arrives by the horizon; no delivery event is queued."""
+for separate events.  A link's state is touched only by the flows routed
+over it.  So a route's private tail, its links after the first hop and
+after every link another flow's route also uses, is served in the step
+of the hop before it, each link at the packet's arrival: the flow's
+packets reach those links in FIFO order, so this computes the same
+floats in the same order.  A hop before a shared link queues an event,
+whose queueing instant breaks ties there.  A packet leaving its last hop
+is counted delivered at once if it arrives by the horizon."""
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import partial
 from random import Random
@@ -204,10 +210,12 @@ def run_simulation(topology: Topology, flows, duration: float, seed: int = 0) ->
     - Every delivered packet's latency is kept until the end, because exact
       nearest-rank percentiles need every value; memory grows with the
       packets delivered.
-    - The number of events is not capped.  Run time grows with the sum over
-      flows of (duration / time step) times the flow's hops, where the step
-      is the first-hop service time of a saturating flow and the mean gap of
-      a Poisson flow.
+    - The number of events is not capped: one per injected packet, plus
+      one per hop after the first up to the route's last link that another
+      flow's route also uses.  Run time grows with the sum over flows of
+      (duration / time step) times those hops plus one, where the step is
+      the first-hop service time of a saturating flow and the mean gap of a
+      Poisson flow.
     """
     flows = list(flows)
     if not 0 < duration < math.inf:
@@ -224,15 +232,20 @@ def run_simulation(topology: Topology, flows, duration: float, seed: int = 0) ->
     injected = [0] * len(flows)
     latencies = [[] for _ in flows]
 
-    # per flow: its hops as (link, service time, propagation delay, last
-    # hop?, re-inject after it?) and the draw of its next Poisson
-    # gap (None when saturating); the heap starts with each first injection
+    users = Counter(idx for route in routes for idx in route)
+    # per flow: its hops as (link, service time, propagation delay, serve the
+    # rest, its private tail, at once?, re-inject after it?) and the draw of
+    # its next Poisson gap (None when saturating); the heap starts with each
+    # first injection
     hops, gaps, heap = [], [], []
     for i, (flow, route) in enumerate(zip(flows, routes)):
         size = flow.packet_bytes * 8
+        tail = len(route)
+        while tail and users[route[tail - 1]] == 1:
+            tail -= 1
         hops.append(tuple(
             (idx, size / links[idx].capacity_bps, links[idx].propagation_delay,
-             n == len(route), n == 1 and flow.saturating)
+             n >= tail, n == 1 and flow.saturating)
             for n, idx in enumerate(route, 1)
         ))
         # a step below the clock's resolution at the horizon would repeat one
@@ -279,29 +292,36 @@ def run_simulation(topology: Topology, flows, duration: float, seed: int = 0) ->
                 seq += 1
                 put = heappush
         if hop >= 0:
-            link, service, delay, last, reinject = hops[i][hop]
-            start = next_free[link]
-            if time >= start:
-                start = time
-            finish = start + service
-            next_free[link] = finish
-            if finish <= duration:
-                busy[link] += finish - start
-            elif start < duration:
-                busy[link] += duration - start
-            arrive = finish + delay
-            if not last:
-                put(heap, (arrive, seq, i, hop + 1, gen_time))
-                seq += 1
-                put = heappush
-            elif arrive <= duration:
-                latencies[i].append(arrive - gen_time)
-            if reinject:
-                # keep the first hop backlogged: next packet the moment this
-                # one clears the transmitter
-                put(heap, (finish, seq, i, -1, 0.0))
-                seq += 1
-                put = heappush
+            route = hops[i]
+            while True:
+                link, service, delay, at_once, reinject = route[hop]
+                start = next_free[link]
+                if time >= start:
+                    start = time
+                finish = start + service
+                next_free[link] = finish
+                if finish <= duration:
+                    busy[link] += finish - start
+                elif start < duration:
+                    busy[link] += duration - start
+                arrive = finish + delay
+                if not at_once:
+                    put(heap, (arrive, seq, i, hop + 1, gen_time))
+                    seq += 1
+                    put = heappush
+                if reinject:
+                    # keep the first hop backlogged: next packet the moment
+                    # this one clears the transmitter
+                    put(heap, (finish, seq, i, -1, 0.0))
+                    seq += 1
+                    put = heappush
+                hop += 1
+                if not at_once or arrive > duration:
+                    break
+                if hop == len(route):
+                    latencies[i].append(arrive - gen_time)
+                    break
+                time = arrive
         if put is heapreplace:
             heapq.heappop(heap)
 

@@ -2,12 +2,15 @@
 
 import csv
 import hashlib
+import heapq
 import io
 import math
 import os
 import random
 import subprocess
 import sys
+from functools import partial
+from random import Random
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 
 import owpan
 from owpan.netsim.engine import (
+    _FLOW_SEED_STRIDE,
     METRICS_CSV_HEADER,
     FlowMetrics,
     FlowSpec,
@@ -565,3 +569,127 @@ def test_every_row_keeps_the_accounting_invariant():
                  p95_latency_s=math.nan, max_latency_s=math.nan)
     with pytest.raises(SimulationError, match=r"delivered \+ dropped != injected"):
         FlowMetrics("f", 1, 2, injected=3, delivered=2, dropped=0, **stats)
+
+
+# ------------------------------------------------- event-per-hop reference loop
+
+def _event_per_hop_reference(topology, flows, duration, seed=0):
+    """The simulator with one heap event per injection, per hop and per
+    delivery, ordered by (time, insertion sequence): the loop that
+    ``run_simulation`` shortens.  Returns each flow's injected count and
+    delivered latencies and each link's busy time by the horizon."""
+    links = topology.links
+    routes = [shortest_route(topology, f.src, f.dst) for f in flows]
+    gaps = [
+        None if f.saturating else partial(
+            Random(seed * _FLOW_SEED_STRIDE + i).expovariate, f.rate_bps / (f.packet_bytes * 8)
+        )
+        for i, f in enumerate(flows)
+    ]
+    next_free = [0.0] * len(links)
+    busy = [0.0] * len(links)
+    injected = [0] * len(flows)
+    latencies = [[] for _ in flows]
+    heap = [(f.start if gap is None else f.start + gap(), i, i, -1, 0.0)
+            for i, (f, gap) in enumerate(zip(flows, gaps))]
+    heapq.heapify(heap)
+    seq = len(heap)
+    while heap and heap[0][0] <= duration:
+        time, _, i, hop, gen_time = heapq.heappop(heap)
+        pushes = []
+        if hop < 0:
+            injected[i] += 1
+            pushes.append((time, 0, time))
+            if gaps[i] is not None:
+                pushes.append((time + gaps[i](), -1, 0.0))
+        elif hop == len(routes[i]):
+            latencies[i].append(time - gen_time)
+        else:
+            link = routes[i][hop]
+            start = max(time, next_free[link])
+            finish = start + flows[i].packet_bytes * 8 / links[link].capacity_bps
+            next_free[link] = finish
+            if finish <= duration:
+                busy[link] += finish - start
+            elif start < duration:
+                busy[link] += duration - start
+            pushes.append((finish + links[link].propagation_delay, hop + 1, gen_time))
+            if hop == 0 and flows[i].saturating:
+                pushes.append((finish, -1, 0.0))
+        for at, next_hop, born in pushes:
+            heapq.heappush(heap, (at, seq, i, next_hop, born))
+            seq += 1
+    return injected, latencies, busy
+
+
+def _assert_matches_reference(topology, flows, duration, seed=0):
+    metrics = run_simulation(topology, flows, duration, seed=seed)
+    injected, latencies, busy = _event_per_hop_reference(topology, flows, duration, seed)
+    for row, count, lats in zip(metrics.flows, injected, latencies):
+        lats = sorted(lats)
+        expected = (count, len(lats), sum(lats) / len(lats), lats[math.ceil(len(lats) / 2) - 1],
+                    lats[max(1, math.ceil(0.95 * len(lats))) - 1], lats[-1]) if lats else (
+                    count, 0, math.nan, math.nan, math.nan, math.nan)
+        got = (row.injected, row.delivered, row.mean_latency_s, row.p50_latency_s,
+               row.p95_latency_s, row.max_latency_s)
+        assert repr(got) == repr(expected), row.name
+    for link, row, seconds in zip(topology.links, metrics.links, busy):
+        assert (row.bits_carried, row.utilization) == (
+            seconds * link.capacity_bps, seconds / duration), row.name
+
+
+@st.composite
+def _shared_and_private_routes(draw):
+    """A random tree of 2-8 nodes and 1-5 saturating or Poisson flows, each
+    up to the root, down from it or between two random nodes: routes that
+    merge run private hops into a shared link, and routes that part run
+    private hops behind a shared first hop.  Capacities, packet sizes,
+    starts and most delays are powers of two, so sums of service times are
+    exact and many events share an instant; the horizon may fall anywhere
+    along a route."""
+    n = draw(st.integers(2, 8))
+    edges = [(child, draw(st.integers(1, child - 1))) for child in range(2, n + 1)]
+    caps = {child: draw(st.sampled_from((2.0**18, 2.0**19, 2.0**20, 2.0**21))) for child, _ in edges}
+    delay = st.one_of(st.sampled_from((0.0, 2.0**-11, 2.0**-10)), st.floats(0.0, 1e-3))
+    delays = {child: draw(delay) for child, _ in edges}
+    topology = Topology(
+        nodes=tuple(Node(a, RELAY) for a in range(1, n + 1)),
+        links=_two_way_links(edges, caps.get, delays.get),
+    )
+    node = st.integers(1, n)
+    flows = []
+    for k in range(draw(st.integers(1, 5))):
+        a, b = draw(node), draw(node)
+        src, dst = draw(st.sampled_from(((a, 1), (1, a), (a, b))))
+        flows.append(FlowSpec(f"f{k}", src, dst,
+                              rate_bps=draw(st.sampled_from((None, None, 2.0**17, 2.0**19))),
+                              packet_bytes=draw(st.sampled_from((128, 256))),
+                              start=draw(st.integers(0, 3)) * 2.0**-11))
+    duration = draw(st.integers(1, 64)) * 2.0**-11 + draw(st.sampled_from((0.0, 1e-4)))
+    return topology, flows, duration, draw(st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shared_and_private_routes())
+def test_simulation_matches_the_event_per_hop_reference(run):
+    _assert_matches_reference(*run)
+
+
+def test_a_private_hop_before_a_shared_link_keeps_its_tie_break():
+    """Flow a crosses links 1->2 and 2->3, which no other route uses, then
+    3->4, which b's route also uses; each hop takes 1 s.  Both first packets
+    reach 3->4 at 2 s.  b's event there was queued at 0.5 s, a's only when
+    it left 1->2 at 1 s, so b is served first.  Serving a's hop over 2->3
+    ahead of the clock would queue a's event at 0 s and reverse the two."""
+    nodes = tuple(Node(a, RELAY) for a in range(1, 6))
+    links = (
+        Link(1, 2, Technology.RF, capacity_bps=1000.0),
+        Link(2, 3, Technology.RF, capacity_bps=1000.0),
+        Link(3, 4, Technology.RF, capacity_bps=1000.0),
+        Link(5, 3, Technology.RF, capacity_bps=2000.0, propagation_delay=1.0),
+    )
+    topology = Topology(nodes, links)
+    flows = [FlowSpec("a", 1, 4, packet_bytes=125),
+             FlowSpec("b", 5, 4, packet_bytes=125, start=0.5)]
+    assert [f.delivered for f in run_simulation(topology, flows, 3.5).flows] == [0, 1]
+    _assert_matches_reference(topology, flows, 10.0)
