@@ -626,13 +626,14 @@ def _assert_matches_reference(topology, flows, duration, seed=0):
     metrics = run_simulation(topology, flows, duration, seed=seed)
     injected, latencies, busy = _event_per_hop_reference(topology, flows, duration, seed)
     for row, count, lats in zip(metrics.flows, injected, latencies):
-        lats = sorted(lats)
-        expected = (count, len(lats), sum(lats) / len(lats), lats[math.ceil(len(lats) / 2) - 1],
-                    lats[max(1, math.ceil(0.95 * len(lats))) - 1], lats[-1]) if lats else (
-                    count, 0, math.nan, math.nan, math.nan, math.nan)
+        lats.sort()
+        n = len(lats)
+        # the mean is a sum over the sorted list, percentiles are nearest-rank
+        stats = (sum(lats) / n, lats[math.ceil(0.5 * n) - 1], lats[math.ceil(0.95 * n) - 1],
+                 lats[-1]) if n else (math.nan,) * 4
         got = (row.injected, row.delivered, row.mean_latency_s, row.p50_latency_s,
                row.p95_latency_s, row.max_latency_s)
-        assert repr(got) == repr(expected), row.name
+        assert repr(got) == repr((count, n, *stats)), row.name
     for link, row, seconds in zip(topology.links, metrics.links, busy):
         assert (row.bits_carried, row.utilization) == (
             seconds * link.capacity_bps, seconds / duration), row.name
