@@ -21,6 +21,7 @@ from .channels import _first_bad, diffuse_gain, fso_gain, los_gain
 from .params import LinkBudgetParams
 
 __all__ = [
+    "CSV_HEADER",
     "SweepVariable",
     "SweepSpec",
     "CapacityCurve",
@@ -169,7 +170,8 @@ def cascade_capacity(capacities: Sequence[float]) -> float:
     """Capacity of links in series: the worst link dictates."""
     if len(capacities) == 0:
         raise ValueError("cascade of zero links has no capacity")
-    if any(c < 0.0 for c in capacities):
+    # written as not >= so that a NaN, which compares False, is refused too
+    if not all(c >= 0.0 for c in capacities):
         raise ValueError("capacities must be >= 0")
     return min(capacities)
 

@@ -1,68 +1,16 @@
 """Network layer: topology model, classifier, relays, MAC, event simulator."""
 
-from .config import ConfigError, NetworkConfig, load_network_config, parse_network_config
-from .engine import (
-    METRICS_CSV_HEADER,
-    FlowMetrics,
-    FlowSpec,
-    LinkMetrics,
-    SimMetrics,
-    SimulationError,
-    metrics_summary,
-    run_simulation,
-    shortest_route,
-    write_metrics_csv,
-)
-from .mac import BEACON_SLOT, GtsAllocation, MacError, Superframe, build_superframe
-from .relay import RelayDecodeError, af_relay, df_relay
-from .topology import (
-    VLC_TECHNOLOGIES,
-    BeamShape,
-    Link,
-    LinkDirection,
-    Node,
-    NodeKind,
-    Technology,
-    Topology,
-    TopologyClass,
-    TopologyError,
-    assign_addresses,
-    classify_topology,
-)
+from . import config, engine, mac, relay, topology
+from .config import *
+from .engine import *
+from .mac import *
+from .relay import *
+from .topology import *
 
 __all__ = [
-    "BEACON_SLOT",
-    "BeamShape",
-    "ConfigError",
-    "FlowMetrics",
-    "FlowSpec",
-    "GtsAllocation",
-    "Link",
-    "LinkDirection",
-    "LinkMetrics",
-    "MacError",
-    "METRICS_CSV_HEADER",
-    "NetworkConfig",
-    "Node",
-    "NodeKind",
-    "RelayDecodeError",
-    "SimMetrics",
-    "SimulationError",
-    "Superframe",
-    "Technology",
-    "Topology",
-    "TopologyClass",
-    "TopologyError",
-    "VLC_TECHNOLOGIES",
-    "af_relay",
-    "assign_addresses",
-    "build_superframe",
-    "classify_topology",
-    "df_relay",
-    "load_network_config",
-    "metrics_summary",
-    "parse_network_config",
-    "run_simulation",
-    "shortest_route",
-    "write_metrics_csv",
+    *config.__all__,
+    *engine.__all__,
+    *mac.__all__,
+    *relay.__all__,
+    *topology.__all__,
 ]

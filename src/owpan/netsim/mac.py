@@ -19,6 +19,14 @@ class MacError(ValueError):
     """Invalid superframe geometry."""
 
 
+def _check_geometry(total_slots: int, cfp_start: int) -> None:
+    if not total_slots > cfp_start >= 1:
+        raise MacError(
+            f"need total_slots > cfp_start >= 1, got "
+            f"total_slots={total_slots} cfp_start={cfp_start}"
+        )
+
+
 @dataclass(frozen=True)
 class GtsAllocation:
     owner: int
@@ -38,11 +46,7 @@ class Superframe:
     rejected: tuple = ()
 
     def __post_init__(self):
-        if not self.total_slots > self.cfp_start >= 1:
-            raise MacError(
-                f"need total_slots > cfp_start >= 1, got "
-                f"total_slots={self.total_slots} cfp_start={self.cfp_start}"
-            )
+        _check_geometry(self.total_slots, self.cfp_start)
         object.__setattr__(self, "allocations", tuple(self.allocations))
         object.__setattr__(self, "rejected", tuple(self.rejected))
         claimed = set()
@@ -81,11 +85,7 @@ def build_superframe(requests, total_slots: int, cfp_start: int) -> Superframe:
     that exceeds the remaining contention free period (or asks for fewer
     than one slot) is rejected; the superframe is still built.
     """
-    if not total_slots > cfp_start >= 1:
-        raise MacError(
-            f"need total_slots > cfp_start >= 1, got "
-            f"total_slots={total_slots} cfp_start={cfp_start}"
-        )
+    _check_geometry(total_slots, cfp_start)
     cursor = cfp_start
     granted = []
     rejected = []

@@ -1,101 +1,16 @@
 """Physical-layer codecs: line codes, FEC, modulation, mode catalog, frames."""
 
-from .fec import (
-    CC_CONSTRAINT_LENGTH,
-    CC_RATES,
-    ConvCode,
-    RsCode,
-    RsDecodeError,
-    cc_encode,
-    rs_decode,
-    rs_encode,
-    viterbi_decode,
-)
-from .frames import (
-    MAX_PAYLOAD,
-    Frame,
-    FrameDecodeError,
-    chips_from_hex,
-    chips_to_hex,
-    decode_frame,
-    decode_from_chips,
-    encode_frame,
-    encode_to_chips,
-)
-from .line_codes import (
-    TABLE_4B6B,
-    LineCodeError,
-    decode_4b6b,
-    decode_8b10b,
-    encode_4b6b,
-    encode_8b10b,
-    manchester_decode,
-    manchester_encode,
-)
-from .modes import (
-    CATALOG_COLUMNS,
-    RATE_TOLERANCE,
-    LineCode,
-    Modulation,
-    PhyClass,
-    PhyMode,
-    RateMismatchError,
-    data_rate,
-    mode_by_name,
-    phy_mode_catalog,
-    write_catalog_tsv,
-)
-from .modulation import (
-    SAMPLES_PER_CHIP,
-    ModulationError,
-    ook_demodulate,
-    ook_modulate,
-    vppm_demodulate,
-    vppm_modulate,
-)
+from . import fec, frames, line_codes, modes, modulation
+from .fec import *
+from .frames import *
+from .line_codes import *
+from .modes import *
+from .modulation import *
 
 __all__ = [
-    "CC_CONSTRAINT_LENGTH",
-    "CC_RATES",
-    "CATALOG_COLUMNS",
-    "ConvCode",
-    "Frame",
-    "FrameDecodeError",
-    "LineCode",
-    "LineCodeError",
-    "MAX_PAYLOAD",
-    "Modulation",
-    "ModulationError",
-    "PhyClass",
-    "PhyMode",
-    "RATE_TOLERANCE",
-    "RateMismatchError",
-    "RsCode",
-    "RsDecodeError",
-    "SAMPLES_PER_CHIP",
-    "TABLE_4B6B",
-    "cc_encode",
-    "chips_from_hex",
-    "chips_to_hex",
-    "data_rate",
-    "decode_4b6b",
-    "decode_8b10b",
-    "decode_frame",
-    "decode_from_chips",
-    "encode_4b6b",
-    "encode_8b10b",
-    "encode_frame",
-    "encode_to_chips",
-    "manchester_decode",
-    "manchester_encode",
-    "mode_by_name",
-    "ook_demodulate",
-    "ook_modulate",
-    "phy_mode_catalog",
-    "rs_decode",
-    "rs_encode",
-    "viterbi_decode",
-    "vppm_demodulate",
-    "vppm_modulate",
-    "write_catalog_tsv",
+    *fec.__all__,
+    *frames.__all__,
+    *line_codes.__all__,
+    *modes.__all__,
+    *modulation.__all__,
 ]

@@ -35,6 +35,7 @@ __all__ = [
     "mode_by_name",
     "write_catalog_tsv",
     "CATALOG_COLUMNS",
+    "RATE_TOLERANCE",
 ]
 
 
@@ -287,42 +288,34 @@ def mode_by_name(name: str) -> PhyMode:
         raise KeyError(f"unknown PHY mode {name!r}; known modes: {known}") from None
 
 
-CATALOG_COLUMNS = (
-    "name",
-    "phy",
-    "modulation",
-    "line_code",
-    "clock_rate_hz",
-    "outer_code",
-    "inner_code",
-    "nominal_rate_bps",
-    "nominal_rate_max_bps",
-    "fec_note",
-)
-
-
 def _fmt_rate(value: float | None) -> str:
     if value is None:
         return "-"
     return f"{value:.10g}"
 
 
+def _or_dash(value) -> str:
+    return str(value) if value else "-"
+
+
+# (column, cell of a mode) for each column of the catalog TSV, in order
+_CATALOG_TABLE = (
+    ("name", lambda m: m.name),
+    ("phy", lambda m: m.phy_class.value),
+    ("modulation", lambda m: m.modulation.value),
+    ("line_code", lambda m: m.line_code.value),
+    ("clock_rate_hz", lambda m: _fmt_rate(m.clock_rate)),
+    ("outer_code", lambda m: _or_dash(m.outer_code)),
+    ("inner_code", lambda m: _or_dash(m.inner_code)),
+    ("nominal_rate_bps", lambda m: _fmt_rate(m.nominal_rate)),
+    ("nominal_rate_max_bps", lambda m: _fmt_rate(m.nominal_rate_max)),
+    ("fec_note", lambda m: _or_dash(m.fec_note)),
+)
+CATALOG_COLUMNS = tuple(column for column, _ in _CATALOG_TABLE)
+
+
 def write_catalog_tsv(stream: IO[str], phy_class: PhyClass | str | None = None) -> None:
     """Dump the catalog as tab-separated rows with a header line."""
     stream.write("\t".join(CATALOG_COLUMNS) + "\n")
     for m in phy_mode_catalog(phy_class):
-        outer = str(m.outer_code) if m.outer_code else "-"
-        inner = str(m.inner_code) if m.inner_code else "-"
-        row = (
-            m.name,
-            m.phy_class.value,
-            m.modulation.value,
-            m.line_code.value,
-            _fmt_rate(m.clock_rate),
-            outer,
-            inner,
-            _fmt_rate(m.nominal_rate),
-            _fmt_rate(m.nominal_rate_max),
-            m.fec_note or "-",
-        )
-        stream.write("\t".join(row) + "\n")
+        stream.write("\t".join(cell(m) for _, cell in _CATALOG_TABLE) + "\n")

@@ -188,6 +188,15 @@ class TestCascade:
         with pytest.raises(ValueError):
             cascade_capacity([])
 
+    @pytest.mark.parametrize("caps", [[1.0, math.nan], [math.nan, 1.0], [-1.0, 2.0]])
+    def test_nan_and_negative_rejected_in_any_order(self, caps):
+        with pytest.raises(ValueError, match="^capacities must be >= 0$"):
+            cascade_capacity(caps)
+
+    def test_infinite_capacity_allowed(self):
+        assert cascade_capacity([math.inf, 2.0]) == 2.0
+        assert cascade_capacity([math.inf]) == math.inf
+
     @given(st.lists(st.floats(min_value=0.0, max_value=1e9), min_size=1, max_size=8))
     def test_permutation_invariant_and_bounded(self, caps):
         c = cascade_capacity(caps)

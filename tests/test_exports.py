@@ -1,4 +1,5 @@
-"""The hand-kept ``__all__`` lists of the package and its modules."""
+"""The ``__all__`` lists: each public name is declared in its module's list
+and each package exports the union of its modules' lists."""
 
 import importlib
 import pkgutil
@@ -12,10 +13,11 @@ PUBLIC_MODULES = ["owpan"] + sorted(
     for info in pkgutil.walk_packages(owpan.__path__, prefix="owpan.")
     if not any(part.startswith("_") for part in info.name.split("."))
 )
+PACKAGES = ["owpan", "owpan.phy", "owpan.netsim"]
 
 
 def test_the_three_package_lists_are_checked():
-    assert {"owpan", "owpan.phy", "owpan.netsim"} <= set(PUBLIC_MODULES)
+    assert set(PACKAGES) <= set(PUBLIC_MODULES)
 
 
 @pytest.mark.parametrize("name", PUBLIC_MODULES)
@@ -24,6 +26,21 @@ def test_every_exported_name_resolves(name):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported), "duplicate name in __all__"
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize("name", PACKAGES)
+def test_package_exports_the_union_of_its_modules(name):
+    package = importlib.import_module(name)
+    modules = [
+        importlib.import_module(info.name)
+        for info in pkgutil.iter_modules(package.__path__, prefix=f"{name}.")
+        if not info.ispkg and not info.name.rsplit(".", 1)[1].startswith("_")
+    ]
+    # a module without __all__ (the command-line front end) exports nothing
+    expected = {n for module in modules for n in getattr(module, "__all__", [])}
+    if name == "owpan":
+        expected.add("__version__")
+    assert set(package.__all__) == expected
 
 
 @pytest.mark.parametrize("name", PUBLIC_MODULES)
