@@ -7,19 +7,26 @@ flow draws from its own seeded random stream; flows are either Poisson
 sources at a configured offered load or saturating sources that keep
 their first hop permanently busy.
 
-An event is the flat tuple ``(time, seq, flow, hop, gen_time)``: hop -1
-injects a packet of the flow, hop k >= 0 is a packet generated at
-``gen_time`` reaching the k-th link of its route.  An injection serves
-hop 0 in the same step unless another queued event has exactly its
-time; then hop 0 is queued, so (time, seq) order decides as it would
-for separate events.  A link's state is touched only by the flows routed
-over it.  So a route's private tail, its links after the first hop and
-after every link another flow's route also uses, is served in the step
-of the hop before it, each link at the packet's arrival: the flow's
-packets reach those links in FIFO order, so this computes the same
-floats in the same order.  A hop before a shared link queues an event,
-whose queueing instant breaks ties there.  A packet leaving its last hop
-is counted delivered at once if it arrives by the horizon."""
+A link's state is touched only by the flows routed over it.  So a flow
+whose route no other flow's route uses (a route of no hop included)
+meets no other flow and takes no heap event: its packets are simulated
+one after another in a loop of their own, each over its whole route at
+its injection.  The other flows share the heap.  Their routes are cut
+into legs, each the links a packet crosses in one step: one link per
+leg up to the route's last link that another flow's route also uses,
+whose leg runs on to the end of the route.  A leg's links after its
+first are the route's private tail, served each at the packet's
+arrival: the flow's packets reach those links in FIFO order, so this
+computes the same floats in the same order.  A leg before a shared link
+queues an event, whose queueing instant breaks ties there.
+
+An event is the flat tuple ``(time, seq, flow, leg, gen_time)``: leg -1
+injects a packet of the flow, leg k >= 0 is a packet generated at
+``gen_time`` reaching the k-th leg of its route.  An injection serves
+leg 0 in the same step unless another queued event has exactly its
+time; then leg 0 is queued, so (time, seq) order decides as it would
+for separate events.  A packet leaving its last link is counted
+delivered at once if it arrives by the horizon."""
 
 from __future__ import annotations
 
@@ -210,16 +217,22 @@ def run_simulation(topology: Topology, flows, duration: float, seed: int = 0) ->
     - Every delivered packet's latency is kept until the end, because exact
       nearest-rank percentiles need every value; memory grows with the
       packets delivered.
-    - The number of events is not capped: one per injected packet, plus
-      one per hop after the first up to the route's last link that another
-      flow's route also uses.  Run time grows with the sum over flows of
-      (duration / time step) times those hops plus one, where the step is
-      the first-hop service time of a saturating flow and the mean gap of a
-      Poisson flow.
+    - The number of events is not capped.  A flow whose route no other
+      flow's route uses takes none; any other flow takes one per injected
+      packet, plus one per hop after the first up to the route's last link
+      that another flow's route also uses.  Run time grows with the sum
+      over flows of (duration / time step) times (hops + 1), where the
+      step is the first-hop service time of a saturating flow and the mean
+      gap of a Poisson flow.
+    - ``seed`` must be a non-negative integer.  Flow ``i`` draws from
+      ``Random(seed * 1_000_003 + i)``, and ``Random`` seeds from an int's
+      absolute value, so a negative seed would repeat a positive one.
     """
     flows = list(flows)
     if not 0 < duration < math.inf:
         raise SimulationError(f"duration must be positive and finite, got {duration}")
+    if seed < 0:
+        raise SimulationError(f"seed must be a non-negative integer, got {seed}")
     names = [f.name for f in flows]
     if len(set(names)) != len(names):
         raise SimulationError("flow names must be unique")
@@ -232,22 +245,44 @@ def run_simulation(topology: Topology, flows, duration: float, seed: int = 0) ->
     injected = [0] * len(flows)
     latencies = [[] for _ in flows]
 
+    def carry(leg, time):
+        # serve a packet reaching a leg at ``time`` on each of its links in
+        # turn, at its arrival there; return its arrival after the leg, or
+        # its first arrival past the horizon
+        for link, service, delay in leg:
+            start = next_free[link]
+            if time >= start:
+                start = time
+            finish = start + service
+            next_free[link] = finish
+            if finish <= duration:
+                busy[link] += finish - start
+            elif start < duration:
+                busy[link] += duration - start
+            time = finish + delay
+            if time > duration:
+                break
+        return time
+
     users = Counter(idx for route in routes for idx in route)
-    # per flow: its hops as (link, service time, propagation delay, serve the
-    # rest, its private tail, at once?, re-inject after it?) and the draw of
-    # its next Poisson gap (None when saturating); the heap starts with each
-    # first injection
-    hops, gaps, heap = [], [], []
+    # per flow: its legs, each the links a packet crosses in one step as
+    # (link, service time, propagation delay); the draw of its next Poisson
+    # gap (None when saturating); and a saturating flow's first link, whose
+    # clearing injects the flow's next packet (None otherwise).  The first
+    # injection goes on the heap, or, when no other route uses any link of
+    # the flow's, on the list of private flows
+    legs, gaps, refills, heap, private = [], [], [], [], []
     for i, (flow, route) in enumerate(zip(flows, routes)):
         size = flow.packet_bytes * 8
         tail = len(route)
         while tail and users[route[tail - 1]] == 1:
             tail -= 1
-        hops.append(tuple(
-            (idx, size / links[idx].capacity_bps, links[idx].propagation_delay,
-             n >= tail, n == 1 and flow.saturating)
-            for n, idx in enumerate(route, 1)
-        ))
+        hops = [(idx, size / links[idx].capacity_bps, links[idx].propagation_delay)
+                for idx in route]
+        # one link per leg up to the last link another route uses, whose leg
+        # runs on to the end of the route
+        cut = max(tail - 1, 0)
+        legs.append(tuple((hop,) for hop in hops[:cut]) + (tuple(hops[cut:]),))
         # a step below the clock's resolution at the horizon would repeat one
         # instant forever: a saturating flow steps by its first-hop service
         # time (and has no step without a hop), a Poisson flow by its mean gap
@@ -264,64 +299,73 @@ def run_simulation(topology: Topology, flows, duration: float, seed: int = 0) ->
             Random(seed * _FLOW_SEED_STRIDE + i).expovariate, flow.rate_bps / size
         )
         gaps.append(gap)
-        heap.append((flow.start if gap is None else flow.start + gap(), i, i, -1, 0.0))
+        refills.append(route[0] if flow.saturating and route else None)
+        first = flow.start if gap is None else flow.start + gap()
+        if tail:
+            heap.append((first, i, i, -1, 0.0))
+        else:
+            private.append((i, first))
+
+    # a private flow meets no other flow, so its packets run one after
+    # another, each over its whole route at its injection
+    for i, time in private:
+        (leg,), gap, refill, delivered = legs[i], gaps[i], refills[i], latencies[i]
+        while time <= duration:
+            injected[i] += 1
+            arrive = carry(leg, time)
+            if arrive <= duration:
+                delivered.append(arrive - time)
+            if gap is not None:
+                time += gap()
+            elif refill is not None:
+                time = next_free[refill]
+            else:
+                break
+
     heapq.heapify(heap)
-    seq = len(heap)
+    # a first injection's sequence number is its flow's index, so later
+    # events count on from len(flows): from len(heap), with private flows
+    # left out, they would reuse a first injection's number and tie on it
+    seq = len(flows)
     heappush, heapreplace = heapq.heappush, heapq.heapreplace
 
     while heap:
-        time, _, i, hop, gen_time = heap[0]
+        time, _, i, leg, gen_time = heap[0]
         if time > duration:
             break
         # the first event scheduled replaces the handled one at heap[0]
         put = heapreplace
-        if hop < 0:
+        if leg < 0:
             injected[i] += 1
             gap = gaps[i]
-            if not hops[i]:
-                latencies[i].append(0.0)
-            elif (len(heap) > 1 and heap[1][0] == time) or (len(heap) > 2 and heap[2][0] == time):
-                # another event shares this instant and precedes hop 0
+            if (len(heap) > 1 and heap[1][0] == time) or (len(heap) > 2 and heap[2][0] == time):
+                # another event shares this instant and precedes leg 0
                 put(heap, (time, seq, i, 0, time))
                 seq += 1
                 put = heappush
             else:
-                hop, gen_time = 0, time
+                leg, gen_time = 0, time
             if gap is not None:
                 put(heap, (time + gap(), seq, i, -1, 0.0))
                 seq += 1
                 put = heappush
-        if hop >= 0:
-            route = hops[i]
-            while True:
-                link, service, delay, at_once, reinject = route[hop]
-                start = next_free[link]
-                if time >= start:
-                    start = time
-                finish = start + service
-                next_free[link] = finish
-                if finish <= duration:
-                    busy[link] += finish - start
-                elif start < duration:
-                    busy[link] += duration - start
-                arrive = finish + delay
-                if not at_once:
-                    put(heap, (arrive, seq, i, hop + 1, gen_time))
-                    seq += 1
-                    put = heappush
-                if reinject:
-                    # keep the first hop backlogged: next packet the moment
-                    # this one clears the transmitter
-                    put(heap, (finish, seq, i, -1, 0.0))
-                    seq += 1
-                    put = heappush
-                hop += 1
-                if not at_once or arrive > duration:
-                    break
-                if hop == len(route):
+        if leg >= 0:
+            route = legs[i]
+            arrive = carry(route[leg], time)
+            leg += 1
+            if arrive <= duration:
+                if leg == len(route):
                     latencies[i].append(arrive - gen_time)
-                    break
-                time = arrive
+                else:
+                    put(heap, (arrive, seq, i, leg, gen_time))
+                    seq += 1
+                    put = heappush
+            if leg == 1 and refills[i] is not None:
+                # keep the first hop backlogged: next packet the moment
+                # this one clears the transmitter
+                put(heap, (next_free[refills[i]], seq, i, -1, 0.0))
+                seq += 1
+                put = heappush
         if put is heapreplace:
             heapq.heappop(heap)
 

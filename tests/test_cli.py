@@ -466,6 +466,16 @@ def test_simulate_rejects_non_finite_inputs(tmp_path, capsys, old, new, argv, me
     assert message in err
 
 
+@pytest.mark.parametrize("old, new, argv", [("seed=7", "seed=-1", []), ("", "", ["--seed", "-1"])])
+def test_simulate_rejects_a_negative_seed(tmp_path, capsys, old, new, argv):
+    # Random seeds from an int's absolute value, so seed -1 would repeat seed 1
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text(TOPOLOGY.replace(old, new, 1))
+    code, out, err = run_cli(["simulate", "--topology", str(cfg), *argv], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: seed must be a non-negative integer, got -1\n"
+
+
 def test_simulate_value_error_names_its_line(tmp_path, capsys):
     cfg = tmp_path / "nonfinite.cfg"
     cfg.write_text(TOPOLOGY.replace("capacity=54Mbps", "capacity=infGbps", 1))

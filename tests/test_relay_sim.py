@@ -333,6 +333,14 @@ def test_simulation_input_validation():
         run_simulation(t, [FlowSpec("a", 2, 1)], duration=0.1)  # no reverse link
 
 
+def test_negative_seed_is_rejected():
+    # Random seeds from an int's absolute value: seed -1 gave seed 1's run
+    flows = [FlowSpec("p", 1, 2, rate_bps=1e6)]
+    with pytest.raises(SimulationError, match="seed must be a non-negative integer, got -1"):
+        run_simulation(line_topology([2e6]), flows, duration=0.1, seed=-1)
+    assert run_simulation(line_topology([2e6]), flows, duration=0.1, seed=0).injected > 0
+
+
 @pytest.mark.parametrize("duration", [math.inf, math.nan])
 def test_duration_must_be_finite(duration):
     # an infinite horizon never returns; a NaN one gives NaN utilisation
@@ -694,3 +702,56 @@ def test_a_private_hop_before_a_shared_link_keeps_its_tie_break():
              FlowSpec("b", 5, 4, packet_bytes=125, start=0.5)]
     assert [f.delivered for f in run_simulation(topology, flows, 3.5).flows] == [0, 1]
     _assert_matches_reference(topology, flows, 10.0)
+
+
+def _private_and_shared_flows():
+    """Nodes 1-5 on a line, a link each way between neighbours, capacities
+    of 2**20 and 2**19 bit/s and 128 B packets, so every service time is a
+    power of two and many events share an instant.  The first four flows
+    are private, no link of their routes carrying another flow: p0 saturates
+    3->4->5, whose second hop is slower, p1 crosses 5->4->3->2, p2 has no hop
+    and p3 saturates 2->1.  c and b both saturate 1->2, c from 0 s and b
+    from 2**-10 s, when c's first packet clears the link; q crosses 1->2->3."""
+    topology = Topology(
+        nodes=tuple(Node(a, RELAY) for a in range(1, 6)),
+        links=_two_way_links([(2, 1), (3, 2), (4, 3), (5, 4)],
+                             {2: 2.0**20, 3: 2.0**19, 4: 2.0**20, 5: 2.0**19}.get,
+                             lambda child: 0.0),
+    )
+    private = [FlowSpec("p0", 3, 5, packet_bytes=128),
+               FlowSpec("p1", 5, 2, rate_bps=2.0**19, packet_bytes=128, start=2.0**-10),
+               FlowSpec("p2", 2, 2, rate_bps=2.0**19, packet_bytes=128),
+               FlowSpec("p3", 2, 1, packet_bytes=128, start=2.0**-9)]
+    shared = [FlowSpec("c", 1, 2, packet_bytes=128),
+              FlowSpec("b", 1, 2, packet_bytes=128, start=2.0**-10),
+              FlowSpec("q", 1, 3, rate_bps=2.0**18, packet_bytes=128)]
+    return topology, private, shared
+
+
+def test_private_flows_listed_first_keep_the_shared_flows_tie_breaks():
+    """b's first injection holds sequence number 5 and ties at 2**-10 s with
+    c's first re-injection.  With the private flows off the heap, later
+    events must still count on from the number of flows: counted from the
+    heap's three entries, c's re-injection would take number 3, go first
+    and reverse b and c on link 1->2."""
+    topology, private, shared = _private_and_shared_flows()
+    for seed in range(4):
+        _assert_matches_reference(topology, private + shared, 2.0**-5 + 1e-4, seed)
+
+
+def test_a_private_flow_runs_as_if_alone():
+    """The private flows keep their rows, and their links theirs, when
+    flows sharing the links beside theirs join.  The horizon falls inside
+    a packet's service on both of p0's links, the second of which p0
+    keeps backlogged."""
+    topology, private, shared = _private_and_shared_flows()
+    duration = 25.5 * 2.0**-10
+    alone = run_simulation(topology, private, duration, seed=2)
+    together = run_simulation(topology, private + shared, duration, seed=2)
+    assert repr(together.flows[:len(private)]) == repr(alone.flows)
+    used = sorted({idx for f in private for idx in shortest_route(topology, f.src, f.dst)})
+    assert [together.links[idx] for idx in used] == [alone.links[idx] for idx in used]
+    # p0's links carried 25.5 and 12.25 packets of 1024 bits: a packet was
+    # in service on each at the horizon
+    assert [together.links[idx].bits_carried / 1024 for idx in (5, 7)] == [25.5, 12.25]
+    assert all(f.delivered > 0 for f in together.flows)
