@@ -208,7 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True, help="mode name, or 'all' for every bound mode")
     p.add_argument("--bytes", type=int, default=256, help="payload length (default 256)")
     p.add_argument("--seed", type=int, default=0, help="payload RNG seed (default 0)")
-    p.add_argument("--dimming", type=float, default=0.5, help="VPPM duty cycle (default 0.5)")
+    p.add_argument(
+        "--dimming", type=float, default=0.5,
+        help="VPPM duty cycle in (0, 1), checked in every mode (default 0.5)",
+    )
     p.add_argument("--output", default="-", help="report destination ('-' for stdout)")
     p.set_defaults(func=_cmd_codec_roundtrip)
 

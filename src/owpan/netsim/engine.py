@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import partial
 from random import Random
 
-from .topology import Topology
+from .topology import Topology, _as_integer
 
 __all__ = [
     "FlowSpec",
@@ -80,6 +80,11 @@ class FlowSpec:
     def __post_init__(self):
         if not self.name:
             raise SimulationError("flow needs a non-empty name")
+        object.__setattr__(
+            self,
+            "packet_bytes",
+            _as_integer(self.packet_bytes, f"flow {self.name}: packet_bytes", SimulationError),
+        )
         if self.packet_bytes < 1:
             raise SimulationError(f"flow {self.name}: packet_bytes must be >= 1")
         if not self.start >= 0:
@@ -144,18 +149,13 @@ def shortest_route(topology: Topology, src: int, dst: int) -> list:
     """
     topology.node(src)
     topology.node(dst)
-    adjacency = {}
-    for idx, link in enumerate(topology.links):
-        adjacency.setdefault(link.src, []).append((link.dst, -link.capacity_bps, idx))
-    for entries in adjacency.values():
-        entries.sort()
     if src == dst:
         return []
     parent = {src: None}
     queue = deque([src])
     while queue:
         here = queue.popleft()
-        for nxt, _, idx in adjacency.get(here, ()):
+        for nxt, _, idx in topology._out_links.get(here, ()):
             if nxt not in parent:
                 parent[nxt] = (here, idx)
                 if nxt == dst:
@@ -231,6 +231,7 @@ def run_simulation(topology: Topology, flows, duration: float, seed: int = 0) ->
     flows = list(flows)
     if not 0 < duration < math.inf:
         raise SimulationError(f"duration must be positive and finite, got {duration}")
+    seed = _as_integer(seed, "seed", SimulationError)
     if seed < 0:
         raise SimulationError(f"seed must be a non-negative integer, got {seed}")
     names = [f.name for f in flows]

@@ -63,10 +63,6 @@ class Superframe:
             claimed |= slots
 
     @property
-    def beacon_slot(self) -> int:
-        return BEACON_SLOT
-
-    @property
     def cap_slots(self) -> range:
         """Contention access period: everything between beacon and CFP."""
         return range(1, self.cfp_start)

@@ -10,6 +10,7 @@ is exactly what the aggregate class captures.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
@@ -35,6 +36,15 @@ _ADDRESS_BITS = 64
 
 class TopologyError(ValueError):
     """A topology violates a structural invariant."""
+
+
+def _as_integer(value, what: str, error: type = TopologyError) -> int:
+    # operator.index admits ints and numpy integers, not 2.0 or 1.5; callers
+    # that compute with the value keep the int it returns, not a numpy scalar
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
 
 
 class Technology(Enum):
@@ -97,6 +107,8 @@ class Link:
     def __post_init__(self):
         if self.src == self.dst:
             raise TopologyError(f"link endpoints coincide (address {self.src})")
+        _as_integer(self.scenario, "scenario")
+        _as_integer(self.channel_count, "channel count")
         if self.scenario not in range(1, 7):
             raise TopologyError(f"scenario {self.scenario} not in 1..6")
         if not 0 < self.capacity_bps < math.inf:
@@ -121,6 +133,9 @@ class Topology:
     nodes: tuple = ()
     links: tuple = ()
     _by_address: dict = field(init=False, repr=False, compare=False)
+    # per source address, its outgoing links as (dst, -capacity, index) in
+    # ascending order: the order in which shortest_route tries them
+    _out_links: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = tuple(self.nodes)
@@ -149,6 +164,12 @@ class Topology:
                     f"{count} forward vs {fwd.get((dst, src), 0)} reverse"
                 )
         object.__setattr__(self, "_by_address", by_address)
+        out_links = {}
+        for idx, link in enumerate(links):
+            out_links.setdefault(link.src, []).append((link.dst, -link.capacity_bps, idx))
+        for entries in out_links.values():
+            entries.sort()
+        object.__setattr__(self, "_out_links", out_links)
 
     def node(self, address: int) -> Node:
         try:

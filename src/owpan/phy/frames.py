@@ -132,7 +132,9 @@ def encode_to_chips(payload: bytes, mode: PhyMode) -> np.ndarray:
 
 
 def encode_frame(payload: bytes, mode: PhyMode, dimming: float = 0.5) -> Frame:
-    """Encode payload bytes to a fully modulated frame."""
+    """Encode payload bytes to a fully modulated frame.  ``dimming`` must lie
+    in (0, 1) in every mode, though only VPPM reads it."""
+    modulation._check_dimming(dimming)
     chips = encode_to_chips(payload, mode)
     if mode.modulation is Modulation.VPPM:
         waveform = modulation.vppm_modulate(chips, dimming)

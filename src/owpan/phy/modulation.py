@@ -94,21 +94,25 @@ def _vppm_symbols(dimming: float) -> tuple[np.ndarray, np.ndarray]:
     return leading, trailing
 
 
-def vppm_modulate(bits, dimming: float) -> np.ndarray:
-    """Map bits to pulse-position symbols with duty cycle ``dimming``."""
+def _check_dimming(dimming: float) -> None:
     if not 0.0 < dimming < 1.0:
         raise ValueError(f"dimming must lie in (0, 1), got {dimming!r}")
+
+
+def vppm_modulate(bits, dimming: float) -> np.ndarray:
+    """Map bits to pulse-position symbols with duty cycle ``dimming``."""
+    _check_dimming(dimming)
     leading, trailing = _vppm_symbols(dimming)
     return _modulate(bits, np.array([trailing, leading]))
 
 
-def vppm_demodulate(samples, dimming: float | None = None) -> np.ndarray:
+def vppm_demodulate(samples) -> np.ndarray:
     """Recover bits by comparing the energy of each chip period's halves.
 
-    A leading pulse concentrates energy in the first half.  Symbols whose
-    halves tie exactly are ambiguous and rejected (at any dimming < 1 a
-    clean symbol always leans one way).  ``dimming`` is never read: the
-    comparison works at any duty cycle below 1.
+    A leading pulse concentrates energy in the first half, so the
+    comparison works at any duty cycle below 1.  Symbols whose halves tie
+    exactly are ambiguous and rejected (at any dimming < 1 a clean symbol
+    always leans one way).
     """
     per = _per_chip(samples)
     bits = np.empty(len(per), dtype=bool)

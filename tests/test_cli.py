@@ -386,6 +386,19 @@ def test_codec_roundtrip_dimming(capsys):
     assert out.startswith("PASS")
 
 
+
+@pytest.mark.parametrize(
+    "mode, dimming", [("phy2-ook-96m", "-3"), ("all", "7")], ids=["ook", "all"]
+)
+def test_codec_roundtrip_rejects_dimming_outside_unit_interval_in_every_mode(
+    mode, dimming, capsys
+):
+    code, out, err = run_cli(["codec-roundtrip", "--mode", mode, "--dimming", dimming], capsys)
+    assert code == 1
+    assert out == ""
+    assert f"dimming must lie in (0, 1), got {float(dimming)!r}" in err
+
+
 # ------------------------------------------------------------------ simulate
 
 def test_simulate_csv_to_stdout_summary_to_stderr(topo_file, capsys):

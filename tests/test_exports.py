@@ -50,5 +50,12 @@ def test_removed_link_budget_types_are_gone(name):
         assert not hasattr(module, gone)
 
 
+@pytest.mark.parametrize("name", PUBLIC_MODULES)
+def test_removed_relay_helpers_are_gone(name):
+    module = importlib.import_module(name)
+    for gone in ("af_relay", "df_relay", "RelayDecodeError"):
+        assert not hasattr(module, gone)
+
+
 def test_link_budget_params_has_no_indoor_view():
     assert not hasattr(owpan.LinkBudgetParams, "indoor")

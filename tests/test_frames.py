@@ -56,6 +56,21 @@ def test_ook_waveform_is_binary_levels():
     assert set(np.unique(frame.waveform)) <= {0.0, 1.0}
 
 
+def test_ook_waveform_under_small_additive_noise_decodes():
+    mode = mode_by_name("phy2-ook-96m")
+    frame = encode_frame(b"denoise", mode)
+    rng = np.random.default_rng(1)
+    noisy = frame.waveform + rng.uniform(0.0, 0.2, frame.waveform.size)
+    assert decode_frame(noisy, mode) == b"denoise"
+
+
+def test_all_dark_waveform_raises_frame_error():
+    mode = mode_by_name("phy2-ook-96m")
+    dark = np.zeros_like(encode_frame(b"garble", mode).waveform)
+    with pytest.raises(FrameDecodeError):
+        decode_frame(dark, mode)
+
+
 def test_vppm_waveform_mean_tracks_dimming():
     mode = mode_by_name("phy1-vppm-35k")
     for dimming in (0.25, 0.5, 0.75):

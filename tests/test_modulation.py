@@ -73,7 +73,7 @@ def test_vppm_fractional_edge():
 @given(bit_lists, dimmings)
 def test_vppm_round_trip(bits, dimming):
     wf = vppm_modulate(bits, dimming)
-    assert vppm_demodulate(wf, dimming).tolist() == bits
+    assert vppm_demodulate(wf).tolist() == bits
     assert (wf >= 0.0).all()
 
 

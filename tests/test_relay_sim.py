@@ -1,4 +1,4 @@
-"""Relay elements and the discrete-event simulator."""
+"""Routing and the discrete-event simulator."""
 
 import csv
 import hashlib
@@ -29,10 +29,7 @@ from owpan.netsim.engine import (
     shortest_route,
     write_metrics_csv,
 )
-from owpan.netsim.relay import RelayDecodeError, af_relay, df_relay
 from owpan.netsim.topology import Link, LinkDirection, Node, NodeKind, Technology, Topology
-from owpan.phy.frames import encode_frame
-from owpan.phy.modes import mode_by_name
 
 UD, AP, RELAY = NodeKind.USER_DEVICE, NodeKind.VLC_ACCESS_POINT, NodeKind.RELAY
 
@@ -54,96 +51,6 @@ def line_topology(capacities, delays=None):
         for i, (c, d) in enumerate(zip(capacities, delays))
     )
     return Topology(nodes=nodes, links=links)
-
-
-# --------------------------------------------------------------------- relay
-
-def test_af_identity_at_unit_gain():
-    assert af_relay(0.75) == 0.75
-    assert af_relay(0.0) == 0.0
-
-
-def test_af_gain_and_linearity():
-    assert af_relay(2.0, gain=3.0) == 6.0
-    a, b = 0.4, 1.1
-    assert af_relay(a + b, gain=2.5) == pytest.approx(
-        af_relay(a, gain=2.5) + af_relay(b, gain=2.5), rel=1e-15
-    )
-
-
-def test_af_applies_to_waveforms():
-    wf = np.array([0.0, 0.5, 1.0])
-    out = af_relay(wf, gain=2.0)
-    assert out.tolist() == [0.0, 1.0, 2.0]
-
-
-def test_af_amplifies_noise_too():
-    clean = np.array([1.0, 0.0, 1.0])
-    noise = np.array([0.1, 0.2, 0.05])
-    assert af_relay(clean + noise, gain=2.0).tolist() == (2 * (clean + noise)).tolist()
-
-
-def test_af_rejects_negative_inputs():
-    with pytest.raises(ValueError):
-        af_relay(-0.1)
-    with pytest.raises(ValueError):
-        af_relay(np.array([0.5, -0.5]))
-    with pytest.raises(ValueError):
-        af_relay(1.0, gain=-1.0)
-
-
-def test_df_preserves_payload_across_modes():
-    payload = b"relay me exactly"
-    frame = encode_frame(payload, mode_by_name("phy1-ook-24k"))
-    out = df_relay(frame, out_mode=mode_by_name("phy2-ook-6m"))
-    assert out.payload == payload
-    assert out.mode.name == "phy2-ook-6m"
-    assert out.waveform is not frame.waveform
-
-
-def test_df_chaining_preserves_payload():
-    payload = bytes(range(48))
-    frame = encode_frame(payload, mode_by_name("phy2-ook-96m"))
-    hop1 = df_relay(frame, out_mode=mode_by_name("phy1-vppm-124k"))
-    hop2 = df_relay(hop1, out_mode=mode_by_name("phy1-ook-11k"))
-    assert hop2.payload == payload
-
-
-def test_df_default_output_mode_is_input_mode():
-    frame = encode_frame(b"same mode", mode_by_name("phy1-vppm-35k"))
-    out = df_relay(frame)
-    assert out.mode is frame.mode
-    assert out.payload == frame.payload
-
-
-def test_df_regenerates_rather_than_accumulating_noise():
-    """A decodable-but-noisy waveform leaves the relay perfectly clean."""
-    mode = mode_by_name("phy2-ook-96m")
-    frame = encode_frame(b"denoise", mode)
-    rng = np.random.default_rng(1)
-    noisy = frame.waveform + rng.uniform(0.0, 0.2, frame.waveform.size)
-    dirty = type(frame)(payload=frame.payload, mode=mode, chips=frame.chips, waveform=noisy)
-    out = df_relay(dirty)
-    assert out.waveform.tolist() == frame.waveform.tolist()
-
-
-def test_df_decode_failure_is_signalled():
-    mode = mode_by_name("phy2-ook-96m")
-    frame = encode_frame(b"garble", mode)
-    wrecked = frame.waveform.copy()
-    wrecked[:] = 0.0
-    broken = type(frame)(payload=b"", mode=mode, chips=frame.chips, waveform=wrecked)
-    with pytest.raises(RelayDecodeError):
-        df_relay(broken)
-
-
-def test_df_cut_cc_frame_is_a_relay_error():
-    # two chips (eight samples) fewer: one coded bit short of rate 1/4
-    mode = mode_by_name("phy1-ook-11k")
-    frame = encode_frame(b"cut", mode)
-    cut = type(frame)(payload=b"", mode=mode, chips=frame.chips, waveform=frame.waveform[:-8])
-    with pytest.raises(RelayDecodeError):
-        df_relay(cut)
 
 
 # ------------------------------------------------------------------- routing
@@ -316,6 +223,9 @@ def test_flow_validation():
         FlowSpec("f", 1, 2, rate_bps=0.0)
     with pytest.raises(SimulationError):
         FlowSpec("f", 1, 2, packet_bytes=0)
+    with pytest.raises(SimulationError, match="flow f: packet_bytes must be an integer, got 1.5"):
+        FlowSpec("f", 1, 2, packet_bytes=1.5)
+    assert type(FlowSpec("f", 1, 2, packet_bytes=np.int64(64)).packet_bytes) is int
     with pytest.raises(SimulationError):
         FlowSpec("f", 1, 2, start=-1.0)
     assert FlowSpec("f", 1, 2, rate_bps=math.inf).saturating
@@ -339,6 +249,15 @@ def test_negative_seed_is_rejected():
     with pytest.raises(SimulationError, match="seed must be a non-negative integer, got -1"):
         run_simulation(line_topology([2e6]), flows, duration=0.1, seed=-1)
     assert run_simulation(line_topology([2e6]), flows, duration=0.1, seed=0).injected > 0
+
+
+def test_non_integer_seed_is_rejected():
+    # seed 1.5 used to run a stream of its own (9 packets here against 12 for seed 1)
+    flows = [FlowSpec("p", 1, 2, rate_bps=1e6)]
+    with pytest.raises(SimulationError, match="seed must be an integer, got 1.5"):
+        run_simulation(line_topology([2e6]), flows, duration=0.1, seed=1.5)
+    one = run_simulation(line_topology([2e6]), flows, duration=0.1, seed=1)
+    assert run_simulation(line_topology([2e6]), flows, duration=0.1, seed=np.int64(1)) == one
 
 
 @pytest.mark.parametrize("duration", [math.inf, math.nan])

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -73,6 +74,11 @@ def test_link_field_validation():
         Link(1, 2, Technology.RF, propagation_delay=-1e-9)
     with pytest.raises(TopologyError):
         Link(1, 2, Technology.RF, channel_count=0)
+    with pytest.raises(TopologyError, match="scenario must be an integer, got 2.0"):
+        Link(1, 2, Technology.RF, scenario=2.0)
+    with pytest.raises(TopologyError, match="channel count must be an integer, got 1.5"):
+        Link(1, 2, Technology.RF, channel_count=1.5)
+    Link(1, 2, Technology.RF, scenario=np.int64(2), channel_count=np.int64(2))
 
 
 @pytest.mark.parametrize("capacity", [math.inf, math.nan])
