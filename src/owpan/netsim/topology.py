@@ -86,6 +86,7 @@ class Node:
     name: str = ""
 
     def __post_init__(self):
+        object.__setattr__(self, "address", _as_integer(self.address, "node address"))
         if not 0 <= self.address < 2**_ADDRESS_BITS:
             raise TopologyError(f"address {self.address} outside 64-bit range")
         object.__setattr__(self, "capabilities", frozenset(self.capabilities))
@@ -121,6 +122,9 @@ class Link:
             )
         if self.channel_count < 1:
             raise TopologyError(f"channel count must be >= 1, got {self.channel_count}")
+        # a numpy float would reach the simulator's CSV as np.float64(...)
+        object.__setattr__(self, "capacity_bps", float(self.capacity_bps))
+        object.__setattr__(self, "propagation_delay", float(self.propagation_delay))
 
     @property
     def line_of_sight(self) -> bool:

@@ -138,29 +138,28 @@ def rs_decode(blocks, code: RsCode) -> np.ndarray:
     """
     blocks, pad = _unshorten(_as_symbols(blocks, code.n, "blocks"), code)
     data, failed = _kernels.rs_decode_blocks(blocks, code.base_k)
-    if pad:
-        # a correction inside the virtual prefix means the error pattern
-        # was outside the shortened code
-        failed = failed | data[:, :pad].any(axis=1)
-        data = data[:, pad:]
-    if failed.any():
-        rows = np.nonzero(failed)[0]
+    # a correction inside the virtual prefix means the error pattern was
+    # outside the shortened code
+    if failed.any() or (pad and data[:, :pad].any()):
+        rows = np.nonzero(failed | data[:, :pad].any(axis=1))[0]
         exc = RsDecodeError(
             f"{code}: {len(rows)} of {blocks.shape[0]} blocks uncorrectable"
         )
         exc.rows = rows  # type: ignore[attr-defined]
         raise exc
-    return data
+    return data[:, pad:]
+
+
+_WINDOW_WEIGHTS = (1 << np.arange(CC_CONSTRAINT_LENGTH)).astype(np.uint8)
 
 
 def _windows(bits: np.ndarray) -> np.ndarray:
-    # w_t = current bit in bit 6, previous bits below; zero initial state
-    padded = np.concatenate([np.zeros(_TAIL, np.uint8), bits]).astype(np.int64)
-    n = bits.size
-    w = np.zeros(n, dtype=np.int64)
-    for i in range(CC_CONSTRAINT_LENGTH):
-        w += padded[i : i + n] << i
-    return w
+    # trellis row of each step over bits and the zero tail: w_t = current
+    # bit in bit 6, previous bits below, zero initial state; w_t <= 127
+    # fits the uint8 that correlate sums in
+    padded = np.zeros(bits.size + 2 * _TAIL, np.uint8)
+    padded[_TAIL : _TAIL + bits.size] = bits
+    return np.correlate(padded, _WINDOW_WEIGHTS, "valid")
 
 
 def cc_encode(bits, code: ConvCode) -> np.ndarray:
@@ -171,13 +170,12 @@ def cc_encode(bits, code: ConvCode) -> np.ndarray:
     """
     bits = _as_bits(bits, "bits")
     table, keep = _TRELLIS[code.rate]
-    tailed = np.concatenate([bits, np.zeros(_TAIL, np.uint8)])
-    coded = table[_windows(tailed)].ravel()
+    coded = table.take(_windows(bits), axis=0)
     if keep is None:
-        return coded
-    if tailed.size % 2:
+        return coded.ravel()
+    if (bits.size + _TAIL) % 2:
         raise ValueError(f"rate-{code.rate} puncturing needs an even bit count")
-    return coded[np.tile(keep, tailed.size // 2)]
+    return coded.reshape(-1, keep.size).compress(keep, axis=1).ravel()
 
 
 def viterbi_decode(coded, code: ConvCode) -> np.ndarray:
@@ -195,8 +193,9 @@ def viterbi_decode(coded, code: ConvCode) -> np.ndarray:
             raise ValueError(
                 f"rate-{code.rate} stream length must be a multiple of {kept}, got {coded.size}"
             )
-        obs = np.full(coded.size // kept * keep.size, 2, dtype=np.uint8)
-        obs[np.tile(keep, coded.size // kept)] = coded
+        obs = np.full((coded.size // kept, keep.size), 2, dtype=np.uint8)
+        obs[:, keep] = coded.reshape(-1, kept)
+        obs = obs.ravel()
     if obs.size % table.shape[1]:
         raise ValueError(f"coded length {coded.size} does not fit rate {code.rate}")
     bits = _kernels.viterbi_decode(obs, table)

@@ -63,24 +63,24 @@ def _require_bound(mode: PhyMode) -> None:
         )
 
 
-def _bytes_to_nibbles(data: np.ndarray) -> np.ndarray:
-    out = np.empty(data.size * 2, dtype=np.uint8)
-    out[0::2] = data >> 4
-    out[1::2] = data & 0xF
-    return out
-
-
-def _nibbles_to_bytes(nibbles: np.ndarray) -> np.ndarray:
-    if nibbles.size % 2:
-        nibbles = np.concatenate([nibbles, np.zeros(1, np.uint8)])
-    return ((nibbles[0::2] << 4) | nibbles[1::2]).astype(np.uint8)
-
-
+# row b: byte b's high and low nibble
+_BYTE_NIBBLES = np.stack([np.arange(256) >> 4, np.arange(256) & 0xF], axis=1).astype(np.uint8)
 _NIBBLE_BITS = _chip_table(np.arange(16), 4)
 
 
+def _bytes_to_nibbles(data: np.ndarray) -> np.ndarray:
+    return _BYTE_NIBBLES.take(data, axis=0).ravel()
+
+
+def _nibbles_to_bytes(nibbles: np.ndarray) -> np.ndarray:
+    # nibbles are uint8, so the shifted high nibble stays uint8
+    if nibbles.size % 2:
+        nibbles = np.concatenate([nibbles, np.zeros(1, np.uint8)])
+    return (nibbles[0::2] << 4) | nibbles[1::2]
+
+
 def _nibbles_to_bits(nibbles: np.ndarray) -> np.ndarray:
-    return _NIBBLE_BITS[nibbles].ravel()
+    return _NIBBLE_BITS.take(nibbles, axis=0).ravel()
 
 
 def _add_rs(wire: np.ndarray, mode: PhyMode) -> np.ndarray:

@@ -56,7 +56,7 @@ def _as_uint8(x, top: int, message: str) -> np.ndarray:
         if not np.array_equal(cast, arr):
             raise ValueError(message)
         arr = cast
-    if top < 255 and arr.size and arr.max() > top:
+    if top < 255 and arr.size and np.maximum.reduce(arr, axis=None) > top:
         raise ValueError(message)
     return arr
 
@@ -119,7 +119,8 @@ TABLE_4B6B = np.array(
     dtype=np.uint8,
 )
 
-_REV_4B6B = np.full(64, -1, dtype=np.int16)
+# 0xFF marks the 48 words off the table
+_REV_4B6B = np.full(64, 0xFF, dtype=np.uint8)
 _REV_4B6B[TABLE_4B6B] = np.arange(16)
 _CHIPS_4B6B = _chip_table(TABLE_4B6B, 6)
 
@@ -127,7 +128,7 @@ _CHIPS_4B6B = _chip_table(TABLE_4B6B, 6)
 def encode_4b6b(nibbles) -> np.ndarray:
     """Map nibble values (0..15) to their 6-chip codewords, MSB first."""
     nibbles = _as_uint8(nibbles, 15, "nibbles must lie in 0..15").ravel()
-    return _CHIPS_4B6B[nibbles].ravel()
+    return _CHIPS_4B6B.take(nibbles, axis=0).ravel()
 
 
 def decode_4b6b(chips) -> np.ndarray:
@@ -136,12 +137,11 @@ def decode_4b6b(chips) -> np.ndarray:
     if chips.size % 6:
         raise LineCodeError("chip stream length must be a multiple of 6", chips.size // 6)
     words = _pack(chips, 6)
-    nibbles = _REV_4B6B[words]
-    bad = nibbles < 0
-    if bad.any():
-        idx = int(np.argmax(bad))
+    nibbles = _REV_4B6B.take(words)
+    if nibbles.size and np.maximum.reduce(nibbles) > 15:
+        idx = int(np.argmax(nibbles > 15))
         raise LineCodeError(f"invalid 4B6B codeword {words[idx]:06b}", idx)
-    return nibbles.astype(np.uint8)
+    return nibbles
 
 
 # 8b/10b code rules.  The stored 6b/4b words are the encodings used at
@@ -170,7 +170,8 @@ def _popcount(values: np.ndarray, nbits: int) -> np.ndarray:
 
 def _tables_8b10b():
     """The code rules evaluated over every byte and every 10-chip word at
-    both running disparities; row 1 of a (2, n) table is RD -1 before it."""
+    both running disparities.  A table of n entries per disparity holds
+    RD +1 before the symbol at 0..n-1 and RD -1 at n..2n-1."""
     unbal6 = _popcount(_T5B6B, 6) != 3
     flip6 = unbal6.copy()
     flip6[7] = True  # D.x7's balanced word still alternates (000111/111000)
@@ -188,7 +189,7 @@ def _tables_8b10b():
     alt7 = (x3 == 7) & np.where(neg_mid, np.isin(x5, (17, 18, 20)), np.isin(x5, (11, 13, 14)))
     word4 = np.where(neg_mid & flip4[x3], t4 ^ 0xF, t4)
     word4 = np.where(alt7, np.where(neg_mid, 0b0111, 0b1000), word4)
-    enc_chips = _chip_table(((word6 << 4) | word4).ravel(), 10).reshape(2, 256, 10)
+    enc_chips = _chip_table(((word6 << 4) | word4).ravel(), 10)
     enc_flip = unbal6[x5] ^ unbal4[x3]
 
     rev6 = np.full(64, -1)
@@ -208,11 +209,12 @@ def _tables_8b10b():
     bad_disp |= (d4 != 0) & (np.sign(d4) != -np.sign(rd_in + d6))
     status = np.where((x5 < 0) | (x3 < 0), 1, 2 * bad_disp).astype(np.uint8)
     dec_byte = ((x3 << 5 | x5) & 0xFF).astype(np.uint8)  # read only where valid
-    return enc_chips, enc_flip, dec_byte, (d6 != 0) ^ (d4 != 0), status
+    return enc_chips, enc_flip, dec_byte, (d6 != 0) ^ (d4 != 0), status.ravel()
 
 
-# _ENC_CHIPS[neg, byte]: the 10 chips; _ENC_FLIP[byte]: flips the disparity;
-# _DEC_STATUS[neg, word]: 0 valid, 1 off the code, 2 disparity violation
+# _ENC_CHIPS[256 * neg + byte]: the 10 chips; _ENC_FLIP[byte]: flips the
+# disparity; _DEC_STATUS[1024 * neg + word]: 0 valid, 1 off the code, 2 a
+# disparity violation
 _ENC_CHIPS, _ENC_FLIP, _DEC_BYTE, _DEC_FLIP, _DEC_STATUS = _tables_8b10b()
 
 
@@ -243,8 +245,8 @@ def encode_8b10b(data, disparity: int = -1) -> tuple[np.ndarray, int]:
     data = _as_uint8(data, 255, "data must hold byte values 0..255").ravel()
     if data.size == 0:
         return np.empty(0, dtype=np.uint8), rd0
-    neg_in, rd_out = _running(_ENC_FLIP[data], rd0)
-    return _ENC_CHIPS[neg_in.view(np.uint8), data].ravel(), rd_out
+    neg_in, rd_out = _running(_ENC_FLIP.take(data), rd0)
+    return _ENC_CHIPS.take(neg_in * 256 + data, axis=0).ravel(), rd_out
 
 
 def decode_8b10b(chips, disparity: int = -1) -> tuple[np.ndarray, int]:
@@ -261,10 +263,10 @@ def decode_8b10b(chips, disparity: int = -1) -> tuple[np.ndarray, int]:
     if chips.size == 0:
         return np.empty(0, dtype=np.uint8), rd0
     words = _pack(chips, 10)
-    neg_in, rd_out = _running(_DEC_FLIP[words], rd0)
-    status = _DEC_STATUS[neg_in.view(np.uint8), words]
+    neg_in, rd_out = _running(_DEC_FLIP.take(words), rd0)
+    status = _DEC_STATUS.take(neg_in * 1024 + words)
     if status.any():
         idx = int(np.argmax(status != 0))
         kind = "invalid 8b10b codeword" if status[idx] == 1 else "8b10b disparity violation in word"
         raise LineCodeError(f"{kind} {words[idx]:010b}", idx)
-    return _DEC_BYTE[words], rd_out
+    return _DEC_BYTE.take(words), rd_out

@@ -12,10 +12,13 @@ by that sample taking the covered fraction as its amplitude, which keeps
 the per-symbol mean exactly equal to the duty cycle at any dimming value.
 
 Waveforms are built and read one block of chips at a time, so peak memory
-is the waveform plus O(block).
+is the waveform plus O(block).  Each level's (2, SAMPLES_PER_CHIP) sample
+table is built once, on its first use, and kept read-only.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,6 +36,8 @@ __all__ = [
 SAMPLES_PER_CHIP = 4
 # chips per pass; np.take copies a block's uint8 indices as 8-byte intp
 _BLOCK = 1 << 14
+# levels whose sample tables are kept; past that the least recently used goes
+_TABLES = 64
 
 
 class ModulationError(ValueError):
@@ -46,6 +51,12 @@ def _modulate(chips, table: np.ndarray) -> np.ndarray:
     for i in range(0, chips.size, _BLOCK):
         np.take(table, chips[i : i + _BLOCK], axis=0, out=out[i : i + _BLOCK], mode="clip")
     return out.ravel()
+
+
+def _level(value) -> float:
+    # the table caches' key: a Python float, also for a numpy scalar or a
+    # 0-d or one-element array (float() warns on a one-element array)
+    return value if type(value) is float else np.asarray(value, dtype=np.float64).item()
 
 
 def _per_chip(samples) -> np.ndarray:
@@ -66,10 +77,18 @@ def _check_high(high: float) -> None:
         raise ValueError(f"high level must be finite and > 0, got {high!r}")
 
 
+@lru_cache(maxsize=_TABLES)
+def _ook_table(high: float) -> np.ndarray:
+    table = np.zeros((2, SAMPLES_PER_CHIP))
+    table[1] = high
+    table.flags.writeable = False
+    return table
+
+
 def ook_modulate(chips, high: float = 1.0) -> np.ndarray:
     """Chip 1 -> ``high`` level, chip 0 -> dark, four samples each."""
     _check_high(high)
-    return _modulate(chips, np.array([[0.0] * SAMPLES_PER_CHIP, [high] * SAMPLES_PER_CHIP]))
+    return _modulate(chips, _ook_table(_level(high)))
 
 
 def ook_demodulate(samples, high: float = 1.0) -> np.ndarray:
@@ -77,21 +96,30 @@ def ook_demodulate(samples, high: float = 1.0) -> np.ndarray:
     _check_high(high)
     per = _per_chip(samples)
     chips = np.empty(len(per), dtype=bool)
+    acc = np.empty(min(len(per), _BLOCK))
     for i in range(0, len(per), _BLOCK):
         b = per[i : i + _BLOCK]
+        mean = acc[: len(b)]
         # ((s0 + s1) + s2) + s3, the order in which numpy's mean(axis=1) sums
-        chips[i : i + _BLOCK] = (b[:, 0] + b[:, 1] + b[:, 2] + b[:, 3]) / 4 > high / 2.0
+        np.add(b[:, 0], b[:, 1], out=mean)
+        mean += b[:, 2]
+        mean += b[:, 3]
+        mean /= 4
+        np.greater(mean, high / 2.0, out=chips[i : i + _BLOCK])
     return chips.view(np.uint8)
 
 
-def _vppm_symbols(dimming: float) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=_TABLES)
+def _vppm_table(dimming: float) -> np.ndarray:
     # fraction of each quarter-chip sample covered by a width-`dimming`
-    # pulse anchored at the start (bit 1) or the end (bit 0) of the chip
+    # pulse anchored at the start (bit 1) or the end (bit 0) of the chip;
+    # row 0 is the trailing pulse, row 1 the leading one
     edges = np.arange(SAMPLES_PER_CHIP + 1) / SAMPLES_PER_CHIP
     lo, hi = edges[:-1], edges[1:]
     leading = np.clip(dimming - lo, 0.0, hi - lo) * SAMPLES_PER_CHIP
-    trailing = leading[::-1].copy()
-    return leading, trailing
+    table = np.array([leading[::-1], leading])
+    table.flags.writeable = False
+    return table
 
 
 def _check_dimming(dimming: float) -> None:
@@ -102,8 +130,7 @@ def _check_dimming(dimming: float) -> None:
 def vppm_modulate(bits, dimming: float) -> np.ndarray:
     """Map bits to pulse-position symbols with duty cycle ``dimming``."""
     _check_dimming(dimming)
-    leading, trailing = _vppm_symbols(dimming)
-    return _modulate(bits, np.array([trailing, leading]))
+    return _modulate(bits, _vppm_table(_level(dimming)))
 
 
 def vppm_demodulate(samples) -> np.ndarray:

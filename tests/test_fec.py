@@ -183,6 +183,23 @@ def test_rs_failure_reports_row_indices():
     assert "1 of 3" in str(exc.value)
 
 
+def test_rs_correction_into_the_virtual_prefix_fails_its_row():
+    """RS(14,7) decodes on the mother RS(15,8) behind one virtual zero.  A
+    mother codeword with a nonzero first symbol, that symbol dropped, is one
+    error away from a codeword: the mother decoder "corrects" the virtual
+    zero, and the shortened decode must call that row uncorrectable."""
+    code, mother = RsCode(14, 7), RsCode(15, 8)
+    full = rs_encode(np.array([[9, 1, 2, 3, 4, 5, 6, 7]], dtype=np.uint8), mother)
+    assert rs_decode(np.concatenate([[[0]], full[:, 1:]], axis=1), mother)[0, 0] == 9
+    clean = rs_encode(np.tile(np.arange(7, dtype=np.uint8), (3, 1)), code)
+    rows = np.concatenate([clean[:1], full[:, 1:], clean[1:]])
+    with pytest.raises(RsDecodeError) as exc:
+        rs_decode(rows, code)
+    assert exc.value.rows.tolist() == [1]
+    assert "1 of 4" in str(exc.value)
+    assert rs_decode(clean, code).tolist() == np.tile(np.arange(7), (3, 1)).tolist()
+
+
 @settings(max_examples=60)
 @given(st.integers(0, 2**32 - 1))
 def test_rs_bounded_distance_consistency(seed):

@@ -125,6 +125,40 @@ def test_ook_rejects_non_finite_levels():
             ook_demodulate(np.zeros(SAMPLES_PER_CHIP), high=high)
 
 
+# --- levels given as numpy values ---------------------------------------------
+#
+# The modulators keep one sample table per level, keyed on the level as a
+# Python float; a numpy scalar or a 0-d or one-element array still gives
+# the samples that the level itself gives, without a warning.
+
+
+def _vppm_samples(bits, dimming):
+    lo = np.arange(SAMPLES_PER_CHIP) / SAMPLES_PER_CHIP
+    leading = np.clip(dimming - lo, 0.0, 1 / SAMPLES_PER_CHIP) * SAMPLES_PER_CHIP
+    return np.concatenate([leading if b else leading[::-1] for b in bits])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dimming", [np.array(0.5), np.array([0.5]), np.float32(0.3), 0.3])
+def test_vppm_accepts_numpy_dimming(dimming):
+    bits = [1, 0, 0, 1, 1]
+    assert vppm_modulate(bits, dimming).tolist() == _vppm_samples(bits, dimming).tolist()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("high", [np.array(2.0), np.array([2.0]), np.float32(2.0), 2])
+def test_ook_accepts_numpy_high_level(high):
+    assert ook_modulate([1, 0], high).tolist() == [2.0] * 4 + [0.0] * 4
+
+
+def test_writing_into_a_waveform_leaves_the_next_one_alone():
+    for modulate in (ook_modulate, lambda chips: vppm_modulate(chips, 0.3)):
+        first = modulate([1, 0])
+        expected = first.tolist()
+        first[:] = -7.0
+        assert modulate([1, 0]).tolist() == expected
+
+
 # --- the block-wise demodulators against the unblocked expressions ----------
 #
 # The demodulators reduce one block of _BLOCK chips at a time.  These

@@ -329,6 +329,23 @@ def test_metrics_csv_shape_and_determinism():
     assert all(len(line.split(",")) == ncols for line in lines)
 
 
+def test_numpy_float_link_parameters_write_the_same_csv():
+    """Link stores capacity and delay as Python floats, so no cell reads
+    np.float64(...)."""
+    flows = [FlowSpec("f", 1, 3, rate_bps=1e6), FlowSpec("s", 1, 2)]
+    capacities, delays = [4e6, 2e6], [1e-4, 2.5e-5]
+    out = []
+    for convert in (float, np.float64):
+        t = line_topology([convert(c) for c in capacities], [convert(d) for d in delays])
+        assert all(type(l.capacity_bps) is float for l in t.links)
+        assert all(type(l.propagation_delay) is float for l in t.links)
+        buf = io.StringIO()
+        write_metrics_csv(run_simulation(t, flows, duration=0.02, seed=3), buf)
+        out.append(buf.getvalue())
+    assert out[0] == out[1]
+    assert "np." not in out[1]
+
+
 def test_metrics_summary_mentions_each_flow():
     t = line_topology([4e6])
     m = run_simulation(t, [FlowSpec("alpha", 1, 2, rate_bps=1e6)], duration=0.05)

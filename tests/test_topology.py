@@ -103,6 +103,17 @@ def test_node_address_range():
     Node(2**64 - 1, UD)  # max address is fine
 
 
+@pytest.mark.parametrize("address", [2.5, 3.0, "3"])
+def test_node_address_must_be_an_integer(address):
+    with pytest.raises(TopologyError, match="node address must be an integer"):
+        Node(address, UD)
+
+
+def test_numpy_integer_address_is_stored_as_int():
+    node = Node(np.int64(3), UD)
+    assert node.address == 3 and type(node.address) is int
+
+
 def test_line_of_sight_by_scenario():
     for s in (1, 2, 3):
         assert Link(1, 2, Technology.VLC_LED, scenario=s).line_of_sight
