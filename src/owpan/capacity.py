@@ -30,7 +30,6 @@ __all__ = [
     "cascade_capacity",
     "indoor_link_capacity",
     "outdoor_link_capacity",
-    "end_to_end_capacity",
     "sweep_capacity",
     "write_curves_csv",
 ]
@@ -209,17 +208,6 @@ def outdoor_link_capacity(
         params.bandwidth,
     )
     return link_capacity(snr, params.bandwidth)
-
-
-def end_to_end_capacity(params: LinkBudgetParams, alpha_db_per_km: float) -> float:
-    """Worst-link capacity of the full RF / laser / LED cascade."""
-    return cascade_capacity(
-        [
-            params.rf_capacity,
-            outdoor_link_capacity(params, alpha_db_per_km),
-            indoor_link_capacity(params),
-        ]
-    )
 
 
 def sweep_capacity(

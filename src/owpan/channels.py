@@ -8,15 +8,14 @@ receiver aperture.  The LED-hop functions read the validated, frozen
 their inputs.  Everything here is a pure function, so concurrent use needs
 no locking.
 
-Internally all quantities are SI (m, m^2, s, Hz, rad); attenuation
-coefficients are the lone exception and stay in dB/km, matching how they are
-normally quoted.  The laser-hop functions also take numpy arrays, which
+Internally all quantities are SI (m, m^2, rad); attenuation coefficients
+are the lone exception and stay in dB/km, matching how they are normally
+quoted.  The laser-hop functions also take numpy arrays, which
 broadcast against each other, and check every element as they check a scalar.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -28,7 +27,6 @@ __all__ = [
     "lambertian_order",
     "los_gain",
     "diffuse_gain",
-    "indoor_frequency_response",
     "beers_lambert_transmittance",
     "gaussian_beam_radius",
     "fso_capture_fraction",
@@ -82,25 +80,6 @@ def diffuse_gain(p: LinkBudgetParams) -> ChannelGain:
     """Single-bounce diffuse gain (A_pd / A_room) * rho / (1 - rho)."""
     rho = p.wall_reflectivity
     return ChannelGain(p.pd_area / p.room_area * rho / (1.0 - rho))
-
-
-def indoor_frequency_response(f: float, p: LinkBudgetParams) -> complex:
-    """Two-path response: delayed LOS ray plus low-pass filtered diffuse ray.
-
-    H(f) = g_los e^{-j 2 pi f t1} + g_dif e^{-j 2 pi f t2} / (1 + j f/f0)
-    so |H(0)| = g_los + g_dif.
-    """
-    if not (math.isfinite(f) and f >= 0.0):
-        raise ValueError(f"frequency must be finite and >= 0, got {f!r}")
-    g_los = los_gain(p)
-    g_dif = diffuse_gain(p)
-    direct = g_los * cmath.exp(-2j * math.pi * f * p.los_delay)
-    diffuse = (
-        g_dif
-        * cmath.exp(-2j * math.pi * f * p.nlos_delay)
-        / (1.0 + 1j * f / p.cutoff_frequency)
-    )
-    return direct + diffuse
 
 
 def _first_bad(value, bad):

@@ -25,7 +25,7 @@ from .netsim import (
     run_simulation,
     write_metrics_csv,
 )
-from .params import LinkBudgetParams, load_params
+from .params import load_params
 from .phy import frames
 from .phy.modes import data_rate, mode_by_name, phy_mode_catalog, write_catalog_tsv
 
@@ -46,14 +46,10 @@ def _open_output(spec: str):
             yield fh
 
 
-def _load_budget(path: str | None) -> LinkBudgetParams:
-    if path is None:
-        path = os.environ.get(PARAMS_ENV_VAR) or None
-    return load_params(path)
-
-
 def _cmd_capacity_sweep(args) -> int:
-    params = _load_budget(args.params)
+    params = load_params(
+        args.params if args.params is not None else os.environ.get(PARAMS_ENV_VAR) or None
+    )
     variable, lo, hi = _SWEEP_VARS[args.var]
     spec = cap.SweepSpec(
         variable=variable,

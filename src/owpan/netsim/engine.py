@@ -91,6 +91,10 @@ class FlowSpec:
             raise SimulationError(f"flow {self.name}: start time must be >= 0, got {self.start}")
         if self.rate_bps is not None and not self.rate_bps > 0:
             raise SimulationError(f"flow {self.name}: rate must be positive or saturating")
+        # a numpy float would reach the simulator's CSV as np.float64(...)
+        object.__setattr__(self, "start", float(self.start))
+        if self.rate_bps is not None:
+            object.__setattr__(self, "rate_bps", float(self.rate_bps))
 
     @property
     def saturating(self) -> bool:
@@ -231,6 +235,7 @@ def run_simulation(topology: Topology, flows, duration: float, seed: int = 0) ->
     flows = list(flows)
     if not 0 < duration < math.inf:
         raise SimulationError(f"duration must be positive and finite, got {duration}")
+    duration = float(duration)
     seed = _as_integer(seed, "seed", SimulationError)
     if seed < 0:
         raise SimulationError(f"seed must be a non-negative integer, got {seed}")

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 import operator
-import random
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 __all__ = [
@@ -28,10 +27,7 @@ __all__ = [
     "TopologyClass",
     "VLC_TECHNOLOGIES",
     "classify_topology",
-    "assign_addresses",
 ]
-
-_ADDRESS_BITS = 64
 
 
 class TopologyError(ValueError):
@@ -87,7 +83,7 @@ class Node:
 
     def __post_init__(self):
         object.__setattr__(self, "address", _as_integer(self.address, "node address"))
-        if not 0 <= self.address < 2**_ADDRESS_BITS:
+        if not 0 <= self.address < 2**64:
             raise TopologyError(f"address {self.address} outside 64-bit range")
         object.__setattr__(self, "capabilities", frozenset(self.capabilities))
         object.__setattr__(self, "protocols", frozenset(self.protocols))
@@ -271,24 +267,3 @@ def classify_topology(topology: Topology) -> TopologyClass:
         parallel_connections=parallel,
     )
 
-
-def assign_addresses(topology: Topology, seed: int) -> Topology:
-    """Re-address every node with a fresh random 64-bit address.
-
-    Deterministic per seed; collisions within one assignment are re-drawn
-    so uniqueness always holds.  Links are rewritten to the new addresses.
-    """
-    rng = random.Random(seed)
-    mapping = {}
-    used = set()
-    for node in topology.nodes:
-        addr = rng.getrandbits(_ADDRESS_BITS)
-        while addr in used:
-            addr = rng.getrandbits(_ADDRESS_BITS)
-        used.add(addr)
-        mapping[node.address] = addr
-    nodes = tuple(replace(n, address=mapping[n.address]) for n in topology.nodes)
-    links = tuple(
-        replace(l, src=mapping[l.src], dst=mapping[l.dst]) for l in topology.links
-    )
-    return Topology(nodes=nodes, links=links)

@@ -74,11 +74,9 @@ class LinkBudgetParams:
     ``rf_capacity`` is the fixed capacity assigned to the RF uplink,
     which is configured rather than modeled; it defaults to infinity so
     the optical links dominate any cascade unless the user says otherwise.
-    The LED-hop functions of :mod:`owpan.channels` read this type directly:
-    ``los_delay``/``nlos_delay`` are the arrival times of the direct and the
-    wall-reflected path, ``cutoff_frequency`` the 3 dB corner of the diffuse
-    path's low-pass response.  Each field declares its unit table and its
-    range; :meth:`__post_init__` checks every value against its range.
+    The LED-hop functions of :mod:`owpan.channels` read this type directly.
+    Each field declares its unit table and its range; :meth:`__post_init__`
+    stores every value as a Python number and checks it against its range.
     """
 
     attenuation_coeffs: tuple[float, ...] = _param(
@@ -95,9 +93,6 @@ class LinkBudgetParams:
     led_distance: float = _param(2.5, _LENGTH, _POSITIVE)  # m
     irradiance_angle: float = _param(1.7453, _ANGLE)  # rad
     bandwidth: float = _param(10e6, _FREQ, _POSITIVE)  # Hz
-    cutoff_frequency: float = _param(1.7111e6, _FREQ, _POSITIVE)  # Hz
-    los_delay: float = _param(0.01e-9, _TIME, _POSITIVE)  # s
-    nlos_delay: float = _param(0.03e-9, _TIME, _POSITIVE)  # s
     laser_responsivity: float = _param(0.8, _RESP, _POSITIVE)  # A/W
     pd_responsivity: float = _param(0.8, _RESP, _POSITIVE)  # A/W
     pr_over_n0: float = _param(30.0, _DB)  # dB
@@ -107,12 +102,17 @@ class LinkBudgetParams:
     sweep_points: int = _param(200, _BARE, (2, math.inf, "[2, inf)"))
 
     def __post_init__(self) -> None:
-        if not self.attenuation_coeffs:
-            raise ParamsError("attenuation_coeffs: need at least one value")
         for f in fields(self):
+            many, value = isinstance(f.default, tuple), getattr(self, f.name)
+            try:
+                value = tuple(map(_real, value)) if many else _real(value)
+            except (TypeError, ValueError, OverflowError):
+                kind = "a sequence of numbers" if many else "a number"
+                raise ParamsError(f"{f.name}: must be {kind}, got {value!r}") from None
+            if value == ():
+                raise ParamsError(f"{f.name}: need at least one value")
             low, high, interval = f.metadata["range"]
-            value = getattr(self, f.name)
-            for v in value if isinstance(value, tuple) else (value,):
+            for v in value if many else (value,):
                 if (low <= v if interval[0] == "[" else low < v) and (
                     v <= high if interval[-1] == "]" else v < high
                 ):
@@ -122,8 +122,18 @@ class LinkBudgetParams:
                 if interval.startswith("(0, inf"):
                     raise ParamsError(f"{f.name}: must be strictly positive, got {v!r}")
                 raise ParamsError(f"{f.name}: must lie in {interval}, got {v!r}")
-            if isinstance(f.default, int) and value != int(value):
+            if isinstance(f.default, int) and not value.is_integer():
                 raise ParamsError(f"{f.name}: must be an integer, got {value!r}")
+            # stored as the default's type: a tuple of floats, an int or a float
+            object.__setattr__(self, f.name, type(f.default)(value))
+
+
+def _real(value) -> float:
+    # a numpy float would reach the sweep CSV as np.float64(...); .item()
+    # also reads a one-element array, where float() warns
+    if isinstance(value, (str, bytes)):
+        raise TypeError(value)
+    return float(value.item() if hasattr(value, "item") else value)
 
 
 # what the text before a unit may end in: a separator or the end of a number
@@ -165,9 +175,7 @@ def _parse_value(f: Field, body: str) -> object:
     numbers, factor = _split_unit(body, f.metadata["units"])
     if isinstance(f.default, tuple):
         return tuple(_number(p, factor) for p in numbers.split(","))
-    v = _number(numbers, factor)
-    # a non-integer, inf or nan stays a float, for the range check to name
-    return int(v) if isinstance(f.default, int) and v.is_integer() else v
+    return _number(numbers, factor)
 
 
 def parse_params(
@@ -209,7 +217,5 @@ def parse_params(
 
 def load_params(path: str | Path | None) -> LinkBudgetParams:
     """Load a parameter file; ``None`` yields the built-in defaults."""
-    if path is None:
-        return LinkBudgetParams()
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_params(text.splitlines())
+    lines = [] if path is None else Path(path).read_text(encoding="utf-8").splitlines()
+    return parse_params(lines)

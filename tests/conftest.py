@@ -1,13 +1,16 @@
 """Fixtures shared by the test modules."""
 
 import os
+import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import owpan
+from owpan.netsim.topology import Topology
 
 
 @pytest.fixture
@@ -32,5 +35,24 @@ def run_fresh():
             [sys.executable, "-c", hop], env=env, capture_output=True, text=True, check=True
         )
         return done.stdout
+
+    return run
+
+
+@pytest.fixture(scope="session")
+def readdress():
+    """Give every node of a topology a fresh, distinct random 64-bit address
+    drawn from ``seed``, and rewrite its links to match."""
+
+    def run(topology: Topology, seed: int) -> Topology:
+        rng = random.Random(seed)
+        fresh = set()
+        while len(fresh) < len(topology.nodes):
+            fresh.add(rng.getrandbits(64))
+        new = dict(zip((n.address for n in topology.nodes), fresh))
+        return Topology(
+            nodes=tuple(replace(n, address=new[n.address]) for n in topology.nodes),
+            links=tuple(replace(l, src=new[l.src], dst=new[l.dst]) for l in topology.links),
+        )
 
     return run

@@ -24,7 +24,6 @@ from owpan.netsim.topology import (
     NodeKind,
     Technology,
     Topology,
-    assign_addresses,
     classify_topology,
 )
 from owpan.params import LinkBudgetParams
@@ -295,7 +294,7 @@ def _random_topology(rng: random.Random) -> Topology:
     return Topology(nodes=tuple(nodes), links=tuple(links))
 
 
-def test_criterion_6_classifier(capsys):
+def test_criterion_6_classifier(capsys, readdress):
     """Canonical shapes classify as expected; classification is invariant
     under node/link reordering and re-addressing, 500 random topologies."""
 
@@ -313,7 +312,7 @@ def test_criterion_6_classifier(capsys):
             rng.shuffle(nodes)
             rng.shuffle(links)
             shuffled = Topology(nodes=tuple(nodes), links=tuple(links))
-            relabeled = assign_addresses(shuffled, seed=trial * 31 + 7)
+            relabeled = readdress(shuffled, trial * 31 + 7)
             assert classify_topology(shuffled) == base
             assert classify_topology(relabeled) == base
 

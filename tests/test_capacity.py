@@ -16,7 +16,6 @@ from owpan.capacity import (
     SweepVariable,
     cascade_capacity,
     electrical_snr,
-    end_to_end_capacity,
     indoor_link_capacity,
     link_capacity,
     outdoor_link_capacity,
@@ -229,13 +228,6 @@ class TestLinkCapacities:
         p = LinkBudgetParams()
         assert indoor_link_capacity(p) > 0.0
 
-    def test_end_to_end_is_min_of_links(self):
-        p = LinkBudgetParams()
-        e2e = end_to_end_capacity(p, 5.0)
-        assert e2e <= outdoor_link_capacity(p, 5.0)
-        assert e2e <= indoor_link_capacity(p)
-        assert e2e <= p.rf_capacity
-
     def test_scaling_responsivity_against_gain_cancels(self):
         # capacity depends only on the responsivity * gain product
         a = electrical_snr(pr_over_n0_db=12.0, responsivity=0.4, channel_gain=0.6)
@@ -442,7 +434,6 @@ class TestArrayCapacity:
         assert type(link_capacity(3.0, 1.0)) is float
         assert type(outdoor_link_capacity(p, 5.0)) is float
         assert type(indoor_link_capacity(p)) is float
-        assert type(end_to_end_capacity(p, 5.0)) is float
         snr = electrical_snr(pr_over_n0_db=30.0, responsivity=0.8, channel_gain=0.5)
         assert type(snr) is float
 

@@ -20,7 +20,6 @@ from owpan.channels import (
     fso_capture_fraction,
     fso_gain,
     gaussian_beam_radius,
-    indoor_frequency_response,
     lambertian_order,
     los_gain,
 )
@@ -125,41 +124,6 @@ class TestDiffuseGain:
         ]
         assert gains == sorted(gains)
         assert gains[0] < gains[-1]
-
-
-class TestFrequencyResponse:
-    def test_frozen_magnitude_at_ten_megahertz(self):
-        h = indoor_frequency_response(10e6, LinkBudgetParams())
-        assert abs(h) == pytest.approx(4.0927860020245128e-7, rel=1e-11)
-
-    def test_dc_equals_los_plus_diffuse(self):
-        p = LinkBudgetParams(irradiance_angle=0.2)
-        h0 = indoor_frequency_response(0.0, p)
-        assert h0.imag == 0.0
-        assert h0.real == pytest.approx(los_gain(p) + diffuse_gain(p), rel=1e-12)
-
-    def test_three_db_point_of_pure_diffuse_response(self):
-        # LOS clamped off by the default irradiance angle, so the response
-        # is one-pole low-pass: |H(f0)| = |H(0)| / sqrt(2)
-        p = LinkBudgetParams()
-        h0 = abs(indoor_frequency_response(0.0, p))
-        hc = abs(indoor_frequency_response(p.cutoff_frequency, p))
-        assert hc == pytest.approx(h0 / math.sqrt(2.0), rel=1e-12)
-
-    def test_pure_diffuse_magnitude_non_increasing(self):
-        p = LinkBudgetParams()
-        freqs = [0.0, 1e5, 1e6, 5e6, 2e7, 1e8]
-        mags = [abs(indoor_frequency_response(f, p)) for f in freqs]
-        assert all(a >= b for a, b in zip(mags, mags[1:]))
-
-    def test_rejects_negative_frequency(self):
-        with pytest.raises(ValueError):
-            indoor_frequency_response(-1.0, LinkBudgetParams())
-
-    @pytest.mark.parametrize("f", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite_frequency(self, f):
-        with pytest.raises(ValueError, match=f"^frequency must be finite and >= 0, got {f!r}$"):
-            indoor_frequency_response(f, LinkBudgetParams())
 
 
 class TestBeersLambert:

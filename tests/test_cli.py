@@ -1,16 +1,19 @@
 """Command-line interface: subcommands, outputs, and exit codes."""
 
 import hashlib
+import itertools
 import math
 import os
 import subprocess
 import sys
+from dataclasses import fields, replace
 
 import pytest
 
 import owpan
 from owpan import capacity as cap
 from owpan.cli import PARAMS_ENV_VAR, main
+from owpan.params import LinkBudgetParams
 
 TOPOLOGY = """
 node ud kind=UserDevice
@@ -320,6 +323,64 @@ def test_capacity_sweep_csv_matches_pinned_digest(name, tmp_path, capsys):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("key", ["cutoff_frequency", "los_delay", "nlos_delay"])
+def test_capacity_sweep_rejects_a_frequency_response_key(tmp_path, capsys, key):
+    params = tmp_path / "old.txt"
+    params.write_text(f"span = 160 m\n{key} = 1\n")
+    code, out, err = run_cli(["capacity-sweep", "--var", "L", "--params", str(params)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: line 2: unknown key '{key}'\n"
+
+
+def _params_text(params):
+    """``params`` as a parameter file, each value in its field's SI unit."""
+    lines = []
+    for f in fields(params):
+        unit = next(u for u, factor in f.metadata["units"].items() if factor == 1.0)
+        value = getattr(params, f.name)
+        text = ", ".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+        lines.append(f"{f.name} = {text} {unit}\n")
+    return "".join(lines)
+
+
+def _scaled(value, factor):
+    if isinstance(value, tuple):
+        return tuple(v * factor for v in value)
+    return round(value * factor) if isinstance(value, int) else value * factor
+
+
+def test_every_link_budget_field_reaches_the_sweep_output(tmp_path, capsys):
+    """Each field, moved 10% down or up, changes what capacity-sweep prints
+    over both variables, laser-only and end-to-end.  At this base both LED
+    paths carry light, and the RF capacity sits just below the LED floor,
+    so a change to any hop shows in the end-to-end curves."""
+    base = LinkBudgetParams(irradiance_angle=0.2, incidence_angle=0.3, sweep_points=20)
+    base = replace(base, rf_capacity=cap.indoor_link_capacity(base) * (1 - 1e-6))
+    path = tmp_path / "p.txt"
+
+    def outputs(params):
+        path.write_text(_params_text(params))
+        texts = []
+        for var, flags in itertools.product(("L", "pr_n0"), ([], ["--end-to-end"])):
+            code, out, err = run_cli(
+                ["capacity-sweep", "--var", var, "--params", str(path), *flags], capsys
+            )
+            assert (code, err) == (0, "")
+            texts.append(out)
+        return texts
+
+    want = outputs(base)
+    silent = [
+        f.name
+        for f in fields(LinkBudgetParams)
+        if all(
+            outputs(replace(base, **{f.name: _scaled(getattr(base, f.name), k)})) == want
+            for k in (0.9, 1.1)
+        )
+    ]
+    assert silent == []
 
 
 def test_capacity_sweep_gnuplot_script(tmp_path, capsys):

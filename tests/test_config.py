@@ -19,7 +19,7 @@ from owpan.netsim.topology import (
     Technology,
     classify_topology,
 )
-from owpan.params import parse_params
+from owpan.params import _TIME, _number, _split_unit, parse_params
 
 BASIC = """
 # a three-hop relayed chain
@@ -137,9 +137,11 @@ def test_units_read_the_same_as_in_a_params_file(rate, time):
     )
     link, flow = cfg.topology.links[0], cfg.flows[0]
     for r, t in ((rate, time), (_spaced(rate), _spaced(time))):
-        p = parse_params([f"rf_capacity = {r}", f"los_delay = {t}"])
+        p = parse_params([f"rf_capacity = {r}"])
         assert link.capacity_bps == flow.rate_bps == p.rf_capacity
-        assert link.propagation_delay == flow.start == cfg.duration == p.los_delay
+        assert link.propagation_delay == flow.start == cfg.duration == _number(
+            *_split_unit(t, _TIME)
+        )
 
 
 def test_missing_sim_line_leaves_none():

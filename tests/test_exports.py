@@ -57,5 +57,12 @@ def test_removed_relay_helpers_are_gone(name):
         assert not hasattr(module, gone)
 
 
+@pytest.mark.parametrize("name", PUBLIC_MODULES)
+def test_removed_unread_helpers_are_gone(name):
+    module = importlib.import_module(name)
+    for gone in ("end_to_end_capacity", "indoor_frequency_response", "assign_addresses"):
+        assert not hasattr(module, gone)
+
+
 def test_link_budget_params_has_no_indoor_view():
     assert not hasattr(owpan.LinkBudgetParams, "indoor")

@@ -5,11 +5,20 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from owpan.params import LinkBudgetParams, ParamsError, load_params, parse_params
+from owpan.params import (
+    _TIME,
+    LinkBudgetParams,
+    ParamsError,
+    _number,
+    _split_unit,
+    load_params,
+    parse_params,
+)
 
 FILE_FORMATS = Path(__file__).resolve().parents[1] / "docs" / "file-formats.md"
 
@@ -29,9 +38,6 @@ class TestDefaults:
         assert p.led_distance == 2.5
         assert p.irradiance_angle == 1.7453
         assert p.bandwidth == 10e6
-        assert p.cutoff_frequency == 1.7111e6
-        assert p.los_delay == 0.01e-9
-        assert p.nlos_delay == 0.03e-9
         assert p.laser_responsivity == 0.8
         assert p.pd_responsivity == 0.8
         assert p.pr_over_n0 == 30.0
@@ -80,9 +86,9 @@ class TestUnits:
         )
 
     def test_frequency_and_time_units(self):
-        p = parse_params(["bandwidth = 10 MHz", "los_delay = 0.01 ns"])
-        assert p.bandwidth == 10e6
-        assert p.los_delay == pytest.approx(1e-11)
+        assert parse_params(["bandwidth = 10 MHz"]).bandwidth == 10e6
+        # no link-budget key is a time; the network config reads this table
+        assert _number(*_split_unit("0.01 ns", _TIME)) == pytest.approx(1e-11)
 
     def test_rate_units_and_infinity(self):
         assert parse_params(["rf_capacity = 54 Mbps"]).rf_capacity == 54e6
@@ -108,6 +114,12 @@ class TestErrors:
         # the laser hop takes its spread from the beam waist and wavelength
         with pytest.raises(ParamsError, match="unknown key 'divergence'"):
             parse_params(["divergence = 0.838 urad"])
+
+    @pytest.mark.parametrize("key", ["cutoff_frequency", "los_delay", "nlos_delay"])
+    def test_frequency_response_keys_are_gone(self, key):
+        # their only reader, a two-path LED frequency response, fed no command
+        with pytest.raises(ParamsError, match=f"^line 2: unknown key '{key}'$"):
+            parse_params(["span = 160 m", f"{key} = 1"])
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ParamsError, match="duplicate"):
@@ -220,10 +232,36 @@ class TestDeclarations:
         with pytest.raises(ParamsError, match=f"^{field}: must "):
             LinkBudgetParams(**{field: value})
 
+    def test_constructor_stores_python_numbers(self):
+        # a numpy float would reach the sweep CSV as np.float64(...)
+        for coeffs in ((np.float64(5.0), 20), [5.0, 20.0], np.array([5.0, 20.0])):
+            p = LinkBudgetParams(
+                attenuation_coeffs=coeffs, span=np.float32(160.0), sweep_points=np.int64(8)
+            )
+            assert p.attenuation_coeffs == (5.0, 20.0)
+            assert all(type(v) is float for v in p.attenuation_coeffs)
+            assert (type(p.span), type(p.sweep_points)) == (float, int)
+        assert type(LinkBudgetParams(span=np.array([160.0])).span) is float
+        assert type(LinkBudgetParams(sweep_points=64.0).sweep_points) is int
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("attenuation_coeffs", 5.0, "must be a sequence of numbers, got 5.0"),
+            ("attenuation_coeffs", ["5"], r"must be a sequence of numbers, got \['5'\]"),
+            ("span", "160", "must be a number, got '160'"),
+            ("span", None, "must be a number, got None"),
+            ("span", np.array([1.0, 2.0]), r"must be a number, got array\(\[1\., 2\.\]\)"),
+            ("bandwidth", 1j, "must be a number, got 1j"),
+        ],
+    )
+    def test_constructor_names_a_value_that_is_no_number(self, field, value, message):
+        with pytest.raises(ParamsError, match=f"^{field}: {message}$"):
+            LinkBudgetParams(**{field: value})
+
     def test_bare_time_is_seconds_and_rate_units_include_infinity(self):
-        p = parse_params(["los_delay = 2e-11", "rf_capacity = infGbps"])
-        assert p.los_delay == 2e-11
-        assert p.rf_capacity == math.inf
+        assert _split_unit("2e-11", _TIME) == ("2e-11", 1.0)
+        assert parse_params(["rf_capacity = infGbps"]).rf_capacity == math.inf
 
 
 class TestAccessors:

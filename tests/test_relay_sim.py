@@ -346,6 +346,27 @@ def test_numpy_float_link_parameters_write_the_same_csv():
     assert "np." not in out[1]
 
 
+def test_numpy_float_flow_times_and_duration_write_the_same_output():
+    """FlowSpec stores start and rate, and run_simulation the duration, as
+    Python floats, so neither the CSV nor the summary reads np.float64(...)."""
+    t = line_topology([4e6, 2e6], [1e-4, 2.5e-5])
+    out = []
+    for convert in (float, np.float64):
+        flows = [
+            FlowSpec("f", 1, 3, rate_bps=convert(1e6), start=convert(0.001)),
+            FlowSpec("s", 1, 2, start=convert(0.0)),
+        ]
+        assert all(type(f.start) is float for f in flows)
+        assert type(flows[0].rate_bps) is float and flows[1].rate_bps is None
+        m = run_simulation(t, flows, duration=convert(0.02), seed=3)
+        assert type(m.duration) is float
+        buf = io.StringIO()
+        write_metrics_csv(m, buf)
+        out.append(buf.getvalue() + metrics_summary(m))
+    assert out[0] == out[1]
+    assert "np." not in out[1]
+
+
 def test_metrics_summary_mentions_each_flow():
     t = line_topology([4e6])
     m = run_simulation(t, [FlowSpec("alpha", 1, 2, rate_bps=1e6)], duration=0.05)

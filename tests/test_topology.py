@@ -19,7 +19,6 @@ from owpan.netsim.topology import (
     Topology,
     TopologyClass,
     TopologyError,
-    assign_addresses,
     classify_topology,
 )
 
@@ -288,22 +287,12 @@ def build_random_topology(rng: random.Random) -> Topology:
     return make(nodes, links)
 
 
-def test_assign_addresses_deterministic_and_unique():
-    t = build_random_topology(random.Random(1))
-    a = assign_addresses(t, seed=42)
-    b = assign_addresses(t, seed=42)
-    assert [n.address for n in a.nodes] == [n.address for n in b.nodes]
-    assert len({n.address for n in a.nodes}) == len(a.nodes)
-    c = assign_addresses(t, seed=43)
-    assert [n.address for n in c.nodes] != [n.address for n in a.nodes]
-
-
 @settings(max_examples=60)
 @given(st.integers(0, 10_000), st.integers(0, 10_000))
-def test_classification_survives_readdressing(topo_seed, addr_seed):
+def test_classification_survives_readdressing(readdress, topo_seed, addr_seed):
     """Classification depends on structure, never on address values."""
     t = build_random_topology(random.Random(topo_seed))
-    relabeled = assign_addresses(t, seed=addr_seed)
+    relabeled = readdress(t, addr_seed)
     assert classify_topology(relabeled) == classify_topology(t)
 
 
