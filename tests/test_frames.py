@@ -26,6 +26,7 @@ from owpan.phy.frames import (
     encode_to_chips,
 )
 from owpan.phy.modes import LineCode, Modulation, mode_by_name, phy_mode_catalog
+from owpan.phy.modulation import vppm_modulate
 
 GOLDEN = Path(__file__).parent / "golden" / "frame_phy1_ook_11k.hex"
 
@@ -288,6 +289,21 @@ def test_catalog_only_mode_is_rejected_before_the_frame_boundary(decode):
     assert not isinstance(exc.value, FrameDecodeError)
 
 
+def _overwrite(chips, at, junk):
+    # a copy of chips with junk written from chip `at` on
+    chips = np.array(chips, dtype=np.uint8)
+    chips[at : at + len(junk)] = junk
+    return chips
+
+
+def _vppm_tie_at(index):
+    # a VPPM waveform of index + 1 leading pulses whose last chip is dark,
+    # so that its two half energies tie
+    waveform = vppm_modulate(np.ones(index + 1, np.uint8), 0.5)
+    waveform[4 * index :] = 0.0
+    return waveform
+
+
 def _garbled_rs_blocks(code):
     blocks = np.zeros((2, code.n), np.uint8)
     blocks[0] = np.arange(code.n)  # far outside the code's correction radius
@@ -323,6 +339,79 @@ _STAGE_ERRORS = {
     "rs_shortened_uncorrectable": (
         lambda: rs_decode(_garbled_rs_blocks(RsCode(14, 7)), RsCode(14, 7)),
         "RS(14,7): 1 of 2 blocks uncorrectable",
+    ),
+    "frame_manchester_pair_11": (
+        lambda: decode_from_chips(
+            _overwrite(line_codes.manchester_encode([0] * 8), 6, [1, 1]),
+            mode_by_name("phy1-ook-100k"),
+        ),
+        "invalid Manchester chip pair 11 (symbol index 3)",
+    ),
+    "frame_manchester_pair_00": (
+        lambda: decode_from_chips(
+            _overwrite(line_codes.manchester_encode([1] * 8), 4, [0, 0]),
+            mode_by_name("phy1-ook-24k"),
+        ),
+        "invalid Manchester chip pair 00 (symbol index 2)",
+    ),
+    "frame_manchester_odd_length": (
+        lambda: decode_from_chips(np.zeros(9), mode_by_name("phy1-ook-73k")),
+        "chip stream length must be even (symbol index 4)",
+    ),
+    "frame_4b6b_off_table": (
+        lambda: decode_from_chips(
+            _overwrite(line_codes.encode_4b6b([1] * 5), 12, [1, 1, 1, 0, 0, 0]),
+            mode_by_name("phy1-vppm-124k"),
+        ),
+        "invalid 4B6B codeword 111000 (symbol index 2)",
+    ),
+    "frame_4b6b_length": (
+        lambda: decode_from_chips(
+            line_codes.encode_4b6b([1] * 5)[:-1], mode_by_name("phy1-vppm-266k")
+        ),
+        "chip stream length must be a multiple of 6 (symbol index 4)",
+    ),
+    "frame_8b10b_invalid_word": (
+        lambda: decode_from_chips(
+            _overwrite(line_codes.encode_8b10b([0, 5, 1])[0], 10, [0] * 10),
+            mode_by_name("phy2-ook-96m"),
+        ),
+        "invalid 8b10b codeword 0000000000 (symbol index 1)",
+    ),
+    "frame_8b10b_disparity": (
+        # byte 3 at negative disparity, twice: the first word leaves the
+        # running disparity positive, where the second is a violation
+        lambda: decode_from_chips(
+            np.tile(line_codes.encode_8b10b([3], disparity=-1)[0], 2),
+            mode_by_name("phy2-ook-6m"),
+        ),
+        "8b10b disparity violation in word 1100011011 (symbol index 1)",
+    ),
+    "frame_8b10b_length": (
+        lambda: decode_from_chips(
+            line_codes.encode_8b10b([0, 5, 1])[0][:-3], mode_by_name("phy2-ook-96m")
+        ),
+        "chip stream length must be a multiple of 10 (symbol index 2)",
+    ),
+    "frame_vppm_tie_in_a_later_block": (
+        lambda: decode_frame(_vppm_tie_at(20000), mode_by_name("phy1-vppm-266k")),
+        "ambiguous VPPM symbol at index 20000: equal half energies",
+    ),
+    "frame_samples_not_whole_chips": (
+        lambda: decode_frame(np.zeros(5), mode_by_name("phy1-ook-100k")),
+        "sample count 5 is not a whole number of chips",
+    ),
+    "frame_viterbi_length": (
+        lambda: decode_from_chips(
+            line_codes.manchester_encode([0] * 5), mode_by_name("phy1-ook-24k")
+        ),
+        "coded length 5 does not fit rate 1/3",
+    ),
+    "frame_viterbi_punctured_length": (
+        lambda: decode_from_chips(
+            line_codes.manchester_encode([0] * 4), mode_by_name("phy1-ook-48k")
+        ),
+        "rate-2/3 stream length must be a multiple of 3, got 4",
     ),
     "frame_partial_rs_block": (
         lambda: decode_from_chips(
