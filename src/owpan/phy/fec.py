@@ -9,6 +9,13 @@ The convolutional code is the constraint-length-7 family: a rate-1/3
 mother code (generators 133, 171, 165 octal), extended to rate 1/4 by a
 fourth generator and punctured to rate 2/3.  Encoding appends six zero
 tail bits so the decoder's traceback can start from the zero state.
+
+Both decoders are receive stages whose private form takes a checked
+array.  ``_rs_decode`` returns ``(data, bad)``, ``bad`` marking each
+uncorrectable block; ``rs_decode`` checks its input, calls it, then raises
+through ``line_codes._raise_first``.  ``_viterbi_decode`` only skips the
+input check.  The frame receive chain checks its input once and calls the
+private forms only.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .. import _kernels
-from .line_codes import _as_bits, _as_uint8, _popcount
+from .line_codes import _as_bits, _as_uint8, _popcount, _raise_first
 
 __all__ = [
     "RsCode",
@@ -130,24 +137,34 @@ def rs_encode(data, code: RsCode) -> np.ndarray:
     return _kernels.rs_encode_blocks(data, code.base_k)[:, pad:]
 
 
+def _rs_decode(blocks: np.ndarray, code: RsCode) -> tuple[np.ndarray, np.ndarray]:
+    # (data, bad) for checked (N, n) blocks: bad marks each block the kernel
+    # flags, or corrects inside the virtual prefix (an error pattern outside
+    # the shortened code)
+    blocks, pad = _unshorten(blocks, code)
+    data, failed = _kernels.rs_decode_blocks(blocks, code.base_k)
+    bad = failed | data[:, :pad].any(axis=1) if pad else failed
+    return data[:, pad:], bad
+
+
+def _raise_uncorrectable(bad: np.ndarray, code: RsCode) -> None:
+    def error(_: int) -> RsDecodeError:
+        exc = RsDecodeError(f"{code}: {np.count_nonzero(bad)} of {bad.size} blocks uncorrectable")
+        exc.rows = np.flatnonzero(bad)  # type: ignore[attr-defined]
+        return exc
+
+    _raise_first(bad, error)
+
+
 def rs_decode(blocks, code: RsCode) -> np.ndarray:
     """Decode rows of shape (N, n) back to (N, k) data symbols.
 
     Raises :class:`RsDecodeError` if any row is flagged uncorrectable;
     the exception carries the failing row indices in ``.rows``.
     """
-    blocks, pad = _unshorten(_as_symbols(blocks, code.n, "blocks"), code)
-    data, failed = _kernels.rs_decode_blocks(blocks, code.base_k)
-    # a correction inside the virtual prefix means the error pattern was
-    # outside the shortened code
-    if failed.any() or (pad and data[:, :pad].any()):
-        rows = np.nonzero(failed | data[:, :pad].any(axis=1))[0]
-        exc = RsDecodeError(
-            f"{code}: {len(rows)} of {blocks.shape[0]} blocks uncorrectable"
-        )
-        exc.rows = rows  # type: ignore[attr-defined]
-        raise exc
-    return data[:, pad:]
+    data, bad = _rs_decode(_as_symbols(blocks, code.n, "blocks"), code)
+    _raise_uncorrectable(bad, code)
+    return data
 
 
 _WINDOW_WEIGHTS = (1 << np.arange(CC_CONSTRAINT_LENGTH)).astype(np.uint8)
@@ -178,13 +195,7 @@ def cc_encode(bits, code: ConvCode) -> np.ndarray:
     return coded.reshape(-1, keep.size).compress(keep, axis=1).ravel()
 
 
-def viterbi_decode(coded, code: ConvCode) -> np.ndarray:
-    """Maximum-likelihood decode of a ``cc_encode`` stream (tail removed).
-
-    Punctured positions are restored as erasures, which the trellis metric
-    skips, so the rate-2/3 stream decodes on the rate-1/3 trellis.
-    """
-    coded = _as_bits(coded, "coded bits")
+def _viterbi_decode(coded: np.ndarray, code: ConvCode) -> np.ndarray:
     table, keep = _TRELLIS[code.rate]
     obs = coded
     if keep is not None:
@@ -202,3 +213,12 @@ def viterbi_decode(coded, code: ConvCode) -> np.ndarray:
     if bits.size < _TAIL:
         raise ValueError("coded stream shorter than the tail")
     return bits[:-_TAIL].copy()
+
+
+def viterbi_decode(coded, code: ConvCode) -> np.ndarray:
+    """Maximum-likelihood decode of a ``cc_encode`` stream (tail removed).
+
+    Punctured positions are restored as erasures, which the trellis metric
+    skips, so the rate-2/3 stream decodes on the rate-1/3 trellis.
+    """
+    return _viterbi_decode(_as_bits(coded, "coded bits"), code)

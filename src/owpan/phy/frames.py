@@ -9,6 +9,12 @@ bytes round-trips through any mode.  It is total: any input array yields
 the payload or a FrameDecodeError.  Only a catalog-only mode raises a plain
 ValueError, before any sample is read.
 
+The receive chain checks its input once (``_per_chip`` for a waveform,
+``_as_bits`` for chips) and then calls each stage's private form, which
+returns ``(values, bad)`` for an already-checked array.  After each stage
+it raises at the first bad symbol with the message the stage's public
+function gives, so the first bad stage in chain order is the one reported.
+
 The 8b/10b modes keep RS symbol padding aligned to whole bytes: RS(14,7)
 blocks are 7 bytes long by construction, and RS(15,12) data is padded to
 an even block count so the coded stream always packs into bytes.
@@ -21,8 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import line_codes, modulation
-from .fec import cc_encode, rs_decode, rs_encode, viterbi_decode
-from .line_codes import _as_bits, _chip_table, _pack
+from .fec import _raise_uncorrectable, _rs_decode, _viterbi_decode, cc_encode, rs_encode
+# not called here, but perfbench/layers.py times the FEC stages as these
+# attributes of this module
+from .fec import rs_decode, viterbi_decode  # noqa: F401
+from .line_codes import _as_bits, _chip_table, _pack, _raise_bad_word
 from .modes import LineCode, Modulation, PhyMode
 
 __all__ = [
@@ -108,7 +117,9 @@ def _strip_rs(symbols: np.ndarray, mode: PhyMode) -> np.ndarray:
             raise FrameDecodeError(
                 f"{symbols.size} symbols do not form whole RS({rs.n},{rs.k}) blocks"
             )
-        symbols = rs_decode(symbols.reshape(-1, rs.n), rs).ravel()
+        data, bad = _rs_decode(symbols.reshape(-1, rs.n), rs)
+        _raise_uncorrectable(bad, rs)
+        symbols = data.ravel()
     return _nibbles_to_bytes(symbols)
 
 
@@ -160,18 +171,25 @@ def _receive(signal: np.ndarray, mode: PhyMode, demodulate: bool) -> bytes:
     with every ValueError they raise reported as a FrameDecodeError."""
     _require_bound(mode)
     try:
-        if demodulate and mode.modulation is Modulation.VPPM:
-            signal = modulation.vppm_demodulate(signal)
-        elif demodulate:
-            signal = modulation.ook_demodulate(signal)
-        if mode.line_code is LineCode.EIGHT_B_TEN_B:
-            coded = _bytes_to_nibbles(line_codes.decode_8b10b(signal)[0])
-        elif mode.line_code is LineCode.FOUR_B_SIX_B:
-            coded = line_codes.decode_4b6b(signal)
+        if not demodulate:
+            chips = _as_bits(signal, "chips")
+        elif mode.modulation is Modulation.VPPM:
+            chips, bad = modulation._vppm_demodulate(modulation._per_chip(signal))
+            modulation._raise_tie(bad)
         else:
-            bits = line_codes.manchester_decode(signal)
+            chips, _ = modulation._ook_demodulate(modulation._per_chip(signal), 1.0)
+        if mode.line_code is LineCode.EIGHT_B_TEN_B:
+            (data, _), bad = line_codes._decode_8b10b(chips, -1)
+            _raise_bad_word(chips, 10, bad)
+            coded = _bytes_to_nibbles(data)
+        elif mode.line_code is LineCode.FOUR_B_SIX_B:
+            coded, bad = line_codes._decode_4b6b(chips)
+            _raise_bad_word(chips, 6, bad)
+        else:
+            bits, bad = line_codes._manchester_decode(chips)
+            _raise_bad_word(chips, 2, bad)
             if mode.inner_code is not None:
-                bits = viterbi_decode(bits, mode.inner_code)
+                bits = _viterbi_decode(bits, mode.inner_code)
             if bits.size % 4:
                 raise FrameDecodeError(f"bit stream length {bits.size} is not nibble-aligned")
             coded = _pack(bits, 4)

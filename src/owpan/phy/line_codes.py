@@ -2,8 +2,15 @@
 
 All three codecs are table-driven and vectorized; inputs and outputs are
 numpy uint8 arrays of bits/chips (or nibble/byte values where stated).
-Decoders validate every symbol and report the index of the first offending
-one.  Chip order within a codeword is MSB first throughout.
+Chip order within a codeword is MSB first throughout.
+
+Each decoder is a receive stage: its private form takes checked chips
+and returns ``(values, bad)``, ``bad`` marking each invalid word (8b/10b
+gives its ``_DEC_STATUS``, nonzero when bad); a stream of no whole number
+of words raises there.  The public decoder checks its input, calls the
+private form, then raises at the first bad word through the shared
+:func:`_raise_first`.  The frame receive chain checks its input once and
+calls the private forms only.
 
 The 8b/10b here is the IBM data-character code (5b/6b + 3b/4b with running
 disparity and the alternate D.x.A7 encoding); control (K) characters are
@@ -17,6 +24,8 @@ validity, from those tables.  The decoder accepts what the rules accept
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -65,6 +74,33 @@ def _as_bits(x, name: str) -> np.ndarray:
     return _as_uint8(x, 1, f"{name} must contain only 0s and 1s").ravel()
 
 
+def _raise_first(bad, error) -> None:
+    """Raise ``error(i)`` at the first symbol ``i`` that ``bad`` marks with
+    a nonzero entry; return if none is marked or ``bad`` is None.  Every
+    receive stage reports its first bad symbol through this."""
+    if bad is not None and bad.any():
+        raise error(int(np.flatnonzero(bad)[0]))
+
+
+# what a bad word is called, by code width and bad value
+_BAD_WORD = {
+    2: {1: "invalid Manchester chip pair"},
+    6: {1: "invalid 4B6B codeword"},
+    10: {1: "invalid 8b10b codeword", 2: "8b10b disparity violation in word"},
+}
+
+
+def _raise_bad_word(chips: np.ndarray, width: int, bad: np.ndarray) -> None:
+    """LineCodeError at the first ``width``-chip word of ``chips`` that
+    ``bad`` marks, naming the word's chips."""
+
+    def error(i: int) -> LineCodeError:
+        word = "".join(map(str, chips[i * width : (i + 1) * width].tolist()))
+        return LineCodeError(f"{_BAD_WORD[width][int(bad[i])]} {word}", i)
+
+    _raise_first(bad, error)
+
+
 def _chip_table(words: np.ndarray, width: int) -> np.ndarray:
     # row i: the ``width`` chips of words[i], MSB first
     return ((words[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
@@ -92,19 +128,20 @@ def manchester_encode(bits) -> np.ndarray:
     return chips
 
 
-def manchester_decode(chips) -> np.ndarray:
-    """Collapse chip pairs back to bits; 00 and 11 pairs are invalid."""
-    chips = _as_bits(chips, "chips")
+def _manchester_decode(chips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (bits, bad): bad marks each 00 or 11 pair
     if chips.size % 2:
         raise LineCodeError("chip stream length must be even", chips.size // 2)
     first = chips[0::2]
-    second = chips[1::2]
-    bad = first == second
-    if bad.any():
-        idx = int(np.argmax(bad))
-        pair = f"{first[idx]}{second[idx]}"
-        raise LineCodeError(f"invalid Manchester chip pair {pair}", idx)
-    return first.copy()
+    return first.copy(), first == chips[1::2]
+
+
+def manchester_decode(chips) -> np.ndarray:
+    """Collapse chip pairs back to bits; 00 and 11 pairs are invalid."""
+    chips = _as_bits(chips, "chips")
+    bits, bad = _manchester_decode(chips)
+    _raise_bad_word(chips, 2, bad)
+    return bits
 
 
 # 4B6B: each nibble maps to a six-chip word of Hamming weight 3, so the
@@ -131,16 +168,19 @@ def encode_4b6b(nibbles) -> np.ndarray:
     return _CHIPS_4B6B.take(nibbles, axis=0).ravel()
 
 
+def _decode_4b6b(chips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (nibbles, bad): bad marks each word off the table, whose nibble is 0xFF
+    if chips.size % 6:
+        raise LineCodeError("chip stream length must be a multiple of 6", chips.size // 6)
+    nibbles = _REV_4B6B.take(_pack(chips, 6))
+    return nibbles, nibbles > 15
+
+
 def decode_4b6b(chips) -> np.ndarray:
     """Map 6-chip groups back to nibbles; any word off the table is invalid."""
     chips = _as_bits(chips, "chips")
-    if chips.size % 6:
-        raise LineCodeError("chip stream length must be a multiple of 6", chips.size // 6)
-    words = _pack(chips, 6)
-    nibbles = _REV_4B6B.take(words)
-    if nibbles.size and np.maximum.reduce(nibbles) > 15:
-        idx = int(np.argmax(nibbles > 15))
-        raise LineCodeError(f"invalid 4B6B codeword {words[idx]:06b}", idx)
+    nibbles, bad = _decode_4b6b(chips)
+    _raise_bad_word(chips, 6, bad)
     return nibbles
 
 
@@ -218,10 +258,15 @@ def _tables_8b10b():
 _ENC_CHIPS, _ENC_FLIP, _DEC_BYTE, _DEC_FLIP, _DEC_STATUS = _tables_8b10b()
 
 
-def _check_disparity(rd: int) -> int:
-    if rd not in (-1, 1):
+def _check_disparity(rd) -> int:
+    # operator.index admits ints and numpy integers, not 1.0, and gives an int
+    try:
+        value = operator.index(rd)
+    except TypeError:
+        value = None
+    if value not in (-1, 1):
         raise ValueError(f"running disparity must be -1 or +1, got {rd!r}")
-    return rd
+    return value
 
 
 def _running(flips: np.ndarray, rd0: int) -> tuple[np.ndarray, int]:
@@ -249,6 +294,17 @@ def encode_8b10b(data, disparity: int = -1) -> tuple[np.ndarray, int]:
     return _ENC_CHIPS.take(neg_in * 256 + data, axis=0).ravel(), rd_out
 
 
+def _decode_8b10b(chips: np.ndarray, rd0: int) -> tuple[tuple[np.ndarray, int], np.ndarray]:
+    # ((bytes, disparity out), status): status is each word's _DEC_STATUS
+    if chips.size % 10:
+        raise LineCodeError("chip stream length must be a multiple of 10", chips.size // 10)
+    if chips.size == 0:
+        return (np.empty(0, dtype=np.uint8), rd0), np.empty(0, dtype=np.uint8)
+    words = _pack(chips, 10)
+    neg_in, rd_out = _running(_DEC_FLIP.take(words), rd0)
+    return (_DEC_BYTE.take(words), rd_out), _DEC_STATUS.take(neg_in * 1024 + words)
+
+
 def decode_8b10b(chips, disparity: int = -1) -> tuple[np.ndarray, int]:
     """Decode 10-chip words back to bytes; returns (bytes, disparity out).
 
@@ -258,15 +314,6 @@ def decode_8b10b(chips, disparity: int = -1) -> tuple[np.ndarray, int]:
     """
     rd0 = _check_disparity(disparity)
     chips = _as_bits(chips, "chips")
-    if chips.size % 10:
-        raise LineCodeError("chip stream length must be a multiple of 10", chips.size // 10)
-    if chips.size == 0:
-        return np.empty(0, dtype=np.uint8), rd0
-    words = _pack(chips, 10)
-    neg_in, rd_out = _running(_DEC_FLIP.take(words), rd0)
-    status = _DEC_STATUS.take(neg_in * 1024 + words)
-    if status.any():
-        idx = int(np.argmax(status != 0))
-        kind = "invalid 8b10b codeword" if status[idx] == 1 else "8b10b disparity violation in word"
-        raise LineCodeError(f"{kind} {words[idx]:010b}", idx)
-    return _DEC_BYTE.take(words), rd_out
+    decoded, status = _decode_8b10b(chips, rd0)
+    _raise_bad_word(chips, 10, status)
+    return decoded

@@ -14,6 +14,14 @@ the per-symbol mean exactly equal to the duty cycle at any dimming value.
 Waveforms are built and read one block of chips at a time, so peak memory
 is the waveform plus O(block).  Each level's (2, SAMPLES_PER_CHIP) sample
 table is built once, on its first use, and kept read-only.
+
+Each demodulator is a receive stage: its private form takes the checked
+samples of ``_per_chip`` and returns ``(chips, bad)``, ``bad`` marking the
+VPPM chips whose half energies tie, or None when none does (OOK cannot
+fail).  The public demodulator checks its input, calls the private form,
+then raises at the first bad chip through ``line_codes._raise_first``.
+The frame receive chain checks its input once and calls the private
+forms only.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .line_codes import _as_bits
+from .line_codes import _as_bits, _raise_first
 
 __all__ = [
     "SAMPLES_PER_CHIP",
@@ -91,10 +99,7 @@ def ook_modulate(chips, high: float = 1.0) -> np.ndarray:
     return _modulate(chips, _ook_table(_level(high)))
 
 
-def ook_demodulate(samples, high: float = 1.0) -> np.ndarray:
-    """Threshold each chip period's mean at half the high level."""
-    _check_high(high)
-    per = _per_chip(samples)
+def _ook_demodulate(per: np.ndarray, high: float) -> tuple[np.ndarray, None]:
     chips = np.empty(len(per), dtype=bool)
     acc = np.empty(min(len(per), _BLOCK))
     for i in range(0, len(per), _BLOCK):
@@ -106,7 +111,13 @@ def ook_demodulate(samples, high: float = 1.0) -> np.ndarray:
         mean += b[:, 3]
         mean /= 4
         np.greater(mean, high / 2.0, out=chips[i : i + _BLOCK])
-    return chips.view(np.uint8)
+    return chips.view(np.uint8), None
+
+
+def ook_demodulate(samples, high: float = 1.0) -> np.ndarray:
+    """Threshold each chip period's mean at half the high level."""
+    _check_high(high)
+    return _ook_demodulate(_per_chip(samples), high)[0]
 
 
 @lru_cache(maxsize=_TABLES)
@@ -133,6 +144,29 @@ def vppm_modulate(bits, dimming: float) -> np.ndarray:
     return _modulate(bits, _vppm_table(_level(dimming)))
 
 
+def _vppm_demodulate(per: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    # the tie mask is allocated at the first tie, so a clean frame keeps
+    # no frame-sized mask
+    bits = np.empty(len(per), dtype=bool)
+    bad = None
+    for i in range(0, len(per), _BLOCK):
+        b = per[i : i + _BLOCK]
+        e_first, e_second = b[:, 0] + b[:, 1], b[:, 2] + b[:, 3]
+        ties = e_first == e_second
+        if ties.any():
+            if bad is None:
+                bad = np.zeros(len(per), dtype=bool)
+            bad[i : i + _BLOCK] = ties
+        np.greater(e_first, e_second, out=bits[i : i + _BLOCK])
+    return bits.view(np.uint8), bad
+
+
+def _raise_tie(bad: np.ndarray | None) -> None:
+    _raise_first(
+        bad, lambda i: ModulationError(f"ambiguous VPPM symbol at index {i}: equal half energies")
+    )
+
+
 def vppm_demodulate(samples) -> np.ndarray:
     """Recover bits by comparing the energy of each chip period's halves.
 
@@ -141,14 +175,6 @@ def vppm_demodulate(samples) -> np.ndarray:
     exactly are ambiguous and rejected (at any dimming < 1 a clean symbol
     always leans one way).
     """
-    per = _per_chip(samples)
-    bits = np.empty(len(per), dtype=bool)
-    for i in range(0, len(per), _BLOCK):
-        b = per[i : i + _BLOCK]
-        e_first, e_second = b[:, 0] + b[:, 1], b[:, 2] + b[:, 3]
-        ties = e_first == e_second
-        if ties.any():
-            idx = i + int(np.argmax(ties))
-            raise ModulationError(f"ambiguous VPPM symbol at index {idx}: equal half energies")
-        bits[i : i + _BLOCK] = e_first > e_second
-    return bits.view(np.uint8)
+    bits, bad = _vppm_demodulate(_per_chip(samples))
+    _raise_tie(bad)
+    return bits

@@ -22,6 +22,8 @@ from owpan.phy.fec import (
     RsDecodeError,
     cc_encode,
     rs_decode,
+    _rs_decode,
+    _viterbi_decode,
     rs_encode,
     viterbi_decode,
 )
@@ -235,6 +237,33 @@ def test_rs_rejects_bad_shapes_and_symbols():
         rs_decode(np.full((1, 9), 16, np.uint8), RsCode(9, 5))
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([RsCode(15, 11), RsCode(15, 7), RsCode(14, 7), RsCode(15, 12), RsCode(9, 5)]),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(0, 6), min_size=1, max_size=5),
+)
+def test_rs_decode_raises_exactly_when_the_private_form_marks_a_block(code, seed, errors):
+    """``_rs_decode``'s mask marks the blocks the kernel fails and those
+    corrected inside a shortened code's virtual prefix; ``rs_decode``
+    raises exactly when it marks one, naming every marked row."""
+    rng = np.random.default_rng(seed)
+    blocks = rs_encode(rng.integers(0, 16, (len(errors), code.k), dtype=np.uint8), code)
+    for row, nerr in zip(blocks, errors):
+        pos = rng.choice(code.n, size=min(nerr, code.n), replace=False)
+        row[pos] ^= rng.integers(1, 16, size=pos.size).astype(np.uint8)
+    data, bad = _rs_decode(blocks.copy(), code)
+    assert bad.shape == (len(errors),)
+    if not bad.any():
+        assert np.array_equal(rs_decode(blocks, code), data)
+        return
+    with pytest.raises(RsDecodeError) as exc:
+        rs_decode(blocks, code)
+    assert type(exc.value) is RsDecodeError
+    assert exc.value.rows.tolist() == np.flatnonzero(bad).tolist()
+    assert str(exc.value) == f"{code}: {np.count_nonzero(bad)} of {len(errors)} blocks uncorrectable"
+
+
 # ------------------------------------------------- convolutional code oracle
 
 _GENS = {
@@ -342,3 +371,19 @@ def test_codec_inputs_must_be_binary():
         cc_encode([0, 2], ConvCode(Fraction(1, 3)))
     with pytest.raises(ValueError):
         viterbi_decode([0, 3, 0], ConvCode(Fraction(1, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CC_RATES), st.lists(st.integers(0, 1), max_size=120))
+def test_viterbi_private_form_only_skips_the_input_check(rate, coded):
+    """Over streams of any length, fitting the rate or not, the public
+    decoder and its private form give the same bits or the same error."""
+
+    def outcome(decode, stream):
+        try:
+            return decode(stream, ConvCode(rate)).tolist()
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    checked = np.array(coded, dtype=np.uint8)
+    assert outcome(viterbi_decode, coded) == outcome(_viterbi_decode, checked)

@@ -26,7 +26,7 @@ from owpan.phy.frames import (
     encode_to_chips,
 )
 from owpan.phy.modes import LineCode, Modulation, mode_by_name, phy_mode_catalog
-from owpan.phy.modulation import vppm_modulate
+from owpan.phy.modulation import ook_modulate, vppm_modulate
 
 GOLDEN = Path(__file__).parent / "golden" / "frame_phy1_ook_11k.hex"
 
@@ -302,6 +302,46 @@ def _vppm_tie_at(index):
     waveform = vppm_modulate(np.ones(index + 1, np.uint8), 0.5)
     waveform[4 * index :] = 0.0
     return waveform
+
+
+@st.composite
+def _damaged_frames(draw):
+    """A bound mode and an encoded frame's chips, flipped at a few chips,
+    cut short, extended, or replaced by random chips."""
+    mode = draw(st.sampled_from(BOUND_MODES))
+    chips = encode_to_chips(draw(st.binary(max_size=24)), mode)
+    damage = draw(st.sampled_from(["flip", "truncate", "extend", "random"]))
+    if damage == "flip":
+        at = draw(st.lists(st.integers(0, chips.size - 1), min_size=1, max_size=8))
+        chips[at] ^= 1
+    elif damage == "truncate":
+        chips = chips[: draw(st.integers(0, chips.size - 1))]
+    elif damage == "extend":
+        tail = draw(st.lists(st.integers(0, 1), min_size=1, max_size=40))
+        chips = np.concatenate([chips, np.array(tail, np.uint8)])
+    else:
+        chips = np.array(draw(st.lists(st.integers(0, 1), max_size=600)), np.uint8)
+    return mode, chips
+
+
+@settings(max_examples=300, deadline=None)
+@given(_damaged_frames(), st.integers(0, 3))
+def test_damaged_frames_yield_bytes_or_frame_error(damaged, cut):
+    """The receive chain is total: whatever the damage, both decoders
+    return bytes or raise FrameDecodeError, never another exception.  The
+    payload is not checked, since an uncoded mode can decode a damaged
+    frame to a wrong payload without an error."""
+    mode, chips = damaged
+    if mode.modulation is Modulation.VPPM:
+        waveform = vppm_modulate(chips, 0.5)
+    else:
+        waveform = ook_modulate(chips)
+    # a cut of 1-3 samples leaves no whole number of chips
+    for decode, signal in ((decode_from_chips, chips), (decode_frame, waveform[cut:])):
+        try:
+            assert isinstance(decode(signal, mode), bytes)
+        except FrameDecodeError:
+            pass
 
 
 def _garbled_rs_blocks(code):

@@ -13,6 +13,9 @@ from owpan.phy.frames import chips_to_hex
 from owpan.phy.line_codes import (
     TABLE_4B6B,
     LineCodeError,
+    _decode_4b6b,
+    _decode_8b10b,
+    _manchester_decode,
     decode_4b6b,
     decode_8b10b,
     encode_4b6b,
@@ -142,13 +145,29 @@ def test_8b10b_empty():
     assert chips.size == 0 and rd == 1
     data, rd = decode_8b10b([], disparity=-1)
     assert data.size == 0 and rd == -1
+    # integer-like disparities come back as a Python int, empty input or not
+    for rd0 in (True, np.int64(1), np.int8(1)):
+        for data in ([], [0xB5]):
+            rd = encode_8b10b(data, disparity=rd0)[1]
+            assert rd == 1 and type(rd) is int
+    for data in ([], [0xB5]):
+        chips = encode_8b10b(data, disparity=-1)[0]
+        rd = decode_8b10b(chips, disparity=np.int16(-1))[1]
+        assert rd == -1 and type(rd) is int
 
 
-def test_8b10b_rejects_bad_disparity_argument():
+@pytest.mark.parametrize("data", [[], [0]])
+def test_8b10b_rejects_bad_disparity_argument(data):
     with pytest.raises(ValueError):
         encode_8b10b([0], disparity=0)
     with pytest.raises(ValueError):
         decode_8b10b([], disparity=2)
+    chips = encode_8b10b(data)[0]
+    for rd in (1.0, -1.0, np.float64(1.0), 0.5, "1", None, np.True_):
+        with pytest.raises(ValueError, match="running disparity must be -1 or \\+1"):
+            encode_8b10b(data, disparity=rd)
+        with pytest.raises(ValueError, match="running disparity must be -1 or \\+1"):
+            decode_8b10b(chips, disparity=rd)
 
 
 def test_8b10b_all_bytes_round_trip():
@@ -306,3 +325,67 @@ def _outcome(call, x):
     except ValueError as exc:
         return type(exc), str(exc)
     return [np.asarray(r).tolist() for r in (result if isinstance(result, tuple) else (result,))]
+
+
+# ------------------------------------- private forms: (values, bad) per word
+#
+# Each decoder's private form returns its values and a mask of bad words;
+# the public decoder must raise exactly when the mask marks a word, at the
+# first one, with the message it has always given.
+
+_LINE_STAGES = {
+    # encoder of random byte values, word width, public decoder, private
+    # form, and the message of a bad word by its mask value
+    "manchester": (
+        lambda v: manchester_encode(v & 1),
+        2,
+        manchester_decode,
+        _manchester_decode,
+        {1: "invalid Manchester chip pair"},
+    ),
+    "4b6b": (
+        lambda v: encode_4b6b(v & 15),
+        6,
+        decode_4b6b,
+        _decode_4b6b,
+        {1: "invalid 4B6B codeword"},
+    ),
+    "8b10b": (
+        lambda v: encode_8b10b(v)[0],
+        10,
+        decode_8b10b,
+        lambda chips: _decode_8b10b(chips, -1),
+        {1: "invalid 8b10b codeword", 2: "8b10b disparity violation in word"},
+    ),
+}
+
+
+def _as_lists(values):
+    return [np.asarray(v).tolist() for v in (values if isinstance(values, tuple) else (values,))]
+
+
+@pytest.mark.parametrize("code", _LINE_STAGES)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_public_decoder_raises_exactly_at_the_first_bad_word_of_the_private_form(code, data):
+    encode, width, decode, form, kinds = _LINE_STAGES[code]
+    chips = encode(np.array(data.draw(byte_lists.map(lambda v: v[:40])), dtype=np.uint8))
+    nwords = chips.size // width
+    if nwords:
+        # overwrite a few words with arbitrary chips, valid or not
+        for i in data.draw(st.lists(st.integers(0, nwords - 1), max_size=3)):
+            chips[i * width : (i + 1) * width] = data.draw(
+                st.lists(st.integers(0, 1), min_size=width, max_size=width)
+            )
+    values, bad = form(chips)
+    assert len(bad) == nwords
+    if not bad.any():
+        assert _as_lists(decode(chips)) == _as_lists(values)
+        return
+    first = int(np.flatnonzero(bad)[0])
+    word = "".join(str(c) for c in chips[first * width : (first + 1) * width])
+    with pytest.raises(LineCodeError) as exc:
+        decode(chips)
+    assert type(exc.value) is LineCodeError
+    assert exc.value.index == first
+    assert str(exc.value) == f"{kinds[int(bad[first])]} {word} (symbol index {first})"

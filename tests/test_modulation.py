@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from owpan.phy.modulation import (
@@ -13,7 +13,7 @@ from owpan.phy.modulation import (
     vppm_demodulate,
     vppm_modulate,
 )
-from owpan.phy.modulation import _BLOCK
+from owpan.phy.modulation import _BLOCK, _ook_demodulate, _per_chip, _vppm_demodulate
 
 bit_lists = st.lists(st.integers(0, 1), max_size=120)
 dimmings = st.floats(min_value=0.05, max_value=0.95)
@@ -238,3 +238,45 @@ def test_vppm_tie_in_a_later_block_reports_its_global_index():
     assert _vppm_oracle(wf) == _vppm_outcome(wf)
     with pytest.raises(ModulationError, match=f"index {at}:"):
         vppm_demodulate(wf)
+
+
+# --- private forms: (chips, bad) per chip ------------------------------------
+#
+# vppm_demodulate must raise exactly when its private form marks a tied
+# chip, at the first one; OOK's private form cannot fail and marks none.
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 40) | st.integers(_BLOCK - 3, _BLOCK + 40),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(0, 10**6), max_size=3),
+    st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+)
+def test_vppm_demodulate_raises_exactly_at_the_first_tie_of_the_private_form(
+    nchips, seed, ties, level
+):
+    bits = np.random.default_rng(seed).integers(0, 2, nchips).astype(np.uint8)
+    wf = vppm_modulate(bits, 0.4)
+    ties = sorted({t % nchips for t in ties}) if nchips else []
+    for t in ties:
+        wf[t * SAMPLES_PER_CHIP : (t + 1) * SAMPLES_PER_CHIP] = level  # equal halves
+    chips, bad = _vppm_demodulate(_per_chip(wf))
+    if bad is None:
+        assert ties == []
+        assert np.array_equal(vppm_demodulate(wf), chips)
+        return
+    assert np.flatnonzero(bad).tolist() == ties and len(bad) == nchips
+    with pytest.raises(ModulationError) as exc:
+        vppm_demodulate(wf)
+    assert type(exc.value) is ModulationError
+    assert str(exc.value) == f"ambiguous VPPM symbol at index {ties[0]}: equal half energies"
+
+
+@given(bit_lists, st.sampled_from([1.0, 2.5]), st.integers(0, 2**32 - 1))
+def test_ook_private_form_marks_nothing_and_matches_the_public_one(chips, high, seed):
+    rng = np.random.default_rng(seed)
+    wf = ook_modulate(chips, high) + rng.normal(scale=0.3, size=4 * len(chips))
+    out, bad = _ook_demodulate(_per_chip(wf), high)
+    assert bad is None
+    assert np.array_equal(ook_demodulate(wf, high), out)
