@@ -112,6 +112,12 @@ def _cmd_rate_table(args) -> int:
 
 
 def _cmd_codec_roundtrip(args) -> int:
+    if not 0 <= args.bytes <= frames.MAX_PAYLOAD:
+        print(
+            f"error: --bytes must lie in 0..{frames.MAX_PAYLOAD}, got {args.bytes}",
+            file=sys.stderr,
+        )
+        return 1
     if args.mode == "all":
         modes = [m for m in phy_mode_catalog() if m.bound]
     else:
@@ -202,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("codec-roundtrip", help="encode and decode random payloads")
     p.add_argument("--mode", required=True, help="mode name, or 'all' for every bound mode")
-    p.add_argument("--bytes", type=int, default=256, help="payload length (default 256)")
+    p.add_argument("--bytes", type=int, default=256, help="payload length, 0..65535 (default 256)")
     p.add_argument("--seed", type=int, default=0, help="payload RNG seed (default 0)")
     p.add_argument(
         "--dimming", type=float, default=0.5,

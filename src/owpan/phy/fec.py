@@ -10,12 +10,14 @@ mother code (generators 133, 171, 165 octal), extended to rate 1/4 by a
 fourth generator and punctured to rate 2/3.  Encoding appends six zero
 tail bits so the decoder's traceback can start from the zero state.
 
-Both decoders are receive stages whose private form takes a checked
-array.  ``_rs_decode`` returns ``(data, bad)``, ``bad`` marking each
-uncorrectable block; ``rs_decode`` checks its input, calls it, then raises
-through ``line_codes._raise_first``.  ``_viterbi_decode`` only skips the
-input check.  The frame receive chain checks its input once and calls the
-private forms only.
+Every stage has a private form that takes a checked array.  The
+encoders' forms, ``_rs_encode`` and ``_cc_encode``, only encode, and each
+public encoder is its input check followed by that form.  ``_rs_decode``
+returns ``(data, bad)``, ``bad`` marking each uncorrectable block;
+``rs_decode`` checks its input, calls it, then raises through
+``line_codes._raise_first``.  ``_viterbi_decode`` only skips the input
+check.  The frame chains check their input once and call the private
+forms only.
 """
 
 from __future__ import annotations
@@ -131,10 +133,14 @@ def _unshorten(rows: np.ndarray, code: RsCode) -> tuple[np.ndarray, int]:
     return rows, pad
 
 
+def _rs_encode(data: np.ndarray, code: RsCode) -> np.ndarray:
+    data, pad = _unshorten(data, code)
+    return _kernels.rs_encode_blocks(data, code.base_k)[:, pad:]
+
+
 def rs_encode(data, code: RsCode) -> np.ndarray:
     """Encode blocks of ``code.k`` symbols; rows of shape (N, k) -> (N, n)."""
-    data, pad = _unshorten(_as_symbols(data, code.k, "data"), code)
-    return _kernels.rs_encode_blocks(data, code.base_k)[:, pad:]
+    return _rs_encode(_as_symbols(data, code.k, "data"), code)
 
 
 def _rs_decode(blocks: np.ndarray, code: RsCode) -> tuple[np.ndarray, np.ndarray]:
@@ -179,13 +185,7 @@ def _windows(bits: np.ndarray) -> np.ndarray:
     return np.correlate(padded, _WINDOW_WEIGHTS, "valid")
 
 
-def cc_encode(bits, code: ConvCode) -> np.ndarray:
-    """Encode bits (with implicit zero tail) at the given rate.
-
-    Output length is (len(bits)+6)/rate; the rate-2/3 puncturing requires
-    an even number of input bits including the tail.
-    """
-    bits = _as_bits(bits, "bits")
+def _cc_encode(bits: np.ndarray, code: ConvCode) -> np.ndarray:
     table, keep = _TRELLIS[code.rate]
     coded = table.take(_windows(bits), axis=0)
     if keep is None:
@@ -193,6 +193,15 @@ def cc_encode(bits, code: ConvCode) -> np.ndarray:
     if (bits.size + _TAIL) % 2:
         raise ValueError(f"rate-{code.rate} puncturing needs an even bit count")
     return coded.reshape(-1, keep.size).compress(keep, axis=1).ravel()
+
+
+def cc_encode(bits, code: ConvCode) -> np.ndarray:
+    """Encode bits (with implicit zero tail) at the given rate.
+
+    Output length is (len(bits)+6)/rate; the rate-2/3 puncturing requires
+    an even number of input bits including the tail.
+    """
+    return _cc_encode(_as_bits(bits, "bits"), code)
 
 
 def _viterbi_decode(coded: np.ndarray, code: ConvCode) -> np.ndarray:

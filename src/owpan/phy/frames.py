@@ -9,6 +9,11 @@ bytes round-trips through any mode.  It is total: any input array yields
 the payload or a FrameDecodeError.  Only a catalog-only mode raises a plain
 ValueError, before any sample is read.
 
+The transmit chain takes the payload's bytes once (any bytes-like
+object; the length prefix counts its bytes) and checks ``dimming`` once,
+then calls each stage's private form, which takes an already-checked
+array.  No stage re-checks the array the stage before it made.
+
 The receive chain checks its input once (``_per_chip`` for a waveform,
 ``_as_bits`` for chips) and then calls each stage's private form, which
 returns ``(values, bad)`` for an already-checked array.  After each stage
@@ -27,10 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import line_codes, modulation
-from .fec import _raise_uncorrectable, _rs_decode, _viterbi_decode, cc_encode, rs_encode
+from .fec import _cc_encode, _raise_uncorrectable, _rs_decode, _rs_encode, _viterbi_decode
 # not called here, but perfbench/layers.py times the FEC stages as these
 # attributes of this module
-from .fec import rs_decode, viterbi_decode  # noqa: F401
+from .fec import cc_encode, rs_decode, rs_encode, viterbi_decode  # noqa: F401
 from .line_codes import _as_bits, _chip_table, _pack, _raise_bad_word
 from .modes import LineCode, Modulation, PhyMode
 
@@ -105,7 +110,7 @@ def _add_rs(wire: np.ndarray, mode: PhyMode) -> np.ndarray:
         blocks += 1
     padded = np.zeros(blocks * rs.k, dtype=np.uint8)
     padded[: nibbles.size] = nibbles
-    return rs_encode(padded.reshape(blocks, rs.k), rs).ravel()
+    return _rs_encode(padded.reshape(blocks, rs.k), rs).ravel()
 
 
 def _strip_rs(symbols: np.ndarray, mode: PhyMode) -> np.ndarray:
@@ -123,35 +128,42 @@ def _strip_rs(symbols: np.ndarray, mode: PhyMode) -> np.ndarray:
     return _nibbles_to_bytes(symbols)
 
 
+def _as_payload(payload) -> bytes:
+    # the bytes of any bytes-like object: an int array's are its items'
+    # machine bytes, and the length prefix counts these bytes
+    return memoryview(payload).tobytes()
+
+
 def encode_to_chips(payload: bytes, mode: PhyMode) -> np.ndarray:
-    """Run the digital half of the transmit chain, yielding 0/1 chips."""
+    """Run the digital half of the transmit chain, yielding 0/1 chips.
+    ``payload`` is any bytes-like object; its bytes are sent."""
     _require_bound(mode)
+    payload = _as_payload(payload)
     if len(payload) > MAX_PAYLOAD:
         raise ValueError(f"payload of {len(payload)} bytes exceeds {MAX_PAYLOAD}")
-    wire = np.frombuffer(
-        len(payload).to_bytes(_LENGTH_BYTES, "big") + bytes(payload), dtype=np.uint8
-    )
+    wire = np.frombuffer(len(payload).to_bytes(_LENGTH_BYTES, "big") + payload, dtype=np.uint8)
     coded = _add_rs(wire, mode)
     if mode.line_code is LineCode.EIGHT_B_TEN_B:
-        return line_codes.encode_8b10b(_nibbles_to_bytes(coded))[0]
+        return line_codes._encode_8b10b(_nibbles_to_bytes(coded), -1)[0]
     if mode.line_code is LineCode.FOUR_B_SIX_B:
-        return line_codes.encode_4b6b(coded)
+        return line_codes._encode_4b6b(coded)
     bits = _nibbles_to_bits(coded)
     if mode.inner_code is not None:
-        bits = cc_encode(bits, mode.inner_code)
-    return line_codes.manchester_encode(bits)
+        bits = _cc_encode(bits, mode.inner_code)
+    return line_codes._manchester_encode(bits)
 
 
 def encode_frame(payload: bytes, mode: PhyMode, dimming: float = 0.5) -> Frame:
     """Encode payload bytes to a fully modulated frame.  ``dimming`` must lie
     in (0, 1) in every mode, though only VPPM reads it."""
     modulation._check_dimming(dimming)
+    payload = _as_payload(payload)
     chips = encode_to_chips(payload, mode)
     if mode.modulation is Modulation.VPPM:
-        waveform = modulation.vppm_modulate(chips, dimming)
+        waveform = modulation._vppm_modulate(chips, dimming)
     else:
-        waveform = modulation.ook_modulate(chips)
-    return Frame(payload=bytes(payload), mode=mode, chips=chips, waveform=waveform)
+        waveform = modulation._ook_modulate(chips, 1.0)
+    return Frame(payload=payload, mode=mode, chips=chips, waveform=waveform)
 
 
 def decode_from_chips(chips: np.ndarray, mode: PhyMode) -> bytes:
@@ -216,8 +228,7 @@ def chips_to_hex(chips: np.ndarray) -> str:
     of four; consumers that need the exact count must carry it separately.
     """
     chips = _as_bits(chips, "chips")
-    nibbles = _pack(np.concatenate([chips, np.zeros((-chips.size) % 4, np.uint8)]), 4)
-    text = _nibbles_to_bytes(nibbles).tobytes().hex()[: nibbles.size]
+    text = np.packbits(chips).tobytes().hex()[: -(-chips.size // 4)]
     lines = [text[i : i + 16] for i in range(0, len(text), 16)]
     return "\n".join(lines) + "\n"
 

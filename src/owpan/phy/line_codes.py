@@ -4,13 +4,17 @@ All three codecs are table-driven and vectorized; inputs and outputs are
 numpy uint8 arrays of bits/chips (or nibble/byte values where stated).
 Chip order within a codeword is MSB first throughout.
 
-Each decoder is a receive stage: its private form takes checked chips
-and returns ``(values, bad)``, ``bad`` marking each invalid word (8b/10b
-gives its ``_DEC_STATUS``, nonzero when bad); a stream of no whole number
-of words raises there.  The public decoder checks its input, calls the
-private form, then raises at the first bad word through the shared
-:func:`_raise_first`.  The frame receive chain checks its input once and
-calls the private forms only.
+Each encoder is a transmit stage: its private form takes a checked
+array and only encodes it, and the public encoder is its input check
+followed by that form.  Each decoder is a receive stage: its private form
+takes checked chips and returns ``(values, bad)``, ``bad`` marking each
+invalid word (8b/10b gives its ``_DEC_STATUS``, nonzero when bad); a
+stream of no whole number of words raises there.  The public decoder
+checks its input, calls the private form, then raises at the first bad
+word through the shared :func:`_raise_first`.  The frame chains check
+their input once and call the private forms only.  A value that the
+uint8 cast cannot convert (an int beyond int64, text) fails the check
+with its own message, as 256 does.
 
 The 8b/10b here is the IBM data-character code (5b/6b + 3b/4b with running
 disparity and the alternate D.x.A7 encoding); control (K) characters are
@@ -60,7 +64,9 @@ def _as_uint8(x, top: int, message: str) -> np.ndarray:
         try:
             with np.errstate(invalid="ignore"):
                 cast = arr.astype(np.uint8)
-        except TypeError:  # an object array holding None or a complex number
+        except (TypeError, ValueError, OverflowError):
+            # an object array holding None, a complex number or an int
+            # beyond int64, or text that is no number
             raise ValueError(message) from None
         if not np.array_equal(cast, arr):
             raise ValueError(message)
@@ -119,13 +125,16 @@ def _pack(chips: np.ndarray, width: int) -> np.ndarray:
 # Manchester: bit 0 -> chips 01, bit 1 -> chips 10 (IEEE convention:
 # the chip pair carries the bit in its leading half).
 
-def manchester_encode(bits) -> np.ndarray:
-    """Expand each bit to its two-chip Manchester symbol."""
-    bits = _as_bits(bits, "bits")
+def _manchester_encode(bits: np.ndarray) -> np.ndarray:
     chips = np.empty(bits.size * 2, dtype=np.uint8)
     chips[0::2] = bits
     chips[1::2] = bits ^ 1
     return chips
+
+
+def manchester_encode(bits) -> np.ndarray:
+    """Expand each bit to its two-chip Manchester symbol."""
+    return _manchester_encode(_as_bits(bits, "bits"))
 
 
 def _manchester_decode(chips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,10 +171,13 @@ _REV_4B6B[TABLE_4B6B] = np.arange(16)
 _CHIPS_4B6B = _chip_table(TABLE_4B6B, 6)
 
 
+def _encode_4b6b(nibbles: np.ndarray) -> np.ndarray:
+    return _CHIPS_4B6B.take(nibbles, axis=0).ravel()
+
+
 def encode_4b6b(nibbles) -> np.ndarray:
     """Map nibble values (0..15) to their 6-chip codewords, MSB first."""
-    nibbles = _as_uint8(nibbles, 15, "nibbles must lie in 0..15").ravel()
-    return _CHIPS_4B6B.take(nibbles, axis=0).ravel()
+    return _encode_4b6b(_as_uint8(nibbles, 15, "nibbles must lie in 0..15").ravel())
 
 
 def _decode_4b6b(chips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -271,12 +283,18 @@ def _check_disparity(rd) -> int:
 
 def _running(flips: np.ndarray, rd0: int) -> tuple[np.ndarray, int]:
     """Whether the running disparity is -1 before each word, and its value
-    after the last.  A word flips it or not whatever the state, so the
-    whole trajectory is a prefix xor."""
-    neg_in = np.zeros(flips.size, dtype=bool)
-    np.bitwise_xor.accumulate(flips[:-1], out=neg_in[1:])
-    neg_in ^= rd0 < 0
-    return neg_in, -1 if neg_in[-1] ^ flips[-1] else 1
+    after the last (``rd0`` when there are no words).  A word flips it or
+    not whatever the state, so the whole trajectory is a prefix xor."""
+    neg = np.empty(flips.size + 1, dtype=bool)
+    neg[0] = rd0 < 0
+    neg[1:] = flips
+    np.bitwise_xor.accumulate(neg, out=neg)
+    return neg[:-1], -1 if neg[-1] else 1
+
+
+def _encode_8b10b(data: np.ndarray, rd0: int) -> tuple[np.ndarray, int]:
+    neg_in, rd_out = _running(_ENC_FLIP.take(data), rd0)
+    return _ENC_CHIPS.take(neg_in * 256 + data, axis=0).ravel(), rd_out
 
 
 def encode_8b10b(data, disparity: int = -1) -> tuple[np.ndarray, int]:
@@ -287,19 +305,13 @@ def encode_8b10b(data, disparity: int = -1) -> tuple[np.ndarray, int]:
     MSB of the 6b sub-block first.
     """
     rd0 = _check_disparity(disparity)
-    data = _as_uint8(data, 255, "data must hold byte values 0..255").ravel()
-    if data.size == 0:
-        return np.empty(0, dtype=np.uint8), rd0
-    neg_in, rd_out = _running(_ENC_FLIP.take(data), rd0)
-    return _ENC_CHIPS.take(neg_in * 256 + data, axis=0).ravel(), rd_out
+    return _encode_8b10b(_as_uint8(data, 255, "data must hold byte values 0..255").ravel(), rd0)
 
 
 def _decode_8b10b(chips: np.ndarray, rd0: int) -> tuple[tuple[np.ndarray, int], np.ndarray]:
     # ((bytes, disparity out), status): status is each word's _DEC_STATUS
     if chips.size % 10:
         raise LineCodeError("chip stream length must be a multiple of 10", chips.size // 10)
-    if chips.size == 0:
-        return (np.empty(0, dtype=np.uint8), rd0), np.empty(0, dtype=np.uint8)
     words = _pack(chips, 10)
     neg_in, rd_out = _running(_DEC_FLIP.take(words), rd0)
     return (_DEC_BYTE.take(words), rd_out), _DEC_STATUS.take(neg_in * 1024 + words)

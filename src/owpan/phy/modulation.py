@@ -15,13 +15,15 @@ Waveforms are built and read one block of chips at a time, so peak memory
 is the waveform plus O(block).  Each level's (2, SAMPLES_PER_CHIP) sample
 table is built once, on its first use, and kept read-only.
 
-Each demodulator is a receive stage: its private form takes the checked
-samples of ``_per_chip`` and returns ``(chips, bad)``, ``bad`` marking the
-VPPM chips whose half energies tie, or None when none does (OOK cannot
-fail).  The public demodulator checks its input, calls the private form,
-then raises at the first bad chip through ``line_codes._raise_first``.
-The frame receive chain checks its input once and calls the private
-forms only.
+Each modulator is a transmit stage: its private form takes checked 0/1
+chips and a checked level, and the public modulator checks both, then
+calls it.  Each demodulator is a receive stage: its private form takes
+the checked samples of ``_per_chip`` and returns ``(chips, bad)``, ``bad``
+marking the VPPM chips whose half energies tie, or None when none does
+(OOK cannot fail).  The public demodulator checks its input, calls the
+private form, then raises at the first bad chip through
+``line_codes._raise_first``.  The frame chains check their input once and
+call the private forms only.
 """
 
 from __future__ import annotations
@@ -52,9 +54,8 @@ class ModulationError(ValueError):
     """Demodulation met an ambiguous or malformed waveform."""
 
 
-def _modulate(chips, table: np.ndarray) -> np.ndarray:
+def _modulate(chips: np.ndarray, table: np.ndarray) -> np.ndarray:
     # row c of the (2, SAMPLES_PER_CHIP) table holds the samples of chip c
-    chips = _as_bits(chips, "chips")
     out = np.empty((chips.size, SAMPLES_PER_CHIP))
     for i in range(0, chips.size, _BLOCK):
         np.take(table, chips[i : i + _BLOCK], axis=0, out=out[i : i + _BLOCK], mode="clip")
@@ -73,7 +74,9 @@ def _per_chip(samples) -> np.ndarray:
         raise ModulationError("samples must be real, got complex values")
     try:
         samples = np.asarray(samples, dtype=np.float64).ravel()  # float64 is not copied
-    except TypeError as exc:  # an object array holding, say, a complex number
+    except (TypeError, ValueError, OverflowError) as exc:
+        # an object array holding, say, a complex number or an int beyond
+        # float64, or text that is no number
         raise ModulationError(f"samples must be real numbers: {exc}") from None
     if samples.size % SAMPLES_PER_CHIP:
         raise ModulationError(f"sample count {samples.size} is not a whole number of chips")
@@ -93,10 +96,14 @@ def _ook_table(high: float) -> np.ndarray:
     return table
 
 
+def _ook_modulate(chips: np.ndarray, high: float) -> np.ndarray:
+    return _modulate(chips, _ook_table(_level(high)))
+
+
 def ook_modulate(chips, high: float = 1.0) -> np.ndarray:
     """Chip 1 -> ``high`` level, chip 0 -> dark, four samples each."""
     _check_high(high)
-    return _modulate(chips, _ook_table(_level(high)))
+    return _ook_modulate(_as_bits(chips, "chips"), high)
 
 
 def _ook_demodulate(per: np.ndarray, high: float) -> tuple[np.ndarray, None]:
@@ -138,10 +145,14 @@ def _check_dimming(dimming: float) -> None:
         raise ValueError(f"dimming must lie in (0, 1), got {dimming!r}")
 
 
+def _vppm_modulate(bits: np.ndarray, dimming: float) -> np.ndarray:
+    return _modulate(bits, _vppm_table(_level(dimming)))
+
+
 def vppm_modulate(bits, dimming: float) -> np.ndarray:
     """Map bits to pulse-position symbols with duty cycle ``dimming``."""
     _check_dimming(dimming)
-    return _modulate(bits, _vppm_table(_level(dimming)))
+    return _vppm_modulate(_as_bits(bits, "chips"), dimming)
 
 
 def _vppm_demodulate(per: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:

@@ -460,6 +460,25 @@ def test_codec_roundtrip_rejects_dimming_outside_unit_interval_in_every_mode(
     assert f"dimming must lie in (0, 1), got {float(dimming)!r}" in err
 
 
+@pytest.mark.parametrize("size", ["-1", "65536", "4000000000"])
+def test_codec_roundtrip_rejects_payload_sizes_outside_the_frame_limit(size, capsys):
+    # checked before any payload is drawn: 4000000000 would overflow
+    # randbytes, and a size just past the limit would draw it in vain
+    code, out, err = run_cli(["codec-roundtrip", "--mode", "all", "--bytes", size], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --bytes must lie in 0..65535, got {size}\n"
+
+
+def test_codec_roundtrip_accepts_the_frame_limits(capsys):
+    for size in ("0", "65535"):
+        code, out, _ = run_cli(
+            ["codec-roundtrip", "--mode", "phy2-ook-96m", "--bytes", size], capsys
+        )
+        assert code == 0
+        assert out.startswith(f"PASS mode=phy2-ook-96m bytes={size} ")
+
+
 # ------------------------------------------------------------------ simulate
 
 def test_simulate_csv_to_stdout_summary_to_stderr(topo_file, capsys):

@@ -3,6 +3,7 @@
 import hashlib
 import re
 import sys
+from array import array
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from owpan.phy import line_codes
-from owpan.phy.fec import ConvCode, RsCode, cc_encode, rs_decode, viterbi_decode
+from owpan.phy import fec, line_codes
+from owpan.phy.fec import ConvCode, RsCode, cc_encode, rs_decode, rs_encode, viterbi_decode
 from owpan.phy.frames import (
     MAX_PAYLOAD,
     FrameDecodeError,
@@ -169,6 +170,43 @@ def test_payload_size_limits():
     assert decode_from_chips(encode_to_chips(big, mode), mode) == big
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        np.array([1, 2, 3]),
+        memoryview(array("i", [1, 2])),
+        np.arange(12, dtype=np.uint8).reshape(3, 4),
+        np.arange(12, dtype=np.uint8)[::2],
+        bytearray(b"bytes-like"),
+    ],
+    ids=["int64_array", "int_memoryview", "2d_uint8", "strided_uint8", "bytearray"],
+)
+def test_length_prefix_counts_the_bytes_a_bytes_like_payload_sends(payload):
+    sent = memoryview(payload).tobytes()
+    for mode in (mode_by_name("phy1-ook-11k"), mode_by_name("phy1-vppm-35k")):
+        frame = encode_frame(payload, mode)
+        assert frame.payload == sent
+        assert decode_frame(frame.waveform, mode) == sent
+        assert decode_from_chips(encode_to_chips(payload, mode), mode) == sent
+
+
+def test_payload_limit_counts_bytes_not_items():
+    mode = mode_by_name("phy2-ook-96m")
+    with pytest.raises(ValueError, match="^payload of 80000 bytes exceeds 65535$"):
+        encode_to_chips(np.zeros(10_000, np.int64), mode)
+    with pytest.raises(ValueError, match="^payload of 80000 bytes exceeds 65535$"):
+        encode_frame(np.zeros(10_000, np.int64), mode)
+
+
+@pytest.mark.parametrize("payload", [3, "abc", [1, 2, 3]], ids=["int", "str", "list"])
+def test_payloads_that_are_not_bytes_like_are_rejected(payload):
+    # bytes(3) would send three zero bytes
+    mode = mode_by_name("phy2-ook-96m")
+    for encode in (encode_to_chips, encode_frame):
+        with pytest.raises(TypeError):
+            encode(payload, mode)
+
+
 def test_catalog_only_modes_rejected():
     with pytest.raises(ValueError):
         encode_to_chips(b"x", mode_by_name("phy3-csk"))
@@ -265,8 +303,14 @@ def test_samples_that_are_no_numbers_raise_frame_errors(mode):
 @pytest.mark.parametrize("decode", [decode_frame, decode_from_chips])
 @pytest.mark.parametrize(
     "samples",
-    [np.array([None] * 8), np.ones(64) * (1 + 1j)],
-    ids=["object_none", "complex"],
+    [
+        np.array([None] * 8),
+        np.ones(64) * (1 + 1j),
+        np.array([2**2000, 0, 0, 0] * 2, dtype=object),
+        [2**70, 0] * 4,
+        np.array(["a", "b"] * 4),
+    ],
+    ids=["object_none", "complex", "huge_int", "int_beyond_int64", "text"],
 )
 def test_object_and_complex_samples_raise_frame_errors(mode, decode, samples):
     with pytest.raises(FrameDecodeError):
@@ -485,6 +529,83 @@ def test_stage_error_messages_are_pinned(case):
     call, message = _STAGE_ERRORS[case]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# --- the transmit chain checks its input once ---------------------------------
+#
+# encode_frame checks the payload and dimming, then calls each transmit
+# stage's private form.  The reference is the chain built from the public
+# stage functions, each of which checks its input again.
+
+
+def _reference_frame(payload, mode, dimming):
+    wire = np.frombuffer(len(payload).to_bytes(2, "big") + payload, np.uint8)
+    symbols = np.stack([wire >> 4, wire & 0xF], axis=1).ravel()
+    rs = mode.outer_code
+    if rs is not None:
+        blocks = -(-symbols.size // rs.k)
+        if mode.line_code is LineCode.EIGHT_B_TEN_B and rs.n % 2 and blocks % 2:
+            blocks += 1
+        padded = np.zeros(blocks * rs.k, np.uint8)
+        padded[: symbols.size] = symbols
+        symbols = rs_encode(padded.reshape(blocks, rs.k), rs).ravel()
+    if mode.line_code is LineCode.EIGHT_B_TEN_B:
+        chips = line_codes.encode_8b10b(symbols[0::2] << 4 | symbols[1::2])[0]
+    elif mode.line_code is LineCode.FOUR_B_SIX_B:
+        chips = line_codes.encode_4b6b(symbols)
+    else:
+        bits = ((symbols[:, None] >> np.arange(3, -1, -1)) & 1).ravel()
+        if mode.inner_code is not None:
+            bits = cc_encode(bits, mode.inner_code)
+        chips = line_codes.manchester_encode(bits)
+    if mode.modulation is Modulation.VPPM:
+        return chips, vppm_modulate(chips, dimming)
+    return chips, ook_modulate(chips)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(BOUND_MODES),
+    st.binary(max_size=300),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_encode_frame_matches_the_chain_of_public_stages(mode, payload, dimming):
+    frame = encode_frame(payload, mode, dimming)
+    chips, waveform = _reference_frame(payload, mode, dimming)
+    assert frame.chips.dtype == chips.dtype and np.array_equal(frame.chips, chips)
+    assert frame.waveform.dtype == waveform.dtype and np.array_equal(frame.waveform, waveform)
+
+
+def test_the_codec_checks_each_input_array_once(monkeypatch):
+    """Counted over 16-byte frames in every bound mode: encode_frame and
+    decode_frame make no _as_uint8 call (the payload is bytes, a waveform
+    is checked as floats), decode_from_chips one, of its chips."""
+    calls = 0
+    check = line_codes._as_uint8
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return check(*args)
+
+    monkeypatch.setattr(line_codes, "_as_uint8", counted)
+    monkeypatch.setattr(fec, "_as_uint8", counted)
+
+    def count(call, *args):
+        nonlocal calls
+        calls = 0
+        call(*args)
+        return calls
+
+    per_mode = {}
+    for mode in BOUND_MODES:
+        frame = encode_frame(bytes(range(16)), mode)
+        per_mode[mode.name] = (
+            count(encode_frame, bytes(range(16)), mode),
+            count(decode_frame, frame.waveform, mode),
+            count(decode_from_chips, frame.chips, mode),
+        )
+    assert per_mode == {mode.name: (0, 0, 1) for mode in BOUND_MODES}
 
 
 # --- encoder output pinned to the recorded outputs ----------------------------

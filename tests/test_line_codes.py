@@ -313,6 +313,17 @@ def test_values_the_uint8_cast_would_change_are_rejected(entry):
     assert _outcome(call, np.array([1.0, 0.0])) == _outcome(call, np.array([1, 0], np.uint8))
 
 
+@pytest.mark.parametrize("entry", sorted(_UINT8_ENTRY_POINTS))
+def test_values_the_uint8_cast_cannot_make_get_the_checks_own_message(entry):
+    """Integers beyond int64 (an OverflowError in the cast) and text (a
+    ValueError of numpy's own) raise the same plain ValueError, with the
+    same message, as a value of 256 does."""
+    call = _UINT8_ENTRY_POINTS[entry]
+    expected = _outcome(call, np.array([256, 1]))
+    for bad in ([2**70, 1], [-(2**70), 1], [2**2000, 1], np.array(["a", "b"])):
+        assert _outcome(call, bad) == expected, bad
+
+
 def test_chips_to_hex_rejects_a_chip_of_two():
     # the 2 would pack to nibble 16 and vanish from the dump
     with pytest.raises(ValueError, match="only 0s and 1s"):

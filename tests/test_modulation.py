@@ -56,6 +56,17 @@ def test_ook_rejects_bad_inputs():
         ook_modulate([1], high=0.0)
 
 
+@pytest.mark.parametrize("demodulate", [ook_demodulate, vppm_demodulate])
+@pytest.mark.parametrize(
+    "samples",
+    [[2**2000, 0, 0, 0], [-(2**2000), 0, 0, 0], np.array(["a", "b", "c", "d"])],
+    ids=["huge_int", "huge_negative_int", "text"],
+)
+def test_samples_the_float_cast_cannot_make_raise_modulation_errors(demodulate, samples):
+    with pytest.raises(ModulationError, match="^samples must be real numbers: "):
+        demodulate(samples)
+
+
 def test_vppm_half_dimming_shapes():
     # dimming 0.5: bit 1 fills the first half, bit 0 the second half
     wf = vppm_modulate([1, 0], dimming=0.5)
