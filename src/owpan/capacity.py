@@ -58,6 +58,11 @@ class SweepSpec:
     points: int = 200
 
     def __post_init__(self) -> None:
+        # operator.index admits ints and numpy integers, not 2.5 or 3.0
+        try:
+            object.__setattr__(self, "points", operator.index(self.points))
+        except TypeError:
+            raise ValueError(f"points must be an integer, got {self.points!r}") from None
         if self.points < 2:
             raise ValueError(f"need at least 2 grid points, got {self.points!r}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):

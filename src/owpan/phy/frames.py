@@ -156,13 +156,13 @@ def encode_to_chips(payload: bytes, mode: PhyMode) -> np.ndarray:
 def encode_frame(payload: bytes, mode: PhyMode, dimming: float = 0.5) -> Frame:
     """Encode payload bytes to a fully modulated frame.  ``dimming`` must lie
     in (0, 1) in every mode, though only VPPM reads it."""
-    modulation._check_dimming(dimming)
+    dimming = modulation._dimming(dimming)
     payload = _as_payload(payload)
     chips = encode_to_chips(payload, mode)
     if mode.modulation is Modulation.VPPM:
         waveform = modulation._vppm_modulate(chips, dimming)
     else:
-        waveform = modulation._ook_modulate(chips, 1.0)
+        waveform = modulation._ook_modulate(chips)
     return Frame(payload=payload, mode=mode, chips=chips, waveform=waveform)
 
 
@@ -189,7 +189,7 @@ def _receive(signal: np.ndarray, mode: PhyMode, demodulate: bool) -> bytes:
             chips, bad = modulation._vppm_demodulate(modulation._per_chip(signal))
             modulation._raise_tie(bad)
         else:
-            chips, _ = modulation._ook_demodulate(modulation._per_chip(signal), 1.0)
+            chips, _ = modulation._ook_demodulate(modulation._per_chip(signal))
         if mode.line_code is LineCode.EIGHT_B_TEN_B:
             (data, _), bad = line_codes._decode_8b10b(chips, -1)
             _raise_bad_word(chips, 10, bad)

@@ -57,20 +57,20 @@ def _as_uint8(x, top: int, message: str) -> np.ndarray:
     """``x`` cast to uint8, or ValueError(message) unless it holds integers
     in 0..top only: 256, -255, 0.5, NaN, complex values and None would not
     survive the cast."""
-    arr = np.asarray(x)
-    if arr.dtype != np.uint8:
-        if arr.dtype.kind == "c":
-            raise ValueError(message)
-        try:
+    try:
+        arr = np.asarray(x)
+        if arr.dtype != np.uint8:
+            if arr.dtype.kind == "c":  # the cast would only warn
+                raise ValueError(message)
             with np.errstate(invalid="ignore"):
                 cast = arr.astype(np.uint8)
-        except (TypeError, ValueError, OverflowError):
-            # an object array holding None, a complex number or an int
-            # beyond int64, or text that is no number
-            raise ValueError(message) from None
-        if not np.array_equal(cast, arr):
-            raise ValueError(message)
-        arr = cast
+            if not np.array_equal(cast, arr):
+                raise ValueError(message)
+            arr = cast
+    except (TypeError, ValueError, OverflowError):
+        # a ragged nesting, an object array holding None, a complex number
+        # or an int beyond int64, or text that is no number
+        raise ValueError(message) from None
     if top < 255 and arr.size and np.maximum.reduce(arr, axis=None) > top:
         raise ValueError(message)
     return arr

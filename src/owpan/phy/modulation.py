@@ -11,19 +11,22 @@ dimming duty cycle.  Pulse edges that fall inside a sample are represented
 by that sample taking the covered fraction as its amplitude, which keeps
 the per-symbol mean exactly equal to the duty cycle at any dimming value.
 
+OOK is at unit intensity: chip 1 is four samples of 1.0, chip 0 four of
+0.0, and a chip reads as 1 when its mean exceeds 0.5.
+
 Waveforms are built and read one block of chips at a time, so peak memory
-is the waveform plus O(block).  Each level's (2, SAMPLES_PER_CHIP) sample
-table is built once, on its first use, and kept read-only.
+is the waveform plus O(block).  Each (2, SAMPLES_PER_CHIP) sample table
+is read-only: OOK's is built at import, each dimming's on its first use.
 
 Each modulator is a transmit stage: its private form takes checked 0/1
-chips and a checked level, and the public modulator checks both, then
-calls it.  Each demodulator is a receive stage: its private form takes
-the checked samples of ``_per_chip`` and returns ``(chips, bad)``, ``bad``
-marking the VPPM chips whose half energies tie, or None when none does
-(OOK cannot fail).  The public demodulator checks its input, calls the
-private form, then raises at the first bad chip through
-``line_codes._raise_first``.  The frame chains check their input once and
-call the private forms only.
+chips (and VPPM a checked dimming), and the public modulator checks its
+arguments, then calls it.  Each demodulator is a receive stage: its
+private form takes the checked samples of ``_per_chip`` and returns
+``(chips, bad)``, ``bad`` marking the VPPM chips whose half energies tie,
+or None when none does (OOK cannot fail).  The public demodulator checks
+its input, calls the private form, then raises at the first bad chip
+through ``line_codes._raise_first``.  The frame chains check their input
+once and call the private forms only.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ __all__ = [
 SAMPLES_PER_CHIP = 4
 # chips per pass; np.take copies a block's uint8 indices as 8-byte intp
 _BLOCK = 1 << 14
-# levels whose sample tables are kept; past that the least recently used goes
+# dimmings whose sample tables are kept; past that the least recently used goes
 _TABLES = 64
 
 
@@ -62,69 +65,53 @@ def _modulate(chips: np.ndarray, table: np.ndarray) -> np.ndarray:
     return out.ravel()
 
 
-def _level(value) -> float:
-    # the table caches' key: a Python float, also for a numpy scalar or a
-    # 0-d or one-element array (float() warns on a one-element array)
-    return value if type(value) is float else np.asarray(value, dtype=np.float64).item()
-
-
 def _per_chip(samples) -> np.ndarray:
-    samples = np.asarray(samples)
+    try:
+        samples = np.asarray(samples)
+        if samples.dtype.kind != "c":
+            samples = np.asarray(samples, dtype=np.float64).ravel()  # float64 is not copied
+    except (TypeError, ValueError, OverflowError) as exc:
+        # a ragged nesting, an object array holding, say, a complex number
+        # or an int beyond float64, or text that is no number
+        raise ModulationError(f"samples must be real numbers: {exc}") from None
     if samples.dtype.kind == "c":
         raise ModulationError("samples must be real, got complex values")
-    try:
-        samples = np.asarray(samples, dtype=np.float64).ravel()  # float64 is not copied
-    except (TypeError, ValueError, OverflowError) as exc:
-        # an object array holding, say, a complex number or an int beyond
-        # float64, or text that is no number
-        raise ModulationError(f"samples must be real numbers: {exc}") from None
     if samples.size % SAMPLES_PER_CHIP:
         raise ModulationError(f"sample count {samples.size} is not a whole number of chips")
     return samples.reshape(-1, SAMPLES_PER_CHIP)
 
 
-def _check_high(high: float) -> None:
-    if not 0.0 < high < np.inf:
-        raise ValueError(f"high level must be finite and > 0, got {high!r}")
+_OOK_TABLE = np.repeat([[0.0], [1.0]], SAMPLES_PER_CHIP, axis=1)
+_OOK_TABLE.flags.writeable = False
 
 
-@lru_cache(maxsize=_TABLES)
-def _ook_table(high: float) -> np.ndarray:
-    table = np.zeros((2, SAMPLES_PER_CHIP))
-    table[1] = high
-    table.flags.writeable = False
-    return table
+def _ook_modulate(chips: np.ndarray) -> np.ndarray:
+    return _modulate(chips, _OOK_TABLE)
 
 
-def _ook_modulate(chips: np.ndarray, high: float) -> np.ndarray:
-    return _modulate(chips, _ook_table(_level(high)))
+def ook_modulate(chips) -> np.ndarray:
+    """Chip 1 -> 1.0, chip 0 -> dark, four samples each."""
+    return _ook_modulate(_as_bits(chips, "chips"))
 
 
-def ook_modulate(chips, high: float = 1.0) -> np.ndarray:
-    """Chip 1 -> ``high`` level, chip 0 -> dark, four samples each."""
-    _check_high(high)
-    return _ook_modulate(_as_bits(chips, "chips"), high)
-
-
-def _ook_demodulate(per: np.ndarray, high: float) -> tuple[np.ndarray, None]:
+def _ook_demodulate(per: np.ndarray) -> tuple[np.ndarray, None]:
     chips = np.empty(len(per), dtype=bool)
     acc = np.empty(min(len(per), _BLOCK))
     for i in range(0, len(per), _BLOCK):
         b = per[i : i + _BLOCK]
-        mean = acc[: len(b)]
-        # ((s0 + s1) + s2) + s3, the order in which numpy's mean(axis=1) sums
-        np.add(b[:, 0], b[:, 1], out=mean)
-        mean += b[:, 2]
-        mean += b[:, 3]
-        mean /= 4
-        np.greater(mean, high / 2.0, out=chips[i : i + _BLOCK])
+        total = acc[: len(b)]
+        # ((s0 + s1) + s2) + s3, the order in which numpy's mean(axis=1)
+        # sums; dividing by 4 is exact, so total > 2 is mean > 0.5
+        np.add(b[:, 0], b[:, 1], out=total)
+        total += b[:, 2]
+        total += b[:, 3]
+        np.greater(total, 2.0, out=chips[i : i + _BLOCK])
     return chips.view(np.uint8), None
 
 
-def ook_demodulate(samples, high: float = 1.0) -> np.ndarray:
-    """Threshold each chip period's mean at half the high level."""
-    _check_high(high)
-    return _ook_demodulate(_per_chip(samples), high)[0]
+def ook_demodulate(samples) -> np.ndarray:
+    """Threshold each chip period's mean at 0.5."""
+    return _ook_demodulate(_per_chip(samples))[0]
 
 
 @lru_cache(maxsize=_TABLES)
@@ -140,18 +127,21 @@ def _vppm_table(dimming: float) -> np.ndarray:
     return table
 
 
-def _check_dimming(dimming: float) -> None:
-    if not 0.0 < dimming < 1.0:
-        raise ValueError(f"dimming must lie in (0, 1), got {dimming!r}")
+def _dimming(value) -> float:
+    # checked in (0, 1), then the Python float that keys _vppm_table, also for
+    # a numpy scalar or a 0-d or one-element array (float() warns on the last)
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"dimming must lie in (0, 1), got {value!r}")
+    return value if type(value) is float else np.asarray(value, dtype=np.float64).item()
 
 
 def _vppm_modulate(bits: np.ndarray, dimming: float) -> np.ndarray:
-    return _modulate(bits, _vppm_table(_level(dimming)))
+    return _modulate(bits, _vppm_table(dimming))
 
 
 def vppm_modulate(bits, dimming: float) -> np.ndarray:
     """Map bits to pulse-position symbols with duty cycle ``dimming``."""
-    _check_dimming(dimming)
+    dimming = _dimming(dimming)
     return _vppm_modulate(_as_bits(bits, "chips"), dimming)
 
 

@@ -303,6 +303,16 @@ class TestSweeps:
         with pytest.raises(ValueError):
             SweepSpec(SweepVariable.SPAN_M, 0.0, 100.0, points=1)
 
+    @pytest.mark.parametrize("points", [2.5, np.float64(3.0), "5"])
+    def test_spec_rejects_non_integer_points(self, points):
+        with pytest.raises(ValueError, match="^points must be an integer, got "):
+            SweepSpec(SweepVariable.SPAN_M, 0.0, 1.0, points)
+
+    def test_spec_stores_numpy_integer_points_as_int(self):
+        spec = SweepSpec(SweepVariable.SPAN_M, 0.0, 1.0, np.int64(5))
+        assert type(spec.points) is int and spec.points == 5
+        assert spec.grid().tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+
 
     @pytest.mark.parametrize(
         "start, stop", [(math.nan, 10.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0)]

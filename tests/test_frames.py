@@ -80,6 +80,28 @@ def test_vppm_waveform_mean_tracks_dimming():
         assert frame.waveform.mean() == pytest.approx(dimming, abs=1e-12)
 
 
+VPPM_MODES = [m for m in BOUND_MODES if m.modulation is Modulation.VPPM]
+
+
+@pytest.mark.parametrize("mode", VPPM_MODES, ids=lambda m: m.name)
+@pytest.mark.parametrize("dimming", [1e-300, 1e-9, 0.01, 0.99, np.nextafter(1.0, 0.0)])
+def test_vppm_round_trips_at_extreme_duty_cycles(mode, dimming):
+    payload = b"duty \x00\xff"
+    assert decode_frame(encode_frame(payload, mode, dimming).waveform, mode) == payload
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "dimming",
+    [np.float32(0.3), np.array(0.3), np.array([0.3])],
+    ids=["float32", "0d_array", "1_element_array"],
+)
+def test_numpy_dimming_gives_the_waveform_of_its_float(dimming):
+    mode = mode_by_name("phy1-vppm-35k")
+    expected = encode_frame(b"dim", mode, np.asarray(dimming).item()).waveform
+    assert np.array_equal(encode_frame(b"dim", mode, dimming).waveform, expected)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.binary(max_size=300), st.sampled_from(["phy1-ook-24k", "phy1-vppm-71k", "phy2-ook-9m6"]))
 def test_random_payload_round_trips(payload, name):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from owpan.phy.fec import ConvCode, RsCode, cc_encode, rs_decode, rs_encode, viterbi_decode
-from owpan.phy.frames import chips_to_hex
+from owpan.phy.frames import FrameDecodeError, chips_to_hex, decode_frame, decode_from_chips
 from owpan.phy.line_codes import (
     TABLE_4B6B,
     LineCodeError,
@@ -23,7 +23,14 @@ from owpan.phy.line_codes import (
     manchester_decode,
     manchester_encode,
 )
-from owpan.phy.modulation import ook_modulate, vppm_modulate
+from owpan.phy.modes import mode_by_name
+from owpan.phy.modulation import (
+    ModulationError,
+    ook_demodulate,
+    ook_modulate,
+    vppm_demodulate,
+    vppm_modulate,
+)
 
 bit_lists = st.lists(st.integers(0, 1), max_size=200)
 nibble_lists = st.lists(st.integers(0, 15), max_size=200)
@@ -328,6 +335,64 @@ def test_chips_to_hex_rejects_a_chip_of_two():
     # the 2 would pack to nibble 16 and vanish from the dump
     with pytest.raises(ValueError, match="only 0s and 1s"):
         chips_to_hex(np.array([2, 0, 0, 0, 1, 1, 1, 1]))
+
+
+# A ragged nesting fails numpy's own conversion to an array.  Every public
+# PHY function must still raise its own check's error, of the entry's type
+# and starting with its message (the demodulators add numpy's text).
+
+_BITS = (ValueError, "bits must contain only 0s and 1s")
+_CHIPS = (ValueError, "chips must contain only 0s and 1s")
+_SAMPLES = (ModulationError, "samples must be real numbers: setting an array element")
+_RAGGED_ERRORS = {
+    "manchester_encode": (manchester_encode, *_BITS),
+    "manchester_decode": (manchester_decode, *_CHIPS),
+    "encode_4b6b": (encode_4b6b, ValueError, "nibbles must lie in 0..15"),
+    "decode_4b6b": (decode_4b6b, *_CHIPS),
+    "encode_8b10b": (encode_8b10b, ValueError, "data must hold byte values 0..255"),
+    "decode_8b10b": (decode_8b10b, *_CHIPS),
+    "rs_encode": (
+        lambda x: rs_encode(x, RsCode(15, 11)),
+        ValueError,
+        "data symbols must lie in 0..15",
+    ),
+    "rs_decode": (
+        lambda x: rs_decode(x, RsCode(15, 11)),
+        ValueError,
+        "blocks symbols must lie in 0..15",
+    ),
+    "cc_encode": (lambda x: cc_encode(x, ConvCode(Fraction(1, 3))), *_BITS),
+    "viterbi_decode": (
+        lambda x: viterbi_decode(x, ConvCode(Fraction(1, 3))),
+        ValueError,
+        "coded bits must contain only 0s and 1s",
+    ),
+    "ook_modulate": (ook_modulate, *_CHIPS),
+    "vppm_modulate": (lambda x: vppm_modulate(x, 0.5), *_CHIPS),
+    "ook_demodulate": (ook_demodulate, *_SAMPLES),
+    "vppm_demodulate": (vppm_demodulate, *_SAMPLES),
+    "chips_to_hex": (chips_to_hex, *_CHIPS),
+    "decode_frame": (
+        lambda x: decode_frame(x, mode_by_name("phy1-ook-11k")),
+        FrameDecodeError,
+        _SAMPLES[1],
+    ),
+    "decode_from_chips": (
+        lambda x: decode_from_chips(x, mode_by_name("phy1-ook-11k")),
+        FrameDecodeError,
+        _CHIPS[1],
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_RAGGED_ERRORS))
+@pytest.mark.parametrize("ragged", [[[1], [1, 0]], [[0, 1], [1]], [1, [0, 1]]])
+def test_ragged_input_gets_the_checks_own_error(entry, ragged):
+    call, error, message = _RAGGED_ERRORS[entry]
+    with pytest.raises(ValueError) as exc:
+        call(ragged)
+    assert exc.type is error
+    assert str(exc.value).startswith(message)
 
 
 def _outcome(call, x):

@@ -25,12 +25,6 @@ def test_ook_sample_expansion():
     assert wf.tolist() == [1.0] * 4 + [0.0] * 4 + [1.0] * 4
 
 
-def test_ook_custom_high_level():
-    wf = ook_modulate([1], high=2.5)
-    assert wf.tolist() == [2.5] * 4
-    assert ook_demodulate(wf, high=2.5).tolist() == [1]
-
-
 @given(bit_lists)
 def test_ook_round_trip(chips):
     wf = ook_modulate(chips)
@@ -52,8 +46,14 @@ def test_ook_rejects_partial_chip():
 def test_ook_rejects_bad_inputs():
     with pytest.raises(ValueError):
         ook_modulate([0, 2])
-    with pytest.raises(ValueError):
-        ook_modulate([1], high=0.0)
+
+
+def test_ook_takes_no_level():
+    # OOK is at unit intensity; a level is no argument of either function
+    with pytest.raises(TypeError):
+        ook_modulate([1], 2.5)
+    with pytest.raises(TypeError):
+        ook_demodulate(np.ones(SAMPLES_PER_CHIP), 2.5)
 
 
 @pytest.mark.parametrize("demodulate", [ook_demodulate, vppm_demodulate])
@@ -128,19 +128,11 @@ def test_empty_streams():
     assert vppm_demodulate([]).size == 0
 
 
-def test_ook_rejects_non_finite_levels():
-    for high in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError):
-            ook_modulate([0, 1], high=high)
-        with pytest.raises(ValueError):
-            ook_demodulate(np.zeros(SAMPLES_PER_CHIP), high=high)
-
-
-# --- levels given as numpy values ---------------------------------------------
+# --- dimmings given as numpy values -------------------------------------------
 #
-# The modulators keep one sample table per level, keyed on the level as a
-# Python float; a numpy scalar or a 0-d or one-element array still gives
-# the samples that the level itself gives, without a warning.
+# vppm_modulate keeps one sample table per dimming, keyed on the dimming as
+# a Python float; a numpy scalar or a 0-d or one-element array still gives
+# the samples that the dimming itself gives, without a warning.
 
 
 def _vppm_samples(bits, dimming):
@@ -154,12 +146,6 @@ def _vppm_samples(bits, dimming):
 def test_vppm_accepts_numpy_dimming(dimming):
     bits = [1, 0, 0, 1, 1]
     assert vppm_modulate(bits, dimming).tolist() == _vppm_samples(bits, dimming).tolist()
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("high", [np.array(2.0), np.array([2.0]), np.float32(2.0), 2])
-def test_ook_accepts_numpy_high_level(high):
-    assert ook_modulate([1, 0], high).tolist() == [2.0] * 4 + [0.0] * 4
 
 
 def test_writing_into_a_waveform_leaves_the_next_one_alone():
@@ -180,10 +166,10 @@ def test_writing_into_a_waveform_leaves_the_next_one_alone():
 CHIP_COUNTS = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5]
 
 
-def _ook_oracle(samples, high):
+def _ook_oracle(samples):
     samples = np.asarray(samples, dtype=np.float64).ravel()
     means = samples.reshape(-1, SAMPLES_PER_CHIP).mean(axis=1)
-    return (means > high / 2.0).astype(np.uint8)
+    return (means > 0.5).astype(np.uint8)
 
 
 def _vppm_oracle(samples):
@@ -215,16 +201,18 @@ def _noisy(waveform, rng):
 def test_ook_demodulate_matches_unblocked_oracle(nchips):
     rng = np.random.default_rng(nchips)
     chips = rng.integers(0, 2, nchips).astype(np.uint8)
-    for high in (1.0, 2.5):
-        wf = _noisy(ook_modulate(chips, high), rng)
-        assert np.array_equal(ook_demodulate(wf, high), _ook_oracle(wf, high))
-        single = wf.astype(np.float32)
-        assert np.array_equal(ook_demodulate(single, high), _ook_oracle(single, high))
+    wf = _noisy(ook_modulate(chips), rng)
+    assert np.array_equal(ook_demodulate(wf), _ook_oracle(wf))
+    single = wf.astype(np.float32)
+    assert np.array_equal(ook_demodulate(single), _ook_oracle(single))
     # chips on the edge: summed left to right, ((-2.5 + 1e17) - 1e17) + 2.5
-    # is 2.5 while the other orders round to 0; a mean of exactly high/2 is 0
+    # is 2.5 while the other orders round to 0; a mean of exactly 0.5 is 0
     edge = np.tile([-2.5, 1e17, -1e17, 2.5, 0.5, 0.5, 0.5, 0.5], max(nchips, 1))
-    assert _ook_oracle(edge, 1.0).tolist() == [1, 0] * max(nchips, 1)
-    assert np.array_equal(ook_demodulate(edge), _ook_oracle(edge, 1.0))
+    assert _ook_oracle(edge).tolist() == [1, 0] * max(nchips, 1)
+    assert np.array_equal(ook_demodulate(edge), _ook_oracle(edge))
+    # means 1 ulp either side of 0.5, and subnormal samples
+    near = np.repeat([np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0), 5e-324], SAMPLES_PER_CHIP)
+    assert ook_demodulate(near).tolist() == _ook_oracle(near).tolist() == [1, 0, 0]
 
 
 @pytest.mark.parametrize("nchips", CHIP_COUNTS)
@@ -284,10 +272,10 @@ def test_vppm_demodulate_raises_exactly_at_the_first_tie_of_the_private_form(
     assert str(exc.value) == f"ambiguous VPPM symbol at index {ties[0]}: equal half energies"
 
 
-@given(bit_lists, st.sampled_from([1.0, 2.5]), st.integers(0, 2**32 - 1))
-def test_ook_private_form_marks_nothing_and_matches_the_public_one(chips, high, seed):
+@given(bit_lists, st.integers(0, 2**32 - 1))
+def test_ook_private_form_marks_nothing_and_matches_the_public_one(chips, seed):
     rng = np.random.default_rng(seed)
-    wf = ook_modulate(chips, high) + rng.normal(scale=0.3, size=4 * len(chips))
-    out, bad = _ook_demodulate(_per_chip(wf), high)
+    wf = ook_modulate(chips) + rng.normal(scale=0.3, size=4 * len(chips))
+    out, bad = _ook_demodulate(_per_chip(wf))
     assert bad is None
-    assert np.array_equal(ook_demodulate(wf, high), out)
+    assert np.array_equal(ook_demodulate(wf), out)
