@@ -80,6 +80,9 @@ class FlowSpec:
     def __post_init__(self):
         if not self.name:
             raise SimulationError("flow needs a non-empty name")
+        for end in ("src", "dst"):
+            value = _as_integer(getattr(self, end), f"flow {self.name}: {end}", SimulationError)
+            object.__setattr__(self, end, value)
         object.__setattr__(
             self,
             "packet_bytes",

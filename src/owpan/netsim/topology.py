@@ -85,8 +85,12 @@ class Node:
         object.__setattr__(self, "address", _as_integer(self.address, "node address"))
         if not 0 <= self.address < 2**64:
             raise TopologyError(f"address {self.address} outside 64-bit range")
-        object.__setattr__(self, "capabilities", frozenset(self.capabilities))
-        object.__setattr__(self, "protocols", frozenset(self.protocols))
+        for tags in ("capabilities", "protocols"):
+            value = getattr(self, tags)
+            # frozenset("ab") would be the tags "a" and "b"
+            if isinstance(value, (str, bytes)):
+                raise TopologyError(f"{tags} must be a collection of tags, got {value!r}")
+            object.__setattr__(self, tags, frozenset(value))
 
 
 @dataclass(frozen=True)
@@ -102,6 +106,10 @@ class Link:
     channel_count: int = 1
 
     def __post_init__(self):
+        # a numpy integer or a bool would reach the simulator's CSV as
+        # np.int64(1) or True
+        object.__setattr__(self, "src", _as_integer(self.src, "link source"))
+        object.__setattr__(self, "dst", _as_integer(self.dst, "link destination"))
         if self.src == self.dst:
             raise TopologyError(f"link endpoints coincide (address {self.src})")
         _as_integer(self.scenario, "scenario")

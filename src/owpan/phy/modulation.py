@@ -97,15 +97,18 @@ def ook_modulate(chips) -> np.ndarray:
 def _ook_demodulate(per: np.ndarray) -> tuple[np.ndarray, None]:
     chips = np.empty(len(per), dtype=bool)
     acc = np.empty(min(len(per), _BLOCK))
-    for i in range(0, len(per), _BLOCK):
-        b = per[i : i + _BLOCK]
-        total = acc[: len(b)]
-        # ((s0 + s1) + s2) + s3, the order in which numpy's mean(axis=1)
-        # sums; dividing by 4 is exact, so total > 2 is mean > 0.5
-        np.add(b[:, 0], b[:, 1], out=total)
-        total += b[:, 2]
-        total += b[:, 3]
-        np.greater(total, 2.0, out=chips[i : i + _BLOCK])
+    # a sum past float64's range is inf and reads as 1; inf + -inf is NaN
+    # and reads as 0, so neither needs numpy's warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, len(per), _BLOCK):
+            b = per[i : i + _BLOCK]
+            total = acc[: len(b)]
+            # ((s0 + s1) + s2) + s3, the order in which numpy's mean(axis=1)
+            # sums; dividing by 4 is exact, so total > 2 is mean > 0.5
+            np.add(b[:, 0], b[:, 1], out=total)
+            total += b[:, 2]
+            total += b[:, 3]
+            np.greater(total, 2.0, out=chips[i : i + _BLOCK])
     return chips.view(np.uint8), None
 
 
@@ -150,15 +153,18 @@ def _vppm_demodulate(per: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     # no frame-sized mask
     bits = np.empty(len(per), dtype=bool)
     bad = None
-    for i in range(0, len(per), _BLOCK):
-        b = per[i : i + _BLOCK]
-        e_first, e_second = b[:, 0] + b[:, 1], b[:, 2] + b[:, 3]
-        ties = e_first == e_second
-        if ties.any():
-            if bad is None:
-                bad = np.zeros(len(per), dtype=bool)
-            bad[i : i + _BLOCK] = ties
-        np.greater(e_first, e_second, out=bits[i : i + _BLOCK])
+    # an overflowed energy is inf; a NaN energy (inf + -inf) is neither
+    # greater nor equal, so its bit reads 0 and is not a tie
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, len(per), _BLOCK):
+            b = per[i : i + _BLOCK]
+            e_first, e_second = b[:, 0] + b[:, 1], b[:, 2] + b[:, 3]
+            ties = e_first == e_second
+            if ties.any():
+                if bad is None:
+                    bad = np.zeros(len(per), dtype=bool)
+                bad[i : i + _BLOCK] = ties
+            np.greater(e_first, e_second, out=bits[i : i + _BLOCK])
     return bits.view(np.uint8), bad
 
 

@@ -2,6 +2,7 @@
 and each package exports the union of its modules' lists."""
 
 import importlib
+import importlib.util
 import pkgutil
 
 import pytest
@@ -43,25 +44,33 @@ def test_package_exports_the_union_of_its_modules(name):
     assert set(package.__all__) == expected
 
 
-@pytest.mark.parametrize("name", PUBLIC_MODULES)
-def test_removed_link_budget_types_are_gone(name):
-    module = importlib.import_module(name)
-    for gone in ("SnrBudget", "IndoorChannelParams"):
-        assert not hasattr(module, gone)
+# names deleted with the code behind them: the link-budget types, the relay
+# helpers, helpers nothing read, and the MAC superframe model
+REMOVED = (
+    "SnrBudget",
+    "IndoorChannelParams",
+    "af_relay",
+    "df_relay",
+    "RelayDecodeError",
+    "end_to_end_capacity",
+    "indoor_frequency_response",
+    "assign_addresses",
+    "GtsAllocation",
+    "Superframe",
+    "MacError",
+    "build_superframe",
+    "BEACON_SLOT",
+)
 
 
 @pytest.mark.parametrize("name", PUBLIC_MODULES)
-def test_removed_relay_helpers_are_gone(name):
+def test_removed_names_are_gone(name):
     module = importlib.import_module(name)
-    for gone in ("af_relay", "df_relay", "RelayDecodeError"):
-        assert not hasattr(module, gone)
+    assert [gone for gone in REMOVED if hasattr(module, gone)] == []
 
 
-@pytest.mark.parametrize("name", PUBLIC_MODULES)
-def test_removed_unread_helpers_are_gone(name):
-    module = importlib.import_module(name)
-    for gone in ("end_to_end_capacity", "indoor_frequency_response", "assign_addresses"):
-        assert not hasattr(module, gone)
+def test_mac_module_is_gone():
+    assert importlib.util.find_spec("owpan.netsim.mac") is None
 
 
 def test_link_budget_params_has_no_indoor_view():

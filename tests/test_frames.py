@@ -3,6 +3,7 @@
 import hashlib
 import re
 import sys
+import warnings
 from array import array
 from fractions import Fraction
 from pathlib import Path
@@ -27,7 +28,7 @@ from owpan.phy.frames import (
     encode_to_chips,
 )
 from owpan.phy.modes import LineCode, Modulation, mode_by_name, phy_mode_catalog
-from owpan.phy.modulation import ook_modulate, vppm_modulate
+from owpan.phy.modulation import ook_demodulate, ook_modulate, vppm_demodulate, vppm_modulate
 
 GOLDEN = Path(__file__).parent / "golden" / "frame_phy1_ook_11k.hex"
 
@@ -100,6 +101,29 @@ def test_numpy_dimming_gives_the_waveform_of_its_float(dimming):
     mode = mode_by_name("phy1-vppm-35k")
     expected = encode_frame(b"dim", mode, np.asarray(dimming).item()).waveform
     assert np.array_equal(encode_frame(b"dim", mode, dimming).waveform, expected)
+
+
+@pytest.mark.parametrize("name", ["phy1-ook-11k", "phy1-vppm-35k", "phy2-ook-96m"])
+def test_overflowing_and_cancelling_samples_raise_no_warning(name):
+    # a chip sum past float64's range is inf and inf + -inf is NaN; numpy
+    # warns on both, and a warning made an error broke the receive chain
+    mode = mode_by_name(name)
+    payload = b"W-OWPAN frame golden."
+    waveform = encode_frame(payload, mode).waveform
+    demodulate = ook_demodulate if mode.modulation is Modulation.OOK else vppm_demodulate
+    chips = demodulate(waveform)
+    cancelled = waveform.copy()
+    cancelled[:2] = (np.inf, -np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert decode_frame(waveform * 1e308, mode) == payload
+        assert np.array_equal(demodulate(waveform * 1e308), chips)
+        # the NaN chip reads 0
+        assert np.array_equal(demodulate(cancelled), np.concatenate([[0], chips[1:]]))
+        try:
+            assert isinstance(decode_frame(cancelled, mode), bytes)
+        except FrameDecodeError:
+            pass
 
 
 @settings(max_examples=30, deadline=None)

@@ -233,6 +233,30 @@ def test_flow_validation():
     assert not FlowSpec("f", 1, 2, rate_bps=1.0).saturating
 
 
+@pytest.mark.parametrize("end", [np.int64(1), True], ids=["numpy", "bool"])
+def test_endpoints_reach_the_csv_as_ints(end):
+    # repr wrote np.int64(1) or True into the flow and link rows
+    def csv_of(src):
+        topology = Topology(
+            nodes=(Node(1, UD), Node(2, AP)),
+            links=(Link(src, 2, Technology.RF, capacity_bps=1e6),),
+        )
+        flow = FlowSpec("f", src, np.int64(2), rate_bps=1e5)
+        assert type(flow.src) is int and type(flow.dst) is int
+        out = io.StringIO()
+        write_metrics_csv(run_simulation(topology, [flow], duration=0.1, seed=1), out)
+        return out.getvalue()
+
+    assert csv_of(end) == csv_of(1)
+
+
+def test_flow_endpoints_must_be_integers():
+    with pytest.raises(SimulationError, match="flow f: src must be an integer, got 1.0"):
+        FlowSpec("f", 1.0, 2)
+    with pytest.raises(SimulationError, match="flow f: dst must be an integer, got 2.0"):
+        FlowSpec("f", 1, 2.0)
+
+
 def test_simulation_input_validation():
     t = line_topology([1e6])
     with pytest.raises(SimulationError):

@@ -113,6 +113,38 @@ def test_numpy_integer_address_is_stored_as_int():
     assert node.address == 3 and type(node.address) is int
 
 
+@pytest.mark.parametrize("end", [np.int64(1), True], ids=["numpy", "bool"])
+def test_link_endpoints_are_stored_as_int(end):
+    # the simulator's CSV writes each endpoint with repr
+    for link in (Link(end, 2, Technology.RF), Link(2, end, Technology.RF)):
+        assert {link.src, link.dst} == {1, 2}
+        assert type(link.src) is int and type(link.dst) is int
+
+
+def test_link_endpoints_must_be_integers():
+    with pytest.raises(TopologyError, match="link source must be an integer, got 1.0"):
+        Link(1.0, 2, Technology.RF)
+    with pytest.raises(TopologyError, match="link destination must be an integer, got 2.0"):
+        Link(1, 2.0, Technology.RF)
+    with pytest.raises(TopologyError, match="coincide"):
+        Link(np.int64(1), True, Technology.RF)
+
+
+@pytest.mark.parametrize("field", ["protocols", "capabilities"])
+@pytest.mark.parametrize("tags", ["ab", b"ab"], ids=["str", "bytes"])
+def test_node_tags_must_not_be_a_string(field, tags):
+    # frozenset("ab") is the two tags "a" and "b"
+    with pytest.raises(TopologyError, match=f"^{field} must be a collection of tags"):
+        Node(1, UD, **{field: tags})
+
+
+@pytest.mark.parametrize("field", ["protocols", "capabilities"])
+@pytest.mark.parametrize("collection", [list, tuple, set, frozenset])
+def test_node_tags_accept_any_collection(field, collection):
+    node = Node(1, UD, **{field: collection(["ab", "c"])})
+    assert getattr(node, field) == frozenset({"ab", "c"})
+
+
 def test_line_of_sight_by_scenario():
     for s in (1, 2, 3):
         assert Link(1, 2, Technology.VLC_LED, scenario=s).line_of_sight
