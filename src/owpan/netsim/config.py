@@ -96,9 +96,6 @@ def _address(addresses: dict, name: str) -> int:
 # optional keys of each directive: key -> (dataclass field, reader of the
 # text); an absent key takes the dataclass default
 _NODE_KEYS = {
-    "caps": (
-        "capabilities", lambda v: [_member(Technology, t, "technology") for t in v.split(",") if t]
-    ),
     "protocols": ("protocols", lambda v: [p for p in v.split(",") if p]),
 }
 _LINK_KEYS = {
@@ -156,6 +153,11 @@ def parse_network_config(text: str) -> NetworkConfig:
                 if "kind" not in attrs:
                     raise ValueError(f"node {name!r} needs kind=")
                 node_kind = _member(NodeKind, attrs.pop("kind"), "kind")
+                # caps= names technologies; nothing reads them, so they are
+                # checked and dropped
+                for tech in attrs.pop("caps", "").split(","):
+                    if tech:
+                        _member(Technology, tech, "technology")
                 fields = _pop_fields(attrs, _NODE_KEYS)
                 if "address" in attrs:
                     address = _integer(attrs.pop("address"), "bad address", 0)

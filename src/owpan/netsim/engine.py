@@ -11,20 +11,14 @@ A link's state is touched only by the flows routed over it.  So a flow
 whose route no other flow's route uses (a route of no hop included)
 meets no other flow and takes no heap event: its packets are simulated
 one after another in a loop of their own, each over its whole route at
-its injection.  The other flows share the heap.  Their routes are cut
-into legs, each the links a packet crosses in one step: one link per
-leg up to the route's last link that another flow's route also uses,
-whose leg runs on to the end of the route.  A leg's links after its
-first are the route's private tail, served each at the packet's
-arrival: the flow's packets reach those links in FIFO order, so this
-computes the same floats in the same order.  A leg before a shared link
-queues an event, whose queueing instant breaks ties there.
+its injection.  The other flows share the heap and take one event per
+hop, whose queueing instant breaks ties at a shared link.
 
-An event is the flat tuple ``(time, seq, flow, leg, gen_time)``: leg -1
-injects a packet of the flow, leg k >= 0 is a packet generated at
-``gen_time`` reaching the k-th leg of its route.  An injection serves
-leg 0 in the same step unless another queued event has exactly its
-time; then leg 0 is queued, so (time, seq) order decides as it would
+An event is the flat tuple ``(time, seq, flow, hop, gen_time)``: hop -1
+injects a packet of the flow, hop k >= 0 is a packet generated at
+``gen_time`` reaching the k-th link of its route.  An injection serves
+hop 0 in the same step unless another queued event has exactly its
+time; then hop 0 is queued, so (time, seq) order decides as it would
 for separate events.  A packet leaving its last link is counted
 delivered at once if it arrives by the horizon."""
 
@@ -80,6 +74,11 @@ class FlowSpec:
     def __post_init__(self):
         if not self.name:
             raise SimulationError("flow needs a non-empty name")
+        # the metrics CSV writes the name as one bare cell
+        if any(c in str(self.name) for c in ',"\r\n'):
+            raise SimulationError(
+                f"flow name {self.name!r} must not contain a comma, a double quote, CR or LF"
+            )
         for end in ("src", "dst"):
             value = _as_integer(getattr(self, end), f"flow {self.name}: {end}", SimulationError)
             object.__setattr__(self, end, value)
@@ -226,11 +225,10 @@ def run_simulation(topology: Topology, flows, duration: float, seed: int = 0) ->
       packets delivered.
     - The number of events is not capped.  A flow whose route no other
       flow's route uses takes none; any other flow takes one per injected
-      packet, plus one per hop after the first up to the route's last link
-      that another flow's route also uses.  Run time grows with the sum
-      over flows of (duration / time step) times (hops + 1), where the
-      step is the first-hop service time of a saturating flow and the mean
-      gap of a Poisson flow.
+      packet, plus one per hop after the first that the packet reaches by
+      the horizon.  Run time grows with the sum over flows of (duration /
+      time step) times (hops + 1), where the step is the first-hop service
+      time of a saturating flow and the mean gap of a Poisson flow.
     - ``seed`` must be a non-negative integer.  Flow ``i`` draws from
       ``Random(seed * 1_000_003 + i)``, and ``Random`` seeds from an int's
       absolute value, so a negative seed would repeat a positive one.
@@ -254,11 +252,11 @@ def run_simulation(topology: Topology, flows, duration: float, seed: int = 0) ->
     injected = [0] * len(flows)
     latencies = [[] for _ in flows]
 
-    def carry(leg, time):
-        # serve a packet reaching a leg at ``time`` on each of its links in
-        # turn, at its arrival there; return its arrival after the leg, or
-        # its first arrival past the horizon
-        for link, service, delay in leg:
+    def carry(hops, time):
+        # serve a packet reaching ``hops`` at ``time`` on each of their links
+        # in turn, at its arrival there; return its arrival after the last,
+        # or its first arrival past the horizon
+        for link, service, delay in hops:
             start = next_free[link]
             if time >= start:
                 start = time
@@ -274,24 +272,20 @@ def run_simulation(topology: Topology, flows, duration: float, seed: int = 0) ->
         return time
 
     users = Counter(idx for route in routes for idx in route)
-    # per flow: its legs, each the links a packet crosses in one step as
-    # (link, service time, propagation delay); the draw of its next Poisson
-    # gap (None when saturating); and a saturating flow's first link, whose
-    # clearing injects the flow's next packet (None otherwise).  The first
-    # injection goes on the heap, or, when no other route uses any link of
-    # the flow's, on the list of private flows
-    legs, gaps, refills, heap, private = [], [], [], [], []
+    # per flow: its hops as (link, service time, propagation delay), each in
+    # a tuple of its own when the flow shares a link, whose packets then take
+    # one event per hop; the draw of its next Poisson gap (None
+    # when saturating); and a saturating flow's first link, whose clearing
+    # injects the flow's next packet (None otherwise).  The first injection
+    # goes on the heap, or, when no other route uses any link of the flow's,
+    # on the list of private flows
+    hops, gaps, refills, heap, private = [], [], [], [], []
     for i, (flow, route) in enumerate(zip(flows, routes)):
         size = flow.packet_bytes * 8
-        tail = len(route)
-        while tail and users[route[tail - 1]] == 1:
-            tail -= 1
-        hops = [(idx, size / links[idx].capacity_bps, links[idx].propagation_delay)
-                for idx in route]
-        # one link per leg up to the last link another route uses, whose leg
-        # runs on to the end of the route
-        cut = max(tail - 1, 0)
-        legs.append(tuple((hop,) for hop in hops[:cut]) + (tuple(hops[cut:]),))
+        shared = any(users[idx] > 1 for idx in route)
+        path = tuple((idx, size / links[idx].capacity_bps, links[idx].propagation_delay)
+                     for idx in route)
+        hops.append(tuple((hop,) for hop in path) if shared else path)
         # a step below the clock's resolution at the horizon would repeat one
         # instant forever: a saturating flow steps by its first-hop service
         # time (and has no step without a hop), a Poisson flow by its mean gap
@@ -310,7 +304,7 @@ def run_simulation(topology: Topology, flows, duration: float, seed: int = 0) ->
         gaps.append(gap)
         refills.append(route[0] if flow.saturating and route else None)
         first = flow.start if gap is None else flow.start + gap()
-        if tail:
+        if shared:
             heap.append((first, i, i, -1, 0.0))
         else:
             private.append((i, first))
@@ -318,10 +312,10 @@ def run_simulation(topology: Topology, flows, duration: float, seed: int = 0) ->
     # a private flow meets no other flow, so its packets run one after
     # another, each over its whole route at its injection
     for i, time in private:
-        (leg,), gap, refill, delivered = legs[i], gaps[i], refills[i], latencies[i]
+        path, gap, refill, delivered = hops[i], gaps[i], refills[i], latencies[i]
         while time <= duration:
             injected[i] += 1
-            arrive = carry(leg, time)
+            arrive = carry(path, time)
             if arrive <= duration:
                 delivered.append(arrive - time)
             if gap is not None:
@@ -339,37 +333,37 @@ def run_simulation(topology: Topology, flows, duration: float, seed: int = 0) ->
     heappush, heapreplace = heapq.heappush, heapq.heapreplace
 
     while heap:
-        time, _, i, leg, gen_time = heap[0]
+        time, _, i, hop, gen_time = heap[0]
         if time > duration:
             break
         # the first event scheduled replaces the handled one at heap[0]
         put = heapreplace
-        if leg < 0:
+        if hop < 0:
             injected[i] += 1
             gap = gaps[i]
             if (len(heap) > 1 and heap[1][0] == time) or (len(heap) > 2 and heap[2][0] == time):
-                # another event shares this instant and precedes leg 0
+                # another event shares this instant and precedes hop 0
                 put(heap, (time, seq, i, 0, time))
                 seq += 1
                 put = heappush
             else:
-                leg, gen_time = 0, time
+                hop, gen_time = 0, time
             if gap is not None:
                 put(heap, (time + gap(), seq, i, -1, 0.0))
                 seq += 1
                 put = heappush
-        if leg >= 0:
-            route = legs[i]
-            arrive = carry(route[leg], time)
-            leg += 1
+        if hop >= 0:
+            route = hops[i]
+            arrive = carry(route[hop], time)
+            hop += 1
             if arrive <= duration:
-                if leg == len(route):
+                if hop == len(route):
                     latencies[i].append(arrive - gen_time)
                 else:
-                    put(heap, (arrive, seq, i, leg, gen_time))
+                    put(heap, (arrive, seq, i, hop, gen_time))
                     seq += 1
                     put = heappush
-            if leg == 1 and refills[i] is not None:
+            if hop == 1 and refills[i] is not None:
                 # keep the first hop backlogged: next packet the moment
                 # this one clears the transmitter
                 put(heap, (next_free[refills[i]], seq, i, -1, 0.0))

@@ -77,7 +77,6 @@ class BeamShape(Enum):
 class Node:
     address: int
     kind: NodeKind
-    capabilities: frozenset = frozenset()
     protocols: frozenset = frozenset()
     name: str = ""
 
@@ -85,12 +84,10 @@ class Node:
         object.__setattr__(self, "address", _as_integer(self.address, "node address"))
         if not 0 <= self.address < 2**64:
             raise TopologyError(f"address {self.address} outside 64-bit range")
-        for tags in ("capabilities", "protocols"):
-            value = getattr(self, tags)
-            # frozenset("ab") would be the tags "a" and "b"
-            if isinstance(value, (str, bytes)):
-                raise TopologyError(f"{tags} must be a collection of tags, got {value!r}")
-            object.__setattr__(self, tags, frozenset(value))
+        # frozenset("ab") would be the tags "a" and "b"
+        if isinstance(self.protocols, (str, bytes)):
+            raise TopologyError(f"protocols must be a collection of tags, got {self.protocols!r}")
+        object.__setattr__(self, "protocols", frozenset(self.protocols))
 
 
 @dataclass(frozen=True)

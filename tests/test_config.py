@@ -44,7 +44,6 @@ def test_parse_basic_config():
     assert [n.address for n in t.nodes] == [1, 2, 3]
     assert t.node(1).kind is NodeKind.USER_DEVICE
     assert t.node(1).protocols == frozenset({"ipv6", "coap"})
-    assert t.node(2).capabilities == frozenset({Technology.RF, Technology.FSO})
 
     assert len(t.links) == 2
     first, second = t.links
@@ -204,6 +203,20 @@ def test_error_messages_carry_line_numbers():
         with pytest.raises(ConfigError) as exc:
             parse_network_config(text)
         assert str(exc.value).startswith(prefix), (text, str(exc.value))
+
+
+def test_caps_are_checked_and_not_stored():
+    cfg = parse_network_config("node a kind=Relay caps=FSO,RF,VLC-LED\nnode b kind=Relay caps=\n")
+    assert [n.name for n in cfg.topology.nodes] == ["a", "b"]
+    with pytest.raises(ConfigError, match=r"^line 2: unknown technology 'IR'"):
+        parse_network_config("node a kind=Relay\nnode b kind=Relay caps=RF,IR\n")
+
+
+@pytest.mark.parametrize("name", ["x,y", 'x"y'])
+def test_flow_name_that_breaks_the_csv_names_its_line(name):
+    # "flow x,y a b" wrote a metrics row one cell longer than the header
+    with pytest.raises(ConfigError, match=f"^line 3: flow name {re.escape(repr(name))} must not"):
+        parse_network_config(f"node a kind=Relay\nnode b kind=Relay\nflow {name} a b\n")
 
 
 @pytest.mark.parametrize(

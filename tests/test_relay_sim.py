@@ -11,6 +11,7 @@ import subprocess
 import sys
 from functools import partial
 from random import Random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import owpan
+from owpan.netsim import engine
 from owpan.netsim.engine import (
     _FLOW_SEED_STRIDE,
     METRICS_CSV_HEADER,
@@ -248,6 +250,13 @@ def test_endpoints_reach_the_csv_as_ints(end):
         return out.getvalue()
 
     assert csv_of(end) == csv_of(1)
+
+
+@pytest.mark.parametrize("name", ["x,y", 'x"y', "x\ry", "x\ny"])
+def test_flow_name_must_fit_one_csv_cell(name):
+    # the metrics CSV writes the name bare: "x,y" made a row one cell too long
+    with pytest.raises(SimulationError, match="must not contain a comma, a double quote, CR or LF"):
+        FlowSpec(name, 1, 2)
 
 
 def test_flow_endpoints_must_be_integers():
@@ -668,9 +677,11 @@ def test_simulation_matches_the_event_per_hop_reference(run):
 def test_a_private_hop_before_a_shared_link_keeps_its_tie_break():
     """Flow a crosses links 1->2 and 2->3, which no other route uses, then
     3->4, which b's route also uses; each hop takes 1 s.  Both first packets
-    reach 3->4 at 2 s.  b's event there was queued at 0.5 s, a's only when
-    it left 1->2 at 1 s, so b is served first.  Serving a's hop over 2->3
-    ahead of the clock would queue a's event at 0 s and reverse the two."""
+    reach 3->4 at 2 s.  A flow that shares a link takes one event per hop,
+    its private hops included, so b's event at 3->4 was queued at 0.5 s and
+    a's only when it left 1->2 at 1 s: b is served first.  Serving a's hop
+    over 2->3 at its injection would queue a's event at 0 s and reverse the
+    two."""
     nodes = tuple(Node(a, RELAY) for a in range(1, 6))
     links = (
         Link(1, 2, Technology.RF, capacity_bps=1000.0),
@@ -683,6 +694,67 @@ def test_a_private_hop_before_a_shared_link_keeps_its_tie_break():
              FlowSpec("b", 5, 4, packet_bytes=125, start=0.5)]
     assert [f.delivered for f in run_simulation(topology, flows, 3.5).flows] == [0, 1]
     _assert_matches_reference(topology, flows, 10.0)
+
+
+def _recording_heapq(events, real=heapq):
+    """The heapq functions the simulators call, each also recording in
+    ``events`` every event that enters the heap."""
+    def heapify(heap):
+        events.extend(heap)
+        real.heapify(heap)
+
+    def heappush(heap, event):
+        events.append(event)
+        real.heappush(heap, event)
+
+    def heapreplace(heap, event):
+        events.append(event)
+        return real.heapreplace(heap, event)
+
+    return SimpleNamespace(heapify=heapify, heappush=heappush, heapreplace=heapreplace,
+                           heappop=real.heappop)
+
+
+def test_a_flow_sharing_a_link_takes_one_event_per_hop(monkeypatch):
+    """On the line 1->2->3->4, Poisson flows 1->4 and 1->2 share link 1->2,
+    and a Poisson flow 4->3 has its link to itself.  The 1->4 flow takes one
+    event per injected packet, which serves its first hop, and one for each
+    later hop the packet reaches by the horizon: the reference's events less
+    its first hops and deliveries.  Its private links 2->3 and 3->4 are no
+    exception.  The 1->2 flow takes its injections only, and the 4->3 flow
+    no event at all.  No two events share an instant, so no first hop is
+    queued."""
+    topology = Topology(
+        nodes=tuple(Node(a, RELAY) for a in range(1, 5)),
+        links=(Link(1, 2, Technology.RF, capacity_bps=1e6, propagation_delay=1e-6),
+               Link(2, 3, Technology.FSO, capacity_bps=3e6, propagation_delay=2e-6),
+               Link(3, 4, Technology.VLC_LED, capacity_bps=2e6, propagation_delay=3e-6),
+               Link(4, 3, Technology.VLC_LED, capacity_bps=2e6, propagation_delay=3e-6)),
+    )
+    flows = [FlowSpec("long", 1, 4, rate_bps=4e5, packet_bytes=1000),
+             FlowSpec("short", 1, 2, rate_bps=4e5, packet_bytes=1000),
+             FlowSpec("alone", 4, 3, rate_bps=4e5, packet_bytes=1000)]
+    duration = 0.5
+    ours, reference = [], []
+    monkeypatch.setattr(engine, "heapq", _recording_heapq(ours))
+    metrics = run_simulation(topology, flows, duration, seed=3)
+    monkeypatch.setitem(globals(), "heapq", _recording_heapq(reference))
+    _event_per_hop_reference(topology, flows, duration, seed=3)
+
+    def handled(events, flow, hops):
+        # the (hop, time) of each of the flow's events handled by the horizon
+        return sorted((hop, time) for time, _, i, hop, _ in events
+                      if i == flow and time <= duration and hop in hops)
+
+    long_events = handled(ours, 0, range(-1, 3))
+    assert long_events == handled(reference, 0, (-1, 1, 2))
+    hops = [hop for hop, _ in long_events]
+    assert hops.count(-1) == metrics.flows[0].injected
+    assert min(hops.count(1), hops.count(2)) >= metrics.flows[0].delivered > 0
+    assert handled(ours, 1, range(-1, 1)) == handled(reference, 1, (-1,))
+    assert len(handled(ours, 1, (-1,))) == metrics.flows[1].injected > 0
+    assert handled(ours, 2, range(-1, 1)) == []
+    assert metrics.flows[2].delivered > 0
 
 
 def _private_and_shared_flows():

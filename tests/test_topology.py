@@ -130,7 +130,7 @@ def test_link_endpoints_must_be_integers():
         Link(np.int64(1), True, Technology.RF)
 
 
-@pytest.mark.parametrize("field", ["protocols", "capabilities"])
+@pytest.mark.parametrize("field", ["protocols"])
 @pytest.mark.parametrize("tags", ["ab", b"ab"], ids=["str", "bytes"])
 def test_node_tags_must_not_be_a_string(field, tags):
     # frozenset("ab") is the two tags "a" and "b"
@@ -138,7 +138,7 @@ def test_node_tags_must_not_be_a_string(field, tags):
         Node(1, UD, **{field: tags})
 
 
-@pytest.mark.parametrize("field", ["protocols", "capabilities"])
+@pytest.mark.parametrize("field", ["protocols"])
 @pytest.mark.parametrize("collection", [list, tuple, set, frozenset])
 def test_node_tags_accept_any_collection(field, collection):
     node = Node(1, UD, **{field: collection(["ab", "c"])})
