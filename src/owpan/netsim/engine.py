@@ -8,11 +8,11 @@ sources at a configured offered load or saturating sources that keep
 their first hop permanently busy.
 
 A link's state is touched only by the flows routed over it.  So a flow
-whose route no other flow's route uses (a route of no hop included)
-meets no other flow and takes no heap event: its packets are simulated
-one after another in a loop of their own, each over its whole route at
-its injection.  The other flows share the heap and take one event per
-hop, whose queueing instant breaks ties at a shared link.
+whose route no other flow's route uses meets no other flow and takes no
+heap event: its packets are simulated one after another in a loop of
+their own, each over its whole route at its injection.  The other flows
+share the heap and take one event per hop, whose queueing instant breaks
+ties at a shared link.
 
 An event is the flat tuple ``(time, seq, flow, hop, gen_time)``: hop -1
 injects a packet of the flow, hop k >= 0 is a packet generated at
@@ -82,6 +82,11 @@ class FlowSpec:
         for end in ("src", "dst"):
             value = _as_integer(getattr(self, end), f"flow {self.name}: {end}", SimulationError)
             object.__setattr__(self, end, value)
+        # a route from a node to itself crosses no link
+        if self.src == self.dst:
+            raise SimulationError(
+                f"flow {self.name}: source and destination coincide ({self.src})"
+            )
         object.__setattr__(
             self,
             "packet_bytes",
@@ -288,9 +293,9 @@ def run_simulation(topology: Topology, flows, duration: float, seed: int = 0) ->
         hops.append(tuple((hop,) for hop in path) if shared else path)
         # a step below the clock's resolution at the horizon would repeat one
         # instant forever: a saturating flow steps by its first-hop service
-        # time (and has no step without a hop), a Poisson flow by its mean gap
+        # time, a Poisson flow by its mean gap
         if flow.saturating:
-            step = size / links[route[0]].capacity_bps if route else math.inf
+            step = path[0][1]
         else:
             step = size / flow.rate_bps
         if step < math.ulp(duration):
@@ -302,7 +307,7 @@ def run_simulation(topology: Topology, flows, duration: float, seed: int = 0) ->
             Random(seed * _FLOW_SEED_STRIDE + i).expovariate, flow.rate_bps / size
         )
         gaps.append(gap)
-        refills.append(route[0] if flow.saturating and route else None)
+        refills.append(route[0] if flow.saturating else None)
         first = flow.start if gap is None else flow.start + gap()
         if shared:
             heap.append((first, i, i, -1, 0.0))
@@ -320,10 +325,8 @@ def run_simulation(topology: Topology, flows, duration: float, seed: int = 0) ->
                 delivered.append(arrive - time)
             if gap is not None:
                 time += gap()
-            elif refill is not None:
-                time = next_free[refill]
             else:
-                break
+                time = next_free[refill]
 
     heapq.heapify(heap)
     # a first injection's sequence number is its flow's index, so later

@@ -36,7 +36,7 @@ from .fec import _cc_encode, _raise_uncorrectable, _rs_decode, _rs_encode, _vite
 # not called here, but perfbench/layers.py times the FEC stages as these
 # attributes of this module
 from .fec import cc_encode, rs_decode, rs_encode, viterbi_decode  # noqa: F401
-from .line_codes import _as_bits, _chip_table, _pack, _raise_bad_word
+from .line_codes import _as_bits, _chip_table, _pack, _raise_bad_word, _take
 from .modes import LineCode, Modulation, PhyMode
 
 __all__ = [
@@ -62,7 +62,12 @@ class FrameDecodeError(ValueError):
 @dataclass(frozen=True)
 class Frame:
     """An encoded frame: payload, the mode that framed it, and both the
-    channel-symbol (chip) and waveform views of the encoding."""
+    channel-symbol (chip) and waveform views of the encoding.
+
+    ``waveform`` is float32 when every sample is exact in float32 (OOK,
+    and VPPM at a dyadic dimming such as 0.25 or 0.375) and float64
+    otherwise (VPPM at, say, 0.4): no sample is rounded.  ``decode_frame``
+    reads either dtype without a copy and decides in float64."""
 
     payload: bytes
     mode: PhyMode
@@ -83,7 +88,7 @@ _NIBBLE_BITS = _chip_table(np.arange(16), 4)
 
 
 def _bytes_to_nibbles(data: np.ndarray) -> np.ndarray:
-    return _BYTE_NIBBLES.take(data, axis=0).ravel()
+    return _take(_BYTE_NIBBLES, data).ravel()
 
 
 def _nibbles_to_bytes(nibbles: np.ndarray) -> np.ndarray:
@@ -94,7 +99,7 @@ def _nibbles_to_bytes(nibbles: np.ndarray) -> np.ndarray:
 
 
 def _nibbles_to_bits(nibbles: np.ndarray) -> np.ndarray:
-    return _NIBBLE_BITS.take(nibbles, axis=0).ravel()
+    return _take(_NIBBLE_BITS, nibbles).ravel()
 
 
 def _add_rs(wire: np.ndarray, mode: PhyMode) -> np.ndarray:

@@ -107,6 +107,25 @@ def _raise_bad_word(chips: np.ndarray, width: int, bad: np.ndarray) -> None:
     _raise_first(bad, error)
 
 
+# indices per np.take call: take copies a uint8 or uint16 index array to
+# 8-byte intp, so a lookup in blocks keeps that copy O(block)
+_BLOCK = 1 << 14
+
+
+def _take(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``table[index]`` along axis 0, taken ``_BLOCK`` indices at a time.
+    Every index is in range by construction, so ``mode="clip"``, which
+    lets take write into ``out`` unbuffered, never clips one."""
+    # one call for a short index: the loop's extra empty() and out= cost
+    # 16-byte frame round trips about 10%
+    if index.size <= _BLOCK:
+        return table.take(index, axis=0, mode="clip")
+    out = np.empty(index.shape + table.shape[1:], dtype=table.dtype)
+    for i in range(0, index.size, _BLOCK):
+        table.take(index[i : i + _BLOCK], axis=0, out=out[i : i + _BLOCK], mode="clip")
+    return out
+
+
 def _chip_table(words: np.ndarray, width: int) -> np.ndarray:
     # row i: the ``width`` chips of words[i], MSB first
     return ((words[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
@@ -172,7 +191,7 @@ _CHIPS_4B6B = _chip_table(TABLE_4B6B, 6)
 
 
 def _encode_4b6b(nibbles: np.ndarray) -> np.ndarray:
-    return _CHIPS_4B6B.take(nibbles, axis=0).ravel()
+    return _take(_CHIPS_4B6B, nibbles).ravel()
 
 
 def encode_4b6b(nibbles) -> np.ndarray:
@@ -184,7 +203,7 @@ def _decode_4b6b(chips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # (nibbles, bad): bad marks each word off the table, whose nibble is 0xFF
     if chips.size % 6:
         raise LineCodeError("chip stream length must be a multiple of 6", chips.size // 6)
-    nibbles = _REV_4B6B.take(_pack(chips, 6))
+    nibbles = _take(_REV_4B6B, _pack(chips, 6))
     return nibbles, nibbles > 15
 
 
@@ -293,8 +312,9 @@ def _running(flips: np.ndarray, rd0: int) -> tuple[np.ndarray, int]:
 
 
 def _encode_8b10b(data: np.ndarray, rd0: int) -> tuple[np.ndarray, int]:
-    neg_in, rd_out = _running(_ENC_FLIP.take(data), rd0)
-    return _ENC_CHIPS.take(neg_in * 256 + data, axis=0).ravel(), rd_out
+    neg_in, rd_out = _running(_take(_ENC_FLIP, data), rd0)
+    # a uint16 index, not the int64 of neg_in * 256 + data
+    return _take(_ENC_CHIPS, neg_in.astype(np.uint16) << 8 | data).ravel(), rd_out
 
 
 def encode_8b10b(data, disparity: int = -1) -> tuple[np.ndarray, int]:
@@ -313,8 +333,9 @@ def _decode_8b10b(chips: np.ndarray, rd0: int) -> tuple[tuple[np.ndarray, int], 
     if chips.size % 10:
         raise LineCodeError("chip stream length must be a multiple of 10", chips.size // 10)
     words = _pack(chips, 10)
-    neg_in, rd_out = _running(_DEC_FLIP.take(words), rd0)
-    return (_DEC_BYTE.take(words), rd_out), _DEC_STATUS.take(neg_in * 1024 + words)
+    neg_in, rd_out = _running(_take(_DEC_FLIP, words), rd0)
+    status = _take(_DEC_STATUS, neg_in.astype(np.uint16) << 10 | words)
+    return (_take(_DEC_BYTE, words), rd_out), status
 
 
 def decode_8b10b(chips, disparity: int = -1) -> tuple[np.ndarray, int]:

@@ -1,9 +1,17 @@
 """OOK and VPPM waveform mapping at four samples per optical clock.
 
-Waveforms are real, non-negative float64 arrays (intensity modulation
-cannot go dark-er than zero).  The sample rate is fixed at
-``SAMPLES_PER_CHIP`` per chip period so golden waveform dumps stay
-deterministic.
+Waveforms are real, non-negative arrays (intensity modulation cannot go
+dark-er than zero).  The sample rate is fixed at ``SAMPLES_PER_CHIP`` per
+chip period so golden waveform dumps stay deterministic.
+
+A waveform takes its sample table's dtype, and no sample is ever rounded
+to get a smaller one.  Each table is computed in float64 and kept as
+float32 exactly when every one of its samples survives that cast: OOK's
+(0 and 1) and VPPM's at a dyadic dimming such as 0.25, 0.375 or 0.75.  A
+dimming such as 0.4, or one whose float32 samples would round, keeps the
+float64 table.  The demodulators read float32 and float64 samples without
+a copy, convert any other real dtype to float64, and sum and compare in
+float64, so a float32 waveform decides exactly as its float64 widening.
 
 VPPM carries each bit in the pulse position within its chip period: bit 1
 is a leading pulse, bit 0 a trailing pulse, and the pulse width equals the
@@ -35,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .line_codes import _as_bits, _raise_first
+from .line_codes import _BLOCK, _as_bits, _raise_first, _take
 
 __all__ = [
     "SAMPLES_PER_CHIP",
@@ -47,8 +55,6 @@ __all__ = [
 ]
 
 SAMPLES_PER_CHIP = 4
-# chips per pass; np.take copies a block's uint8 indices as 8-byte intp
-_BLOCK = 1 << 14
 # dimmings whose sample tables are kept; past that the least recently used goes
 _TABLES = 64
 
@@ -58,18 +64,17 @@ class ModulationError(ValueError):
 
 
 def _modulate(chips: np.ndarray, table: np.ndarray) -> np.ndarray:
-    # row c of the (2, SAMPLES_PER_CHIP) table holds the samples of chip c
-    out = np.empty((chips.size, SAMPLES_PER_CHIP))
-    for i in range(0, chips.size, _BLOCK):
-        np.take(table, chips[i : i + _BLOCK], axis=0, out=out[i : i + _BLOCK], mode="clip")
-    return out.ravel()
+    # row c of the (2, SAMPLES_PER_CHIP) table holds the samples of chip c,
+    # in the table's dtype
+    return _take(table, chips).ravel()
 
 
 def _per_chip(samples) -> np.ndarray:
     try:
         samples = np.asarray(samples)
-        if samples.dtype.kind != "c":
-            samples = np.asarray(samples, dtype=np.float64).ravel()  # float64 is not copied
+        if samples.dtype.kind != "c" and samples.dtype != np.float32:
+            # float32 and float64 samples are read in place
+            samples = np.asarray(samples, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         # a ragged nesting, an object array holding, say, a complex number
         # or an int beyond float64, or text that is no number
@@ -81,8 +86,15 @@ def _per_chip(samples) -> np.ndarray:
     return samples.reshape(-1, SAMPLES_PER_CHIP)
 
 
-_OOK_TABLE = np.repeat([[0.0], [1.0]], SAMPLES_PER_CHIP, axis=1)
-_OOK_TABLE.flags.writeable = False
+def _exact_float32(table: np.ndarray) -> np.ndarray:
+    # the float32 table when every sample survives the cast, else the float64 one
+    single = table.astype(np.float32)
+    table = single if np.array_equal(single, table) else table
+    table.flags.writeable = False
+    return table
+
+
+_OOK_TABLE = _exact_float32(np.repeat([[0.0], [1.0]], SAMPLES_PER_CHIP, axis=1))
 
 
 def _ook_modulate(chips: np.ndarray) -> np.ndarray:
@@ -103,9 +115,10 @@ def _ook_demodulate(per: np.ndarray) -> tuple[np.ndarray, None]:
         for i in range(0, len(per), _BLOCK):
             b = per[i : i + _BLOCK]
             total = acc[: len(b)]
-            # ((s0 + s1) + s2) + s3, the order in which numpy's mean(axis=1)
-            # sums; dividing by 4 is exact, so total > 2 is mean > 0.5
-            np.add(b[:, 0], b[:, 1], out=total)
+            # ((s0 + s1) + s2) + s3 in float64, the order in which numpy's
+            # mean(axis=1) sums; dividing by 4 is exact, so total > 2 is
+            # mean > 0.5
+            np.add(b[:, 0], b[:, 1], out=total, dtype=np.float64)
             total += b[:, 2]
             total += b[:, 3]
             np.greater(total, 2.0, out=chips[i : i + _BLOCK])
@@ -125,9 +138,7 @@ def _vppm_table(dimming: float) -> np.ndarray:
     edges = np.arange(SAMPLES_PER_CHIP + 1) / SAMPLES_PER_CHIP
     lo, hi = edges[:-1], edges[1:]
     leading = np.clip(dimming - lo, 0.0, hi - lo) * SAMPLES_PER_CHIP
-    table = np.array([leading[::-1], leading])
-    table.flags.writeable = False
-    return table
+    return _exact_float32(np.array([leading[::-1], leading]))
 
 
 def _dimming(value) -> float:
@@ -158,7 +169,8 @@ def _vppm_demodulate(per: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, len(per), _BLOCK):
             b = per[i : i + _BLOCK]
-            e_first, e_second = b[:, 0] + b[:, 1], b[:, 2] + b[:, 3]
+            e_first = np.add(b[:, 0], b[:, 1], dtype=np.float64)
+            e_second = np.add(b[:, 2], b[:, 3], dtype=np.float64)
             ties = e_first == e_second
             if ties.any():
                 if bad is None:

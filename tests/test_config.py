@@ -219,6 +219,13 @@ def test_flow_name_that_breaks_the_csv_names_its_line(name):
         parse_network_config(f"node a kind=Relay\nnode b kind=Relay\nflow {name} a b\n")
 
 
+def test_flow_from_a_node_to_itself_names_its_line(tmp_path):
+    path = tmp_path / "self.cfg"
+    path.write_text("node a kind=Relay\nnode b kind=Relay\nlink a b tech=RF\nflow f a a\n")
+    with pytest.raises(ConfigError, match=r"^line 4: flow f: source and destination coincide"):
+        load_network_config(str(path))
+
+
 @pytest.mark.parametrize(
     "value, count", [("yes", 2), ("TRUE", 2), ("1", 2), ("no", 1), ("false", 1), ("0", 1)]
 )

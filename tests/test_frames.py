@@ -28,7 +28,13 @@ from owpan.phy.frames import (
     encode_to_chips,
 )
 from owpan.phy.modes import LineCode, Modulation, mode_by_name, phy_mode_catalog
-from owpan.phy.modulation import ook_demodulate, ook_modulate, vppm_demodulate, vppm_modulate
+from owpan.phy.modulation import (
+    SAMPLES_PER_CHIP,
+    ook_demodulate,
+    ook_modulate,
+    vppm_demodulate,
+    vppm_modulate,
+)
 
 GOLDEN = Path(__file__).parent / "golden" / "frame_phy1_ook_11k.hex"
 
@@ -91,6 +97,41 @@ def test_vppm_round_trips_at_extreme_duty_cycles(mode, dimming):
     assert decode_frame(encode_frame(payload, mode, dimming).waveform, mode) == payload
 
 
+# dimming -> the dtype of a VPPM waveform: float32 where every sample of
+# the dimming's table is a float32, float64 where one would round
+_WAVEFORM_DTYPES = {
+    0.25: np.float32,
+    0.375: np.float32,
+    0.4: np.float64,  # 0.6 of a sample
+    0.75: np.float32,
+    1e-300: np.float64,  # 4e-300 of a sample, 0 in float32
+    np.nextafter(1.0, 0.0): np.float64,  # 1 - 2**-51 of a sample
+}
+
+
+def _reference_waveform(chips, mode, dimming):
+    # float64 samples from the chips alone, with none of modulation's tables
+    if mode.modulation is Modulation.OOK:
+        return np.repeat(chips.astype(np.float64), SAMPLES_PER_CHIP)
+    lo = np.arange(SAMPLES_PER_CHIP) / SAMPLES_PER_CHIP
+    leading = np.clip(dimming - lo, 0.0, 1 / SAMPLES_PER_CHIP) * SAMPLES_PER_CHIP
+    return np.where(chips[:, None] == 1, leading, leading[::-1]).ravel()
+
+
+@pytest.mark.parametrize("mode", BOUND_MODES, ids=lambda m: m.name)
+@pytest.mark.parametrize("dimming", list(_WAVEFORM_DTYPES))
+def test_waveform_is_float32_exactly_when_no_sample_rounds(mode, dimming):
+    for payload in _DIGEST_PAYLOADS:  # 0, 1, 33 and 4097 bytes
+        frame = encode_frame(payload, mode, dimming)
+        reference = _reference_waveform(frame.chips, mode, dimming)
+        exact = np.array_equal(reference.astype(np.float32), reference)
+        if mode.modulation is Modulation.VPPM:
+            assert exact == (_WAVEFORM_DTYPES[dimming] is np.float32)
+        assert frame.waveform.dtype == (np.float32 if exact else np.float64)
+        assert np.array_equal(frame.waveform.astype(np.float64), reference)
+        assert decode_frame(frame.waveform, mode) == payload
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "dimming",
@@ -110,14 +151,19 @@ def test_overflowing_and_cancelling_samples_raise_no_warning(name):
     mode = mode_by_name(name)
     payload = b"W-OWPAN frame golden."
     waveform = encode_frame(payload, mode).waveform
+    assert waveform.dtype == np.float32
     demodulate = ook_demodulate if mode.modulation is Modulation.OOK else vppm_demodulate
     chips = demodulate(waveform)
+    # float64 samples near float64's maximum, and float32 samples at float32's,
+    # whose chip sums would overflow float32 but not the float64 sums
+    huge = [waveform.astype(np.float64) * 1e308, waveform * np.finfo(np.float32).max]
     cancelled = waveform.copy()
     cancelled[:2] = (np.inf, -np.inf)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert decode_frame(waveform * 1e308, mode) == payload
-        assert np.array_equal(demodulate(waveform * 1e308), chips)
+        for scaled in huge:
+            assert decode_frame(scaled, mode) == payload
+            assert np.array_equal(demodulate(scaled), chips)
         # the NaN chip reads 0
         assert np.array_equal(demodulate(cancelled), np.concatenate([[0], chips[1:]]))
         try:
@@ -661,32 +707,36 @@ def test_the_codec_checks_each_input_array_once(monkeypatch):
 # modulation blocks).  Recorded from the per-call numpy encoders that the
 # table-driven line codes and block-wise modulation replaced, with numpy
 # 2.4: a numpy release that changes the streams of its seeded Generator
-# changes the payloads, and the digests must then be recorded again.
+# changes the payloads, and the digests must then be recorded again.  The
+# digest hashes each array's dtype string, so the waveforms' move from
+# float64 to exact float32 samples (all three dimmings are dyadic)
+# changed every entry; hashing ``waveform.astype(np.float64)`` instead
+# still gives the float64 entries, so no sample changed value.
 
 _PINNED_FRAMES = {
-    "phy1-ook-11k": "288e8f15c9a6a48575da402a5fc32cc14f541ae5947baec178471f7a887ba683",
-    "phy1-ook-24k": "3c29f5dd3b47a01e048e1baff6f0f7a13f0c7ede928115ebf6b1f03c6e6907d3",
-    "phy1-ook-48k": "b745cd5c70f818395faf51222278d5fc64fa7c7a6cc23ece82b050c84775c432",
-    "phy1-ook-73k": "15ba95c3e58e944d5f5f7ea9bd1244be225c9f62996503dca28cab96cbae58e0",
-    "phy1-ook-100k": "9bc1a42fdc25697c735ffa37995d74108ed7fa2acc2ee65f2ad8465724001109",
-    "phy1-vppm-35k": "60cace646d710bae4ec6dde328a34d3a3af7647d8870b81752b0d5120c8fcabf",
-    "phy1-vppm-71k": "d1fc532c733405bf1cab6af39e3b2b9b9e63d82b9c52f29a9f0801bb949df1b2",
-    "phy1-vppm-124k": "2dd6a85754e9cada0bc18a45df6bb5b82c6b798174b97a2b80bcad6899f148f3",
-    "phy1-vppm-266k": "ad0794f7eb3403fae2316a9635db60c3c4b750853a12516e21fa48441838f8bc",
-    "phy2-vppm-1m25": "331f974d3ffafde1b55e2bb0d4c6282d5f27f9ecc5735f4f2ce6a287cde6939e",
-    "phy2-vppm-2m": "f6c51a330d8341869e399c1f4b9747fa30db3142458310a01b208a2cdcc85dd5",
-    "phy2-vppm-2m5": "331f974d3ffafde1b55e2bb0d4c6282d5f27f9ecc5735f4f2ce6a287cde6939e",
-    "phy2-vppm-4m": "f6c51a330d8341869e399c1f4b9747fa30db3142458310a01b208a2cdcc85dd5",
-    "phy2-vppm-5m": "ad0794f7eb3403fae2316a9635db60c3c4b750853a12516e21fa48441838f8bc",
-    "phy2-ook-6m": "0372f692427d7b8ed476869cce58738c731f9b4b80daf148aafe2d95c1b32e3e",
-    "phy2-ook-9m6": "b33fbb8d7dc48ff9041b1f24bb1345a12665996d6f1c10372b01559cb451dce2",
-    "phy2-ook-12m": "0372f692427d7b8ed476869cce58738c731f9b4b80daf148aafe2d95c1b32e3e",
-    "phy2-ook-19m2": "b33fbb8d7dc48ff9041b1f24bb1345a12665996d6f1c10372b01559cb451dce2",
-    "phy2-ook-24m": "0372f692427d7b8ed476869cce58738c731f9b4b80daf148aafe2d95c1b32e3e",
-    "phy2-ook-38m4": "b33fbb8d7dc48ff9041b1f24bb1345a12665996d6f1c10372b01559cb451dce2",
-    "phy2-ook-48m": "0372f692427d7b8ed476869cce58738c731f9b4b80daf148aafe2d95c1b32e3e",
-    "phy2-ook-76m8": "b33fbb8d7dc48ff9041b1f24bb1345a12665996d6f1c10372b01559cb451dce2",
-    "phy2-ook-96m": "cace5e7e90aff1f0267a72a0232154c2994ec2dbcb2016598943c01e86680782",
+    "phy1-ook-11k": "087e510698a4bcaaf7a4c5bf2371c9a341cc67ecb15c43eb1ffe0c8e81b9e943",
+    "phy1-ook-24k": "af30334ed2a1c1759a43bbbf21a0ffee3e5d05ebeed3741865b0bf696eb405f4",
+    "phy1-ook-48k": "7209f70a267b25e25b06e4cea7a54183fdc300265c751ddec7dccd40cadcafd1",
+    "phy1-ook-73k": "9a73e67122f6aeb205632d2e36c2ba49aa721d2fd8749db7d1db69a3848c2aa5",
+    "phy1-ook-100k": "fea698be306b02c277f9797dd58836fb1f615fe0c48b374b2cc841f0ea753844",
+    "phy1-vppm-35k": "b1e999294252f143545457ddbab7631a5da5f236c87adf7ac3cbc448c4d340bd",
+    "phy1-vppm-71k": "28ae429bd6185fa59270ad4c6504f561102db3d49992cc796cd19e2336a81e59",
+    "phy1-vppm-124k": "3219ffa981b4a0b83c791e425835c16ac46ad8968469b27d64d36a4a996ff63b",
+    "phy1-vppm-266k": "d5d45798f948a333efae9bd1f0a1897d1476ccf68a236f359efad4c031d03fd4",
+    "phy2-vppm-1m25": "df234dd0f23fb3f77452e97c9943a9380c7209cce39573a36aff64a625ccd982",
+    "phy2-vppm-2m": "bfc823525a1c101511e43e451911a8763a499e61ce1cc2bfe175a28fd665c26c",
+    "phy2-vppm-2m5": "df234dd0f23fb3f77452e97c9943a9380c7209cce39573a36aff64a625ccd982",
+    "phy2-vppm-4m": "bfc823525a1c101511e43e451911a8763a499e61ce1cc2bfe175a28fd665c26c",
+    "phy2-vppm-5m": "d5d45798f948a333efae9bd1f0a1897d1476ccf68a236f359efad4c031d03fd4",
+    "phy2-ook-6m": "9a0a3191db89e776bfac038fef84fa361e3435251950c46d80a80a3fc7e0f676",
+    "phy2-ook-9m6": "0ee4668559a0a66df908301ab2182bbbee67ba9e25abc6755483ef4e3b3f20ab",
+    "phy2-ook-12m": "9a0a3191db89e776bfac038fef84fa361e3435251950c46d80a80a3fc7e0f676",
+    "phy2-ook-19m2": "0ee4668559a0a66df908301ab2182bbbee67ba9e25abc6755483ef4e3b3f20ab",
+    "phy2-ook-24m": "9a0a3191db89e776bfac038fef84fa361e3435251950c46d80a80a3fc7e0f676",
+    "phy2-ook-38m4": "0ee4668559a0a66df908301ab2182bbbee67ba9e25abc6755483ef4e3b3f20ab",
+    "phy2-ook-48m": "9a0a3191db89e776bfac038fef84fa361e3435251950c46d80a80a3fc7e0f676",
+    "phy2-ook-76m8": "0ee4668559a0a66df908301ab2182bbbee67ba9e25abc6755483ef4e3b3f20ab",
+    "phy2-ook-96m": "1af44efe155bb208b85e71434dc0b3395ddc667e8ad72cdcceba964f5ef91c55",
 }
 
 _DIGEST_PAYLOADS = [

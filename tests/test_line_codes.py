@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from owpan.phy import frames, line_codes
 from owpan.phy.fec import ConvCode, RsCode, cc_encode, rs_decode, rs_encode, viterbi_decode
 from owpan.phy.frames import FrameDecodeError, chips_to_hex, decode_frame, decode_from_chips
 from owpan.phy.line_codes import (
+    _BLOCK,
     TABLE_4B6B,
     LineCodeError,
     _decode_4b6b,
@@ -465,3 +467,76 @@ def test_public_decoder_raises_exactly_at_the_first_bad_word_of_the_private_form
     assert type(exc.value) is LineCodeError
     assert exc.value.index == first
     assert str(exc.value) == f"{kinds[int(bad[first])]} {word} (symbol index {first})"
+
+
+# --- table lookups taken in blocks --------------------------------------------
+#
+# Every uint8- or uint16-indexed table lookup of the line codes and the
+# frame's nibble packing goes through line_codes._take, _BLOCK indices per
+# np.take call.  Across the block edges it must give plain fancy indexing,
+# and each codec must round-trip with a bad word reported at its global index.
+
+_BLOCK_SIZES = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
+
+_LOOKUPS = {
+    "chips_4b6b": (line_codes._CHIPS_4B6B, np.uint8),
+    "rev_4b6b": (line_codes._REV_4B6B, np.uint8),
+    "enc_flip": (line_codes._ENC_FLIP, np.uint8),
+    "enc_chips": (line_codes._ENC_CHIPS, np.uint16),
+    "dec_flip": (line_codes._DEC_FLIP, np.uint16),
+    "dec_byte": (line_codes._DEC_BYTE, np.uint16),
+    "dec_status": (line_codes._DEC_STATUS, np.uint16),
+    "byte_nibbles": (frames._BYTE_NIBBLES, np.uint8),
+    "nibble_bits": (frames._NIBBLE_BITS, np.uint8),
+}
+
+
+@pytest.mark.parametrize("n", _BLOCK_SIZES)
+@pytest.mark.parametrize("name", sorted(_LOOKUPS))
+def test_blocked_lookup_equals_fancy_indexing(name, n):
+    table, index_dtype = _LOOKUPS[name]
+    index = np.random.default_rng(n).integers(0, len(table), n).astype(index_dtype)
+    taken = line_codes._take(table, index)
+    assert taken.dtype == table.dtype
+    assert np.array_equal(taken, table[index])
+
+
+@pytest.mark.parametrize("n", _BLOCK_SIZES)
+def test_4b6b_round_trips_across_block_edges(n):
+    nibbles = np.random.default_rng(n).integers(0, 16, n).astype(np.uint8)
+    chips = encode_4b6b(nibbles)
+    assert np.array_equal(chips, line_codes._CHIPS_4B6B[nibbles].ravel())
+    assert np.array_equal(decode_4b6b(chips), nibbles)
+    chips[6 * (n - 1) : 6 * n] = [1, 1, 1, 0, 0, 0]  # off the table, in the last block
+    with pytest.raises(LineCodeError) as exc:
+        decode_4b6b(chips)
+    assert exc.value.index == n - 1
+
+
+@pytest.mark.parametrize("n", _BLOCK_SIZES)
+@pytest.mark.parametrize("rd0", [-1, 1])
+def test_8b10b_round_trips_across_block_edges(n, rd0):
+    data = np.random.default_rng(n).integers(0, 256, n).astype(np.uint8)
+    chips, rd_out = encode_8b10b(data, rd0)
+    # pieces shorter than a block, each at the disparity the last one left
+    rd, pieces = rd0, []
+    for i in range(0, n, 1000):
+        piece, rd = encode_8b10b(data[i : i + 1000], rd)
+        pieces.append(piece)
+    assert np.array_equal(chips, np.concatenate(pieces)) and rd == rd_out
+    back, rd_back = decode_8b10b(chips, rd0)
+    assert np.array_equal(back, data) and rd_back == rd_out
+    chips[10 * (n - 1) : 10 * n] = 0  # off the code, in the last block
+    with pytest.raises(LineCodeError) as exc:
+        decode_8b10b(chips, rd0)
+    assert exc.value.index == n - 1
+
+
+@pytest.mark.parametrize("n", _BLOCK_SIZES)
+def test_frame_nibble_packing_round_trips_across_block_edges(n):
+    data = np.random.default_rng(n).integers(0, 256, n).astype(np.uint8)
+    nibbles = frames._bytes_to_nibbles(data)
+    assert np.array_equal(nibbles[0::2], data >> 4) and np.array_equal(nibbles[1::2], data & 15)
+    assert np.array_equal(frames._nibbles_to_bytes(nibbles), data)
+    bits = frames._nibbles_to_bits(nibbles)
+    assert np.array_equal(bits, np.unpackbits(data))

@@ -279,3 +279,61 @@ def test_ook_private_form_marks_nothing_and_matches_the_public_one(chips, seed):
     out, bad = _ook_demodulate(_per_chip(wf))
     assert bad is None
     assert np.array_equal(ook_demodulate(wf), out)
+
+
+# --- float32 samples decide as their float64 widening -------------------------
+#
+# The demodulators read float32 samples without a copy and sum and compare
+# in float64, so a float32 array must give exactly what its float64
+# widening gives: chips, tie marks and raised messages, for any values.
+
+_F32_MAX = float(np.finfo(np.float32).max)
+float32_samples = st.floats(width=32) | st.sampled_from(
+    [0.0, 0.5, 1.0, 2.0**-24, np.inf, -np.inf, np.nan, _F32_MAX, -_F32_MAX]
+)
+
+
+def _outcome(demodulate, samples):
+    try:
+        return demodulate(samples).tolist()
+    except ModulationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.lists(float32_samples, min_size=4, max_size=4), max_size=40),
+    st.lists(st.integers(0, 39), max_size=6),
+)
+def test_float32_samples_decide_as_their_float64_widening(chips, ties):
+    single = np.array(chips, dtype=np.float32).reshape(-1, SAMPLES_PER_CHIP)
+    for t in ties:
+        if t < len(single):
+            single[t, 2:] = single[t, 1::-1]  # equal half energies unless NaN
+    single = single.ravel()
+    double = single.astype(np.float64)
+    for samples in (single, double):
+        # read without a copy
+        assert samples.size == 0 or np.shares_memory(_per_chip(samples), samples)
+    for private in (_ook_demodulate, _vppm_demodulate):
+        (c32, bad32), (c64, bad64) = private(_per_chip(single)), private(_per_chip(double))
+        assert np.array_equal(c32, c64)
+        assert (bad32 is None and bad64 is None) or np.array_equal(bad32, bad64)
+    for public in (ook_demodulate, vppm_demodulate):
+        assert _outcome(public, single) == _outcome(public, double)
+
+
+def test_float32_tie_and_overflow_cases_decide_in_float64():
+    # samples whose sums round or overflow in float32 arithmetic but not in
+    # float64; each decision is the float64 one
+    cases = [
+        (vppm_demodulate, [1.0, 2.0**-24, 1.0, 0.0], [1]),  # 1 + 2**-24 is 1 in float32
+        (vppm_demodulate, [_F32_MAX, _F32_MAX, _F32_MAX, _F32_MAX / 2], [1]),  # both inf
+        (vppm_demodulate, [_F32_MAX, _F32_MAX, np.inf, 0.0], [0]),
+        (ook_demodulate, [1.0, 2.0**-24, 0.5, 0.5], [1]),  # a sum of 2 in float32
+        (ook_demodulate, [_F32_MAX, _F32_MAX, -_F32_MAX, -_F32_MAX], [0]),  # inf in float32
+    ]
+    for demodulate, samples, chips in cases:
+        single = np.array(samples, dtype=np.float32)
+        assert _outcome(demodulate, single) == _outcome(demodulate, single.astype(np.float64))
+        assert _outcome(demodulate, single) == chips

@@ -171,10 +171,18 @@ def test_utilization_and_bits_carried():
     assert link.bits_carried >= m.throughput_bps * m.duration
 
 
+def _distinct_nodes(draw, n, low=1):
+    # a node of low..n and another of 1..n, the second drawn from the
+    # other n - 1 so that a flow never runs from a node to itself
+    src = draw(st.integers(low, n))
+    dst = draw(st.integers(1, n - 1))
+    return src, dst + (dst >= src)
+
+
 @st.composite
 def _random_relay_run(draw):
     """A random tree of 2-8 nodes, one link each way per edge, and 1-5
-    saturating or Poisson flows between random nodes."""
+    saturating or Poisson flows between distinct random nodes."""
     n = draw(st.integers(2, 8))
     edges = [(child, draw(st.integers(1, child - 1))) for child in range(2, n + 1)]
     caps = {child: draw(st.floats(1e6, 1e9)) for child, _ in edges}
@@ -183,9 +191,8 @@ def _random_relay_run(draw):
         nodes=tuple(Node(a, RELAY) for a in range(1, n + 1)),
         links=_two_way_links(edges, caps.get, delays.get),
     )
-    node = st.integers(1, n)
     flows = [
-        FlowSpec(f"f{k}", draw(node), draw(node),
+        FlowSpec(f"f{k}", *_distinct_nodes(draw, n),
                  rate_bps=draw(st.one_of(st.none(), st.floats(1e5, 5e7))),
                  packet_bytes=draw(st.integers(64, 1500)), start=draw(st.floats(0.0, 1e-3)))
         for k in range(draw(st.integers(1, 5)))
@@ -259,6 +266,14 @@ def test_flow_name_must_fit_one_csv_cell(name):
         FlowSpec(name, 1, 2)
 
 
+def test_flow_from_a_node_to_itself_is_rejected():
+    # its empty route "delivered" every packet at once over no link
+    for end in (1, np.int64(1)):
+        with pytest.raises(SimulationError) as exc:
+            FlowSpec("f", 1, end)
+        assert str(exc.value) == "flow f: source and destination coincide (1)"
+
+
 def test_flow_endpoints_must_be_integers():
     with pytest.raises(SimulationError, match="flow f: src must be an integer, got 1.0"):
         FlowSpec("f", 1.0, 2)
@@ -320,8 +335,6 @@ def test_infinite_start_never_starts():
         # 1250 B over 1e20 bit/s is 1e-16 s, and 1.0 + 1e-16 == 1.0
         ("1e20", "FlowSpec('s', 1, 2, start=1.0)"),
         ("1e6", "FlowSpec('s', 1, 2, rate_bps=1e300, start=1.0)"),
-        # a Poisson flow with no hop still draws its gaps on the clock
-        ("1e6", "FlowSpec('s', 1, 1, rate_bps=1e300, start=1.0)"),
     ],
 )
 def test_step_below_clock_resolution_is_rejected(capacity, flow):
@@ -488,16 +501,20 @@ def _tie_heavy_run(seed):
         nodes=tuple(Node(a, RELAY) for a in range(1, n + 1)),
         links=_two_way_links(edges, caps.get, lambda child: 0.0),
     )
-    src = rng.randrange(1, n + 1)
-    dst = rng.choice([a for a in range(1, n + 1) if a != src])
+
+    def ends():
+        src = rng.randrange(1, n + 1)
+        return src, rng.choice([a for a in range(1, n + 1) if a != src])
+
+    src, dst = ends()
     start = rng.choice((0.0, 0.25e-3, 1e-3))
     flows = [FlowSpec("s0", src, dst, packet_bytes=125, start=start),
              FlowSpec("s1", src, dst, packet_bytes=125, start=start)]
     for k in range(rng.randrange(1, 4)):
-        flows.append(FlowSpec(f"s{k + 2}", rng.randrange(1, n + 1), rng.randrange(1, n + 1),
-                              packet_bytes=125, start=rng.randrange(4) * 0.25e-3))
+        flows.append(FlowSpec(f"s{k + 2}", *ends(), packet_bytes=125,
+                              start=rng.randrange(4) * 0.25e-3))
     for k in range(rng.randrange(0, 3)):
-        flows.append(FlowSpec(f"p{k}", rng.randrange(1, n + 1), rng.randrange(1, n + 1),
+        flows.append(FlowSpec(f"p{k}", *ends(),
                               rate_bps=rng.choice((0.2e6, 1e6)), packet_bytes=125,
                               start=rng.randrange(4) * 0.25e-3))
     return _metrics_csv(topology, flows, rng.choice((0.01, 0.0125, 0.02)), seed=seed)
@@ -505,14 +522,11 @@ def _tie_heavy_run(seed):
 
 def _edge_case_runs():
     chain = line_topology([1e6, 2e6], [1e-6, 0.0])
-    zero_hop = [FlowSpec("zp", 2, 2, rate_bps=0.5e6, packet_bytes=125),
-                FlowSpec("zs", 1, 1, packet_bytes=125), FlowSpec("a", 1, 3, rate_bps=0.3e6)]
     late = [FlowSpec("late", 1, 3, start=5.0),
             FlowSpec("now", 1, 2, rate_bps=0.4e6, packet_bytes=125)]
     # 1 ms per packet on the first hop: the horizon falls mid-service
     cut = [FlowSpec("sat", 1, 3, packet_bytes=125), FlowSpec("p", 2, 3, rate_bps=0.2e6)]
     return [
-        _metrics_csv(chain, zero_hop, 0.05, seed=3),
         _metrics_csv(chain, late, 0.01, seed=4),
         _metrics_csv(chain, cut, 0.0105, seed=5),
     ]
@@ -524,8 +538,8 @@ def _digest(texts):
 
 def test_simulator_output_matches_pinned_digests():
     """The metrics CSV of seeded relay trees, tie-heavy random trees and the
-    edge cases (zero-hop flows, a flow starting after the horizon, a
-    horizon inside a packet's service) is pinned byte for byte."""
+    edge cases (a flow starting after the horizon, a horizon inside a
+    packet's service) is pinned byte for byte."""
     digests = {
         "relay_trees": _digest(_relay_tree_run(seed) for seed in range(4)),
         "tie_heavy": _digest(_tie_heavy_run(seed) for seed in range(100)),
@@ -533,8 +547,8 @@ def test_simulator_output_matches_pinned_digests():
     }
     assert digests == {
         "relay_trees": "52e16115dccd88a97d276aa7aff2514015e7dc9a61e2e739e67952fe982a56a2",
-        "tie_heavy": "81e05e9dcf9bc0fbc139c5c3d41a85c7d1a114c966570f0405381861d5613d2f",
-        "edge_cases": "b8f7f4f4077247aa25345967608a06661f0295a9c529061bcccba87afe007dcb",
+        "tie_heavy": "d45657dbb71fbc4f060b7174e037a9f66e93beb233544c16765b89481a5b4479",
+        "edge_cases": "2b6ff199cbfa5aef7ef4956806735958e07d2bd50a728369f9f4ccb1b375a366",
     }
 
 
@@ -640,7 +654,7 @@ def _assert_matches_reference(topology, flows, duration, seed=0):
 @st.composite
 def _shared_and_private_routes(draw):
     """A random tree of 2-8 nodes and 1-5 saturating or Poisson flows, each
-    up to the root, down from it or between two random nodes: routes that
+    up to the root, down from it or between two distinct nodes: routes that
     merge run private hops into a shared link, and routes that part run
     private hops behind a shared first hop.  Capacities, packet sizes,
     starts and most delays are powers of two, so sums of service times are
@@ -655,10 +669,9 @@ def _shared_and_private_routes(draw):
         nodes=tuple(Node(a, RELAY) for a in range(1, n + 1)),
         links=_two_way_links(edges, caps.get, delays.get),
     )
-    node = st.integers(1, n)
     flows = []
     for k in range(draw(st.integers(1, 5))):
-        a, b = draw(node), draw(node)
+        a, b = _distinct_nodes(draw, n, low=2)  # a is not the root
         src, dst = draw(st.sampled_from(((a, 1), (1, a), (a, b))))
         flows.append(FlowSpec(f"f{k}", src, dst,
                               rate_bps=draw(st.sampled_from((None, None, 2.0**17, 2.0**19))),
@@ -760,10 +773,10 @@ def test_a_flow_sharing_a_link_takes_one_event_per_hop(monkeypatch):
 def _private_and_shared_flows():
     """Nodes 1-5 on a line, a link each way between neighbours, capacities
     of 2**20 and 2**19 bit/s and 128 B packets, so every service time is a
-    power of two and many events share an instant.  The first four flows
+    power of two and many events share an instant.  The first three flows
     are private, no link of their routes carrying another flow: p0 saturates
-    3->4->5, whose second hop is slower, p1 crosses 5->4->3->2, p2 has no hop
-    and p3 saturates 2->1.  c and b both saturate 1->2, c from 0 s and b
+    3->4->5, whose second hop is slower, p1 crosses 5->4->3->2 and p2
+    saturates 2->1.  c and b both saturate 1->2, c from 0 s and b
     from 2**-10 s, when c's first packet clears the link; q crosses 1->2->3."""
     topology = Topology(
         nodes=tuple(Node(a, RELAY) for a in range(1, 6)),
@@ -773,8 +786,7 @@ def _private_and_shared_flows():
     )
     private = [FlowSpec("p0", 3, 5, packet_bytes=128),
                FlowSpec("p1", 5, 2, rate_bps=2.0**19, packet_bytes=128, start=2.0**-10),
-               FlowSpec("p2", 2, 2, rate_bps=2.0**19, packet_bytes=128),
-               FlowSpec("p3", 2, 1, packet_bytes=128, start=2.0**-9)]
+               FlowSpec("p2", 2, 1, packet_bytes=128, start=2.0**-9)]
     shared = [FlowSpec("c", 1, 2, packet_bytes=128),
               FlowSpec("b", 1, 2, packet_bytes=128, start=2.0**-10),
               FlowSpec("q", 1, 3, rate_bps=2.0**18, packet_bytes=128)]
@@ -782,7 +794,7 @@ def _private_and_shared_flows():
 
 
 def test_private_flows_listed_first_keep_the_shared_flows_tie_breaks():
-    """b's first injection holds sequence number 5 and ties at 2**-10 s with
+    """b's first injection holds sequence number 4 and ties at 2**-10 s with
     c's first re-injection.  With the private flows off the heap, later
     events must still count on from the number of flows: counted from the
     heap's three entries, c's re-injection would take number 3, go first
