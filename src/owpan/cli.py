@@ -74,11 +74,13 @@ def _write_gnuplot_script(script_path: str, csv_path: str, var: str, curves) -> 
         "set logscale y",
         "set key top right",
     ]
+    # gnuplot escapes a ' inside a single-quoted string by doubling it
+    quoted = csv_path.replace("'", "''")
     plots = []
     for curve in curves:
         alpha = curve.alpha_db_per_km
         plots.append(
-            f"'{csv_path}' using 1:($2 == {alpha!r} ? $3 : NaN) skip 1 "
+            f"'{quoted}' using 1:($2 == {alpha!r} ? $3 : NaN) skip 1 "
             f"with lines title 'alpha = {alpha:g} dB/km'"
         )
     lines.append("plot " + ", \\\n     ".join(plots))

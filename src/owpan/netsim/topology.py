@@ -103,14 +103,17 @@ class Link:
     channel_count: int = 1
 
     def __post_init__(self):
-        # a numpy integer or a bool would reach the simulator's CSV as
+        # each integer field keeps the int _as_integer returns: a numpy
+        # integer or a bool endpoint would reach the simulator's CSV as
         # np.int64(1) or True
         object.__setattr__(self, "src", _as_integer(self.src, "link source"))
         object.__setattr__(self, "dst", _as_integer(self.dst, "link destination"))
         if self.src == self.dst:
             raise TopologyError(f"link endpoints coincide (address {self.src})")
-        _as_integer(self.scenario, "scenario")
-        _as_integer(self.channel_count, "channel count")
+        object.__setattr__(self, "scenario", _as_integer(self.scenario, "scenario"))
+        object.__setattr__(
+            self, "channel_count", _as_integer(self.channel_count, "channel count")
+        )
         if self.scenario not in range(1, 7):
             raise TopologyError(f"scenario {self.scenario} not in 1..6")
         if not 0 < self.capacity_bps < math.inf:

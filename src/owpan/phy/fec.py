@@ -10,14 +10,10 @@ mother code (generators 133, 171, 165 octal), extended to rate 1/4 by a
 fourth generator and punctured to rate 2/3.  Encoding appends six zero
 tail bits so the decoder's traceback can start from the zero state.
 
-Every stage has a private form that takes a checked array.  The
-encoders' forms, ``_rs_encode`` and ``_cc_encode``, only encode, and each
-public encoder is its input check followed by that form.  ``_rs_decode``
-returns ``(data, bad)``, ``bad`` marking each uncorrectable block;
-``rs_decode`` checks its input, calls it, then raises through
-``line_codes._raise_first``.  ``_viterbi_decode`` only skips the input
-check.  The frame chains check their input once and call the private
-forms only.
+The frame chains call the stages over checked arrays: ``_rs_decode``
+returns ``(data, bad)``, ``bad`` marking each uncorrectable block.
+``rs_encode`` and ``rs_decode`` check their input first and raise
+:class:`RsDecodeError` at a bad block.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .. import _kernels
-from .line_codes import _as_bits, _as_uint8, _popcount, _raise_first
+from .line_codes import _as_uint8, _popcount, _raise_first
 
 __all__ = [
     "RsCode",
@@ -36,8 +32,6 @@ __all__ = [
     "RsDecodeError",
     "rs_encode",
     "rs_decode",
-    "cc_encode",
-    "viterbi_decode",
     "CC_RATES",
     "CC_CONSTRAINT_LENGTH",
 ]
@@ -186,6 +180,8 @@ def _windows(bits: np.ndarray) -> np.ndarray:
 
 
 def _cc_encode(bits: np.ndarray, code: ConvCode) -> np.ndarray:
+    # (bits.size + 6) / rate coded bits; rate-2/3 puncturing needs an even
+    # count of bits and tail
     table, keep = _TRELLIS[code.rate]
     coded = table.take(_windows(bits), axis=0)
     if keep is None:
@@ -195,16 +191,10 @@ def _cc_encode(bits: np.ndarray, code: ConvCode) -> np.ndarray:
     return coded.reshape(-1, keep.size).compress(keep, axis=1).ravel()
 
 
-def cc_encode(bits, code: ConvCode) -> np.ndarray:
-    """Encode bits (with implicit zero tail) at the given rate.
-
-    Output length is (len(bits)+6)/rate; the rate-2/3 puncturing requires
-    an even number of input bits including the tail.
-    """
-    return _cc_encode(_as_bits(bits, "bits"), code)
-
-
 def _viterbi_decode(coded: np.ndarray, code: ConvCode) -> np.ndarray:
+    # maximum-likelihood bits of a _cc_encode stream, tail removed;
+    # punctured positions come back as erasures (2), which the trellis
+    # metric skips, so the rate-2/3 stream decodes on the rate-1/3 trellis
     table, keep = _TRELLIS[code.rate]
     obs = coded
     if keep is not None:
@@ -222,12 +212,3 @@ def _viterbi_decode(coded: np.ndarray, code: ConvCode) -> np.ndarray:
     if bits.size < _TAIL:
         raise ValueError("coded stream shorter than the tail")
     return bits[:-_TAIL].copy()
-
-
-def viterbi_decode(coded, code: ConvCode) -> np.ndarray:
-    """Maximum-likelihood decode of a ``cc_encode`` stream (tail removed).
-
-    Punctured positions are restored as erasures, which the trellis metric
-    skips, so the rate-2/3 stream decodes on the rate-1/3 trellis.
-    """
-    return _viterbi_decode(_as_bits(coded, "coded bits"), code)

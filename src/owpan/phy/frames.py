@@ -9,16 +9,13 @@ bytes round-trips through any mode.  It is total: any input array yields
 the payload or a FrameDecodeError.  Only a catalog-only mode raises a plain
 ValueError, before any sample is read.
 
-The transmit chain takes the payload's bytes once (any bytes-like
-object; the length prefix counts its bytes) and checks ``dimming`` once,
-then calls each stage's private form, which takes an already-checked
-array.  No stage re-checks the array the stage before it made.
-
-The receive chain checks its input once (``_per_chip`` for a waveform,
-``_as_bits`` for chips) and then calls each stage's private form, which
-returns ``(values, bad)`` for an already-checked array.  After each stage
-it raises at the first bad symbol with the message the stage's public
-function gives, so the first bad stage in chain order is the one reported.
+Each chain checks its input once: the transmit chain takes the payload's
+bytes (any bytes-like object; the length prefix counts its bytes) and
+checks ``dimming``, the receive chain checks the waveform (``_per_chip``)
+or the chips (``_as_bits``).  No stage re-checks the array the stage
+before it made.  Each receive stage returns ``(values, bad)``, and the
+chain raises at the first bad symbol after each stage, so the first bad
+stage in chain order is the one reported.
 
 The 8b/10b modes keep RS symbol padding aligned to whole bytes: RS(14,7)
 blocks are 7 bytes long by construction, and RS(15,12) data is padded to
@@ -33,9 +30,6 @@ import numpy as np
 
 from . import line_codes, modulation
 from .fec import _cc_encode, _raise_uncorrectable, _rs_decode, _rs_encode, _viterbi_decode
-# not called here, but perfbench/layers.py times the FEC stages as these
-# attributes of this module
-from .fec import cc_encode, rs_decode, rs_encode, viterbi_decode  # noqa: F401
 from .line_codes import _as_bits, _chip_table, _pack, _raise_bad_word, _take
 from .modes import LineCode, Modulation, PhyMode
 
@@ -149,7 +143,7 @@ def encode_to_chips(payload: bytes, mode: PhyMode) -> np.ndarray:
     wire = np.frombuffer(len(payload).to_bytes(_LENGTH_BYTES, "big") + payload, dtype=np.uint8)
     coded = _add_rs(wire, mode)
     if mode.line_code is LineCode.EIGHT_B_TEN_B:
-        return line_codes._encode_8b10b(_nibbles_to_bytes(coded), -1)[0]
+        return line_codes._encode_8b10b(_nibbles_to_bytes(coded))
     if mode.line_code is LineCode.FOUR_B_SIX_B:
         return line_codes._encode_4b6b(coded)
     bits = _nibbles_to_bits(coded)
@@ -196,7 +190,7 @@ def _receive(signal: np.ndarray, mode: PhyMode, demodulate: bool) -> bytes:
         else:
             chips, _ = modulation._ook_demodulate(modulation._per_chip(signal))
         if mode.line_code is LineCode.EIGHT_B_TEN_B:
-            (data, _), bad = line_codes._decode_8b10b(chips, -1)
+            data, bad = line_codes._decode_8b10b(chips)
             _raise_bad_word(chips, 10, bad)
             coded = _bytes_to_nibbles(data)
         elif mode.line_code is LineCode.FOUR_B_SIX_B:

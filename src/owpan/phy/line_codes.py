@@ -1,56 +1,29 @@
 """Manchester, 4B6B, and 8b/10b line codes over 0/1 chip arrays.
 
-All three codecs are table-driven and vectorized; inputs and outputs are
-numpy uint8 arrays of bits/chips (or nibble/byte values where stated).
-Chip order within a codeword is MSB first throughout.
-
-Each encoder is a transmit stage: its private form takes a checked
-array and only encodes it, and the public encoder is its input check
-followed by that form.  Each decoder is a receive stage: its private form
-takes checked chips and returns ``(values, bad)``, ``bad`` marking each
-invalid word (8b/10b gives its ``_DEC_STATUS``, nonzero when bad); a
-stream of no whole number of words raises there.  The public decoder
-checks its input, calls the private form, then raises at the first bad
-word through the shared :func:`_raise_first`.  The frame chains check
-their input once and call the private forms only.  A value that the
-uint8 cast cannot convert (an int beyond int64, text) fails the check
-with its own message, as 256 does.
+All three codecs are table-driven and vectorized over numpy uint8 arrays
+of bits, chips, nibbles or bytes, which the frame chains check once
+before calling them.  Chip order within a codeword is MSB first
+throughout.  Each decoder returns ``(values, bad)``, ``bad``
+marking each invalid word (8b/10b gives its ``_DEC_STATUS``, nonzero when
+bad); a stream of no whole number of words raises there.
 
 The 8b/10b here is the IBM data-character code (5b/6b + 3b/4b with running
 disparity and the alternate D.x.A7 encoding); control (K) characters are
-not needed by any PHY mode and are treated as invalid.  Its rules are
-evaluated once, at import, over all 256 bytes and all 1024 words at both
-running disparities.  Whether a word flips the disparity does not depend
-on the state, so a call takes the disparity before each word from a
-prefix xor of the flips and then reads its chips, or its byte and
-validity, from those tables.  The decoder accepts what the rules accept
-(330 words at each disparity), not only the 256 the encoder emits there.
+not needed by any PHY mode and are treated as invalid.  Every frame starts
+at running disparity -1.  The rules are evaluated once, at import, over
+all 256 bytes and all 1024 words at both running disparities.  Whether a
+word flips the disparity does not depend on the state, so a call takes
+the disparity before each word from a prefix xor of the flips and then
+reads its chips, or its byte and validity, from those tables.  The
+decoder accepts what the rules accept (330 words at each disparity), not
+only the 256 the encoder emits there.
 """
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
-__all__ = [
-    "LineCodeError",
-    "manchester_encode",
-    "manchester_decode",
-    "encode_4b6b",
-    "decode_4b6b",
-    "encode_8b10b",
-    "decode_8b10b",
-    "TABLE_4B6B",
-]
-
-
-class LineCodeError(ValueError):
-    """A decoder met an invalid symbol; ``index`` is the symbol position."""
-
-    def __init__(self, message: str, index: int) -> None:
-        super().__init__(f"{message} (symbol index {index})")
-        self.index = index
+__all__ = ["TABLE_4B6B"]
 
 
 def _as_uint8(x, top: int, message: str) -> np.ndarray:
@@ -97,12 +70,12 @@ _BAD_WORD = {
 
 
 def _raise_bad_word(chips: np.ndarray, width: int, bad: np.ndarray) -> None:
-    """LineCodeError at the first ``width``-chip word of ``chips`` that
-    ``bad`` marks, naming the word's chips."""
+    """ValueError at the first ``width``-chip word of ``chips`` that ``bad``
+    marks, naming the word's chips and index."""
 
-    def error(i: int) -> LineCodeError:
+    def error(i: int) -> ValueError:
         word = "".join(map(str, chips[i * width : (i + 1) * width].tolist()))
-        return LineCodeError(f"{_BAD_WORD[width][int(bad[i])]} {word}", i)
+        return ValueError(f"{_BAD_WORD[width][int(bad[i])]} {word} (symbol index {i})")
 
     _raise_first(bad, error)
 
@@ -151,25 +124,12 @@ def _manchester_encode(bits: np.ndarray) -> np.ndarray:
     return chips
 
 
-def manchester_encode(bits) -> np.ndarray:
-    """Expand each bit to its two-chip Manchester symbol."""
-    return _manchester_encode(_as_bits(bits, "bits"))
-
-
 def _manchester_decode(chips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # (bits, bad): bad marks each 00 or 11 pair
     if chips.size % 2:
-        raise LineCodeError("chip stream length must be even", chips.size // 2)
+        raise ValueError(f"chip stream length must be even (symbol index {chips.size // 2})")
     first = chips[0::2]
     return first.copy(), first == chips[1::2]
-
-
-def manchester_decode(chips) -> np.ndarray:
-    """Collapse chip pairs back to bits; 00 and 11 pairs are invalid."""
-    chips = _as_bits(chips, "chips")
-    bits, bad = _manchester_decode(chips)
-    _raise_bad_word(chips, 2, bad)
-    return bits
 
 
 # 4B6B: each nibble maps to a six-chip word of Hamming weight 3, so the
@@ -194,25 +154,14 @@ def _encode_4b6b(nibbles: np.ndarray) -> np.ndarray:
     return _take(_CHIPS_4B6B, nibbles).ravel()
 
 
-def encode_4b6b(nibbles) -> np.ndarray:
-    """Map nibble values (0..15) to their 6-chip codewords, MSB first."""
-    return _encode_4b6b(_as_uint8(nibbles, 15, "nibbles must lie in 0..15").ravel())
-
-
 def _decode_4b6b(chips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # (nibbles, bad): bad marks each word off the table, whose nibble is 0xFF
     if chips.size % 6:
-        raise LineCodeError("chip stream length must be a multiple of 6", chips.size // 6)
+        raise ValueError(
+            f"chip stream length must be a multiple of 6 (symbol index {chips.size // 6})"
+        )
     nibbles = _take(_REV_4B6B, _pack(chips, 6))
     return nibbles, nibbles > 15
-
-
-def decode_4b6b(chips) -> np.ndarray:
-    """Map 6-chip groups back to nibbles; any word off the table is invalid."""
-    chips = _as_bits(chips, "chips")
-    nibbles, bad = _decode_4b6b(chips)
-    _raise_bad_word(chips, 6, bad)
-    return nibbles
 
 
 # 8b/10b code rules.  The stored 6b/4b words are the encodings used at
@@ -289,64 +238,32 @@ def _tables_8b10b():
 _ENC_CHIPS, _ENC_FLIP, _DEC_BYTE, _DEC_FLIP, _DEC_STATUS = _tables_8b10b()
 
 
-def _check_disparity(rd) -> int:
-    # operator.index admits ints and numpy integers, not 1.0, and gives an int
-    try:
-        value = operator.index(rd)
-    except TypeError:
-        value = None
-    if value not in (-1, 1):
-        raise ValueError(f"running disparity must be -1 or +1, got {rd!r}")
-    return value
-
-
-def _running(flips: np.ndarray, rd0: int) -> tuple[np.ndarray, int]:
-    """Whether the running disparity is -1 before each word, and its value
-    after the last (``rd0`` when there are no words).  A word flips it or
-    not whatever the state, so the whole trajectory is a prefix xor."""
-    neg = np.empty(flips.size + 1, dtype=bool)
-    neg[0] = rd0 < 0
-    neg[1:] = flips
+def _running(flips: np.ndarray) -> np.ndarray:
+    """Whether the running disparity is -1 before each word, from the -1
+    every frame starts at.  A word flips it or not whatever the state, so
+    the whole trajectory is a prefix xor."""
+    neg = np.empty(flips.size, dtype=bool)
+    neg[:1] = True
+    neg[1:] = flips[:-1]
     np.bitwise_xor.accumulate(neg, out=neg)
-    return neg[:-1], -1 if neg[-1] else 1
+    return neg
 
 
-def _encode_8b10b(data: np.ndarray, rd0: int) -> tuple[np.ndarray, int]:
-    neg_in, rd_out = _running(_take(_ENC_FLIP, data), rd0)
-    # a uint16 index, not the int64 of neg_in * 256 + data
-    return _take(_ENC_CHIPS, neg_in.astype(np.uint16) << 8 | data).ravel(), rd_out
+def _encode_8b10b(data: np.ndarray) -> np.ndarray:
+    # chips leave abcdei-fghj, MSB of the 6b sub-block first; a uint16
+    # index, not the int64 of neg * 256 + data
+    neg = _running(_take(_ENC_FLIP, data))
+    return _take(_ENC_CHIPS, neg.astype(np.uint16) << 8 | data).ravel()
 
 
-def encode_8b10b(data, disparity: int = -1) -> tuple[np.ndarray, int]:
-    """Encode bytes to 10-chip words; returns (chips, disparity out).
-
-    ``disparity`` is the running-disparity state at the block boundary,
-    -1 or +1 (the conventional start is -1).  Chips leave abcdei-fghj,
-    MSB of the 6b sub-block first.
-    """
-    rd0 = _check_disparity(disparity)
-    return _encode_8b10b(_as_uint8(data, 255, "data must hold byte values 0..255").ravel(), rd0)
-
-
-def _decode_8b10b(chips: np.ndarray, rd0: int) -> tuple[tuple[np.ndarray, int], np.ndarray]:
-    # ((bytes, disparity out), status): status is each word's _DEC_STATUS
+def _decode_8b10b(chips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (bytes, status): status is each word's _DEC_STATUS, nonzero for a
+    # word off the code or one whose imbalance runs the same way as the
+    # running disparity
     if chips.size % 10:
-        raise LineCodeError("chip stream length must be a multiple of 10", chips.size // 10)
+        raise ValueError(
+            f"chip stream length must be a multiple of 10 (symbol index {chips.size // 10})"
+        )
     words = _pack(chips, 10)
-    neg_in, rd_out = _running(_take(_DEC_FLIP, words), rd0)
-    status = _take(_DEC_STATUS, neg_in.astype(np.uint16) << 10 | words)
-    return (_take(_DEC_BYTE, words), rd_out), status
-
-
-def decode_8b10b(chips, disparity: int = -1) -> tuple[np.ndarray, int]:
-    """Decode 10-chip words back to bytes; returns (bytes, disparity out).
-
-    Rejects words outside the code and words whose imbalance runs in the
-    same direction as the current disparity (a disparity violation),
-    reporting the first offending word index.
-    """
-    rd0 = _check_disparity(disparity)
-    chips = _as_bits(chips, "chips")
-    decoded, status = _decode_8b10b(chips, rd0)
-    _raise_bad_word(chips, 10, status)
-    return decoded
+    neg = _running(_take(_DEC_FLIP, words))
+    return _take(_DEC_BYTE, words), _take(_DEC_STATUS, neg.astype(np.uint16) << 10 | words)

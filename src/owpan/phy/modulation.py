@@ -1,40 +1,31 @@
-"""OOK and VPPM waveform mapping at four samples per optical clock.
+"""OOK and VPPM waveform mapping at four samples per chip.
 
-Waveforms are real, non-negative arrays (intensity modulation cannot go
-dark-er than zero).  The sample rate is fixed at ``SAMPLES_PER_CHIP`` per
-chip period so golden waveform dumps stay deterministic.
-
-A waveform takes its sample table's dtype, and no sample is ever rounded
-to get a smaller one.  Each table is computed in float64 and kept as
-float32 exactly when every one of its samples survives that cast: OOK's
-(0 and 1) and VPPM's at a dyadic dimming such as 0.25, 0.375 or 0.75.  A
-dimming such as 0.4, or one whose float32 samples would round, keeps the
-float64 table.  The demodulators read float32 and float64 samples without
-a copy, convert any other real dtype to float64, and sum and compare in
-float64, so a float32 waveform decides exactly as its float64 widening.
-
-VPPM carries each bit in the pulse position within its chip period: bit 1
-is a leading pulse, bit 0 a trailing pulse, and the pulse width equals the
-dimming duty cycle.  Pulse edges that fall inside a sample are represented
-by that sample taking the covered fraction as its amplitude, which keeps
-the per-symbol mean exactly equal to the duty cycle at any dimming value.
+Waveforms are real, non-negative intensity arrays of ``SAMPLES_PER_CHIP``
+samples per chip, built and read one block of chips at a time, so peak
+memory is the waveform plus O(block).
 
 OOK is at unit intensity: chip 1 is four samples of 1.0, chip 0 four of
 0.0, and a chip reads as 1 when its mean exceeds 0.5.
 
-Waveforms are built and read one block of chips at a time, so peak memory
-is the waveform plus O(block).  Each (2, SAMPLES_PER_CHIP) sample table
-is read-only: OOK's is built at import, each dimming's on its first use.
+VPPM carries each bit in the pulse position within its chip period: bit 1
+is a leading pulse, bit 0 a trailing pulse, and the pulse width equals the
+dimming duty cycle.  A sample that a pulse edge cuts takes the covered
+fraction as its amplitude, so each symbol's mean is exactly the duty
+cycle.  A chip reads as 1 when its first half holds more energy than its
+second, which a clean chip does at any duty cycle below 1; a tie is
+ambiguous.
 
-Each modulator is a transmit stage: its private form takes checked 0/1
-chips (and VPPM a checked dimming), and the public modulator checks its
-arguments, then calls it.  Each demodulator is a receive stage: its
-private form takes the checked samples of ``_per_chip`` and returns
+Each (2, SAMPLES_PER_CHIP) sample table is computed in float64 and kept,
+read-only, as float32 exactly when every sample survives that cast (OOK's,
+and VPPM's at a dyadic dimming such as 0.25 or 0.375), so no sample is
+rounded.  The demodulators read float32 and float64 samples without a copy
+and sum and compare in float64, so a float32 waveform decides exactly as
+its float64 widening.
+
+The modulators take checked 0/1 chips (and VPPM a checked dimming).  The
+demodulators take the checked samples of ``_per_chip`` and return
 ``(chips, bad)``, ``bad`` marking the VPPM chips whose half energies tie,
-or None when none does (OOK cannot fail).  The public demodulator checks
-its input, calls the private form, then raises at the first bad chip
-through ``line_codes._raise_first``.  The frame chains check their input
-once and call the private forms only.
+or None when none does (OOK cannot fail).
 """
 
 from __future__ import annotations
@@ -43,30 +34,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .line_codes import _BLOCK, _as_bits, _raise_first, _take
+from .line_codes import _BLOCK, _raise_first, _take
 
-__all__ = [
-    "SAMPLES_PER_CHIP",
-    "ModulationError",
-    "ook_modulate",
-    "ook_demodulate",
-    "vppm_modulate",
-    "vppm_demodulate",
-]
+__all__ = ["SAMPLES_PER_CHIP"]
 
 SAMPLES_PER_CHIP = 4
 # dimmings whose sample tables are kept; past that the least recently used goes
 _TABLES = 64
-
-
-class ModulationError(ValueError):
-    """Demodulation met an ambiguous or malformed waveform."""
-
-
-def _modulate(chips: np.ndarray, table: np.ndarray) -> np.ndarray:
-    # row c of the (2, SAMPLES_PER_CHIP) table holds the samples of chip c,
-    # in the table's dtype
-    return _take(table, chips).ravel()
 
 
 def _per_chip(samples) -> np.ndarray:
@@ -78,15 +52,16 @@ def _per_chip(samples) -> np.ndarray:
     except (TypeError, ValueError, OverflowError) as exc:
         # a ragged nesting, an object array holding, say, a complex number
         # or an int beyond float64, or text that is no number
-        raise ModulationError(f"samples must be real numbers: {exc}") from None
+        raise ValueError(f"samples must be real numbers: {exc}") from None
     if samples.dtype.kind == "c":
-        raise ModulationError("samples must be real, got complex values")
+        raise ValueError("samples must be real, got complex values")
     if samples.size % SAMPLES_PER_CHIP:
-        raise ModulationError(f"sample count {samples.size} is not a whole number of chips")
+        raise ValueError(f"sample count {samples.size} is not a whole number of chips")
     return samples.reshape(-1, SAMPLES_PER_CHIP)
 
 
 def _exact_float32(table: np.ndarray) -> np.ndarray:
+    # row c of a (2, SAMPLES_PER_CHIP) table holds the samples of chip c;
     # the float32 table when every sample survives the cast, else the float64 one
     single = table.astype(np.float32)
     table = single if np.array_equal(single, table) else table
@@ -98,12 +73,7 @@ _OOK_TABLE = _exact_float32(np.repeat([[0.0], [1.0]], SAMPLES_PER_CHIP, axis=1))
 
 
 def _ook_modulate(chips: np.ndarray) -> np.ndarray:
-    return _modulate(chips, _OOK_TABLE)
-
-
-def ook_modulate(chips) -> np.ndarray:
-    """Chip 1 -> 1.0, chip 0 -> dark, four samples each."""
-    return _ook_modulate(_as_bits(chips, "chips"))
+    return _take(_OOK_TABLE, chips).ravel()
 
 
 def _ook_demodulate(per: np.ndarray) -> tuple[np.ndarray, None]:
@@ -123,11 +93,6 @@ def _ook_demodulate(per: np.ndarray) -> tuple[np.ndarray, None]:
             total += b[:, 3]
             np.greater(total, 2.0, out=chips[i : i + _BLOCK])
     return chips.view(np.uint8), None
-
-
-def ook_demodulate(samples) -> np.ndarray:
-    """Threshold each chip period's mean at 0.5."""
-    return _ook_demodulate(_per_chip(samples))[0]
 
 
 @lru_cache(maxsize=_TABLES)
@@ -150,13 +115,7 @@ def _dimming(value) -> float:
 
 
 def _vppm_modulate(bits: np.ndarray, dimming: float) -> np.ndarray:
-    return _modulate(bits, _vppm_table(dimming))
-
-
-def vppm_modulate(bits, dimming: float) -> np.ndarray:
-    """Map bits to pulse-position symbols with duty cycle ``dimming``."""
-    dimming = _dimming(dimming)
-    return _vppm_modulate(_as_bits(bits, "chips"), dimming)
+    return _take(_vppm_table(dimming), bits).ravel()
 
 
 def _vppm_demodulate(per: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -182,18 +141,5 @@ def _vppm_demodulate(per: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
 
 def _raise_tie(bad: np.ndarray | None) -> None:
     _raise_first(
-        bad, lambda i: ModulationError(f"ambiguous VPPM symbol at index {i}: equal half energies")
+        bad, lambda i: ValueError(f"ambiguous VPPM symbol at index {i}: equal half energies")
     )
-
-
-def vppm_demodulate(samples) -> np.ndarray:
-    """Recover bits by comparing the energy of each chip period's halves.
-
-    A leading pulse concentrates energy in the first half, so the
-    comparison works at any duty cycle below 1.  Symbols whose halves tie
-    exactly are ambiguous and rejected (at any dimming < 1 a clean symbol
-    always leans one way).
-    """
-    bits, bad = _vppm_demodulate(_per_chip(samples))
-    _raise_tie(bad)
-    return bits

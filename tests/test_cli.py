@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -398,6 +399,22 @@ def test_capacity_sweep_gnuplot_script(tmp_path, capsys):
     assert str(csv) in text
     assert "set logscale y" in text
     assert text.count("with lines") == 4
+
+
+def test_capacity_sweep_gnuplot_script_escapes_an_apostrophe(tmp_path, capsys):
+    csv = tmp_path / "it's.csv"
+    script = tmp_path / "plot.gp"
+    code, _, _ = run_cli(
+        [
+            "capacity-sweep", "--var", "L", "--points", "3",
+            "--output", str(csv), "--gnuplot", str(script),
+        ],
+        capsys,
+    )
+    assert code == 0
+    # a single-quoted gnuplot string holds any character but ', written ''
+    names = re.findall(r"'((?:[^']|'')*)' using", script.read_text())
+    assert [name.replace("''", "'") for name in names] == [str(csv)] * 4
 
 
 # ---------------------------------------------------------- codec-roundtrip

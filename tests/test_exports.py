@@ -45,7 +45,8 @@ def test_package_exports_the_union_of_its_modules(name):
 
 
 # names deleted with the code behind them: the link-budget types, the relay
-# helpers, helpers nothing read, and the MAC superframe model
+# helpers, helpers nothing read, the MAC superframe model, and the per-stage
+# PHY functions and errors that the frame codec made redundant
 REMOVED = (
     "SnrBudget",
     "IndoorChannelParams",
@@ -60,6 +61,20 @@ REMOVED = (
     "MacError",
     "build_superframe",
     "BEACON_SLOT",
+    "LineCodeError",
+    "manchester_encode",
+    "manchester_decode",
+    "encode_4b6b",
+    "decode_4b6b",
+    "encode_8b10b",
+    "decode_8b10b",
+    "ModulationError",
+    "ook_modulate",
+    "ook_demodulate",
+    "vppm_modulate",
+    "vppm_demodulate",
+    "cc_encode",
+    "viterbi_decode",
 )
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from owpan.phy import fec, line_codes
-from owpan.phy.fec import ConvCode, RsCode, cc_encode, rs_decode, rs_encode, viterbi_decode
+from owpan.phy.fec import ConvCode, RsCode, _cc_encode, _viterbi_decode, rs_decode, rs_encode
 from owpan.phy.frames import (
     MAX_PAYLOAD,
     FrameDecodeError,
@@ -30,16 +30,22 @@ from owpan.phy.frames import (
 from owpan.phy.modes import LineCode, Modulation, mode_by_name, phy_mode_catalog
 from owpan.phy.modulation import (
     SAMPLES_PER_CHIP,
-    ook_demodulate,
-    ook_modulate,
-    vppm_demodulate,
-    vppm_modulate,
+    _ook_demodulate,
+    _ook_modulate,
+    _per_chip,
+    _vppm_demodulate,
+    _vppm_modulate,
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "frame_phy1_ook_11k.hex"
 
 BOUND_MODES = [m for m in phy_mode_catalog() if m.bound]
 PAYLOADS = [b"", b"\x00", b"hi", b"W-OWPAN frame golden.", bytes(range(256))]
+
+
+def _u8(values):
+    # the checked uint8 array the frame chains hand each stage
+    return np.array(values, dtype=np.uint8)
 
 
 @pytest.mark.parametrize("mode", BOUND_MODES, ids=lambda m: m.name)
@@ -152,7 +158,13 @@ def test_overflowing_and_cancelling_samples_raise_no_warning(name):
     payload = b"W-OWPAN frame golden."
     waveform = encode_frame(payload, mode).waveform
     assert waveform.dtype == np.float32
-    demodulate = ook_demodulate if mode.modulation is Modulation.OOK else vppm_demodulate
+    form = _ook_demodulate if mode.modulation is Modulation.OOK else _vppm_demodulate
+
+    def demodulate(samples):
+        chips, ties = form(_per_chip(samples))
+        assert ties is None
+        return chips
+
     chips = demodulate(waveform)
     # float64 samples near float64's maximum, and float32 samples at float32's,
     # whose chip sums would overflow float32 but not the float64 sums
@@ -185,7 +197,7 @@ def test_4b6b_symbol_error_is_corrected():
     mode = mode_by_name("phy1-vppm-124k")  # RS(15,7), t=4
     payload = b"tolerates symbol errors"
     chips = encode_to_chips(payload, mode)
-    word = line_codes.encode_4b6b([9])
+    word = line_codes._encode_4b6b(_u8([9]))
     chips[12:18] = word  # clobber the third symbol
     assert decode_from_chips(chips, mode) == payload
 
@@ -228,7 +240,7 @@ def test_beyond_budget_corruption_detected():
     chips = encode_to_chips(payload, mode)
     # replace eight symbols of the first block with valid-but-wrong words
     for i in range(8):
-        chips[6 * i : 6 * i + 6] = line_codes.encode_4b6b([(i * 3 + 1) % 16])
+        chips[6 * i : 6 * i + 6] = line_codes._encode_4b6b(_u8([(i * 3 + 1) % 16]))
     with pytest.raises(FrameDecodeError):
         decode_from_chips(chips, mode)
 
@@ -242,14 +254,14 @@ def test_truncated_stream_detected():
 
 def test_length_prefix_overrun_detected():
     # a bare prefix claiming five bytes with nothing after it
-    chips, _ = line_codes.encode_8b10b([0, 5])
+    chips = line_codes._encode_8b10b(_u8([0, 5]))
     with pytest.raises(FrameDecodeError) as exc:
         decode_from_chips(chips, mode_by_name("phy2-ook-96m"))
     assert "length prefix" in str(exc.value)
 
 
 def test_stream_shorter_than_prefix_detected():
-    chips, _ = line_codes.encode_8b10b([7])
+    chips = line_codes._encode_8b10b(_u8([7]))
     with pytest.raises(FrameDecodeError):
         decode_from_chips(chips, mode_by_name("phy2-ook-96m"))
 
@@ -435,7 +447,7 @@ def _overwrite(chips, at, junk):
 def _vppm_tie_at(index):
     # a VPPM waveform of index + 1 leading pulses whose last chip is dark,
     # so that its two half energies tie
-    waveform = vppm_modulate(np.ones(index + 1, np.uint8), 0.5)
+    waveform = _vppm_modulate(np.ones(index + 1, np.uint8), 0.5)
     waveform[4 * index :] = 0.0
     return waveform
 
@@ -469,9 +481,9 @@ def test_damaged_frames_yield_bytes_or_frame_error(damaged, cut):
     frame to a wrong payload without an error."""
     mode, chips = damaged
     if mode.modulation is Modulation.VPPM:
-        waveform = vppm_modulate(chips, 0.5)
+        waveform = _vppm_modulate(chips, 0.5)
     else:
-        waveform = ook_modulate(chips)
+        waveform = _ook_modulate(chips)
     # a cut of 1-3 samples leaves no whole number of chips
     for decode, signal in ((decode_from_chips, chips), (decode_frame, waveform[cut:])):
         try:
@@ -489,23 +501,23 @@ def _garbled_rs_blocks(code):
 # one input per message of the FEC and frame stages, each pinned in full
 _STAGE_ERRORS = {
     "cc_encode_odd": (
-        lambda: cc_encode([1], ConvCode(Fraction(2, 3))),
+        lambda: _cc_encode(_u8([1]), ConvCode(Fraction(2, 3))),
         "rate-2/3 puncturing needs an even bit count",
     ),
     "viterbi_r23_length": (
-        lambda: viterbi_decode([0] * 4, ConvCode(Fraction(2, 3))),
+        lambda: _viterbi_decode(_u8([0] * 4), ConvCode(Fraction(2, 3))),
         "rate-2/3 stream length must be a multiple of 3, got 4",
     ),
     "viterbi_r13_length": (
-        lambda: viterbi_decode([0] * 5, ConvCode(Fraction(1, 3))),
+        lambda: _viterbi_decode(_u8([0] * 5), ConvCode(Fraction(1, 3))),
         "coded length 5 does not fit rate 1/3",
     ),
     "viterbi_r14_length": (
-        lambda: viterbi_decode([0] * 6, ConvCode(Fraction(1, 4))),
+        lambda: _viterbi_decode(_u8([0] * 6), ConvCode(Fraction(1, 4))),
         "coded length 6 does not fit rate 1/4",
     ),
     "viterbi_short": (
-        lambda: viterbi_decode([0] * 12, ConvCode(Fraction(1, 4))),
+        lambda: _viterbi_decode(_u8([0] * 12), ConvCode(Fraction(1, 4))),
         "coded stream shorter than the tail",
     ),
     "rs_uncorrectable": (
@@ -518,14 +530,14 @@ _STAGE_ERRORS = {
     ),
     "frame_manchester_pair_11": (
         lambda: decode_from_chips(
-            _overwrite(line_codes.manchester_encode([0] * 8), 6, [1, 1]),
+            _overwrite(line_codes._manchester_encode(_u8([0] * 8)), 6, [1, 1]),
             mode_by_name("phy1-ook-100k"),
         ),
         "invalid Manchester chip pair 11 (symbol index 3)",
     ),
     "frame_manchester_pair_00": (
         lambda: decode_from_chips(
-            _overwrite(line_codes.manchester_encode([1] * 8), 4, [0, 0]),
+            _overwrite(line_codes._manchester_encode(_u8([1] * 8)), 4, [0, 0]),
             mode_by_name("phy1-ook-24k"),
         ),
         "invalid Manchester chip pair 00 (symbol index 2)",
@@ -536,20 +548,20 @@ _STAGE_ERRORS = {
     ),
     "frame_4b6b_off_table": (
         lambda: decode_from_chips(
-            _overwrite(line_codes.encode_4b6b([1] * 5), 12, [1, 1, 1, 0, 0, 0]),
+            _overwrite(line_codes._encode_4b6b(_u8([1] * 5)), 12, [1, 1, 1, 0, 0, 0]),
             mode_by_name("phy1-vppm-124k"),
         ),
         "invalid 4B6B codeword 111000 (symbol index 2)",
     ),
     "frame_4b6b_length": (
         lambda: decode_from_chips(
-            line_codes.encode_4b6b([1] * 5)[:-1], mode_by_name("phy1-vppm-266k")
+            line_codes._encode_4b6b(_u8([1] * 5))[:-1], mode_by_name("phy1-vppm-266k")
         ),
         "chip stream length must be a multiple of 6 (symbol index 4)",
     ),
     "frame_8b10b_invalid_word": (
         lambda: decode_from_chips(
-            _overwrite(line_codes.encode_8b10b([0, 5, 1])[0], 10, [0] * 10),
+            _overwrite(line_codes._encode_8b10b(_u8([0, 5, 1])), 10, [0] * 10),
             mode_by_name("phy2-ook-96m"),
         ),
         "invalid 8b10b codeword 0000000000 (symbol index 1)",
@@ -558,14 +570,14 @@ _STAGE_ERRORS = {
         # byte 3 at negative disparity, twice: the first word leaves the
         # running disparity positive, where the second is a violation
         lambda: decode_from_chips(
-            np.tile(line_codes.encode_8b10b([3], disparity=-1)[0], 2),
+            np.tile(line_codes._encode_8b10b(_u8([3])), 2),
             mode_by_name("phy2-ook-6m"),
         ),
         "8b10b disparity violation in word 1100011011 (symbol index 1)",
     ),
     "frame_8b10b_length": (
         lambda: decode_from_chips(
-            line_codes.encode_8b10b([0, 5, 1])[0][:-3], mode_by_name("phy2-ook-96m")
+            line_codes._encode_8b10b(_u8([0, 5, 1]))[:-3], mode_by_name("phy2-ook-96m")
         ),
         "chip stream length must be a multiple of 10 (symbol index 2)",
     ),
@@ -579,37 +591,37 @@ _STAGE_ERRORS = {
     ),
     "frame_viterbi_length": (
         lambda: decode_from_chips(
-            line_codes.manchester_encode([0] * 5), mode_by_name("phy1-ook-24k")
+            line_codes._manchester_encode(_u8([0] * 5)), mode_by_name("phy1-ook-24k")
         ),
         "coded length 5 does not fit rate 1/3",
     ),
     "frame_viterbi_punctured_length": (
         lambda: decode_from_chips(
-            line_codes.manchester_encode([0] * 4), mode_by_name("phy1-ook-48k")
+            line_codes._manchester_encode(_u8([0] * 4)), mode_by_name("phy1-ook-48k")
         ),
         "rate-2/3 stream length must be a multiple of 3, got 4",
     ),
     "frame_partial_rs_block": (
         lambda: decode_from_chips(
-            line_codes.encode_4b6b([1] * 5), mode_by_name("phy1-vppm-124k")
+            line_codes._encode_4b6b(_u8([1] * 5)), mode_by_name("phy1-vppm-124k")
         ),
         "5 symbols do not form whole RS(15,7) blocks",
     ),
     "frame_bits_not_nibbles": (
         lambda: decode_from_chips(
-            line_codes.manchester_encode([0] * 6), mode_by_name("phy1-ook-100k")
+            line_codes._manchester_encode(_u8([0] * 6)), mode_by_name("phy1-ook-100k")
         ),
         "bit stream length 6 is not nibble-aligned",
     ),
     "frame_no_prefix": (
         lambda: decode_from_chips(
-            line_codes.encode_8b10b([7])[0], mode_by_name("phy2-ook-96m")
+            line_codes._encode_8b10b(_u8([7])), mode_by_name("phy2-ook-96m")
         ),
         "frame shorter than its length prefix",
     ),
     "frame_prefix_overrun": (
         lambda: decode_from_chips(
-            line_codes.encode_8b10b([0, 5, 1])[0], mode_by_name("phy2-ook-96m")
+            line_codes._encode_8b10b(_u8([0, 5, 1])), mode_by_name("phy2-ook-96m")
         ),
         "length prefix claims 5 bytes but only 1 present",
     ),
@@ -626,8 +638,8 @@ def test_stage_error_messages_are_pinned(case):
 # --- the transmit chain checks its input once ---------------------------------
 #
 # encode_frame checks the payload and dimming, then calls each transmit
-# stage's private form.  The reference is the chain built from the public
-# stage functions, each of which checks its input again.
+# stage on the array the stage before it made.  The reference is the chain
+# built here from the payload's bytes, stage by stage.
 
 
 def _reference_frame(payload, mode, dimming):
@@ -642,17 +654,17 @@ def _reference_frame(payload, mode, dimming):
         padded[: symbols.size] = symbols
         symbols = rs_encode(padded.reshape(blocks, rs.k), rs).ravel()
     if mode.line_code is LineCode.EIGHT_B_TEN_B:
-        chips = line_codes.encode_8b10b(symbols[0::2] << 4 | symbols[1::2])[0]
+        chips = line_codes._encode_8b10b(symbols[0::2] << 4 | symbols[1::2])
     elif mode.line_code is LineCode.FOUR_B_SIX_B:
-        chips = line_codes.encode_4b6b(symbols)
+        chips = line_codes._encode_4b6b(symbols)
     else:
-        bits = ((symbols[:, None] >> np.arange(3, -1, -1)) & 1).ravel()
+        bits = ((symbols[:, None] >> np.arange(3, -1, -1)) & 1).ravel().astype(np.uint8)
         if mode.inner_code is not None:
-            bits = cc_encode(bits, mode.inner_code)
-        chips = line_codes.manchester_encode(bits)
+            bits = _cc_encode(bits, mode.inner_code)
+        chips = line_codes._manchester_encode(bits)
     if mode.modulation is Modulation.VPPM:
-        return chips, vppm_modulate(chips, dimming)
-    return chips, ook_modulate(chips)
+        return chips, _vppm_modulate(chips, dimming)
+    return chips, _ook_modulate(chips)
 
 
 @settings(max_examples=300, deadline=None)
@@ -661,7 +673,7 @@ def _reference_frame(payload, mode, dimming):
     st.binary(max_size=300),
     st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
 )
-def test_encode_frame_matches_the_chain_of_public_stages(mode, payload, dimming):
+def test_encode_frame_matches_the_chain_of_its_stages(mode, payload, dimming):
     frame = encode_frame(payload, mode, dimming)
     chips, waveform = _reference_frame(payload, mode, dimming)
     assert frame.chips.dtype == chips.dtype and np.array_equal(frame.chips, chips)

@@ -14,7 +14,7 @@ import pytest
 
 from owpan import _kernels
 from owpan._kernels import _pure
-from owpan.phy.fec import _TABLE_R13, _TABLE_R14, ConvCode, cc_encode
+from owpan.phy.fec import _TABLE_R13, _TABLE_R14, ConvCode, _cc_encode
 
 try:
     from owpan._kernels import _native
@@ -150,7 +150,7 @@ def _pinned_viterbi(backend, table):
         _digest_update(h, backend.viterbi_decode(obs, table))
         # a codeword with flips and erasures: the decoding the codec does
         if steps > 6:
-            obs = cc_encode(rng.integers(0, 2, size=steps - 6), code)
+            obs = _cc_encode(rng.integers(0, 2, size=steps - 6).astype(np.uint8), code)
             obs[rng.random(obs.size) < 0.05] ^= 1
             obs[rng.random(obs.size) < 0.05] = 2
             _digest_update(h, backend.viterbi_decode(obs, table))
@@ -244,7 +244,7 @@ def test_pure_viterbi_is_maximum_likelihood(backend, table):
     code = ConvCode(Fraction(1, table.shape[1]))
     for nbits in range(1, 9):
         msgs = (np.arange(2**nbits)[:, None] >> np.arange(nbits)) & 1
-        book = np.stack([cc_encode(m, code) for m in msgs])
+        book = np.stack([_cc_encode(m.astype(np.uint8), code) for m in msgs])
         for _ in range(25):
             obs = book[rng.integers(len(book))].copy()
             obs[rng.random(obs.size) < 0.15] ^= 1

@@ -6,133 +6,141 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from owpan.phy.modulation import (
+    _BLOCK,
     SAMPLES_PER_CHIP,
-    ModulationError,
-    ook_demodulate,
-    ook_modulate,
-    vppm_demodulate,
-    vppm_modulate,
+    _dimming,
+    _ook_demodulate,
+    _ook_modulate,
+    _per_chip,
+    _raise_tie,
+    _vppm_demodulate,
+    _vppm_modulate,
 )
-from owpan.phy.modulation import _BLOCK, _ook_demodulate, _per_chip, _vppm_demodulate
 
 bit_lists = st.lists(st.integers(0, 1), max_size=120)
 dimmings = st.floats(min_value=0.05, max_value=0.95)
 
 
+# Each stage as the frame chains call it: on checked chips, a checked
+# dimming or the checked samples of _per_chip, with a VPPM tie raised.
+
+def ook_wave(chips):
+    return _ook_modulate(np.array(chips, dtype=np.uint8))
+
+
+def vppm_wave(bits, dimming):
+    return _vppm_modulate(np.array(bits, dtype=np.uint8), _dimming(dimming))
+
+
+def ook_read(samples):
+    return _ook_demodulate(_per_chip(samples))[0]
+
+
+def vppm_read(samples):
+    chips, bad = _vppm_demodulate(_per_chip(samples))
+    _raise_tie(bad)
+    return chips
+
+
 def test_ook_sample_expansion():
-    wf = ook_modulate([1, 0, 1])
+    wf = ook_wave([1, 0, 1])
     assert wf.size == 3 * SAMPLES_PER_CHIP
     assert wf.tolist() == [1.0] * 4 + [0.0] * 4 + [1.0] * 4
 
 
 @given(bit_lists)
 def test_ook_round_trip(chips):
-    wf = ook_modulate(chips)
-    assert ook_demodulate(wf).tolist() == chips
+    wf = ook_wave(chips)
+    assert ook_read(wf).tolist() == chips
     assert (wf >= 0.0).all()
 
 
 def test_ook_survives_attenuation_above_threshold():
     chips = [1, 0, 1, 1]
-    wf = ook_modulate(chips) * 0.6  # still above the 0.5 threshold
-    assert ook_demodulate(wf).tolist() == chips
+    wf = ook_wave(chips) * 0.6  # still above the 0.5 threshold
+    assert ook_read(wf).tolist() == chips
 
 
 def test_ook_rejects_partial_chip():
-    with pytest.raises(ModulationError):
-        ook_demodulate([1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="^sample count 3 is not a whole number of chips$"):
+        ook_read([1.0, 1.0, 1.0])
 
 
-def test_ook_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        ook_modulate([0, 2])
-
-
-def test_ook_takes_no_level():
-    # OOK is at unit intensity; a level is no argument of either function
-    with pytest.raises(TypeError):
-        ook_modulate([1], 2.5)
-    with pytest.raises(TypeError):
-        ook_demodulate(np.ones(SAMPLES_PER_CHIP), 2.5)
-
-
-@pytest.mark.parametrize("demodulate", [ook_demodulate, vppm_demodulate])
 @pytest.mark.parametrize(
     "samples",
     [[2**2000, 0, 0, 0], [-(2**2000), 0, 0, 0], np.array(["a", "b", "c", "d"])],
     ids=["huge_int", "huge_negative_int", "text"],
 )
-def test_samples_the_float_cast_cannot_make_raise_modulation_errors(demodulate, samples):
-    with pytest.raises(ModulationError, match="^samples must be real numbers: "):
-        demodulate(samples)
+def test_samples_the_float_cast_cannot_make_are_rejected(samples):
+    with pytest.raises(ValueError, match="^samples must be real numbers: "):
+        _per_chip(samples)
 
 
 def test_vppm_half_dimming_shapes():
     # dimming 0.5: bit 1 fills the first half, bit 0 the second half
-    wf = vppm_modulate([1, 0], dimming=0.5)
+    wf = vppm_wave([1, 0], dimming=0.5)
     assert wf.tolist() == [1, 1, 0, 0, 0, 0, 1, 1]
 
 
 def test_vppm_fractional_edge():
     # dimming 3/8 covers sample 0 fully and half of sample 1
-    wf = vppm_modulate([1], dimming=0.375)
+    wf = vppm_wave([1], dimming=0.375)
     assert wf.tolist() == [1.0, 0.5, 0.0, 0.0]
-    wf = vppm_modulate([0], dimming=0.375)
+    wf = vppm_wave([0], dimming=0.375)
     assert wf.tolist() == [0.0, 0.0, 0.5, 1.0]
 
 
 @given(bit_lists, dimmings)
 def test_vppm_round_trip(bits, dimming):
-    wf = vppm_modulate(bits, dimming)
-    assert vppm_demodulate(wf).tolist() == bits
+    wf = vppm_wave(bits, dimming)
+    assert vppm_read(wf).tolist() == bits
     assert (wf >= 0.0).all()
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=120), dimmings)
 def test_vppm_mean_equals_dimming(bits, dimming):
     """The waveform mean is the duty cycle exactly, independent of the data."""
-    wf = vppm_modulate(bits, dimming)
+    wf = vppm_wave(bits, dimming)
     per_symbol = wf.reshape(-1, SAMPLES_PER_CHIP).mean(axis=1)
     assert np.allclose(per_symbol, dimming, rtol=0, atol=1e-12)
 
 
 def test_vppm_symbols_are_mirrors():
     for dimming in (0.2, 0.5, 0.8):
-        one = vppm_modulate([1], dimming)
-        zero = vppm_modulate([0], dimming)
+        one = vppm_wave([1], dimming)
+        zero = vppm_wave([0], dimming)
         assert one.tolist() == zero[::-1].tolist()
 
 
 def test_vppm_rejects_degenerate_dimming():
     for bad in (0.0, 1.0, -0.1, 1.5):
-        with pytest.raises(ValueError):
-            vppm_modulate([1], bad)
+        with pytest.raises(ValueError, match=r"^dimming must lie in \(0, 1\)"):
+            _dimming(bad)
 
 
 def test_vppm_tie_is_ambiguous():
     flat = np.full(SAMPLES_PER_CHIP, 0.5)
-    with pytest.raises(ModulationError) as exc:
-        vppm_demodulate(flat)
-    assert "index 0" in str(exc.value)
+    with pytest.raises(ValueError, match="^ambiguous VPPM symbol at index 0: "):
+        vppm_read(flat)
 
 
 def test_vppm_rejects_partial_chip():
-    with pytest.raises(ModulationError):
-        vppm_demodulate([1.0] * 5)
+    with pytest.raises(ValueError, match="^sample count 5 is not"):
+        vppm_read([1.0] * 5)
 
 
 def test_empty_streams():
-    assert ook_modulate([]).size == 0
-    assert ook_demodulate([]).size == 0
-    assert vppm_modulate([], 0.5).size == 0
-    assert vppm_demodulate([]).size == 0
+    assert ook_wave([]).size == 0
+    assert ook_read([]).size == 0
+    assert vppm_wave([], 0.5).size == 0
+    assert vppm_read([]).size == 0
 
 
 # --- dimmings given as numpy values -------------------------------------------
 #
-# vppm_modulate keeps one sample table per dimming, keyed on the dimming as
-# a Python float; a numpy scalar or a 0-d or one-element array still gives
-# the samples that the dimming itself gives, without a warning.
+# VPPM keeps one sample table per dimming, keyed on the dimming as a Python
+# float; a numpy scalar or a 0-d or one-element array still gives the
+# samples that the dimming itself gives, without a warning.
 
 
 def _vppm_samples(bits, dimming):
@@ -145,11 +153,11 @@ def _vppm_samples(bits, dimming):
 @pytest.mark.parametrize("dimming", [np.array(0.5), np.array([0.5]), np.float32(0.3), 0.3])
 def test_vppm_accepts_numpy_dimming(dimming):
     bits = [1, 0, 0, 1, 1]
-    assert vppm_modulate(bits, dimming).tolist() == _vppm_samples(bits, dimming).tolist()
+    assert vppm_wave(bits, dimming).tolist() == _vppm_samples(bits, dimming).tolist()
 
 
 def test_writing_into_a_waveform_leaves_the_next_one_alone():
-    for modulate in (ook_modulate, lambda chips: vppm_modulate(chips, 0.3)):
+    for modulate in (ook_wave, lambda chips: vppm_wave(chips, 0.3)):
         first = modulate([1, 0])
         expected = first.tolist()
         first[:] = -7.0
@@ -184,8 +192,8 @@ def _vppm_oracle(samples):
 
 def _vppm_outcome(samples):
     try:
-        return vppm_demodulate(samples)
-    except ModulationError as exc:
+        return vppm_read(samples)
+    except ValueError as exc:
         return str(exc)
 
 
@@ -201,18 +209,18 @@ def _noisy(waveform, rng):
 def test_ook_demodulate_matches_unblocked_oracle(nchips):
     rng = np.random.default_rng(nchips)
     chips = rng.integers(0, 2, nchips).astype(np.uint8)
-    wf = _noisy(ook_modulate(chips), rng)
-    assert np.array_equal(ook_demodulate(wf), _ook_oracle(wf))
+    wf = _noisy(ook_wave(chips), rng)
+    assert np.array_equal(ook_read(wf), _ook_oracle(wf))
     single = wf.astype(np.float32)
-    assert np.array_equal(ook_demodulate(single), _ook_oracle(single))
+    assert np.array_equal(ook_read(single), _ook_oracle(single))
     # chips on the edge: summed left to right, ((-2.5 + 1e17) - 1e17) + 2.5
     # is 2.5 while the other orders round to 0; a mean of exactly 0.5 is 0
     edge = np.tile([-2.5, 1e17, -1e17, 2.5, 0.5, 0.5, 0.5, 0.5], max(nchips, 1))
     assert _ook_oracle(edge).tolist() == [1, 0] * max(nchips, 1)
-    assert np.array_equal(ook_demodulate(edge), _ook_oracle(edge))
+    assert np.array_equal(ook_read(edge), _ook_oracle(edge))
     # means 1 ulp either side of 0.5, and subnormal samples
     near = np.repeat([np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0), 5e-324], SAMPLES_PER_CHIP)
-    assert ook_demodulate(near).tolist() == _ook_oracle(near).tolist() == [1, 0, 0]
+    assert ook_read(near).tolist() == _ook_oracle(near).tolist() == [1, 0, 0]
 
 
 @pytest.mark.parametrize("nchips", CHIP_COUNTS)
@@ -220,7 +228,7 @@ def test_vppm_demodulate_matches_unblocked_oracle(nchips):
     rng = np.random.default_rng(nchips)
     bits = rng.integers(0, 2, nchips).astype(np.uint8)
     for dimming in (0.25, 0.5, 0.75):
-        wf = _noisy(vppm_modulate(bits, dimming), rng)
+        wf = _noisy(vppm_wave(bits, dimming), rng)
         expected = _vppm_oracle(wf)
         outcome = _vppm_outcome(wf)
         if isinstance(expected, str):
@@ -230,19 +238,19 @@ def test_vppm_demodulate_matches_unblocked_oracle(nchips):
 
 
 def test_vppm_tie_in_a_later_block_reports_its_global_index():
-    wf = vppm_modulate(np.ones(3 * _BLOCK + 5, np.uint8), 0.5)
+    wf = vppm_wave(np.ones(3 * _BLOCK + 5, np.uint8), 0.5)
     at = 2 * _BLOCK + 7
     wf[at * SAMPLES_PER_CHIP : (at + 1) * SAMPLES_PER_CHIP] = 0.5
     wf[-SAMPLES_PER_CHIP:] = 0.5  # a later tie in a later block
     assert _vppm_oracle(wf) == _vppm_outcome(wf)
-    with pytest.raises(ModulationError, match=f"index {at}:"):
-        vppm_demodulate(wf)
+    with pytest.raises(ValueError, match=f"index {at}:"):
+        vppm_read(wf)
 
 
-# --- private forms: (chips, bad) per chip ------------------------------------
+# --- (chips, bad) per chip ---------------------------------------------------
 #
-# vppm_demodulate must raise exactly when its private form marks a tied
-# chip, at the first one; OOK's private form cannot fail and marks none.
+# VPPM's demodulator marks exactly the tied chips; OOK's cannot fail and
+# marks none.
 
 
 @settings(max_examples=60, deadline=None)
@@ -252,33 +260,30 @@ def test_vppm_tie_in_a_later_block_reports_its_global_index():
     st.lists(st.integers(0, 10**6), max_size=3),
     st.sampled_from([0.0, 0.25, 0.5, 1.0]),
 )
-def test_vppm_demodulate_raises_exactly_at_the_first_tie_of_the_private_form(
-    nchips, seed, ties, level
-):
+def test_vppm_demodulate_marks_exactly_the_tied_chips(nchips, seed, ties, level):
     bits = np.random.default_rng(seed).integers(0, 2, nchips).astype(np.uint8)
-    wf = vppm_modulate(bits, 0.4)
+    wf = vppm_wave(bits, 0.4)
     ties = sorted({t % nchips for t in ties}) if nchips else []
     for t in ties:
         wf[t * SAMPLES_PER_CHIP : (t + 1) * SAMPLES_PER_CHIP] = level  # equal halves
     chips, bad = _vppm_demodulate(_per_chip(wf))
     if bad is None:
         assert ties == []
-        assert np.array_equal(vppm_demodulate(wf), chips)
+        assert np.array_equal(chips, bits)
         return
     assert np.flatnonzero(bad).tolist() == ties and len(bad) == nchips
-    with pytest.raises(ModulationError) as exc:
-        vppm_demodulate(wf)
-    assert type(exc.value) is ModulationError
-    assert str(exc.value) == f"ambiguous VPPM symbol at index {ties[0]}: equal half energies"
+    clean = np.ones(nchips, dtype=bool)
+    clean[ties] = False
+    assert np.array_equal(chips[clean], bits[clean])
 
 
 @given(bit_lists, st.integers(0, 2**32 - 1))
-def test_ook_private_form_marks_nothing_and_matches_the_public_one(chips, seed):
+def test_ook_demodulate_marks_nothing(chips, seed):
     rng = np.random.default_rng(seed)
-    wf = ook_modulate(chips) + rng.normal(scale=0.3, size=4 * len(chips))
+    wf = ook_wave(chips) + rng.normal(scale=0.3, size=4 * len(chips))
     out, bad = _ook_demodulate(_per_chip(wf))
     assert bad is None
-    assert np.array_equal(ook_demodulate(wf), out)
+    assert np.array_equal(out, _ook_oracle(wf))
 
 
 # --- float32 samples decide as their float64 widening -------------------------
@@ -296,7 +301,7 @@ float32_samples = st.floats(width=32) | st.sampled_from(
 def _outcome(demodulate, samples):
     try:
         return demodulate(samples).tolist()
-    except ModulationError as exc:
+    except ValueError as exc:
         return str(exc)
 
 
@@ -319,19 +324,19 @@ def test_float32_samples_decide_as_their_float64_widening(chips, ties):
         (c32, bad32), (c64, bad64) = private(_per_chip(single)), private(_per_chip(double))
         assert np.array_equal(c32, c64)
         assert (bad32 is None and bad64 is None) or np.array_equal(bad32, bad64)
-    for public in (ook_demodulate, vppm_demodulate):
-        assert _outcome(public, single) == _outcome(public, double)
+    for read in (ook_read, vppm_read):
+        assert _outcome(read, single) == _outcome(read, double)
 
 
 def test_float32_tie_and_overflow_cases_decide_in_float64():
     # samples whose sums round or overflow in float32 arithmetic but not in
     # float64; each decision is the float64 one
     cases = [
-        (vppm_demodulate, [1.0, 2.0**-24, 1.0, 0.0], [1]),  # 1 + 2**-24 is 1 in float32
-        (vppm_demodulate, [_F32_MAX, _F32_MAX, _F32_MAX, _F32_MAX / 2], [1]),  # both inf
-        (vppm_demodulate, [_F32_MAX, _F32_MAX, np.inf, 0.0], [0]),
-        (ook_demodulate, [1.0, 2.0**-24, 0.5, 0.5], [1]),  # a sum of 2 in float32
-        (ook_demodulate, [_F32_MAX, _F32_MAX, -_F32_MAX, -_F32_MAX], [0]),  # inf in float32
+        (vppm_read, [1.0, 2.0**-24, 1.0, 0.0], [1]),  # 1 + 2**-24 is 1 in float32
+        (vppm_read, [_F32_MAX, _F32_MAX, _F32_MAX, _F32_MAX / 2], [1]),  # both inf
+        (vppm_read, [_F32_MAX, _F32_MAX, np.inf, 0.0], [0]),
+        (ook_read, [1.0, 2.0**-24, 0.5, 0.5], [1]),  # a sum of 2 in float32
+        (ook_read, [_F32_MAX, _F32_MAX, -_F32_MAX, -_F32_MAX], [0]),  # inf in float32
     ]
     for demodulate, samples, chips in cases:
         single = np.array(samples, dtype=np.float32)

@@ -119,6 +119,10 @@ def test_link_endpoints_are_stored_as_int(end):
     for link in (Link(end, 2, Technology.RF), Link(2, end, Technology.RF)):
         assert {link.src, link.dst} == {1, 2}
         assert type(link.src) is int and type(link.dst) is int
+    # the other integer fields too
+    link = Link(1, 2, Technology.RF, scenario=end, channel_count=end * np.int64(3))
+    assert link.scenario == 1 and type(link.scenario) is int
+    assert link.channel_count == 3 and type(link.channel_count) is int
 
 
 def test_link_endpoints_must_be_integers():
