@@ -1,18 +1,25 @@
 """Decoder kernel backends.
 
-Importing this package binds ``rs_encode_blocks``, ``rs_decode_blocks`` and
-``viterbi_decode`` to the compiled extension when it is available, else to
-the pure-numpy fallback.  The extension is ``_native.c``, one hand-written
-C file that needs only a C compiler and the Python headers; ``pip install``
-or ``python3 setup.py build_ext --inplace`` builds it.  Both backends give
-bit-identical results.  Set ``OWPAN_KERNELS=pure`` or ``=native`` to force
-a backend (forcing ``native`` raises if the extension is missing, instead
-of silently degrading).
+Importing this package binds five callables to the compiled extension when
+it is available, else to the pure-numpy fallback: ``rs_encode_blocks``,
+``rs_decode_blocks``, ``viterbi_decode``, ``ook_demodulate`` and
+``vppm_demodulate`` (``_pure`` states their contracts).  The extension is
+``_native.c``, one hand-written C file that needs only a C compiler and the
+Python headers; ``pip install`` or ``python3 setup.py build_ext --inplace``
+builds it.  Both backends give bit-identical results.  Set
+``OWPAN_KERNELS=pure`` or ``=native`` to force a backend (forcing
+``native`` raises if the extension is missing, instead of silently
+degrading).
 """
 
 from __future__ import annotations
 
 import os
+
+# chips per block of the pure demodulators' float64 sums, and indices per
+# np.take call in the line codes: each bounds a temporary to O(block).
+# Bound before the backend import, since _pure reads it from this package.
+_BLOCK = 1 << 14
 
 _choice = os.environ.get("OWPAN_KERNELS", "").strip().lower()
 
@@ -34,5 +41,14 @@ BACKEND: str = _impl.BACKEND
 rs_encode_blocks = _impl.rs_encode_blocks
 rs_decode_blocks = _impl.rs_decode_blocks
 viterbi_decode = _impl.viterbi_decode
+ook_demodulate = _impl.ook_demodulate
+vppm_demodulate = _impl.vppm_demodulate
 
-__all__ = ["BACKEND", "rs_encode_blocks", "rs_decode_blocks", "viterbi_decode"]
+__all__ = [
+    "BACKEND",
+    "rs_encode_blocks",
+    "rs_decode_blocks",
+    "viterbi_decode",
+    "ook_demodulate",
+    "vppm_demodulate",
+]

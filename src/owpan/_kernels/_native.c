@@ -1,16 +1,19 @@
 /* Compiled decoder hot loops: the native twin of owpan._kernels._pure.
  *
- * The same three callables with the same contract, bit for bit:
+ * The same five callables with the same contract, bit for bit:
  *
  *   rs_encode_blocks(data, k)       systematic RS(15, k) over GF(16)
  *   rs_decode_blocks(code, k)       batched bounded-distance decoding
  *   viterbi_decode(obs, out_table)  hard-decision Viterbi with erasures
+ *   ook_demodulate(per)             OOK chips of (N, 4) samples
+ *   vppm_demodulate(per)            VPPM bits and tie mask of (N, 4) samples
  *
  * Inputs are read through the buffer protocol (PEP 3118); anything that
- * is not already a C-contiguous uint8 ndarray goes through
- * numpy.ascontiguousarray(x, dtype=uint8) first, as in _pure.  Outputs
- * are made with numpy.empty, so neither the numpy C API nor Cython is
- * needed.  The design follows Karn's libfec:
+ * is not already a C-contiguous uint8 ndarray (float32 or float64, for
+ * the demodulators) goes through numpy.ascontiguousarray(x, dtype) first,
+ * dtype uint8 (float64), as in _pure.  Outputs are made with numpy.empty,
+ * so neither the numpy C API nor Cython is needed.  The design follows
+ * Karn's libfec:
  *
  * - RS parity and syndromes are the packed GF(16)-linear maps of _pure:
  *   entry 16*j + v holds v times row j, one symbol per nibble of a
@@ -20,6 +23,9 @@
  * - Viterbi reads the 128 branch metrics of a step from one row of a
  *   cached 3^R x 128 table, runs add-compare-select over the 64 states
  *   and keeps each step's survivor decisions in one uint64.
+ * - The demodulators make one pass over the samples, where _pure makes
+ *   four numpy calls per block of chips; VPPM makes a second pass only
+ *   to mark ties, when the first counted any.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -34,7 +40,7 @@ static uint8_t EXP[30], LOG[16], MUL[16][16], INV[16];
 static uint64_t PARITY[N][16 * N];   /* PARITY[k]: k data symbols -> 15-k parity */
 static uint64_t SYNDROME[N][16 * N]; /* SYNDROME[nroots]: codeword -> S_1..S_nroots */
 
-static PyObject *np_empty, *np_ascontiguousarray, *np_ndarray, *dtype_u8, *dtype_bool;
+static PyObject *np_empty, *np_ascontiguousarray, *np_ndarray, *dtype_u8, *dtype_bool, *dtype_f8;
 
 /* Tabulate x -> x @ mat for mat (m, r <= 16): see _pure._linear_map. */
 static void linear_map(uint64_t *table, const uint8_t *mat, int m, int r)
@@ -105,22 +111,29 @@ static void init_tables(void)
     }
 }
 
-/* Read obj as C-contiguous uint8 bytes into view; released by the caller. */
-static int get_u8(PyObject *obj, Py_buffer *view)
+/* Read obj into view as a C-contiguous buffer in one of the one-letter
+   struct formats in formats; anything else goes through
+   numpy.ascontiguousarray(obj, dtype) first.  Released by the caller. */
+static int get_array(PyObject *obj, Py_buffer *view, const char *formats, PyObject *dtype)
 {
     if (Py_TYPE(obj) == (PyTypeObject *)np_ndarray &&
         PyObject_GetBuffer(obj, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) == 0) {
-        if (view->itemsize == 1 && strcmp(view->format, "B") == 0)
+        if (view->format[0] && !view->format[1] && strchr(formats, view->format[0]))
             return 0;
         PyBuffer_Release(view);
     }
     PyErr_Clear();
-    PyObject *arr = PyObject_CallFunctionObjArgs(np_ascontiguousarray, obj, dtype_u8, NULL);
+    PyObject *arr = PyObject_CallFunctionObjArgs(np_ascontiguousarray, obj, dtype, NULL);
     if (arr == NULL)
         return -1;
     int rc = PyObject_GetBuffer(arr, view, PyBUF_C_CONTIGUOUS);
     Py_DECREF(arr);
     return rc;
+}
+
+static int get_u8(PyObject *obj, Py_buffer *view)
+{
+    return get_array(obj, view, "B", dtype_u8);
 }
 
 /* numpy.empty(shape, dtype) with its data pointer; n1 < 0 makes it 1-D. */
@@ -433,6 +446,99 @@ static PyObject *viterbi_decode(PyObject *self, PyObject *args, PyObject *kwargs
     return out;
 }
 
+/* The demodulator loops over the (N, 4) samples of N chips, one per
+   sample type.  Each sum is formed in double, left to right: (double)s[0]
+   + s[1] + s[2] + s[3] is ((s0 + s1) + s2) + s3, the order of _pure, and
+   widening a float to double is exact.  A sum past double's range is inf;
+   inf + -inf is NaN, which compares false, so such a chip reads 0 and is
+   no VPPM tie.  vppm_T returns the number of ties, and mark_ties_T, run
+   only when there are some, marks them. */
+#define DEMODULATORS(T)                                                           \
+    static void ook_##T(const T *s, Py_ssize_t n, uint8_t *chips)                 \
+    {                                                                             \
+        for (Py_ssize_t i = 0; i < n; i++, s += 4)                                \
+            chips[i] = (double)s[0] + s[1] + s[2] + s[3] > 2.0;                   \
+    }                                                                             \
+    static Py_ssize_t vppm_##T(const T *s, Py_ssize_t n, uint8_t *bits)           \
+    {                                                                             \
+        Py_ssize_t ties = 0;                                                      \
+        for (Py_ssize_t i = 0; i < n; i++, s += 4) {                              \
+            double first = (double)s[0] + s[1], second = (double)s[2] + s[3];     \
+            bits[i] = first > second;                                             \
+            ties += first == second;                                              \
+        }                                                                         \
+        return ties;                                                              \
+    }                                                                             \
+    static void mark_ties_##T(const T *s, Py_ssize_t n, uint8_t *bad)             \
+    {                                                                             \
+        for (Py_ssize_t i = 0; i < n; i++, s += 4)                                \
+            bad[i] = (double)s[0] + s[1] == (double)s[2] + s[3];                  \
+    }
+DEMODULATORS(float)
+DEMODULATORS(double)
+
+/* Read per as (N, 4) float32 or float64 samples, C-contiguous; set *single
+   for float32.  Any other dtype or layout is converted to float64. */
+static int get_samples(PyObject *per, Py_buffer *view, int *single)
+{
+    if (get_array(per, view, "fd", dtype_f8))
+        return -1;
+    if (view->ndim != 2 || view->shape[1] != 4) {
+        PyBuffer_Release(view);
+        PyErr_SetString(PyExc_ValueError, "per must have shape (N, 4)");
+        return -1;
+    }
+    *single = view->itemsize == sizeof(float);
+    return 0;
+}
+
+static PyObject *ook_demodulate(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"per", NULL};
+    PyObject *per;
+    Py_buffer in;
+    int single;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O", kwlist, &per) ||
+        get_samples(per, &in, &single))
+        return NULL;
+    uint8_t *chips;
+    PyObject *out = new_array(in.shape[0], -1, dtype_u8, &chips);
+    if (out && single)
+        ook_float(in.buf, in.shape[0], chips);
+    else if (out)
+        ook_double(in.buf, in.shape[0], chips);
+    PyBuffer_Release(&in);
+    return out;
+}
+
+static PyObject *vppm_demodulate(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"per", NULL};
+    PyObject *per;
+    Py_buffer in;
+    int single;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O", kwlist, &per) ||
+        get_samples(per, &in, &single))
+        return NULL;
+    Py_ssize_t n = in.shape[0], ties;
+    uint8_t *bits, *bad;
+    PyObject *out = new_array(n, -1, dtype_u8, &bits), *mask = Py_None;
+    if (out) {
+        ties = single ? vppm_float(in.buf, n, bits) : vppm_double(in.buf, n, bits);
+        /* a clean frame keeps no frame-sized mask */
+        if (ties == 0)
+            Py_INCREF(mask);
+        else if ((mask = new_array(n, -1, dtype_bool, &bad)) == NULL)
+            Py_CLEAR(out);
+        else if (single)
+            mark_ties_float(in.buf, n, bad);
+        else
+            mark_ties_double(in.buf, n, bad);
+    }
+    PyBuffer_Release(&in);
+    return out ? Py_BuildValue("(NN)", out, mask) : NULL;
+}
+
 static PyMethodDef methods[] = {
     {"rs_encode_blocks", (PyCFunction)(void (*)(void))rs_encode_blocks,
      METH_VARARGS | METH_KEYWORDS,
@@ -443,6 +549,12 @@ static PyMethodDef methods[] = {
     {"viterbi_decode", (PyCFunction)(void (*)(void))viterbi_decode,
      METH_VARARGS | METH_KEYWORDS,
      "Hard-decision Viterbi over the 64-state rate-1/R trellis, with erasures."},
+    {"ook_demodulate", (PyCFunction)(void (*)(void))ook_demodulate,
+     METH_VARARGS | METH_KEYWORDS,
+     "OOK chips (uint8) of per, the (N, 4) samples of N chips."},
+    {"vppm_demodulate", (PyCFunction)(void (*)(void))vppm_demodulate,
+     METH_VARARGS | METH_KEYWORDS,
+     "VPPM bits (uint8) of per, the (N, 4) samples of N chips, and the tie mask or None."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -466,8 +578,9 @@ PyMODINIT_FUNC PyInit__native(void)
         return NULL;
     dtype_u8 = PyObject_CallFunction(dtype, "s", "u1");
     dtype_bool = PyObject_CallFunction(dtype, "s", "?");
+    dtype_f8 = PyObject_CallFunction(dtype, "s", "f8");
     Py_DECREF(dtype);
-    if (dtype_u8 == NULL || dtype_bool == NULL)
+    if (dtype_u8 == NULL || dtype_bool == NULL || dtype_f8 == NULL)
         return NULL;
     PyObject *m = PyModule_Create(&module);
     if (m && PyModule_AddStringConstant(m, "BACKEND", "native")) {

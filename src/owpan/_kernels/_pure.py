@@ -2,17 +2,32 @@
 
 These are the fallback for :mod:`owpan._kernels._native`, compiled from
 the hand-written ``_native.c``, and the readable reference that kernel
-must match bit for bit.  Both backends expose the same three callables:
+must match bit for bit.  Both backends expose the same five callables:
 
 * ``rs_encode_blocks(data, k)``   -- systematic RS(15, k) over GF(16)
 * ``rs_decode_blocks(code, k)``   -- batched bounded-distance decoding
 * ``viterbi_decode(obs, table)``  -- hard-decision Viterbi with erasures
+* ``ook_demodulate(per)``         -- uint8 OOK chips of a waveform
+* ``vppm_demodulate(per)``        -- uint8 VPPM bits and a tie mask
 
-Each converts its arrays to uint8 and raises ``ValueError`` for a shape,
-``k``, symbol or observation outside the contract; a failed RS row
-returns the received data.  The RS routines are vectorized across the
-block axis, the Viterbi routine across the trellis states, so the
-Python-level loop count of a call does not depend on the batch size:
+The decoders convert their arrays to uint8 and raise ``ValueError`` for a
+shape, ``k``, symbol or observation outside the contract; a failed RS row
+returns the received data.
+
+The demodulators take ``per``, the (N, 4) samples of N chips, and raise
+``ValueError`` for any other shape.  They read float32 and float64
+samples as they are (the native kernel needs them C-contiguous too) and
+convert anything else to float64, which widens float32 exactly, so a
+decision never depends on the layout.  OOK chip i is 1 when
+``((s0 + s1) + s2) + s3 > 2`` in float64, its mean above 0.5; VPPM bit i
+is 1 when ``s0 + s1 > s2 + s3`` in float64, and the bool tie mask marks
+``s0 + s1 == s2 + s3``, or is None when no chip ties.  A sum past
+float64's range is inf, and inf + -inf is NaN, which reads 0 and is no
+tie; neither warns.
+
+The RS routines are vectorized across the block axis, the Viterbi routine
+across the trellis states, so the Python-level loop count of a call does
+not depend on the batch size:
 
 * ``rs_encode_blocks``: no loop; one gather from the products of the
   code's parity matrix, XOR-reduced per row.
@@ -23,6 +38,9 @@ Python-level loop count of a call does not depend on the batch size:
   step, then one per step for the traceback.  The branch metrics are
   gathered per block of steps and the survivor decisions kept bit-packed,
   8 bytes per step, so memory stays bounded on a 64 KiB frame.
+* ``ook_demodulate``, ``vppm_demodulate``: the exception, one iteration
+  of four numpy calls per block of ``_BLOCK`` chips, so the float64
+  temporaries stay O(block).
 
 Tables that depend only on ``k`` or on the trellis output table are built
 once, cached and read-only.  When both predecessors of a state have the
@@ -35,6 +53,8 @@ from __future__ import annotations
 from functools import cache, lru_cache
 
 import numpy as np
+
+from . import _BLOCK
 
 BACKEND = "pure"
 
@@ -330,3 +350,61 @@ def viterbi_decode(obs: np.ndarray, out_table: np.ndarray) -> np.ndarray:
         bits[tstep] = w >> 6
         state = w & 63
     return np.frombuffer(bits, dtype=np.uint8)
+
+
+def _samples(per) -> np.ndarray:
+    """``per`` as (N, 4) samples: float32 and float64 read in place, any
+    other dtype converted to float64."""
+    per = np.asarray(per)
+    if per.dtype != np.float32 and per.dtype != np.float64:
+        per = np.asarray(per, dtype=np.float64)
+    if per.ndim != 2 or per.shape[1] != 4:
+        raise ValueError("per must have shape (N, 4)")
+    return per
+
+
+def ook_demodulate(per: np.ndarray) -> np.ndarray:
+    """OOK chips of the (N, 4) samples ``per``: 1 where the chip's mean
+    exceeds 0.5."""
+    per = _samples(per)
+    chips = np.empty(len(per), dtype=bool)
+    acc = np.empty(min(len(per), _BLOCK))
+    # a sum past float64's range is inf and reads as 1; inf + -inf is NaN
+    # and reads as 0, so neither needs numpy's warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, len(per), _BLOCK):
+            b = per[i : i + _BLOCK]
+            total = acc[: len(b)]
+            # ((s0 + s1) + s2) + s3 in float64, the order in which numpy's
+            # mean(axis=1) sums; dividing by 4 is exact, so total > 2 is
+            # mean > 0.5
+            np.add(b[:, 0], b[:, 1], out=total, dtype=np.float64)
+            total += b[:, 2]
+            total += b[:, 3]
+            np.greater(total, 2.0, out=chips[i : i + _BLOCK])
+    return chips.view(np.uint8)
+
+
+def vppm_demodulate(per: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """VPPM bits of the (N, 4) samples ``per``: 1 where the first half of
+    the chip holds more energy than the second.  Also returns the bool
+    mask of the chips whose half energies tie, or None when none does."""
+    per = _samples(per)
+    # the tie mask is allocated at the first tie, so a clean frame keeps
+    # no frame-sized mask
+    bits = np.empty(len(per), dtype=bool)
+    bad = None
+    # an overflowed energy is inf; a NaN energy (inf + -inf) is neither
+    # greater nor equal, so its bit reads 0 and is not a tie
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, len(per), _BLOCK):
+            b = per[i : i + _BLOCK]
+            e_first = np.add(b[:, 0], b[:, 1], dtype=np.float64)
+            e_second = np.add(b[:, 2], b[:, 3], dtype=np.float64)
+            ties = e_first == e_second
+            if ties.any():
+                if bad is None:
+                    bad = np.zeros(len(per), dtype=bool)
+                bad[i : i + _BLOCK] = ties
+            np.greater(e_first, e_second, out=bits[i : i + _BLOCK])
+    return bits.view(np.uint8), bad

@@ -61,7 +61,8 @@ class Frame:
     ``waveform`` is float32 when every sample is exact in float32 (OOK,
     and VPPM at a dyadic dimming such as 0.25 or 0.375) and float64
     otherwise (VPPM at, say, 0.4): no sample is rounded.  ``decode_frame``
-    reads either dtype without a copy and decides in float64."""
+    reads either dtype without a copy (a C-contiguous one, on the compiled
+    kernels) and decides in float64."""
 
     payload: bytes
     mode: PhyMode

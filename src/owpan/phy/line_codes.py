@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .._kernels import _BLOCK
+
 __all__ = ["TABLE_4B6B"]
 
 
@@ -80,15 +82,12 @@ def _raise_bad_word(chips: np.ndarray, width: int, bad: np.ndarray) -> None:
     _raise_first(bad, error)
 
 
-# indices per np.take call: take copies a uint8 or uint16 index array to
-# 8-byte intp, so a lookup in blocks keeps that copy O(block)
-_BLOCK = 1 << 14
-
-
 def _take(table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``table[index]`` along axis 0, taken ``_BLOCK`` indices at a time.
-    Every index is in range by construction, so ``mode="clip"``, which
-    lets take write into ``out`` unbuffered, never clips one."""
+    """``table[index]`` along axis 0, taken ``_BLOCK`` indices at a time:
+    take copies a uint8 or uint16 index array to 8-byte intp, so a lookup
+    in blocks keeps that copy O(block).  Every index is in range by
+    construction, so ``mode="clip"``, which lets take write into ``out``
+    unbuffered, never clips one."""
     # one call for a short index: the loop's extra empty() and out= cost
     # 16-byte frame round trips about 10%
     if index.size <= _BLOCK:

@@ -1,8 +1,9 @@
 """OOK and VPPM waveform mapping at four samples per chip.
 
 Waveforms are real, non-negative intensity arrays of ``SAMPLES_PER_CHIP``
-samples per chip, built and read one block of chips at a time, so peak
-memory is the waveform plus O(block).
+samples per chip.  They are built one block of chips at a time and read
+into one byte per chip with at most O(block) temporaries, so peak memory is
+the waveform plus its chips.
 
 OOK is at unit intensity: chip 1 is four samples of 1.0, chip 0 four of
 0.0, and a chip reads as 1 when its mean exceeds 0.5.
@@ -18,14 +19,17 @@ ambiguous.
 Each (2, SAMPLES_PER_CHIP) sample table is computed in float64 and kept,
 read-only, as float32 exactly when every sample survives that cast (OOK's,
 and VPPM's at a dyadic dimming such as 0.25 or 0.375), so no sample is
-rounded.  The demodulators read float32 and float64 samples without a copy
-and sum and compare in float64, so a float32 waveform decides exactly as
-its float64 widening.
+rounded.
 
 The modulators take checked 0/1 chips (and VPPM a checked dimming).  The
-demodulators take the checked samples of ``_per_chip`` and return
-``(chips, bad)``, ``bad`` marking the VPPM chips whose half energies tie,
-or None when none does (OOK cannot fail).
+demodulators take the checked ``(N, SAMPLES_PER_CHIP)`` samples of
+``_per_chip`` and return ``(chips, bad)``, ``bad`` marking the VPPM chips
+whose half energies tie, or None when none does (OOK cannot fail).  Each is
+one call into :mod:`owpan._kernels` (``ook_demodulate``,
+``vppm_demodulate``), whose compiled backend reads a C-contiguous float32
+or float64 waveform in place in one pass; any other layout or dtype is
+converted to float64 first.  Both backends sum and compare in float64, so
+a float32 waveform decides exactly as its float64 widening.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .line_codes import _BLOCK, _raise_first, _take
+from .. import _kernels
+from .line_codes import _raise_first, _take
 
 __all__ = ["SAMPLES_PER_CHIP"]
 
@@ -77,22 +82,7 @@ def _ook_modulate(chips: np.ndarray) -> np.ndarray:
 
 
 def _ook_demodulate(per: np.ndarray) -> tuple[np.ndarray, None]:
-    chips = np.empty(len(per), dtype=bool)
-    acc = np.empty(min(len(per), _BLOCK))
-    # a sum past float64's range is inf and reads as 1; inf + -inf is NaN
-    # and reads as 0, so neither needs numpy's warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, len(per), _BLOCK):
-            b = per[i : i + _BLOCK]
-            total = acc[: len(b)]
-            # ((s0 + s1) + s2) + s3 in float64, the order in which numpy's
-            # mean(axis=1) sums; dividing by 4 is exact, so total > 2 is
-            # mean > 0.5
-            np.add(b[:, 0], b[:, 1], out=total, dtype=np.float64)
-            total += b[:, 2]
-            total += b[:, 3]
-            np.greater(total, 2.0, out=chips[i : i + _BLOCK])
-    return chips.view(np.uint8), None
+    return _kernels.ook_demodulate(per), None
 
 
 @lru_cache(maxsize=_TABLES)
@@ -119,24 +109,7 @@ def _vppm_modulate(bits: np.ndarray, dimming: float) -> np.ndarray:
 
 
 def _vppm_demodulate(per: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    # the tie mask is allocated at the first tie, so a clean frame keeps
-    # no frame-sized mask
-    bits = np.empty(len(per), dtype=bool)
-    bad = None
-    # an overflowed energy is inf; a NaN energy (inf + -inf) is neither
-    # greater nor equal, so its bit reads 0 and is not a tie
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, len(per), _BLOCK):
-            b = per[i : i + _BLOCK]
-            e_first = np.add(b[:, 0], b[:, 1], dtype=np.float64)
-            e_second = np.add(b[:, 2], b[:, 3], dtype=np.float64)
-            ties = e_first == e_second
-            if ties.any():
-                if bad is None:
-                    bad = np.zeros(len(per), dtype=bool)
-                bad[i : i + _BLOCK] = ties
-            np.greater(e_first, e_second, out=bits[i : i + _BLOCK])
-    return bits.view(np.uint8), bad
+    return _kernels.vppm_demodulate(per)
 
 
 def _raise_tie(bad: np.ndarray | None) -> None:

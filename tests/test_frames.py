@@ -219,6 +219,39 @@ def test_pair_swap_without_inner_code_hits_rs():
     assert decode_from_chips(chips, mode) == payload
 
 
+@pytest.mark.parametrize("p", [0.01, 0.02])
+def test_coded_bit_flips_within_the_rs_budget_decode_exactly(p):
+    """Each coded bit of a phy1-ook-73k frame flips with probability p: the
+    8 waveform samples of its Manchester chip pair are swapped.  Wherever
+    every RS(15,11) block holds at most t = 2 wrong symbols, decode_frame
+    returns the exact payload; elsewhere it returns bytes or raises
+    FrameDecodeError.  The waveform is read by the live kernel backend."""
+    mode = mode_by_name("phy1-ook-73k")
+    rs = mode.outer_code
+    t = (rs.n - rs.k) // 2
+    rng = np.random.default_rng(round(1000 * p))
+    within = 0
+    for _ in range(300):
+        payload = rng.integers(0, 256, rng.integers(16, 257), dtype=np.uint8).tobytes()
+        waveform = encode_frame(payload, mode).waveform
+        # one row per coded bit, holding the samples of its two chips
+        pairs = waveform.reshape(-1, 2, SAMPLES_PER_CHIP)
+        flips = rng.random(len(pairs)) < p
+        pairs[flips] = pairs[flips, ::-1]
+        # four coded bits make an RS symbol, and rs.n symbols a block
+        wrong = flips.reshape(-1, 4).any(axis=1).reshape(-1, rs.n).sum(axis=1)
+        if wrong.max() <= t:
+            within += flips.any()
+            assert decode_frame(waveform, mode) == payload
+        else:
+            try:
+                assert isinstance(decode_frame(waveform, mode), bytes)
+            except FrameDecodeError:
+                pass
+    # frames with flips that the rule covers
+    assert within >= 20
+
+
 def test_invalid_line_symbols_raise_frame_errors():
     payload = b"zap"
     cases = [
@@ -775,13 +808,14 @@ def test_encoder_outputs_match_pinned_digest(mode):
 
 @pytest.mark.skipif(sys.platform == "win32", reason="needs the resource module")
 def test_64k_vppm_round_trip_peak_memory_stays_near_the_waveform(run_fresh):
-    """A 64 KiB phy1-vppm-35k frame (a 180 MB waveform) round-trips with
-    its peak RSS growing by less than 1.3x the waveform.
+    """A 64 KiB phy1-vppm-35k frame (a 94 MB float32 waveform) round-trips
+    with its peak RSS growing by less than 1.3x the waveform.
 
-    Modulation and demodulation work one block of chips at a time, so the
-    waveform is the only frame-sized float array; the whole-array
-    demodulator peaked at 1.6x.  Measured in a fresh process, whose peak
-    RSS this one round trip sets.
+    Modulation works one block of chips at a time, and demodulation keeps
+    one byte per chip besides O(block) temporaries, so the waveform is the
+    only frame-sized float array; a whole-array float64 demodulator peaked
+    at 1.6x.  Measured in a fresh process, whose peak RSS this one round
+    trip sets.
     """
     script = (
         "import resource, numpy as np\n"

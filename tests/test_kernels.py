@@ -11,10 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from owpan import _kernels
-from owpan._kernels import _pure
+from owpan._kernels import _BLOCK, _pure
 from owpan.phy.fec import _TABLE_R13, _TABLE_R14, ConvCode, _cc_encode
+from owpan.phy.modulation import _per_chip, _vppm_modulate
 
 try:
     from owpan._kernels import _native
@@ -114,7 +117,9 @@ def test_full_frame_chain_backend_independent():
 # digests are what keeps a rewrite of either backend bit-identical.  They
 # were recorded from the straightforward pure implementation (per-row BM,
 # Chien and Forney on every row, the k-step LFSR encoder, the per-step
-# compare-and-sum Viterbi) on the seeded inputs built below, with numpy 2.4:
+# compare-and-sum Viterbi, the block-wise numpy demodulators, which the
+# frame chain called directly before they became kernels) on the seeded
+# inputs built below, with numpy 2.4:
 # a numpy release that changes the streams of its seeded Generator changes
 # the inputs, and the digests must then be recorded again from that code.
 # The tests are named for the pure reference and run on every importable
@@ -126,6 +131,8 @@ _PINNED = {
     "viterbi_r14": "0aa996d2a61c1c5c4e3a402536005cc2cdcc94064b567bfb7efe339303ade3ab",
     "rs_encode": "5239ce8608a3fd678a14637d4ecfd63e9cef5f81597586759621180df6040d6f",
     "rs_decode": "bab181435fab10903efc91f5c753b1919b1fd3ec59479ec4a1976f0a29883b0c",
+    "ook_demodulate": "7aedfa79855c85a449a4ce488b5eb562991cc3e9d90d718fb252c8fa2511caa3",
+    "vppm_demodulate": "b0bc34dfaa556aa27186c6e14a45be4b51a17d3fd5cb635cc6ab98934a49d472",
 }
 
 
@@ -186,6 +193,57 @@ def _rs_decode_batches(rng, k):
         yield code
 
 
+_F32_MAX = float(np.finfo(np.float32).max)
+
+
+def _special_samples(dtype):
+    """Values at the edges of ``dtype``: NaN, +-inf, +-float32's maximum and
+    +-``dtype``'s, its smallest subnormals, and the OOK threshold's mean."""
+    fi = np.finfo(dtype)
+    tiny = float(fi.smallest_subnormal)
+    return np.array(
+        [0.0, 0.5, 1.0, np.nan, np.inf, -np.inf, _F32_MAX, -_F32_MAX, fi.max, -fi.max, tiny, -tiny],
+        dtype=dtype,
+    )
+
+
+def _chip_samples(rng, nchips, dtype):
+    """(nchips, 4) noisy samples: about one in 20 a special value, about one
+    chip in 10 with half energies forced equal, and OOK chips whose sum is
+    exactly 2 or depends on the order of summation."""
+    per = rng.normal(0.5, 0.6, size=(nchips, 4)).astype(dtype)
+    hits = rng.random(per.shape) < 0.05
+    per[hits] = rng.choice(_special_samples(dtype), size=int(hits.sum()))
+    ties = rng.random(nchips) < 0.1
+    per[ties, 2:] = per[ties, 1::-1]  # equal halves unless a NaN or inf - inf
+    edges = np.array([[0.5, 0.5, 0.5, 0.5], [-2.5, 1e17, -1e17, 2.5]], dtype=dtype)
+    at = rng.random(nchips) < 0.02
+    per[at] = edges[rng.integers(0, 2, int(at.sum()))]
+    return per
+
+
+def _demodulator_batches(seed):
+    rng = np.random.default_rng(seed)
+    for dtype in (np.float32, np.float64):
+        for nchips in (0, 1, 2, 5, 64, 999, _BLOCK + 3):
+            yield _chip_samples(rng, nchips, dtype)
+
+
+def _pinned_ook_demodulate(backend):
+    h = hashlib.sha256()
+    for per in _demodulator_batches(505):
+        _digest_update(h, backend.ook_demodulate(per))
+    return h.hexdigest()
+
+
+def _pinned_vppm_demodulate(backend):
+    h = hashlib.sha256()
+    for per in _demodulator_batches(606):
+        bits, bad = backend.vppm_demodulate(per)
+        _digest_update(h, bits, np.zeros(0) if bad is None else bad)
+    return h.hexdigest()
+
+
 def _pinned_rs_decode(backend):
     h = hashlib.sha256()
     rng = np.random.default_rng(303)
@@ -201,6 +259,8 @@ _PINNED_FNS = {
     "viterbi_r14": lambda backend: _pinned_viterbi(backend, _TABLE_R14),
     "rs_encode": _pinned_rs_encode,
     "rs_decode": _pinned_rs_decode,
+    "ook_demodulate": _pinned_ook_demodulate,
+    "vppm_demodulate": _pinned_vppm_demodulate,
 }
 
 
@@ -254,6 +314,142 @@ def test_pure_viterbi_is_maximum_likelihood(backend, table):
             # erased chips carry no distance
             dist = ((book != obs) & (obs != 2)).sum(axis=1)
             assert dist[int((bits[:nbits] << np.arange(nbits)).sum())] == dist.min()
+
+
+# --- the demodulators ---------------------------------------------------------
+#
+# Both read (N, 4) samples: float32 and float64 in place, anything else as
+# its float64 conversion.  OOK sums ((s0 + s1) + s2) + s3 in float64 and
+# compares with 2; VPPM compares s0 + s1 with s2 + s3 and marks equality as
+# a tie, returning None for the mask when no chip ties.
+
+
+def _ook_oracle(per):
+    per = np.asarray(per, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (per.mean(axis=1) > 0.5).astype(np.uint8)
+
+
+def _vppm_oracle(per):
+    per = np.asarray(per, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        first, second = per[:, :2].sum(axis=1), per[:, 2:].sum(axis=1)
+    ties = first == second
+    return (first > second).astype(np.uint8), ties if ties.any() else None
+
+
+def _assert_same_demodulation(got, expected):
+    (chips, bad), (chips_x, bad_x) = got, expected
+    assert chips.dtype == np.uint8 and chips.tolist() == chips_x.tolist()
+    if bad_x is None:
+        assert bad is None
+    else:
+        assert bad.dtype == bool and bad.tolist() == bad_x.tolist()
+
+
+def _demodulate(backend, per):
+    """(OOK chips, None) and (VPPM bits, tie mask) of ``per`` on ``backend``."""
+    return (backend.ook_demodulate(per), None), backend.vppm_demodulate(per)
+
+
+@st.composite
+def _sample_arrays(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    value = st.floats(width=32 if dtype is np.float32 else 64) | st.sampled_from(
+        _special_samples(dtype).tolist()
+    )
+    per = np.array(
+        draw(st.lists(st.lists(value, min_size=4, max_size=4), max_size=48)), dtype=dtype
+    ).reshape(-1, 4)
+    for t in draw(st.lists(st.integers(0, 47), max_size=6)):
+        if t < len(per):
+            per[t, 2:] = per[t, 1::-1]  # equal half energies unless NaN
+    return per
+
+
+@needs_native
+@settings(max_examples=400, deadline=None)
+@given(_sample_arrays())
+def test_demodulators_backends_agree(per):
+    for pure, native in zip(_demodulate(_pure, per), _demodulate(_native, per)):
+        _assert_same_demodulation(native, pure)
+
+
+@pytest.mark.parametrize(
+    "backend,nchips",
+    _on_backends([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1], ["0", "1", "B-1", "B", "B+1"]),
+)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_demodulators_match_whole_array_oracles(backend, nchips, dtype):
+    per = _chip_samples(np.random.default_rng(nchips), nchips, dtype)
+    ook, vppm = _demodulate(backend, per)
+    _assert_same_demodulation(ook, (_ook_oracle(per), None))
+    _assert_same_demodulation(vppm, _vppm_oracle(per))
+
+
+def _layouts():
+    per = _chip_samples(np.random.default_rng(11), 300, np.float64)
+    single = _chip_samples(np.random.default_rng(12), 300, np.float32)
+    readonly = single.copy()
+    readonly.flags.writeable = False
+    return {
+        "strided": np.repeat(per, 2, axis=1)[:, ::2],
+        "every-other-chip": np.repeat(per, 2, axis=0)[::2],
+        "fortran": np.asfortranarray(per),
+        "read-only": readonly,
+        "big-endian-f4": single.astype(">f4"),
+        "big-endian-f8": per.astype(">f8"),
+        "int64": np.random.default_rng(13).integers(-3, 4, size=(300, 4)),
+        "uint8": np.random.default_rng(14).integers(0, 3, size=(300, 4), dtype=np.uint8),
+        "list": per[:20].tolist(),
+    }
+
+
+@pytest.mark.parametrize("backend,layout", _on_backends(list(_layouts()), list(_layouts())))
+def test_demodulators_read_any_layout_as_its_float64_conversion(backend, layout):
+    per = _layouts()[layout]
+    before = np.array(per, copy=True)
+    expected = _demodulate(_pure, np.ascontiguousarray(per, dtype=np.float64))
+    for got, want in zip(_demodulate(backend, per), expected):
+        _assert_same_demodulation(got, want)
+        assert got[0].flags.writeable and not np.shares_memory(got[0], per)
+    assert np.array_equal(np.asarray(per), before, equal_nan=True)
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=[b.BACKEND for b in BACKENDS])
+def test_tie_free_vppm_input_keeps_no_tie_mask(backend):
+    bits = np.random.default_rng(15).integers(0, 2, 3 * _BLOCK).astype(np.uint8)
+    for dimming in (0.25, 0.4):
+        per = _per_chip(_vppm_modulate(bits, dimming))
+        got, bad = backend.vppm_demodulate(per)
+        assert bad is None and got.tolist() == bits.tolist()
+        tied = per.copy()
+        tied[-1] = 0.5
+        got, bad = backend.vppm_demodulate(tied)
+        assert np.flatnonzero(bad).tolist() == [len(bits) - 1]
+
+
+@needs_native
+@pytest.mark.filterwarnings("error")
+def test_native_demodulators_leave_no_flag_for_numpy_to_report():
+    """Overflowing sums and inf - inf raise the C floating-point flags in
+    the native loops; no later numpy float operation may report them."""
+    f32 = np.full((8, 4), _F32_MAX, dtype=np.float32)
+    overflowing = [
+        np.ones((8, 4)) * 1e308,
+        f32,
+        -f32,
+        np.array([[np.inf, -np.inf, 0.0, 0.0], [0.0, 0.0, np.inf, -np.inf]]),
+    ]
+    for per in overflowing:
+        _native.ook_demodulate(per)
+        _native.vppm_demodulate(per)
+        x = np.linspace(0.0, 1.0, 5)
+        np.add(x, 1.0)
+        x.astype(np.float32)
+        np.float64(2.0) * np.float64(3.0)
+        np.float32(2.0) + np.float32(3.0)
+        x.sum()
 
 
 # --- fast paths of the pure backend -----------------------------------------
@@ -327,8 +523,20 @@ def test_pure_batch_decode_equals_row_by_row(k):
             lambda m: m.viterbi_decode(np.full(9, 3, np.uint8), _TABLE_R13),
             lambda m: m.viterbi_decode(np.zeros(7, np.uint8), np.zeros((128, 7))),
             lambda m: m.viterbi_decode(np.zeros(6, np.uint8), _TABLE_R13[:64]),
+            lambda m: m.ook_demodulate(np.zeros((2, 3))),
+            lambda m: m.vppm_demodulate(np.zeros(8)),
+            lambda m: m.vppm_demodulate(np.zeros((2, 4, 1))),
         ],
-        ["encode-k15", "decode-k0", "obs-3", "table-width-7", "table-64-rows"],
+        [
+            "encode-k15",
+            "decode-k0",
+            "obs-3",
+            "table-width-7",
+            "table-64-rows",
+            "ook-3-samples",
+            "vppm-1d",
+            "vppm-3d",
+        ],
     ),
 )
 def test_pure_rejects_inputs_outside_the_contract(backend, call):

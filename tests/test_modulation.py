@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from owpan._kernels import _BLOCK
 from owpan.phy.modulation import (
-    _BLOCK,
     SAMPLES_PER_CHIP,
     _dimming,
     _ook_demodulate,
