@@ -1,12 +1,14 @@
 /* Compiled decoder hot loops: the native twin of owpan._kernels._pure.
  *
- * The same five callables with the same contract, bit for bit:
+ * The same six callables with the same contract, bit for bit:
  *
  *   rs_encode_blocks(data, k)       systematic RS(15, k) over GF(16)
  *   rs_decode_blocks(code, k)       batched bounded-distance decoding
  *   viterbi_decode(obs, out_table)  hard-decision Viterbi with erasures
  *   ook_demodulate(per)             OOK chips of (N, 4) samples
  *   vppm_demodulate(per)            VPPM bits and tie mask of (N, 4) samples
+ *   decode_words(chips, width, values, status, flips=None)
+ *                                   table-driven line decoding
  *
  * Inputs are read through the buffer protocol (PEP 3118); anything that
  * is not already a C-contiguous uint8 ndarray (float32 or float64, for
@@ -26,6 +28,9 @@
  * - The demodulators make one pass over the samples, where _pure makes
  *   four numpy calls per block of chips; VPPM makes a second pass only
  *   to mark ties, when the first counted any.
+ * - decode_words makes one pass over the chips: it packs each word, looks
+ *   it up and tracks the 8b/10b running disparity, where _pure packs all
+ *   words with a matmul and then takes from each table in turn.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -154,18 +159,24 @@ static PyObject *new_array(Py_ssize_t n0, Py_ssize_t n1, PyObject *dtype, uint8_
     return arr;
 }
 
-static int get_k(PyObject *obj, int *k)
+/* *out = obj as an int in lo..hi, else ValueError "<name> must lie in ...". */
+static int get_int(PyObject *obj, const char *name, int lo, int hi, int *out)
 {
     int overflow;
     long v = PyLong_AsLongAndOverflow(obj, &overflow);
     if (v == -1 && PyErr_Occurred())
         return -1;
-    if (overflow || v < 1 || v >= N) {
-        PyErr_Format(PyExc_ValueError, "k must lie in 1..%d, got %S", N - 1, obj);
+    if (overflow || v < lo || v > hi) {
+        PyErr_Format(PyExc_ValueError, "%s must lie in %d..%d, got %S", name, lo, hi, obj);
         return -1;
     }
-    *k = (int)v;
+    *out = (int)v;
     return 0;
+}
+
+static int get_k(PyObject *obj, int *k)
+{
+    return get_int(obj, "k", 1, N - 1, k);
 }
 
 static int check_rows(const Py_buffer *view, int width, const char *name)
@@ -539,6 +550,148 @@ static PyObject *vppm_demodulate(PyObject *self, PyObject *args, PyObject *kwarg
     return out ? Py_BuildValue("(NN)", out, mask) : NULL;
 }
 
+/* The n <= 8 chips at c as the MSB-first word of their low bits.  The
+   chips are loaded as the bytes of one little-endian integer (gcc makes
+   it one load), chip i in byte i; times the multiplier, byte i of the
+   masked load lands in the top byte weighted 2^(n-1-i), and no partial sum
+   below the top byte exceeds 255, so none carries into it.  The raw bytes
+   are OR-ed into *chips_or, so the caller can reject a chip above 1 after
+   the pass: a branch per chip would keep gcc from unrolling the loop. */
+#define CHIP_BITS 0x0101010101010101ULL
+
+static inline unsigned pack_chips(const uint8_t *c, int n, uint64_t *chips_or)
+{
+    uint64_t x = 0;
+    for (int i = n - 1; i >= 0; i--)
+        x = x << 8 | c[i];
+    *chips_or |= x;
+    return (unsigned)(((x & CHIP_BITS) * (0x8040201008040201ULL << (8 * (8 - n)))) >> 56);
+}
+
+/* The word loop of decode_words, one function per width W: widths 2, 4, 6
+   and 10 are compile-time constants, which makes the packing a few loads
+   and multiplies, and any other width is the run-time argument.  neg is 1
+   before the first word, as in _pure._running.  Returns nonzero if a chip
+   is above 1. */
+#define WORD_DECODER(NAME, W)                                                     \
+    static int NAME(const uint8_t *c, Py_ssize_t nwords, int width,               \
+                    const uint8_t *values, const uint8_t *status,                 \
+                    const uint8_t *flips, uint8_t *out, uint8_t *mask)            \
+    {                                                                             \
+        uint64_t chips_or = 0;                                                    \
+        unsigned neg = 1;                                                         \
+        (void)width;                                                              \
+        for (Py_ssize_t w = 0; w < nwords; w++, c += W) {                         \
+            unsigned word = 0;                                                    \
+            for (int j = 0; j < W; j += 8) {                                      \
+                int n = W - j < 8 ? W - j : 8;                                    \
+                word = word << n | pack_chips(c + j, n, &chips_or);               \
+            }                                                                     \
+            out[w] = values[word];                                                \
+            if (flips) {                                                          \
+                mask[w] = status[neg << W | word];                                \
+                neg ^= flips[word] != 0;                                          \
+            } else if (status)                                                    \
+                mask[w] = status[word];                                           \
+        }                                                                         \
+        return (chips_or & ~CHIP_BITS) != 0;                                      \
+    }
+WORD_DECODER(decode_words_2, 2)
+WORD_DECODER(decode_words_4, 4)
+WORD_DECODER(decode_words_6, 6)
+WORD_DECODER(decode_words_10, 10)
+WORD_DECODER(decode_words_any, width)
+
+/* the largest width of the contract, _pure._MAX_WIDTH */
+#define MAX_WIDTH 15
+
+/* Read a decode_words table as uint8; it must have size entries. */
+static int get_table(PyObject *obj, Py_buffer *view, Py_ssize_t size, const char *name)
+{
+    if (get_u8(obj, view))
+        return -1;
+    if (view->ndim != 1 || view->shape[0] != size) {
+        PyBuffer_Release(view);
+        PyErr_Format(PyExc_ValueError, "%s must have shape (%zd,)", name, size);
+        return -1;
+    }
+    return 0;
+}
+
+static PyObject *decode_words(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"chips", "width", "values", "status", "flips", NULL};
+    PyObject *chips_obj, *width_obj, *values_obj, *status_obj, *flips_obj = Py_None;
+    PyObject *out = NULL, *mask = NULL;
+    Py_buffer chips, tables[3];
+    int width, ntables = 0, ok = 0;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOO|O", kwlist, &chips_obj, &width_obj,
+                                     &values_obj, &status_obj, &flips_obj) ||
+        get_int(width_obj, "width", 1, MAX_WIDTH, &width) || get_u8(chips_obj, &chips))
+        return NULL;
+    Py_ssize_t size = (Py_ssize_t)1 << width, nwords = chips.len / width;
+    int has_status = status_obj != Py_None, has_flips = flips_obj != Py_None;
+    const uint8_t *status = NULL, *flips = NULL;
+    uint8_t *o, *m = NULL;
+    /* tables[0] values, then status and flips when given */
+    if (get_table(values_obj, &tables[ntables], size, "values") ||
+        !(out = new_array(nwords, -1, dtype_u8, &o)))
+        goto done;
+    ntables++;
+    if (has_status) {
+        if (get_table(status_obj, &tables[ntables], has_flips ? 2 * size : size, "status") ||
+            !(mask = new_array(nwords, -1, dtype_u8, &m)))
+            goto done;
+        status = tables[ntables++].buf;
+    } else {
+        Py_INCREF(mask = Py_None);
+    }
+    if (has_flips) {
+        if (get_table(flips_obj, &tables[ntables], size, "flips"))
+            goto done;
+        flips = tables[ntables++].buf;
+    }
+    if (chips.len % width) {
+        PyErr_Format(PyExc_ValueError, "chip count %zd is not a multiple of %d", chips.len,
+                     width);
+        goto done;
+    }
+    /* the mask is filled only with a status table, and from flips only then */
+    if (!has_status)
+        flips = NULL;
+    const uint8_t *c = chips.buf, *values = tables[0].buf;
+    int bad_chip;
+    switch (width) {
+    case 2:
+        bad_chip = decode_words_2(c, nwords, width, values, status, flips, o, m);
+        break;
+    case 4:
+        bad_chip = decode_words_4(c, nwords, width, values, status, flips, o, m);
+        break;
+    case 6:
+        bad_chip = decode_words_6(c, nwords, width, values, status, flips, o, m);
+        break;
+    case 10:
+        bad_chip = decode_words_10(c, nwords, width, values, status, flips, o, m);
+        break;
+    default:
+        bad_chip = decode_words_any(c, nwords, width, values, status, flips, o, m);
+    }
+    if (bad_chip)
+        PyErr_SetString(PyExc_ValueError, "chips must be 0 or 1");
+    ok = !bad_chip;
+done:
+    PyBuffer_Release(&chips);
+    while (ntables > 0)
+        PyBuffer_Release(&tables[--ntables]);
+    if (!ok) {
+        Py_XDECREF(out);
+        Py_XDECREF(mask);
+        return NULL;
+    }
+    return Py_BuildValue("(NN)", out, mask);
+}
+
 static PyMethodDef methods[] = {
     {"rs_encode_blocks", (PyCFunction)(void (*)(void))rs_encode_blocks,
      METH_VARARGS | METH_KEYWORDS,
@@ -555,6 +708,9 @@ static PyMethodDef methods[] = {
     {"vppm_demodulate", (PyCFunction)(void (*)(void))vppm_demodulate,
      METH_VARARGS | METH_KEYWORDS,
      "VPPM bits (uint8) of per, the (N, 4) samples of N chips, and the tie mask or None."},
+    {"decode_words", (PyCFunction)(void (*)(void))decode_words, METH_VARARGS | METH_KEYWORDS,
+     "(values[w], mask) of each width-chip word w of chips, MSB first: mask is status[w],\n"
+     "status[2**width * neg + w] with the running neg that flips toggles, or None."},
     {NULL, NULL, 0, NULL},
 };
 

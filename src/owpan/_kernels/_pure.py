@@ -2,13 +2,15 @@
 
 These are the fallback for :mod:`owpan._kernels._native`, compiled from
 the hand-written ``_native.c``, and the readable reference that kernel
-must match bit for bit.  Both backends expose the same five callables:
+must match bit for bit.  Both backends expose the same six callables:
 
 * ``rs_encode_blocks(data, k)``   -- systematic RS(15, k) over GF(16)
 * ``rs_decode_blocks(code, k)``   -- batched bounded-distance decoding
 * ``viterbi_decode(obs, table)``  -- hard-decision Viterbi with erasures
 * ``ook_demodulate(per)``         -- uint8 OOK chips of a waveform
 * ``vppm_demodulate(per)``        -- uint8 VPPM bits and a tie mask
+* ``decode_words(chips, width, values, status, flips=None)``
+                                  -- table-driven line decoding
 
 The decoders convert their arrays to uint8 and raise ``ValueError`` for a
 shape, ``k``, symbol or observation outside the contract; a failed RS row
@@ -24,6 +26,17 @@ is 1 when ``s0 + s1 > s2 + s3`` in float64, and the bool tie mask marks
 ``s0 + s1 == s2 + s3``, or is None when no chip ties.  A sum past
 float64's range is inf, and inf + -inf is NaN, which reads 0 and is no
 tie; neither warns.
+
+``decode_words`` reads ``chips`` as uint8 0/1 chips in words of ``width``
+(1..15) chips, MSB first, and returns ``(values[w], mask)`` for each word
+``w``.  The mask is ``status[w]``, or None when ``status`` is None.  With
+``flips``, it is ``status[2**width * neg + w]``, where ``neg`` is 1 before
+the first word and toggled after each word ``w`` with ``flips[w]``
+nonzero: the 8b/10b running disparity, -1 when ``neg`` is 1.  ``values``,
+``flips`` and a ``status`` without ``flips`` have ``2**width`` entries, a
+``status`` with ``flips`` twice that.  The tables are read as uint8, and
+both outputs are uint8.  A chip other than 0/1, a chip count that is no
+multiple of ``width`` or a table of another size raises ``ValueError``.
 
 The RS routines are vectorized across the block axis, the Viterbi routine
 across the trellis states, so the Python-level loop count of a call does
@@ -41,6 +54,11 @@ not depend on the batch size:
 * ``ook_demodulate``, ``vppm_demodulate``: the exception, one iteration
   of four numpy calls per block of ``_BLOCK`` chips, so the float64
   temporaries stay O(block).
+* ``decode_words``: no loop of its own; one matmul packs the words, and
+  each table lookup takes ``_BLOCK`` words per np.take call.
+
+The RS maps, too, gather ``_BLOCK`` rows at a time, so a 64 KiB frame's
+65,537 blocks need no frame-sized index or gather array.
 
 Tables that depend only on ``k`` or on the trellis output table are built
 once, cached and read-only.  When both predecessors of a state have the
@@ -50,11 +68,12 @@ kernel breaks ties the same way.
 
 from __future__ import annotations
 
+import operator
 from functools import cache, lru_cache
 
 import numpy as np
 
-from . import _BLOCK
+from . import _BLOCK, _running, _take
 
 BACKEND = "pure"
 
@@ -118,8 +137,18 @@ def _linear_map(mat: np.ndarray) -> np.ndarray:
 
 
 def _apply(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Packed images of ``rows`` (N, m) under a :func:`_linear_map` table."""
-    return np.bitwise_xor.reduce(table[rows + np.arange(0, table.size, 16)], axis=1)
+    """Packed images of ``rows`` (N, m) under a :func:`_linear_map` table.
+
+    The (rows, m) int64 index and uint64 gather are made ``_BLOCK`` rows
+    at a time, so they stay O(block) on a 64 KiB frame's blocks."""
+    offsets = np.arange(0, table.size, 16)
+    if len(rows) <= _BLOCK:
+        return np.bitwise_xor.reduce(table[rows + offsets], axis=1)
+    out = np.empty(len(rows), dtype=np.uint64)
+    for i in range(0, len(rows), _BLOCK):
+        images = out[i : i + _BLOCK]
+        np.bitwise_xor.reduce(table[rows[i : i + _BLOCK] + offsets], axis=1, out=images)
+    return out
 
 
 def _unpack(words: np.ndarray, r: int) -> np.ndarray:
@@ -408,3 +437,54 @@ def vppm_demodulate(per: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
                 bad[i : i + _BLOCK] = ties
             np.greater(e_first, e_second, out=bits[i : i + _BLOCK])
     return bits.view(np.uint8), bad
+
+
+# the largest word width: a status index 2**width * neg + w stays uint16
+_MAX_WIDTH = 15
+
+
+def _table(table, size: int, name: str) -> np.ndarray:
+    """``table`` as a 1-D uint8 array of ``size`` entries."""
+    table = np.ascontiguousarray(table, dtype=np.uint8)
+    if table.shape != (size,):
+        raise ValueError(f"{name} must have shape ({size},)")
+    return table
+
+
+def _pack(chips: np.ndarray, width: int) -> np.ndarray:
+    """Pack each group of ``width`` chips, MSB first, into one word, in the
+    narrowest dtype that holds it."""
+    dtype = np.uint8 if width <= 8 else np.uint16
+    return chips.reshape(-1, width) @ (1 << np.arange(width - 1, -1, -1, dtype=dtype))
+
+
+def decode_words(chips, width: int, values, status, flips=None):
+    """``(values[w], mask)`` for each ``width``-chip word ``w`` of ``chips``.
+
+    The mask is ``status[w]``, ``status[2**width * neg + w]`` with the
+    running ``neg`` that ``flips`` toggles, or None when ``status`` is
+    None.
+    """
+    width = operator.index(width)
+    if not 0 < width <= _MAX_WIDTH:
+        raise ValueError(f"width must lie in 1..{_MAX_WIDTH}, got {width}")
+    chips = np.ascontiguousarray(chips, dtype=np.uint8).ravel()
+    size = 1 << width
+    values = _table(values, size, "values")
+    if status is not None:
+        status = _table(status, 2 * size if flips is not None else size, "status")
+    if flips is not None:
+        flips = _table(flips, size, "flips")
+    if chips.size % width:
+        raise ValueError(f"chip count {chips.size} is not a multiple of {width}")
+    if chips.size and np.maximum.reduce(chips) > 1:
+        raise ValueError("chips must be 0 or 1")
+    words = _pack(chips, width)
+    if status is None:
+        mask = None
+    elif flips is None:
+        mask = _take(status, words)
+    else:
+        neg = _running(_take(flips, words))
+        mask = _take(status, neg.astype(np.uint16) << width | words)
+    return _take(values, words), mask

@@ -28,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import _kernels
 from . import line_codes, modulation
 from .fec import _cc_encode, _raise_uncorrectable, _rs_decode, _rs_encode, _viterbi_decode
-from .line_codes import _as_bits, _chip_table, _pack, _raise_bad_word, _take
+from .line_codes import _as_bits, _chip_table, _raise_bad_word, _take
 from .modes import LineCode, Modulation, PhyMode
 
 __all__ = [
@@ -80,6 +81,9 @@ def _require_bound(mode: PhyMode) -> None:
 # row b: byte b's high and low nibble
 _BYTE_NIBBLES = np.stack([np.arange(256) >> 4, np.arange(256) & 0xF], axis=1).astype(np.uint8)
 _NIBBLE_BITS = _chip_table(np.arange(16), 4)
+# the nibble of each 4-bit word, MSB first: the decode_words table that
+# packs bits into nibbles
+_NIBBLES = np.arange(16, dtype=np.uint8)
 
 
 def _bytes_to_nibbles(data: np.ndarray) -> np.ndarray:
@@ -204,7 +208,7 @@ def _receive(signal: np.ndarray, mode: PhyMode, demodulate: bool) -> bytes:
                 bits = _viterbi_decode(bits, mode.inner_code)
             if bits.size % 4:
                 raise FrameDecodeError(f"bit stream length {bits.size} is not nibble-aligned")
-            coded = _pack(bits, 4)
+            coded, _ = _kernels.decode_words(bits, 4, _NIBBLES, None)
         data = _strip_rs(coded, mode).tobytes()
     except FrameDecodeError:
         raise

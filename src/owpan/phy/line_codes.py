@@ -5,7 +5,11 @@ of bits, chips, nibbles or bytes, which the frame chains check once
 before calling them.  Chip order within a codeword is MSB first
 throughout.  Each decoder returns ``(values, bad)``, ``bad``
 marking each invalid word (8b/10b gives its ``_DEC_STATUS``, nonzero when
-bad); a stream of no whole number of words raises there.
+bad); a stream of no whole number of words raises there.  Each decoder is
+one call into the ``decode_words`` kernel of :mod:`owpan._kernels` with
+its tables: the word's value, its status and, for 8b/10b, whether it
+flips the running disparity.  The kernel packs each word's chips, looks
+them up and tracks the disparity in one pass on the compiled backend.
 
 The 8b/10b here is the IBM data-character code (5b/6b + 3b/4b with running
 disparity and the alternate D.x.A7 encoding); control (K) characters are
@@ -14,7 +18,7 @@ at running disparity -1.  The rules are evaluated once, at import, over
 all 256 bytes and all 1024 words at both running disparities.  Whether a
 word flips the disparity does not depend on the state, so a call takes
 the disparity before each word from a prefix xor of the flips and then
-reads its chips, or its byte and validity, from those tables.  The
+reads its chips, or its byte and status, from those tables.  The
 decoder accepts what the rules accept (330 words at each disparity), not
 only the 256 the encoder emits there.
 """
@@ -23,7 +27,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._kernels import _BLOCK
+from .. import _kernels
+# _BLOCK: the size of the blocks _take looks up, named here for the tests
+from .._kernels import _BLOCK, _running, _take  # noqa: F401
 
 __all__ = ["TABLE_4B6B"]
 
@@ -82,35 +88,9 @@ def _raise_bad_word(chips: np.ndarray, width: int, bad: np.ndarray) -> None:
     _raise_first(bad, error)
 
 
-def _take(table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``table[index]`` along axis 0, taken ``_BLOCK`` indices at a time:
-    take copies a uint8 or uint16 index array to 8-byte intp, so a lookup
-    in blocks keeps that copy O(block).  Every index is in range by
-    construction, so ``mode="clip"``, which lets take write into ``out``
-    unbuffered, never clips one."""
-    # one call for a short index: the loop's extra empty() and out= cost
-    # 16-byte frame round trips about 10%
-    if index.size <= _BLOCK:
-        return table.take(index, axis=0, mode="clip")
-    out = np.empty(index.shape + table.shape[1:], dtype=table.dtype)
-    for i in range(0, index.size, _BLOCK):
-        table.take(index[i : i + _BLOCK], axis=0, out=out[i : i + _BLOCK], mode="clip")
-    return out
-
-
 def _chip_table(words: np.ndarray, width: int) -> np.ndarray:
     # row i: the ``width`` chips of words[i], MSB first
     return ((words[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
-
-
-# MSB-first chip weights of a word, in the narrowest dtype that holds it
-_WEIGHTS = {w: 1 << np.arange(w - 1, -1, -1, dtype=np.uint8) for w in (4, 6)}
-_WEIGHTS[10] = 1 << np.arange(9, -1, -1, dtype=np.uint16)
-
-
-def _pack(chips: np.ndarray, width: int) -> np.ndarray:
-    """Pack each group of ``width`` chips, MSB first, into one word."""
-    return chips.reshape(-1, width) @ _WEIGHTS[width]
 
 
 # Manchester: bit 0 -> chips 01, bit 1 -> chips 10 (IEEE convention:
@@ -123,12 +103,17 @@ def _manchester_encode(bits: np.ndarray) -> np.ndarray:
     return chips
 
 
+# by chip pair 00, 01, 10, 11: the bit is the first chip, and 00 and 11
+# are bad
+_MANCHESTER_BIT = np.array([0, 0, 1, 1], dtype=np.uint8)
+_MANCHESTER_BAD = np.array([1, 0, 0, 1], dtype=np.uint8)
+
+
 def _manchester_decode(chips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # (bits, bad): bad marks each 00 or 11 pair
     if chips.size % 2:
         raise ValueError(f"chip stream length must be even (symbol index {chips.size // 2})")
-    first = chips[0::2]
-    return first.copy(), first == chips[1::2]
+    return _kernels.decode_words(chips, 2, _MANCHESTER_BIT, _MANCHESTER_BAD)
 
 
 # 4B6B: each nibble maps to a six-chip word of Hamming weight 3, so the
@@ -146,6 +131,7 @@ TABLE_4B6B = np.array(
 # 0xFF marks the 48 words off the table
 _REV_4B6B = np.full(64, 0xFF, dtype=np.uint8)
 _REV_4B6B[TABLE_4B6B] = np.arange(16)
+_BAD_4B6B = (_REV_4B6B > 15).astype(np.uint8)
 _CHIPS_4B6B = _chip_table(TABLE_4B6B, 6)
 
 
@@ -159,8 +145,7 @@ def _decode_4b6b(chips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"chip stream length must be a multiple of 6 (symbol index {chips.size // 6})"
         )
-    nibbles = _take(_REV_4B6B, _pack(chips, 6))
-    return nibbles, nibbles > 15
+    return _kernels.decode_words(chips, 6, _REV_4B6B, _BAD_4B6B)
 
 
 # 8b/10b code rules.  The stored 6b/4b words are the encodings used at
@@ -228,24 +213,14 @@ def _tables_8b10b():
     bad_disp |= (d4 != 0) & (np.sign(d4) != -np.sign(rd_in + d6))
     status = np.where((x5 < 0) | (x3 < 0), 1, 2 * bad_disp).astype(np.uint8)
     dec_byte = ((x3 << 5 | x5) & 0xFF).astype(np.uint8)  # read only where valid
-    return enc_chips, enc_flip, dec_byte, (d6 != 0) ^ (d4 != 0), status.ravel()
+    dec_flip = ((d6 != 0) ^ (d4 != 0)).astype(np.uint8)
+    return enc_chips, enc_flip, dec_byte, dec_flip, status.ravel()
 
 
-# _ENC_CHIPS[256 * neg + byte]: the 10 chips; _ENC_FLIP[byte]: flips the
-# disparity; _DEC_STATUS[1024 * neg + word]: 0 valid, 1 off the code, 2 a
-# disparity violation
+# _ENC_CHIPS[256 * neg + byte]: the 10 chips; _ENC_FLIP[byte] and
+# _DEC_FLIP[word]: flips the disparity; _DEC_STATUS[1024 * neg + word]: 0
+# valid, 1 off the code, 2 a disparity violation
 _ENC_CHIPS, _ENC_FLIP, _DEC_BYTE, _DEC_FLIP, _DEC_STATUS = _tables_8b10b()
-
-
-def _running(flips: np.ndarray) -> np.ndarray:
-    """Whether the running disparity is -1 before each word, from the -1
-    every frame starts at.  A word flips it or not whatever the state, so
-    the whole trajectory is a prefix xor."""
-    neg = np.empty(flips.size, dtype=bool)
-    neg[:1] = True
-    neg[1:] = flips[:-1]
-    np.bitwise_xor.accumulate(neg, out=neg)
-    return neg
 
 
 def _encode_8b10b(data: np.ndarray) -> np.ndarray:
@@ -263,6 +238,4 @@ def _decode_8b10b(chips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"chip stream length must be a multiple of 10 (symbol index {chips.size // 10})"
         )
-    words = _pack(chips, 10)
-    neg = _running(_take(_DEC_FLIP, words))
-    return _take(_DEC_BYTE, words), _take(_DEC_STATUS, neg.astype(np.uint16) << 10 | words)
+    return _kernels.decode_words(chips, 10, _DEC_BYTE, _DEC_STATUS, _DEC_FLIP)

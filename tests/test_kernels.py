@@ -6,6 +6,7 @@ import os
 import shutil
 import sys
 import sysconfig
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,9 @@ from hypothesis import strategies as st
 
 from owpan import _kernels
 from owpan._kernels import _BLOCK, _pure
+from owpan.phy import frames, line_codes
 from owpan.phy.fec import _TABLE_R13, _TABLE_R14, ConvCode, _cc_encode
+from owpan.phy.modes import phy_mode_catalog
 from owpan.phy.modulation import _per_chip, _vppm_modulate
 
 try:
@@ -98,17 +101,38 @@ def test_viterbi_backends_agree():
         assert a.tolist() == b.tolist()
 
 
-@needs_native
-def test_full_frame_chain_backend_independent():
-    """The frame codec must produce identical chips through either backend."""
-    from owpan.phy.frames import decode_from_chips, encode_to_chips
-    from owpan.phy.modes import mode_by_name
+def _damaged_chips(rng, chips):
+    """``chips`` as sent, with 1-3 chips flipped, cut short and extended."""
+    flipped = chips.copy()
+    flipped[rng.choice(chips.size, size=rng.integers(1, 4), replace=False)] ^= 1
+    cut = rng.integers(1, 25)
+    extra = rng.integers(0, 2, rng.integers(1, 25)).astype(np.uint8)
+    return [chips, flipped, chips[:-cut], np.concatenate([chips, extra])]
 
+
+def _chain_outcome(chips, mode):
+    try:
+        return frames.decode_from_chips(chips, mode)
+    except frames.FrameDecodeError as exc:
+        return f"FrameDecodeError: {exc}"
+
+
+@needs_native
+@pytest.mark.parametrize("mode", [m for m in phy_mode_catalog() if m.bound], ids=lambda m: m.name)
+def test_full_frame_chain_backend_independent(mode, monkeypatch):
+    """Clean and damaged chip streams decode to the same payload, or fail
+    with the same message, with the line decoders on either backend."""
+    rng = np.random.default_rng(sum(mode.name.encode()))
     payload = bytes(range(64))
-    for name in ("phy1-ook-11k", "phy1-vppm-124k", "phy2-ook-6m"):
-        mode = mode_by_name(name)
-        chips = encode_to_chips(payload, mode)
-        assert decode_from_chips(chips, mode) == payload
+    chips = frames.encode_to_chips(payload, mode)
+    assert frames.decode_from_chips(chips, mode) == payload
+    for trial in range(8):
+        for damaged in _damaged_chips(rng, chips):
+            outcomes = []
+            for backend in (_pure, _native):
+                monkeypatch.setattr(_kernels, "decode_words", backend.decode_words)
+                outcomes.append(_chain_outcome(damaged, mode))
+            assert outcomes[0] == outcomes[1]
 
 
 # --- every backend pinned to the recorded pure outputs -----------------------
@@ -117,9 +141,10 @@ def test_full_frame_chain_backend_independent():
 # digests are what keeps a rewrite of either backend bit-identical.  They
 # were recorded from the straightforward pure implementation (per-row BM,
 # Chien and Forney on every row, the k-step LFSR encoder, the per-step
-# compare-and-sum Viterbi, the block-wise numpy demodulators, which the
-# frame chain called directly before they became kernels) on the seeded
-# inputs built below, with numpy 2.4:
+# compare-and-sum Viterbi, the block-wise numpy demodulators and the
+# matmul-and-take line decoders, which the frame chain called directly
+# before they became kernels) on the seeded inputs built below, with
+# numpy 2.4 (decode_words' digest also equals _word_oracle's):
 # a numpy release that changes the streams of its seeded Generator changes
 # the inputs, and the digests must then be recorded again from that code.
 # The tests are named for the pure reference and run on every importable
@@ -133,6 +158,7 @@ _PINNED = {
     "rs_decode": "bab181435fab10903efc91f5c753b1919b1fd3ec59479ec4a1976f0a29883b0c",
     "ook_demodulate": "7aedfa79855c85a449a4ce488b5eb562991cc3e9d90d718fb252c8fa2511caa3",
     "vppm_demodulate": "b0bc34dfaa556aa27186c6e14a45be4b51a17d3fd5cb635cc6ab98934a49d472",
+    "decode_words": "72e0660f449a4933148ac7aa748929be5a6c4e7598d219ffb9a8dc7e198ff2e6",
 }
 
 
@@ -254,6 +280,66 @@ def _pinned_rs_decode(backend):
     return h.hexdigest()
 
 
+# (width, values, status, flips) of each line decoder and of the frame's
+# nibble packing, by name
+_WORD_TABLES = {
+    "manchester": (2, line_codes._MANCHESTER_BIT, line_codes._MANCHESTER_BAD, None),
+    "nibbles": (4, frames._NIBBLES, None, None),
+    "4b6b": (6, line_codes._REV_4B6B, line_codes._BAD_4B6B, None),
+    "8b10b": (10, line_codes._DEC_BYTE, line_codes._DEC_STATUS, line_codes._DEC_FLIP),
+}
+
+
+def _random_word_tables(rng, width):
+    """Random values, status and flips tables for ``width``."""
+    size = 1 << width
+    values = rng.integers(0, 256, size, dtype=np.uint8)
+    status = rng.integers(0, 3, 2 * size, dtype=np.uint8)
+    flips = rng.integers(0, 2, size, dtype=np.uint8) * rng.integers(1, 256, size, dtype=np.uint8)
+    return values, status, flips
+
+
+def _word_streams(rng, name, nwords):
+    """Chips of ``nwords`` encoded words for table set ``name``, then damaged:
+    chips flipped at one of three rates and some words replaced by random
+    chips, which are off the table or break the 8b/10b disparity."""
+    if name == "manchester":
+        chips = line_codes._manchester_encode(rng.integers(0, 2, nwords, dtype=np.uint8))
+    elif name == "4b6b":
+        chips = line_codes._encode_4b6b(rng.integers(0, 16, nwords, dtype=np.uint8))
+    elif name == "8b10b":
+        chips = line_codes._encode_8b10b(rng.integers(0, 256, nwords, dtype=np.uint8))
+    else:
+        chips = rng.integers(0, 2, _WORD_TABLES[name][0] * nwords, dtype=np.uint8)
+    chips[rng.random(chips.size) < rng.choice([0.0, 1e-3, 0.05])] ^= 1
+    width = _WORD_TABLES[name][0]
+    words = chips.reshape(-1, width)
+    hit = rng.random(nwords) < rng.choice([0.0, 1e-3, 0.05])
+    words[hit] = rng.integers(0, 2, (int(hit.sum()), width), dtype=np.uint8)
+    return chips
+
+
+def _digest_words(h, result):
+    values, mask = result
+    _digest_update(h, values, np.zeros(0) if mask is None else mask)
+
+
+def _pinned_decode_words(backend):
+    h = hashlib.sha256()
+    rng = np.random.default_rng(707)
+    for name, (width, *tables) in _WORD_TABLES.items():
+        for nwords in (0, 1, 5, 999, _BLOCK + 3):
+            _digest_words(h, backend.decode_words(_word_streams(rng, name, nwords), width, *tables))
+    # every width on random tables: with flips, without and without status
+    for width in range(1, 16):
+        values, status, flips = _random_word_tables(rng, width)
+        chips = rng.integers(0, 2, width * 300, dtype=np.uint8)
+        _digest_words(h, backend.decode_words(chips, width, values, status, flips))
+        _digest_words(h, backend.decode_words(chips, width, values, status[: 1 << width]))
+        _digest_words(h, backend.decode_words(chips, width, values, None, flips))
+    return h.hexdigest()
+
+
 _PINNED_FNS = {
     "viterbi_r13": lambda backend: _pinned_viterbi(backend, _TABLE_R13),
     "viterbi_r14": lambda backend: _pinned_viterbi(backend, _TABLE_R14),
@@ -261,6 +347,7 @@ _PINNED_FNS = {
     "rs_decode": _pinned_rs_decode,
     "ook_demodulate": _pinned_ook_demodulate,
     "vppm_demodulate": _pinned_vppm_demodulate,
+    "decode_words": _pinned_decode_words,
 }
 
 
@@ -452,6 +539,91 @@ def test_native_demodulators_leave_no_flag_for_numpy_to_report():
         x.sum()
 
 
+# --- the line decoders' word kernel -------------------------------------------
+#
+# decode_words packs each word of ``width`` chips MSB first and returns its
+# value and its status, which with flips also depends on the running
+# disparity: neg is 1 before the first word and toggled by each word whose
+# flips entry is set.
+
+
+def _word_oracle(chips, width, values, status, flips):
+    """``(values[w], mask)`` from a plain Python loop over the words."""
+    words = [int("".join(map(str, w)), 2) for w in chips.reshape(-1, width).tolist()]
+    mask = None
+    if status is not None:
+        neg, index = 1, []
+        for w in words:
+            index.append((neg << width | w) if flips is not None else w)
+            neg ^= flips is not None and bool(flips[w])
+        mask = status[index]
+    return values[words], mask
+
+
+def _assert_same_words(got, expected):
+    for a, b in zip(got, expected):
+        if b is None:
+            assert a is None
+        else:
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("backend,name", _on_backends(list(_WORD_TABLES), list(_WORD_TABLES)))
+def test_decode_words_reads_every_word_of_each_table_set(backend, name):
+    """Every word alone, and 8b/10b's also behind a word that flips the
+    disparity to +1, decodes to its table entries."""
+    width, values, status, flips = _WORD_TABLES[name]
+    every = ((np.arange(1 << width)[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
+    leads = [np.zeros(0, np.uint8)]
+    if flips is not None:
+        leads.append(line_codes._encode_8b10b(np.array([3], np.uint8)))  # D.3.0 flips it
+    for lead in leads:
+        for word in every:
+            chips = np.concatenate([lead, word])
+            got = backend.decode_words(chips, width, values, status, flips)
+            _assert_same_words(got, _word_oracle(chips, width, values, status, flips))
+
+
+@needs_native
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(_WORD_TABLES)),
+    st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1]) | st.integers(0, 64),
+    st.integers(0, 2**32 - 1),
+)
+def test_decode_words_backends_agree_on_damaged_streams(name, nwords, seed):
+    width, *tables = _WORD_TABLES[name]
+    chips = _word_streams(np.random.default_rng(seed), name, nwords)
+    _assert_same_words(
+        _native.decode_words(chips, width, *tables), _pure.decode_words(chips, width, *tables)
+    )
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=[b.BACKEND for b in BACKENDS])
+def test_decode_words_reads_any_table_as_uint8(backend):
+    """Bool, list, int64 and strided tables are read as their uint8
+    conversion, and both outputs are uint8."""
+    chips = np.random.default_rng(16).integers(0, 2, 40, dtype=np.uint8)
+    bad = line_codes._REV_4B6B[:16] > 15
+    for status in (bad, bad.tolist(), bad.astype(np.int64), np.repeat(bad, 2)[::2]):
+        values, mask = backend.decode_words(chips, 4, list(range(16)), status)
+        assert values.dtype == mask.dtype == np.uint8
+        assert values.tolist() == _pure._pack(chips, 4).tolist()
+        assert mask.tolist() == bad[values].tolist()
+
+
+@pytest.mark.skipif(_kernels.BACKEND != "native", reason="the native backend is not in use")
+def test_native_frame_chain_does_not_import_pure(run_fresh):
+    script = (
+        "import sys\n"
+        "from owpan.phy import frames, modes\n"
+        "mode = modes.mode_by_name('phy2-ook-96m')\n"
+        "frames.decode_frame(frames.encode_frame(b'x', mode).waveform, mode)\n"
+        "print('owpan._kernels._pure' in sys.modules)\n"
+    )
+    assert run_fresh(script).strip() == "False"
+
+
 # --- fast paths of the pure backend -----------------------------------------
 
 
@@ -526,6 +698,19 @@ def test_pure_batch_decode_equals_row_by_row(k):
             lambda m: m.ook_demodulate(np.zeros((2, 3))),
             lambda m: m.vppm_demodulate(np.zeros(8)),
             lambda m: m.vppm_demodulate(np.zeros((2, 4, 1))),
+            lambda m: m.decode_words(np.array([0, 2], np.uint8), *_WORD_TABLES["manchester"][:3]),
+            lambda m: m.decode_words(np.zeros(7, np.uint8), *_WORD_TABLES["4b6b"][:3]),
+            lambda m: m.decode_words(np.zeros(6, np.uint8), 0, np.zeros(1), None),
+            lambda m: m.decode_words(np.zeros(16, np.uint8), 16, np.zeros(1 << 16), None),
+            lambda m: m.decode_words(np.zeros(6, np.uint8), 6, line_codes._REV_4B6B[:63], None),
+            lambda m: m.decode_words(
+                np.zeros(10, np.uint8), 10, line_codes._DEC_BYTE, line_codes._DEC_STATUS[:1024],
+                line_codes._DEC_FLIP,
+            ),
+            lambda m: m.decode_words(
+                np.zeros(10, np.uint8), 10, line_codes._DEC_BYTE, line_codes._DEC_STATUS,
+                line_codes._DEC_FLIP[:512],
+            ),
         ],
         [
             "encode-k15",
@@ -536,6 +721,13 @@ def test_pure_batch_decode_equals_row_by_row(k):
             "ook-3-samples",
             "vppm-1d",
             "vppm-3d",
+            "chip-2",
+            "ragged-chips",
+            "width-0",
+            "width-16",
+            "short-values",
+            "short-status",
+            "short-flips",
         ],
     ),
 )
@@ -567,3 +759,20 @@ def test_pure_viterbi_memory_does_not_grow_with_the_trellis(run_fresh):
     if sys.platform == "darwin":
         grown_kb //= 1024  # ru_maxrss is in bytes there
     assert grown_kb < 16 * 1024
+
+
+def test_pure_rs_decode_memory_stays_flat_on_a_64k_frame():
+    """65,537 clean RS(15,2) blocks, a 64 KiB frame's, decode in under 6 MB.
+
+    The syndrome map gathers _BLOCK rows at a time; a (blocks, 15) int64
+    index and uint64 gather at once would peak at 15.7 MB.
+    """
+    code = _pure.rs_encode_blocks(np.zeros((65_537, 2), np.uint8), 2)
+    tracemalloc.start()
+    try:
+        data, failed = _pure.rs_decode_blocks(code, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not data.any() and not failed.any()
+    assert peak <= 6e6
