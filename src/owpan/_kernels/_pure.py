@@ -151,9 +151,15 @@ def _apply(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _unpack(words: np.ndarray, r: int) -> np.ndarray:
-    """(N, r) symbols of packed words."""
-    return ((words[:, None] >> _NIBBLES[:r]) & np.uint64(15)).astype(np.uint8)
+def _unpack(words: np.ndarray, r: int, out: np.ndarray | None = None) -> np.ndarray:
+    """(N, r) symbols of packed words, written into ``out`` if given.  The
+    uint64 shift, the one temporary, is made ``_BLOCK`` words at a time."""
+    out = np.empty((len(words), r), dtype=np.uint8) if out is None else out
+    for i in range(0, len(words), _BLOCK):
+        shifted = words[i : i + _BLOCK, None] >> _NIBBLES[:r]
+        np.bitwise_and(shifted, np.uint64(15), out=out[i : i + _BLOCK], casting="unsafe")
+        del shifted  # else the next block's shift doubles the peak
+    return out
 
 
 def _generator_poly(nroots: int) -> np.ndarray:
@@ -221,8 +227,10 @@ def rs_encode_blocks(data: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"data must have shape (N, {k})")
     if data.size and data.max() > 15:
         raise ValueError("RS symbols must lie in 0..15")
-    par = _unpack(_apply(_parity_map(k), data), _N - k)
-    return np.concatenate([data, par], axis=1)
+    out = np.empty((len(data), _N), dtype=np.uint8)
+    out[:, :k] = data
+    _unpack(_apply(_parity_map(k), data), _N - k, out[:, k:])
+    return out
 
 
 def rs_decode_blocks(code: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -197,15 +197,6 @@ class TopologyClass:
     channels: str  # "single-channel" | "multi-channel"
     parallel_connections: bool = False
 
-    def labels(self) -> tuple:
-        return (
-            self.relaying,
-            self.directionality,
-            self.duplex_kind,
-            self.homogeneity,
-            self.channels,
-        )
-
 
 def classify_topology(topology: Topology) -> TopologyClass:
     """Classify a topology along the five defining axes.

@@ -106,6 +106,8 @@ class ConvCode:
     def __post_init__(self) -> None:
         if self.rate not in CC_RATES:
             raise ValueError(f"unsupported convolutional rate {self.rate}")
+        # resolved once: a lookup by the Fraction rate hashes it, 0.7 us a call
+        object.__setattr__(self, "_trellis", _TRELLIS[self.rate])
 
     def __str__(self) -> str:
         return f"CC({self.rate})"
@@ -182,7 +184,7 @@ def _windows(bits: np.ndarray) -> np.ndarray:
 def _cc_encode(bits: np.ndarray, code: ConvCode) -> np.ndarray:
     # (bits.size + 6) / rate coded bits; rate-2/3 puncturing needs an even
     # count of bits and tail
-    table, keep = _TRELLIS[code.rate]
+    table, keep = code._trellis
     coded = table.take(_windows(bits), axis=0)
     if keep is None:
         return coded.ravel()
@@ -195,7 +197,7 @@ def _viterbi_decode(coded: np.ndarray, code: ConvCode) -> np.ndarray:
     # maximum-likelihood bits of a _cc_encode stream, tail removed;
     # punctured positions come back as erasures (2), which the trellis
     # metric skips, so the rate-2/3 stream decodes on the rate-1/3 trellis
-    table, keep = _TRELLIS[code.rate]
+    table, keep = code._trellis
     obs = coded
     if keep is not None:
         kept = np.count_nonzero(keep)

@@ -9,13 +9,13 @@ bytes round-trips through any mode.  It is total: any input array yields
 the payload or a FrameDecodeError.  Only a catalog-only mode raises a plain
 ValueError, before any sample is read.
 
-Each chain checks its input once: the transmit chain takes the payload's
-bytes (any bytes-like object; the length prefix counts its bytes) and
-checks ``dimming``, the receive chain checks the waveform (``_per_chip``)
-or the chips (``_as_bits``).  No stage re-checks the array the stage
-before it made.  Each receive stage returns ``(values, bad)``, and the
-chain raises at the first bad symbol after each stage, so the first bad
-stage in chain order is the one reported.
+A mode's stages from wire bytes to chips are one cached plan, ``_plan``:
+an encode and a decode form per stage, folded in order by the transmit
+chain and in reverse by the receive chain; only the plan reads the mode's
+line code and codes.  Each chain checks its input once (the payload's
+bytes and ``dimming``, or the waveform or the chips), and no stage
+re-checks the array the stage before it made.  Each decode form raises at
+its first bad symbol, so the first bad stage in chain order is reported.
 
 The 8b/10b modes keep RS symbol padding aligned to whole bytes: RS(14,7)
 blocks are 7 bytes long by construction, and RS(15,12) data is padded to
@@ -25,13 +25,14 @@ an even block count so the coded stream always packs into bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .. import _kernels
 from . import line_codes, modulation
-from .fec import _cc_encode, _raise_uncorrectable, _rs_decode, _rs_encode, _viterbi_decode
-from .line_codes import _as_bits, _chip_table, _raise_bad_word, _take
+from .fec import RsCode, _cc_encode, _raise_uncorrectable, _rs_decode, _rs_encode, _viterbi_decode
+from .line_codes import _as_bits, _chip_table, _decode_words, _raise_bad_word, _take
 from .modes import LineCode, Modulation, PhyMode
 
 __all__ = [
@@ -71,13 +72,6 @@ class Frame:
     waveform: np.ndarray
 
 
-def _require_bound(mode: PhyMode) -> None:
-    if not mode.bound:
-        raise ValueError(
-            f"{mode.name} is a catalog-only mode; only PHY I/II modes have codecs"
-        )
-
-
 # row b: byte b's high and low nibble
 _BYTE_NIBBLES = np.stack([np.arange(256) >> 4, np.arange(256) & 0xF], axis=1).astype(np.uint8)
 _NIBBLE_BITS = _chip_table(np.arange(16), 4)
@@ -101,35 +95,70 @@ def _nibbles_to_bits(nibbles: np.ndarray) -> np.ndarray:
     return _take(_NIBBLE_BITS, nibbles).ravel()
 
 
-def _add_rs(wire: np.ndarray, mode: PhyMode) -> np.ndarray:
-    """Wire bytes as nibbles, RS-encoded in whole zero-padded blocks; the
-    inverse of :func:`_strip_rs`."""
-    nibbles = _bytes_to_nibbles(wire)
-    rs = mode.outer_code
-    if rs is None:
-        return nibbles
+def _bits_to_nibbles(bits: np.ndarray) -> np.ndarray:
+    if bits.size % 4:
+        raise FrameDecodeError(f"bit stream length {bits.size} is not nibble-aligned")
+    return _kernels.decode_words(bits, 4, _NIBBLES, None)[0]
+
+
+def _add_rs(nibbles: np.ndarray, rs: RsCode, pair: bool) -> np.ndarray:
+    """Nibbles RS-encoded in whole zero-padded blocks, paired up when ``pair``
+    (8b/10b packs symbols into bytes); the inverse of :func:`_strip_rs`."""
     blocks = -(-nibbles.size // rs.k) if nibbles.size else 1
-    # 8b/10b packs symbols into bytes, so odd-length blocks must pair up
-    if mode.line_code is LineCode.EIGHT_B_TEN_B and rs.n % 2 and blocks % 2:
+    if pair and rs.n % 2 and blocks % 2:
         blocks += 1
     padded = np.zeros(blocks * rs.k, dtype=np.uint8)
     padded[: nibbles.size] = nibbles
     return _rs_encode(padded.reshape(blocks, rs.k), rs).ravel()
 
 
-def _strip_rs(symbols: np.ndarray, mode: PhyMode) -> np.ndarray:
-    """RS-decode whole blocks of nibbles into wire bytes, block padding
-    included; the inverse of :func:`_add_rs`."""
-    rs = mode.outer_code
+def _strip_rs(symbols: np.ndarray, rs: RsCode) -> np.ndarray:
+    """RS-decode whole blocks of nibbles, block padding included; the
+    inverse of :func:`_add_rs`."""
+    if symbols.size == 0 or symbols.size % rs.n:
+        raise FrameDecodeError(f"{symbols.size} symbols do not form whole {rs} blocks")
+    data, bad = _rs_decode(symbols.reshape(-1, rs.n), rs)
+    _raise_uncorrectable(bad, rs)
+    return data.ravel()
+
+
+def _read(width: int, *tables):
+    """A line code's decode form: its words' values, raising at the first bad one."""
+
+    def decode(chips: np.ndarray) -> np.ndarray:
+        values, bad = _decode_words(chips, width, *tables)
+        _raise_bad_word(chips, width, bad)
+        return values
+
+    return decode
+
+
+@cache
+def _plan(mode: PhyMode) -> tuple[tuple, tuple]:
+    """The mode's encode forms in transmit order and its decode forms in
+    receive order, one pair per stage from wire bytes to chips.  A
+    catalog-only mode raises a plain ValueError."""
+    if not mode.bound:
+        raise ValueError(f"{mode.name} is a catalog-only mode; only PHY I/II modes have codecs")
+    eight_ten = mode.line_code is LineCode.EIGHT_B_TEN_B
+    rs, cc = mode.outer_code, mode.inner_code
+    stages = [(_bytes_to_nibbles, _nibbles_to_bytes)]
     if rs is not None:
-        if symbols.size == 0 or symbols.size % rs.n:
-            raise FrameDecodeError(
-                f"{symbols.size} symbols do not form whole RS({rs.n},{rs.k}) blocks"
-            )
-        data, bad = _rs_decode(symbols.reshape(-1, rs.n), rs)
-        _raise_uncorrectable(bad, rs)
-        symbols = data.ravel()
-    return _nibbles_to_bytes(symbols)
+        stages.append((lambda n: _add_rs(n, rs, eight_ten), lambda s: _strip_rs(s, rs)))
+    if eight_ten:
+        stages.append((_nibbles_to_bytes, _bytes_to_nibbles))
+        tables = line_codes._DEC_BYTE, line_codes._DEC_STATUS, line_codes._DEC_FLIP
+        stages.append((line_codes._encode_8b10b, _read(10, *tables)))
+    elif mode.line_code is LineCode.FOUR_B_SIX_B:
+        tables = line_codes._REV_4B6B, line_codes._BAD_4B6B
+        stages.append((line_codes._encode_4b6b, _read(6, *tables)))
+    else:
+        stages.append((_nibbles_to_bits, _bits_to_nibbles))
+        if cc is not None:
+            stages.append((lambda b: _cc_encode(b, cc), lambda c: _viterbi_decode(c, cc)))
+        tables = line_codes._MANCHESTER_BIT, line_codes._MANCHESTER_BAD
+        stages.append((line_codes._manchester_encode, _read(2, *tables)))
+    return tuple(enc for enc, _ in stages), tuple(dec for _, dec in reversed(stages))
 
 
 def _as_payload(payload) -> bytes:
@@ -141,20 +170,14 @@ def _as_payload(payload) -> bytes:
 def encode_to_chips(payload: bytes, mode: PhyMode) -> np.ndarray:
     """Run the digital half of the transmit chain, yielding 0/1 chips.
     ``payload`` is any bytes-like object; its bytes are sent."""
-    _require_bound(mode)
+    encoders, _ = _plan(mode)
     payload = _as_payload(payload)
     if len(payload) > MAX_PAYLOAD:
         raise ValueError(f"payload of {len(payload)} bytes exceeds {MAX_PAYLOAD}")
-    wire = np.frombuffer(len(payload).to_bytes(_LENGTH_BYTES, "big") + payload, dtype=np.uint8)
-    coded = _add_rs(wire, mode)
-    if mode.line_code is LineCode.EIGHT_B_TEN_B:
-        return line_codes._encode_8b10b(_nibbles_to_bytes(coded))
-    if mode.line_code is LineCode.FOUR_B_SIX_B:
-        return line_codes._encode_4b6b(coded)
-    bits = _nibbles_to_bits(coded)
-    if mode.inner_code is not None:
-        bits = _cc_encode(bits, mode.inner_code)
-    return line_codes._manchester_encode(bits)
+    values = np.frombuffer(len(payload).to_bytes(_LENGTH_BYTES, "big") + payload, dtype=np.uint8)
+    for encode in encoders:
+        values = encode(values)
+    return values
 
 
 def encode_frame(payload: bytes, mode: PhyMode, dimming: float = 0.5) -> Frame:
@@ -185,31 +208,18 @@ def decode_frame(waveform: np.ndarray, mode: PhyMode, dimming: float = 0.5) -> b
 def _receive(signal: np.ndarray, mode: PhyMode, demodulate: bool) -> bytes:
     """The receive chain: the transmit stages inverted in reverse order,
     with every ValueError they raise reported as a FrameDecodeError."""
-    _require_bound(mode)
+    _, decoders = _plan(mode)
     try:
         if not demodulate:
-            chips = _as_bits(signal, "chips")
+            values = _as_bits(signal, "chips")
         elif mode.modulation is Modulation.VPPM:
-            chips, bad = modulation._vppm_demodulate(modulation._per_chip(signal))
+            values, bad = modulation._vppm_demodulate(modulation._per_chip(signal))
             modulation._raise_tie(bad)
         else:
-            chips, _ = modulation._ook_demodulate(modulation._per_chip(signal))
-        if mode.line_code is LineCode.EIGHT_B_TEN_B:
-            data, bad = line_codes._decode_8b10b(chips)
-            _raise_bad_word(chips, 10, bad)
-            coded = _bytes_to_nibbles(data)
-        elif mode.line_code is LineCode.FOUR_B_SIX_B:
-            coded, bad = line_codes._decode_4b6b(chips)
-            _raise_bad_word(chips, 6, bad)
-        else:
-            bits, bad = line_codes._manchester_decode(chips)
-            _raise_bad_word(chips, 2, bad)
-            if mode.inner_code is not None:
-                bits = _viterbi_decode(bits, mode.inner_code)
-            if bits.size % 4:
-                raise FrameDecodeError(f"bit stream length {bits.size} is not nibble-aligned")
-            coded, _ = _kernels.decode_words(bits, 4, _NIBBLES, None)
-        data = _strip_rs(coded, mode).tobytes()
+            values, _ = modulation._ook_demodulate(modulation._per_chip(signal))
+        for decode in decoders:
+            values = decode(values)
+        data = values.tobytes()
     except FrameDecodeError:
         raise
     except ValueError as exc:  # any other defect of the input, e.g. a chip of 2

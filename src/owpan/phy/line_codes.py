@@ -3,12 +3,12 @@
 All three codecs are table-driven and vectorized over numpy uint8 arrays
 of bits, chips, nibbles or bytes, which the frame chains check once
 before calling them.  Chip order within a codeword is MSB first
-throughout.  Each decoder returns ``(values, bad)``, ``bad``
-marking each invalid word (8b/10b gives its ``_DEC_STATUS``, nonzero when
-bad); a stream of no whole number of words raises there.  Each decoder is
-one call into the ``decode_words`` kernel of :mod:`owpan._kernels` with
-its tables: the word's value, its status and, for 8b/10b, whether it
-flips the running disparity.  The kernel packs each word's chips, looks
+throughout.  One decoder, ``_decode_words``, serves all three: given a
+code's word width and tables (the word's value, its status and, for
+8b/10b, whether it flips the running disparity) it returns ``(values,
+bad)``, ``bad`` nonzero at each invalid word, and raises on a stream of
+no whole number of words.  It is one call into the ``decode_words``
+kernel of :mod:`owpan._kernels`, which packs each word's chips, looks
 them up and tracks the disparity in one pass on the compiled backend.
 
 The 8b/10b here is the IBM data-character code (5b/6b + 3b/4b with running
@@ -88,6 +88,16 @@ def _raise_bad_word(chips: np.ndarray, width: int, bad: np.ndarray) -> None:
     _raise_first(bad, error)
 
 
+def _decode_words(chips: np.ndarray, width: int, *tables) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, bad)`` of the ``width``-chip words of ``chips`` under one
+    line code's ``decode_words`` tables; ValueError unless the words are whole."""
+    if chips.size % width:
+        whole = "even" if width == 2 else f"a multiple of {width}"
+        index = chips.size // width
+        raise ValueError(f"chip stream length must be {whole} (symbol index {index})")
+    return _kernels.decode_words(chips, width, *tables)
+
+
 def _chip_table(words: np.ndarray, width: int) -> np.ndarray:
     # row i: the ``width`` chips of words[i], MSB first
     return ((words[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
@@ -107,13 +117,6 @@ def _manchester_encode(bits: np.ndarray) -> np.ndarray:
 # are bad
 _MANCHESTER_BIT = np.array([0, 0, 1, 1], dtype=np.uint8)
 _MANCHESTER_BAD = np.array([1, 0, 0, 1], dtype=np.uint8)
-
-
-def _manchester_decode(chips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # (bits, bad): bad marks each 00 or 11 pair
-    if chips.size % 2:
-        raise ValueError(f"chip stream length must be even (symbol index {chips.size // 2})")
-    return _kernels.decode_words(chips, 2, _MANCHESTER_BIT, _MANCHESTER_BAD)
 
 
 # 4B6B: each nibble maps to a six-chip word of Hamming weight 3, so the
@@ -137,15 +140,6 @@ _CHIPS_4B6B = _chip_table(TABLE_4B6B, 6)
 
 def _encode_4b6b(nibbles: np.ndarray) -> np.ndarray:
     return _take(_CHIPS_4B6B, nibbles).ravel()
-
-
-def _decode_4b6b(chips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # (nibbles, bad): bad marks each word off the table, whose nibble is 0xFF
-    if chips.size % 6:
-        raise ValueError(
-            f"chip stream length must be a multiple of 6 (symbol index {chips.size // 6})"
-        )
-    return _kernels.decode_words(chips, 6, _REV_4B6B, _BAD_4B6B)
 
 
 # 8b/10b code rules.  The stored 6b/4b words are the encodings used at
@@ -228,14 +222,3 @@ def _encode_8b10b(data: np.ndarray) -> np.ndarray:
     # index, not the int64 of neg * 256 + data
     neg = _running(_take(_ENC_FLIP, data))
     return _take(_ENC_CHIPS, neg.astype(np.uint16) << 8 | data).ravel()
-
-
-def _decode_8b10b(chips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # (bytes, status): status is each word's _DEC_STATUS, nonzero for a
-    # word off the code or one whose imbalance runs the same way as the
-    # running disparity
-    if chips.size % 10:
-        raise ValueError(
-            f"chip stream length must be a multiple of 10 (symbol index {chips.size // 10})"
-        )
-    return _kernels.decode_words(chips, 10, _DEC_BYTE, _DEC_STATUS, _DEC_FLIP)

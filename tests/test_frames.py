@@ -1,5 +1,7 @@
 """Full transmit/receive chain tests across the bound PHY modes."""
 
+import ast
+import dataclasses
 import hashlib
 import re
 import sys
@@ -13,13 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from owpan.phy import fec, line_codes
+from owpan.phy import fec, frames, line_codes
 from owpan.phy.fec import ConvCode, RsCode, _cc_encode, _viterbi_decode, rs_decode, rs_encode
 from owpan.phy.frames import (
     MAX_PAYLOAD,
     FrameDecodeError,
-    _add_rs,
-    _strip_rs,
+    _plan,
     chips_from_hex,
     chips_to_hex,
     decode_frame,
@@ -352,13 +353,52 @@ def test_catalog_only_modes_rejected():
 
 
 @pytest.mark.parametrize("mode", BOUND_MODES, ids=lambda m: m.name)
-def test_strip_rs_inverts_add_rs_up_to_block_padding(mode):
-    # wire bytes -> nibbles -> wire bytes, for every line code, 8b/10b included
-    for size in (0, 1, 2, 7, 39):
-        wire = np.arange(1, size + 1, dtype=np.uint8)
-        stripped = _strip_rs(_add_rs(wire, mode), mode)
-        assert stripped[:size].tobytes() == wire.tobytes()
-        assert not stripped[size:].any()
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([0, 1, 2, 7, 39]).flatmap(lambda n: st.binary(min_size=n, max_size=n)))
+def test_each_plan_stage_decodes_what_it_encodes(mode, wire):
+    """Every stage pair of the mode's plan, on what the stages before it make
+    of random wire bytes: decode inverts encode, the RS stage up to its zero
+    block padding, for every line code, 8b/10b included."""
+    encoders, decoders = _plan(mode)
+    assert len(encoders) == len(decoders)
+    values = np.frombuffer(wire, np.uint8)
+    for stage, (encode, decode) in enumerate(zip(encoders, reversed(decoders))):
+        coded = encode(values)
+        back = decode(coded)
+        assert back.dtype == np.uint8
+        assert np.array_equal(back[: values.size], values)
+        assert not back[values.size :].any()
+        if stage != 1 or mode.outer_code is None:  # the RS stage comes second
+            assert back.size == values.size
+        values = coded
+
+
+def test_a_copy_of_a_mode_hashes_equal_and_shares_its_plan():
+    for mode in BOUND_MODES:
+        copy = dataclasses.replace(mode)
+        assert copy is not mode and copy == mode and hash(copy) == hash(mode)
+        assert _plan(copy) is _plan(mode)
+
+
+def test_only_the_plan_reads_the_modes_codes():
+    """frames.py reads the line code and the RS and CC codes in _plan alone,
+    so a new stage is one more pair there, not a rung on two ladders that
+    must stay inverse."""
+    tree = ast.parse(Path(frames.__file__).read_text())
+    plans = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_plan"]
+    inside = {id(node) for plan in plans for node in ast.walk(plan)}
+    names = {"LineCode", "line_code", "outer_code", "inner_code"}
+    outside = [
+        (node.lineno, ast.unparse(node))
+        for node in ast.walk(tree)
+        if id(node) not in inside
+        and (
+            isinstance(node, ast.Name) and node.id in names
+            or isinstance(node, ast.Attribute) and node.attr in names
+        )
+    ]
+    assert outside == []
+    assert plans
 
 
 def test_chip_dump_matches_golden():

@@ -761,6 +761,23 @@ def test_pure_viterbi_memory_does_not_grow_with_the_trellis(run_fresh):
     assert grown_kb < 16 * 1024
 
 
+def test_pure_rs_encode_memory_stays_flat_on_a_64k_frame():
+    """65,537 RS(15,2) blocks, a 64 KiB frame's, encode in under 4 MB.
+
+    The parity is unpacked _BLOCK rows at a time into the output; a
+    (blocks, 13) uint64 shift at once would peak at 8.2 MB."""
+    data = np.zeros((65_537, 2), np.uint8)
+    _pure.rs_encode_blocks(data[:1], 2)  # builds the cached parity map
+    tracemalloc.start()
+    try:
+        code = _pure.rs_encode_blocks(data, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code.shape == (65_537, 15) and code.flags.c_contiguous and not code.any()
+    assert peak <= 4e6
+
+
 def test_pure_rs_decode_memory_stays_flat_on_a_64k_frame():
     """65,537 clean RS(15,2) blocks, a 64 KiB frame's, decode in under 6 MB.
 

@@ -13,11 +13,9 @@ from owpan.phy.frames import FrameDecodeError, chips_to_hex, decode_frame, decod
 from owpan.phy.line_codes import (
     _BLOCK,
     TABLE_4B6B,
-    _decode_4b6b,
-    _decode_8b10b,
+    _decode_words,
     _encode_4b6b,
     _encode_8b10b,
-    _manchester_decode,
     _manchester_encode,
     _raise_bad_word,
 )
@@ -34,12 +32,18 @@ def _u8(values):
     return np.array(values, dtype=np.uint8)
 
 
-def _decoded(decode, width, chips):
-    """A decoder over ``chips``, raising at its first bad word as the
-    receive chain does."""
+# each line code's word width and decode_words tables
+_MANCHESTER = (2, line_codes._MANCHESTER_BIT, line_codes._MANCHESTER_BAD)
+_4B6B = (6, line_codes._REV_4B6B, line_codes._BAD_4B6B)
+_8B10B = (10, line_codes._DEC_BYTE, line_codes._DEC_STATUS, line_codes._DEC_FLIP)
+
+
+def _decoded(code, chips):
+    """The words of ``chips`` under one line code's ``(width, *tables)``,
+    raising at the first bad word as the receive chain does."""
     chips = _u8(chips)
-    values, bad = decode(chips)
-    _raise_bad_word(chips, width, bad)
+    values, bad = _decode_words(chips, *code)
+    _raise_bad_word(chips, code[0], bad)
     return values
 
 
@@ -52,14 +56,14 @@ def test_manchester_bit_mapping():
 
 def test_manchester_empty():
     assert _manchester_encode(_u8([])).size == 0
-    bits, bad = _manchester_decode(_u8([]))
+    bits, bad = _decode_words(_u8([]), *_MANCHESTER)
     assert bits.size == 0 and bad.size == 0
 
 
 @given(bit_lists)
 def test_manchester_round_trip(bits):
     chips = _manchester_encode(_u8(bits))
-    out, bad = _manchester_decode(chips)
+    out, bad = _decode_words(chips, *_MANCHESTER)
     assert out.tolist() == bits and not bad.any()
 
 
@@ -71,15 +75,15 @@ def test_manchester_dc_balance(bits):
 
 def test_manchester_rejects_odd_length():
     with pytest.raises(ValueError, match=r"^chip stream length must be even \(symbol index 1\)$"):
-        _manchester_decode(_u8([0, 1, 0]))
+        _decode_words(_u8([0, 1, 0]), *_MANCHESTER)
 
 
 def test_manchester_invalid_pair_index():
     chips = _manchester_encode(_u8([1, 0, 1, 1]))
     chips[5] = 1  # third pair becomes 11
-    assert _manchester_decode(chips)[1].tolist() == [False, False, True, False]
+    assert _decode_words(chips, *_MANCHESTER)[1].tolist() == [False, False, True, False]
     with pytest.raises(ValueError, match=r"^invalid Manchester chip pair 11 \(symbol index 2\)$"):
-        _decoded(_manchester_decode, 2, chips)
+        _decoded(_MANCHESTER, chips)
 
 
 # ---------------------------------------------------------------------- 4B6B
@@ -100,7 +104,7 @@ def test_4b6b_known_word():
 def test_4b6b_round_trip(nibbles):
     chips = _encode_4b6b(_u8(nibbles))
     assert chips.size == 6 * len(nibbles)
-    assert _decoded(_decode_4b6b, 6, chips).tolist() == nibbles
+    assert _decoded(_4B6B, chips).tolist() == nibbles
 
 
 @given(st.lists(st.integers(0, 15), min_size=1, max_size=200))
@@ -111,14 +115,14 @@ def test_4b6b_per_word_balance(nibbles):
 
 def test_4b6b_rejects_bad_length():
     with pytest.raises(ValueError, match="multiple of 6"):
-        _decode_4b6b(_u8([0, 0, 1, 1, 1, 0, 1]))
+        _decode_words(_u8([0, 0, 1, 1, 1, 0, 1]), *_4B6B)
 
 
 def test_4b6b_invalid_word_index():
     chips = _encode_4b6b(_u8([5, 9]))
     chips[6:12] = [1, 1, 1, 0, 0, 0]  # weight 3 but not on the table
     with pytest.raises(ValueError, match=r"^invalid 4B6B codeword 111000 \(symbol index 1\)$"):
-        _decoded(_decode_4b6b, 6, chips)
+        _decoded(_4B6B, chips)
 
 
 # -------------------------------------------------------------------- 8b/10b
@@ -138,7 +142,8 @@ def _encode_at(data, rd):
 def _decode_at(chips, rd):
     """``(bytes, status)`` of ``chips`` decoded from running disparity ``rd``."""
     lead = _LEAD[rd]
-    data, status = _decode_8b10b(np.concatenate([_encode_8b10b(_u8(lead)), _u8(chips)]))
+    chips = np.concatenate([_encode_8b10b(_u8(lead)), _u8(chips)])
+    data, status = _decode_words(chips, *_8B10B)
     return data[len(lead) :], status[len(lead) :]
 
 
@@ -158,7 +163,7 @@ def test_8b10b_d21_5_alternates():
 
 def test_8b10b_empty():
     assert _encode_8b10b(_u8([])).size == 0
-    data, status = _decode_8b10b(_u8([]))
+    data, status = _decode_words(_u8([]), *_8B10B)
     assert data.size == 0 and status.size == 0
 
 
@@ -200,21 +205,22 @@ def test_8b10b_running_balance_bounded(data):
 def test_8b10b_invalid_codeword_index():
     chips = np.concatenate([_encode_8b10b(_u8([0x4A])), np.zeros(10, np.uint8)])
     # 0000000000 is not a codeword
-    assert _decode_8b10b(chips)[1].tolist() == [0, 1]
+    assert _decode_words(chips, *_8B10B)[1].tolist() == [0, 1]
     with pytest.raises(ValueError, match=r"^invalid 8b10b codeword 0000000000 \(symbol index 1\)$"):
-        _decoded(_decode_8b10b, 10, chips)
+        _decoded(_8B10B, chips)
 
 
 def test_8b10b_disparity_violation_detected():
     # the RD- form of D.0.0 presented at RD+ runs the imbalance the wrong way
     chips = _encode_at([0x00], -1)
     assert _decode_at(chips, 1)[1].tolist() == [2]
-    assert _decode_8b10b(np.concatenate([_encode_8b10b(_u8([3])), chips]))[1].tolist() == [0, 2]
+    behind_d30 = np.concatenate([_encode_8b10b(_u8([3])), chips])
+    assert _decode_words(behind_d30, *_8B10B)[1].tolist() == [0, 2]
 
 
 def test_8b10b_rejects_bad_length():
     with pytest.raises(ValueError, match="multiple of 10"):
-        _decode_8b10b(_u8([0, 1] * 7))
+        _decode_words(_u8([0, 1] * 7), *_8B10B)
 
 
 def _8b10b_line(out, chips, status, rd):
@@ -250,9 +256,9 @@ def test_8b10b_reports_the_first_bad_word_of_either_kind():
     violation = _encode_at([0x00], -1).tolist()
     invalid = [0] * 10
     with pytest.raises(ValueError, match=r"^8b10b disparity violation .* \(symbol index 1\)$"):
-        _decoded(_decode_8b10b, 10, lead + violation + invalid)
+        _decoded(_8B10B, lead + violation + invalid)
     with pytest.raises(ValueError, match=r"^invalid 8b10b codeword .* \(symbol index 1\)$"):
-        _decoded(_decode_8b10b, 10, lead + invalid + violation)
+        _decoded(_8B10B, lead + invalid + violation)
 
 
 # ------------------------------------------- symbol range checked before the cast
@@ -383,9 +389,9 @@ def test_4b6b_round_trips_across_block_edges(n):
     nibbles = np.random.default_rng(n).integers(0, 16, n).astype(np.uint8)
     chips = _encode_4b6b(nibbles)
     assert np.array_equal(chips, line_codes._CHIPS_4B6B[nibbles].ravel())
-    assert np.array_equal(_decoded(_decode_4b6b, 6, chips), nibbles)
+    assert np.array_equal(_decoded(_4B6B, chips), nibbles)
     chips[6 * (n - 1) : 6 * n] = [1, 1, 1, 0, 0, 0]  # off the table, in the last block
-    assert np.flatnonzero(_decode_4b6b(chips)[1]).tolist() == [n - 1]
+    assert np.flatnonzero(_decode_words(chips, *_4B6B)[1]).tolist() == [n - 1]
 
 
 @pytest.mark.parametrize("n", _BLOCK_SIZES)

@@ -172,7 +172,7 @@ def make(nodes, links):
 def test_classify_minimal_simplex():
     t = make([Node(1, AP), Node(2, UD)], [Link(1, 2, Technology.VLC_LED)])
     c = classify_topology(t)
-    assert c.labels() == (
+    assert (c.relaying, c.directionality, c.duplex_kind, c.homogeneity, c.channels) == (
         "non-relayed", "simplex", "n/a", "homogeneous", "single-channel"
     )
     assert not c.parallel_connections
@@ -296,7 +296,7 @@ def test_classify_requires_topology():
 
 def test_labels_tuple_shape():
     c = TopologyClass("relayed", "duplex", "aggregate", "heterogeneous", "multi-channel")
-    assert c.labels() == (
+    assert (c.relaying, c.directionality, c.duplex_kind, c.homogeneity, c.channels) == (
         "relayed", "duplex", "aggregate", "heterogeneous", "multi-channel"
     )
 
