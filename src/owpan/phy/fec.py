@@ -51,11 +51,12 @@ _TABLE_R13 = _out_table((0o133, 0o171, 0o165))
 _TABLE_R14 = _out_table((0o117, 0o133, 0o171, 0o165))
 
 # each rate's trellis output table, and the coded bits it keeps over two
-# steps (None: all of them); rate 2/3 keeps 3 of 6 rate-1/3 bits
+# steps (None: all of them); rate 2/3 keeps g133 and g171, then g133: the
+# (133, 171) rate-1/2 code punctured [11; 10], which is not catastrophic
 _TRELLIS = {
     Fraction(1, 4): (_TABLE_R14, None),
     Fraction(1, 3): (_TABLE_R13, None),
-    Fraction(2, 3): (_TABLE_R13, np.array([1, 1, 0, 0, 0, 1], dtype=bool)),
+    Fraction(2, 3): (_TABLE_R13, np.array([1, 1, 0, 1, 0, 0], dtype=bool)),
 }
 CC_RATES = tuple(_TRELLIS)
 

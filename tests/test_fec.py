@@ -6,6 +6,7 @@ register) so the vectorized implementations are checked against an
 independent oracle rather than against themselves.
 """
 
+import heapq
 import itertools
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from owpan.phy import fec
 from owpan.phy.fec import (
     CC_CONSTRAINT_LENGTH,
     CC_RATES,
@@ -269,7 +271,7 @@ _GENS = {
     Fraction(1, 3): (0o133, 0o171, 0o165),
     Fraction(1, 4): (0o117, 0o133, 0o171, 0o165),
 }
-_PUNCTURE = [True, True, False, False, False, True]
+_PUNCTURE = [True, True, False, True, False, False]
 
 
 def _cc(bits, code):
@@ -371,3 +373,86 @@ def test_viterbi_rejects_bad_lengths():
         _viterbi([0, 1, 0, 1], ConvCode(Fraction(2, 3)))
     with pytest.raises(ValueError):
         _viterbi([0, 0, 0], ConvCode(Fraction(1, 3)))
+
+
+# ------------------------------------------ the trellis over two input steps
+#
+# Rate 2/3 keeps 3 of the 6 coded bits of two rate-1/3 steps, so each rate
+# is walked over two input steps from every state, puncturing included.  A
+# code is catastrophic when a cycle of zero output weight leaves the zero
+# state (Massey & Sain, "Inverses of linear sequential circuits", IEEE
+# Trans. Comput., 1968): finitely many channel errors then turn into
+# unboundedly many decoded ones.
+
+
+def _two_step_edges(rate):
+    """(state, input pair, next state, output weight) of every two-step
+    transition; a trellis row is (input bit << 6) | state, and the next
+    state is the row shifted right by one."""
+    table, keep = fec._TRELLIS[rate]
+    edges = []
+    for state, pair in itertools.product(range(64), range(4)):
+        first = (pair >> 1) << 6 | state
+        second = (pair & 1) << 6 | first >> 1
+        out = np.concatenate([table[first], table[second]])
+        weight = int(out[keep].sum() if keep is not None else out.sum())
+        edges.append((state, pair, second >> 1, weight))
+    return edges
+
+
+def _zero_output_cycle_states(edges):
+    """The states on or leading into a zero-output cycle other than the
+    zero state's loop on zero input: empty for a non-catastrophic code."""
+    succ = {state: set() for state in range(64)}
+    for state, pair, nxt, weight in edges:
+        if weight == 0 and (state, pair) != (0, 0):
+            succ[state].add(nxt)
+    alive = set(succ)
+    while True:  # drop states with no zero-output edge into the rest
+        dead = {state for state in alive if not succ[state] & alive}
+        if not dead:
+            return alive
+        alive -= dead
+
+
+def _free_distance(edges):
+    """The least output weight of a path that leaves the zero state and
+    comes back to it (Dijkstra over the two-step trellis)."""
+    out = {state: [] for state in range(64)}
+    for state, pair, nxt, weight in edges:
+        out[state].append((pair, nxt, weight))
+    heap = [(weight, nxt) for pair, nxt, weight in out[0] if pair]
+    heapq.heapify(heap)
+    done = set()
+    while heap:
+        dist, state = heapq.heappop(heap)
+        if state == 0:
+            return dist
+        if state in done:
+            continue
+        done.add(state)
+        for _, nxt, weight in out[state]:
+            heapq.heappush(heap, (dist + weight, nxt))
+    raise AssertionError("no path returns to the zero state")
+
+
+@pytest.mark.parametrize(
+    ("rate", "dfree"), [(Fraction(1, 4), 20), (Fraction(1, 3), 15), (Fraction(2, 3), 6)]
+)
+def test_each_rate_is_non_catastrophic_with_its_free_distance(rate, dfree):
+    edges = _two_step_edges(rate)
+    assert _zero_output_cycle_states(edges) == set()
+    assert _free_distance(edges) == dfree
+
+
+def test_rate23_corrects_five_flips_between_a_long_input_and_zeros():
+    """0101... (400 bits) against all-zeros, five flips among the coded
+    bits where the two differ.  A catastrophic pattern makes the two
+    differ in a handful of bits however long the input, so the flips pull
+    the decision to the zero path and about 200 bits come out wrong."""
+    code = ConvCode(Fraction(2, 3))
+    bits = np.tile(np.array([0, 1], np.uint8), 200)
+    coded = _cc_encode(bits, code)
+    differ = np.flatnonzero(coded != _cc_encode(np.zeros_like(bits), code))
+    coded[differ[np.linspace(0, differ.size - 1, 5).astype(int)]] ^= 1
+    assert np.array_equal(_viterbi_decode(coded, code), bits)
