@@ -1,6 +1,6 @@
-/* Compiled decoder hot loops: the native twin of owpan._kernels._pure.
+/* Compiled codec hot loops: the native twin of owpan._kernels._pure.
  *
- * The same six callables with the same contract, bit for bit:
+ * The same seven callables with the same contract, bit for bit:
  *
  *   rs_encode_blocks(data, k)       systematic RS(15, k) over GF(16)
  *   rs_decode_blocks(code, k)       batched bounded-distance decoding
@@ -9,13 +9,16 @@
  *   vppm_demodulate(per)            VPPM bits and tie mask of (N, 4) samples
  *   decode_words(chips, width, values, status, flips=None)
  *                                   table-driven line decoding
+ *   encode_words(values, table, flips=None)
+ *                                   table rows of values: line encoding,
+ *                                   nibble packing and modulation
  *
  * Inputs are read through the buffer protocol (PEP 3118); anything that
  * is not already a C-contiguous uint8 ndarray (float32 or float64, for
  * the demodulators) goes through numpy.ascontiguousarray(x, dtype) first,
- * dtype uint8 (float64), as in _pure.  Outputs are made with numpy.empty,
- * so neither the numpy C API nor Cython is needed.  The design follows
- * Karn's libfec:
+ * dtype uint8 (float64), as in _pure; encode_words' table keeps its own
+ * dtype.  Outputs are made with numpy.empty, so neither the numpy C API
+ * nor Cython is needed.  The design follows Karn's libfec:
  *
  * - RS parity and syndromes are the packed GF(16)-linear maps of _pure:
  *   entry 16*j + v holds v times row j, one symbol per nibble of a
@@ -31,6 +34,9 @@
  * - decode_words makes one pass over the chips: it packs each word, looks
  *   it up and tracks the 8b/10b running disparity, where _pure packs all
  *   words with a matmul and then takes from each table in turn.
+ * - encode_words copies each value's table row straight into the output,
+ *   tracking the disparity in the same pass, where _pure takes the rows a
+ *   block of values at a time after a prefix xor of the flips.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -45,7 +51,8 @@ static uint8_t EXP[30], LOG[16], MUL[16][16], INV[16];
 static uint64_t PARITY[N][16 * N];   /* PARITY[k]: k data symbols -> 15-k parity */
 static uint64_t SYNDROME[N][16 * N]; /* SYNDROME[nroots]: codeword -> S_1..S_nroots */
 
-static PyObject *np_empty, *np_ascontiguousarray, *np_ndarray, *dtype_u8, *dtype_bool, *dtype_f8;
+static PyObject *np_empty, *np_ascontiguousarray, *np_ndarray, *dtype_u8, *dtype_bool, *dtype_f4,
+    *dtype_f8;
 
 /* Tabulate x -> x @ mat for mat (m, r <= 16): see _pure._linear_map. */
 static void linear_map(uint64_t *table, const uint8_t *mat, int m, int r)
@@ -118,7 +125,9 @@ static void init_tables(void)
 
 /* Read obj into view as a C-contiguous buffer in one of the one-letter
    struct formats in formats; anything else goes through
-   numpy.ascontiguousarray(obj, dtype) first.  Released by the caller. */
+   numpy.ascontiguousarray(obj, dtype) first, which keeps obj's dtype when
+   dtype is None, so the caller checks the format then.  Released by the
+   caller. */
 static int get_array(PyObject *obj, Py_buffer *view, const char *formats, PyObject *dtype)
 {
     if (Py_TYPE(obj) == (PyTypeObject *)np_ndarray &&
@@ -131,7 +140,7 @@ static int get_array(PyObject *obj, Py_buffer *view, const char *formats, PyObje
     PyObject *arr = PyObject_CallFunctionObjArgs(np_ascontiguousarray, obj, dtype, NULL);
     if (arr == NULL)
         return -1;
-    int rc = PyObject_GetBuffer(arr, view, PyBUF_C_CONTIGUOUS);
+    int rc = PyObject_GetBuffer(arr, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT);
     Py_DECREF(arr);
     return rc;
 }
@@ -568,9 +577,9 @@ static inline unsigned pack_chips(const uint8_t *c, int n, uint64_t *chips_or)
     return (unsigned)(((x & CHIP_BITS) * (0x8040201008040201ULL << (8 * (8 - n)))) >> 56);
 }
 
-/* The word loop of decode_words, one function per width W: widths 2, 4, 6
-   and 10 are compile-time constants, which makes the packing a few loads
-   and multiplies, and any other width is the run-time argument.  neg is 1
+/* The word loop of decode_words, one function per width W: widths 4, 6 and
+   10 are compile-time constants, which makes the packing a few loads and
+   multiplies, and any other width is the run-time argument.  neg is 1
    before the first word, as in _pure._running.  Returns nonzero if a chip
    is above 1. */
 #define WORD_DECODER(NAME, W)                                                     \
@@ -596,11 +605,38 @@ static inline unsigned pack_chips(const uint8_t *c, int n, uint64_t *chips_or)
         }                                                                         \
         return (chips_or & ~CHIP_BITS) != 0;                                      \
     }
-WORD_DECODER(decode_words_2, 2)
 WORD_DECODER(decode_words_4, 4)
 WORD_DECODER(decode_words_6, 6)
 WORD_DECODER(decode_words_10, 10)
 WORD_DECODER(decode_words_any, width)
+
+/* a if bit 0 of chip is 0, else b; chip's other bits are rejected by the
+   caller */
+static inline uint8_t pick(uint8_t chip, uint8_t a, uint8_t b)
+{
+    return a ^ ((a ^ b) & (uint8_t)-(chip & 1));
+}
+
+/* The word loop of decode_words at width 2 without flips (Manchester's).
+   The four entries of each table are held in scalars and picked by the
+   word's two chips with masks, so gcc vectorizes the loop instead of
+   loading each entry from an index packed from the chips. */
+static int decode_pairs(const uint8_t *c, Py_ssize_t nwords, const uint8_t *values,
+                        const uint8_t *status, uint8_t *out, uint8_t *mask)
+{
+    const uint8_t v0 = values[0], v1 = values[1], v2 = values[2], v3 = values[3];
+    const uint8_t s0 = status ? status[0] : 0, s1 = status ? status[1] : 0,
+                  s2 = status ? status[2] : 0, s3 = status ? status[3] : 0;
+    uint8_t chips_or = 0;
+    for (Py_ssize_t w = 0; w < nwords; w++) {
+        uint8_t first = c[2 * w], second = c[2 * w + 1];
+        chips_or |= first | second;
+        out[w] = pick(first, pick(second, v0, v1), pick(second, v2, v3));
+        if (status)
+            mask[w] = pick(first, pick(second, s0, s1), pick(second, s2, s3));
+    }
+    return chips_or > 1;
+}
 
 /* the largest width of the contract, _pure._MAX_WIDTH */
 #define MAX_WIDTH 15
@@ -663,7 +699,8 @@ static PyObject *decode_words(PyObject *self, PyObject *args, PyObject *kwargs)
     int bad_chip;
     switch (width) {
     case 2:
-        bad_chip = decode_words_2(c, nwords, width, values, status, flips, o, m);
+        bad_chip = flips ? decode_words_any(c, nwords, width, values, status, flips, o, m)
+                         : decode_pairs(c, nwords, values, status, o, m);
         break;
     case 4:
         bad_chip = decode_words_4(c, nwords, width, values, status, flips, o, m);
@@ -692,6 +729,115 @@ done:
     return Py_BuildValue("(NN)", out, mask);
 }
 
+/* The row loop of encode_words, one function per row size RB in bytes:
+   2, 4, 6, 10, 16 and 32, the sizes of the codec's tables, are compile-time
+   constants, which makes each copy a few loads and stores, and any other
+   size is the run-time argument.  With flips, the row read is half * neg +
+   value, where neg is 1 before the first value, as in _pure._running. */
+#define ROW_GATHER(NAME, RB)                                                      \
+    static void NAME(const uint8_t *values, Py_ssize_t n, const uint8_t *table,   \
+                     size_t rowsize, const uint8_t *flips, size_t half,           \
+                     uint8_t *out)                                                \
+    {                                                                             \
+        (void)rowsize;                                                            \
+        if (flips) {                                                              \
+            size_t neg = 1;                                                       \
+            for (Py_ssize_t i = 0; i < n; i++, out += RB) {                       \
+                memcpy(out, table + (half * neg + values[i]) * RB, RB);           \
+                neg ^= flips[values[i]] != 0;                                     \
+            }                                                                     \
+        } else {                                                                  \
+            for (Py_ssize_t i = 0; i < n; i++, out += RB)                         \
+                memcpy(out, table + (size_t)values[i] * RB, RB);                  \
+        }                                                                         \
+    }
+ROW_GATHER(encode_rows_2, 2)
+ROW_GATHER(encode_rows_4, 4)
+ROW_GATHER(encode_rows_6, 6)
+ROW_GATHER(encode_rows_10, 10)
+ROW_GATHER(encode_rows_16, 16)
+ROW_GATHER(encode_rows_32, 32)
+ROW_GATHER(encode_rows_any, rowsize)
+
+static PyObject *encode_words(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"values", "table", "flips", NULL};
+    PyObject *values_obj, *table_obj, *flips_obj = Py_None, *out = NULL;
+    Py_buffer values, table, flips;
+    int has_flips = 0;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO|O", kwlist, &values_obj, &table_obj,
+                                     &flips_obj) ||
+        get_u8(values_obj, &values))
+        return NULL;
+    if (get_array(table_obj, &table, "Bfd", Py_None)) {
+        PyBuffer_Release(&values);
+        return NULL;
+    }
+    char format = table.format[0] && !table.format[1] ? table.format[0] : 0;
+    PyObject *dtype = format == 'B'   ? dtype_u8
+                      : format == 'f' ? dtype_f4
+                      : format == 'd' ? dtype_f8
+                                      : NULL;
+    if (table.ndim != 2 || dtype == NULL) {
+        PyErr_SetString(PyExc_ValueError, "table must be a 2-D uint8, float32 or float64 array");
+        goto done;
+    }
+    Py_ssize_t rows = table.shape[0], n = values.len;
+    if (flips_obj != Py_None) {
+        if (get_u8(flips_obj, &flips))
+            goto done;
+        has_flips = 1;
+        if (flips.ndim != 1 || 2 * flips.shape[0] != rows) {
+            PyErr_SetString(PyExc_ValueError,
+                            "flips must have half as many entries as table has rows");
+            goto done;
+        }
+    }
+    /* every value must index a row (of the first half, with flips) */
+    Py_ssize_t nvalues = has_flips ? flips.shape[0] : rows;
+    const uint8_t *v = values.buf;
+    uint8_t top = 0;
+    for (Py_ssize_t i = 0; i < n; i++)
+        top = v[i] > top ? v[i] : top;
+    if (n && top >= nvalues) {
+        PyErr_Format(PyExc_ValueError, "values must lie in 0..%zd", nvalues - 1);
+        goto done;
+    }
+    size_t rowsize = (size_t)table.shape[1] * table.itemsize, half = (size_t)nvalues;
+    const uint8_t *t = table.buf, *f = has_flips ? flips.buf : NULL;
+    uint8_t *o;
+    if ((out = new_array(n * table.shape[1], -1, dtype, &o)) == NULL)
+        goto done;
+    switch (rowsize) {
+    case 2:
+        encode_rows_2(v, n, t, rowsize, f, half, o);
+        break;
+    case 4:
+        encode_rows_4(v, n, t, rowsize, f, half, o);
+        break;
+    case 6:
+        encode_rows_6(v, n, t, rowsize, f, half, o);
+        break;
+    case 10:
+        encode_rows_10(v, n, t, rowsize, f, half, o);
+        break;
+    case 16:
+        encode_rows_16(v, n, t, rowsize, f, half, o);
+        break;
+    case 32:
+        encode_rows_32(v, n, t, rowsize, f, half, o);
+        break;
+    default:
+        encode_rows_any(v, n, t, rowsize, f, half, o);
+    }
+done:
+    PyBuffer_Release(&values);
+    PyBuffer_Release(&table);
+    if (has_flips)
+        PyBuffer_Release(&flips);
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"rs_encode_blocks", (PyCFunction)(void (*)(void))rs_encode_blocks,
      METH_VARARGS | METH_KEYWORDS,
@@ -711,12 +857,15 @@ static PyMethodDef methods[] = {
     {"decode_words", (PyCFunction)(void (*)(void))decode_words, METH_VARARGS | METH_KEYWORDS,
      "(values[w], mask) of each width-chip word w of chips, MSB first: mask is status[w],\n"
      "status[2**width * neg + w] with the running neg that flips toggles, or None."},
+    {"encode_words", (PyCFunction)(void (*)(void))encode_words, METH_VARARGS | METH_KEYWORDS,
+     "table[values] flattened to 1-D in table's dtype; with flips, row len(flips) * neg +\n"
+     "value, with the running neg that flips toggles."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_native",
-    "Compiled decoder kernels; the contract is owpan._kernels._pure's.", -1, methods,
+    "Compiled codec kernels; the contract is owpan._kernels._pure's.", -1, methods,
 };
 
 PyMODINIT_FUNC PyInit__native(void)
@@ -734,9 +883,10 @@ PyMODINIT_FUNC PyInit__native(void)
         return NULL;
     dtype_u8 = PyObject_CallFunction(dtype, "s", "u1");
     dtype_bool = PyObject_CallFunction(dtype, "s", "?");
+    dtype_f4 = PyObject_CallFunction(dtype, "s", "f4");
     dtype_f8 = PyObject_CallFunction(dtype, "s", "f8");
     Py_DECREF(dtype);
-    if (dtype_u8 == NULL || dtype_bool == NULL || dtype_f8 == NULL)
+    if (dtype_u8 == NULL || dtype_bool == NULL || dtype_f4 == NULL || dtype_f8 == NULL)
         return NULL;
     PyObject *m = PyModule_Create(&module);
     if (m && PyModule_AddStringConstant(m, "BACKEND", "native")) {

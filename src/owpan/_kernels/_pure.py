@@ -1,8 +1,8 @@
-"""Pure-numpy implementations of the decoder hot loops.
+"""Pure-numpy implementations of the codec hot loops.
 
 These are the fallback for :mod:`owpan._kernels._native`, compiled from
 the hand-written ``_native.c``, and the readable reference that kernel
-must match bit for bit.  Both backends expose the same six callables:
+must match bit for bit.  Both backends expose the same seven callables:
 
 * ``rs_encode_blocks(data, k)``   -- systematic RS(15, k) over GF(16)
 * ``rs_decode_blocks(code, k)``   -- batched bounded-distance decoding
@@ -11,6 +11,8 @@ must match bit for bit.  Both backends expose the same six callables:
 * ``vppm_demodulate(per)``        -- uint8 VPPM bits and a tie mask
 * ``decode_words(chips, width, values, status, flips=None)``
                                   -- table-driven line decoding
+* ``encode_words(values, table, flips=None)``
+                                  -- table-driven line encoding and modulation
 
 The decoders convert their arrays to uint8 and raise ``ValueError`` for a
 shape, ``k``, symbol or observation outside the contract; a failed RS row
@@ -38,6 +40,13 @@ nonzero: the 8b/10b running disparity, -1 when ``neg`` is 1.  ``values``,
 both outputs are uint8.  A chip other than 0/1, a chip count that is no
 multiple of ``width`` or a table of another size raises ``ValueError``.
 
+``encode_words`` returns ``table[values]`` flattened, in the dtype of the
+2-D uint8, float32 or float64 ``table``; with ``flips``, of half as many
+entries as ``table`` has rows, row ``len(flips) * neg + v`` for each value
+``v``, ``neg`` running as in ``decode_words``.  It reads ``values`` and
+``flips`` as uint8 and raises ``ValueError`` for a value past the rows
+(past ``flips``) or a table or ``flips`` outside the contract.
+
 The RS routines are vectorized across the block axis, the Viterbi routine
 across the trellis states, so the Python-level loop count of a call does
 not depend on the batch size:
@@ -56,6 +65,7 @@ not depend on the batch size:
   temporaries stay O(block).
 * ``decode_words``: no loop of its own; one matmul packs the words, and
   each table lookup takes ``_BLOCK`` words per np.take call.
+* ``encode_words``: likewise ``_BLOCK`` values per np.take call.
 
 The RS maps, too, gather ``_BLOCK`` rows at a time, so a 64 KiB frame's
 65,537 blocks need no frame-sized index or gather array.
@@ -73,7 +83,7 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from . import _BLOCK, _running, _take
+from . import _BLOCK
 
 BACKEND = "pure"
 
@@ -451,6 +461,29 @@ def vppm_demodulate(per: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
 _MAX_WIDTH = 15
 
 
+def _take(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``table[index]`` along axis 0, ``_BLOCK`` indices per take call, which
+    keeps take's intp copy of the index O(block).  Every index is in range, so
+    ``mode="clip"``, which lets take write into ``out`` unbuffered, clips none."""
+    if index.size <= _BLOCK:
+        return table.take(index, axis=0, mode="clip")
+    out = np.empty(index.shape + table.shape[1:], dtype=table.dtype)
+    for i in range(0, index.size, _BLOCK):
+        table.take(index[i : i + _BLOCK], axis=0, out=out[i : i + _BLOCK], mode="clip")
+    return out
+
+
+def _running(index: np.ndarray, flips: np.ndarray, size: int) -> np.ndarray:
+    """``size * neg + index``, ``neg`` 1 where the 8b/10b running disparity
+    is -1 before a word, as it is before the first.  A word flips it or not
+    whatever the state, so the whole trajectory is a prefix xor."""
+    neg = np.empty(index.size, dtype=bool)
+    neg[:1] = True
+    neg[1:] = _take(flips, index[:-1])
+    np.bitwise_xor.accumulate(neg, out=neg)
+    return neg.astype(np.min_scalar_type(2 * size - 1)) * size + index
+
+
 def _table(table, size: int, name: str) -> np.ndarray:
     """``table`` as a 1-D uint8 array of ``size`` entries."""
     table = np.ascontiguousarray(table, dtype=np.uint8)
@@ -488,11 +521,23 @@ def decode_words(chips, width: int, values, status, flips=None):
     if chips.size and np.maximum.reduce(chips) > 1:
         raise ValueError("chips must be 0 or 1")
     words = _pack(chips, width)
-    if status is None:
-        mask = None
-    elif flips is None:
-        mask = _take(status, words)
-    else:
-        neg = _running(_take(flips, words))
-        mask = _take(status, neg.astype(np.uint16) << width | words)
+    mask = None
+    if status is not None:
+        mask = _take(status, words if flips is None else _running(words, flips, size))
     return _take(values, words), mask
+
+
+def encode_words(values, table, flips=None):
+    """``table[values]`` flattened, each row at the running ``neg`` with ``flips``."""
+    values = np.ascontiguousarray(values, dtype=np.uint8).ravel()
+    table = np.asarray(table)
+    if table.ndim != 2 or table.dtype not in (np.uint8, np.float32, np.float64):
+        raise ValueError("table must be a 2-D uint8, float32 or float64 array")
+    if flips is not None:
+        flips = np.ascontiguousarray(flips, dtype=np.uint8)
+        if flips.ndim != 1 or 2 * flips.size != len(table):
+            raise ValueError("flips must have half as many entries as table has rows")
+    size = len(table) if flips is None else flips.size
+    if values.size and np.maximum.reduce(values) >= size:
+        raise ValueError(f"values must lie in 0..{size - 1}")
+    return _take(table, values if flips is None else _running(values, flips, size)).ravel()

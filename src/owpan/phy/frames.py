@@ -32,7 +32,7 @@ import numpy as np
 from .. import _kernels
 from . import line_codes, modulation
 from .fec import RsCode, _cc_encode, _raise_uncorrectable, _rs_decode, _rs_encode, _viterbi_decode
-from .line_codes import _as_bits, _chip_table, _decode_words, _raise_bad_word, _take
+from .line_codes import _as_bits, _chip_table, _decode_words, _raise_bad_word
 from .modes import LineCode, Modulation, PhyMode
 
 __all__ = [
@@ -81,7 +81,7 @@ _NIBBLES = np.arange(16, dtype=np.uint8)
 
 
 def _bytes_to_nibbles(data: np.ndarray) -> np.ndarray:
-    return _take(_BYTE_NIBBLES, data).ravel()
+    return _kernels.encode_words(data, _BYTE_NIBBLES)
 
 
 def _nibbles_to_bytes(nibbles: np.ndarray) -> np.ndarray:
@@ -92,7 +92,7 @@ def _nibbles_to_bytes(nibbles: np.ndarray) -> np.ndarray:
 
 
 def _nibbles_to_bits(nibbles: np.ndarray) -> np.ndarray:
-    return _take(_NIBBLE_BITS, nibbles).ravel()
+    return _kernels.encode_words(nibbles, _NIBBLE_BITS)
 
 
 def _bits_to_nibbles(bits: np.ndarray) -> np.ndarray:
@@ -142,11 +142,13 @@ def _plan(mode: PhyMode) -> tuple[tuple, tuple]:
         raise ValueError(f"{mode.name} is a catalog-only mode; only PHY I/II modes have codecs")
     eight_ten = mode.line_code is LineCode.EIGHT_B_TEN_B
     rs, cc = mode.outer_code, mode.inner_code
-    stages = [(_bytes_to_nibbles, _nibbles_to_bytes)]
+    # 8b/10b codes bytes, so its modes take nibbles only for an RS code
+    stages = [] if eight_ten and rs is None else [(_bytes_to_nibbles, _nibbles_to_bytes)]
     if rs is not None:
         stages.append((lambda n: _add_rs(n, rs, eight_ten), lambda s: _strip_rs(s, rs)))
     if eight_ten:
-        stages.append((_nibbles_to_bytes, _bytes_to_nibbles))
+        if rs is not None:
+            stages.append((_nibbles_to_bytes, _bytes_to_nibbles))
         tables = line_codes._DEC_BYTE, line_codes._DEC_STATUS, line_codes._DEC_FLIP
         stages.append((line_codes._encode_8b10b, _read(10, *tables)))
     elif mode.line_code is LineCode.FOUR_B_SIX_B:

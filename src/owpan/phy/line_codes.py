@@ -8,8 +8,8 @@ code's word width and tables (the word's value, its status and, for
 8b/10b, whether it flips the running disparity) it returns ``(values,
 bad)``, ``bad`` nonzero at each invalid word, and raises on a stream of
 no whole number of words.  It is one call into the ``decode_words``
-kernel of :mod:`owpan._kernels`, which packs each word's chips, looks
-them up and tracks the disparity in one pass on the compiled backend.
+kernel of :mod:`owpan._kernels`, and each encoder one into its twin
+``encode_words``; the compiled backend makes one pass for either.
 
 The 8b/10b here is the IBM data-character code (5b/6b + 3b/4b with running
 disparity and the alternate D.x.A7 encoding); control (K) characters are
@@ -17,10 +17,10 @@ not needed by any PHY mode and are treated as invalid.  Every frame starts
 at running disparity -1.  The rules are evaluated once, at import, over
 all 256 bytes and all 1024 words at both running disparities.  Whether a
 word flips the disparity does not depend on the state, so a call takes
-the disparity before each word from a prefix xor of the flips and then
-reads its chips, or its byte and status, from those tables.  The
-decoder accepts what the rules accept (330 words at each disparity), not
-only the 256 the encoder emits there.
+the disparity before each word from the flips and then reads its chips,
+or its byte and status, from those tables.  The decoder accepts what the
+rules accept (330 words at each disparity), not only the 256 the encoder
+emits there.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from __future__ import annotations
 import numpy as np
 
 from .. import _kernels
-# _BLOCK: the size of the blocks _take looks up, named here for the tests
-from .._kernels import _BLOCK, _running, _take  # noqa: F401
 
 __all__ = ["TABLE_4B6B"]
 
@@ -105,12 +103,11 @@ def _chip_table(words: np.ndarray, width: int) -> np.ndarray:
 
 # Manchester: bit 0 -> chips 01, bit 1 -> chips 10 (IEEE convention:
 # the chip pair carries the bit in its leading half).
+_MANCHESTER_CHIPS = _chip_table(np.array([0b01, 0b10]), 2)
+
 
 def _manchester_encode(bits: np.ndarray) -> np.ndarray:
-    chips = np.empty(bits.size * 2, dtype=np.uint8)
-    chips[0::2] = bits
-    chips[1::2] = bits ^ 1
-    return chips
+    return _kernels.encode_words(bits, _MANCHESTER_CHIPS)
 
 
 # by chip pair 00, 01, 10, 11: the bit is the first chip, and 00 and 11
@@ -139,7 +136,7 @@ _CHIPS_4B6B = _chip_table(TABLE_4B6B, 6)
 
 
 def _encode_4b6b(nibbles: np.ndarray) -> np.ndarray:
-    return _take(_CHIPS_4B6B, nibbles).ravel()
+    return _kernels.encode_words(nibbles, _CHIPS_4B6B)
 
 
 # 8b/10b code rules.  The stored 6b/4b words are the encodings used at
@@ -188,7 +185,7 @@ def _tables_8b10b():
     word4 = np.where(neg_mid & flip4[x3], t4 ^ 0xF, t4)
     word4 = np.where(alt7, np.where(neg_mid, 0b0111, 0b1000), word4)
     enc_chips = _chip_table(((word6 << 4) | word4).ravel(), 10)
-    enc_flip = unbal6[x5] ^ unbal4[x3]
+    enc_flip = (unbal6[x5] ^ unbal4[x3]).astype(np.uint8)
 
     rev6 = np.full(64, -1)
     rev6[_T5B6B] = np.arange(32)
@@ -218,7 +215,5 @@ _ENC_CHIPS, _ENC_FLIP, _DEC_BYTE, _DEC_FLIP, _DEC_STATUS = _tables_8b10b()
 
 
 def _encode_8b10b(data: np.ndarray) -> np.ndarray:
-    # chips leave abcdei-fghj, MSB of the 6b sub-block first; a uint16
-    # index, not the int64 of neg * 256 + data
-    neg = _running(_take(_ENC_FLIP, data))
-    return _take(_ENC_CHIPS, neg.astype(np.uint16) << 8 | data).ravel()
+    # chips leave abcdei-fghj, MSB of the 6b sub-block first
+    return _kernels.encode_words(data, _ENC_CHIPS, _ENC_FLIP)

@@ -1,9 +1,10 @@
 """OOK and VPPM waveform mapping at four samples per chip.
 
 Waveforms are real, non-negative intensity arrays of ``SAMPLES_PER_CHIP``
-samples per chip.  They are built one block of chips at a time and read
-into one byte per chip with at most O(block) temporaries, so peak memory is
-the waveform plus its chips.
+samples per chip, each made by one ``encode_words`` call of
+:mod:`owpan._kernels` (on the pure backend, a block of chips at a time)
+and read into one byte per chip, so peak memory is the waveform plus its
+chips.
 
 OOK is at unit intensity: chip 1 is four samples of 1.0, chip 0 four of
 0.0, and a chip reads as 1 when its mean exceeds 0.5.
@@ -39,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .. import _kernels
-from .line_codes import _raise_first, _take
+from .line_codes import _raise_first
 
 __all__ = ["SAMPLES_PER_CHIP"]
 
@@ -78,7 +79,7 @@ _OOK_TABLE = _exact_float32(np.repeat([[0.0], [1.0]], SAMPLES_PER_CHIP, axis=1))
 
 
 def _ook_modulate(chips: np.ndarray) -> np.ndarray:
-    return _take(_OOK_TABLE, chips).ravel()
+    return _kernels.encode_words(chips, _OOK_TABLE)
 
 
 def _ook_demodulate(per: np.ndarray) -> tuple[np.ndarray, None]:
@@ -105,7 +106,7 @@ def _dimming(value) -> float:
 
 
 def _vppm_modulate(bits: np.ndarray, dimming: float) -> np.ndarray:
-    return _take(_vppm_table(dimming), bits).ravel()
+    return _kernels.encode_words(bits, _vppm_table(dimming))
 
 
 def _vppm_demodulate(per: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:

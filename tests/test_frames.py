@@ -853,10 +853,11 @@ def test_64k_vppm_round_trip_peak_memory_stays_near_the_waveform(run_fresh):
     """A 64 KiB phy1-vppm-35k frame (a 94 MB float32 waveform) round-trips
     with its peak RSS growing by less than 1.3x the waveform.
 
-    Modulation works one block of chips at a time, and demodulation keeps
-    one byte per chip besides O(block) temporaries, so the waveform is the
-    only frame-sized float array; a whole-array float64 demodulator peaked
-    at 1.6x.  Measured in a fresh process, whose peak RSS this one round
+    Modulation writes the waveform straight into its output (the pure
+    backend a block of chips at a time), and demodulation keeps one byte
+    per chip besides O(block) temporaries, so the waveform is the only
+    frame-sized float array; a whole-array float64 demodulator peaked at
+    1.6x.  Measured in a fresh process, whose peak RSS this one round
     trip sets.
     """
     script = (

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from owpan import _kernels
 from owpan._kernels import _BLOCK, _pure
-from owpan.phy import frames, line_codes
+from owpan.phy import frames, line_codes, modulation
 from owpan.phy.fec import _TABLE_R13, _TABLE_R14, ConvCode, _cc_encode
 from owpan.phy.modes import phy_mode_catalog
 from owpan.phy.modulation import _per_chip, _vppm_modulate
@@ -143,8 +143,10 @@ def test_full_frame_chain_backend_independent(mode, monkeypatch):
 # Chien and Forney on every row, the k-step LFSR encoder, the per-step
 # compare-and-sum Viterbi, the block-wise numpy demodulators and the
 # matmul-and-take line decoders, which the frame chain called directly
-# before they became kernels) on the seeded inputs built below, with
-# numpy 2.4 (decode_words' digest also equals _word_oracle's):
+# before they became kernels, and the blocked take of the line encoders and
+# modulators, likewise) on the seeded inputs built below, with numpy 2.4
+# (decode_words' digest also equals _word_oracle's, encode_words' that of
+# _encode_oracle):
 # a numpy release that changes the streams of its seeded Generator changes
 # the inputs, and the digests must then be recorded again from that code.
 # The tests are named for the pure reference and run on every importable
@@ -159,6 +161,7 @@ _PINNED = {
     "ook_demodulate": "7aedfa79855c85a449a4ce488b5eb562991cc3e9d90d718fb252c8fa2511caa3",
     "vppm_demodulate": "b0bc34dfaa556aa27186c6e14a45be4b51a17d3fd5cb635cc6ab98934a49d472",
     "decode_words": "72e0660f449a4933148ac7aa748929be5a6c4e7598d219ffb9a8dc7e198ff2e6",
+    "encode_words": "f6c50205d38f4c72b4666941b7bd69cd4815d7738b2e43a1babdebe26f188977",
 }
 
 
@@ -340,6 +343,66 @@ def _pinned_decode_words(backend):
     return h.hexdigest()
 
 
+# (table, flips) of each encode_words table set of the codec, by name
+_ENCODE_TABLES = {
+    "byte_nibbles": (frames._BYTE_NIBBLES, None),
+    "nibble_bits": (frames._NIBBLE_BITS, None),
+    "manchester": (line_codes._MANCHESTER_CHIPS, None),
+    "4b6b": (line_codes._CHIPS_4B6B, None),
+    "8b10b": (line_codes._ENC_CHIPS, line_codes._ENC_FLIP),
+    "ook": (modulation._OOK_TABLE, None),
+    "vppm_f32": (modulation._vppm_table(0.375), None),
+    "vppm_f64": (modulation._vppm_table(0.4), None),
+}
+
+
+def _random_encode_tables(rng, dtype, cols, with_flips):
+    """A random ``dtype`` table of ``cols`` columns, its flips (None unless
+    ``with_flips``) and the number of values it encodes."""
+    nvalues = int(rng.integers(1, 257))
+    rows = 2 * nvalues if with_flips else nvalues
+    if dtype == np.uint8:
+        table = rng.integers(0, 256, (rows, cols), dtype=np.uint8)
+    else:
+        table = rng.normal(size=(rows, cols)).astype(dtype)
+    flips = None
+    if with_flips:
+        flips = rng.integers(0, 2, nvalues, dtype=np.uint8)
+        flips *= rng.integers(1, 256, nvalues, dtype=np.uint8)
+    return table, flips, nvalues
+
+
+def _encode_oracle(values, table, flips):
+    """``table[values]`` flattened, each row picked with the running ``neg``
+    of a plain Python loop over the flips."""
+    if flips is None:
+        return table[values].ravel()
+    neg, rows = 1, []
+    for v in values.tolist():
+        rows.append(len(flips) * neg + v)
+        neg ^= bool(flips[v])
+    return table[np.array(rows, dtype=np.intp)].ravel()
+
+
+def _pinned_encode_words(backend):
+    h = hashlib.sha256()
+    rng = np.random.default_rng(808)
+    for table, flips in _ENCODE_TABLES.values():
+        nvalues = len(table) if flips is None else len(flips)
+        for n in (0, 1, 5, 999, _BLOCK + 3):
+            values = rng.integers(0, nvalues, n, dtype=np.uint8)
+            _digest_update(h, backend.encode_words(values, table, flips))
+    # every dtype on random tables of row sizes inside and outside the
+    # native kernel's specialised ones, with and without flips
+    for dtype in (np.uint8, np.float32, np.float64):
+        for cols in (0, 1, 2, 3, 4, 5, 6, 8, 10, 13, 16, 32):
+            for with_flips in (False, True):
+                table, flips, nvalues = _random_encode_tables(rng, dtype, cols, with_flips)
+                values = rng.integers(0, nvalues, 300, dtype=np.uint8)
+                _digest_update(h, backend.encode_words(values, table, flips))
+    return h.hexdigest()
+
+
 _PINNED_FNS = {
     "viterbi_r13": lambda backend: _pinned_viterbi(backend, _TABLE_R13),
     "viterbi_r14": lambda backend: _pinned_viterbi(backend, _TABLE_R14),
@@ -348,6 +411,7 @@ _PINNED_FNS = {
     "ook_demodulate": _pinned_ook_demodulate,
     "vppm_demodulate": _pinned_vppm_demodulate,
     "decode_words": _pinned_decode_words,
+    "encode_words": _pinned_encode_words,
 }
 
 
@@ -612,6 +676,46 @@ def test_decode_words_reads_any_table_as_uint8(backend):
         assert mask.tolist() == bad[values].tolist()
 
 
+# --- the line encoders' and modulators' row kernel ----------------------------
+#
+# encode_words is table[values] flattened; with flips, the row is picked by
+# the running disparity that decode_words tracks.
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([np.uint8, np.float32, np.float64]),
+    st.integers(0, 33),
+    st.booleans(),
+    st.sampled_from([0, 1, _BLOCK - 1, _BLOCK + 1]),
+    st.integers(0, 2**32 - 1),
+)
+def test_encode_words_equals_fancy_indexing(dtype, cols, with_flips, n, seed):
+    rng = np.random.default_rng(seed)
+    table, flips, nvalues = _random_encode_tables(rng, dtype, cols, with_flips)
+    values = rng.integers(0, nvalues, n, dtype=np.uint8)
+    expected = _encode_oracle(values, table, flips)
+    for backend in BACKENDS:
+        got = backend.encode_words(values, table, flips)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=[b.BACKEND for b in BACKENDS])
+def test_encode_words_reads_values_and_flips_as_uint8_and_keeps_the_table(backend):
+    """Lists, int64 and strided values and flips are read as their uint8
+    conversion; a strided table is read as its copy, in its own dtype."""
+    rng = np.random.default_rng(17)
+    table, flips, nvalues = _random_encode_tables(rng, np.float32, 7, True)
+    values = rng.integers(0, nvalues, 50, dtype=np.uint8)
+    expected = _encode_oracle(values, table, flips)
+    for v, f in ((values.tolist(), flips.tolist()), (values.astype(np.int64), flips != 0)):
+        assert backend.encode_words(v, table, f).tobytes() == expected.tobytes()
+    strided = np.repeat(table, 2, axis=1)[:, ::2]
+    got = backend.encode_words(np.repeat(values, 2)[::2], strided, np.repeat(flips, 2)[::2])
+    assert got.dtype == np.float32 and got.tobytes() == expected.tobytes()
+
+
 @pytest.mark.skipif(_kernels.BACKEND != "native", reason="the native backend is not in use")
 def test_native_frame_chain_does_not_import_pure(run_fresh):
     script = (
@@ -711,6 +815,20 @@ def test_pure_batch_decode_equals_row_by_row(k):
                 np.zeros(10, np.uint8), 10, line_codes._DEC_BYTE, line_codes._DEC_STATUS,
                 line_codes._DEC_FLIP[:512],
             ),
+            lambda m: m.encode_words(np.array([3, 16], np.uint8), line_codes._CHIPS_4B6B),
+            lambda m: m.encode_words(
+                np.array([4], np.uint8), np.zeros((8, 2), np.uint8), np.zeros(4, np.uint8)
+            ),
+            lambda m: m.encode_words(np.zeros(3, np.uint8), np.zeros(4, np.uint8)),
+            lambda m: m.encode_words(np.zeros(3, np.uint8), np.zeros((2, 2, 2), np.float32)),
+            lambda m: m.encode_words(np.zeros(3, np.uint8), np.zeros((2, 2), np.int64)),
+            lambda m: m.encode_words(
+                np.zeros(3, np.uint8), line_codes._ENC_CHIPS, line_codes._ENC_FLIP[:255]
+            ),
+            lambda m: m.encode_words(np.zeros(3, np.uint8), np.zeros((5, 2)), np.zeros(2)),
+            lambda m: m.encode_words(
+                np.zeros(3, np.uint8), line_codes._ENC_CHIPS, line_codes._ENC_FLIP[None]
+            ),
         ],
         [
             "encode-k15",
@@ -728,6 +846,14 @@ def test_pure_batch_decode_equals_row_by_row(k):
             "short-values",
             "short-status",
             "short-flips",
+            "encode-value-past-rows",
+            "encode-value-past-flips",
+            "encode-table-1d",
+            "encode-table-3d",
+            "encode-table-int64",
+            "encode-short-flips",
+            "encode-odd-rows-flips",
+            "encode-flips-2d",
         ],
     ),
 )

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from owpan._kernels import _BLOCK, _pure
 from owpan.phy import frames, line_codes
 from owpan.phy.fec import RsCode, rs_decode, rs_encode
 from owpan.phy.frames import FrameDecodeError, chips_to_hex, decode_frame, decode_from_chips
 from owpan.phy.line_codes import (
-    _BLOCK,
     TABLE_4B6B,
     _decode_words,
     _encode_4b6b,
@@ -354,10 +354,11 @@ def _outcome(call, x):
 
 # --- table lookups taken in blocks --------------------------------------------
 #
-# Every uint8- or uint16-indexed table lookup of the line codes and the
-# frame's nibble packing goes through line_codes._take, _BLOCK indices per
-# np.take call.  Across the block edges it must give plain fancy indexing,
-# and each codec must round-trip with a bad word reported at its global index.
+# On the pure backend, every uint8- or uint16-indexed table lookup of the
+# line codes and the frame's nibble packing goes through _pure._take,
+# _BLOCK indices per np.take call.  Across the block edges it must give
+# plain fancy indexing, and on every backend each codec must round-trip
+# with a bad word reported at its global index.
 
 _BLOCK_SIZES = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
 
@@ -379,7 +380,7 @@ _LOOKUPS = {
 def test_blocked_lookup_equals_fancy_indexing(name, n):
     table, index_dtype = _LOOKUPS[name]
     index = np.random.default_rng(n).integers(0, len(table), n).astype(index_dtype)
-    taken = line_codes._take(table, index)
+    taken = _pure._take(table, index)
     assert taken.dtype == table.dtype
     assert np.array_equal(taken, table[index])
 
