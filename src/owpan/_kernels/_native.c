@@ -254,7 +254,8 @@ static int correct(uint8_t *row, uint64_t packed, int nroots)
 {
     int t = nroots / 2, width = nroots + 2, elen = 1, olen = 1;
     uint8_t synd[N], err[N + 2] = {1}, old[N + 2] = {1}, prev[N + 2], omega[N];
-    for (int i = 0; i < nroots; i++)
+    /* i < N always holds (k is checked to 1..14), but gcc must see it */
+    for (int i = 0; i < nroots && i < N; i++)
         synd[i] = (packed >> (4 * i)) & 15;
 
     /* Berlekamp-Massey; err/old are the locator and its shifted companion */

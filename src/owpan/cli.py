@@ -137,7 +137,7 @@ def _cmd_codec_roundtrip(args) -> int:
         for mode in modes:
             payload = rng.randbytes(args.bytes)
             frame = frames.encode_frame(payload, mode, dimming=args.dimming)
-            back = frames.decode_frame(frame.waveform, mode, dimming=args.dimming)
+            back = frames.decode_frame(frame.waveform, mode)
             ok = back == payload
             failures += not ok
             out.write(

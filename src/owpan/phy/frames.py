@@ -9,13 +9,13 @@ bytes round-trips through any mode.  It is total: any input array yields
 the payload or a FrameDecodeError.  Only a catalog-only mode raises a plain
 ValueError, before any sample is read.
 
-A mode's stages from wire bytes to chips are one cached plan, ``_plan``:
-an encode and a decode form per stage, folded in order by the transmit
-chain and in reverse by the receive chain; only the plan reads the mode's
-line code and codes.  Each chain checks its input once (the payload's
-bytes and ``dimming``, or the waveform or the chips), and no stage
-re-checks the array the stage before it made.  Each decode form raises at
-its first bad symbol, so the first bad stage in chain order is reported.
+A mode's stages from payload bytes to samples, length prefix to
+modulator, are one cached plan, ``_plan``: an encode and a decode form per
+stage, each frame function one fold of them; only the plan reads the mode's
+modulation, line code and codes.  Each chain checks its input once (the
+payload's bytes and ``dimming``, or the waveform or the chips), and no
+stage re-checks the array the stage before it made.  Each decode form
+raises at its first bad symbol, so the first bad stage is reported.
 
 The 8b/10b modes keep RS symbol padding aligned to whole bytes: RS(14,7)
 blocks are 7 bytes long by construction, and RS(15,12) data is padded to
@@ -25,15 +25,16 @@ an even block count so the coded stream always packs into bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
 from .. import _kernels
-from . import line_codes, modulation
+from . import line_codes
 from .fec import RsCode, _cc_encode, _raise_uncorrectable, _rs_decode, _rs_encode, _viterbi_decode
-from .line_codes import _as_bits, _chip_table, _decode_words, _raise_bad_word
+from .line_codes import _as_bits, _chip_table, _decode_words, _raise_bad_word, _raise_first
 from .modes import LineCode, Modulation, PhyMode
+from .modulation import _dimming, _ook_modulate, _per_chip, _vppm_modulate
 
 __all__ = [
     "Frame",
@@ -78,6 +79,8 @@ _NIBBLE_BITS = _chip_table(np.arange(16), 4)
 # the nibble of each 4-bit word, MSB first: the decode_words table that
 # packs bits into nibbles
 _NIBBLES = np.arange(16, dtype=np.uint8)
+# decode_from_chips's check, in place of the plan's demodulator
+_read_chips = partial(_as_bits, name="chips")
 
 
 def _bytes_to_nibbles(data: np.ndarray) -> np.ndarray:
@@ -97,7 +100,7 @@ def _nibbles_to_bits(nibbles: np.ndarray) -> np.ndarray:
 
 def _bits_to_nibbles(bits: np.ndarray) -> np.ndarray:
     if bits.size % 4:
-        raise FrameDecodeError(f"bit stream length {bits.size} is not nibble-aligned")
+        raise ValueError(f"bit stream length {bits.size} is not nibble-aligned")
     return _kernels.decode_words(bits, 4, _NIBBLES, None)[0]
 
 
@@ -116,7 +119,7 @@ def _strip_rs(symbols: np.ndarray, rs: RsCode) -> np.ndarray:
     """RS-decode whole blocks of nibbles, block padding included; the
     inverse of :func:`_add_rs`."""
     if symbols.size == 0 or symbols.size % rs.n:
-        raise FrameDecodeError(f"{symbols.size} symbols do not form whole {rs} blocks")
+        raise ValueError(f"{symbols.size} symbols do not form whole {rs} blocks")
     data, bad = _rs_decode(symbols.reshape(-1, rs.n), rs)
     _raise_uncorrectable(bad, rs)
     return data.ravel()
@@ -133,17 +136,44 @@ def _read(width: int, *tables):
     return decode
 
 
+def _prefix_length(payload: bytes) -> np.ndarray:
+    if len(payload) > MAX_PAYLOAD:
+        raise ValueError(f"payload of {len(payload)} bytes exceeds {MAX_PAYLOAD}")
+    return np.frombuffer(len(payload).to_bytes(_LENGTH_BYTES, "big") + payload, dtype=np.uint8)
+
+
+def _strip_length(wire: np.ndarray) -> bytes:
+    # the bytes the prefix counts, without the block padding after them
+    if wire.size < _LENGTH_BYTES:
+        raise ValueError("frame shorter than its length prefix")
+    plen = int.from_bytes(wire[:_LENGTH_BYTES].tobytes(), "big")
+    body = wire[_LENGTH_BYTES:]
+    if plen > body.size:
+        raise ValueError(f"length prefix claims {plen} bytes but only {body.size} present")
+    return body[:plen].tobytes()
+
+
+def _demodulate_vppm(samples) -> np.ndarray:
+    chips, bad = _kernels.vppm_demodulate(_per_chip(samples))
+    _raise_first(
+        bad, lambda i: ValueError(f"ambiguous VPPM symbol at index {i}: equal half energies")
+    )
+    return chips
+
+
 @cache
 def _plan(mode: PhyMode) -> tuple[tuple, tuple]:
     """The mode's encode forms in transmit order and its decode forms in
-    receive order, one pair per stage from wire bytes to chips.  A
-    catalog-only mode raises a plain ValueError."""
+    receive order, one pair per stage from payload bytes to samples (the
+    modulator also takes dimming).  A catalog-only mode raises ValueError."""
     if not mode.bound:
         raise ValueError(f"{mode.name} is a catalog-only mode; only PHY I/II modes have codecs")
     eight_ten = mode.line_code is LineCode.EIGHT_B_TEN_B
     rs, cc = mode.outer_code, mode.inner_code
+    stages = [(_prefix_length, _strip_length)]
     # 8b/10b codes bytes, so its modes take nibbles only for an RS code
-    stages = [] if eight_ten and rs is None else [(_bytes_to_nibbles, _nibbles_to_bytes)]
+    if not eight_ten or rs is not None:
+        stages.append((_bytes_to_nibbles, _nibbles_to_bytes))
     if rs is not None:
         stages.append((lambda n: _add_rs(n, rs, eight_ten), lambda s: _strip_rs(s, rs)))
     if eight_ten:
@@ -160,6 +190,12 @@ def _plan(mode: PhyMode) -> tuple[tuple, tuple]:
             stages.append((lambda b: _cc_encode(b, cc), lambda c: _viterbi_decode(c, cc)))
         tables = line_codes._MANCHESTER_BIT, line_codes._MANCHESTER_BAD
         stages.append((line_codes._manchester_encode, _read(2, *tables)))
+    if mode.modulation is Modulation.VPPM:
+        stages.append((_vppm_modulate, _demodulate_vppm))
+    else:  # OOK thresholding cannot fail
+        stages.append(
+            (lambda c, _: _ook_modulate(c), lambda s: _kernels.ook_demodulate(_per_chip(s)))
+        )
     return tuple(enc for enc, _ in stages), tuple(dec for _, dec in reversed(stages))
 
 
@@ -169,72 +205,49 @@ def _as_payload(payload) -> bytes:
     return memoryview(payload).tobytes()
 
 
+def _fold(values, forms):
+    for form in forms:
+        values = form(values)
+    return values
+
+
 def encode_to_chips(payload: bytes, mode: PhyMode) -> np.ndarray:
     """Run the digital half of the transmit chain, yielding 0/1 chips.
     ``payload`` is any bytes-like object; its bytes are sent."""
     encoders, _ = _plan(mode)
-    payload = _as_payload(payload)
-    if len(payload) > MAX_PAYLOAD:
-        raise ValueError(f"payload of {len(payload)} bytes exceeds {MAX_PAYLOAD}")
-    values = np.frombuffer(len(payload).to_bytes(_LENGTH_BYTES, "big") + payload, dtype=np.uint8)
-    for encode in encoders:
-        values = encode(values)
-    return values
+    return _fold(_as_payload(payload), encoders[:-1])
 
 
 def encode_frame(payload: bytes, mode: PhyMode, dimming: float = 0.5) -> Frame:
     """Encode payload bytes to a fully modulated frame.  ``dimming`` must lie
     in (0, 1) in every mode, though only VPPM reads it."""
-    dimming = modulation._dimming(dimming)
+    encoders, _ = _plan(mode)
+    dimming = _dimming(dimming)
     payload = _as_payload(payload)
-    chips = encode_to_chips(payload, mode)
-    if mode.modulation is Modulation.VPPM:
-        waveform = modulation._vppm_modulate(chips, dimming)
-    else:
-        waveform = modulation._ook_modulate(chips)
-    return Frame(payload=payload, mode=mode, chips=chips, waveform=waveform)
+    chips = _fold(payload, encoders[:-1])
+    return Frame(payload=payload, mode=mode, chips=chips, waveform=encoders[-1](chips, dimming))
 
 
 def decode_from_chips(chips: np.ndarray, mode: PhyMode) -> bytes:
     """Invert :func:`encode_to_chips`; raises FrameDecodeError on any defect."""
-    return _receive(chips, mode, demodulate=False)
+    _, decoders = _plan(mode)
+    return _receive(chips, (_read_chips, *decoders[1:]))
 
 
 def decode_frame(waveform: np.ndarray, mode: PhyMode, dimming: float = 0.5) -> bytes:
     """Demodulate and decode a waveform back to the payload bytes; raises
     FrameDecodeError on any defect.  ``dimming`` is never read: VPPM compares
     each chip's half energies, which works at any duty cycle below 1."""
-    return _receive(waveform, mode, demodulate=True)
+    return _receive(waveform, _plan(mode)[1])
 
 
-def _receive(signal: np.ndarray, mode: PhyMode, demodulate: bool) -> bytes:
-    """The receive chain: the transmit stages inverted in reverse order,
-    with every ValueError they raise reported as a FrameDecodeError."""
-    _, decoders = _plan(mode)
+def _receive(signal, decoders) -> bytes:
+    """Fold the receive chain's decode forms over ``signal``, reporting
+    every ValueError they raise as a FrameDecodeError."""
     try:
-        if not demodulate:
-            values = _as_bits(signal, "chips")
-        elif mode.modulation is Modulation.VPPM:
-            values, bad = modulation._vppm_demodulate(modulation._per_chip(signal))
-            modulation._raise_tie(bad)
-        else:
-            values, _ = modulation._ook_demodulate(modulation._per_chip(signal))
-        for decode in decoders:
-            values = decode(values)
-        data = values.tobytes()
-    except FrameDecodeError:
-        raise
-    except ValueError as exc:  # any other defect of the input, e.g. a chip of 2
+        return _fold(signal, decoders)
+    except ValueError as exc:  # any defect of the input, e.g. a chip of 2
         raise FrameDecodeError(str(exc)) from exc
-    if len(data) < _LENGTH_BYTES:
-        raise FrameDecodeError("frame shorter than its length prefix")
-    plen = int.from_bytes(data[:_LENGTH_BYTES], "big")
-    body = data[_LENGTH_BYTES:]
-    if plen > len(body):
-        raise FrameDecodeError(
-            f"length prefix claims {plen} bytes but only {len(body)} present"
-        )
-    return body[:plen]
 
 
 def chips_to_hex(chips: np.ndarray) -> str:

@@ -22,15 +22,14 @@ read-only, as float32 exactly when every sample survives that cast (OOK's,
 and VPPM's at a dyadic dimming such as 0.25 or 0.375), so no sample is
 rounded.
 
-The modulators take checked 0/1 chips (and VPPM a checked dimming).  The
-demodulators take the checked ``(N, SAMPLES_PER_CHIP)`` samples of
-``_per_chip`` and return ``(chips, bad)``, ``bad`` marking the VPPM chips
-whose half energies tie, or None when none does (OOK cannot fail).  Each is
-one call into :mod:`owpan._kernels` (``ook_demodulate``,
-``vppm_demodulate``), whose compiled backend reads a C-contiguous float32
-or float64 waveform in place in one pass; any other layout or dtype is
-converted to float64 first.  Both backends sum and compare in float64, so
-a float32 waveform decides exactly as its float64 widening.
+The modulators take checked 0/1 chips (and VPPM a checked dimming).
+``_per_chip`` checks a waveform and shapes it ``(N, SAMPLES_PER_CHIP)``
+for the demodulation kernels, which ``frames._plan`` calls directly
+(``vppm_demodulate`` also returns its ties).  The compiled backend reads
+a C-contiguous float32 or float64 waveform in place in one pass; any
+other layout or dtype is converted to float64 first.  Both backends sum
+and compare in float64, so a float32 waveform decides exactly as its
+float64 widening.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from functools import lru_cache
 import numpy as np
 
 from .. import _kernels
-from .line_codes import _raise_first
 
 __all__ = ["SAMPLES_PER_CHIP"]
 
@@ -82,10 +80,6 @@ def _ook_modulate(chips: np.ndarray) -> np.ndarray:
     return _kernels.encode_words(chips, _OOK_TABLE)
 
 
-def _ook_demodulate(per: np.ndarray) -> tuple[np.ndarray, None]:
-    return _kernels.ook_demodulate(per), None
-
-
 @lru_cache(maxsize=_TABLES)
 def _vppm_table(dimming: float) -> np.ndarray:
     # fraction of each quarter-chip sample covered by a width-`dimming`
@@ -108,12 +102,3 @@ def _dimming(value) -> float:
 def _vppm_modulate(bits: np.ndarray, dimming: float) -> np.ndarray:
     return _kernels.encode_words(bits, _vppm_table(dimming))
 
-
-def _vppm_demodulate(per: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    return _kernels.vppm_demodulate(per)
-
-
-def _raise_tie(bad: np.ndarray | None) -> None:
-    _raise_first(
-        bad, lambda i: ValueError(f"ambiguous VPPM symbol at index {i}: equal half energies")
-    )

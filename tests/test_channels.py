@@ -189,6 +189,14 @@ class TestGaussianBeam:
         ]
         assert all(a < b for a, b in zip(radii, radii[1:]))
 
+    @pytest.mark.parametrize(
+        "w0, lam", [(0.0, 1550e-9), (-0.588e-3, 1550e-9), (0.588e-3, 0.0), (0.588e-3, -1550e-9)]
+    )
+    def test_non_positive_waist_or_wavelength_is_rejected(self, w0, lam):
+        message = "^beam waist and wavelength must be strictly positive$"
+        with pytest.raises(ValueError, match=message):
+            gaussian_beam_radius(w0, lam, 160.0)
+
 
 class TestCaptureFraction:
     def test_frozen_value_at_link_span(self):

@@ -198,6 +198,7 @@ def test_error_messages_carry_line_numbers():
         (nodes + "link a a tech=RF\n", "line 3: link endpoints coincide"),
         ("node a kind=UserDevice address=-1\n", "line 1: address -1 outside 64-bit range"),
         (nodes + "link a b tech=RF duplex=maybe\n", "line 3: duplex must be yes, true, 1, no"),
+        ("node a kind=Relay junk\n", "line 1: expected key=value, got 'junk'"),
     ]
     for text, prefix in prefixed:
         with pytest.raises(ConfigError) as exc:

@@ -29,14 +29,7 @@ from owpan.phy.frames import (
     encode_to_chips,
 )
 from owpan.phy.modes import LineCode, Modulation, mode_by_name, phy_mode_catalog
-from owpan.phy.modulation import (
-    SAMPLES_PER_CHIP,
-    _ook_demodulate,
-    _ook_modulate,
-    _per_chip,
-    _vppm_demodulate,
-    _vppm_modulate,
-)
+from owpan.phy.modulation import SAMPLES_PER_CHIP, _ook_modulate, _vppm_modulate
 
 GOLDEN = Path(__file__).parent / "golden" / "frame_phy1_ook_11k.hex"
 
@@ -159,13 +152,7 @@ def test_overflowing_and_cancelling_samples_raise_no_warning(name):
     payload = b"W-OWPAN frame golden."
     waveform = encode_frame(payload, mode).waveform
     assert waveform.dtype == np.float32
-    form = _ook_demodulate if mode.modulation is Modulation.OOK else _vppm_demodulate
-
-    def demodulate(samples):
-        chips, ties = form(_per_chip(samples))
-        assert ties is None
-        return chips
-
+    _, (demodulate, *_) = _plan(mode)
     chips = demodulate(waveform)
     # float64 samples near float64's maximum, and float32 samples at float32's,
     # whose chip sums would overflow float32 but not the float64 sums
@@ -355,22 +342,28 @@ def test_catalog_only_modes_rejected():
 @pytest.mark.parametrize("mode", BOUND_MODES, ids=lambda m: m.name)
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([0, 1, 2, 7, 39]).flatmap(lambda n: st.binary(min_size=n, max_size=n)))
-def test_each_plan_stage_decodes_what_it_encodes(mode, wire):
+def test_each_plan_stage_decodes_what_it_encodes(mode, payload):
     """Every stage pair of the mode's plan, on what the stages before it make
-    of random wire bytes: decode inverts encode, the RS stage up to its zero
-    block padding, for every line code, 8b/10b included."""
+    of a random payload: decode inverts encode, the length prefix exactly,
+    the RS stage up to its zero block padding, every line code (8b/10b
+    included) and the modulator at two dimmings."""
     encoders, decoders = _plan(mode)
     assert len(encoders) == len(decoders)
-    values = np.frombuffer(wire, np.uint8)
-    for stage, (encode, decode) in enumerate(zip(encoders, reversed(decoders))):
+    *stages, (modulate, demodulate) = zip(encoders, reversed(decoders))
+    prefix, strip = stages[0]
+    values = prefix(payload)
+    assert strip(values) == payload
+    for stage, (encode, decode) in enumerate(stages[1:], 1):
         coded = encode(values)
         back = decode(coded)
         assert back.dtype == np.uint8
         assert np.array_equal(back[: values.size], values)
         assert not back[values.size :].any()
-        if stage != 1 or mode.outer_code is None:  # the RS stage comes second
+        if stage != 2 or mode.outer_code is None:  # the RS stage comes third
             assert back.size == values.size
         values = coded
+    for dimming in (0.25, 0.4):
+        assert np.array_equal(demodulate(modulate(values, dimming)), values)
 
 
 def test_a_copy_of_a_mode_hashes_equal_and_shares_its_plan():
@@ -381,13 +374,13 @@ def test_a_copy_of_a_mode_hashes_equal_and_shares_its_plan():
 
 
 def test_only_the_plan_reads_the_modes_codes():
-    """frames.py reads the line code and the RS and CC codes in _plan alone,
-    so a new stage is one more pair there, not a rung on two ladders that
-    must stay inverse."""
+    """frames.py reads the modulation, the line code and the RS and CC codes
+    in _plan alone, so a new stage is one more pair there, not a rung on
+    two ladders that must stay inverse."""
     tree = ast.parse(Path(frames.__file__).read_text())
     plans = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_plan"]
     inside = {id(node) for plan in plans for node in ast.walk(plan)}
-    names = {"LineCode", "line_code", "outer_code", "inner_code"}
+    names = {"LineCode", "line_code", "outer_code", "inner_code", "Modulation", "modulation"}
     outside = [
         (node.lineno, ast.unparse(node))
         for node in ast.walk(tree)
@@ -553,10 +546,7 @@ def test_damaged_frames_yield_bytes_or_frame_error(damaged, cut):
     payload is not checked, since an uncoded mode can decode a damaged
     frame to a wrong payload without an error."""
     mode, chips = damaged
-    if mode.modulation is Modulation.VPPM:
-        waveform = _vppm_modulate(chips, 0.5)
-    else:
-        waveform = _ook_modulate(chips)
+    waveform = _plan(mode)[0][-1](chips, 0.5)
     # a cut of 1-3 samples leaves no whole number of chips
     for decode, signal in ((decode_from_chips, chips), (decode_frame, waveform[cut:])):
         try:

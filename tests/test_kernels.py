@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import os
+import re
 import shutil
 import sys
 import sysconfig
@@ -790,75 +791,136 @@ def test_pure_batch_decode_equals_row_by_row(k):
             assert row_data[0].tolist() == data[i].tolist()
 
 
-@pytest.mark.parametrize(
-    "backend,call",
-    _on_backends(
-        [
-            lambda m: m.rs_encode_blocks(np.zeros((1, 15), np.uint8), 15),
-            lambda m: m.rs_decode_blocks(np.zeros((1, 15), np.uint8), 0),
-            lambda m: m.viterbi_decode(np.full(9, 3, np.uint8), _TABLE_R13),
-            lambda m: m.viterbi_decode(np.zeros(7, np.uint8), np.zeros((128, 7))),
-            lambda m: m.viterbi_decode(np.zeros(6, np.uint8), _TABLE_R13[:64]),
-            lambda m: m.ook_demodulate(np.zeros((2, 3))),
-            lambda m: m.vppm_demodulate(np.zeros(8)),
-            lambda m: m.vppm_demodulate(np.zeros((2, 4, 1))),
-            lambda m: m.decode_words(np.array([0, 2], np.uint8), *_WORD_TABLES["manchester"][:3]),
-            lambda m: m.decode_words(np.zeros(7, np.uint8), *_WORD_TABLES["4b6b"][:3]),
-            lambda m: m.decode_words(np.zeros(6, np.uint8), 0, np.zeros(1), None),
-            lambda m: m.decode_words(np.zeros(16, np.uint8), 16, np.zeros(1 << 16), None),
-            lambda m: m.decode_words(np.zeros(6, np.uint8), 6, line_codes._REV_4B6B[:63], None),
-            lambda m: m.decode_words(
-                np.zeros(10, np.uint8), 10, line_codes._DEC_BYTE, line_codes._DEC_STATUS[:1024],
-                line_codes._DEC_FLIP,
-            ),
-            lambda m: m.decode_words(
-                np.zeros(10, np.uint8), 10, line_codes._DEC_BYTE, line_codes._DEC_STATUS,
-                line_codes._DEC_FLIP[:512],
-            ),
-            lambda m: m.encode_words(np.array([3, 16], np.uint8), line_codes._CHIPS_4B6B),
-            lambda m: m.encode_words(
-                np.array([4], np.uint8), np.zeros((8, 2), np.uint8), np.zeros(4, np.uint8)
-            ),
-            lambda m: m.encode_words(np.zeros(3, np.uint8), np.zeros(4, np.uint8)),
-            lambda m: m.encode_words(np.zeros(3, np.uint8), np.zeros((2, 2, 2), np.float32)),
-            lambda m: m.encode_words(np.zeros(3, np.uint8), np.zeros((2, 2), np.int64)),
-            lambda m: m.encode_words(
-                np.zeros(3, np.uint8), line_codes._ENC_CHIPS, line_codes._ENC_FLIP[:255]
-            ),
-            lambda m: m.encode_words(np.zeros(3, np.uint8), np.zeros((5, 2)), np.zeros(2)),
-            lambda m: m.encode_words(
-                np.zeros(3, np.uint8), line_codes._ENC_CHIPS, line_codes._ENC_FLIP[None]
-            ),
-        ],
-        [
-            "encode-k15",
-            "decode-k0",
-            "obs-3",
-            "table-width-7",
-            "table-64-rows",
-            "ook-3-samples",
-            "vppm-1d",
-            "vppm-3d",
-            "chip-2",
-            "ragged-chips",
-            "width-0",
-            "width-16",
-            "short-values",
-            "short-status",
-            "short-flips",
-            "encode-value-past-rows",
-            "encode-value-past-flips",
-            "encode-table-1d",
-            "encode-table-3d",
-            "encode-table-int64",
-            "encode-short-flips",
-            "encode-odd-rows-flips",
-            "encode-flips-2d",
-        ],
+# one input outside each kernel's contract, and the message that both
+# backends raise for it
+_CONTRACT_ERRORS = {
+    "encode-k15": (
+        lambda m: m.rs_encode_blocks(np.zeros((1, 15), np.uint8), 15),
+        "k must lie in 1..14, got 15",
     ),
+    "encode-shape": (
+        lambda m: m.rs_encode_blocks(np.zeros((1, 6), np.uint8), 7),
+        "data must have shape (N, 7)",
+    ),
+    "encode-symbol-16": (
+        lambda m: m.rs_encode_blocks(np.full((1, 7), 16, np.uint8), 7),
+        "RS symbols must lie in 0..15",
+    ),
+    "decode-k0": (
+        lambda m: m.rs_decode_blocks(np.zeros((1, 15), np.uint8), 0),
+        "k must lie in 1..14, got 0",
+    ),
+    "decode-shape": (
+        lambda m: m.rs_decode_blocks(np.zeros((1, 14), np.uint8), 7),
+        "code must have shape (N, 15)",
+    ),
+    "decode-symbol-16": (
+        lambda m: m.rs_decode_blocks(np.full((1, 15), 16, np.uint8), 7),
+        "RS symbols must lie in 0..15",
+    ),
+    "obs-3": (
+        lambda m: m.viterbi_decode(np.full(9, 3, np.uint8), _TABLE_R13),
+        "observations must be 0, 1 or 2 (erased)",
+    ),
+    "obs-length": (
+        lambda m: m.viterbi_decode(np.zeros(7, np.uint8), _TABLE_R13),
+        "observation length 7 not a multiple of 3",
+    ),
+    "table-width-7": (
+        lambda m: m.viterbi_decode(np.zeros(7, np.uint8), np.zeros((128, 7))),
+        "out_table width 7 outside 1..6",
+    ),
+    "table-64-rows": (
+        lambda m: m.viterbi_decode(np.zeros(6, np.uint8), _TABLE_R13[:64]),
+        "out_table must have shape (128, R)",
+    ),
+    "ook-3-samples": (
+        lambda m: m.ook_demodulate(np.zeros((2, 3))),
+        "per must have shape (N, 4)",
+    ),
+    "vppm-1d": (lambda m: m.vppm_demodulate(np.zeros(8)), "per must have shape (N, 4)"),
+    "vppm-3d": (lambda m: m.vppm_demodulate(np.zeros((2, 4, 1))), "per must have shape (N, 4)"),
+    "chip-2": (
+        lambda m: m.decode_words(np.array([0, 2], np.uint8), *_WORD_TABLES["manchester"][:3]),
+        "chips must be 0 or 1",
+    ),
+    "ragged-chips": (
+        lambda m: m.decode_words(np.zeros(7, np.uint8), *_WORD_TABLES["4b6b"][:3]),
+        "chip count 7 is not a multiple of 6",
+    ),
+    "width-0": (
+        lambda m: m.decode_words(np.zeros(6, np.uint8), 0, np.zeros(1), None),
+        "width must lie in 1..15, got 0",
+    ),
+    "width-16": (
+        lambda m: m.decode_words(np.zeros(16, np.uint8), 16, np.zeros(1 << 16), None),
+        "width must lie in 1..15, got 16",
+    ),
+    "short-values": (
+        lambda m: m.decode_words(np.zeros(6, np.uint8), 6, line_codes._REV_4B6B[:63], None),
+        "values must have shape (64,)",
+    ),
+    "short-status": (
+        lambda m: m.decode_words(
+            np.zeros(10, np.uint8), 10, line_codes._DEC_BYTE, line_codes._DEC_STATUS[:1024],
+            line_codes._DEC_FLIP,
+        ),
+        "status must have shape (2048,)",
+    ),
+    "short-flips": (
+        lambda m: m.decode_words(
+            np.zeros(10, np.uint8), 10, line_codes._DEC_BYTE, line_codes._DEC_STATUS,
+            line_codes._DEC_FLIP[:512],
+        ),
+        "flips must have shape (1024,)",
+    ),
+    "encode-value-past-rows": (
+        lambda m: m.encode_words(np.array([3, 16], np.uint8), line_codes._CHIPS_4B6B),
+        "values must lie in 0..15",
+    ),
+    "encode-value-past-flips": (
+        lambda m: m.encode_words(
+            np.array([4], np.uint8), np.zeros((8, 2), np.uint8), np.zeros(4, np.uint8)
+        ),
+        "values must lie in 0..3",
+    ),
+    "encode-table-1d": (
+        lambda m: m.encode_words(np.zeros(3, np.uint8), np.zeros(4, np.uint8)),
+        "table must be a 2-D uint8, float32 or float64 array",
+    ),
+    "encode-table-3d": (
+        lambda m: m.encode_words(np.zeros(3, np.uint8), np.zeros((2, 2, 2), np.float32)),
+        "table must be a 2-D uint8, float32 or float64 array",
+    ),
+    "encode-table-int64": (
+        lambda m: m.encode_words(np.zeros(3, np.uint8), np.zeros((2, 2), np.int64)),
+        "table must be a 2-D uint8, float32 or float64 array",
+    ),
+    "encode-short-flips": (
+        lambda m: m.encode_words(
+            np.zeros(3, np.uint8), line_codes._ENC_CHIPS, line_codes._ENC_FLIP[:255]
+        ),
+        "flips must have half as many entries as table has rows",
+    ),
+    "encode-odd-rows-flips": (
+        lambda m: m.encode_words(np.zeros(3, np.uint8), np.zeros((5, 2)), np.zeros(2)),
+        "flips must have half as many entries as table has rows",
+    ),
+    "encode-flips-2d": (
+        lambda m: m.encode_words(
+            np.zeros(3, np.uint8), line_codes._ENC_CHIPS, line_codes._ENC_FLIP[None]
+        ),
+        "flips must have half as many entries as table has rows",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "backend,case", _on_backends(list(_CONTRACT_ERRORS.values()), list(_CONTRACT_ERRORS))
 )
-def test_pure_rejects_inputs_outside_the_contract(backend, call):
-    with pytest.raises(ValueError):
+def test_pure_rejects_inputs_outside_the_contract(backend, case):
+    call, message = case
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(backend)
 
 

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from owpan import _kernels
 from owpan._kernels import _BLOCK
+from owpan.phy.frames import _plan
+from owpan.phy.modes import mode_by_name
 from owpan.phy.modulation import (
     SAMPLES_PER_CHIP,
     _dimming,
-    _ook_demodulate,
     _ook_modulate,
     _per_chip,
-    _raise_tie,
-    _vppm_demodulate,
     _vppm_modulate,
 )
 
@@ -21,8 +21,9 @@ bit_lists = st.lists(st.integers(0, 1), max_size=120)
 dimmings = st.floats(min_value=0.05, max_value=0.95)
 
 
-# Each stage as the frame chains call it: on checked chips, a checked
-# dimming or the checked samples of _per_chip, with a VPPM tie raised.
+# Each stage as the frame chains call it: the modulators on checked chips
+# and a checked dimming, the demodulators as the first decode form of a
+# mode's plan, which checks the samples and raises at a VPPM tie.
 
 def ook_wave(chips):
     return _ook_modulate(np.array(chips, dtype=np.uint8))
@@ -32,14 +33,13 @@ def vppm_wave(bits, dimming):
     return _vppm_modulate(np.array(bits, dtype=np.uint8), _dimming(dimming))
 
 
-def ook_read(samples):
-    return _ook_demodulate(_per_chip(samples))[0]
+def _demodulator(name):
+    _, (demodulate, *_) = _plan(mode_by_name(name))
+    return demodulate
 
 
-def vppm_read(samples):
-    chips, bad = _vppm_demodulate(_per_chip(samples))
-    _raise_tie(bad)
-    return chips
+ook_read = _demodulator("phy2-ook-96m")
+vppm_read = _demodulator("phy1-vppm-35k")
 
 
 def test_ook_sample_expansion():
@@ -249,8 +249,8 @@ def test_vppm_tie_in_a_later_block_reports_its_global_index():
 
 # --- (chips, bad) per chip ---------------------------------------------------
 #
-# VPPM's demodulator marks exactly the tied chips; OOK's cannot fail and
-# marks none.
+# VPPM's demodulation kernel marks exactly the tied chips; OOK's cannot
+# fail, returns its chips alone and marks none.
 
 
 @settings(max_examples=60, deadline=None)
@@ -266,7 +266,7 @@ def test_vppm_demodulate_marks_exactly_the_tied_chips(nchips, seed, ties, level)
     ties = sorted({t % nchips for t in ties}) if nchips else []
     for t in ties:
         wf[t * SAMPLES_PER_CHIP : (t + 1) * SAMPLES_PER_CHIP] = level  # equal halves
-    chips, bad = _vppm_demodulate(_per_chip(wf))
+    chips, bad = _kernels.vppm_demodulate(_per_chip(wf))
     if bad is None:
         assert ties == []
         assert np.array_equal(chips, bits)
@@ -281,9 +281,7 @@ def test_vppm_demodulate_marks_exactly_the_tied_chips(nchips, seed, ties, level)
 def test_ook_demodulate_marks_nothing(chips, seed):
     rng = np.random.default_rng(seed)
     wf = ook_wave(chips) + rng.normal(scale=0.3, size=4 * len(chips))
-    out, bad = _ook_demodulate(_per_chip(wf))
-    assert bad is None
-    assert np.array_equal(out, _ook_oracle(wf))
+    assert np.array_equal(ook_read(wf), _ook_oracle(wf))
 
 
 # --- float32 samples decide as their float64 widening -------------------------
@@ -320,10 +318,11 @@ def test_float32_samples_decide_as_their_float64_widening(chips, ties):
     for samples in (single, double):
         # read without a copy
         assert samples.size == 0 or np.shares_memory(_per_chip(samples), samples)
-    for private in (_ook_demodulate, _vppm_demodulate):
-        (c32, bad32), (c64, bad64) = private(_per_chip(single)), private(_per_chip(double))
-        assert np.array_equal(c32, c64)
-        assert (bad32 is None and bad64 is None) or np.array_equal(bad32, bad64)
+    ook = [_kernels.ook_demodulate(_per_chip(samples)) for samples in (single, double)]
+    assert np.array_equal(*ook)
+    (c32, bad32), (c64, bad64) = (_kernels.vppm_demodulate(_per_chip(s)) for s in (single, double))
+    assert np.array_equal(c32, c64)
+    assert (bad32 is None and bad64 is None) or np.array_equal(bad32, bad64)
     for read in (ook_read, vppm_read):
         assert _outcome(read, single) == _outcome(read, double)
 

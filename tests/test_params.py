@@ -253,6 +253,7 @@ class TestDeclarations:
             ("span", None, "must be a number, got None"),
             ("span", np.array([1.0, 2.0]), r"must be a number, got array\(\[1\., 2\.\]\)"),
             ("bandwidth", 1j, "must be a number, got 1j"),
+            ("attenuation_coeffs", (), "need at least one value"),
         ],
     )
     def test_constructor_names_a_value_that_is_no_number(self, field, value, message):

@@ -7,6 +7,8 @@ import io
 import math
 import os
 import random
+import re
+import statistics
 import subprocess
 import sys
 from functools import partial
@@ -160,6 +162,47 @@ def test_poisson_flow_roughly_hits_offered_load():
     rate = 2e6
     m = run_simulation(t, [FlowSpec("p", 1, 2, rate_bps=rate)], duration=0.5, seed=4)
     assert m.throughput_bps == pytest.approx(rate, rel=0.15)
+
+
+def _md1_topology():
+    # 1 -> 2 at 10 Mbps, then 2 -> 3 and 2 -> 4 at 100 Mbps each
+    nodes = (Node(1, UD), Node(2, RELAY), Node(3, AP), Node(4, AP))
+    links = (
+        Link(1, 2, Technology.RF, capacity_bps=10e6),
+        Link(2, 3, Technology.FSO, capacity_bps=100e6),
+        Link(2, 4, Technology.FSO, capacity_bps=100e6),
+    )
+    return Topology(nodes=nodes, links=links)
+
+
+@pytest.mark.parametrize("rho", [0.3, 0.5])
+@pytest.mark.parametrize("shared", [False, True], ids=["one_flow", "two_flows"])
+def test_mean_latency_matches_md1_queueing_theory(shared, rho):
+    """Poisson arrivals of fixed 1000 B packets at a 10 Mbps link form an
+    M/D/1 queue: service s = 0.8 ms, mean latency s + rho s / (2 (1 - rho)),
+    Pollaczek-Khinchine.  One flow alone runs the simulator's private loop;
+    two flows of rho/2 each share the link and then leave on separate
+    100 Mbps links, which runs the event heap and adds one 0.08 ms hop
+    that never queues (packets leave the shared link >= 0.8 ms apart).
+    The mean over 8 seeds of 20 s must lie within 4 standard errors."""
+    s = 8000 / 10e6
+    if shared:
+        rate = rho / 2 * 10e6
+        flows = [
+            FlowSpec(name, 1, dst, rate_bps=rate, packet_bytes=1000)
+            for name, dst in (("a", 3), ("b", 4))
+        ]
+        later_hops = 8000 / 100e6
+    else:
+        flows = [FlowSpec("a", 1, 2, rate_bps=rho * 10e6, packet_bytes=1000)]
+        later_hops = 0.0
+    expected = s + rho * s / (2 * (1 - rho)) + later_hops
+    means = [
+        run_simulation(_md1_topology(), flows, duration=20.0, seed=seed).mean_latency_s
+        for seed in range(8)
+    ]
+    z = (statistics.fmean(means) - expected) / (statistics.stdev(means) / math.sqrt(len(means)))
+    assert abs(z) < 4, (means, expected)
 
 
 def test_utilization_and_bits_carried():
@@ -357,6 +400,20 @@ def test_step_below_clock_resolution_is_rejected(capacity, flow):
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("flow s: packet time step")
     assert "below the clock resolution" in done.stdout
+
+
+@pytest.mark.parametrize("name, rate", [("s", math.inf), ("p", 1e15)])
+def test_clock_resolution_error_names_the_flow_and_both_times(name, rate):
+    # a 1-byte packet on a 1e15 bit/s link lasts 8e-15 s, which a clock
+    # reading 1e6 s cannot add; the check raises before any event, so this
+    # runs in-process, where the child-process test above cannot pin the message
+    flows = [FlowSpec(name, 1, 2, rate_bps=rate, packet_bytes=1)]
+    message = (
+        f"flow {name}: packet time step 8e-15 s is below the clock resolution "
+        "1.1641532182693481e-10 s at duration 1000000.0 s"
+    )
+    with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+        run_simulation(line_topology([1e15]), flows, duration=1e6)
 
 
 def test_metrics_csv_shape_and_determinism():
