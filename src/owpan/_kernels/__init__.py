@@ -1,16 +1,16 @@
 """Codec kernel backends.
 
-Importing this package binds seven callables to the compiled extension
+Importing this package binds eight callables to the compiled extension
 when it is available, else to the pure-numpy fallback:
 ``rs_encode_blocks``, ``rs_decode_blocks``, ``viterbi_decode``,
-``ook_demodulate``, ``vppm_demodulate``, ``decode_words`` and
-``encode_words`` (``_pure`` states their contracts).  The extension is
-``_native.c``, one hand-written C file that needs only a C compiler and
-the Python headers; ``pip install`` or ``python3 setup.py build_ext
---inplace`` builds it.  Both backends give bit-identical results.  Set
-``OWPAN_KERNELS=pure`` or ``=native`` to force a backend (forcing
-``native`` raises if the extension is missing, instead of silently
-degrading).
+``ook_demodulate``, ``vppm_demodulate``, ``decode_words``,
+``encode_words`` and ``float_reprs`` (``_pure`` states their
+contracts).  The extension is ``_native.c``, one hand-written C file
+that needs only a C compiler and the Python headers; ``pip install`` or
+``python3 setup.py build_ext --inplace`` builds it.  Both backends give
+bit-identical results.  Set ``OWPAN_KERNELS=pure`` or ``=native`` to
+force a backend (forcing ``native`` raises if the extension is missing,
+instead of silently degrading).
 """
 
 from __future__ import annotations
@@ -47,3 +47,4 @@ ook_demodulate = _impl.ook_demodulate
 vppm_demodulate = _impl.vppm_demodulate
 decode_words = _impl.decode_words
 encode_words = _impl.encode_words
+float_reprs = _impl.float_reprs

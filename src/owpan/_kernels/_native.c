@@ -1,6 +1,7 @@
-/* Compiled codec hot loops: the native twin of owpan._kernels._pure.
+/* Compiled codec hot loops and CSV number text: the native twin of
+ * owpan._kernels._pure.
  *
- * The same seven callables with the same contract, bit for bit:
+ * The same eight callables with the same contract, bit for bit:
  *
  *   rs_encode_blocks(data, k)       systematic RS(15, k) over GF(16)
  *   rs_decode_blocks(code, k)       batched bounded-distance decoding
@@ -12,6 +13,7 @@
  *   encode_words(values, table, flips=None)
  *                                   table rows of values: line encoding,
  *                                   nibble packing and modulation
+ *   float_reprs(values)             repr of each float64, for the sweep CSV
  *
  * Inputs are read through the buffer protocol (PEP 3118); anything that
  * is not already a C-contiguous uint8 ndarray (float32 or float64, for
@@ -37,6 +39,11 @@
  * - encode_words copies each value's table row straight into the output,
  *   tracking the disparity in the same pass, where _pure takes the rows a
  *   block of values at a time after a prefix xor of the flips.
+ * - float_reprs finds each value's shortest round-trip digits with
+ *   Giulietti's Schubfach ("The Schubfach way to render doubles", 2020),
+ *   a few 128-bit multiplies against a table of powers of ten that it
+ *   computes on its first call, where _pure calls repr, whose dtoa
+ *   (Gay's) needs big-number arithmetic for most 17-digit values.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -51,8 +58,8 @@ static uint8_t EXP[30], LOG[16], MUL[16][16], INV[16];
 static uint64_t PARITY[N][16 * N];   /* PARITY[k]: k data symbols -> 15-k parity */
 static uint64_t SYNDROME[N][16 * N]; /* SYNDROME[nroots]: codeword -> S_1..S_nroots */
 
-static PyObject *np_empty, *np_ascontiguousarray, *np_ndarray, *dtype_u8, *dtype_bool, *dtype_f4,
-    *dtype_f8;
+static PyObject *np_empty, *np_asarray, *np_ascontiguousarray, *np_ndarray, *dtype_u8,
+    *dtype_bool, *dtype_f4, *dtype_f8;
 
 /* Tabulate x -> x @ mat for mat (m, r <= 16): see _pure._linear_map. */
 static void linear_map(uint64_t *table, const uint8_t *mat, int m, int r)
@@ -839,6 +846,269 @@ done:
     return out;
 }
 
+/* Shortest round-trip decimal of a double by Schubfach (Giulietti, "The
+   Schubfach way to render doubles", 2020), after Bolz's 128-bit version.
+   v = m2 * 2^e2 reads back from every decimal inside the rounding interval
+   between the midpoints to its neighbours, ends included when m2 is even,
+   as round-half-even reads them.  Scaled by 10^-k, with k = floor(log10
+   2^e2) (of 3/4 * 2^e2 at a power of two, whose lower gap is half), the
+   interval is 1 to 10 units wide: it holds at most one multiple of 10 and
+   at least one integer.  The answer is that multiple of 10, one digit
+   shorter, if there is one, else the integer inside nearest v, ties to
+   even.  The ends and v are computed in quarter units and rounded to odd,
+   which keeps every comparison with a multiple of 4 exact.  POW10[k] is
+   10^k to 128 significant bits, floor(10^k / 2^r) + 1 with r = floor(log2
+   10^k) - 127: an overestimate small enough, by Giulietti's proof, to leave
+   those comparisons unchanged. */
+#define POW10_MIN (-292)
+#define POW10_MAX 324
+static uint64_t POW10[POW10_MAX - POW10_MIN + 1][2]; /* {high, low} halves */
+
+/* floor(e * log10 2), floor(log10(3/4 * 2^e)) and floor(e * log2 10), exact
+   over the exponents used; >> on a negative int is gcc's arithmetic shift */
+static int floor_log10_pow2(int e)
+{
+    return (e * 1262611) >> 22;
+}
+
+static int floor_log10_three_quarters_pow2(int e)
+{
+    return (e * 1262611 - 524031) >> 22;
+}
+
+static int floor_log2_pow10(int e)
+{
+    return (e * 1741647) >> 19;
+}
+
+/* Bits [pos, pos + 32) of the little-endian integer a of n 32-bit limbs,
+   zero outside it; pos may be negative. */
+static uint32_t bits32(const uint32_t *a, int n, int pos)
+{
+    int limb = pos >= 0 ? pos / 32 : -((31 - pos) / 32), shift = pos - 32 * limb;
+    uint64_t lo = limb >= 0 && limb < n ? a[limb] : 0;
+    uint64_t hi = limb + 1 >= 0 && limb + 1 < n ? a[limb + 1] : 0;
+    return (uint32_t)((hi << 32 | lo) >> shift);
+}
+
+/* POW10[k] = floor(a / 2^pos) + 1, a holding 10^k or 2^-pos / 10^-k. */
+static void set_pow10(int k, const uint32_t *a, int n, int pos)
+{
+    uint64_t *g = POW10[k - POW10_MIN];
+    g[0] = (uint64_t)bits32(a, n, pos + 96) << 32 | bits32(a, n, pos + 64);
+    g[1] = ((uint64_t)bits32(a, n, pos + 32) << 32 | bits32(a, n, pos)) + 1;
+    g[0] += g[1] == 0;
+}
+
+/* Fill POW10 from the definition, once: 10^k exactly for k >= 0, and for
+   k < 0 floor(2^M / 10^-k), which dividing 2^M by 10 -k times gives exactly
+   (floor(floor(a / b) / c) = floor(a / (b c))).  M = 1100 > 127 - floor(log2
+   10^-292) keeps 128 bits of the smallest. */
+#define POW10_LIMBS 36
+static void init_pow10(void)
+{
+    static int done;
+    if (done)
+        return;
+    done = 1;
+    uint32_t a[POW10_LIMBS] = {1};
+    for (int k = 0; k <= POW10_MAX; k++) {
+        set_pow10(k, a, POW10_LIMBS, floor_log2_pow10(k) - 127);
+        uint64_t carry = 0;
+        for (int i = 0; i < POW10_LIMBS; i++, carry >>= 32)
+            a[i] = (uint32_t)(carry += (uint64_t)a[i] * 10);
+    }
+    memset(a, 0, sizeof a);
+    a[1100 / 32] = 1u << 1100 % 32;
+    for (int k = -1; k >= POW10_MIN; k--) {
+        uint64_t rem = 0;
+        for (int i = POW10_LIMBS - 1; i >= 0; i--) {
+            rem = rem << 32 | a[i];
+            a[i] = (uint32_t)(rem / 10);
+            rem %= 10;
+        }
+        set_pow10(k, a, POW10_LIMBS, 1100 + floor_log2_pow10(k) - 127);
+    }
+}
+
+/* floor(g * cp / 2^128) of the 192-bit product, with bit 0 set when its
+   bits 65..127 are not all zero: the bits below those, which g's excess
+   over the exact power alone can set, are not looked at */
+static uint64_t round_to_odd(const uint64_t *g, uint64_t cp)
+{
+    unsigned __int128 x = (unsigned __int128)g[1] * cp;
+    unsigned __int128 y = (unsigned __int128)g[0] * cp + (uint64_t)(x >> 64);
+    return (uint64_t)(y >> 64) | ((uint64_t)y > 1);
+}
+
+/* The shortest decimal digits * 10^exponent that reads back as the finite,
+   nonzero double of bits, the nearest such when several are that short;
+   digits may end in zeros.  Returns the exponent. */
+static int shortest_decimal(uint64_t bits, uint64_t *digits)
+{
+    uint64_t fraction = bits & ((1ULL << 52) - 1);
+    int biased = (int)(bits >> 52 & 0x7ff);
+    uint64_t m2 = biased ? fraction | 1ULL << 52 : fraction;
+    int e2 = biased ? biased - 1075 : -1074;
+    /* at a power of two the lower neighbour is half as far as the upper */
+    int closer = fraction == 0 && biased > 1, odd = (int)(m2 & 1);
+    int k = closer ? floor_log10_three_quarters_pow2(e2) : floor_log10_pow2(e2);
+    int h = e2 + floor_log2_pow10(-k) + 1; /* 1..4 */
+    const uint64_t *g = POW10[-k - POW10_MIN];
+    uint64_t vbl = round_to_odd(g, (4 * m2 - 2 + closer) << h);
+    uint64_t vb = round_to_odd(g, 4 * m2 << h);
+    uint64_t vbr = round_to_odd(g, (4 * m2 + 2) << h);
+    uint64_t lower = vbl + odd, upper = vbr - odd, s = vb / 4;
+    if (s >= 10) {
+        uint64_t sp = s / 10;
+        int up_inside = lower <= 40 * sp, wp_inside = 40 * sp + 40 <= upper;
+        if (up_inside != wp_inside) {
+            *digits = sp + wp_inside;
+            return k + 1;
+        }
+    }
+    int u_inside = lower <= 4 * s, w_inside = 4 * s + 4 <= upper;
+    if (u_inside != w_inside) {
+        *digits = s + w_inside;
+        return k;
+    }
+    uint64_t mid = 4 * s + 2;
+    *digits = s + (vb > mid || (vb == mid && (s & 1)));
+    return k;
+}
+
+/* repr(v) into buf (at most 24 bytes); returns its length.  Python's
+   rules: the shortest round-trip digits, in scientific notation when the
+   decimal exponent is below -4 or at least 16, with an exponent of at
+   least two digits, else in fixed notation with ".0" after an integer. */
+static int float_repr(double v, char *buf)
+{
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    char *p = buf;
+    if ((bits >> 52 & 0x7ff) == 0x7ff) {
+        if (bits << 12) {
+            memcpy(p, "nan", 3); /* whatever its sign */
+            return 3;
+        }
+        if (bits >> 63)
+            *p++ = '-';
+        memcpy(p, "inf", 3);
+        return (int)(p - buf) + 3;
+    }
+    if (bits >> 63)
+        *p++ = '-';
+    if ((bits << 1) == 0) {
+        memcpy(p, "0.0", 3);
+        return (int)(p - buf) + 3;
+    }
+    uint64_t f;
+    int e = shortest_decimal(bits, &f);
+    for (; f % 10 == 0; e++)
+        f /= 10;
+    char tmp[20], *d = tmp + sizeof tmp;
+    do
+        *--d = (char)('0' + f % 10);
+    while (f /= 10);
+    int n = (int)(tmp + sizeof tmp - d), point = n + e; /* v = 0.d * 10^point */
+    if (point <= -4 || point > 16) {
+        *p++ = d[0];
+        if (n > 1) {
+            *p++ = '.';
+            memcpy(p, d + 1, n - 1);
+            p += n - 1;
+        }
+        int x = point - 1;
+        *p++ = 'e';
+        *p++ = x < 0 ? '-' : '+';
+        x = x < 0 ? -x : x;
+        if (x >= 100)
+            *p++ = (char)('0' + x / 100);
+        *p++ = (char)('0' + x / 10 % 10);
+        *p++ = (char)('0' + x % 10);
+    } else if (point <= 0) {
+        memcpy(p, "0.000", 2 - point);
+        p += 2 - point;
+        memcpy(p, d, n);
+        p += n;
+    } else if (point >= n) {
+        memcpy(p, d, n);
+        memset(p + n, '0', point - n);
+        p += point;
+        memcpy(p, ".0", 2);
+        p += 2;
+    } else {
+        memcpy(p, d, point);
+        p[point] = '.';
+        memcpy(p + point + 1, d + point, n - point);
+        p += n + 1;
+    }
+    return (int)(p - buf);
+}
+
+/* Read values as a 1-D C-contiguous float64 buffer.  A float64 ndarray is
+   read in place; anything else goes through numpy.asarray, must have a
+   bool, integer or float dtype and one dimension, and is converted to
+   float64, as _pure._reals does. */
+static int get_reals(PyObject *obj, Py_buffer *view)
+{
+    if (Py_TYPE(obj) == (PyTypeObject *)np_ndarray &&
+        PyObject_GetBuffer(obj, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) == 0) {
+        if (view->ndim == 1 && view->format[0] == 'd' && !view->format[1])
+            return 0;
+        PyBuffer_Release(view);
+    }
+    PyErr_Clear();
+    PyObject *arr = PyObject_CallFunctionObjArgs(np_asarray, obj, NULL), *dtype = NULL,
+             *kind = NULL, *shape = NULL;
+    int rc = -1;
+    if (arr == NULL || !(dtype = PyObject_GetAttrString(arr, "dtype")) ||
+        !(kind = PyObject_GetAttrString(dtype, "kind")) ||
+        !(shape = PyObject_GetAttrString(arr, "shape")))
+        goto done;
+    const char *k = PyUnicode_AsUTF8(kind);
+    if (k == NULL)
+        goto done;
+    if (!k[0] || k[1] || !strchr("biuf", k[0]))
+        PyErr_Format(PyExc_ValueError, "values must be real numbers, got dtype %S", dtype);
+    else if (PyTuple_GET_SIZE(shape) != 1)
+        PyErr_Format(PyExc_ValueError, "values must be 1-D, got shape %S", shape);
+    else
+        rc = get_array(arr, view, "d", dtype_f8);
+done:
+    Py_XDECREF(arr);
+    Py_XDECREF(dtype);
+    Py_XDECREF(kind);
+    Py_XDECREF(shape);
+    return rc;
+}
+
+static PyObject *float_reprs(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"values", NULL};
+    PyObject *obj, *out;
+    Py_buffer in;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O", kwlist, &obj) || get_reals(obj, &in))
+        return NULL;
+    init_pow10();
+    const double *v = in.buf;
+    Py_ssize_t n = in.shape[0];
+    if ((out = PyList_New(n)) != NULL)
+        for (Py_ssize_t i = 0; i < n; i++) {
+            char buf[32];
+            int len = float_repr(v[i], buf);
+            PyObject *text = PyUnicode_New(len, 127);
+            if (text == NULL) {
+                Py_CLEAR(out);
+                break;
+            }
+            memcpy(PyUnicode_1BYTE_DATA(text), buf, len);
+            PyList_SET_ITEM(out, i, text);
+        }
+    PyBuffer_Release(&in);
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"rs_encode_blocks", (PyCFunction)(void (*)(void))rs_encode_blocks,
      METH_VARARGS | METH_KEYWORDS,
@@ -861,6 +1131,8 @@ static PyMethodDef methods[] = {
     {"encode_words", (PyCFunction)(void (*)(void))encode_words, METH_VARARGS | METH_KEYWORDS,
      "table[values] flattened to 1-D in table's dtype; with flips, row len(flips) * neg +\n"
      "value, with the running neg that flips toggles."},
+    {"float_reprs", (PyCFunction)(void (*)(void))float_reprs, METH_VARARGS | METH_KEYWORDS,
+     "[repr(v) for v in values], values 1-D and real, read as float64."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -877,10 +1149,11 @@ PyMODINIT_FUNC PyInit__native(void)
         return NULL;
     PyObject *dtype = PyObject_GetAttrString(np, "dtype");
     np_empty = PyObject_GetAttrString(np, "empty");
+    np_asarray = PyObject_GetAttrString(np, "asarray");
     np_ascontiguousarray = PyObject_GetAttrString(np, "ascontiguousarray");
     np_ndarray = PyObject_GetAttrString(np, "ndarray");
     Py_DECREF(np);
-    if (dtype == NULL || !np_empty || !np_ascontiguousarray || !np_ndarray)
+    if (dtype == NULL || !np_empty || !np_asarray || !np_ascontiguousarray || !np_ndarray)
         return NULL;
     dtype_u8 = PyObject_CallFunction(dtype, "s", "u1");
     dtype_bool = PyObject_CallFunction(dtype, "s", "?");

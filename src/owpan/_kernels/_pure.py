@@ -1,8 +1,8 @@
-"""Pure-numpy implementations of the codec hot loops.
+"""Pure-numpy implementations of the codec hot loops and the CSV number text.
 
 These are the fallback for :mod:`owpan._kernels._native`, compiled from
 the hand-written ``_native.c``, and the readable reference that kernel
-must match bit for bit.  Both backends expose the same seven callables:
+must match bit for bit.  Both backends expose the same eight callables:
 
 * ``rs_encode_blocks(data, k)``   -- systematic RS(15, k) over GF(16)
 * ``rs_decode_blocks(code, k)``   -- batched bounded-distance decoding
@@ -13,6 +13,7 @@ must match bit for bit.  Both backends expose the same seven callables:
                                   -- table-driven line decoding
 * ``encode_words(values, table, flips=None)``
                                   -- table-driven line encoding and modulation
+* ``float_reprs(values)``         -- ``repr`` of each float, for the sweep CSV
 
 The decoders convert their arrays to uint8 and raise ``ValueError`` for a
 shape, ``k``, symbol or observation outside the contract; a failed RS row
@@ -46,6 +47,12 @@ entries as ``table`` has rows, row ``len(flips) * neg + v`` for each value
 ``v``, ``neg`` running as in ``decode_words``.  It reads ``values`` and
 ``flips`` as uint8 and raises ``ValueError`` for a value past the rows
 (past ``flips``) or a table or ``flips`` outside the contract.
+
+``float_reprs`` returns ``[repr(v) for v in values]``: Python's shortest
+round-trip text of each value, in the notation ``repr`` picks.  It reads
+``values`` with ``numpy.asarray`` and raises ``ValueError`` unless the
+result is 1-D with a bool, integer or float dtype, which it converts to
+float64.
 
 The RS routines are vectorized across the block axis, the Viterbi routine
 across the trellis states, so the Python-level loop count of a call does
@@ -538,6 +545,28 @@ def encode_words(values, table, flips=None):
         if flips.ndim != 1 or 2 * flips.size != len(table):
             raise ValueError("flips must have half as many entries as table has rows")
     size = len(table) if flips is None else flips.size
+    if flips is None and values.size <= _BLOCK:
+        # take's own bounds check stands in for a max reduction
+        try:
+            return table.take(values, axis=0).ravel()
+        except IndexError:
+            raise ValueError(f"values must lie in 0..{size - 1}") from None
     if values.size and np.maximum.reduce(values) >= size:
         raise ValueError(f"values must lie in 0..{size - 1}")
     return _take(table, values if flips is None else _running(values, flips, size)).ravel()
+
+
+def _reals(values) -> np.ndarray:
+    """``values`` as a 1-D float64 array, from any 1-D bool, integer or
+    float array-like."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biuf":
+        raise ValueError(f"values must be real numbers, got dtype {values.dtype}")
+    if values.ndim != 1:
+        raise ValueError(f"values must be 1-D, got shape {values.shape}")
+    return values.astype(np.float64, copy=False)
+
+
+def float_reprs(values):
+    """``[repr(v) for v in values]``."""
+    return list(map(repr, _reals(values).tolist()))

@@ -18,7 +18,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .channels import _first_bad, diffuse_gain, fso_gain, los_gain
-from .params import LinkBudgetParams
+from .params import LinkBudgetParams, _real
 
 __all__ = [
     "CSV_HEADER",
@@ -89,14 +89,35 @@ class CapacityCurve:
     fixed_params: LinkBudgetParams
 
     def __post_init__(self) -> None:
-        if len(self.x) != len(self.capacity_bps):
+        # stored as Python floats, as LinkBudgetParams stores its numbers, so
+        # the CSV shows a numpy scalar or a bool as the number it stands for;
+        # a sweep's own tuples of floats are kept as they are
+        alpha, x, caps = self.alpha_db_per_km, self.x, self.capacity_bps
+        if type(alpha) is not float or not (_all_floats(x) and _all_floats(caps)):
+            try:
+                alpha, x, caps = _real(alpha), tuple(map(_real, x)), tuple(map(_real, caps))
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(
+                    "alpha_db_per_km, x and capacity_bps must be real numbers"
+                ) from None
+            object.__setattr__(self, "alpha_db_per_km", alpha)
+            object.__setattr__(self, "x", x)
+            object.__setattr__(self, "capacity_bps", caps)
+        if len(x) != len(caps):
             raise ValueError("x and capacity_bps must have equal length")
-        if any(map(operator.gt, self.x, self.x[1:])):
+        # a stable sort leaves a non-decreasing grid as it is
+        if sorted(x) != list(x):
             raise ValueError("sweep grid must be non-decreasing")
-        caps = self.capacity_bps
-        # finiteness first, so a NaN never reaches min()
-        if not all(map(math.isfinite, caps)) or (caps and min(caps) < 0.0):
+        # a sum of finite capacities is finite unless it overflows; finiteness
+        # is settled before min(), which a NaN would confuse
+        finite = math.isfinite(sum(caps)) or all(map(math.isfinite, caps))
+        if not finite or (caps and min(caps) < 0.0):
             raise ValueError("capacities must be finite and non-negative")
+
+
+def _all_floats(values) -> bool:
+    """Whether ``values`` is a tuple of Python floats, subclasses excluded."""
+    return type(values) is tuple and list(map(type, values)).count(float) == len(values)
 
 
 def electrical_snr(
@@ -256,17 +277,28 @@ def write_curves_csv(curves: Iterable[CapacityCurve], stream: IO[str]) -> None:
 
     Every number is Python's ``repr``, the shortest text that parses back
     to the same float, so a reader recovers each curve exactly; the bytes
-    are pinned by digests in ``tests/test_cli.py``.  Each curve goes out
-    in one ``stream.write``.  The grid text is reused while consecutive
+    are pinned by digests in ``tests/test_cli.py``.  The texts come from
+    the ``float_reprs`` kernel, and each curve goes out in one
+    ``stream.write``.  The grid's texts are reused while consecutive
     curves share one ``x`` tuple, as a sweep's curves do.
     """
+    # imported here, so that importing owpan loads no kernel backend
+    from . import _kernels
+
+    def texts(values):
+        return _kernels.float_reprs(np.fromiter(values, float, len(values)))
+
     stream.write(CSV_HEADER + "\n")
     x = x_text = None
     for curve in curves:
         if curve.x is not x:
             x = curve.x
-            x_text = [f"{v!r}," for v in x]
-        alpha = f"{curve.alpha_db_per_km!r},"
-        stream.write(
-            "".join([f"{xv}{alpha}{c!r}\n" for xv, c in zip(x_text, curve.capacity_bps)])
-        )
+            x_text = texts(x)
+        # one kernel call for the capacities and, last, the alpha
+        caps = texts((*curve.capacity_bps, curve.alpha_db_per_km))
+        alpha = caps.pop()
+        # the x, alpha, capacity and newline columns of the rows, joined at once
+        cells = [None, f",{alpha},", None, "\n"] * len(x)
+        cells[0::4] = x_text
+        cells[2::4] = caps
+        stream.write("".join(cells))

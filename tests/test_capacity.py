@@ -593,3 +593,60 @@ class TestCurveValidation:
                 capacity_bps=(1.0,),
                 fixed_params=LinkBudgetParams(),
             )
+
+
+class TestCurveStoresFloats:
+    """A curve holds Python floats whatever real numbers it was built from,
+    so every CSV cell parses as a number."""
+
+    def test_numpy_scalars_ints_and_bools_become_floats(self):
+        curve = CapacityCurve(
+            SweepVariable.SPAN_M,
+            np.float64(5.0),
+            (np.float64(0.0), 1, np.int64(2)),
+            (np.float32(0.1), 2, True),
+            LinkBudgetParams(),
+        )
+        values = (curve.alpha_db_per_km, *curve.x, *curve.capacity_bps)
+        assert [type(v) for v in values] == [float] * 7
+        assert type(curve.x) is type(curve.capacity_bps) is tuple
+        buf = io.StringIO()
+        write_curves_csv([curve], buf)
+        assert buf.getvalue().splitlines()[1:] == [
+            "0.0,5.0,0.10000000149011612",
+            "1.0,5.0,2.0",
+            "2.0,5.0,1.0",
+        ]
+
+    def test_tuples_of_numpy_floats_become_floats(self):
+        # np.float64 subclasses float, yet writes as np.float64(...)
+        curve = _curve(tuple(np.linspace(0.0, 1.0, 3)), tuple(np.array([3.0, 2.0, 1.0])))
+        assert [type(v) for v in curve.x + curve.capacity_bps] == [float] * 6
+
+    def test_lists_become_tuples_and_a_sweep_keeps_its_tuples(self):
+        curve = _curve([0.0, 1.0], [3.0, 2.0])
+        assert curve.x == (0.0, 1.0) and curve.capacity_bps == (3.0, 2.0)
+        x, caps = (0.5, 1.5), (4.0, 3.0)
+        curve = _curve(x, caps)
+        assert curve.x is x and curve.capacity_bps is caps
+
+    @pytest.mark.parametrize(
+        "alpha,x,caps",
+        [
+            ("5", (0.0,), (1.0,)),
+            (5.0, ("0.5", 1.0), (1.0, 2.0)),
+            (5.0, (0.0, 1.0), (1.0, None)),
+            (5.0, (0.0,), (1j,)),
+            (5.0, (0.0,), (np.complex128(1.0),)),
+            (5.0, 0.0, 1.0),
+            (None, (0.0,), (1.0,)),
+        ],
+    )
+    def test_rejects_values_that_are_no_real_numbers(self, alpha, x, caps):
+        with pytest.raises(
+            ValueError, match="^alpha_db_per_km, x and capacity_bps must be real numbers$"
+        ):
+            CapacityCurve(SweepVariable.SPAN_M, alpha, x, caps, LinkBudgetParams())
+
+    def test_a_capacity_sum_past_the_largest_float_is_no_infinity(self):
+        assert _curve((0.0, 1.0), (1e308, 1e308)).capacity_bps == (1e308, 1e308)

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import math
 import os
 import re
 import shutil
@@ -9,6 +10,7 @@ import sys
 import sysconfig
 import tracemalloc
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -145,9 +147,9 @@ def test_full_frame_chain_backend_independent(mode, monkeypatch):
 # compare-and-sum Viterbi, the block-wise numpy demodulators and the
 # matmul-and-take line decoders, which the frame chain called directly
 # before they became kernels, and the blocked take of the line encoders and
-# modulators, likewise) on the seeded inputs built below, with numpy 2.4
-# (decode_words' digest also equals _word_oracle's, encode_words' that of
-# _encode_oracle):
+# modulators, likewise, and Python's repr for float_reprs) on the seeded
+# inputs built below, with numpy 2.4 (decode_words' digest also equals
+# _word_oracle's, encode_words' that of _encode_oracle):
 # a numpy release that changes the streams of its seeded Generator changes
 # the inputs, and the digests must then be recorded again from that code.
 # The tests are named for the pure reference and run on every importable
@@ -163,6 +165,7 @@ _PINNED = {
     "vppm_demodulate": "b0bc34dfaa556aa27186c6e14a45be4b51a17d3fd5cb635cc6ab98934a49d472",
     "decode_words": "72e0660f449a4933148ac7aa748929be5a6c4e7598d219ffb9a8dc7e198ff2e6",
     "encode_words": "f6c50205d38f4c72b4666941b7bd69cd4815d7738b2e43a1babdebe26f188977",
+    "float_reprs": "50a0bb3c358849c8462dd94ed289089e7f1fa73127489065e14ff3910f66a54c",
 }
 
 
@@ -404,6 +407,18 @@ def _pinned_encode_words(backend):
     return h.hexdigest()
 
 
+def _pinned_float_reprs(backend):
+    h = hashlib.sha256()
+    rng = np.random.default_rng(909)
+    for n in (0, 1, 5, 999, 20_000):
+        values = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+        h.update("\n".join(backend.float_reprs(values)).encode() + b"\0")
+    # short decimals: integers below 10^10 times each power of ten in range
+    values = rng.integers(1, 10**10, 628) * 10.0 ** np.arange(-330, 298)
+    h.update("\n".join(backend.float_reprs(values)).encode())
+    return h.hexdigest()
+
+
 _PINNED_FNS = {
     "viterbi_r13": lambda backend: _pinned_viterbi(backend, _TABLE_R13),
     "viterbi_r14": lambda backend: _pinned_viterbi(backend, _TABLE_R14),
@@ -413,6 +428,7 @@ _PINNED_FNS = {
     "vppm_demodulate": _pinned_vppm_demodulate,
     "decode_words": _pinned_decode_words,
     "encode_words": _pinned_encode_words,
+    "float_reprs": _pinned_float_reprs,
 }
 
 
@@ -717,6 +733,114 @@ def test_encode_words_reads_values_and_flips_as_uint8_and_keeps_the_table(backen
     assert got.dtype == np.float32 and got.tobytes() == expected.tobytes()
 
 
+# --- the sweep CSV's number text ---------------------------------------------
+#
+# float_reprs(values) is [repr(v) for v in values]: the shortest digits that
+# read back as the same double, the nearest of them when several do, in
+# scientific notation below 1e-4 and from 1e16 on, else in fixed notation.
+
+
+def _assert_reprs(backend, values, expected=None):
+    """``backend.float_reprs(values)`` is ``repr`` of each float64 value;
+    a failure names the first few texts that differ, not a 10^6-line diff."""
+    values = np.asarray(values, dtype=np.float64)
+    if expected is None:
+        expected = list(map(repr, values.tolist()))
+    got = backend.float_reprs(values)
+    assert type(got) is list and len(got) == len(expected)
+    differ = [(e, g) for e, g in zip(expected, got) if e != g]
+    assert not differ, differ[:5]
+
+
+@cache
+def _random_doubles():
+    """10^6 seeded random 64-bit patterns as doubles (NaNs and infinities
+    among them), and their reprs: made once for all backends."""
+    rng = np.random.default_rng(909)
+    values = rng.integers(0, 2**64, 10**6, dtype=np.uint64).view(np.float64)
+    return values, list(map(repr, values.tolist()))
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=[b.BACKEND for b in BACKENDS])
+def test_float_reprs_equal_repr_on_random_bit_patterns(backend):
+    _assert_reprs(backend, *_random_doubles())
+
+
+def _with_neighbours(values):
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([values, np.nextafter(values, np.inf), np.nextafter(values, -np.inf)])
+
+
+_EDGE_VALUES = {
+    # 2^-1074 (the smallest subnormal) to 2^1023, one per binade
+    "powers-of-two": _with_neighbours(np.ldexp(1.0, np.arange(-1074, 1024))),
+    "powers-of-ten": _with_neighbours([float(f"1e{e}") for e in range(-323, 309)]),
+    "near-2**53": 2.0**53 + np.arange(-4096.0, 4097.0),
+    # steps of 2^-k above 2^(52-k): among them 2^50 + 0.25, whose exact
+    # 18 digits end in 5, so two 17-digit texts tie and the even one wins
+    "halfway": np.ldexp(2.0**52 + np.arange(4096.0), -np.arange(1, 12)[:, None]).ravel(),
+    "negative": -_with_neighbours(np.ldexp(1.0, np.arange(-1074, 1024, 7))),
+}
+
+
+@pytest.mark.parametrize("backend,name", _on_backends(list(_EDGE_VALUES), list(_EDGE_VALUES)))
+def test_float_reprs_equal_repr_at_powers_and_their_neighbours(backend, name):
+    _assert_reprs(backend, _EDGE_VALUES[name])
+
+
+# (value, text): the notation switches, the extremes and the non-numbers
+_EXACT_TEXTS = [
+    (9999999999999998.0, "9999999999999998.0"),
+    (1e16, "1e+16"),
+    (0.0001, "0.0001"),
+    (1e-05, "1e-05"),
+    (123.0, "123.0"),
+    (0.1, "0.1"),
+    (5e-324, "5e-324"),
+    (sys.float_info.max, "1.7976931348623157e+308"),
+    (0.0, "0.0"),
+    (-0.0, "-0.0"),
+    (math.inf, "inf"),
+    (-math.inf, "-inf"),
+    (math.nan, "nan"),
+    (-math.nan, "nan"),
+]
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=[b.BACKEND for b in BACKENDS])
+def test_float_reprs_at_notation_switches_and_extremes(backend):
+    values, texts = zip(*_EXACT_TEXTS)
+    assert backend.float_reprs(np.array(values)) == list(texts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), max_size=40))
+def test_float_reprs_equal_repr_on_any_floats(values):
+    for backend in BACKENDS:
+        _assert_reprs(backend, values)
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=[b.BACKEND for b in BACKENDS])
+def test_float_reprs_read_any_real_array_as_float64(backend):
+    """Lists, tuples, strided, big-endian, float32, integer and bool arrays
+    are read as their float64 conversion."""
+    f = np.random.default_rng(910).normal(size=40) * 10.0 ** np.arange(-20, 20)
+    readonly = f.copy()
+    readonly.flags.writeable = False
+    for values in (
+        f.tolist(), tuple(f.tolist()), [], f[::3], readonly, f.astype(">f8"), f.astype(np.float32),
+        np.arange(-5, 5), np.array([True, False]), np.arange(3, dtype=np.uint64) + 2**63,
+    ):
+        _assert_reprs(backend, values)
+
+
+def test_importing_owpan_loads_no_kernel_backend(run_fresh):
+    """The CSV writer imports the kernels when it first runs, so ``import
+    owpan`` loads neither backend and builds none of their tables."""
+    script = "import sys, owpan\nprint([m for m in sys.modules if m.startswith('owpan._k')])\n"
+    assert run_fresh(script).strip() == "[]"
+
+
 @pytest.mark.skipif(_kernels.BACKEND != "native", reason="the native backend is not in use")
 def test_native_frame_chain_does_not_import_pure(run_fresh):
     script = (
@@ -911,6 +1035,23 @@ _CONTRACT_ERRORS = {
             np.zeros(3, np.uint8), line_codes._ENC_CHIPS, line_codes._ENC_FLIP[None]
         ),
         "flips must have half as many entries as table has rows",
+    ),
+    "reprs-2d": (
+        lambda m: m.float_reprs(np.zeros((2, 3))),
+        "values must be 1-D, got shape (2, 3)",
+    ),
+    "reprs-scalar": (lambda m: m.float_reprs(1.5), "values must be 1-D, got shape ()"),
+    "reprs-text": (
+        lambda m: m.float_reprs(["1.5", "2"]),
+        "values must be real numbers, got dtype <U3",
+    ),
+    "reprs-complex": (
+        lambda m: m.float_reprs(np.zeros(2, complex)),
+        "values must be real numbers, got dtype complex128",
+    ),
+    "reprs-object": (
+        lambda m: m.float_reprs([1.0, None]),
+        "values must be real numbers, got dtype object",
     ),
 }
 
