@@ -5,12 +5,14 @@ when it is available, else to the pure-numpy fallback:
 ``rs_encode_blocks``, ``rs_decode_blocks``, ``viterbi_decode``,
 ``ook_demodulate``, ``vppm_demodulate``, ``decode_words``,
 ``encode_words`` and ``float_reprs`` (``_pure`` states their
-contracts).  The extension is ``_native.c``, one hand-written C file
-that needs only a C compiler and the Python headers; ``pip install`` or
-``python3 setup.py build_ext --inplace`` builds it.  Both backends give
-bit-identical results.  Set ``OWPAN_KERNELS=pure`` or ``=native`` to
-force a backend (forcing ``native`` raises if the extension is missing,
-instead of silently degrading).
+contracts).  The first seven convert their inputs to numpy arrays;
+``float_reprs`` reads only a list or tuple of Python floats, as a
+capacity curve holds.  The extension is ``_native.c``, one hand-written
+C file that needs only a C compiler and the Python headers;
+``pip install`` or ``python3 setup.py build_ext --inplace`` builds it.
+Both backends give bit-identical results.  Set ``OWPAN_KERNELS=pure``
+or ``=native`` to force a backend (forcing ``native`` raises if the
+extension is missing, instead of silently degrading).
 """
 
 from __future__ import annotations

@@ -13,14 +13,16 @@
  *   encode_words(values, table, flips=None)
  *                                   table rows of values: line encoding,
  *                                   nibble packing and modulation
- *   float_reprs(values)             repr of each float64, for the sweep CSV
+ *   float_reprs(values)             repr of each float, for the sweep CSV
  *
  * Inputs are read through the buffer protocol (PEP 3118); anything that
  * is not already a C-contiguous uint8 ndarray (float32 or float64, for
  * the demodulators) goes through numpy.ascontiguousarray(x, dtype) first,
  * dtype uint8 (float64), as in _pure; encode_words' table keeps its own
- * dtype.  Outputs are made with numpy.empty, so neither the numpy C API
- * nor Cython is needed.  The design follows Karn's libfec:
+ * dtype.  float_reprs alone reads no buffer: it takes the list or tuple
+ * of exact Python floats that a capacity curve holds, and raises for
+ * anything else.  Outputs are made with numpy.empty, so neither the numpy
+ * C API nor Cython is needed.  The design follows Karn's libfec:
  *
  * - RS parity and syndromes are the packed GF(16)-linear maps of _pure:
  *   entry 16*j + v holds v times row j, one symbol per nibble of a
@@ -58,7 +60,7 @@ static uint8_t EXP[30], LOG[16], MUL[16][16], INV[16];
 static uint64_t PARITY[N][16 * N];   /* PARITY[k]: k data symbols -> 15-k parity */
 static uint64_t SYNDROME[N][16 * N]; /* SYNDROME[nroots]: codeword -> S_1..S_nroots */
 
-static PyObject *np_empty, *np_asarray, *np_ascontiguousarray, *np_ndarray, *dtype_u8,
+static PyObject *np_empty, *np_ascontiguousarray, *np_ndarray, *dtype_u8,
     *dtype_bool, *dtype_f4, *dtype_f8;
 
 /* Tabulate x -> x @ mat for mat (m, r <= 16): see _pure._linear_map. */
@@ -1046,67 +1048,41 @@ static int float_repr(double v, char *buf)
     return (int)(p - buf);
 }
 
-/* Read values as a 1-D C-contiguous float64 buffer.  A float64 ndarray is
-   read in place; anything else goes through numpy.asarray, must have a
-   bool, integer or float dtype and one dimension, and is converted to
-   float64, as _pure._reals does. */
-static int get_reals(PyObject *obj, Py_buffer *view)
-{
-    if (Py_TYPE(obj) == (PyTypeObject *)np_ndarray &&
-        PyObject_GetBuffer(obj, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) == 0) {
-        if (view->ndim == 1 && view->format[0] == 'd' && !view->format[1])
-            return 0;
-        PyBuffer_Release(view);
-    }
-    PyErr_Clear();
-    PyObject *arr = PyObject_CallFunctionObjArgs(np_asarray, obj, NULL), *dtype = NULL,
-             *kind = NULL, *shape = NULL;
-    int rc = -1;
-    if (arr == NULL || !(dtype = PyObject_GetAttrString(arr, "dtype")) ||
-        !(kind = PyObject_GetAttrString(dtype, "kind")) ||
-        !(shape = PyObject_GetAttrString(arr, "shape")))
-        goto done;
-    const char *k = PyUnicode_AsUTF8(kind);
-    if (k == NULL)
-        goto done;
-    if (!k[0] || k[1] || !strchr("biuf", k[0]))
-        PyErr_Format(PyExc_ValueError, "values must be real numbers, got dtype %S", dtype);
-    else if (PyTuple_GET_SIZE(shape) != 1)
-        PyErr_Format(PyExc_ValueError, "values must be 1-D, got shape %S", shape);
-    else
-        rc = get_array(arr, view, "d", dtype_f8);
-done:
-    Py_XDECREF(arr);
-    Py_XDECREF(dtype);
-    Py_XDECREF(kind);
-    Py_XDECREF(shape);
-    return rc;
-}
-
+/* values must be a list or tuple of exact Python floats, as the curves of
+   owpan.capacity hold: each item is read in place with PyFloat_AS_DOUBLE,
+   with no buffer and no numpy call.  Making a str runs no Python code, so
+   a list cannot change while its texts are made. */
 static PyObject *float_reprs(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"values", NULL};
-    PyObject *obj, *out;
-    Py_buffer in;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O", kwlist, &obj) || get_reals(obj, &in))
+    PyObject *obj, *out = NULL;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O", kwlist, &obj))
+        return NULL;
+    if (!PyList_Check(obj) && !PyTuple_Check(obj))
+        goto bad;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(obj);
+    if ((out = PyList_New(n)) == NULL)
         return NULL;
     init_pow10();
-    const double *v = in.buf;
-    Py_ssize_t n = in.shape[0];
-    if ((out = PyList_New(n)) != NULL)
-        for (Py_ssize_t i = 0; i < n; i++) {
-            char buf[32];
-            int len = float_repr(v[i], buf);
-            PyObject *text = PyUnicode_New(len, 127);
-            if (text == NULL) {
-                Py_CLEAR(out);
-                break;
-            }
-            memcpy(PyUnicode_1BYTE_DATA(text), buf, len);
-            PyList_SET_ITEM(out, i, text);
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *item = PySequence_Fast_GET_ITEM(obj, i);
+        if (!PyFloat_CheckExact(item))
+            goto bad;
+        char buf[32];
+        int len = float_repr(PyFloat_AS_DOUBLE(item), buf);
+        PyObject *text = PyUnicode_New(len, 127);
+        if (text == NULL) {
+            Py_DECREF(out);
+            return NULL;
         }
-    PyBuffer_Release(&in);
+        memcpy(PyUnicode_1BYTE_DATA(text), buf, len);
+        PyList_SET_ITEM(out, i, text);
+    }
     return out;
+bad:
+    Py_XDECREF(out);
+    PyErr_SetString(PyExc_ValueError, "values must be a list or tuple of floats");
+    return NULL;
 }
 
 static PyMethodDef methods[] = {
@@ -1132,7 +1108,7 @@ static PyMethodDef methods[] = {
      "table[values] flattened to 1-D in table's dtype; with flips, row len(flips) * neg +\n"
      "value, with the running neg that flips toggles."},
     {"float_reprs", (PyCFunction)(void (*)(void))float_reprs, METH_VARARGS | METH_KEYWORDS,
-     "[repr(v) for v in values], values 1-D and real, read as float64."},
+     "[repr(v) for v in values], values a list or tuple of floats."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1149,11 +1125,10 @@ PyMODINIT_FUNC PyInit__native(void)
         return NULL;
     PyObject *dtype = PyObject_GetAttrString(np, "dtype");
     np_empty = PyObject_GetAttrString(np, "empty");
-    np_asarray = PyObject_GetAttrString(np, "asarray");
     np_ascontiguousarray = PyObject_GetAttrString(np, "ascontiguousarray");
     np_ndarray = PyObject_GetAttrString(np, "ndarray");
     Py_DECREF(np);
-    if (dtype == NULL || !np_empty || !np_asarray || !np_ascontiguousarray || !np_ndarray)
+    if (dtype == NULL || !np_empty || !np_ascontiguousarray || !np_ndarray)
         return NULL;
     dtype_u8 = PyObject_CallFunction(dtype, "s", "u1");
     dtype_bool = PyObject_CallFunction(dtype, "s", "?");

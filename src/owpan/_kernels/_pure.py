@@ -49,10 +49,10 @@ entries as ``table`` has rows, row ``len(flips) * neg + v`` for each value
 (past ``flips``) or a table or ``flips`` outside the contract.
 
 ``float_reprs`` returns ``[repr(v) for v in values]``: Python's shortest
-round-trip text of each value, in the notation ``repr`` picks.  It reads
-``values`` with ``numpy.asarray`` and raises ``ValueError`` unless the
-result is 1-D with a bool, integer or float dtype, which it converts to
-float64.
+round-trip text of each value, in the notation ``repr`` picks.  ``values``
+must be a list or tuple of Python floats, as a capacity curve holds, and
+anything else raises ``ValueError``: an array, an iterator, or an item
+that is an int, a bool or a float subclass such as ``numpy.float64``.
 
 The RS routines are vectorized across the block axis, the Viterbi routine
 across the trellis states, so the Python-level loop count of a call does
@@ -556,17 +556,9 @@ def encode_words(values, table, flips=None):
     return _take(table, values if flips is None else _running(values, flips, size)).ravel()
 
 
-def _reals(values) -> np.ndarray:
-    """``values`` as a 1-D float64 array, from any 1-D bool, integer or
-    float array-like."""
-    values = np.asarray(values)
-    if values.dtype.kind not in "biuf":
-        raise ValueError(f"values must be real numbers, got dtype {values.dtype}")
-    if values.ndim != 1:
-        raise ValueError(f"values must be 1-D, got shape {values.shape}")
-    return values.astype(np.float64, copy=False)
-
-
 def float_reprs(values):
-    """``[repr(v) for v in values]``."""
-    return list(map(repr, _reals(values).tolist()))
+    """``[repr(v) for v in values]``, ``values`` a list or tuple of floats."""
+    # type(), not isinstance(): the native kernel reads exact floats only
+    if not isinstance(values, (list, tuple)) or list(map(type, values)).count(float) < len(values):
+        raise ValueError("values must be a list or tuple of floats")
+    return list(map(repr, values))

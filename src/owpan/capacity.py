@@ -63,6 +63,12 @@ class SweepSpec:
             object.__setattr__(self, "points", operator.index(self.points))
         except TypeError:
             raise ValueError(f"points must be an integer, got {self.points!r}") from None
+        # stored as Python floats, as LinkBudgetParams stores its numbers
+        for end in ("start", "stop"):
+            try:
+                object.__setattr__(self, end, _real(getattr(self, end)))
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(f"{end} must be a number, got {getattr(self, end)!r}") from None
         if self.points < 2:
             raise ValueError(f"need at least 2 grid points, got {self.points!r}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
@@ -105,11 +111,13 @@ class CapacityCurve:
             object.__setattr__(self, "capacity_bps", caps)
         if len(x) != len(caps):
             raise ValueError("x and capacity_bps must have equal length")
+        # a sum of finite values is finite unless it overflows; finiteness is
+        # settled before sorted() and min(), which a NaN would confuse
+        if not (math.isfinite(sum(x)) or all(map(math.isfinite, x))):
+            raise ValueError("sweep grid must be finite")
         # a stable sort leaves a non-decreasing grid as it is
         if sorted(x) != list(x):
             raise ValueError("sweep grid must be non-decreasing")
-        # a sum of finite capacities is finite unless it overflows; finiteness
-        # is settled before min(), which a NaN would confuse
         finite = math.isfinite(sum(caps)) or all(map(math.isfinite, caps))
         if not finite or (caps and min(caps) < 0.0):
             raise ValueError("capacities must be finite and non-negative")
@@ -278,24 +286,23 @@ def write_curves_csv(curves: Iterable[CapacityCurve], stream: IO[str]) -> None:
     Every number is Python's ``repr``, the shortest text that parses back
     to the same float, so a reader recovers each curve exactly; the bytes
     are pinned by digests in ``tests/test_cli.py``.  The texts come from
-    the ``float_reprs`` kernel, and each curve goes out in one
+    the ``float_reprs`` kernel, which takes only a list or tuple of Python
+    floats: a :class:`CapacityCurve` stores its numbers as tuples of
+    exactly those, so they go to the kernel as they are.  Each curve goes out in one
     ``stream.write``.  The grid's texts are reused while consecutive
     curves share one ``x`` tuple, as a sweep's curves do.
     """
     # imported here, so that importing owpan loads no kernel backend
-    from . import _kernels
-
-    def texts(values):
-        return _kernels.float_reprs(np.fromiter(values, float, len(values)))
+    from ._kernels import float_reprs
 
     stream.write(CSV_HEADER + "\n")
     x = x_text = None
     for curve in curves:
         if curve.x is not x:
             x = curve.x
-            x_text = texts(x)
+            x_text = float_reprs(x)
         # one kernel call for the capacities and, last, the alpha
-        caps = texts((*curve.capacity_bps, curve.alpha_db_per_km))
+        caps = float_reprs((*curve.capacity_bps, curve.alpha_db_per_km))
         alpha = caps.pop()
         # the x, alpha, capacity and newline columns of the rows, joined at once
         cells = [None, f",{alpha},", None, "\n"] * len(x)

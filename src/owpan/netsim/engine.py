@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import partial
 from random import Random
 
-from .topology import Topology, _as_integer
+from .topology import Topology, _as_integer, _as_real
 
 __all__ = [
     "FlowSpec",
@@ -94,14 +94,15 @@ class FlowSpec:
         )
         if self.packet_bytes < 1:
             raise SimulationError(f"flow {self.name}: packet_bytes must be >= 1")
-        if not self.start >= 0:
-            raise SimulationError(f"flow {self.name}: start time must be >= 0, got {self.start}")
-        if self.rate_bps is not None and not self.rate_bps > 0:
-            raise SimulationError(f"flow {self.name}: rate must be positive or saturating")
-        # a numpy float would reach the simulator's CSV as np.float64(...)
-        object.__setattr__(self, "start", float(self.start))
+        start = _as_real(self.start, f"flow {self.name}: start time", SimulationError)
+        object.__setattr__(self, "start", start)
+        if not start >= 0:
+            raise SimulationError(f"flow {self.name}: start time must be >= 0, got {start}")
         if self.rate_bps is not None:
-            object.__setattr__(self, "rate_bps", float(self.rate_bps))
+            rate = _as_real(self.rate_bps, f"flow {self.name}: rate", SimulationError)
+            object.__setattr__(self, "rate_bps", rate)
+            if not rate > 0:
+                raise SimulationError(f"flow {self.name}: rate must be positive or saturating")
 
     @property
     def saturating(self) -> bool:
@@ -239,9 +240,9 @@ def run_simulation(topology: Topology, flows, duration: float, seed: int = 0) ->
       absolute value, so a negative seed would repeat a positive one.
     """
     flows = list(flows)
+    duration = _as_real(duration, "duration", SimulationError)
     if not 0 < duration < math.inf:
         raise SimulationError(f"duration must be positive and finite, got {duration}")
-    duration = float(duration)
     seed = _as_integer(seed, "seed", SimulationError)
     if seed < 0:
         raise SimulationError(f"seed must be a non-negative integer, got {seed}")

@@ -15,6 +15,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 
+from ..params import _real
+
 __all__ = [
     "Technology",
     "NodeKind",
@@ -41,6 +43,16 @@ def _as_integer(value, what: str, error: type = TopologyError) -> int:
         return operator.index(value)
     except TypeError:
         raise error(f"{what} must be an integer, got {value!r}") from None
+
+
+def _as_real(value, what: str, error: type = TopologyError) -> float:
+    # stored as a Python float, as LinkBudgetParams stores its numbers: a
+    # numpy float would reach the simulator's CSV as np.float64(...), and a
+    # str, None or an array of several values fails here, not in a comparison
+    try:
+        return _real(value)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{what} must be a number, got {value!r}") from None
 
 
 class Technology(Enum):
@@ -116,6 +128,10 @@ class Link:
         )
         if self.scenario not in range(1, 7):
             raise TopologyError(f"scenario {self.scenario} not in 1..6")
+        object.__setattr__(self, "capacity_bps", _as_real(self.capacity_bps, "link capacity"))
+        object.__setattr__(
+            self, "propagation_delay", _as_real(self.propagation_delay, "propagation delay")
+        )
         if not 0 < self.capacity_bps < math.inf:
             raise TopologyError(
                 f"link capacity must be positive and finite, got {self.capacity_bps}"
@@ -126,9 +142,6 @@ class Link:
             )
         if self.channel_count < 1:
             raise TopologyError(f"channel count must be >= 1, got {self.channel_count}")
-        # a numpy float would reach the simulator's CSV as np.float64(...)
-        object.__setattr__(self, "capacity_bps", float(self.capacity_bps))
-        object.__setattr__(self, "propagation_delay", float(self.propagation_delay))
 
     @property
     def line_of_sight(self) -> bool:

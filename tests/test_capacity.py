@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -315,6 +316,25 @@ class TestSweeps:
 
 
     @pytest.mark.parametrize(
+        "start, stop, what",
+        [
+            ("a", 1.0, "start must be a number, got 'a'"),
+            (None, 1.0, "start must be a number, got None"),
+            (0.0, np.array([1.0, 2.0]), "stop must be a number, got array("),
+        ],
+    )
+    def test_spec_rejects_bounds_that_are_no_numbers(self, start, stop, what):
+        # "a" raised a bare TypeError from math.isfinite
+        with pytest.raises(ValueError, match=f"^{re.escape(what)}"):
+            SweepSpec(SweepVariable.SPAN_M, start, stop)
+
+    def test_spec_stores_numpy_bounds_as_floats(self):
+        # np.float64 bounds were stored as given
+        spec = SweepSpec(SweepVariable.SPAN_M, np.float64(0.0), np.int64(4), 5)
+        assert (spec.start, spec.stop) == (0.0, 4.0)
+        assert type(spec.start) is type(spec.stop) is float
+
+    @pytest.mark.parametrize(
         "start, stop", [(math.nan, 10.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0)]
     )
     def test_spec_rejects_non_finite_range(self, start, stop):
@@ -573,6 +593,18 @@ class TestCurveValidation:
     def test_accepts_equal_neighbours_negative_zero_and_empty(self):
         assert _curve((1.0, 1.0, 2.0), (0.0, -0.0, 3.0)).capacity_bps[1] == 0.0
         assert _curve((), ()).x == ()
+
+    @pytest.mark.parametrize(
+        "x", [(0.0, math.nan, 2.0), (0.0, 1.0, math.inf), (-math.inf, 0.0, 1.0), (math.nan,)]
+    )
+    def test_rejects_non_finite_grid_points(self, x):
+        # a NaN that left the order unchanged passed the sort check, and the
+        # CSV wrote the row nan,5.0,1.0
+        with pytest.raises(ValueError, match="^sweep grid must be finite$"):
+            _curve(x, (1.0,) * len(x))
+
+    def test_a_grid_sum_past_the_largest_float_is_no_infinity(self):
+        assert _curve((1e308, 1e308), (1.0, 2.0)).x == (1e308, 1e308)
 
     def test_rejects_non_monotone_x(self):
         with pytest.raises(ValueError, match="^sweep grid must be non-decreasing$"):

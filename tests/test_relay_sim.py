@@ -11,7 +11,7 @@ import re
 import statistics
 import subprocess
 import sys
-from functools import partial
+from functools import cache, partial
 from random import Random
 from types import SimpleNamespace
 
@@ -175,17 +175,17 @@ def _md1_topology():
     return Topology(nodes=nodes, links=links)
 
 
-@pytest.mark.parametrize("rho", [0.3, 0.5])
-@pytest.mark.parametrize("shared", [False, True], ids=["one_flow", "two_flows"])
-def test_mean_latency_matches_md1_queueing_theory(shared, rho):
-    """Poisson arrivals of fixed 1000 B packets at a 10 Mbps link form an
-    M/D/1 queue: service s = 0.8 ms, mean latency s + rho s / (2 (1 - rho)),
-    Pollaczek-Khinchine.  One flow alone runs the simulator's private loop;
-    two flows of rho/2 each share the link and then leave on separate
-    100 Mbps links, which runs the event heap and adds one 0.08 ms hop
-    that never queues (packets leave the shared link >= 0.8 ms apart).
-    The mean over 8 seeds of 20 s must lie within 4 standard errors."""
-    s = 8000 / 10e6
+_MD1_SERVICE = 8000 / 10e6
+
+
+@cache
+def _md1_runs(shared, rho):
+    """Poisson arrivals of fixed 1000 B packets at a 10 Mbps link at load
+    rho, 8 seeds of 20 s: the metrics of each run and the latency the
+    later hops add.  One flow alone runs the simulator's private loop; two
+    flows of rho/2 each share the link and then leave on separate 100 Mbps
+    links, which runs the event heap and adds one 0.08 ms hop that never
+    queues (packets leave the shared link >= 0.8 ms apart)."""
     if shared:
         rate = rho / 2 * 10e6
         flows = [
@@ -196,13 +196,75 @@ def test_mean_latency_matches_md1_queueing_theory(shared, rho):
     else:
         flows = [FlowSpec("a", 1, 2, rate_bps=rho * 10e6, packet_bytes=1000)]
         later_hops = 0.0
+    runs = [run_simulation(_md1_topology(), flows, duration=20.0, seed=seed) for seed in range(8)]
+    return runs, later_hops
+
+
+def _assert_within_4_standard_errors(values, expected):
+    z = (statistics.fmean(values) - expected) / (statistics.stdev(values) / math.sqrt(len(values)))
+    assert abs(z) < 4, (values, expected)
+
+
+@pytest.mark.parametrize("rho", [0.3, 0.5])
+@pytest.mark.parametrize("shared", [False, True], ids=["one_flow", "two_flows"])
+def test_mean_latency_matches_md1_queueing_theory(shared, rho):
+    """The link is an M/D/1 queue: service s = 0.8 ms, mean latency
+    s + rho s / (2 (1 - rho)), Pollaczek-Khinchine.  The mean over the 8
+    seeds of ``_md1_runs`` must lie within 4 standard errors."""
+    runs, later_hops = _md1_runs(shared, rho)
+    s = _MD1_SERVICE
     expected = s + rho * s / (2 * (1 - rho)) + later_hops
-    means = [
-        run_simulation(_md1_topology(), flows, duration=20.0, seed=seed).mean_latency_s
-        for seed in range(8)
-    ]
-    z = (statistics.fmean(means) - expected) / (statistics.stdev(means) / math.sqrt(len(means)))
-    assert abs(z) < 4, (means, expected)
+    _assert_within_4_standard_errors([m.mean_latency_s for m in runs], expected)
+
+
+def _md1_wait_cdf(t, rho, s):
+    """P(W <= t) of the M/D/1 FIFO wait at load rho and service s, Erlang's
+    formula: (1 - rho) sum over k = 0 .. floor(t / s) of
+    (lam (k s - t))^k / k! exp(-lam (k s - t)), lam = rho / s.  The terms
+    alternate in sign, which float64 sums well only while t / s stays small,
+    as it does for the 95th percentile at rho <= 0.5."""
+    lam = rho / s
+    return (1 - rho) * sum(
+        (lam * (k * s - t)) ** k / math.factorial(k) * math.exp(-lam * (k * s - t))
+        for k in range(int(t / s) + 1)
+    )
+
+
+def _md1_wait_quantile(q, rho, s):
+    # W has an atom of mass 1 - rho at 0 and a continuous, increasing CDF
+    # after it, so bisection finds the q-quantile for any q > 1 - rho
+    lo, hi = 0.0, s
+    while _md1_wait_cdf(hi, rho, s) < q:
+        hi *= 2
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if _md1_wait_cdf(mid, rho, s) < q else (lo, mid)
+    return hi
+
+
+def test_md1_wait_quantile_matches_its_known_values():
+    # the 95th-percentile latencies of ROADMAP's baseline: 1.6567 ms at
+    # rho = 0.3 and 2.4405 ms at rho = 0.5, a wait plus one service time
+    s = _MD1_SERVICE
+    assert _md1_wait_cdf(0.0, 0.3, s) == pytest.approx(0.7)
+    assert _md1_wait_quantile(0.95, 0.3, s) + s == pytest.approx(1.6567e-3, abs=1e-7)
+    assert _md1_wait_quantile(0.95, 0.5, s) + s == pytest.approx(2.4405e-3, abs=1e-7)
+
+
+@pytest.mark.parametrize("rho", [0.3, 0.5])
+@pytest.mark.parametrize("shared", [False, True], ids=["one_flow", "two_flows"])
+def test_p95_latency_matches_md1_waiting_time_distribution(shared, rho):
+    """The 95th-percentile latency is the 95th-percentile M/D/1 wait, from
+    Erlang's waiting-time CDF, plus one service time and the later hops.
+    The mean mostly fixes only the amount of waiting; the quantile also
+    fixes its order, so a queue serving the newest packet first, which
+    keeps the mean wait, fails here.  The mean over the 8 seeds of
+    ``_md1_runs`` must lie within 4 standard errors; p95 lies above the
+    atom of mass 1 - rho at zero wait at both loads."""
+    runs, later_hops = _md1_runs(shared, rho)
+    s = _MD1_SERVICE
+    expected = _md1_wait_quantile(0.95, rho, s) + s + later_hops
+    _assert_within_4_standard_errors([m.p95_latency_s for m in runs], expected)
 
 
 def test_utilization_and_bits_carried():
@@ -356,6 +418,46 @@ def test_duration_must_be_finite(duration):
     # an infinite horizon never returns; a NaN one gives NaN utilisation
     with pytest.raises(SimulationError, match="finite"):
         run_simulation(line_topology([1e6]), [FlowSpec("s", 1, 2)], duration=duration)
+
+
+@pytest.mark.parametrize(
+    "field, value, what",
+    [
+        ("rate_bps", "5", "flow f: rate must be a number, got '5'"),
+        ("rate_bps", np.array([1.0, 2.0]), "flow f: rate must be a number, got array("),
+        ("start", "1", "flow f: start time must be a number, got '1'"),
+        ("start", None, "flow f: start time must be a number, got None"),
+    ],
+)
+def test_flow_numbers_must_be_numbers(field, value, what):
+    # each raised a bare TypeError from a comparison or from float()
+    with pytest.raises(SimulationError, match=f"^{re.escape(what)}"):
+        FlowSpec("f", 1, 2, **{field: value})
+
+
+@pytest.mark.parametrize(
+    "duration, what",
+    [
+        ("1", "duration must be a number, got '1'"),
+        (None, "duration must be a number, got None"),
+        (np.array([1.0, 2.0]), "duration must be a number, got array("),
+    ],
+)
+def test_duration_must_be_a_number(duration, what):
+    with pytest.raises(SimulationError, match=f"^{re.escape(what)}"):
+        run_simulation(line_topology([1e6]), [FlowSpec("s", 1, 2)], duration=duration)
+
+
+def test_one_element_arrays_read_as_their_value():
+    # np.array([1.0]) raised TypeError from float(); it now reads as 1.0,
+    # as LinkBudgetParams reads its numbers
+    flow = FlowSpec("p", 1, 2, rate_bps=np.array([1e6]), start=np.array([0.01]))
+    assert (flow.rate_bps, flow.start) == (1e6, 0.01)
+    assert type(flow.rate_bps) is type(flow.start) is float
+    t = line_topology([2e6])
+    m = run_simulation(t, [flow], duration=np.array([0.1]), seed=2)
+    assert type(m.duration) is float
+    assert m == run_simulation(t, [FlowSpec("p", 1, 2, rate_bps=1e6, start=0.01)], 0.1, seed=2)
 
 
 def test_nan_start_is_rejected():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +93,29 @@ def test_link_capacity_must_be_finite(capacity):
 def test_link_delay_must_be_finite(delay):
     with pytest.raises(TopologyError, match="finite"):
         Link(1, 2, Technology.RF, propagation_delay=delay)
+
+
+@pytest.mark.parametrize(
+    "field, value, what",
+    [
+        ("capacity_bps", "5", "link capacity must be a number, got '5'"),
+        ("capacity_bps", np.array([5.0, 6.0]), "link capacity must be a number, got array("),
+        ("propagation_delay", None, "propagation delay must be a number, got None"),
+        ("propagation_delay", "0", "propagation delay must be a number, got '0'"),
+    ],
+)
+def test_link_numbers_must_be_numbers(field, value, what):
+    # these raised a bare TypeError from a comparison, or numpy's "truth
+    # value of an array ... is ambiguous"
+    with pytest.raises(TopologyError, match=f"^{re.escape(what)}"):
+        Link(1, 2, Technology.RF, **{field: value})
+
+
+def test_one_element_link_numbers_read_as_their_value():
+    # read as LinkBudgetParams reads its numbers
+    link = Link(1, 2, Technology.RF, capacity_bps=np.array([5.0]), propagation_delay=np.int64(1))
+    assert (link.capacity_bps, link.propagation_delay) == (5.0, 1.0)
+    assert type(link.capacity_bps) is type(link.propagation_delay) is float
 
 
 def test_node_address_range():
