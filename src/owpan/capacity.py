@@ -5,6 +5,16 @@ responsivity) -> electrical SNR (squared, since detection converts optical
 power to current) -> Shannon capacity.  Cascaded links are limited by their
 worst member.  Sweeps produce one curve per configured attenuation
 coefficient, over either the received-power budget or the backbone span.
+
+Each public step is its input checks, then one unchecked arithmetic core
+(``_snr``, ``_capacity``, and the laser-hop cores of :mod:`owpan.channels`).
+The two link capacities check each input once, where it enters, and run
+the same cores under one ``np.errstate``.  Their bandwidth and
+responsivities were checked when the :class:`~owpan.params.LinkBudgetParams`
+was built, and an SNR out of ``_snr`` is finite and >= 0, so neither is
+checked again.  :func:`sweep_capacity` runs the checks of
+:class:`CapacityCurve` once per sweep, on the shared grid and on the whole
+capacity array.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .channels import _first_bad, diffuse_gain, fso_gain, los_gain
+from .channels import _all, _first_bad, _laser_gain, diffuse_gain, los_gain
 from .params import LinkBudgetParams, _real
 
 __all__ = [
@@ -111,21 +121,88 @@ class CapacityCurve:
             object.__setattr__(self, "capacity_bps", caps)
         if len(x) != len(caps):
             raise ValueError("x and capacity_bps must have equal length")
+        _check_grid(x)
         # a sum of finite values is finite unless it overflows; finiteness is
-        # settled before sorted() and min(), which a NaN would confuse
-        if not (math.isfinite(sum(x)) or all(map(math.isfinite, x))):
-            raise ValueError("sweep grid must be finite")
-        # a stable sort leaves a non-decreasing grid as it is
-        if sorted(x) != list(x):
-            raise ValueError("sweep grid must be non-decreasing")
+        # settled before min(), which a NaN would confuse
         finite = math.isfinite(sum(caps)) or all(map(math.isfinite, caps))
         if not finite or (caps and min(caps) < 0.0):
-            raise ValueError("capacities must be finite and non-negative")
+            raise ValueError(_CAPACITY_RULE)
+
+    @classmethod
+    def _unchecked(cls, **fields) -> "CapacityCurve":
+        """A curve built without :meth:`__post_init__`, for a caller that has
+        run its checks on values of the stored types already."""
+        curve = object.__new__(cls)
+        vars(curve).update(fields)
+        return curve
+
+
+_CAPACITY_RULE = "capacities must be finite and non-negative"
+
+
+def _check_grid(x: tuple[float, ...]) -> None:
+    # finiteness is settled before sorted(), which a NaN would confuse
+    if not (math.isfinite(sum(x)) or all(map(math.isfinite, x))):
+        raise ValueError("sweep grid must be finite")
+    # a stable sort leaves a non-decreasing grid as it is
+    if sorted(x) != list(x):
+        raise ValueError("sweep grid must be non-decreasing")
 
 
 def _all_floats(values) -> bool:
     """Whether ``values`` is a tuple of Python floats, subclasses excluded."""
     return type(values) is tuple and list(map(type, values)).count(float) == len(values)
+
+
+def _check_bandwidth(bandwidth: float) -> None:
+    if not 0.0 < bandwidth < math.inf:
+        raise ValueError(f"bandwidth must be finite and > 0, got {bandwidth!r}")
+
+
+def _check_ratio(pr_over_n0_db) -> None:
+    # > -inf and <= _MAX_DB is finite and <= _MAX_DB, in comparisons alone
+    usable = (-math.inf < pr_over_n0_db) & (pr_over_n0_db <= _MAX_DB)
+    if not _all(usable):
+        bad = _first_bad(pr_over_n0_db, np.logical_not(usable))
+        rule = f"<= {_MAX_DB} dB" if math.isfinite(bad) else "finite"
+        raise ValueError(f"pr_over_n0_db must be {rule}, got {bad!r}")
+
+
+def _check_channel_gain(channel_gain) -> None:
+    in_range = (0.0 <= channel_gain) & (channel_gain <= 1.0)
+    if not _all(in_range):
+        bad = _first_bad(channel_gain, np.logical_not(in_range))
+        raise ValueError(f"channel_gain must lie in [0, 1], got {bad!r}")
+
+
+def _snr(pr_over_n0_db, responsivity, channel_gain, bandwidth):
+    """The SNR arithmetic of :func:`electrical_snr`, run on checked inputs
+    under np.errstate; it raises only for an SNR past the largest float."""
+    photo = responsivity * channel_gain
+    snr = photo * photo * 10.0 ** (pr_over_n0_db / 10.0) / bandwidth
+    finite = np.isfinite(snr)
+    if not finite.all():
+        # photo * photo can overflow where a small ratio would scale it
+        # back down; there, square photo * sqrt(ratio) instead
+        amplitude = photo * 10.0 ** (pr_over_n0_db / 20.0)
+        snr = np.where(finite, snr, np.square(amplitude) / bandwidth)[()]
+        finite = np.isfinite(snr)
+        if not finite.all():
+            db, gain = (
+                float(np.broadcast_to(v, finite.shape)[~finite][0])
+                for v in (pr_over_n0_db, channel_gain)
+            )
+            raise ValueError(
+                f"snr overflows at pr_over_n0_db {db!r} dB, channel_gain {gain!r}, "
+                f"responsivity {responsivity!r} and bandwidth {bandwidth!r}"
+            )
+    return snr
+
+
+def _capacity(snr, bandwidth):
+    """The Shannon arithmetic of :func:`link_capacity`, on a checked SNR."""
+    capacity = bandwidth * np.log1p(snr) / _LN2
+    return float(capacity) if np.ndim(capacity) == 0 else capacity
 
 
 def electrical_snr(
@@ -145,40 +222,13 @@ def electrical_snr(
     ratio must be finite and at most ``_MAX_DB``, so its linear form does
     not overflow, and an SNR past the largest float raises ValueError.
     """
-    if not 0.0 < bandwidth < math.inf:
-        raise ValueError(f"bandwidth must be finite and > 0, got {bandwidth!r}")
-    usable = np.isfinite(pr_over_n0_db) & (pr_over_n0_db <= _MAX_DB)
-    if not np.all(usable):
-        bad = _first_bad(pr_over_n0_db, ~usable)
-        rule = f"<= {_MAX_DB} dB" if math.isfinite(bad) else "finite"
-        raise ValueError(f"pr_over_n0_db must be {rule}, got {bad!r}")
-    in_range = (0.0 <= channel_gain) & (channel_gain <= 1.0)
-    if not np.all(in_range):
-        raise ValueError(
-            f"channel_gain must lie in [0, 1], got {_first_bad(channel_gain, ~in_range)!r}"
-        )
+    _check_bandwidth(bandwidth)
+    _check_ratio(pr_over_n0_db)
+    _check_channel_gain(channel_gain)
     if not 0.0 <= responsivity < math.inf:
         raise ValueError(f"responsivity must be finite and >= 0, got {responsivity!r}")
-    photo = responsivity * channel_gain
     with np.errstate(over="ignore", invalid="ignore"):
-        snr = photo * photo * 10.0 ** (pr_over_n0_db / 10.0) / bandwidth
-        finite = np.isfinite(snr)
-        if not finite.all():
-            # photo * photo can overflow where a small ratio would scale it
-            # back down; there, square photo * sqrt(ratio) instead
-            amplitude = photo * 10.0 ** (pr_over_n0_db / 20.0)
-            snr = np.where(finite, snr, np.square(amplitude) / bandwidth)[()]
-            finite = np.isfinite(snr)
-    if not finite.all():
-        db, gain = (
-            float(np.broadcast_to(v, finite.shape)[~finite][0])
-            for v in (pr_over_n0_db, channel_gain)
-        )
-        raise ValueError(
-            f"snr overflows at pr_over_n0_db {db!r} dB, channel_gain {gain!r}, "
-            f"responsivity {responsivity!r} and bandwidth {bandwidth!r}"
-        )
-    return snr
+        return _snr(pr_over_n0_db, responsivity, channel_gain, bandwidth)
 
 
 def link_capacity(snr: float | np.ndarray, bandwidth: float) -> float | np.ndarray:
@@ -189,14 +239,12 @@ def link_capacity(snr: float | np.ndarray, bandwidth: float) -> float | np.ndarr
     properties rely on that.  Every SNR must be finite and >= 0; a NaN or
     infinite one is rejected.
     """
-    in_range = (snr >= 0.0) & np.isfinite(snr)
-    if not np.all(in_range):
-        bad = _first_bad(snr, ~in_range)
+    in_range = (snr >= 0.0) & (snr < math.inf)
+    if not _all(in_range):
+        bad = _first_bad(snr, np.logical_not(in_range))
         raise ValueError(f"snr must be {'>= 0' if bad < 0.0 else 'finite'}, got {bad!r}")
-    if not 0.0 < bandwidth < math.inf:
-        raise ValueError(f"bandwidth must be finite and > 0, got {bandwidth!r}")
-    capacity = bandwidth * np.log1p(snr) / _LN2
-    return float(capacity) if np.ndim(capacity) == 0 else capacity
+    _check_bandwidth(bandwidth)
+    return _capacity(snr, bandwidth)
 
 
 def cascade_capacity(capacities: Sequence[float]) -> float:
@@ -212,8 +260,11 @@ def cascade_capacity(capacities: Sequence[float]) -> float:
 def indoor_link_capacity(params: LinkBudgetParams) -> float:
     """Capacity of the LED downlink at the DC channel gain."""
     gain = float(los_gain(params)) + float(diffuse_gain(params))
-    snr = electrical_snr(params.pr_over_n0, params.pd_responsivity, gain, params.bandwidth)
-    return link_capacity(snr, params.bandwidth)
+    _check_ratio(params.pr_over_n0)
+    _check_channel_gain(gain)
+    with np.errstate(over="ignore", invalid="ignore"):
+        snr = _snr(params.pr_over_n0, params.pd_responsivity, gain, params.bandwidth)
+    return _capacity(snr, params.bandwidth)
 
 
 def outdoor_link_capacity(
@@ -225,23 +276,22 @@ def outdoor_link_capacity(
     """Capacity of the laser backbone at one attenuation coefficient.
 
     The last three arguments may be arrays, which broadcast against each
-    other.  Built on :func:`fso_gain`, so a span of exactly zero, the
-    natural left edge of a distance sweep, is representable.
+    other.  Built on the checks and cores of :func:`~owpan.channels.fso_gain`,
+    so a span of exactly zero, the natural left edge of a distance sweep,
+    is representable.  A span so long that the beam radius overflows
+    captures nothing and reads capacity 0.0.
     """
-    gain = fso_gain(
-        alpha_db_per_km,
-        params.span if span is None else span,
-        params.detector_area,
-        params.beam_waist,
-        params.wavelength,
-    )
-    snr = electrical_snr(
-        params.pr_over_n0 if pr_over_n0_db is None else pr_over_n0_db,
-        params.laser_responsivity,
-        gain,
-        params.bandwidth,
-    )
-    return link_capacity(snr, params.bandwidth)
+    if span is None:
+        span = params.span
+    if pr_over_n0_db is None:
+        pr_over_n0_db = params.pr_over_n0
+    with np.errstate(over="ignore", invalid="ignore"):
+        gain = _laser_gain(
+            alpha_db_per_km, span, params.detector_area, params.beam_waist, params.wavelength
+        )
+        _check_ratio(pr_over_n0_db)
+        snr = _snr(pr_over_n0_db, params.laser_responsivity, gain, params.bandwidth)
+    return _capacity(snr, params.bandwidth)
 
 
 def sweep_capacity(
@@ -268,8 +318,15 @@ def sweep_capacity(
         floor = cascade_capacity([params.rf_capacity, indoor_link_capacity(params)])
         caps = np.minimum(caps, floor)
     x = tuple(grid.tolist())
+    # the checks of CapacityCurve.__post_init__, run once for every curve:
+    # the grid is shared and the capacities are one array.  tolist() gives
+    # the tuples of Python floats a curve stores, as LinkBudgetParams gives
+    # its coefficients, so no conversion is left to do either
+    _check_grid(x)
+    if not ((0.0 <= caps) & (caps < math.inf)).all():
+        raise ValueError(_CAPACITY_RULE)
     return [
-        CapacityCurve(
+        CapacityCurve._unchecked(
             variable=spec.variable,
             alpha_db_per_km=alpha,
             x=x,

@@ -11,7 +11,15 @@ no locking.
 Internally all quantities are SI (m, m^2, rad); attenuation coefficients
 are the lone exception and stay in dB/km, matching how they are normally
 quoted.  The laser-hop functions also take numpy arrays, which
-broadcast against each other, and check every element as they check a scalar.
+broadcast against each other.  Each is its input checks, then one
+unchecked arithmetic core (the ``_``-prefixed functions below), and a check
+reads an array's every element as it reads a scalar: a Python float by a
+Python comparison, an array by one method reduction.  :func:`fso_gain`
+checks each of its inputs once, where it enters: the waist, wavelength and
+span before the beam radius, the attenuation before the transmittance, the
+detector area before the capture fraction.  A NaN input is rejected where
+it surfaces, in the transmittance or the capture fraction, which must lie
+in [0, 1].  :mod:`owpan.capacity` builds on the same checks and cores.
 """
 
 from __future__ import annotations
@@ -82,6 +90,18 @@ def diffuse_gain(p: LinkBudgetParams) -> ChannelGain:
     return ChannelGain(p.pd_area / p.room_area * rho / (1.0 - rho))
 
 
+def _any(mask) -> bool:
+    """Whether a check's mask holds anywhere.  A comparison of Python numbers
+    gives a bool, read as it is; a numpy mask is reduced by its own method,
+    without the dispatch of ``np.any``."""
+    return mask if type(mask) is bool else mask.any()
+
+
+def _all(mask) -> bool:
+    """Whether a check's mask holds everywhere, read as :func:`_any` reads it."""
+    return mask if type(mask) is bool else mask.all()
+
+
 def _first_bad(value, bad):
     """``value`` if it is a scalar, else its first element where ``bad`` holds,
     so a range error names one number instead of printing the array."""
@@ -100,17 +120,71 @@ def _gain(value) -> ChannelGain | np.ndarray:
     return value
 
 
+# Input checks.  A NaN passes each of them; in a gain it surfaces as a NaN
+# gain, which the [0, 1] check of _gain rejects.
+
+
+def _check_not_negative(value, name: str) -> None:
+    negative = value < 0.0
+    if _any(negative):
+        raise ValueError(f"{name} must be >= 0, got {_first_bad(value, negative)!r}")
+
+
+def _check_beam(beam_waist, wavelength) -> None:
+    if _any(beam_waist <= 0.0) or _any(wavelength <= 0.0):
+        raise ValueError("beam waist and wavelength must be strictly positive")
+
+
+def _check_capture(detector_area, beam_radius) -> None:
+    if _any(detector_area <= 0.0) or _any(beam_radius <= 0.0):
+        raise ValueError("detector area and beam radius must be strictly positive")
+
+
+# Arithmetic cores, unchecked.  The public functions run them after their
+# checks, under np.errstate: an overflow here is a real limit (a beam spread
+# past the largest float captures nothing), and a 0 * inf makes a NaN gain
+# that _gain rejects.
+
+
+def _transmittance(attenuation_db_per_km, span_m):
+    return 10.0 ** (-attenuation_db_per_km * (span_m / 1000.0) / 10.0)
+
+
+def _beam_radius(beam_waist, wavelength, span_m):
+    rayleigh = math.pi * beam_waist**2 / wavelength
+    radius = beam_waist * np.hypot(1.0, span_m / rayleigh)
+    return float(radius) if np.ndim(radius) == 0 else radius
+
+
+def _capture_fraction(detector_area, beam_radius):
+    try:
+        spread = math.pi * beam_radius**2
+    except OverflowError:
+        # a Python float's square raises where numpy's reads inf; an
+        # infinite spread captures nothing on both paths
+        spread = math.inf
+    return -np.expm1(-2.0 * detector_area / spread)
+
+
+def _laser_gain(attenuation_db_per_km, span_m, detector_area, beam_waist, wavelength):
+    """Checks and cores of :func:`fso_gain`, each input checked once, where
+    it enters, in the order the public steps check them.  The product needs
+    no check, as its factors lie in [0, 1].  The caller holds the np.errstate."""
+    _check_beam(beam_waist, wavelength)
+    _check_not_negative(span_m, "span")
+    radius = _beam_radius(beam_waist, wavelength, span_m)
+    _check_not_negative(attenuation_db_per_km, "attenuation")
+    transmittance = _gain(_transmittance(attenuation_db_per_km, span_m))
+    _check_capture(detector_area, radius)
+    return transmittance * _gain(_capture_fraction(detector_area, radius))
+
+
 def beers_lambert_transmittance(attenuation_db_per_km, span_m) -> ChannelGain | np.ndarray:
     """Atmospheric power transmittance 10^(-alpha L / 10) with L in km."""
-    negative = attenuation_db_per_km < 0.0
-    if np.any(negative):
-        raise ValueError(
-            f"attenuation must be >= 0, got {_first_bad(attenuation_db_per_km, negative)!r}"
-        )
-    negative = span_m < 0.0
-    if np.any(negative):
-        raise ValueError(f"span must be >= 0, got {_first_bad(span_m, negative)!r}")
-    return _gain(10.0 ** (-attenuation_db_per_km * (span_m / 1000.0) / 10.0))
+    _check_not_negative(attenuation_db_per_km, "attenuation")
+    _check_not_negative(span_m, "span")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _gain(_transmittance(attenuation_db_per_km, span_m))
 
 
 def gaussian_beam_radius(beam_waist, wavelength, span_m) -> float | np.ndarray:
@@ -119,25 +193,22 @@ def gaussian_beam_radius(beam_waist, wavelength, span_m) -> float | np.ndarray:
     w(L) = w0 sqrt(1 + (L / zR)^2) with Rayleigh range zR = pi w0^2 / lambda,
     asymptotically w(L) -> theta L with theta = lambda / (pi w0).
     """
-    if np.any(beam_waist <= 0.0) or np.any(wavelength <= 0.0):
-        raise ValueError("beam waist and wavelength must be strictly positive")
-    negative = span_m < 0.0
-    if np.any(negative):
-        raise ValueError(f"span must be >= 0, got {_first_bad(span_m, negative)!r}")
-    rayleigh = math.pi * beam_waist**2 / wavelength
-    radius = beam_waist * np.hypot(1.0, span_m / rayleigh)
-    return float(radius) if np.ndim(radius) == 0 else radius
+    _check_beam(beam_waist, wavelength)
+    _check_not_negative(span_m, "span")
+    with np.errstate(over="ignore"):
+        return _beam_radius(beam_waist, wavelength, span_m)
 
 
 def fso_capture_fraction(detector_area, beam_radius) -> ChannelGain | np.ndarray:
     """Fraction of a centered Gaussian beam collected by the detector.
 
     1 - exp(-2 A / (pi w^2)): the on-axis encircled power of a Gaussian
-    profile over an aperture of area A, assuming no pointing error.
+    profile over an aperture of area A, assuming no pointing error.  A
+    radius whose square overflows captures 0.
     """
-    if np.any(detector_area <= 0.0) or np.any(beam_radius <= 0.0):
-        raise ValueError("detector area and beam radius must be strictly positive")
-    return _gain(-np.expm1(-2.0 * detector_area / (math.pi * beam_radius**2)))
+    _check_capture(detector_area, beam_radius)
+    with np.errstate(over="ignore"):
+        return _gain(_capture_fraction(detector_area, beam_radius))
 
 
 def fso_gain(
@@ -146,9 +217,6 @@ def fso_gain(
     """Laser link gain, transmittance times capture fraction: the one
     composition of the laser hop.  It admits a span of zero, the left
     edge of a distance sweep."""
-    radius = gaussian_beam_radius(beam_waist, wavelength, span_m)
-    return _gain(
-        beers_lambert_transmittance(attenuation_db_per_km, span_m)
-        * fso_capture_fraction(detector_area, radius)
-    )
-
+    with np.errstate(over="ignore", invalid="ignore"):
+        gain = _laser_gain(attenuation_db_per_km, span_m, detector_area, beam_waist, wavelength)
+    return ChannelGain(gain) if np.ndim(gain) == 0 else gain

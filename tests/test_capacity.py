@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from owpan import capacity
 from owpan.capacity import (
@@ -22,6 +23,11 @@ from owpan.capacity import (
     outdoor_link_capacity,
     sweep_capacity,
     write_curves_csv,
+)
+from owpan.channels import (
+    beers_lambert_transmittance,
+    fso_capture_fraction,
+    gaussian_beam_radius,
 )
 from owpan.params import LinkBudgetParams
 
@@ -207,12 +213,6 @@ class TestCascade:
 class TestLinkCapacities:
     def test_outdoor_matches_manual_composition(self):
         p = LinkBudgetParams()
-        from owpan.channels import (
-            beers_lambert_transmittance,
-            fso_capture_fraction,
-            gaussian_beam_radius,
-        )
-
         gain = beers_lambert_transmittance(5.0, p.span) * fso_capture_fraction(
             p.detector_area, gaussian_beam_radius(p.beam_waist, p.wavelength, p.span)
         )
@@ -234,6 +234,77 @@ class TestLinkCapacities:
         a = electrical_snr(pr_over_n0_db=12.0, responsivity=0.4, channel_gain=0.6)
         b = electrical_snr(pr_over_n0_db=12.0, responsivity=0.8, channel_gain=0.3)
         assert link_capacity(a, 1e7) == pytest.approx(link_capacity(b, 1e7), rel=1e-12)
+
+
+# spans where pi times the squared beam radius (the radius is about 8.4e-4
+# times the span under the default parameters) passes the largest float:
+# from 1e157 on the array path warned, from 1e158 on the scalar path's
+# square raised OverflowError
+_HUGE_SPANS = [1e157, 1e158, 1e200, 1e300, 1.7e308]
+_ODD_REALS = [0.0, -0.0, -1.0, -1e-300, math.nan, math.inf, -math.inf, 3082.5, 3082.6, 1e4]
+_REALS = st.one_of(
+    st.floats(-20.0, 6000.0), st.sampled_from(_ODD_REALS), st.sampled_from(_HUGE_SPANS)
+)
+
+
+def _outcome(call):
+    """A call's floats bit for bit, or its error's type and text.  An
+    arithmetic error or a RuntimeWarning (an error under tier-1's filter)
+    counts as an outcome too, so that one side cannot raise it alone."""
+    try:
+        value = call()
+    except (ValueError, ArithmeticError, RuntimeWarning) as exc:
+        return type(exc).__name__, str(exc)
+    return type(value), np.shape(value), np.asarray(value).tobytes()
+
+
+class TestOneCallMatchesTheSteps:
+    """outdoor_link_capacity checks each input once; the public steps check
+    all of theirs again.  Both must give the same floats or the same error."""
+
+    @given(st.data())
+    def test_outdoor_capacity_equals_the_step_chain(self, data):
+        rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+
+        def arg(shape):
+            return data.draw(st.one_of(_REALS, arrays(np.float64, shape, elements=_REALS)))
+
+        alpha, span, db = arg((rows, 1)), arg((cols,)), arg((cols,))
+        p = LinkBudgetParams()
+
+        def steps():
+            # the radius first, as fso_gain takes it, so that errors come in
+            # the same order
+            radius = gaussian_beam_radius(p.beam_waist, p.wavelength, span)
+            gain = beers_lambert_transmittance(alpha, span) * fso_capture_fraction(
+                p.detector_area, radius
+            )
+            snr = electrical_snr(db, p.laser_responsivity, gain, p.bandwidth)
+            return link_capacity(snr, p.bandwidth)
+
+        got = _outcome(lambda: outdoor_link_capacity(p, alpha, span=span, pr_over_n0_db=db))
+        assert got == _outcome(steps)
+
+
+class TestHugeSpans:
+    """A span whose beam radius squares past the largest float reads
+    capacity 0.0: the scalar path raised OverflowError there, and the array
+    path warned of an overflow in square."""
+
+    @pytest.mark.parametrize("span", _HUGE_SPANS)
+    def test_scalar_span(self, span):
+        assert outdoor_link_capacity(LinkBudgetParams(), 5.0, span=span) == 0.0
+
+    def test_array_span(self):
+        spans = np.array([0.0, *_HUGE_SPANS])
+        caps = outdoor_link_capacity(LinkBudgetParams(), np.array([[0.0], [5.0]]), span=spans)
+        assert caps[:, 1:].tolist() == [[0.0] * len(_HUGE_SPANS)] * 2
+        assert caps[:, 0].tolist() == [outdoor_link_capacity(LinkBudgetParams(), 0.0, span=0.0)] * 2
+
+    def test_sweep(self):
+        spec = SweepSpec(SweepVariable.SPAN_M, 0.0, 1e308, points=3)
+        for curve in sweep_capacity(LinkBudgetParams(), spec):
+            assert curve.capacity_bps[1:] == (0.0, 0.0)
 
 
 class TestSweeps:
@@ -412,6 +483,51 @@ class TestSweepClosedForm:
         assert calls == {"outdoor": 1, "indoor": 1}
         sweep_capacity(LinkBudgetParams(), spec)
         assert calls == {"outdoor": 2, "indoor": 1}
+
+
+class TestSweepChecksOnce:
+    """A sweep runs the checks of CapacityCurve once for all its curves."""
+
+    SPEC = SweepSpec(SweepVariable.SPAN_M, 0.0, 2000.0, points=50)
+
+    @pytest.mark.parametrize("end_to_end", [False, True])
+    def test_curves_equal_those_the_constructor_builds(self, end_to_end):
+        curves = sweep_capacity(LinkBudgetParams(), self.SPEC, end_to_end=end_to_end)
+        for curve in curves:
+            rebuilt = CapacityCurve(
+                curve.variable, curve.alpha_db_per_km, curve.x, curve.capacity_bps,
+                curve.fixed_params,
+            )
+            assert rebuilt == curve and hash(rebuilt) == hash(curve)
+            assert curve.x is curves[0].x
+            assert type(curve.alpha_db_per_km) is float
+            assert [type(v) for v in curve.x + curve.capacity_bps] == [float] * 100
+
+    def test_the_grid_is_checked_once_per_sweep(self, monkeypatch):
+        grids = []
+        monkeypatch.setattr(capacity, "_check_grid", grids.append)
+        sweep_capacity(LinkBudgetParams(), self.SPEC)
+        assert len(grids) == 1 and len(grids[0]) == 50
+
+    def test_a_grid_that_falls_is_rejected(self):
+        class FallingSpec(SweepSpec):
+            def grid(self):
+                return np.array([0.0, 2.0, 1.0])
+
+        spec = FallingSpec(SweepVariable.SPAN_M, 0.0, 2.0, points=3)
+        with pytest.raises(ValueError, match="^sweep grid must be non-decreasing$"):
+            sweep_capacity(LinkBudgetParams(), spec)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_capacities_a_curve_would_reject_are_rejected(self, monkeypatch, bad):
+        def outdoor(params, alphas, **grid):
+            caps = np.ones((len(params.attenuation_coeffs), self.SPEC.points))
+            caps[-1, -1] = bad
+            return caps
+
+        monkeypatch.setattr(capacity, "outdoor_link_capacity", outdoor)
+        with pytest.raises(ValueError, match="^capacities must be finite and non-negative$"):
+            sweep_capacity(LinkBudgetParams(), self.SPEC)
 
 
 class TestArrayCapacity:

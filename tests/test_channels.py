@@ -320,6 +320,39 @@ class TestArrayInputs:
             beers_lambert_transmittance(5.0, np.array([160.0, math.nan]))
 
 
+class TestBeamPastTheLargestFloat:
+    """A beam radius whose square overflows captures nothing.  A Python
+    float's square raised OverflowError there, and numpy's warned."""
+
+    @pytest.mark.parametrize("radius", [1.4e154, 1e200, 1.7e308])
+    def test_capture_fraction_is_zero(self, radius):
+        assert fso_capture_fraction(100e-6, radius) == 0.0
+        assert fso_capture_fraction(100e-6, np.array([0.134, radius])).tolist() == [
+            fso_capture_fraction(100e-6, 0.134),
+            0.0,
+        ]
+
+    def test_link_gain_is_zero(self):
+        assert fso_gain(0.0, 1e158, 100e-6, 0.588e-3, 1550e-9) == 0.0
+        spans = np.array([160.0, 1e158, 1e308])
+        gains = fso_gain(np.array([[0.0], [5.0]]), spans, 100e-6, 0.588e-3, 1550e-9)
+        assert gains[:, 1:].tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        assert (gains[:, 0] > 0.0).all()
+
+    def test_radius_past_the_largest_float_is_inf(self):
+        # span / Rayleigh range overflows for a Rayleigh range below 1 m
+        assert gaussian_beam_radius(1e-6, 1e-6, np.array([1e308])).tolist() == [math.inf]
+
+    def test_zero_times_infinite_loss_is_a_gain_error_not_a_warning(self):
+        # 0 dB/km over an infinite span: numpy's 0 * inf warned before the
+        # [0, 1] check could name the NaN
+        for alpha, span in ((0.0, np.array([math.inf])), (np.array([math.inf]), 0.0)):
+            with pytest.raises(ValueError, match=r"^channel gain outside \[0, 1\], got nan$"):
+                beers_lambert_transmittance(alpha, span)
+            with pytest.raises(ValueError, match=r"^channel gain outside \[0, 1\], got nan$"):
+                fso_gain(alpha, span, 100e-6, 0.588e-3, 1550e-9)
+
+
 class TestParamValidation:
     def test_indoor_rejects_reflectivity_of_one(self):
         with pytest.raises(ValueError, match="wall_reflectivity"):

@@ -237,6 +237,19 @@ def test_capacity_sweep_huge_responsivity_at_tiny_ratio_is_finite(tmp_path, caps
     assert all(math.isfinite(float(row.split(",")[2])) for row in rows)
 
 
+@pytest.mark.filterwarnings("error")
+def test_capacity_sweep_span_whose_beam_radius_overflows_reads_zero(capsys):
+    # at 5e307 and 1e308 m the beam radius squares past the largest float;
+    # the sweep printed "overflow encountered in square" there
+    code, out, err = run_cli(
+        ["capacity-sweep", "--var", "L", "--max", "1e308", "--points", "3"], capsys
+    )
+    assert (code, err) == (0, "")
+    rows = [row.split(",") for row in out.splitlines()[1:]]
+    assert len(rows) == 12
+    assert [x for x, _, cap in rows if cap == "0.0"] == ["5e+307", "1e+308"] * 4
+
+
 def test_capacity_sweep_gnuplot_needs_an_output_file(tmp_path, capsys, monkeypatch):
     # the script would plot '-', which gnuplot reads as inline data
     script = tmp_path / "s.gp"
