@@ -8,6 +8,8 @@ coefficient, over either the received-power budget or the backbone span.
 
 Each public step is its input checks, then one unchecked arithmetic core
 (``_snr``, ``_capacity``, and the laser-hop cores of :mod:`owpan.channels`).
+The cores use numpy ufuncs alone, so a scalar call returns the float64
+bits of the matching element of an array call, such as its sweep row.
 The two link capacities check each input once, where it enters, and run
 the same cores under one ``np.errstate``.  Their bandwidth and
 responsivities were checked when the :class:`~owpan.params.LinkBudgetParams`
@@ -106,19 +108,15 @@ class CapacityCurve:
 
     def __post_init__(self) -> None:
         # stored as Python floats, as LinkBudgetParams stores its numbers, so
-        # the CSV shows a numpy scalar or a bool as the number it stands for;
-        # a sweep's own tuples of floats are kept as they are
-        alpha, x, caps = self.alpha_db_per_km, self.x, self.capacity_bps
-        if type(alpha) is not float or not (_all_floats(x) and _all_floats(caps)):
-            try:
-                alpha, x, caps = _real(alpha), tuple(map(_real, x)), tuple(map(_real, caps))
-            except (TypeError, ValueError, OverflowError):
-                raise ValueError(
-                    "alpha_db_per_km, x and capacity_bps must be real numbers"
-                ) from None
-            object.__setattr__(self, "alpha_db_per_km", alpha)
-            object.__setattr__(self, "x", x)
-            object.__setattr__(self, "capacity_bps", caps)
+        # the CSV shows a numpy scalar or a bool as the number it stands for
+        try:
+            alpha = _real(self.alpha_db_per_km)
+            x, caps = tuple(map(_real, self.x)), tuple(map(_real, self.capacity_bps))
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError("alpha_db_per_km, x and capacity_bps must be real numbers") from None
+        object.__setattr__(self, "alpha_db_per_km", alpha)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "capacity_bps", caps)
         if len(x) != len(caps):
             raise ValueError("x and capacity_bps must have equal length")
         _check_grid(x)
@@ -149,11 +147,6 @@ def _check_grid(x: tuple[float, ...]) -> None:
         raise ValueError("sweep grid must be non-decreasing")
 
 
-def _all_floats(values) -> bool:
-    """Whether ``values`` is a tuple of Python floats, subclasses excluded."""
-    return type(values) is tuple and list(map(type, values)).count(float) == len(values)
-
-
 def _check_bandwidth(bandwidth: float) -> None:
     if not 0.0 < bandwidth < math.inf:
         raise ValueError(f"bandwidth must be finite and > 0, got {bandwidth!r}")
@@ -179,13 +172,13 @@ def _snr(pr_over_n0_db, responsivity, channel_gain, bandwidth):
     """The SNR arithmetic of :func:`electrical_snr`, run on checked inputs
     under np.errstate; it raises only for an SNR past the largest float."""
     photo = responsivity * channel_gain
-    snr = photo * photo * 10.0 ** (pr_over_n0_db / 10.0) / bandwidth
+    snr = photo * photo * np.power(10.0, pr_over_n0_db / 10.0) / bandwidth
     finite = np.isfinite(snr)
     if not finite.all():
-        # photo * photo can overflow where a small ratio would scale it
-        # back down; there, square photo * sqrt(ratio) instead
-        amplitude = photo * 10.0 ** (pr_over_n0_db / 20.0)
-        snr = np.where(finite, snr, np.square(amplitude) / bandwidth)[()]
+        # photo * photo can overflow where a small ratio or a wide band would
+        # scale it back down; there, divide a factor photo * sqrt(ratio) first
+        amplitude = photo * np.power(10.0, pr_over_n0_db / 20.0)
+        snr = np.where(finite, snr, amplitude * (amplitude / bandwidth))[()]
         finite = np.isfinite(snr)
         if not finite.all():
             db, gain = (
@@ -202,7 +195,7 @@ def _snr(pr_over_n0_db, responsivity, channel_gain, bandwidth):
 def _capacity(snr, bandwidth):
     """The Shannon arithmetic of :func:`link_capacity`, on a checked SNR."""
     capacity = bandwidth * np.log1p(snr) / _LN2
-    return float(capacity) if np.ndim(capacity) == 0 else capacity
+    return float(capacity) if capacity.ndim == 0 else capacity
 
 
 def electrical_snr(
@@ -228,7 +221,8 @@ def electrical_snr(
     if not 0.0 <= responsivity < math.inf:
         raise ValueError(f"responsivity must be finite and >= 0, got {responsivity!r}")
     with np.errstate(over="ignore", invalid="ignore"):
-        return _snr(pr_over_n0_db, responsivity, channel_gain, bandwidth)
+        snr = _snr(pr_over_n0_db, responsivity, channel_gain, bandwidth)
+    return float(snr) if snr.ndim == 0 else snr
 
 
 def link_capacity(snr: float | np.ndarray, bandwidth: float) -> float | np.ndarray:
@@ -279,13 +273,14 @@ def outdoor_link_capacity(
     other.  Built on the checks and cores of :func:`~owpan.channels.fso_gain`,
     so a span of exactly zero, the natural left edge of a distance sweep,
     is representable.  A span so long that the beam radius overflows
-    captures nothing and reads capacity 0.0.
+    captures nothing and reads capacity 0.0, as any span does past a waist
+    so narrow that its Rayleigh range underflows to 0.
     """
     if span is None:
         span = params.span
     if pr_over_n0_db is None:
         pr_over_n0_db = params.pr_over_n0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         gain = _laser_gain(
             alpha_db_per_km, span, params.detector_area, params.beam_waist, params.wavelength
         )

@@ -11,7 +11,9 @@ no locking.
 Internally all quantities are SI (m, m^2, rad); attenuation coefficients
 are the lone exception and stay in dB/km, matching how they are normally
 quoted.  The laser-hop functions also take numpy arrays, which
-broadcast against each other.  Each is its input checks, then one
+broadcast against each other, and scalars share their arithmetic: every
+power is a numpy ufunc, so a scalar call returns the float64 bits of the
+matching element of an array call.  Each is its input checks, then one
 unchecked arithmetic core (the ``_``-prefixed functions below), and a check
 reads an array's every element as it reads a scalar: a Python float by a
 Python comparison, an array by one method reduction.  :func:`fso_gain`
@@ -91,15 +93,15 @@ def diffuse_gain(p: LinkBudgetParams) -> ChannelGain:
 
 
 def _any(mask) -> bool:
-    """Whether a check's mask holds anywhere.  A comparison of Python numbers
-    gives a bool, read as it is; a numpy mask is reduced by its own method,
-    without the dispatch of ``np.any``."""
-    return mask if type(mask) is bool else mask.any()
+    """Whether a check's mask holds anywhere.  A comparison of scalars gives
+    a bool or a numpy bool, read as it is; an array mask is reduced by its
+    own method, without the dispatch of ``np.any``."""
+    return mask.any() if type(mask) is np.ndarray else mask
 
 
 def _all(mask) -> bool:
     """Whether a check's mask holds everywhere, read as :func:`_any` reads it."""
-    return mask if type(mask) is bool else mask.all()
+    return mask.all() if type(mask) is np.ndarray else mask
 
 
 def _first_bad(value, bad):
@@ -111,13 +113,14 @@ def _first_bad(value, bad):
 
 
 def _gain(value) -> ChannelGain | np.ndarray:
-    """A scalar as :class:`ChannelGain`; an array after the same [0, 1] check."""
-    if np.ndim(value) == 0:
-        return ChannelGain(value)
+    """A core's gain after one [0, 1] check, which names a bad scalar as it
+    names an array's first bad element: a scalar as :class:`ChannelGain`,
+    an array as it is."""
     in_range = (0.0 <= value) & (value <= 1.0)
-    if not in_range.all():
-        raise ValueError(f"channel gain outside [0, 1], got {_first_bad(value, ~in_range)!r}")
-    return value
+    if not _all(in_range):
+        bad = np.asarray(value)[~in_range][0].item()
+        raise ValueError(f"channel gain outside [0, 1], got {bad!r}")
+    return ChannelGain(value) if in_range.ndim == 0 else value
 
 
 # Input checks.  A NaN passes each of them; in a gain it surfaces as a NaN
@@ -140,30 +143,28 @@ def _check_capture(detector_area, beam_radius) -> None:
         raise ValueError("detector area and beam radius must be strictly positive")
 
 
-# Arithmetic cores, unchecked.  The public functions run them after their
-# checks, under np.errstate: an overflow here is a real limit (a beam spread
-# past the largest float captures nothing), and a 0 * inf makes a NaN gain
-# that _gain rejects.
+# Arithmetic cores, unchecked, in numpy ufuncs alone.  The public functions
+# run them after their checks, under np.errstate: an overflow here is a real
+# limit (a beam spread past the largest float captures nothing), as is a
+# Rayleigh range that underflows to 0 (the beam spreads at once), and a
+# 0 * inf makes a NaN gain that _gain rejects.
 
 
 def _transmittance(attenuation_db_per_km, span_m):
-    return 10.0 ** (-attenuation_db_per_km * (span_m / 1000.0) / 10.0)
+    return np.power(10.0, -attenuation_db_per_km * (span_m / 1000.0) / 10.0)
 
 
 def _beam_radius(beam_waist, wavelength, span_m):
-    rayleigh = math.pi * beam_waist**2 / wavelength
+    rayleigh = math.pi * np.square(beam_waist) / wavelength
     radius = beam_waist * np.hypot(1.0, span_m / rayleigh)
-    return float(radius) if np.ndim(radius) == 0 else radius
+    if _any(rayleigh == 0.0):
+        # span / Rayleigh range is 0 / 0 at the waist, where the radius is the waist
+        radius = np.where(span_m == 0.0, beam_waist, radius)
+    return float(radius) if radius.ndim == 0 else radius
 
 
 def _capture_fraction(detector_area, beam_radius):
-    try:
-        spread = math.pi * beam_radius**2
-    except OverflowError:
-        # a Python float's square raises where numpy's reads inf; an
-        # infinite spread captures nothing on both paths
-        spread = math.inf
-    return -np.expm1(-2.0 * detector_area / spread)
+    return -np.expm1(-2.0 * detector_area / (math.pi * np.square(beam_radius)))
 
 
 def _laser_gain(attenuation_db_per_km, span_m, detector_area, beam_waist, wavelength):
@@ -195,7 +196,7 @@ def gaussian_beam_radius(beam_waist, wavelength, span_m) -> float | np.ndarray:
     """
     _check_beam(beam_waist, wavelength)
     _check_not_negative(span_m, "span")
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         return _beam_radius(beam_waist, wavelength, span_m)
 
 
@@ -204,10 +205,11 @@ def fso_capture_fraction(detector_area, beam_radius) -> ChannelGain | np.ndarray
 
     1 - exp(-2 A / (pi w^2)): the on-axis encircled power of a Gaussian
     profile over an aperture of area A, assuming no pointing error.  A
-    radius whose square overflows captures 0.
+    radius whose square overflows captures 0, one whose square underflows
+    captures 1.
     """
     _check_capture(detector_area, beam_radius)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         return _gain(_capture_fraction(detector_area, beam_radius))
 
 
@@ -217,6 +219,6 @@ def fso_gain(
     """Laser link gain, transmittance times capture fraction: the one
     composition of the laser hop.  It admits a span of zero, the left
     edge of a distance sweep."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         gain = _laser_gain(attenuation_db_per_km, span_m, detector_area, beam_waist, wavelength)
     return ChannelGain(gain) if np.ndim(gain) == 0 else gain

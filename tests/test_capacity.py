@@ -3,10 +3,11 @@
 import io
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -27,6 +28,7 @@ from owpan.capacity import (
 from owpan.channels import (
     beers_lambert_transmittance,
     fso_capture_fraction,
+    fso_gain,
     gaussian_beam_radius,
 )
 from owpan.params import LinkBudgetParams
@@ -127,6 +129,15 @@ class TestElectricalSnr:
     def test_square_of_a_huge_photocurrent_scaled_back_down_is_finite(self):
         # (1e200)^2 overflows, but the -4000 dB ratio brings the SNR back to 1
         assert electrical_snr(-4000.0, 1e200, 1.0, 1.0) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("db", [3082.0, np.array([30.0, 3082.0])])
+    def test_a_wide_band_scales_a_huge_snr_back_down(self, db):
+        # 2^2 * 10^308.2 overflows before the 1e307 Hz band divides it back
+        # down to about 63
+        snr = np.ravel(electrical_snr(db, 2.0, 1.0, 1e307))[-1]
+        assert snr == pytest.approx(4.0 * 10.0**1.2, rel=1e-12)
+        assert link_capacity(snr, 1e307) == pytest.approx(1e307 * math.log2(1.0 + snr))
 
     @pytest.mark.filterwarnings("error")
     def test_overflow_fallback_touches_only_non_finite_elements(self):
@@ -284,6 +295,116 @@ class TestOneCallMatchesTheSteps:
 
         got = _outcome(lambda: outdoor_link_capacity(p, alpha, span=span, pr_over_n0_db=db))
         assert got == _outcome(steps)
+
+
+def _bits(call):
+    """A call's result as float64 bytes, or its error's type and text."""
+    try:
+        return np.asarray(call(), dtype=np.float64).tobytes()
+    except (ValueError, ArithmeticError, RuntimeWarning) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_P = LinkBudgetParams()
+# the valid values, 0, -0, the limits from the smallest subnormal to the
+# largest float, and the invalid values of _ODD_REALS; plus seeded uniform
+# values over [-20, 100), since hypothesis favours round numbers, and every
+# pow is exact on those
+_POINTS = st.one_of(
+    _REALS,
+    st.integers(0, 2**32 - 1).map(lambda seed: np.random.default_rng(seed).uniform(-20.0, 100.0)),
+    st.sampled_from([5e-324, 1e-170, 1.7976931348623157e308]),
+)
+_GAINS = st.one_of(st.floats(0.0, 1.0), st.sampled_from([-0.0, 1.0, 5e-324]))
+# name: (strategies of the fixed arguments, strategy of the swept one, the
+# call with the swept argument last)
+_ROWS = {
+    "transmittance-alpha": ((_POINTS,), _POINTS, lambda s, v: beers_lambert_transmittance(v, s)),
+    "transmittance-span": ((_POINTS,), _POINTS, lambda a, v: beers_lambert_transmittance(a, v)),
+    "beam-radius": ((), _POINTS, lambda v: gaussian_beam_radius(_P.beam_waist, _P.wavelength, v)),
+    "capture-fraction": ((), _POINTS, lambda v: fso_capture_fraction(_P.detector_area, v)),
+    "gain-alpha": (
+        (_POINTS,), _POINTS,
+        lambda s, v: fso_gain(v, s, _P.detector_area, _P.beam_waist, _P.wavelength),
+    ),
+    "gain-span": (
+        (_POINTS,), _POINTS,
+        lambda a, v: fso_gain(a, v, _P.detector_area, _P.beam_waist, _P.wavelength),
+    ),
+    "snr-ratio": (
+        (_GAINS,), _POINTS,
+        lambda g, v: electrical_snr(v, _P.laser_responsivity, g, _P.bandwidth),
+    ),
+    "snr-gain": (
+        (_POINTS,), _GAINS,
+        lambda db, v: electrical_snr(db, _P.laser_responsivity, v, _P.bandwidth),
+    ),
+    "capacity": ((), _POINTS, lambda v: link_capacity(v, _P.bandwidth)),
+    "outdoor-alpha": (
+        (_POINTS, _POINTS), _POINTS,
+        lambda s, db, v: outdoor_link_capacity(_P, v, span=s, pr_over_n0_db=db),
+    ),
+    "outdoor-span": (
+        (_POINTS, _POINTS), _POINTS,
+        lambda a, db, v: outdoor_link_capacity(_P, a, span=v, pr_over_n0_db=db),
+    ),
+    "outdoor-ratio": (
+        (_POINTS, _POINTS), _POINTS,
+        lambda a, s, v: outdoor_link_capacity(_P, a, span=s, pr_over_n0_db=v),
+    ),
+}
+
+
+class TestAPointEqualsItsRow:
+    """Scalars and arrays share one arithmetic, so a call on one value gives
+    the float64 bits of the matching element of the call on a row of values,
+    as a sweep makes.  A row with a value that raises alone raises one such
+    value's error; the values that pass alone pass as a row."""
+
+    @pytest.mark.parametrize("name", list(_ROWS))
+    @settings(max_examples=50)
+    @given(data=st.data())
+    def test_a_point_equals_its_row(self, name, data):
+        fixed_strategies, swept, call = _ROWS[name]
+        fixed = [data.draw(strategy) for strategy in fixed_strategies]
+        row = data.draw(st.lists(swept, min_size=1, max_size=12))
+        points = [_bits(lambda: call(*fixed, v)) for v in row]
+        errors = [point for point in points if isinstance(point, tuple)]
+        if errors:
+            assert _bits(lambda: call(*fixed, np.array(row))) in errors
+        passed = [(v, point) for v, point in zip(row, points) if not isinstance(point, tuple)]
+        if passed:
+            values, bits = zip(*passed)
+            assert _bits(lambda: call(*fixed, np.array(values))) == b"".join(bits)
+
+
+class TestExtremeBeamWaists:
+    """Every beam waist ends in a capacity.  A 1e-170 m waist's Rayleigh
+    range underflows to 0: at span 0 the beam is the waist and captures all,
+    past it the beam spreads at once and captures nothing.  A 1e155 m waist
+    squares past the largest float and captures nothing."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("w0", [1e-170, 1e155])
+    @pytest.mark.parametrize("variable", list(SweepVariable))
+    def test_sweep_matches_scalar_calls(self, w0, variable):
+        p = replace(LinkBudgetParams(), beam_waist=w0)
+        spec = SweepSpec(variable, 0.0, 160.0, points=3)
+        for curve in sweep_capacity(p, spec):
+            arg = "span" if variable is SweepVariable.SPAN_M else "pr_over_n0_db"
+            points = [
+                outdoor_link_capacity(p, curve.alpha_db_per_km, **{arg: x}) for x in curve.x
+            ]
+            assert curve.capacity_bps == tuple(points)
+            full = w0 < 1.0 and variable is SweepVariable.SPAN_M
+            assert (curve.capacity_bps[0] > 0.0) is full
+            assert curve.capacity_bps[1:] == (0.0, 0.0)
+
+    def test_at_the_waist_a_narrow_beam_captures_all(self):
+        p = LinkBudgetParams()
+        snr = electrical_snr(p.pr_over_n0, p.laser_responsivity, 1.0, p.bandwidth)
+        narrow = replace(p, beam_waist=1e-170)
+        assert outdoor_link_capacity(narrow, 5.0, span=0.0) == link_capacity(snr, p.bandwidth)
 
 
 class TestHugeSpans:
@@ -771,12 +892,9 @@ class TestCurveStoresFloats:
         curve = _curve(tuple(np.linspace(0.0, 1.0, 3)), tuple(np.array([3.0, 2.0, 1.0])))
         assert [type(v) for v in curve.x + curve.capacity_bps] == [float] * 6
 
-    def test_lists_become_tuples_and_a_sweep_keeps_its_tuples(self):
+    def test_lists_become_tuples(self):
         curve = _curve([0.0, 1.0], [3.0, 2.0])
         assert curve.x == (0.0, 1.0) and curve.capacity_bps == (3.0, 2.0)
-        x, caps = (0.5, 1.5), (4.0, 3.0)
-        curve = _curve(x, caps)
-        assert curve.x is x and curve.capacity_bps is caps
 
     @pytest.mark.parametrize(
         "alpha,x,caps",

@@ -258,10 +258,6 @@ class TestArrayInputs:
     SPANS = np.array([0.0, 0.5, 10.0, 160.0, 777.7, 2000.0, 5000.0])
     W0, LAM = 0.588e-3, 1550e-9
 
-    # numpy's SIMD pow and expm1 may round an array element differently
-    # from the same call on a scalar, within a few ulp
-    MAX_ULP = 4
-
     def scalar_grid(self, f):
         return np.array(
             [[f(a, s) for s in self.SPANS.tolist()] for a in self.ALPHAS.ravel().tolist()]
@@ -270,28 +266,26 @@ class TestArrayInputs:
     def test_transmittance_matches_scalar_calls(self):
         got = beers_lambert_transmittance(self.ALPHAS, self.SPANS)
         assert got.shape == (5, 7)
-        np.testing.assert_array_max_ulp(
-            got, self.scalar_grid(beers_lambert_transmittance), self.MAX_ULP
-        )
+        np.testing.assert_array_equal(got, self.scalar_grid(beers_lambert_transmittance))
 
     def test_beam_radius_matches_scalar_calls(self):
         got = gaussian_beam_radius(self.W0, self.LAM, self.SPANS)
         want = [gaussian_beam_radius(self.W0, self.LAM, s) for s in self.SPANS.tolist()]
-        np.testing.assert_array_max_ulp(got, np.array(want), self.MAX_ULP)
+        np.testing.assert_array_equal(got, np.array(want))
 
     def test_capture_fraction_matches_scalar_calls(self):
         areas = np.array([[1e-8], [100e-6], [1.0]])
         radii = np.array([1e-5, 0.134, 3.0, 10.0])
         got = fso_capture_fraction(areas, radii)
         want = [[fso_capture_fraction(a, r) for r in radii.tolist()] for a in areas.ravel().tolist()]
-        np.testing.assert_array_max_ulp(got, np.array(want), self.MAX_ULP)
+        np.testing.assert_array_equal(got, np.array(want))
 
     def test_link_gain_matches_scalar_calls(self):
         def scalar(alpha, span):
             return fso_gain(alpha, span, 100e-6, self.W0, self.LAM)
 
         got = fso_gain(self.ALPHAS, self.SPANS, 100e-6, self.W0, self.LAM)
-        np.testing.assert_array_max_ulp(got, self.scalar_grid(scalar), self.MAX_ULP)
+        np.testing.assert_array_equal(got, self.scalar_grid(scalar))
 
     def test_scalar_calls_keep_scalar_types(self):
         assert type(beers_lambert_transmittance(5.0, 160.0)) is ChannelGain
@@ -351,6 +345,37 @@ class TestBeamPastTheLargestFloat:
                 beers_lambert_transmittance(alpha, span)
             with pytest.raises(ValueError, match=r"^channel gain outside \[0, 1\], got nan$"):
                 fso_gain(alpha, span, 100e-6, 0.588e-3, 1550e-9)
+
+
+class TestExtremeBeamWaists:
+    """Every beam waist gives a gain, with no bare arithmetic error and no
+    warning.  A 1e-170 m waist's Rayleigh range underflows to 0, so past the
+    waist its beam spreads at once, and at the waist, where span / Rayleigh
+    range is 0 / 0, the radius is the waist; a 1e155 m waist's square
+    overflows."""
+
+    SPANS = [0.0, 160.0]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "w0, radii, gains",
+        [(1e-170, [1e-170, math.inf], [1.0, 0.0]), (1e155, [1e155, 1e155], [0.0, 0.0])],
+    )
+    def test_radius_and_gain(self, w0, radii, gains):
+        transmittance = beers_lambert_transmittance(0.0, np.array(self.SPANS)).tolist()
+        assert [gaussian_beam_radius(w0, 1550e-9, s) for s in self.SPANS] == radii
+        assert gaussian_beam_radius(w0, 1550e-9, np.array(self.SPANS)).tolist() == radii
+        assert [fso_gain(0.0, s, 100e-6, w0, 1550e-9) for s in self.SPANS] == gains
+        got = fso_gain(np.array([[0.0], [5.0]]), np.array(self.SPANS), 100e-6, w0, 1550e-9)
+        assert got[0].tolist() == [t * g for t, g in zip(transmittance, gains)] == gains
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_radius_whose_square_underflows_captures_everything(self):
+        assert fso_capture_fraction(100e-6, 1e-170) == 1.0
+        assert fso_capture_fraction(100e-6, np.array([1e-170, 0.134])).tolist() == [
+            1.0,
+            fso_capture_fraction(100e-6, 0.134),
+        ]
 
 
 class TestParamValidation:

@@ -1,13 +1,17 @@
 """Command-line interface: subcommands, outputs, and exit codes."""
 
 import hashlib
+import io
 import itertools
+import json
 import math
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -250,6 +254,24 @@ def test_capacity_sweep_span_whose_beam_radius_overflows_reads_zero(capsys):
     assert [x for x, _, cap in rows if cap == "0.0"] == ["5e+307", "1e+308"] * 4
 
 
+@pytest.mark.parametrize("var", ["L", "pr_n0"])
+@pytest.mark.parametrize("waist", ["1e-170", "1e155"])
+def test_capacity_sweep_reads_a_capacity_at_any_beam_waist(tmp_path, capsys, waist, var):
+    # a 1e-170 m waist, whose Rayleigh range underflows to 0, captures all
+    # at span 0, where the beam is the waist, and nothing past it; a 1e155 m
+    # waist squares past the largest float and captures nothing
+    params = tmp_path / "waist.txt"
+    params.write_text(f"beam_waist = {waist} m\n")
+    code, out, err = run_cli(
+        ["capacity-sweep", "--var", var, "--points", "3", "--params", str(params)], capsys
+    )
+    assert (code, err) == (0, "")
+    rows = [row.split(",") for row in out.splitlines()[1:]]
+    assert len(rows) == 12
+    full = waist == "1e-170" and var == "L"
+    assert [x for x, _, cap in rows if cap != "0.0"] == (["0.0"] * 4 if full else [])
+
+
 def test_capacity_sweep_gnuplot_needs_an_output_file(tmp_path, capsys, monkeypatch):
     # the script would plot '-', which gnuplot reads as inline data
     script = tmp_path / "s.gp"
@@ -310,33 +332,100 @@ def test_capacity_sweep_end_to_end_flag(capsys):
 
 # One run per swept variable, with and without --end-to-end, one custom grid,
 # and one params file that moves the LED hop (the end-to-end floor).
+_SWEEP_ARGV = {
+    "L": ["--var", "L"],
+    "L_end_to_end": ["--var", "L", "--end-to-end"],
+    "pr_n0": ["--var", "pr_n0"],
+    "pr_n0_end_to_end": ["--var", "pr_n0", "--end-to-end"],
+    "L_57_points": ["--var", "L", "--points", "57", "--min", "3", "--max", "9000"],
+    "led_params": ["--var", "L", "--end-to-end", "--params", "{led}"],
+}
+
+# The last bits of a sweep follow numpy's float64 power, expm1 and log1p
+# loops, which numpy picks for the CPU when it loads: its AVX-512 loops
+# (X86_V4) where the CPU has them, its baseline loops elsewhere or under
+# NPY_DISABLE_CPU_FEATURES.  The two round a few results apart, so the CSV
+# digests are pinned per loop target.
 _PINNED_SWEEPS = {
-    "L": (["--var", "L"],
-          "56672be26eceb81fe204cc31e3acef40240bc65af1a8d67423d0082bd896bc13"),
-    "L_end_to_end": (["--var", "L", "--end-to-end"],
-                     "0d2f468446ee52c579dfc9db9a747c0ab85f620ec24a5b046368cb369ebc2813"),
-    "pr_n0": (["--var", "pr_n0"],
-              "fb30d4072a388f8cf5afc74c992ede3e034f6ae0ee84065067c37e0187692133"),
-    "pr_n0_end_to_end": (["--var", "pr_n0", "--end-to-end"],
-                         "18a3cd0750df2f1d59e3245c905cd0dac5ce0fc17a818bb3f7e07d7557346fd5"),
-    "L_57_points": (["--var", "L", "--points", "57", "--min", "3", "--max", "9000"],
-                    "f360b863a479110bc9ab4f60dfb332456f62bb7a47dd278a9f246ff0067da1f3"),
-    "led_params": (["--var", "L", "--end-to-end", "--params", "{led}"],
-                   "aa8efdee786506b60f84a18dff139ddaf7defd62f700eeaf3d56111666cfaeba"),
+    "X86_V4": {
+        "L": "56672be26eceb81fe204cc31e3acef40240bc65af1a8d67423d0082bd896bc13",
+        "L_end_to_end": "0d2f468446ee52c579dfc9db9a747c0ab85f620ec24a5b046368cb369ebc2813",
+        "pr_n0": "fb30d4072a388f8cf5afc74c992ede3e034f6ae0ee84065067c37e0187692133",
+        "pr_n0_end_to_end": "18a3cd0750df2f1d59e3245c905cd0dac5ce0fc17a818bb3f7e07d7557346fd5",
+        "L_57_points": "f360b863a479110bc9ab4f60dfb332456f62bb7a47dd278a9f246ff0067da1f3",
+        "led_params": "aa8efdee786506b60f84a18dff139ddaf7defd62f700eeaf3d56111666cfaeba",
+    },
+    "baseline(X86_V2)": {
+        "L": "3610cccbc49a110e82acd180ce92531a042b9f96e05c7dfeaa1b9d50338833d2",
+        "L_end_to_end": "6cc3328157a6ffdef4b0250428ee33d16b454a6c2a768df2532329e0577b2079",
+        "pr_n0": "eeafd508198aaa90066ecc303839f627d33f9b95df654d99459816ce52b1a83e",
+        "pr_n0_end_to_end": "18a3cd0750df2f1d59e3245c905cd0dac5ce0fc17a818bb3f7e07d7557346fd5",
+        "L_57_points": "18be9c0eef2dc831d293e8ffb1374461e39c21481c54f72514057f4a57b299c1",
+        "led_params": "91c834380c23d4d33e7d265541d0801169539d4cd006ccc1e1ec23b2caeedf48",
+    },
 }
 
 
-@pytest.mark.parametrize("name", sorted(_PINNED_SWEEPS))
-def test_capacity_sweep_csv_matches_pinned_digest(name, tmp_path, capsys):
+def _loop_target() -> str:
+    """The target of the float64 power, expm1 and log1p loops numpy runs
+    here, as numpy reports it ("X86_V4", "baseline(X86_V2)"); on numpy <
+    2.0, which has no such report, read from its CPU-feature table."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        from numpy.core._multiarray_umath import __cpu_features__
+
+        return "AVX512_SKX" if __cpu_features__.get("AVX512_SKX") else "baseline"
+    loops = opt_func_info(func_name="^(power|expm1|log1p)$", signature="float64")
+    return " ".join(sorted({sig["current"] for f in loops.values() for sig in f.values()}))
+
+
+def _sweep_digest(name: str, led) -> str:
+    """SHA-256 of the CSV that the pinned run ``name`` prints."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        assert main(["capacity-sweep", *(a.format(led=led) for a in _SWEEP_ARGV[name])]) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.fixture
+def led(tmp_path):
+    path = tmp_path / "led.txt"
+    path.write_text("led_distance = 1 m\nirradiance_angle = 60 deg\n")
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEP_ARGV))
+def test_capacity_sweep_csv_matches_pinned_digest(name, led):
     """The sweep CSV is pinned byte for byte, every float as its repr."""
-    led = tmp_path / "led.txt"
-    led.write_text("led_distance = 1 m\nirradiance_angle = 60 deg\n")
-    argv, digest = _PINNED_SWEEPS[name]
-    code, out, _ = run_cli(
-        ["capacity-sweep", *(a.format(led=led) for a in argv)], capsys
+    target = _loop_target()
+    if target not in _PINNED_SWEEPS:
+        pytest.fail(f"no sweep digests pinned for numpy's {target!r} float64 loops")
+    assert _sweep_digest(name, led) == _PINNED_SWEEPS[target][name]
+
+
+@pytest.mark.skipif(_loop_target() != "X86_V4", reason="numpy runs no X86_V4 loops here")
+def test_capacity_sweep_csv_matches_baseline_digests_in_a_child(led):
+    """Where numpy runs its AVX-512 loops, the baseline digests are checked
+    in one child process that switches those loops off."""
+    tests = Path(__file__).parent
+    package_parent = Path(owpan.__file__).parents[1]
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    env["PYTHONPATH"] = os.pathsep.join([str(package_parent), env.get("PYTHONPATH", "")])
+    env.pop("PYTHONSAFEPATH", None)  # it would keep cwd, and so this module, off sys.path
+    script = (
+        "import json, sys, test_cli as t\n"
+        "print(json.dumps([t._loop_target(), {n: t._sweep_digest(n, sys.argv[1]) "
+        "for n in t._SWEEP_ARGV}]))"
     )
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(led)],
+        capture_output=True, text=True, cwd=tests, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    target, digests = json.loads(done.stdout)
+    assert target.startswith("baseline(")
+    assert digests == _PINNED_SWEEPS[target]
 
 
 @pytest.mark.parametrize("key", ["cutoff_frequency", "los_delay", "nlos_delay"])
