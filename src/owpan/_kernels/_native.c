@@ -3,8 +3,10 @@
  *
  * The same eight callables with the same contract, bit for bit:
  *
- *   rs_encode_blocks(data, k)       systematic RS(15, k) over GF(16)
- *   rs_decode_blocks(code, k)       batched bounded-distance decoding
+ *   rs_encode_blocks(data, k)       systematic RS(15, k) over GF(16),
+ *                                   shortened to rows of 1..k symbols
+ *   rs_decode_blocks(code, k)       batched bounded-distance decoding of
+ *                                   rows of 16-k..15 symbols
  *   viterbi_decode(obs, out_table)  hard-decision Viterbi with erasures
  *   ook_demodulate(per)             OOK chips of (N, 4) samples
  *   vppm_demodulate(per)            VPPM bits and tie mask of (N, 4) samples
@@ -29,6 +31,10 @@
  *   uint64, so a map costs one lookup and one XOR per input symbol.
  *   Rows with a non-zero syndrome run Berlekamp-Massey, Chien and Forney
  *   exactly as _pure._correct does.
+ * - A shortened RS row's missing leading symbols are implicit zeros, as
+ *   libfec's pad: they select no entry of a map, so the map is read from
+ *   the row of the first sent symbol on, and a correction that lands in
+ *   them fails the row.
  * - Viterbi reads the 128 branch metrics of a step from one row of a
  *   cached 3^R x 128 table, runs add-compare-select over the 64 states
  *   and keeps each step's survivor decisions in one uint64.
@@ -197,10 +203,11 @@ static int get_k(PyObject *obj, int *k)
     return get_int(obj, "k", 1, N - 1, k);
 }
 
-static int check_rows(const Py_buffer *view, int width, const char *name)
+/* view must hold 2-D rows of lo..hi symbols, each 0..15. */
+static int check_rows(const Py_buffer *view, int lo, int hi, const char *name)
 {
-    if (view->ndim != 2 || view->shape[1] != width) {
-        PyErr_Format(PyExc_ValueError, "%s must have shape (N, %d)", name, width);
+    if (view->ndim != 2 || view->shape[1] < lo || view->shape[1] > hi) {
+        PyErr_Format(PyExc_ValueError, "%s must have shape (N, %d..%d)", name, lo, hi);
         return -1;
     }
     const uint8_t *p = view->buf;
@@ -224,14 +231,18 @@ static PyObject *rs_encode_blocks(PyObject *self, PyObject *args, PyObject *kwar
         get_k(k_obj, &k) || get_u8(obj, &in))
         return NULL;
     uint8_t *o;
-    if (check_rows(&in, k, "data") == 0 && (out = new_array(in.shape[0], N, dtype_u8, &o))) {
+    if (check_rows(&in, 1, k, "data") == 0 &&
+        (out = new_array(in.shape[0], in.shape[1] + N - k, dtype_u8, &o))) {
         const uint8_t *d = in.buf;
-        int nroots = N - k;
-        for (Py_ssize_t row = 0; row < in.shape[0]; row++, d += k, o += N) {
-            uint64_t par = apply(PARITY[k], d, k);
-            memcpy(o, d, k);
+        int w = (int)in.shape[1], nroots = N - k;
+        /* the k - w implicit leading zeros select no parity, so the map
+           starts at the row of the first sent symbol */
+        const uint64_t *map = PARITY[k] + 16 * (k - w);
+        for (Py_ssize_t row = 0; row < in.shape[0]; row++, d += w, o += w + nroots) {
+            uint64_t par = apply(map, d, w);
+            memcpy(o, d, w);
             for (int i = 0; i < nroots; i++)
-                o[k + i] = (par >> (4 * i)) & 15;
+                o[w + i] = (par >> (4 * i)) & 15;
         }
     }
     PyBuffer_Release(&in);
@@ -256,10 +267,11 @@ static uint8_t eval_at(const uint8_t *coef, int first, int step, int n, int shif
     return acc;
 }
 
-/* Bounded-distance correction of a row with packed syndromes != 0, step
-   for step as _pure._correct; returns 1, leaving the row as it was, if
-   the row fails. */
-static int correct(uint8_t *row, uint64_t packed, int nroots)
+/* Bounded-distance correction of a 15-symbol row with packed syndromes
+   != 0, step for step as _pure._correct; returns 1, leaving the row as it
+   was, if the row fails or its correction lands in its first pad symbols,
+   the virtual prefix of a shortened code. */
+static int correct(uint8_t *row, uint64_t packed, int nroots, int pad)
 {
     int t = nroots / 2, width = nroots + 2, elen = 1, olen = 1;
     uint8_t synd[N], err[N + 2] = {1}, old[N + 2] = {1}, prev[N + 2], omega[N];
@@ -311,6 +323,9 @@ static int correct(uint8_t *row, uint64_t packed, int nroots)
     /* a bounded-distance result must be a codeword */
     if (apply(SYNDROME[nroots], fixed, N))
         return 1;
+    for (int j = 0; j < pad; j++)
+        if (fixed[j])
+            return 1;
     memcpy(row, fixed, N);
     return 0;
 }
@@ -325,18 +340,22 @@ static PyObject *rs_decode_blocks(PyObject *self, PyObject *args, PyObject *kwar
         get_k(k_obj, &k) || get_u8(obj, &in))
         return NULL;
     uint8_t *o, *f;
-    if (check_rows(&in, N, "code") == 0 && (out = new_array(in.shape[0], k, dtype_u8, &o)) &&
+    int nroots = N - k;
+    if (check_rows(&in, nroots + 1, N, "code") == 0 &&
+        (out = new_array(in.shape[0], in.shape[1] - nroots, dtype_u8, &o)) &&
         (failed = new_array(in.shape[0], -1, dtype_bool, &f))) {
         const uint8_t *c = in.buf;
-        int nroots = N - k;
-        for (Py_ssize_t row = 0; row < in.shape[0]; row++, c += N, o += k) {
+        int n = (int)in.shape[1], pad = N - n, kw = n - nroots;
+        /* the pad implicit leading zeros add nothing to a syndrome */
+        const uint64_t *map = SYNDROME[nroots] + 16 * pad;
+        for (Py_ssize_t row = 0; row < in.shape[0]; row++, c += n, o += kw) {
             /* a row with all-zero syndromes is a codeword; correct()
                leaves a failed row as it was received */
-            uint64_t synd = apply(SYNDROME[nroots], c, N);
-            uint8_t cw[N];
-            memcpy(cw, c, N);
-            f[row] = synd && correct(cw, synd, nroots);
-            memcpy(o, cw, k);
+            uint64_t synd = apply(map, c, n);
+            uint8_t cw[N] = {0};
+            memcpy(cw + pad, c, n);
+            f[row] = synd && correct(cw, synd, nroots, pad);
+            memcpy(o, cw + pad, kw);
         }
     }
     PyBuffer_Release(&in);
@@ -1088,10 +1107,12 @@ bad:
 static PyMethodDef methods[] = {
     {"rs_encode_blocks", (PyCFunction)(void (*)(void))rs_encode_blocks,
      METH_VARARGS | METH_KEYWORDS,
-     "Encode rows of data (shape (N, k), symbols 0..15) into systematic RS(15, k)."},
+     "Encode rows of data (shape (N, w), 1 <= w <= k, symbols 0..15) into systematic\n"
+     "RS(15, k) shortened by k - w symbols; returns rows of w + 15 - k symbols."},
     {"rs_decode_blocks", (PyCFunction)(void (*)(void))rs_decode_blocks,
      METH_VARARGS | METH_KEYWORDS,
-     "Decode rows of code (shape (N, 15)); returns (data, failed)."},
+     "Decode rows of code (shape (N, n), 15 - k < n <= 15) of RS(15, k) shortened by\n"
+     "15 - n symbols; returns (data, failed), data rows of n - 15 + k symbols."},
     {"viterbi_decode", (PyCFunction)(void (*)(void))viterbi_decode,
      METH_VARARGS | METH_KEYWORDS,
      "Hard-decision Viterbi over the 64-state rate-1/R trellis, with erasures."},

@@ -4,8 +4,10 @@ These are the fallback for :mod:`owpan._kernels._native`, compiled from
 the hand-written ``_native.c``, and the readable reference that kernel
 must match bit for bit.  Both backends expose the same eight callables:
 
-* ``rs_encode_blocks(data, k)``   -- systematic RS(15, k) over GF(16)
-* ``rs_decode_blocks(code, k)``   -- batched bounded-distance decoding
+* ``rs_encode_blocks(data, k)``   -- systematic RS(15, k) over GF(16),
+                                     shortened to rows of 1..k symbols
+* ``rs_decode_blocks(code, k)``   -- batched bounded-distance decoding of
+                                     rows of 16-k..15 symbols
 * ``viterbi_decode(obs, table)``  -- hard-decision Viterbi with erasures
 * ``ook_demodulate(per)``         -- uint8 OOK chips of a waveform
 * ``vppm_demodulate(per)``        -- uint8 VPPM bits and a tie mask
@@ -18,6 +20,14 @@ must match bit for bit.  Both backends expose the same eight callables:
 The decoders convert their arrays to uint8 and raise ``ValueError`` for a
 shape, ``k``, symbol or observation outside the contract; a failed RS row
 returns the received data.
+
+The RS kernels code shortened RS(15, k) too, as Karn's libfec does with
+its ``pad``: the missing leading symbols are implicit zeros, neither sent
+nor returned.  ``rs_encode_blocks`` takes data rows of any width ``w`` in
+1..k and returns rows of ``w + 15 - k`` symbols; ``rs_decode_blocks``
+takes code rows of any width ``n`` in ``16 - k..15`` and returns
+``n - 15 + k`` data symbols per row, failing each row whose correction
+lands in the implicit zeros.
 
 The demodulators take ``per``, the (N, 4) samples of N chips, and raise
 ``ValueError`` for any other shape.  They read float32 and float64
@@ -233,25 +243,31 @@ def _locator_tables(nroots: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def rs_encode_blocks(data: np.ndarray, k: int) -> np.ndarray:
-    """Encode rows of ``data`` (shape (N, k), symbols 0..15) into RS(15, k).
+    """Encode rows of ``data`` (shape (N, w), 1 <= w <= k, symbols 0..15)
+    into RS(15, k) shortened by k - w symbols.
 
     Systematic: the codeword row is the data followed by 15-k parity
-    symbols (descending powers left to right).
+    symbols (descending powers left to right), w + 15 - k symbols.
     """
     _check_k(k)
     data = np.ascontiguousarray(data, dtype=np.uint8)
-    if data.ndim != 2 or data.shape[1] != k:
-        raise ValueError(f"data must have shape (N, {k})")
+    if data.ndim != 2 or not 0 < data.shape[1] <= k:
+        raise ValueError(f"data must have shape (N, 1..{k})")
     if data.size and data.max() > 15:
         raise ValueError("RS symbols must lie in 0..15")
-    out = np.empty((len(data), _N), dtype=np.uint8)
-    out[:, :k] = data
-    _unpack(_apply(_parity_map(k), data), _N - k, out[:, k:])
+    w = data.shape[1]
+    out = np.empty((len(data), w + _N - k), dtype=np.uint8)
+    out[:, :w] = data
+    # the k - w implicit leading zeros select no parity, so the map is read
+    # from the row of the first sent symbol on
+    _unpack(_apply(_parity_map(k)[16 * (k - w) :], data), _N - k, out[:, w:])
     return out
 
 
 def rs_decode_blocks(code: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Decode rows of ``code`` (shape (N, 15)); returns (data, failed).
+    """Decode rows of ``code`` (shape (N, n), 15 - k < n <= 15) of RS(15, k)
+    shortened by 15 - n symbols; returns (data, failed), data rows of
+    n - 15 + k symbols.
 
     Corrects up to floor((15-k)/2) symbol errors per row; rows beyond
     that either raise the ``failed`` flag or, unavoidably for any
@@ -259,19 +275,26 @@ def rs_decode_blocks(code: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """
     _check_k(k)
     code = np.ascontiguousarray(code, dtype=np.uint8)
-    if code.ndim != 2 or code.shape[1] != _N:
-        raise ValueError(f"code must have shape (N, {_N})")
+    nroots = _N - k
+    if code.ndim != 2 or not nroots < code.shape[1] <= _N:
+        raise ValueError(f"code must have shape (N, {nroots + 1}..{_N})")
     if code.size and code.max() > 15:
         raise ValueError("RS symbols must lie in 0..15")
-    nroots = _N - k
-    synd = _apply(_syndrome_map(nroots), code)
-    out = code[:, :k].copy()
+    pad = _N - code.shape[1]
+    # the pad implicit leading zeros add nothing to a syndrome
+    synd = _apply(_syndrome_map(nroots)[16 * pad :], code)
+    out = code[:, : k - pad].copy()
     failed = np.zeros(code.shape[0], dtype=bool)
     # a row with all-zero syndromes is a codeword and stays as it is
     dirty = np.flatnonzero(synd)
     if dirty.size:
-        fixed, failed[dirty] = _correct(code[dirty], _unpack(synd[dirty], nroots))
-        out[dirty] = fixed[:, :k]
+        full = np.zeros((dirty.size, _N), dtype=np.uint8)
+        full[:, pad:] = code[dirty]
+        fixed, bad = _correct(full, _unpack(synd[dirty], nroots))
+        # a correction inside the implicit zeros leaves the shortened code
+        bad |= fixed[:, :pad].any(axis=1)
+        failed[dirty] = bad
+        out[dirty[~bad]] = fixed[~bad, pad:k]
     return out, failed
 
 

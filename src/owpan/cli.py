@@ -3,7 +3,9 @@
 Subcommands: capacity-sweep, rate-table, codec-roundtrip, simulate,
 classify.  Every subcommand accepts ``--output -`` (standard output,
 the default) or ``--output <path>``.  Exit codes: 0 success, 1 domain
-error (bad parameters, undecodable input, no route), 2 usage error.
+error (bad parameters, undecodable input, no route), 2 usage error.  A
+reader that closes the output pipe early, as ``| head -1`` does, is no
+error: the command stops writing and exits 0.
 
 The ``OWPAN_PARAMS`` environment variable names a default link-budget
 parameter file used when ``--params`` is not given.
@@ -244,6 +246,15 @@ def main(argv=None) -> int:
         parser.error("capacity-sweep: --gnuplot needs --output <file>")
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed its pipe, as `| head -1` does: it has read all it
+        # wants.  If that pipe is standard output, it now points at devnull,
+        # so that the interpreter's flush at exit cannot fail on it again
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,9 +1,10 @@
 """Forward error correction: RS(n, k) over GF(16) and the K=7 binary
 convolutional code with hard-decision Viterbi decoding.
 
-RS codes with n < 15 are shortened: encode pads the data with leading zero
-symbols up to the mother RS(15, 15-(n-k)) code, decode strips them again
-and treats any "correction" landing in the virtual prefix as a failure.
+RS codes with n < 15 are shortened from the mother RS(15, 15-(n-k)) code
+by 15 - n virtual leading zero symbols, which only the kernels know of:
+they encode and decode the n-symbol rows as they are, and fail any row
+whose "correction" lands in the virtual prefix.
 
 The convolutional code is the constraint-length-7 family: a rate-1/3
 mother code (generators 133, 171, 165 octal), extended to rate 1/4 by a
@@ -122,17 +123,8 @@ def _as_symbols(x, width: int, name: str) -> np.ndarray:
     return arr
 
 
-def _unshorten(rows: np.ndarray, code: RsCode) -> tuple[np.ndarray, int]:
-    """``rows`` behind the shortened code's virtual zero symbols, and their count."""
-    pad = code.base_k - code.k
-    if pad:
-        rows = np.concatenate([np.zeros((rows.shape[0], pad), np.uint8), rows], axis=1)
-    return rows, pad
-
-
 def _rs_encode(data: np.ndarray, code: RsCode) -> np.ndarray:
-    data, pad = _unshorten(data, code)
-    return _kernels.rs_encode_blocks(data, code.base_k)[:, pad:]
+    return _kernels.rs_encode_blocks(data, code.base_k)
 
 
 def rs_encode(data, code: RsCode) -> np.ndarray:
@@ -142,12 +134,8 @@ def rs_encode(data, code: RsCode) -> np.ndarray:
 
 def _rs_decode(blocks: np.ndarray, code: RsCode) -> tuple[np.ndarray, np.ndarray]:
     # (data, bad) for checked (N, n) blocks: bad marks each block the kernel
-    # flags, or corrects inside the virtual prefix (an error pattern outside
-    # the shortened code)
-    blocks, pad = _unshorten(blocks, code)
-    data, failed = _kernels.rs_decode_blocks(blocks, code.base_k)
-    bad = failed | data[:, :pad].any(axis=1) if pad else failed
-    return data[:, pad:], bad
+    # fails, those it would correct inside the virtual prefix among them
+    return _kernels.rs_decode_blocks(blocks, code.base_k)
 
 
 def _raise_uncorrectable(bad: np.ndarray, code: RsCode) -> None:

@@ -63,7 +63,8 @@ def _raise_first(bad, error) -> None:
     """Raise ``error(i)`` at the first symbol ``i`` that ``bad`` marks with
     a nonzero entry; return if none is marked or ``bad`` is None.  Every
     receive stage reports its first bad symbol through this."""
-    if bad is not None and bad.any():
+    # count_nonzero, about a third of ndarray.any's cost on a short mask
+    if bad is not None and np.count_nonzero(bad):
         raise error(int(np.flatnonzero(bad)[0]))
 
 

@@ -793,6 +793,31 @@ def test_console_script_entry_point(capsys):
     assert b"error:" in proc.stderr
 
 
+def test_a_reader_that_closes_the_pipe_early_is_no_error(tmp_path):
+    """`owpan capacity-sweep --var L --points 20000 | head -1`: the sweep
+    exits 0 with nothing on stderr when its reader closes the pipe after
+    one line, long before the sweep's megabytes of CSV are written."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(owpan.__file__)))
+    with open(tmp_path / "stderr", "w+b") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "owpan.cli", "capacity-sweep", "--var", "L",
+             "--points", "20000"],
+            stdout=subprocess.PIPE,
+            stderr=err,
+            env=env,
+        )
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+        err.seek(0)
+        assert err.read() == b""
+    assert first == b"x,alpha_dBkm,capacity_bps\n"
+    assert code == 0
+
+
 def test_installed_owpan_script_if_present():
     from shutil import which
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from owpan._kernels import _pure
 from owpan.phy import fec
 from owpan.phy.fec import (
     CC_CONSTRAINT_LENGTH,
@@ -28,6 +29,14 @@ from owpan.phy.fec import (
     rs_decode,
     rs_encode,
 )
+
+try:
+    from owpan._kernels import _native
+except ImportError:
+    _native = None
+
+# every importable kernel backend
+_KERNEL_BACKENDS = [_pure] if _native is None else [_pure, _native]
 
 # ------------------------------------------------------------ GF(16) oracle
 
@@ -201,6 +210,28 @@ def test_rs_correction_into_the_virtual_prefix_fails_its_row():
     assert exc.value.rows.tolist() == [1]
     assert "1 of 4" in str(exc.value)
     assert rs_decode(clean, code).tolist() == np.tile(np.arange(7), (3, 1)).tolist()
+
+    # each backend's kernel alone: RS(9,5), the mother RS(15,11) behind six
+    # virtual zeros, fails every row that is a mother codeword with one or
+    # two (t) nonzero prefix symbols, and returns it as received
+    rng = np.random.default_rng(189)
+    mothers = []
+    for npos in (1, 2):
+        for pos in itertools.combinations(range(6), npos):
+            rows = rng.integers(0, 16, (4, 11), dtype=np.uint8)
+            rows[:, :6] = 0
+            rows[:, list(pos)] = rng.integers(1, 16, (4, npos), dtype=np.uint8)
+            mothers.append(rows)
+    mothers = np.concatenate(mothers)
+    received = _pure.rs_encode_blocks(mothers, 11)[:, 6:]
+    clean = _pure.rs_encode_blocks(mothers[:, 6:], 11)
+    for backend in _KERNEL_BACKENDS:
+        data, failed = backend.rs_decode_blocks(received, 11)
+        assert failed.all()
+        assert np.array_equal(data, received[:, :5])
+        data, failed = backend.rs_decode_blocks(clean, 11)
+        assert not failed.any()
+        assert np.array_equal(data, mothers[:, 6:])
 
 
 @settings(max_examples=60)

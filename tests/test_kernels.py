@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import itertools
 import math
 import os
 import re
@@ -88,6 +89,80 @@ def test_rs_decode_backends_agree():
         # a failed row returns the received data
         assert out_p.tolist() == out_n.tolist()
         assert out_n[fail_n].tolist() == code[fail_n, :k].tolist()
+
+
+def _zero_prefix_encode(data, k):
+    """Shortened RS as the frame codec once made it, kept as the oracle of
+    the kernels' own shortening: the rows behind k - w zero symbols,
+    encoded at full width on the pure kernel, the zeros cut off again."""
+    pad = k - data.shape[1]
+    full = np.concatenate([np.zeros((len(data), pad), np.uint8), data], axis=1)
+    return _pure.rs_encode_blocks(full, k)[:, pad:]
+
+
+def _zero_prefix_decode(code, k):
+    """The decoding twin of :func:`_zero_prefix_encode`: a row whose
+    correction lands in the zeros fails, and a failed row returns the
+    received data, as every failed row does under the kernel contract."""
+    pad = 15 - code.shape[1]
+    full = np.concatenate([np.zeros((len(code), pad), np.uint8), code], axis=1)
+    data, failed = _pure.rs_decode_blocks(full, k)
+    failed |= data[:, :pad].any(axis=1)
+    data = data[:, pad:]
+    data[failed] = code[failed, : k - pad]
+    return data, failed
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 14).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, k))),
+    st.integers(0, 2**32 - 1),
+)
+def test_shortened_rs_kernels_equal_the_zero_prefix_path(kw, seed):
+    """Every k and shortened width w: both backends encode and decode as the
+    zero-prefix oracle does.  The received rows are mother codewords whose
+    virtual prefix is sometimes nonzero, so that the decoder corrects into
+    it, with up to t + 1 symbol errors on the sent part."""
+    k, w = kw
+    pad, t = k - w, (15 - k) // 2
+    rng = np.random.default_rng(seed)
+    data = rng.integers(0, 16, (12, w), dtype=np.uint8)
+    sent = _zero_prefix_encode(data, k)
+    for backend in BACKENDS:
+        assert np.array_equal(backend.rs_encode_blocks(data, k), sent)
+    mother = rng.integers(0, 16, (12, k), dtype=np.uint8)
+    mother[:, :pad] *= rng.random((12, pad)) < 0.2
+    code = _pure.rs_encode_blocks(mother, k)[:, pad:]
+    for row in code:
+        nerr = rng.integers(0, t + 2)
+        row[rng.choice(row.size, nerr, replace=False)] ^= rng.integers(1, 16, nerr, np.uint8)
+    expected = _zero_prefix_decode(code, k)
+    for backend in BACKENDS:
+        data, failed = backend.rs_decode_blocks(code, k)
+        assert np.array_equal(failed, expected[1])
+        assert np.array_equal(data, expected[0])
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=lambda m: m.BACKEND)
+def test_shortened_rs14_7_corrects_every_one_and_two_symbol_error(backend):
+    """Every error of one or two symbols, at any positions of an RS(14,7)
+    block and of any values, decodes to the sent data: 210 + 20,475 rows,
+    14 symbols wide, on the mother RS(15,8) kernel."""
+    data = np.array([[3, 1, 4, 1, 5, 9, 2]], np.uint8)
+    sent = backend.rs_encode_blocks(data, 8)
+    assert sent.shape == (1, 14)
+    errors = []
+    for npos in (1, 2):
+        values = np.array(list(itertools.product(range(1, 16), repeat=npos)), np.uint8)
+        for pos in itertools.combinations(range(14), npos):
+            e = np.zeros((len(values), 14), np.uint8)
+            e[:, list(pos)] = values
+            errors.append(e)
+    received = sent ^ np.concatenate(errors)
+    assert received.shape == (210 + 20_475, 14)
+    out, failed = backend.rs_decode_blocks(received, 8)
+    assert not failed.any()
+    assert (out == data).all()
 
 
 @needs_native
@@ -930,9 +1005,14 @@ _CONTRACT_ERRORS = {
         lambda m: m.rs_encode_blocks(np.zeros((1, 15), np.uint8), 15),
         "k must lie in 1..14, got 15",
     ),
+    # rows of 1..k data symbols are the shortened codes; 8 is one too many
     "encode-shape": (
-        lambda m: m.rs_encode_blocks(np.zeros((1, 6), np.uint8), 7),
-        "data must have shape (N, 7)",
+        lambda m: m.rs_encode_blocks(np.zeros((1, 8), np.uint8), 7),
+        "data must have shape (N, 1..7)",
+    ),
+    "encode-width-0": (
+        lambda m: m.rs_encode_blocks(np.zeros((1, 0), np.uint8), 7),
+        "data must have shape (N, 1..7)",
     ),
     "encode-symbol-16": (
         lambda m: m.rs_encode_blocks(np.full((1, 7), 16, np.uint8), 7),
@@ -942,9 +1022,18 @@ _CONTRACT_ERRORS = {
         lambda m: m.rs_decode_blocks(np.zeros((1, 15), np.uint8), 0),
         "k must lie in 1..14, got 0",
     ),
+    # rows of 16-k..15 symbols are the shortened codes; 8 is parity alone
     "decode-shape": (
-        lambda m: m.rs_decode_blocks(np.zeros((1, 14), np.uint8), 7),
-        "code must have shape (N, 15)",
+        lambda m: m.rs_decode_blocks(np.zeros((1, 8), np.uint8), 7),
+        "code must have shape (N, 9..15)",
+    ),
+    "decode-width-16": (
+        lambda m: m.rs_decode_blocks(np.zeros((1, 16), np.uint8), 7),
+        "code must have shape (N, 9..15)",
+    ),
+    "decode-1d": (
+        lambda m: m.rs_decode_blocks(np.zeros(15, np.uint8), 7),
+        "code must have shape (N, 9..15)",
     ),
     "decode-symbol-16": (
         lambda m: m.rs_decode_blocks(np.full((1, 15), 16, np.uint8), 7),
@@ -1115,18 +1204,27 @@ def test_pure_rs_encode_memory_stays_flat_on_a_64k_frame():
     assert peak <= 4e6
 
 
-def test_pure_rs_decode_memory_stays_flat_on_a_64k_frame():
-    """65,537 clean RS(15,2) blocks, a 64 KiB frame's, decode in under 6 MB.
+@pytest.mark.parametrize(
+    "k,width,blocks,bound",
+    [(2, 15, 65_537, 6e6), (8, 14, 18_725, 4e6)],
+    ids=["rs15_2", "rs14_7"],
+)
+def test_pure_rs_decode_memory_stays_flat_on_a_64k_frame(k, width, blocks, bound):
+    """A 64 KiB frame's clean blocks decode in O(block) memory: 65,537
+    RS(15,2) blocks in under 6 MB, and 18,725 RS(14,7) blocks, the mother
+    RS(15,8) shortened by one symbol, in under 4 MB.
 
-    The syndrome map gathers _BLOCK rows at a time; a (blocks, 15) int64
-    index and uint64 gather at once would peak at 15.7 MB.
+    The syndrome map gathers _BLOCK rows at a time, reading a shortened
+    row as it is; a (blocks, width) int64 index and uint64 gather at once
+    would peak at 15.7 MB for RS(15,2) and 4.2 MB for RS(14,7).
     """
-    code = _pure.rs_encode_blocks(np.zeros((65_537, 2), np.uint8), 2)
+    code = _pure.rs_encode_blocks(np.zeros((blocks, width - 15 + k), np.uint8), k)
     tracemalloc.start()
     try:
-        data, failed = _pure.rs_decode_blocks(code, 2)
+        data, failed = _pure.rs_decode_blocks(code, k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert code.shape == (blocks, width) and data.shape == (blocks, width - 15 + k)
     assert not data.any() and not failed.any()
-    assert peak <= 6e6
+    assert peak <= bound
