@@ -47,6 +47,14 @@
  * - encode_words copies each value's table row straight into the output,
  *   tracking the disparity in the same pass, where _pure takes the rows a
  *   block of values at a time after a prefix xor of the flips.
+ * - Large calls run on two threads when two CPUs are available: from a
+ *   fixed chip count on (split_rows), the demodulators and the modulators'
+ *   encode_words (flip-free rows of 16 bytes or more) run the second half
+ *   of their rows on a helper thread, joined before the call returns,
+ *   with the GIL released.  On one CPU, or if no thread can be started,
+ *   the same loop runs whole.  Each row is computed alone, so the result
+ *   is bit-identical to the serial loop and to _pure; nothing needs to be
+ *   set.
  * - float_reprs finds each value's shortest round-trip digits with
  *   Giulietti's Schubfach ("The Schubfach way to render doubles", 2020),
  *   a few 128-bit multiplies against a table of powers of ten that it
@@ -55,6 +63,8 @@
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <pthread.h>
+#include <sched.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -181,6 +191,67 @@ static PyObject *new_array(Py_ssize_t n0, Py_ssize_t n1, PyObject *dtype, uint8_
     *data = view.buf; /* arr owns the memory and nothing else can resize it */
     PyBuffer_Release(&view);
     return arr;
+}
+
+/* A loop over rows [lo, hi) of the call described at args.  It writes
+   only those rows of its outputs, so two ranges can run at once, and
+   returns a count that split_rows sums over the ranges (0 if it counts
+   nothing). */
+typedef Py_ssize_t (*row_loop)(const void *args, Py_ssize_t lo, Py_ssize_t hi);
+
+struct row_range {
+    row_loop loop;
+    const void *args;
+    Py_ssize_t lo, hi, count;
+};
+
+static void *run_range(void *range)
+{
+    struct row_range *r = range;
+    r->count = r->loop(r->args, r->lo, r->hi);
+    return NULL;
+}
+
+/* The rows from which split_rows runs a loop as two halves, measured on a
+   2-vCPU x86_64: below about 2^17 chips or table rows, the 20-30 us to
+   start and join a thread outweigh the half of a pass that the split
+   saves, and 2^18 keeps a margin on a machine whose other CPU is busy. */
+#define SPLIT_ROWS ((Py_ssize_t)1 << 18)
+
+static int two_cpus(void)
+{
+#ifdef CPU_COUNT
+    cpu_set_t cpus;
+    return sched_getaffinity(0, sizeof cpus, &cpus) == 0 && CPU_COUNT(&cpus) >= 2;
+#else
+    return 0;
+#endif
+}
+
+/* loop over rows [0, n), returning its count.  From SPLIT_ROWS rows on,
+   when this process may run on two CPUs (asked on every such call, as
+   taskset can change it), a helper thread runs the second half while this
+   one runs the first, and is joined before the return; if the thread
+   cannot be started, or on one CPU, the loop runs whole.  Each row is
+   computed as in the whole loop, so the result is the same bits.  The GIL
+   is released around large loops: they call no Python API. */
+static Py_ssize_t split_rows(row_loop loop, const void *args, Py_ssize_t n)
+{
+    if (n < SPLIT_ROWS)
+        return loop(args, 0, n);
+    Py_ssize_t count;
+    Py_BEGIN_ALLOW_THREADS
+    struct row_range second = {loop, args, n / 2, n, 0};
+    pthread_t helper;
+    if (two_cpus() && pthread_create(&helper, NULL, run_range, &second) == 0) {
+        count = loop(args, 0, n / 2);
+        pthread_join(helper, NULL);
+        count += second.count;
+    } else {
+        count = loop(args, 0, n);
+    }
+    Py_END_ALLOW_THREADS
+    return count;
 }
 
 /* *out = obj as an int in lo..hi, else ValueError "<name> must lie in ...". */
@@ -501,27 +572,44 @@ static PyObject *viterbi_decode(PyObject *self, PyObject *args, PyObject *kwargs
    widening a float to double is exact.  A sum past double's range is inf;
    inf + -inf is NaN, which compares false, so such a chip reads 0 and is
    no VPPM tie.  vppm_T returns the number of ties, and mark_ties_T, run
-   only when there are some, marks them. */
+   only when there are some, marks them.  Each is a row_loop over chips
+   [lo, hi) of a struct demod. */
+struct demod {
+    const void *per;
+    uint8_t *out;
+};
+
 #define DEMODULATORS(T)                                                           \
-    static void ook_##T(const T *s, Py_ssize_t n, uint8_t *chips)                 \
+    static Py_ssize_t ook_##T(const void *args, Py_ssize_t lo, Py_ssize_t hi)     \
     {                                                                             \
-        for (Py_ssize_t i = 0; i < n; i++, s += 4)                                \
+        const struct demod *d = args;                                             \
+        const T *s = (const T *)d->per + 4 * lo;                                  \
+        uint8_t *chips = d->out;                                                  \
+        for (Py_ssize_t i = lo; i < hi; i++, s += 4)                              \
             chips[i] = (double)s[0] + s[1] + s[2] + s[3] > 2.0;                   \
+        return 0;                                                                 \
     }                                                                             \
-    static Py_ssize_t vppm_##T(const T *s, Py_ssize_t n, uint8_t *bits)           \
+    static Py_ssize_t vppm_##T(const void *args, Py_ssize_t lo, Py_ssize_t hi)    \
     {                                                                             \
+        const struct demod *d = args;                                             \
+        const T *s = (const T *)d->per + 4 * lo;                                  \
+        uint8_t *bits = d->out;                                                   \
         Py_ssize_t ties = 0;                                                      \
-        for (Py_ssize_t i = 0; i < n; i++, s += 4) {                              \
+        for (Py_ssize_t i = lo; i < hi; i++, s += 4) {                            \
             double first = (double)s[0] + s[1], second = (double)s[2] + s[3];     \
             bits[i] = first > second;                                             \
             ties += first == second;                                              \
         }                                                                         \
         return ties;                                                              \
     }                                                                             \
-    static void mark_ties_##T(const T *s, Py_ssize_t n, uint8_t *bad)             \
+    static Py_ssize_t mark_ties_##T(const void *args, Py_ssize_t lo, Py_ssize_t hi) \
     {                                                                             \
-        for (Py_ssize_t i = 0; i < n; i++, s += 4)                                \
+        const struct demod *d = args;                                             \
+        const T *s = (const T *)d->per + 4 * lo;                                  \
+        uint8_t *bad = d->out;                                                    \
+        for (Py_ssize_t i = lo; i < hi; i++, s += 4)                              \
             bad[i] = (double)s[0] + s[1] == (double)s[2] + s[3];                  \
+        return 0;                                                                 \
     }
 DEMODULATORS(float)
 DEMODULATORS(double)
@@ -550,12 +638,10 @@ static PyObject *ook_demodulate(PyObject *self, PyObject *args, PyObject *kwargs
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O", kwlist, &per) ||
         get_samples(per, &in, &single))
         return NULL;
-    uint8_t *chips;
-    PyObject *out = new_array(in.shape[0], -1, dtype_u8, &chips);
-    if (out && single)
-        ook_float(in.buf, in.shape[0], chips);
-    else if (out)
-        ook_double(in.buf, in.shape[0], chips);
+    struct demod d = {in.buf, NULL};
+    PyObject *out = new_array(in.shape[0], -1, dtype_u8, &d.out);
+    if (out)
+        split_rows(single ? ook_float : ook_double, &d, in.shape[0]);
     PyBuffer_Release(&in);
     return out;
 }
@@ -569,20 +655,17 @@ static PyObject *vppm_demodulate(PyObject *self, PyObject *args, PyObject *kwarg
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O", kwlist, &per) ||
         get_samples(per, &in, &single))
         return NULL;
-    Py_ssize_t n = in.shape[0], ties;
-    uint8_t *bits, *bad;
-    PyObject *out = new_array(n, -1, dtype_u8, &bits), *mask = Py_None;
+    Py_ssize_t n = in.shape[0];
+    struct demod bits = {in.buf, NULL}, bad = {in.buf, NULL};
+    PyObject *out = new_array(n, -1, dtype_u8, &bits.out), *mask = Py_None;
     if (out) {
-        ties = single ? vppm_float(in.buf, n, bits) : vppm_double(in.buf, n, bits);
         /* a clean frame keeps no frame-sized mask */
-        if (ties == 0)
+        if (split_rows(single ? vppm_float : vppm_double, &bits, n) == 0)
             Py_INCREF(mask);
-        else if ((mask = new_array(n, -1, dtype_bool, &bad)) == NULL)
+        else if ((mask = new_array(n, -1, dtype_bool, &bad.out)) == NULL)
             Py_CLEAR(out);
-        else if (single)
-            mark_ties_float(in.buf, n, bad);
         else
-            mark_ties_double(in.buf, n, bad);
+            split_rows(single ? mark_ties_float : mark_ties_double, &bad, n);
     }
     PyBuffer_Release(&in);
     return out ? Py_BuildValue("(NN)", out, mask) : NULL;
@@ -758,27 +841,37 @@ done:
     return Py_BuildValue("(NN)", out, mask);
 }
 
-/* The row loop of encode_words, one function per row size RB in bytes:
-   2, 4, 6, 10, 16 and 32, the sizes of the codec's tables, are compile-time
-   constants, which makes each copy a few loads and stores, and any other
-   size is the run-time argument.  With flips, the row read is half * neg +
-   value, where neg is 1 before the first value, as in _pure._running. */
+/* The row loop of encode_words, one row_loop over values [lo, hi) of a
+   struct gather per row size RB in bytes: 2, 4, 6, 10, 16 and 32, the sizes
+   of the codec's tables, are compile-time constants, which makes each copy
+   a few loads and stores, and any other size is the run-time argument.
+   With flips, the row read is half * neg + value, where neg is 1 before
+   the first value, as in _pure._running, so that loop runs from lo = 0. */
+struct gather {
+    const uint8_t *values, *table, *flips;
+    size_t rowsize, half;
+    uint8_t *out;
+};
+
 #define ROW_GATHER(NAME, RB)                                                      \
-    static void NAME(const uint8_t *values, Py_ssize_t n, const uint8_t *table,   \
-                     size_t rowsize, const uint8_t *flips, size_t half,           \
-                     uint8_t *out)                                                \
+    static Py_ssize_t NAME(const void *args, Py_ssize_t lo, Py_ssize_t hi)        \
     {                                                                             \
+        const struct gather *g = args;                                            \
+        const uint8_t *values = g->values, *table = g->table, *flips = g->flips;  \
+        size_t rowsize = g->rowsize, half = g->half;                              \
+        uint8_t *out = g->out + (size_t)lo * RB;                                  \
         (void)rowsize;                                                            \
         if (flips) {                                                              \
             size_t neg = 1;                                                       \
-            for (Py_ssize_t i = 0; i < n; i++, out += RB) {                       \
+            for (Py_ssize_t i = lo; i < hi; i++, out += RB) {                     \
                 memcpy(out, table + (half * neg + values[i]) * RB, RB);           \
                 neg ^= flips[values[i]] != 0;                                     \
             }                                                                     \
         } else {                                                                  \
-            for (Py_ssize_t i = 0; i < n; i++, out += RB)                         \
+            for (Py_ssize_t i = lo; i < hi; i++, out += RB)                       \
                 memcpy(out, table + (size_t)values[i] * RB, RB);                  \
         }                                                                         \
+        return 0;                                                                 \
     }
 ROW_GATHER(encode_rows_2, 2)
 ROW_GATHER(encode_rows_4, 4)
@@ -832,33 +925,24 @@ static PyObject *encode_words(PyObject *self, PyObject *args, PyObject *kwargs)
         PyErr_Format(PyExc_ValueError, "values must lie in 0..%zd", nvalues - 1);
         goto done;
     }
-    size_t rowsize = (size_t)table.shape[1] * table.itemsize, half = (size_t)nvalues;
-    const uint8_t *t = table.buf, *f = has_flips ? flips.buf : NULL;
-    uint8_t *o;
-    if ((out = new_array(n * table.shape[1], -1, dtype, &o)) == NULL)
+    struct gather g = {v, table.buf, has_flips ? flips.buf : NULL,
+                       (size_t)table.shape[1] * table.itemsize, (size_t)nvalues, NULL};
+    if ((out = new_array(n * table.shape[1], -1, dtype, &g.out)) == NULL)
         goto done;
-    switch (rowsize) {
-    case 2:
-        encode_rows_2(v, n, t, rowsize, f, half, o);
-        break;
-    case 4:
-        encode_rows_4(v, n, t, rowsize, f, half, o);
-        break;
-    case 6:
-        encode_rows_6(v, n, t, rowsize, f, half, o);
-        break;
-    case 10:
-        encode_rows_10(v, n, t, rowsize, f, half, o);
-        break;
-    case 16:
-        encode_rows_16(v, n, t, rowsize, f, half, o);
-        break;
-    case 32:
-        encode_rows_32(v, n, t, rowsize, f, half, o);
-        break;
-    default:
-        encode_rows_any(v, n, t, rowsize, f, half, o);
-    }
+    row_loop loop = g.rowsize == 2    ? encode_rows_2
+                    : g.rowsize == 4  ? encode_rows_4
+                    : g.rowsize == 6  ? encode_rows_6
+                    : g.rowsize == 10 ? encode_rows_10
+                    : g.rowsize == 16 ? encode_rows_16
+                    : g.rowsize == 32 ? encode_rows_32
+                                      : encode_rows_any;
+    /* shorter rows (the line codes') copy so fast that a second thread
+       pays only while the other CPU is idle; with flips, each row depends
+       on the disparity before it */
+    if (g.flips == NULL && g.rowsize >= 16)
+        split_rows(loop, &g, n);
+    else
+        loop(&g, 0, n);
 done:
     PyBuffer_Release(&values);
     PyBuffer_Release(&table);

@@ -122,6 +122,10 @@ def _cmd_codec_roundtrip(args) -> int:
             file=sys.stderr,
         )
         return 1
+    if args.seed < 0:
+        # Random seeds from an int's absolute value: -7 would replay seed 7
+        print(f"error: --seed must be a non-negative integer, got {args.seed}", file=sys.stderr)
+        return 1
     if args.mode == "all":
         modes = [m for m in phy_mode_catalog() if m.bound]
     else:
@@ -213,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("codec-roundtrip", help="encode and decode random payloads")
     p.add_argument("--mode", required=True, help="mode name, or 'all' for every bound mode")
     p.add_argument("--bytes", type=int, default=256, help="payload length, 0..65535 (default 256)")
-    p.add_argument("--seed", type=int, default=0, help="payload RNG seed (default 0)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="payload RNG seed, a non-negative integer (default 0)")
     p.add_argument(
         "--dimming", type=float, default=0.5,
         help="VPPM duty cycle in (0, 1), checked in every mode (default 0.5)",

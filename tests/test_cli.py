@@ -546,6 +546,13 @@ def test_codec_roundtrip_deterministic(capsys):
     assert out1 == out2
 
 
+def test_codec_roundtrip_rejects_a_negative_seed(capsys):
+    # Random seeds from an int's absolute value, so seed -7 would replay seed 7
+    code, out, err = run_cli(["codec-roundtrip", "--mode", "all", "--seed", "-7"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: --seed must be a non-negative integer, got -7\n"
+
+
 def test_codec_roundtrip_catalog_only_mode_fails(capsys):
     code, out, err = run_cli(["codec-roundtrip", "--mode", "phy3-csk"], capsys)
     assert code == 1

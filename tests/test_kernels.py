@@ -10,6 +10,7 @@ import shutil
 import sys
 import sysconfig
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -560,6 +561,112 @@ def test_pure_viterbi_is_maximum_likelihood(backend, table):
             assert dist[int((bits[:nbits] << np.arange(nbits)).sum())] == dist.min()
 
 
+# --- large calls, which the native kernels split across two threads ----------
+#
+# From SPLIT_ROWS chips on, when the process may run on two CPUs, the native
+# demodulators and the modulators' encode_words (flip-free rows of 16 bytes
+# or more) run their first half of the chips on the calling thread and the
+# second on a helper thread.  The tests below put calls on both sides of
+# that count, with the halves uneven at 2 * count + 1; a one-CPU affinity
+# mask (taskset -c 0) runs the same calls through the serial loop.
+
+
+def _split_rows():
+    """The chip count SPLIT_ROWS that ``_native.c`` defines as 1 << bits."""
+    source = Path(_pure.__file__).with_name("_native.c").read_text()
+    return 1 << int(re.search(r"#define SPLIT_ROWS \(\(Py_ssize_t\)1 << (\d+)\)", source)[1])
+
+
+_SPLIT = _split_rows()
+_AROUND_SPLIT = [_SPLIT - 1, _SPLIT, _SPLIT + 1, 2 * _SPLIT + 1]
+_AROUND_SPLIT_IDS = ["T-1", "T", "T+1", "2T+1"]
+
+
+# the VPPM chips that tie, in a waveform of n chips split at n // 2
+_TIE_PLACES = {
+    "nowhere": lambda n: [],
+    "first-half": lambda n: [0, 7, n // 2 - 2],
+    "second-half": lambda n: [n // 2 + 1, n - 1],
+    "split-point": lambda n: [n // 2 - 1, n // 2],
+}
+
+
+@pytest.mark.parametrize("backend,place", _on_backends(list(_TIE_PLACES), list(_TIE_PLACES)))
+@pytest.mark.parametrize("dimming", [0.25, 0.4], ids=["float32", "float64"])
+def test_vppm_ties_on_either_side_of_the_split(backend, place, dimming):
+    """Both halves count ties, and both mark them; a waveform with none
+    keeps no mask."""
+    n = 2 * _SPLIT + 1
+    bits = np.random.default_rng(18).integers(0, 2, n, dtype=np.uint8)
+    per = _per_chip(_vppm_modulate(bits, dimming))
+    ties = _TIE_PLACES[place](n)
+    per[ties] = 0.5
+    bits[ties] = 0
+    got, bad = backend.vppm_demodulate(per)
+    assert got.dtype == np.uint8 and np.array_equal(got, bits)
+    if ties:
+        assert np.flatnonzero(bad).tolist() == ties
+    else:
+        assert bad is None
+
+
+@pytest.mark.parametrize(
+    "dtype,cols",
+    [(np.uint8, c) for c in (16, 24, 32)]
+    + [(np.float32, c) for c in (4, 6, 8)]
+    + [(np.float64, c) for c in (2, 3, 4)],
+    ids=lambda x: np.dtype(x).name if isinstance(x, type) else f"{x}cols",
+)
+def test_flip_free_encode_words_around_the_split(dtype, cols):
+    """table[values] on both sides of the split, in rows of 16, 24 and 32
+    bytes; a value past the table in the last place raises before any row
+    is written."""
+    rng = np.random.default_rng(cols)
+    table, _, nvalues = _random_encode_tables(rng, dtype, cols, False)
+    short = table[: max(1, nvalues - 1)]
+    for n in _AROUND_SPLIT:
+        values = rng.integers(0, len(short), n, dtype=np.uint8)
+        expected = table[values].ravel()
+        past = values.copy()
+        past[-1] = len(short)
+        for backend in BACKENDS:
+            got = backend.encode_words(values, table)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+            with pytest.raises(ValueError, match=f"values must lie in 0..{len(short) - 1}$"):
+                backend.encode_words(past, short)
+
+
+@needs_native
+def test_split_kernels_agree_when_python_threads_call_them_at_once():
+    """The native kernels release the GIL around their large loops, so
+    Python threads can run them at once: six threads on two CPUs, each
+    repeating one large call, all get the single-caller results."""
+    bits = np.random.default_rng(19).integers(0, 2, 2 * _SPLIT + 1, dtype=np.uint8)
+    per = _per_chip(_vppm_modulate(bits, 0.25))
+    per[[5, len(per) - 5]] = 0.5
+    calls = [
+        lambda: _native.encode_words(bits, modulation._vppm_table(0.25)),
+        lambda: _native.encode_words(bits, modulation._vppm_table(0.4)),
+        lambda: _native.encode_words(bits, modulation._OOK_TABLE),
+        lambda: _native.ook_demodulate(per),
+        lambda: np.concatenate(_native.vppm_demodulate(per)),
+        lambda: _native.vppm_demodulate(per[:-3])[0],
+    ]
+    expected = [call().tobytes() for call in calls]
+
+    def repeat(i):
+        return all(calls[i]().tobytes() == expected[i] for _ in range(5))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(calls)) as pool:
+            futures = [pool.submit(repeat, i) for i in range(len(calls))]
+            assert all(f.result(timeout=120) for f in futures)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 # --- the demodulators ---------------------------------------------------------
 #
 # Both read (N, 4) samples: float32 and float64 in place, anything else as
@@ -621,7 +728,10 @@ def test_demodulators_backends_agree(per):
 
 @pytest.mark.parametrize(
     "backend,nchips",
-    _on_backends([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1], ["0", "1", "B-1", "B", "B+1"]),
+    _on_backends(
+        [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, *_AROUND_SPLIT],
+        ["0", "1", "B-1", "B", "B+1", *_AROUND_SPLIT_IDS],
+    ),
 )
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_demodulators_match_whole_array_oracles(backend, nchips, dtype):

@@ -217,6 +217,38 @@ def test_mean_latency_matches_md1_queueing_theory(shared, rho):
     _assert_within_4_standard_errors([m.mean_latency_s for m in runs], expected)
 
 
+# (packet bytes, load) of two Poisson flows that share the 10 Mbps link of
+# _md1_topology, then leave it for nodes 3 and 4: their service times
+# differ, so the link is an M/G/1 queue, and both flows take the event heap
+_MG1_FLOWS = ((200, 0.25), (1500, 0.25))
+
+
+@cache
+def _mg1_runs():
+    flows = [
+        FlowSpec(f"{size}B", 1, dst, rate_bps=load * 10e6, packet_bytes=size)
+        for (size, load), dst in zip(_MG1_FLOWS, (3, 4))
+    ]
+    return [run_simulation(_md1_topology(), flows, duration=8.0, seed=seed) for seed in range(8)]
+
+
+def test_mean_latency_of_each_flow_matches_mg1_queueing_theory():
+    """Packets of 200 B (0.16 ms) and 1500 B (1.2 ms) share one FIFO link
+    at load rho = 0.5.  Every packet waits, on average, the same
+    Pollaczek-Khinchine wait lam E[S^2] / (2 (1 - rho)), where lam E[S^2]
+    sums rho_i s_i over the flows: 0.34 ms, twice the M/D/1 wait of the
+    mean service time.  A flow's mean latency adds its own service time
+    and its 100 Mbps hop, which never queues.  The mean over 8 seeds of 8 s
+    must lie within 4 standard errors, for each flow."""
+    services = [8 * size / 10e6 for size, _ in _MG1_FLOWS]
+    rho = sum(load for _, load in _MG1_FLOWS)
+    wait = sum(load * s for (_, load), s in zip(_MG1_FLOWS, services)) / (2 * (1 - rho))
+    runs = _mg1_runs()
+    for j, ((size, _), s) in enumerate(zip(_MG1_FLOWS, services)):
+        expected = wait + s + 8 * size / 100e6
+        _assert_within_4_standard_errors([m.flows[j].mean_latency_s for m in runs], expected)
+
+
 def _md1_wait_cdf(t, rho, s):
     """P(W <= t) of the M/D/1 FIFO wait at load rho and service s, Erlang's
     formula: (1 - rho) sum over k = 0 .. floor(t / s) of
