@@ -10,12 +10,15 @@ contracts).  The first seven convert their inputs to numpy arrays;
 capacity curve holds.  The extension is ``_native.c``, one hand-written
 C file that needs only a C compiler and the Python headers;
 ``pip install`` or ``python3 setup.py build_ext --inplace`` builds it.
-On a large waveform, such as a 64 KiB frame's, the native demodulators
-and modulators run their loop in two halves on two threads when the
-process may run on two CPUs, and whole on one otherwise, with the same
-bits either way and nothing to set.  Both backends give bit-identical results.  Set ``OWPAN_KERNELS=pure``
-or ``=native`` to force a backend (forcing ``native`` raises if the
-extension is missing, instead of silently degrading).
+It copies its fixed tables (GF(16), the RS maps and the powers of ten)
+from ``_tables`` when it loads, and ``_pure`` computes with the same
+arrays.  On a large waveform, such as a 64 KiB frame's, the native
+demodulators and modulators run their loop in two halves on two threads
+when the process may run on two CPUs, and whole on one otherwise, with
+the same bits either way and nothing to set.  Both backends give
+bit-identical results.  Set ``OWPAN_KERNELS=pure`` or ``=native`` to
+force a backend (forcing ``native`` raises if the extension is missing,
+instead of silently degrading).
 """
 
 from __future__ import annotations

@@ -26,9 +26,11 @@
  * anything else.  Outputs are made with numpy.empty, so neither the numpy
  * C API nor Cython is needed.  The design follows Karn's libfec:
  *
- * - RS parity and syndromes are the packed GF(16)-linear maps of _pure:
- *   entry 16*j + v holds v times row j, one symbol per nibble of a
- *   uint64, so a map costs one lookup and one XOR per input symbol.
+ * - This file builds no table: when the module loads, it copies the
+ *   GF(16) tables, the RS maps and POW10 from owpan._kernels._tables,
+ *   whose arrays _pure computes with.  RS parity and syndromes are packed
+ *   GF(16)-linear maps: entry 16*j + v holds v times row j, one symbol per
+ *   nibble of a uint64, so a map costs one lookup and one XOR per symbol.
  *   Rows with a non-zero syndrome run Berlekamp-Massey, Chien and Forney
  *   exactly as _pure._correct does.
  * - A shortened RS row's missing leading symbols are implicit zeros, as
@@ -57,9 +59,9 @@
  *   set.
  * - float_reprs finds each value's shortest round-trip digits with
  *   Giulietti's Schubfach ("The Schubfach way to render doubles", 2020),
- *   a few 128-bit multiplies against a table of powers of ten that it
- *   computes on its first call, where _pure calls repr, whose dtoa
- *   (Gay's) needs big-number arithmetic for most 17-digit values.
+ *   a few 128-bit multiplies against _tables' powers of ten, where _pure
+ *   calls repr, whose dtoa (Gay's) needs big-number arithmetic for most
+ *   17-digit values.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -72,24 +74,12 @@
 #define MAX_NOUT 6
 #define NCACHE 4
 
-static uint8_t EXP[30], LOG[16], MUL[16][16], INV[16];
+static uint8_t EXP[30], MUL[16][16], INV[16];
 static uint64_t PARITY[N][16 * N];   /* PARITY[k]: k data symbols -> 15-k parity */
 static uint64_t SYNDROME[N][16 * N]; /* SYNDROME[nroots]: codeword -> S_1..S_nroots */
 
 static PyObject *np_empty, *np_ascontiguousarray, *np_ndarray, *dtype_u8,
     *dtype_bool, *dtype_f4, *dtype_f8;
-
-/* Tabulate x -> x @ mat for mat (m, r <= 16): see _pure._linear_map. */
-static void linear_map(uint64_t *table, const uint8_t *mat, int m, int r)
-{
-    for (int j = 0; j < m; j++)
-        for (int v = 0; v < 16; v++) {
-            uint64_t w = 0;
-            for (int i = 0; i < r; i++)
-                w |= (uint64_t)MUL[v][mat[j * r + i]] << (4 * i);
-            table[16 * j + v] = w;
-        }
-}
 
 static uint64_t apply(const uint64_t *table, const uint8_t *row, int m)
 {
@@ -97,55 +87,6 @@ static uint64_t apply(const uint64_t *table, const uint8_t *row, int m)
     for (int j = 0; j < m; j++)
         w ^= table[16 * j + row[j]];
     return w;
-}
-
-static void init_tables(void)
-{
-    /* GF(16) generated by x^4 + x + 1; EXP is doubled so that the sum of
-       two logs indexes it without a modulo */
-    int x = 1;
-    for (int i = 0; i < 15; i++) {
-        EXP[i] = EXP[i + 15] = (uint8_t)x;
-        LOG[x] = (uint8_t)i;
-        x <<= 1;
-        if (x & 0x10)
-            x ^= 0x13;
-    }
-    for (int a = 1; a < 16; a++) {
-        INV[a] = EXP[15 - LOG[a]];
-        for (int b = 1; b < 16; b++)
-            MUL[a][b] = EXP[LOG[a] + LOG[b]];
-    }
-    uint8_t mat[N * N];
-    for (int nroots = 1; nroots < N; nroots++) {
-        /* column j holds the coefficient of x^(14-j) */
-        for (int j = 0; j < N; j++)
-            for (int i = 0; i < nroots; i++)
-                mat[j * nroots + i] = EXP[((14 - j) * (i + 1)) % 15];
-        linear_map(SYNDROME[nroots], mat, N, nroots);
-
-        /* generator prod_{i=1..nroots} (x - alpha^i), ascending; row u of
-           the parity map is the systematic LFSR's parity of message e_u */
-        int k = N - nroots;
-        uint8_t g[N + 1] = {1};
-        for (int i = 1; i <= nroots; i++) {
-            for (int j = i; j > 0; j--)
-                g[j] = g[j - 1] ^ MUL[g[j]][EXP[i]];
-            g[0] = MUL[g[0]][EXP[i]];
-        }
-        for (int u = 0; u < k; u++) {
-            uint8_t *par = mat + u * nroots;
-            memset(par, 0, nroots);
-            for (int s = 0; s < k; s++) {
-                uint8_t fb = (s == u) ^ par[0];
-                memmove(par, par + 1, nroots - 1);
-                par[nroots - 1] = 0;
-                for (int i = 0; i < nroots; i++)
-                    par[i] ^= MUL[fb][g[nroots - 1 - i]];
-            }
-        }
-        linear_map(PARITY[k], mat, k, nroots);
-    }
 }
 
 /* Read obj into view as a C-contiguous buffer in one of the one-letter
@@ -964,7 +905,7 @@ done:
    which keeps every comparison with a multiple of 4 exact.  POW10[k] is
    10^k to 128 significant bits, floor(10^k / 2^r) + 1 with r = floor(log2
    10^k) - 127: an overestimate small enough, by Giulietti's proof, to leave
-   those comparisons unchanged. */
+   those comparisons unchanged.  It is copied from _tables._pow10_table(). */
 #define POW10_MIN (-292)
 #define POW10_MAX 324
 static uint64_t POW10[POW10_MAX - POW10_MIN + 1][2]; /* {high, low} halves */
@@ -984,56 +925,6 @@ static int floor_log10_three_quarters_pow2(int e)
 static int floor_log2_pow10(int e)
 {
     return (e * 1741647) >> 19;
-}
-
-/* Bits [pos, pos + 32) of the little-endian integer a of n 32-bit limbs,
-   zero outside it; pos may be negative. */
-static uint32_t bits32(const uint32_t *a, int n, int pos)
-{
-    int limb = pos >= 0 ? pos / 32 : -((31 - pos) / 32), shift = pos - 32 * limb;
-    uint64_t lo = limb >= 0 && limb < n ? a[limb] : 0;
-    uint64_t hi = limb + 1 >= 0 && limb + 1 < n ? a[limb + 1] : 0;
-    return (uint32_t)((hi << 32 | lo) >> shift);
-}
-
-/* POW10[k] = floor(a / 2^pos) + 1, a holding 10^k or 2^-pos / 10^-k. */
-static void set_pow10(int k, const uint32_t *a, int n, int pos)
-{
-    uint64_t *g = POW10[k - POW10_MIN];
-    g[0] = (uint64_t)bits32(a, n, pos + 96) << 32 | bits32(a, n, pos + 64);
-    g[1] = ((uint64_t)bits32(a, n, pos + 32) << 32 | bits32(a, n, pos)) + 1;
-    g[0] += g[1] == 0;
-}
-
-/* Fill POW10 from the definition, once: 10^k exactly for k >= 0, and for
-   k < 0 floor(2^M / 10^-k), which dividing 2^M by 10 -k times gives exactly
-   (floor(floor(a / b) / c) = floor(a / (b c))).  M = 1100 > 127 - floor(log2
-   10^-292) keeps 128 bits of the smallest. */
-#define POW10_LIMBS 36
-static void init_pow10(void)
-{
-    static int done;
-    if (done)
-        return;
-    done = 1;
-    uint32_t a[POW10_LIMBS] = {1};
-    for (int k = 0; k <= POW10_MAX; k++) {
-        set_pow10(k, a, POW10_LIMBS, floor_log2_pow10(k) - 127);
-        uint64_t carry = 0;
-        for (int i = 0; i < POW10_LIMBS; i++, carry >>= 32)
-            a[i] = (uint32_t)(carry += (uint64_t)a[i] * 10);
-    }
-    memset(a, 0, sizeof a);
-    a[1100 / 32] = 1u << 1100 % 32;
-    for (int k = -1; k >= POW10_MIN; k--) {
-        uint64_t rem = 0;
-        for (int i = POW10_LIMBS - 1; i >= 0; i--) {
-            rem = rem << 32 | a[i];
-            a[i] = (uint32_t)(rem / 10);
-            rem %= 10;
-        }
-        set_pow10(k, a, POW10_LIMBS, 1100 + floor_log2_pow10(k) - 127);
-    }
 }
 
 /* floor(g * cp / 2^128) of the 192-bit product, with bit 0 set when its
@@ -1166,7 +1057,6 @@ static PyObject *float_reprs(PyObject *self, PyObject *args, PyObject *kwargs)
     Py_ssize_t n = PySequence_Fast_GET_SIZE(obj);
     if ((out = PyList_New(n)) == NULL)
         return NULL;
-    init_pow10();
     for (Py_ssize_t i = 0; i < n; i++) {
         PyObject *item = PySequence_Fast_GET_ITEM(obj, i);
         if (!PyFloat_CheckExact(item))
@@ -1222,9 +1112,55 @@ static struct PyModuleDef module = {
     "Compiled codec kernels; the contract is owpan._kernels._pure's.", -1, methods,
 };
 
+/* Copy table, a new reference to an array from owpan._kernels._tables (or
+   NULL, an error set), into dst.  The import fails, naming the table and
+   k > 0, the argument that made it, unless the table has size bytes. */
+static int copy_table(PyObject *table, const char *name, int k, void *dst, Py_ssize_t size)
+{
+    Py_buffer view;
+    int rc = table ? PyObject_GetBuffer(table, &view, PyBUF_C_CONTIGUOUS) : -1;
+    Py_XDECREF(table); /* view holds a reference of its own */
+    if (rc)
+        return -1;
+    rc = view.len == size ? 0 : -1;
+    if (rc == 0)
+        memcpy(dst, view.buf, size);
+    else if (k > 0)
+        PyErr_Format(PyExc_ImportError, "owpan._kernels._tables.%s(%d) has %zd bytes, not %zd",
+                     name, k, view.len, size);
+    else
+        PyErr_Format(PyExc_ImportError, "owpan._kernels._tables.%s has %zd bytes, not %zd",
+                     name, view.len, size);
+    PyBuffer_Release(&view);
+    return rc;
+}
+
+/* The GF(16) tables, the RS maps and POW10 from their one definition, the
+   arrays _pure computes with. */
+static int load_tables(void)
+{
+    PyObject *t = PyImport_ImportModule("owpan._kernels._tables");
+    if (t == NULL)
+        return -1;
+    int rc = copy_table(PyObject_GetAttrString(t, "_EXP"), "_EXP", 0, EXP, sizeof EXP) ||
+             copy_table(PyObject_GetAttrString(t, "_MUL"), "_MUL", 0, MUL, sizeof MUL) ||
+             copy_table(PyObject_GetAttrString(t, "_INV"), "_INV", 0, INV, sizeof INV) ||
+             copy_table(PyObject_CallMethod(t, "_pow10_table", NULL), "_pow10_table()", 0,
+                        POW10, sizeof POW10);
+    /* PARITY[k] uses its first 16 * k entries */
+    for (int k = 1; k < N && !rc; k++)
+        rc = copy_table(PyObject_CallMethod(t, "_parity_map", "i", k), "_parity_map", k,
+                        PARITY[k], 16 * k * sizeof(uint64_t)) ||
+             copy_table(PyObject_CallMethod(t, "_syndrome_map", "i", k), "_syndrome_map", k,
+                        SYNDROME[k], sizeof SYNDROME[k]);
+    Py_DECREF(t);
+    return rc ? -1 : 0;
+}
+
 PyMODINIT_FUNC PyInit__native(void)
 {
-    init_tables();
+    if (load_tables())
+        return NULL;
     PyObject *np = PyImport_ImportModule("numpy");
     if (np == NULL)
         return NULL;

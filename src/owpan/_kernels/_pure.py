@@ -87,8 +87,11 @@ not depend on the batch size:
 The RS maps, too, gather ``_BLOCK`` rows at a time, so a 64 KiB frame's
 65,537 blocks need no frame-sized index or gather array.
 
-Tables that depend only on ``k`` or on the trellis output table are built
-once, cached and read-only.  When both predecessors of a state have the
+The GF(16) tables and the RS parity and syndrome maps are those of
+:mod:`owpan._kernels._tables`, the same arrays the native extension
+copies when it loads.  They and the tables built here, which depend only
+on ``k`` or on the trellis output table, are built once, cached and
+read-only.  When both predecessors of a state have the
 same path metric, the Viterbi keeps the even word ``2*state``; the native
 kernel breaks ties the same way.
 """
@@ -101,39 +104,22 @@ from functools import cache, lru_cache
 import numpy as np
 
 from . import _BLOCK
+from ._tables import (
+    _EXP,
+    _INV,
+    _MUL,
+    _N,
+    _NIBBLES,
+    _linear_map,
+    _parity_map,
+    _readonly,
+    _syndrome_map,
+)
 
 BACKEND = "pure"
 
-# GF(16) generated by x^4 + x + 1; EXP is doubled so products of two logs
-# (each < 15) index without a modulo.
-_PRIM = 0x13
-_EXP = np.zeros(30, dtype=np.uint8)
-_LOG = np.zeros(16, dtype=np.int16)
-_x = 1
-for _i in range(15):
-    _EXP[_i] = _EXP[_i + 15] = _x
-    _LOG[_x] = _i
-    _x <<= 1
-    if _x & 0x10:
-        _x ^= _PRIM
-_LOG[0] = 0  # masked out by callers; never a valid exponent source
-
-_N = 15
-
-# full 16x16 product and inverse tables: one gather per multiply beats
-# log/exp arithmetic plus zero masking, for tiny and huge batches alike
-_MUL = np.zeros((16, 16), dtype=np.uint8)
-for _a in range(1, 16):
-    for _b in range(1, 16):
-        _MUL[_a, _b] = _EXP[_LOG[_a] + _LOG[_b]]
-_INV = np.ones(16, dtype=np.uint8)  # _INV[0] is a dummy; callers mask zeros
-_INV[1:] = _EXP[15 - _LOG[np.arange(1, 16)]]
-
 # a located root alpha^j marks an error in column 14 - (15 - j) % 15
 _ROOT_COL = (14 - (15 - np.arange(15)) % 15) % 15
-
-# bit offsets of the GF(16) symbols packed one per nibble into a uint64
-_NIBBLES = np.arange(0, 64, 4, dtype=np.uint64)
 
 # the largest trellis output width R; the branch-metric table has 3^R rows
 _MAX_NOUT = 6
@@ -141,26 +127,9 @@ _MAX_NOUT = 6
 _BLOCK_STEPS = 2048
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 def _check_k(k: int) -> None:
     if not 0 < k < _N:
         raise ValueError(f"k must lie in 1..{_N - 1}, got {k}")
-
-
-def _linear_map(mat: np.ndarray) -> np.ndarray:
-    """Tabulate the GF(16)-linear map of rows x -> x @ mat, mat (m, r <= 16).
-
-    Entry 16*j + v holds v * mat[j], its r symbols packed into one uint64,
-    symbol i in bits 4i..4i+3.  Packed words add by XOR, so the map of a
-    row is the XOR of the m entries its symbols select (:func:`_apply`).
-    """
-    m, r = mat.shape
-    prods = _MUL[:, mat].astype(np.uint64) << _NIBBLES[:r]  # (16, m, r)
-    return _readonly(np.bitwise_or.reduce(prods, axis=2).T.reshape(16 * m))
 
 
 def _apply(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -187,44 +156,6 @@ def _unpack(words: np.ndarray, r: int, out: np.ndarray | None = None) -> np.ndar
         np.bitwise_and(shifted, np.uint64(15), out=out[i : i + _BLOCK], casting="unsafe")
         del shifted  # else the next block's shift doubles the peak
     return out
-
-
-def _generator_poly(nroots: int) -> np.ndarray:
-    """Coefficients (ascending, monic) of prod_{i=1..nroots} (x - alpha^i)."""
-    g = np.zeros(nroots + 1, dtype=np.uint8)
-    g[0] = 1
-    for i in range(1, nroots + 1):
-        g = np.concatenate(([0], g[:-1])).astype(np.uint8) ^ _MUL[g, _EXP[i]]
-    return g
-
-
-@cache
-def _parity_map(k: int) -> np.ndarray:
-    """Data symbols -> the 15-k parity symbols, as a :func:`_linear_map`.
-
-    Row j of the map is the parity of the unit message e_j, taken from the
-    systematic encoder's LFSR run once over all k unit messages.
-    """
-    nroots = _N - k
-    gdesc = _generator_poly(nroots)[-2::-1]  # x^(nroots-1) coefficient first
-    unit = np.eye(k, dtype=np.uint8)
-    par = np.zeros((k, nroots), dtype=np.uint8)
-    for j in range(k):
-        fb = unit[:, j] ^ par[:, 0]
-        par = np.concatenate([par[:, 1:], np.zeros((k, 1), np.uint8)], axis=1)
-        par ^= _MUL[fb[:, None], gdesc[None, :]]
-    return _linear_map(par)
-
-
-@cache
-def _syndrome_map(nroots: int) -> np.ndarray:
-    """Codeword -> syndromes S_1..S_nroots, as a :func:`_linear_map`.
-
-    S_i = sum_j c_j alpha^(i*p_j), where column j holds the coefficient of
-    x^p_j, p_j = 14 - j.
-    """
-    powers = (14 - np.arange(_N))[:, None] * np.arange(1, nroots + 1)[None, :]
-    return _linear_map(_EXP[powers % 15])
 
 
 @cache

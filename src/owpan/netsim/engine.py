@@ -94,6 +94,13 @@ class FlowSpec:
         )
         if self.packet_bytes < 1:
             raise SimulationError(f"flow {self.name}: packet_bytes must be >= 1")
+        # the simulator times a packet by its bit count as a float
+        try:
+            float(self.packet_bytes * 8)
+        except OverflowError:
+            raise SimulationError(
+                f"flow {self.name}: packet_bytes is too large: its bit count overflows a float"
+            ) from None
         start = _as_real(self.start, f"flow {self.name}: start time", SimulationError)
         object.__setattr__(self, "start", start)
         if not start >= 0:
@@ -304,9 +311,13 @@ def run_simulation(topology: Topology, flows, duration: float, seed: int = 0) ->
                 f"flow {flow.name}: packet time step {step!r} s is below the clock "
                 f"resolution {math.ulp(duration)!r} s at duration {duration!r} s"
             )
-        gap = None if flow.saturating else partial(
-            Random(seed * _FLOW_SEED_STRIDE + i).expovariate, flow.rate_bps / size
-        )
+        if flow.saturating:
+            gap = None
+        elif flow.rate_bps / size:
+            gap = partial(Random(seed * _FLOW_SEED_STRIDE + i).expovariate, flow.rate_bps / size)
+        else:
+            # a packet rate that underflows to 0 has an infinite mean gap
+            gap = lambda: math.inf
         gaps.append(gap)
         refills.append(route[0] if flow.saturating else None)
         first = flow.start if gap is None else flow.start + gap()

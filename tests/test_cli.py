@@ -695,6 +695,26 @@ def test_simulate_rejects_a_negative_seed(tmp_path, capsys, old, new, argv):
     assert err == "error: seed must be a non-negative integer, got -1\n"
 
 
+def test_simulate_a_rate_whose_packet_rate_underflows(tmp_path, capsys):
+    # 1e-320 bit/s over 1250 B packets used to end in a ZeroDivisionError
+    # traceback from random.expovariate(0.0); the flow now injects nothing
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TOPOLOGY.replace("flow sat ud ap", "flow f ud ap rate=1e-320bps", 1))
+    code, out, err = run_cli(["simulate", "--topology", str(cfg)], capsys)
+    assert code == 0
+    assert "flow,f,1,3,0,0,0," in out
+    assert "flow f: 0/0 delivered" in err
+
+
+def test_simulate_rejects_a_packet_past_a_float(tmp_path, capsys):
+    # a 401-digit packet size used to end in an OverflowError traceback
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(TOPOLOGY.replace("flow sat ud ap", f"flow sat ud ap packet=1{'0' * 400}", 1))
+    code, out, err = run_cli(["simulate", "--topology", str(cfg)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 7: flow sat: packet_bytes is too large")
+
+
 def test_simulate_value_error_names_its_line(tmp_path, capsys):
     cfg = tmp_path / "nonfinite.cfg"
     cfg.write_text(TOPOLOGY.replace("capacity=54Mbps", "capacity=infGbps", 1))

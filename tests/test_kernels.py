@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from owpan import _kernels
-from owpan._kernels import _BLOCK, _pure
+from owpan._kernels import _BLOCK, _pure, _tables
 from owpan.phy import frames, line_codes, modulation
 from owpan.phy.fec import _TABLE_R13, _TABLE_R14, ConvCode, _cc_encode
 from owpan.phy.modes import phy_mode_catalog
@@ -1027,6 +1027,50 @@ def test_float_reprs_reject_anything_but_a_list_or_tuple_of_floats(backend, make
         backend.float_reprs(make())
 
 
+def test_pow10_table_rows_are_powers_of_ten_to_128_bits():
+    """Row k + 292 is floor(10^k / 2^r) + 1, r = floor(log2 10^k) - 127,
+    for k = -292..324: checked here on exact fractions."""
+    table = _tables._pow10_table()
+    assert table.dtype == np.uint64 and table.shape == (617, 2)
+    for (high, low), k in zip(table.tolist(), range(-292, 325)):
+        power = Fraction(10) ** k
+        e = power.numerator.bit_length() - power.denominator.bit_length()
+        if Fraction(2) ** e > power:
+            e -= 1
+        g = math.floor(power / Fraction(2) ** (e - 127)) + 1
+        assert high << 64 | low == g, k
+        assert 2**127 <= g < 2**128, k
+
+
+@needs_native
+@pytest.mark.parametrize(
+    "patch,message",
+    [
+        ("_tables._EXP = np.zeros(31, np.uint8)", "_EXP has 31 bytes, not 30"),
+        (
+            "_tables._parity_map = lambda k: np.zeros(16 * k + 1, np.uint64)",
+            "_parity_map(1) has 136 bytes, not 128",
+        ),
+    ],
+    ids=["array", "map"],
+)
+def test_native_import_rejects_a_table_of_another_size(run_fresh, patch, message):
+    """The extension copies its tables from ``_tables`` when it loads, and
+    fails to import, naming the table, when one has another size."""
+    script = (
+        "import os\n"
+        "os.environ['OWPAN_KERNELS'] = 'pure'\n"
+        "import numpy as np\n"
+        "from owpan._kernels import _tables\n"
+        f"{patch}\n"
+        "try:\n"
+        "    from owpan._kernels import _native\n"
+        "except ImportError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert run_fresh(script).strip() == f"owpan._kernels._tables.{message}"
+
+
 def test_importing_owpan_loads_no_kernel_backend(run_fresh):
     """The CSV writer imports the kernels when it first runs, so ``import
     owpan`` loads neither backend and builds none of their tables."""
@@ -1059,7 +1103,8 @@ def _pure_caches():
 
 
 def test_pure_cached_tables_reject_writes():
-    for table in _pure_caches():
+    fixed = (_tables._EXP, _tables._LOG, _tables._MUL, _tables._INV, _tables._NIBBLES)
+    for table in (*_pure_caches(), *fixed, _tables._pow10_table()):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 1

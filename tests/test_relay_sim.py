@@ -249,6 +249,56 @@ def test_mean_latency_of_each_flow_matches_mg1_queueing_theory():
         _assert_within_4_standard_errors([m.flows[j].mean_latency_s for m in runs], expected)
 
 
+# a tandem of two FIFO links of unequal capacity, slow first or fast first,
+# with propagation delays that follow their links; Poisson arrivals of fixed
+# 1000 B packets at load 0.5 on the slow link
+_TANDEM_SLOW, _TANDEM_FAST, _TANDEM_RHO = (10e6, 1e-4), (25e6, 2e-4), 0.5
+
+
+@cache
+def _tandem_runs(slow_first, shared):
+    """8 seeds of 10 s over the tandem.  One flow alone runs the private
+    loop; two flows of half the load each, on the same route, run the event
+    heap and merge into the same Poisson stream."""
+    hops = [_TANDEM_SLOW, _TANDEM_FAST] if slow_first else [_TANDEM_FAST, _TANDEM_SLOW]
+    topology = line_topology(*zip(*hops))
+    rate = _TANDEM_RHO * _TANDEM_SLOW[0]
+    if shared:
+        flows = [FlowSpec(name, 1, 3, rate_bps=rate / 2, packet_bytes=1000) for name in "ab"]
+    else:
+        flows = [FlowSpec("a", 1, 3, rate_bps=rate, packet_bytes=1000)]
+    return [run_simulation(topology, flows, duration=10.0, seed=seed) for seed in range(8)]
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["one_flow", "two_flows"])
+def test_tandem_latency_does_not_depend_on_the_order_of_the_links(shared):
+    """Friedman ("Reduction methods for tandem queuing systems", Oper.
+    Res. 13, 1965): through FIFO servers of fixed service times s_j, packet
+    i leaves at max over k <= i of A(k) + sum s_j + (i - k) max s_j, plus
+    the propagation delays, which every packet crosses once.  That does not
+    depend on the order of the servers, so neither does any latency."""
+    for forward, backward in zip(_tandem_runs(True, shared), _tandem_runs(False, shared)):
+        assert (forward.injected, forward.delivered) == (backward.injected, backward.delivered)
+        for stat in ("mean_latency_s", "p50_latency_s", "p95_latency_s", "max_latency_s"):
+            assert getattr(forward, stat) == pytest.approx(getattr(backward, stat), rel=1e-12)
+
+
+@pytest.mark.parametrize("slow_first", [True, False], ids=["slow_first", "fast_first"])
+@pytest.mark.parametrize("shared", [False, True], ids=["one_flow", "two_flows"])
+def test_tandem_latency_is_the_slowest_link_alone_plus_the_rest(shared, slow_first):
+    """By the same max, a packet's latency is its M/D/1 latency at the
+    slowest link alone, s + rho s / (2 (1 - rho)), plus the other link's
+    service time and both propagation delays.  The mean over the 8 seeds
+    of ``_tandem_runs`` must lie within 4 standard errors."""
+    (slow, slow_delay), (fast, fast_delay) = _TANDEM_SLOW, _TANDEM_FAST
+    s = 8000 / slow
+    expected = (
+        s + _TANDEM_RHO * s / (2 * (1 - _TANDEM_RHO)) + 8000 / fast + slow_delay + fast_delay
+    )
+    runs = _tandem_runs(slow_first, shared)
+    _assert_within_4_standard_errors([m.mean_latency_s for m in runs], expected)
+
+
 def _md1_wait_cdf(t, rho, s):
     """P(W <= t) of the M/D/1 FIFO wait at load rho and service s, Erlang's
     formula: (1 - rho) sum over k = 0 .. floor(t / s) of
@@ -490,6 +540,31 @@ def test_one_element_arrays_read_as_their_value():
     m = run_simulation(t, [flow], duration=np.array([0.1]), seed=2)
     assert type(m.duration) is float
     assert m == run_simulation(t, [FlowSpec("p", 1, 2, rate_bps=1e6, start=0.01)], 0.1, seed=2)
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["private_loop", "heap_loop"])
+def test_a_packet_rate_that_underflows_injects_nothing(shared):
+    # 1e-320 bit/s over 10,000-bit packets is 1e-324 packets/s, which
+    # underflows to 0.0: the mean gap overflows, and random.expovariate(0.0)
+    # used to raise ZeroDivisionError.  A second flow on the link puts both
+    # on the event heap
+    flows = [FlowSpec("f", 1, 2, rate_bps=1e-320)]
+    if shared:
+        flows.append(FlowSpec("g", 1, 2, rate_bps=1e5))
+    m = run_simulation(line_topology([1e6]), flows, duration=1.0, seed=1)
+    assert m.flows[0].injected == 0
+    assert not shared or m.flows[1].injected > 0
+
+
+def test_a_packet_whose_bit_count_overflows_a_float_is_rejected():
+    # run_simulation times a packet by its bit count as a float; 8 * 2**1021
+    # is 2**1024, past the largest float, and used to raise OverflowError there
+    assert FlowSpec("f", 1, 2, packet_bytes=2**1020).packet_bytes == 2**1020
+    for size in (2**1021, 10**400):
+        with pytest.raises(
+            SimulationError, match="^flow f: packet_bytes is too large: its bit count overflows"
+        ):
+            FlowSpec("f", 1, 2, packet_bytes=size)
 
 
 def test_nan_start_is_rejected():
