@@ -17,12 +17,14 @@ demodulators and modulators run their loop in two halves on two threads
 when the process may run on two CPUs, and whole on one otherwise, with
 the same bits either way and nothing to set.  Both backends give
 bit-identical results.  Set ``OWPAN_KERNELS=pure`` or ``=native`` to
-force a backend (forcing ``native`` raises if the extension is missing,
-instead of silently degrading).
+force a backend (forcing ``native`` raises an ``ImportError`` naming the
+extension and its build command if the extension is missing, instead of
+silently degrading).
 """
 
 from __future__ import annotations
 
+import importlib
 import os
 
 # chips per block of the pure demodulators' float64 sums, values per
@@ -36,7 +38,17 @@ _choice = os.environ.get("OWPAN_KERNELS", "").strip().lower()
 if _choice == "pure":
     from . import _pure as _impl
 elif _choice == "native":
-    from . import _native as _impl  # type: ignore[no-redef]
+    # imported by name: a missing submodule then raises ModuleNotFoundError
+    # naming it, where ``from . import`` reports a circular import
+    try:
+        _impl = importlib.import_module(f"{__name__}._native")
+    except ModuleNotFoundError as exc:
+        if exc.name != f"{__name__}._native":
+            raise
+        raise ImportError(
+            f"OWPAN_KERNELS=native, but the compiled extension {exc.name} is not built; "
+            "build it with: python3 setup.py build_ext --inplace"
+        ) from None
 elif _choice in ("", "auto"):
     try:
         from . import _native as _impl  # type: ignore[no-redef]

@@ -7,20 +7,28 @@ flow draws from its own seeded random stream; flows are either Poisson
 sources at a configured offered load or saturating sources that keep
 their first hop permanently busy.
 
-A link's state is touched only by the flows routed over it.  So a flow
-whose route no other flow's route uses meets no other flow and takes no
-heap event: its packets are simulated one after another in a loop of
-their own, each over its whole route at its injection.  The other flows
-share the heap and take one event per hop, whose queueing instant breaks
-ties at a shared link.
+A link's state is touched only by the flows routed over it, and FIFO
+links in tandem keep the order of their packets (Friedman, "Reduction
+methods for tandem queuing systems", 1965).  Flows are grouped by their
+first link.  A group forms a tree when every route that uses one of its
+links enters that link from the same link, or from none: each link's
+users then share one prefix, no other group's route touches the group's
+links, and every link serves the group's packets in the order of its
+first link.  The one flow of a tree of one is private: it takes no heap
+event, its packets simulated one after another in a loop of its own,
+each over its whole route at its injection.  A flow in a tree of several
+takes one heap event per packet, which serves its whole route.  The flows
+of any other group take one event per hop, whose queueing instant breaks
+ties at a link where routes merge.
 
 An event is the flat tuple ``(time, seq, flow, hop, gen_time)``: hop -1
 injects a packet of the flow, hop k >= 0 is a packet generated at
-``gen_time`` reaching the k-th link of its route.  An injection serves
-hop 0 in the same step unless another queued event has exactly its
-time; then hop 0 is queued, so (time, seq) order decides as it would
-for separate events.  A packet leaving its last link is counted
-delivered at once if it arrives by the horizon."""
+``gen_time`` reaching the k-th step of its route: a link, or the whole
+route for a flow in a tree.  An injection serves hop 0 in the same step
+unless another queued event has exactly its time; then hop 0 is queued,
+so (time, seq) order decides as it would for separate events.  A
+packet leaving its last link is counted delivered at once if it arrives
+by the horizon."""
 
 from __future__ import annotations
 
@@ -236,12 +244,15 @@ def run_simulation(topology: Topology, flows, duration: float, seed: int = 0) ->
     - Every delivered packet's latency is kept until the end, because exact
       nearest-rank percentiles need every value; memory grows with the
       packets delivered.
-    - The number of events is not capped.  A flow whose route no other
-      flow's route uses takes none; any other flow takes one per injected
-      packet, plus one per hop after the first that the packet reaches by
-      the horizon.  Run time grows with the sum over flows of (duration /
-      time step) times (hops + 1), where the step is the first-hop service
-      time of a saturating flow and the mean gap of a Poisson flow.
+    - The number of events is not capped.  The flows that share a first
+      link form a tree when every route that uses one of their links
+      enters it from the same link, or from none.  The one flow of a tree
+      of one takes no event, and each flow in a tree of several takes one
+      per injected packet.  Any other flow takes one per injected packet,
+      plus one per hop after the first that the packet reaches by the
+      horizon.  Run time grows with the sum over flows of (duration / time
+      step) times (hops + 1), where the step is the first-hop service time
+      of a saturating flow and the mean gap of a Poisson flow.
     - ``seed`` must be a non-negative integer.  Flow ``i`` draws from
       ``Random(seed * 1_000_003 + i)``, and ``Random`` seeds from an int's
       absolute value, so a negative seed would repeat a positive one.
@@ -284,21 +295,29 @@ def run_simulation(topology: Topology, flows, duration: float, seed: int = 0) ->
                 break
         return time
 
-    users = Counter(idx for route in routes for idx in route)
+    # each link's sources: the links that the routes over it enter it from,
+    # None for a first link.  The flows sharing a first link form a tree
+    # unless a link of their routes has two sources; ``merged`` holds the
+    # first links of the groups that do not
+    sources = {}
+    for route in routes:
+        for prev, idx in zip((None, *route), route):
+            sources.setdefault(idx, set()).add(prev)
+    firsts = Counter(route[0] for route in routes)
+    merged = {route[0] for route in routes if any(len(sources[idx]) > 1 for idx in route)}
     # per flow: its hops as (link, service time, propagation delay), each in
-    # a tuple of its own when the flow shares a link, whose packets then take
-    # one event per hop; the draw of its next Poisson gap (None
-    # when saturating); and a saturating flow's first link, whose clearing
-    # injects the flow's next packet (None otherwise).  The first injection
-    # goes on the heap, or, when no other route uses any link of the flow's,
-    # on the list of private flows
+    # a tuple of its own when its group is merged, whose packets then take
+    # one event per hop, else all in one, served by one event per packet; the
+    # draw of its next Poisson gap (None when saturating); and a saturating
+    # flow's first link, whose clearing injects the flow's next packet (None
+    # otherwise).  The first injection goes on the heap, or, for a tree of one
+    # flow, on the list of private flows
     hops, gaps, refills, heap, private = [], [], [], [], []
     for i, (flow, route) in enumerate(zip(flows, routes)):
         size = flow.packet_bytes * 8
-        shared = any(users[idx] > 1 for idx in route)
         path = tuple((idx, size / links[idx].capacity_bps, links[idx].propagation_delay)
                      for idx in route)
-        hops.append(tuple((hop,) for hop in path) if shared else path)
+        hops.append(tuple((hop,) for hop in path) if route[0] in merged else (path,))
         # a step below the clock's resolution at the horizon would repeat one
         # instant forever: a saturating flow steps by its first-hop service
         # time, a Poisson flow by its mean gap
@@ -321,7 +340,7 @@ def run_simulation(topology: Topology, flows, duration: float, seed: int = 0) ->
         gaps.append(gap)
         refills.append(route[0] if flow.saturating else None)
         first = flow.start if gap is None else flow.start + gap()
-        if shared:
+        if route[0] in merged or firsts[route[0]] > 1:
             heap.append((first, i, i, -1, 0.0))
         else:
             private.append((i, first))
@@ -329,7 +348,7 @@ def run_simulation(topology: Topology, flows, duration: float, seed: int = 0) ->
     # a private flow meets no other flow, so its packets run one after
     # another, each over its whole route at its injection
     for i, time in private:
-        path, gap, refill, delivered = hops[i], gaps[i], refills[i], latencies[i]
+        (path,), gap, refill, delivered = hops[i], gaps[i], refills[i], latencies[i]
         while time <= duration:
             injected[i] += 1
             arrive = carry(path, time)
@@ -387,9 +406,12 @@ def run_simulation(topology: Topology, flows, duration: float, seed: int = 0) ->
         if put is heapreplace:
             heapq.heappop(heap)
 
+    # an exact integer division, correctly rounded: a delivered bit count
+    # past the largest float divides as well as one below it
+    num, den = duration.as_integer_ratio()
     flow_metrics = tuple(
         _packet_row(
-            FlowMetrics, count, lats, len(lats) * flow.packet_bytes * 8 / duration,
+            FlowMetrics, count, lats, len(lats) * flow.packet_bytes * 8 * den / num,
             name=flow.name, src=flow.src, dst=flow.dst,
         )
         for flow, count, lats in zip(flows, injected, latencies)

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, outputs, and exit codes."""
 
+import csv
 import hashlib
 import io
 import itertools
@@ -713,6 +714,26 @@ def test_simulate_rejects_a_packet_past_a_float(tmp_path, capsys):
     code, out, err = run_cli(["simulate", "--topology", str(cfg)], capsys)
     assert (code, out) == (1, "")
     assert err.startswith("error: line 7: flow sat: packet_bytes is too large")
+
+
+def test_simulate_a_bit_count_past_the_largest_float(tmp_path, capsys):
+    # 2**1023 bits per packet at 1e308 bit/s take 0.9 s each, so ten seconds
+    # deliver more bits than a float holds: computing the throughput used
+    # to end in an OverflowError traceback
+    cfg = tmp_path / "vast.cfg"
+    cfg.write_text(
+        "node a kind=Relay\nnode b kind=Relay\nlink a b tech=RF capacity=1e308bps\n"
+        f"flow f a b packet={2**1020}\nsim duration=10s\n"
+    )
+    code, out, err = run_cli(["simulate", "--topology", str(cfg)], capsys)
+    assert code == 0
+    row = next(r for r in csv.DictReader(io.StringIO(out)) if r["kind"] == "flow")
+    delivered = int(row["delivered"])
+    assert delivered > 1
+    throughput = float(row["throughput_bps"])
+    assert math.isfinite(throughput)
+    assert throughput == delivered * 2**1023 / 10
+    assert "flow f: " in err
 
 
 def test_simulate_value_error_names_its_line(tmp_path, capsys):

@@ -1071,6 +1071,25 @@ def test_native_import_rejects_a_table_of_another_size(run_fresh, patch, message
     assert run_fresh(script).strip() == f"owpan._kernels._tables.{message}"
 
 
+def test_forcing_native_without_the_extension_names_it_and_its_build(run_fresh):
+    """A None in ``sys.modules`` blocks the extension's import as its absence
+    would, on a checkout with or without it built."""
+    script = (
+        "import os, sys\n"
+        "os.environ['OWPAN_KERNELS'] = 'native'\n"
+        "sys.modules['owpan._kernels._native'] = None\n"
+        "try:\n"
+        "    import owpan._kernels\n"
+        "except ImportError as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+    )
+    assert run_fresh(script).strip() == (
+        "ImportError OWPAN_KERNELS=native, but the compiled extension "
+        "owpan._kernels._native is not built; "
+        "build it with: python3 setup.py build_ext --inplace"
+    )
+
+
 def test_importing_owpan_loads_no_kernel_backend(run_fresh):
     """The CSV writer imports the kernels when it first runs, so ``import
     owpan`` loads neither backend and builds none of their tables."""

@@ -956,11 +956,11 @@ def test_simulation_matches_the_event_per_hop_reference(run):
 def test_a_private_hop_before_a_shared_link_keeps_its_tie_break():
     """Flow a crosses links 1->2 and 2->3, which no other route uses, then
     3->4, which b's route also uses; each hop takes 1 s.  Both first packets
-    reach 3->4 at 2 s.  A flow that shares a link takes one event per hop,
-    its private hops included, so b's event at 3->4 was queued at 0.5 s and
-    a's only when it left 1->2 at 1 s: b is served first.  Serving a's hop
-    over 2->3 at its injection would queue a's event at 0 s and reverse the
-    two."""
+    reach 3->4 at 2 s.  A flow whose route another route merges into takes
+    one event per hop, its private hops included, so b's event at 3->4 was
+    queued at 0.5 s and a's only when it left 1->2 at 1 s: b is served
+    first.  Serving a's hop over 2->3 at its injection would queue a's event
+    at 0 s and reverse the two."""
     nodes = tuple(Node(a, RELAY) for a in range(1, 6))
     links = (
         Link(1, 2, Technology.RF, capacity_bps=1000.0),
@@ -994,46 +994,107 @@ def _recording_heapq(events, real=heapq):
                            heappop=real.heappop)
 
 
-def test_a_flow_sharing_a_link_takes_one_event_per_hop(monkeypatch):
-    """On the line 1->2->3->4, Poisson flows 1->4 and 1->2 share link 1->2,
-    and a Poisson flow 4->3 has its link to itself.  The 1->4 flow takes one
-    event per injected packet, which serves its first hop, and one for each
-    later hop the packet reaches by the horizon: the reference's events less
-    its first hops and deliveries.  Its private links 2->3 and 3->4 are no
-    exception.  The 1->2 flow takes its injections only, and the 4->3 flow
-    no event at all.  No two events share an instant, so no first hop is
-    queued."""
-    topology = Topology(
-        nodes=tuple(Node(a, RELAY) for a in range(1, 5)),
+def _line_with_a_side_node():
+    """The line 1->2->3->4 with a link back 4->3, and node 5 joining it by a
+    link 5->3."""
+    return Topology(
+        nodes=tuple(Node(a, RELAY) for a in range(1, 6)),
         links=(Link(1, 2, Technology.RF, capacity_bps=1e6, propagation_delay=1e-6),
                Link(2, 3, Technology.FSO, capacity_bps=3e6, propagation_delay=2e-6),
                Link(3, 4, Technology.VLC_LED, capacity_bps=2e6, propagation_delay=3e-6),
-               Link(4, 3, Technology.VLC_LED, capacity_bps=2e6, propagation_delay=3e-6)),
+               Link(4, 3, Technology.VLC_LED, capacity_bps=2e6, propagation_delay=3e-6),
+               Link(5, 3, Technology.RF, capacity_bps=2e6, propagation_delay=4e-6)),
     )
-    flows = [FlowSpec("long", 1, 4, rate_bps=4e5, packet_bytes=1000),
-             FlowSpec("short", 1, 2, rate_bps=4e5, packet_bytes=1000),
-             FlowSpec("alone", 4, 3, rate_bps=4e5, packet_bytes=1000)]
-    duration = 0.5
+
+
+def _recorded_events(monkeypatch, topology, flows, duration, seed):
+    """The metrics of the run and the events that entered the heap of the
+    simulator and of the event-per-hop reference."""
     ours, reference = [], []
     monkeypatch.setattr(engine, "heapq", _recording_heapq(ours))
-    metrics = run_simulation(topology, flows, duration, seed=3)
+    metrics = run_simulation(topology, flows, duration, seed=seed)
     monkeypatch.setitem(globals(), "heapq", _recording_heapq(reference))
-    _event_per_hop_reference(topology, flows, duration, seed=3)
+    _event_per_hop_reference(topology, flows, duration, seed=seed)
+    return metrics, ours, reference
 
-    def handled(events, flow, hops):
-        # the (hop, time) of each of the flow's events handled by the horizon
-        return sorted((hop, time) for time, _, i, hop, _ in events
-                      if i == flow and time <= duration and hop in hops)
 
-    long_events = handled(ours, 0, range(-1, 3))
-    assert long_events == handled(reference, 0, (-1, 1, 2))
+def _handled(events, flow, hops, duration):
+    # the (hop, time) of each of the flow's events handled by the horizon
+    return sorted((hop, time) for time, _, i, hop, _ in events
+                  if i == flow and time <= duration and hop in hops)
+
+
+_LONG_SHORT_ALONE = [FlowSpec("long", 1, 4, rate_bps=4e5, packet_bytes=1000),
+                     FlowSpec("short", 1, 2, rate_bps=4e5, packet_bytes=1000),
+                     FlowSpec("alone", 4, 3, rate_bps=4e5, packet_bytes=1000)]
+
+
+def test_a_tree_flow_takes_one_event_per_packet(monkeypatch):
+    """Poisson flows 1->4 and 1->2 share their first link 1->2, and no other
+    route enters 2->3 or 3->4: the two form a tree.  Each takes one event
+    per packet injected by the horizon, which serves its whole route, so
+    each handles exactly the reference's injections.  A Poisson flow 4->3
+    has its link to itself and takes no event at all.  No two events share
+    an instant, so no first hop is queued."""
+    topology, duration = _line_with_a_side_node(), 0.5
+    metrics, ours, reference = _recorded_events(
+        monkeypatch, topology, _LONG_SHORT_ALONE, duration, seed=3)
+    for flow in (0, 1):
+        events = _handled(ours, flow, range(-1, 4), duration)
+        assert events == _handled(reference, flow, (-1,), duration)
+        assert len(events) == metrics.flows[flow].injected > 0
+    assert metrics.flows[0].delivered > 0
+    assert _handled(ours, 2, range(-1, 1), duration) == []
+    assert metrics.flows[2].delivered > 0
+    _assert_matches_reference(topology, _LONG_SHORT_ALONE, duration, seed=3)
+
+
+def test_a_flow_merging_into_a_tree_brings_back_one_event_per_hop(monkeypatch):
+    """A Poisson flow 5->4 enters the 1->4 flow's last link 3->4 from 5->3,
+    so the flows from 1->2 no longer form a tree.  The 1->4 flow takes one
+    event per injected packet, which serves its first hop, and one for each
+    later hop the packet reaches by the horizon: the reference's events
+    less its first hops and deliveries.  Its link 2->3, which no other
+    route uses, is no exception.  The 1->2 flow takes its injections only,
+    the 5->4 flow its injections and its second hops, and the 4->3 flow
+    still no event."""
+    flows = _LONG_SHORT_ALONE + [FlowSpec("merge", 5, 4, rate_bps=4e5, packet_bytes=1000)]
+    topology, duration = _line_with_a_side_node(), 0.5
+    metrics, ours, reference = _recorded_events(monkeypatch, topology, flows, duration, seed=3)
+    long_events = _handled(ours, 0, range(-1, 3), duration)
+    assert long_events == _handled(reference, 0, (-1, 1, 2), duration)
     hops = [hop for hop, _ in long_events]
     assert hops.count(-1) == metrics.flows[0].injected
     assert min(hops.count(1), hops.count(2)) >= metrics.flows[0].delivered > 0
-    assert handled(ours, 1, range(-1, 1)) == handled(reference, 1, (-1,))
-    assert len(handled(ours, 1, (-1,))) == metrics.flows[1].injected > 0
-    assert handled(ours, 2, range(-1, 1)) == []
-    assert metrics.flows[2].delivered > 0
+    assert _handled(ours, 1, range(-1, 1), duration) == _handled(reference, 1, (-1,), duration)
+    merge_events = _handled(ours, 3, range(-1, 2), duration)
+    assert merge_events == _handled(reference, 3, (-1, 1), duration)
+    assert [hop for hop, _ in merge_events].count(1) >= metrics.flows[3].delivered > 0
+    assert _handled(ours, 2, range(-1, 1), duration) == []
+    _assert_matches_reference(topology, flows, duration, seed=3)
+
+
+def test_a_merge_anywhere_in_a_group_gives_all_its_flows_one_event_per_hop():
+    """A crosses 1->2 and 2->3, B crosses 1->2, 2->3 and 3->4, and C enters
+    3->4 from 5->3; every hop takes 1 s.  B's first packet is injected at
+    0 s and A's at 0.5 s.  No route merges into A's own links, but A
+    shares its first link with B, whose last link C's route merges into:
+    so A, too, must take one event per hop.  Carried over its whole route
+    at its injection, A's first packet would take 2->3 at 2-3 s, ahead of
+    B's, which reaches 2->3 at 1 s; B's first packet would then miss the
+    3.5 s horizon."""
+    nodes = tuple(Node(a, RELAY) for a in range(1, 6))
+    links = tuple(Link(a, b, Technology.RF, capacity_bps=1000.0)
+                  for a, b in ((1, 2), (2, 3), (3, 4), (5, 3)))
+    # C never starts: its route alone makes 3->4 a merging link
+    flows = [FlowSpec("A", 1, 3, packet_bytes=125, start=0.5),
+             FlowSpec("B", 1, 4, packet_bytes=125),
+             FlowSpec("C", 5, 4, packet_bytes=125, start=math.inf)]
+    topology = Topology(nodes, links)
+    a, b, _ = run_simulation(topology, flows, 3.5).flows
+    assert (a.delivered, a.max_latency_s) == (1, 2.5)
+    assert (b.delivered, b.max_latency_s) == (1, 3.0)
+    _assert_matches_reference(topology, flows, 10.0)
 
 
 def _private_and_shared_flows():
