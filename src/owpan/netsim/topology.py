@@ -143,11 +143,6 @@ class Link:
         if self.channel_count < 1:
             raise TopologyError(f"channel count must be >= 1, got {self.channel_count}")
 
-    @property
-    def line_of_sight(self) -> bool:
-        # scenarios 1-3 are direct-path, 4-6 rely on reflections
-        return self.scenario <= 3
-
 
 @dataclass(frozen=True)
 class Topology:

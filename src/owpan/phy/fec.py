@@ -12,9 +12,10 @@ fourth generator and punctured to rate 2/3.  Encoding appends six zero
 tail bits so the decoder's traceback can start from the zero state.
 
 The frame chains call the stages over checked arrays: ``_rs_decode``
-returns ``(data, bad)``, ``bad`` marking each uncorrectable block.
-``rs_encode`` and ``rs_decode`` check their input first and raise
-:class:`RsDecodeError` at a bad block.
+returns ``(data, bad)``, ``bad`` marking each uncorrectable block, and
+``_uncorrectable`` is the error the frame chain reports for such a mask.
+``rs_encode`` and ``rs_decode`` check their input first, and
+``rs_decode`` raises that :class:`RsDecodeError` at a bad block.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .. import _kernels
-from .line_codes import _as_uint8, _popcount, _raise_first
+from .line_codes import _as_uint8, _popcount
 
 __all__ = [
     "RsCode",
@@ -138,13 +139,11 @@ def _rs_decode(blocks: np.ndarray, code: RsCode) -> tuple[np.ndarray, np.ndarray
     return _kernels.rs_decode_blocks(blocks, code.base_k)
 
 
-def _raise_uncorrectable(bad: np.ndarray, code: RsCode) -> None:
-    def error(_: int) -> RsDecodeError:
-        exc = RsDecodeError(f"{code}: {np.count_nonzero(bad)} of {bad.size} blocks uncorrectable")
-        exc.rows = np.flatnonzero(bad)  # type: ignore[attr-defined]
-        return exc
-
-    _raise_first(bad, error)
+def _uncorrectable(bad: np.ndarray, code: RsCode) -> RsDecodeError:
+    # the error for the blocks ``bad`` marks, which carries their indices
+    exc = RsDecodeError(f"{code}: {np.count_nonzero(bad)} of {bad.size} blocks uncorrectable")
+    exc.rows = np.flatnonzero(bad)  # type: ignore[attr-defined]
+    return exc
 
 
 def rs_decode(blocks, code: RsCode) -> np.ndarray:
@@ -154,7 +153,8 @@ def rs_decode(blocks, code: RsCode) -> np.ndarray:
     the exception carries the failing row indices in ``.rows``.
     """
     data, bad = _rs_decode(_as_symbols(blocks, code.n, "blocks"), code)
-    _raise_uncorrectable(bad, code)
+    if np.count_nonzero(bad):
+        raise _uncorrectable(bad, code)
     return data
 
 

@@ -10,12 +10,12 @@ the payload or a FrameDecodeError.  Only a catalog-only mode raises a plain
 ValueError, before any sample is read.
 
 A mode's stages from payload bytes to samples, length prefix to
-modulator, are one cached plan, ``_plan``: an encode and a decode form per
-stage, each frame function one fold of them; only the plan reads the mode's
-modulation, line code and codes.  Each chain checks its input once (the
-payload's bytes and ``dimming``, or the waveform or the chips), and no
-stage re-checks the array the stage before it made.  Each decode form
-raises at its first bad symbol, so the first bad stage is reported.
+modulator, are one cached plan, ``_plan``: a named record per stage with
+an encode and a decode form, each frame function one fold of them; only
+the plan reads the mode's modulation, line code and codes.  Each chain
+checks its input once (the payload's bytes and ``dimming``, or the
+waveform or the chips).  ``_receive`` alone makes a FrameDecodeError, at
+the first stage whose mask marks a bad symbol or that raises.
 
 The 8b/10b modes keep RS symbol padding aligned to whole bytes: RS(14,7)
 blocks are 7 bytes long by construction, and RS(15,12) data is padded to
@@ -26,13 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .. import _kernels
 from . import line_codes
-from .fec import RsCode, _cc_encode, _raise_uncorrectable, _rs_decode, _rs_encode, _viterbi_decode
-from .line_codes import _as_bits, _chip_table, _decode_words, _raise_bad_word, _raise_first
+from .fec import RsCode, _cc_encode, _rs_decode, _rs_encode, _uncorrectable, _viterbi_decode
+from .line_codes import _as_bits, _bad_word, _chip_table, _decode_words
 from .modes import LineCode, Modulation, PhyMode
 from .modulation import _dimming, _ook_modulate, _per_chip, _vppm_modulate
 
@@ -53,7 +54,10 @@ _LENGTH_BYTES = 2
 
 
 class FrameDecodeError(ValueError):
-    """The receive chain could not reconstruct a frame."""
+    """The receive chain could not reconstruct a frame; ``stage`` names the
+    plan stage that found the defect (``"chips"``: decode_from_chips's check)."""
+
+    stage: str
 
 
 @dataclass(frozen=True)
@@ -79,8 +83,21 @@ _NIBBLE_BITS = _chip_table(np.arange(16), 4)
 # the nibble of each 4-bit word, MSB first: the decode_words table that
 # packs bits into nibbles
 _NIBBLES = np.arange(16, dtype=np.uint8)
+
+
+class _Stage(NamedTuple):
+    """One plan stage.  A stage with a ``report`` decodes to ``(values,
+    bad)``, ``bad`` None or its kernel's mask of bad symbols, and
+    ``report(received, bad, i)`` is the error for the first one, ``i``."""
+
+    name: str
+    encode: Callable | None
+    decode: Callable
+    report: Callable | None = None
+
+
 # decode_from_chips's check, in place of the plan's demodulator
-_read_chips = partial(_as_bits, name="chips")
+_CHIPS = _Stage("chips", None, partial(_as_bits, name="chips"))
 
 
 def _bytes_to_nibbles(data: np.ndarray) -> np.ndarray:
@@ -115,25 +132,19 @@ def _add_rs(nibbles: np.ndarray, rs: RsCode, pair: bool) -> np.ndarray:
     return _rs_encode(padded.reshape(blocks, rs.k), rs).ravel()
 
 
-def _strip_rs(symbols: np.ndarray, rs: RsCode) -> np.ndarray:
-    """RS-decode whole blocks of nibbles, block padding included; the
-    inverse of :func:`_add_rs`."""
+def _strip_rs(symbols: np.ndarray, rs: RsCode) -> tuple[np.ndarray, np.ndarray]:
+    """RS-decode whole blocks of nibbles, block padding included, with
+    ``bad`` marking each uncorrectable block; the inverse of :func:`_add_rs`."""
     if symbols.size == 0 or symbols.size % rs.n:
         raise ValueError(f"{symbols.size} symbols do not form whole {rs} blocks")
     data, bad = _rs_decode(symbols.reshape(-1, rs.n), rs)
-    _raise_uncorrectable(bad, rs)
-    return data.ravel()
+    return data.ravel(), bad
 
 
-def _read(width: int, *tables):
-    """A line code's decode form: its words' values, raising at the first bad one."""
-
-    def decode(chips: np.ndarray) -> np.ndarray:
-        values, bad = _decode_words(chips, width, *tables)
-        _raise_bad_word(chips, width, bad)
-        return values
-
-    return decode
+def _line(name: str, encode, width: int, *tables) -> _Stage:
+    """A line code's stage: its words' values and bad words, by their chips."""
+    decode = lambda chips: _decode_words(chips, width, *tables)
+    return _Stage(name, encode, decode, lambda chips, bad, i: _bad_word(chips, width, bad, i))
 
 
 def _prefix_length(payload: bytes) -> np.ndarray:
@@ -153,50 +164,48 @@ def _strip_length(wire: np.ndarray) -> bytes:
     return body[:plen].tobytes()
 
 
-def _demodulate_vppm(samples) -> np.ndarray:
-    chips, bad = _kernels.vppm_demodulate(_per_chip(samples))
-    _raise_first(
-        bad, lambda i: ValueError(f"ambiguous VPPM symbol at index {i}: equal half energies")
-    )
-    return chips
+def _vppm_tie(_, bad, i: int) -> ValueError:
+    return ValueError(f"ambiguous VPPM symbol at index {i}: equal half energies")
 
 
 @cache
-def _plan(mode: PhyMode) -> tuple[tuple, tuple]:
-    """The mode's encode forms in transmit order and its decode forms in
-    receive order, one pair per stage from payload bytes to samples (the
-    modulator also takes dimming).  A catalog-only mode raises ValueError."""
+def _plan(mode: PhyMode) -> tuple[_Stage, ...]:
+    """The mode's stages in transmit order, from payload bytes to samples
+    (the modulator's encode form also takes dimming).  A catalog-only mode
+    raises ValueError."""
     if not mode.bound:
         raise ValueError(f"{mode.name} is a catalog-only mode; only PHY I/II modes have codecs")
     eight_ten = mode.line_code is LineCode.EIGHT_B_TEN_B
     rs, cc = mode.outer_code, mode.inner_code
-    stages = [(_prefix_length, _strip_length)]
+    stages = [_Stage("length", _prefix_length, _strip_length)]
     # 8b/10b codes bytes, so its modes take nibbles only for an RS code
     if not eight_ten or rs is not None:
-        stages.append((_bytes_to_nibbles, _nibbles_to_bytes))
+        stages.append(_Stage("nibbles", _bytes_to_nibbles, _nibbles_to_bytes))
     if rs is not None:
-        stages.append((lambda n: _add_rs(n, rs, eight_ten), lambda s: _strip_rs(s, rs)))
+        encode, decode = lambda n: _add_rs(n, rs, eight_ten), lambda s: _strip_rs(s, rs)
+        stages.append(_Stage("rs", encode, decode, lambda _, bad, i: _uncorrectable(bad, rs)))
     if eight_ten:
         if rs is not None:
-            stages.append((_nibbles_to_bytes, _bytes_to_nibbles))
+            stages.append(_Stage("bytes", _nibbles_to_bytes, _bytes_to_nibbles))
         tables = line_codes._DEC_BYTE, line_codes._DEC_STATUS, line_codes._DEC_FLIP
-        stages.append((line_codes._encode_8b10b, _read(10, *tables)))
+        stages.append(_line("8b10b", line_codes._encode_8b10b, 10, *tables))
     elif mode.line_code is LineCode.FOUR_B_SIX_B:
         tables = line_codes._REV_4B6B, line_codes._BAD_4B6B
-        stages.append((line_codes._encode_4b6b, _read(6, *tables)))
+        stages.append(_line("4b6b", line_codes._encode_4b6b, 6, *tables))
     else:
-        stages.append((_nibbles_to_bits, _bits_to_nibbles))
+        stages.append(_Stage("bits", _nibbles_to_bits, _bits_to_nibbles))
         if cc is not None:
-            stages.append((lambda b: _cc_encode(b, cc), lambda c: _viterbi_decode(c, cc)))
+            encode, decode = lambda b: _cc_encode(b, cc), lambda c: _viterbi_decode(c, cc)
+            stages.append(_Stage("cc", encode, decode))
         tables = line_codes._MANCHESTER_BIT, line_codes._MANCHESTER_BAD
-        stages.append((line_codes._manchester_encode, _read(2, *tables)))
+        stages.append(_line("manchester", line_codes._manchester_encode, 2, *tables))
     if mode.modulation is Modulation.VPPM:
-        stages.append((_vppm_modulate, _demodulate_vppm))
+        demodulate = lambda s: _kernels.vppm_demodulate(_per_chip(s))
+        stages.append(_Stage("vppm", _vppm_modulate, demodulate, _vppm_tie))
     else:  # OOK thresholding cannot fail
-        stages.append(
-            (lambda c, _: _ook_modulate(c), lambda s: _kernels.ook_demodulate(_per_chip(s)))
-        )
-    return tuple(enc for enc, _ in stages), tuple(dec for _, dec in reversed(stages))
+        demodulate = lambda s: _kernels.ook_demodulate(_per_chip(s))
+        stages.append(_Stage("ook", lambda c, _: _ook_modulate(c), demodulate))
+    return tuple(stages)
 
 
 def _as_payload(payload) -> bytes:
@@ -205,49 +214,58 @@ def _as_payload(payload) -> bytes:
     return memoryview(payload).tobytes()
 
 
-def _fold(values, forms):
-    for form in forms:
-        values = form(values)
-    return values
-
-
 def encode_to_chips(payload: bytes, mode: PhyMode) -> np.ndarray:
     """Run the digital half of the transmit chain, yielding 0/1 chips.
     ``payload`` is any bytes-like object; its bytes are sent."""
-    encoders, _ = _plan(mode)
-    return _fold(_as_payload(payload), encoders[:-1])
+    stages = _plan(mode)
+    chips = _as_payload(payload)
+    for stage in stages[:-1]:
+        chips = stage.encode(chips)
+    return chips
 
 
 def encode_frame(payload: bytes, mode: PhyMode, dimming: float = 0.5) -> Frame:
     """Encode payload bytes to a fully modulated frame.  ``dimming`` must lie
     in (0, 1) in every mode, though only VPPM reads it."""
-    encoders, _ = _plan(mode)
+    stages = _plan(mode)
     dimming = _dimming(dimming)
-    payload = _as_payload(payload)
-    chips = _fold(payload, encoders[:-1])
-    return Frame(payload=payload, mode=mode, chips=chips, waveform=encoders[-1](chips, dimming))
+    chips = payload = _as_payload(payload)
+    for stage in stages[:-1]:
+        chips = stage.encode(chips)
+    return Frame(payload, mode, chips, stages[-1].encode(chips, dimming))
 
 
 def decode_from_chips(chips: np.ndarray, mode: PhyMode) -> bytes:
     """Invert :func:`encode_to_chips`; raises FrameDecodeError on any defect."""
-    _, decoders = _plan(mode)
-    return _receive(chips, (_read_chips, *decoders[1:]))
+    return _receive(chips, (_CHIPS, *reversed(_plan(mode)[:-1])))
 
 
 def decode_frame(waveform: np.ndarray, mode: PhyMode, dimming: float = 0.5) -> bytes:
     """Demodulate and decode a waveform back to the payload bytes; raises
     FrameDecodeError on any defect.  ``dimming`` is never read: VPPM compares
     each chip's half energies, which works at any duty cycle below 1."""
-    return _receive(waveform, _plan(mode)[1])
+    return _receive(waveform, reversed(_plan(mode)))
 
 
-def _receive(signal, decoders) -> bytes:
-    """Fold the receive chain's decode forms over ``signal``, reporting
-    every ValueError they raise as a FrameDecodeError."""
+def _receive(signal, stages) -> bytes:
+    """Fold the decode forms of ``stages``, in receive order, over
+    ``signal``.  The one place a FrameDecodeError is made: at the first
+    stage whose mask marks a symbol, from its report, or from any
+    ValueError a form raises, with ``stage`` naming that stage."""
     try:
-        return _fold(signal, decoders)
+        for stage in stages:
+            received = signal
+            signal = stage.decode(received)
+            if stage.report is not None:
+                signal, bad = signal
+                # count_nonzero, about a third of ndarray.any's cost on a short mask
+                if bad is not None and np.count_nonzero(bad):
+                    raise stage.report(received, bad, int(np.flatnonzero(bad)[0]))
     except ValueError as exc:  # any defect of the input, e.g. a chip of 2
-        raise FrameDecodeError(str(exc)) from exc
+        error = FrameDecodeError(str(exc))
+        error.stage = stage.name
+        raise error from exc
+    return signal
 
 
 def chips_to_hex(chips: np.ndarray) -> str:

@@ -10,6 +10,7 @@ bad)``, ``bad`` nonzero at each invalid word, and raises on a stream of
 no whole number of words.  It is one call into the ``decode_words``
 kernel of :mod:`owpan._kernels`, and each encoder one into its twin
 ``encode_words``; the compiled backend makes one pass for either.
+``_bad_word`` is the error the frame chain reports for a marked word.
 
 The 8b/10b here is the IBM data-character code (5b/6b + 3b/4b with running
 disparity and the alternate D.x.A7 encoding); control (K) characters are
@@ -59,15 +60,6 @@ def _as_bits(x, name: str) -> np.ndarray:
     return _as_uint8(x, 1, f"{name} must contain only 0s and 1s").ravel()
 
 
-def _raise_first(bad, error) -> None:
-    """Raise ``error(i)`` at the first symbol ``i`` that ``bad`` marks with
-    a nonzero entry; return if none is marked or ``bad`` is None.  Every
-    receive stage reports its first bad symbol through this."""
-    # count_nonzero, about a third of ndarray.any's cost on a short mask
-    if bad is not None and np.count_nonzero(bad):
-        raise error(int(np.flatnonzero(bad)[0]))
-
-
 # what a bad word is called, by code width and bad value
 _BAD_WORD = {
     2: {1: "invalid Manchester chip pair"},
@@ -76,15 +68,11 @@ _BAD_WORD = {
 }
 
 
-def _raise_bad_word(chips: np.ndarray, width: int, bad: np.ndarray) -> None:
-    """ValueError at the first ``width``-chip word of ``chips`` that ``bad``
-    marks, naming the word's chips and index."""
-
-    def error(i: int) -> ValueError:
-        word = "".join(map(str, chips[i * width : (i + 1) * width].tolist()))
-        return ValueError(f"{_BAD_WORD[width][int(bad[i])]} {word} (symbol index {i})")
-
-    _raise_first(bad, error)
+def _bad_word(chips: np.ndarray, width: int, bad: np.ndarray, i: int) -> ValueError:
+    """The error for word ``i`` of ``chips``, which ``bad`` marks, naming
+    the word's ``width`` chips and its index."""
+    word = "".join(map(str, chips[i * width : (i + 1) * width].tolist()))
+    return ValueError(f"{_BAD_WORD[width][int(bad[i])]} {word} (symbol index {i})")
 
 
 def _decode_words(chips: np.ndarray, width: int, *tables) -> tuple[np.ndarray, np.ndarray]:

@@ -92,11 +92,20 @@ def _vppm_table(dimming: float) -> np.ndarray:
 
 
 def _dimming(value) -> float:
-    # checked in (0, 1), then the Python float that keys _vppm_table, also for
-    # a numpy scalar or a 0-d or one-element array (float() warns on the last)
-    if not 0.0 < value < 1.0:
+    # checked in (0, 1), as the Python float that keys _vppm_table, also for
+    # a numpy scalar or a 0-d or one-element array (float() warns on the
+    # last); text (which numpy parses), None, a complex number or a longer
+    # array is no dimming
+    number = value
+    if type(value) is not float:
+        try:
+            array = np.asarray(value)
+            number = None if array.dtype.kind in "USc" else array.astype(np.float64).item()
+        except (TypeError, ValueError):
+            number = None
+    if number is None or not 0.0 < number < 1.0:
         raise ValueError(f"dimming must lie in (0, 1), got {value!r}")
-    return value if type(value) is float else np.asarray(value, dtype=np.float64).item()
+    return number
 
 
 def _vppm_modulate(bits: np.ndarray, dimming: float) -> np.ndarray:

@@ -21,6 +21,7 @@ from owpan.phy.frames import (
     MAX_PAYLOAD,
     FrameDecodeError,
     _plan,
+    _receive,
     chips_from_hex,
     chips_to_hex,
     decode_frame,
@@ -40,6 +41,12 @@ PAYLOADS = [b"", b"\x00", b"hi", b"W-OWPAN frame golden.", bytes(range(256))]
 def _u8(values):
     # the checked uint8 array the frame chains hand each stage
     return np.array(values, dtype=np.uint8)
+
+
+def _decoder(stage):
+    # one plan stage's decode form as the receive chain runs it: a stage
+    # with a mask raises at the first symbol the mask marks
+    return lambda values: _receive(values, (stage,))
 
 
 @pytest.mark.parametrize("mode", BOUND_MODES, ids=lambda m: m.name)
@@ -152,7 +159,7 @@ def test_overflowing_and_cancelling_samples_raise_no_warning(name):
     payload = b"W-OWPAN frame golden."
     waveform = encode_frame(payload, mode).waveform
     assert waveform.dtype == np.float32
-    _, (demodulate, *_) = _plan(mode)
+    demodulate = _decoder(_plan(mode)[-1])
     chips = demodulate(waveform)
     # float64 samples near float64's maximum, and float32 samples at float32's,
     # whose chip sums would overflow float32 but not the float64 sums
@@ -343,27 +350,27 @@ def test_catalog_only_modes_rejected():
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([0, 1, 2, 7, 39]).flatmap(lambda n: st.binary(min_size=n, max_size=n)))
 def test_each_plan_stage_decodes_what_it_encodes(mode, payload):
-    """Every stage pair of the mode's plan, on what the stages before it make
-    of a random payload: decode inverts encode, the length prefix exactly,
-    the RS stage up to its zero block padding, every line code (8b/10b
-    included) and the modulator at two dimmings."""
-    encoders, decoders = _plan(mode)
-    assert len(encoders) == len(decoders)
-    *stages, (modulate, demodulate) = zip(encoders, reversed(decoders))
-    prefix, strip = stages[0]
-    values = prefix(payload)
-    assert strip(values) == payload
-    for stage, (encode, decode) in enumerate(stages[1:], 1):
-        coded = encode(values)
-        back = decode(coded)
+    """Every stage of the mode's plan, on what the stages before it make of
+    a random payload: decode inverts encode, the length prefix exactly, the
+    RS stage up to its zero block padding, every line code (8b/10b
+    included) and the modulator at two dimmings.  Each stage has its own
+    name, and none is decode_from_chips's "chips"."""
+    *stages, modulator = _plan(mode)
+    names = [stage.name for stage in _plan(mode)]
+    assert len(set(names)) == len(names) and "chips" not in names
+    values = stages[0].encode(payload)
+    assert _decoder(stages[0])(values) == payload
+    for stage in stages[1:]:
+        coded = stage.encode(values)
+        back = _decoder(stage)(coded)
         assert back.dtype == np.uint8
         assert np.array_equal(back[: values.size], values)
         assert not back[values.size :].any()
-        if stage != 2 or mode.outer_code is None:  # the RS stage comes third
+        if stage.name != "rs":  # RS decodes its zero block padding too
             assert back.size == values.size
         values = coded
     for dimming in (0.25, 0.4):
-        assert np.array_equal(demodulate(modulate(values, dimming)), values)
+        assert np.array_equal(_decoder(modulator)(modulator.encode(values, dimming)), values)
 
 
 def test_a_copy_of_a_mode_hashes_equal_and_shares_its_plan():
@@ -546,13 +553,18 @@ def test_damaged_frames_yield_bytes_or_frame_error(damaged, cut):
     payload is not checked, since an uncoded mode can decode a damaged
     frame to a wrong payload without an error."""
     mode, chips = damaged
-    waveform = _plan(mode)[0][-1](chips, 0.5)
+    *stages, modulator = _plan(mode)
+    waveform = modulator.encode(chips, 0.5)
+    names = [stage.name for stage in stages]
     # a cut of 1-3 samples leaves no whole number of chips
-    for decode, signal in ((decode_from_chips, chips), (decode_frame, waveform[cut:])):
+    for decode, signal, named in (
+        (decode_from_chips, chips, ["chips", *names]),
+        (decode_frame, waveform[cut:], [modulator.name, *names]),
+    ):
         try:
             assert isinstance(decode(signal, mode), bytes)
-        except FrameDecodeError:
-            pass
+        except FrameDecodeError as exc:
+            assert exc.stage in named
 
 
 def _garbled_rs_blocks(code):
@@ -561,35 +573,43 @@ def _garbled_rs_blocks(code):
     return blocks
 
 
-# one input per message of the FEC and frame stages, each pinned in full
+# one input per message of the FEC and frame stages, each pinned in full,
+# and the stage a FrameDecodeError names (None: the call raises no such error)
 _STAGE_ERRORS = {
     "cc_encode_odd": (
         lambda: _cc_encode(_u8([1]), ConvCode(Fraction(2, 3))),
         "rate-2/3 puncturing needs an even bit count",
+        None,
     ),
     "viterbi_r23_length": (
         lambda: _viterbi_decode(_u8([0] * 4), ConvCode(Fraction(2, 3))),
         "rate-2/3 stream length must be a multiple of 3, got 4",
+        None,
     ),
     "viterbi_r13_length": (
         lambda: _viterbi_decode(_u8([0] * 5), ConvCode(Fraction(1, 3))),
         "coded length 5 does not fit rate 1/3",
+        None,
     ),
     "viterbi_r14_length": (
         lambda: _viterbi_decode(_u8([0] * 6), ConvCode(Fraction(1, 4))),
         "coded length 6 does not fit rate 1/4",
+        None,
     ),
     "viterbi_short": (
         lambda: _viterbi_decode(_u8([0] * 12), ConvCode(Fraction(1, 4))),
         "coded stream shorter than the tail",
+        None,
     ),
     "rs_uncorrectable": (
         lambda: rs_decode(_garbled_rs_blocks(RsCode(15, 11)), RsCode(15, 11)),
         "RS(15,11): 1 of 2 blocks uncorrectable",
+        None,
     ),
     "rs_shortened_uncorrectable": (
         lambda: rs_decode(_garbled_rs_blocks(RsCode(14, 7)), RsCode(14, 7)),
         "RS(14,7): 1 of 2 blocks uncorrectable",
+        None,
     ),
     "frame_manchester_pair_11": (
         lambda: decode_from_chips(
@@ -597,6 +617,7 @@ _STAGE_ERRORS = {
             mode_by_name("phy1-ook-100k"),
         ),
         "invalid Manchester chip pair 11 (symbol index 3)",
+        "manchester",
     ),
     "frame_manchester_pair_00": (
         lambda: decode_from_chips(
@@ -604,10 +625,12 @@ _STAGE_ERRORS = {
             mode_by_name("phy1-ook-24k"),
         ),
         "invalid Manchester chip pair 00 (symbol index 2)",
+        "manchester",
     ),
     "frame_manchester_odd_length": (
         lambda: decode_from_chips(np.zeros(9), mode_by_name("phy1-ook-73k")),
         "chip stream length must be even (symbol index 4)",
+        "manchester",
     ),
     "frame_4b6b_off_table": (
         lambda: decode_from_chips(
@@ -615,12 +638,14 @@ _STAGE_ERRORS = {
             mode_by_name("phy1-vppm-124k"),
         ),
         "invalid 4B6B codeword 111000 (symbol index 2)",
+        "4b6b",
     ),
     "frame_4b6b_length": (
         lambda: decode_from_chips(
             line_codes._encode_4b6b(_u8([1] * 5))[:-1], mode_by_name("phy1-vppm-266k")
         ),
         "chip stream length must be a multiple of 6 (symbol index 4)",
+        "4b6b",
     ),
     "frame_8b10b_invalid_word": (
         lambda: decode_from_chips(
@@ -628,6 +653,7 @@ _STAGE_ERRORS = {
             mode_by_name("phy2-ook-96m"),
         ),
         "invalid 8b10b codeword 0000000000 (symbol index 1)",
+        "8b10b",
     ),
     "frame_8b10b_disparity": (
         # byte 3 at negative disparity, twice: the first word leaves the
@@ -637,65 +663,138 @@ _STAGE_ERRORS = {
             mode_by_name("phy2-ook-6m"),
         ),
         "8b10b disparity violation in word 1100011011 (symbol index 1)",
+        "8b10b",
     ),
     "frame_8b10b_length": (
         lambda: decode_from_chips(
             line_codes._encode_8b10b(_u8([0, 5, 1]))[:-3], mode_by_name("phy2-ook-96m")
         ),
         "chip stream length must be a multiple of 10 (symbol index 2)",
+        "8b10b",
     ),
     "frame_vppm_tie_in_a_later_block": (
         lambda: decode_frame(_vppm_tie_at(20000), mode_by_name("phy1-vppm-266k")),
         "ambiguous VPPM symbol at index 20000: equal half energies",
+        "vppm",
     ),
     "frame_samples_not_whole_chips": (
         lambda: decode_frame(np.zeros(5), mode_by_name("phy1-ook-100k")),
         "sample count 5 is not a whole number of chips",
+        "ook",
     ),
     "frame_viterbi_length": (
         lambda: decode_from_chips(
             line_codes._manchester_encode(_u8([0] * 5)), mode_by_name("phy1-ook-24k")
         ),
         "coded length 5 does not fit rate 1/3",
+        "cc",
     ),
     "frame_viterbi_punctured_length": (
         lambda: decode_from_chips(
             line_codes._manchester_encode(_u8([0] * 4)), mode_by_name("phy1-ook-48k")
         ),
         "rate-2/3 stream length must be a multiple of 3, got 4",
+        "cc",
     ),
     "frame_partial_rs_block": (
         lambda: decode_from_chips(
             line_codes._encode_4b6b(_u8([1] * 5)), mode_by_name("phy1-vppm-124k")
         ),
         "5 symbols do not form whole RS(15,7) blocks",
+        "rs",
     ),
     "frame_bits_not_nibbles": (
         lambda: decode_from_chips(
             line_codes._manchester_encode(_u8([0] * 6)), mode_by_name("phy1-ook-100k")
         ),
         "bit stream length 6 is not nibble-aligned",
+        "bits",
     ),
     "frame_no_prefix": (
         lambda: decode_from_chips(
             line_codes._encode_8b10b(_u8([7])), mode_by_name("phy2-ook-96m")
         ),
         "frame shorter than its length prefix",
+        "length",
     ),
     "frame_prefix_overrun": (
         lambda: decode_from_chips(
             line_codes._encode_8b10b(_u8([0, 5, 1])), mode_by_name("phy2-ook-96m")
         ),
         "length prefix claims 5 bytes but only 1 present",
+        "length",
     ),
 }
 
 
 @pytest.mark.parametrize("case", _STAGE_ERRORS)
 def test_stage_error_messages_are_pinned(case):
-    call, message = _STAGE_ERRORS[case]
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    call, message, stage = _STAGE_ERRORS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as exc:
         call()
+    assert getattr(exc.value, "stage", None) == stage
+
+
+# --- the first stage whose mask marks a symbol is the one reported -----------
+#
+# The line codes, RS and VPPM decode to their values and a mask of bad
+# symbols, and _receive reports the first stage in receive order whose mask
+# marks one: the demodulator, then the line code, then RS.
+
+# by line code: its stage, a word off the code, and the message for that word
+_BAD_LINE_WORDS = {
+    LineCode.MANCHESTER: ("manchester", [1, 1], "invalid Manchester chip pair 11"),
+    LineCode.FOUR_B_SIX_B: ("4b6b", [1, 1, 1, 0, 0, 0], "invalid 4B6B codeword 111000"),
+    LineCode.EIGHT_B_TEN_B: ("8b10b", [0] * 10, "invalid 8b10b codeword 0000000000"),
+}
+
+
+def _garbled_rs_chips(mode, payload):
+    # the chips of payload with its first RS block garbled as
+    # _garbled_rs_blocks does, and the frame's block count
+    values = payload
+    for stage in _plan(mode)[:-1]:
+        values = stage.encode(values)
+        if stage.name == "rs":
+            values = _overwrite(values, 0, np.arange(mode.outer_code.n))
+            blocks = values.size // mode.outer_code.n
+    return values, blocks
+
+
+@pytest.mark.parametrize("mode", BOUND_MODES, ids=lambda m: m.name)
+def test_the_first_stage_whose_mask_marks_a_symbol_is_reported(mode):
+    """One frame per bound mode, damaged at each stage kind with a mask: a
+    word off the line code, an uncorrectable RS block where an RS code is
+    bound, and a VPPM tie in the VPPM modes.  Both decoders name the stage
+    and give its message, and a frame damaged at two or three of them
+    reports the first in receive order."""
+    line, junk, word = _BAD_LINE_WORDS[mode.line_code]
+    clean = encode_to_chips(b"stage", mode)
+    bad_word = (line, f"{word} (symbol index 3)")
+    cases = [(_overwrite(clean, 3 * len(junk), junk), None, bad_word)]
+    if mode.outer_code is not None:
+        garbled, blocks = _garbled_rs_chips(mode, b"stage")
+        uncorrectable = f"{mode.outer_code}: 1 of {blocks} blocks uncorrectable"
+        cases.append((garbled, None, ("rs", uncorrectable)))
+        cases.append((_overwrite(garbled, 3 * len(junk), junk), None, bad_word))
+    if mode.modulation is Modulation.VPPM:
+        tie = ("vppm", "ambiguous VPPM symbol at index 5: equal half energies")
+        cases += [(chips, 5, tie) for chips in (clean, *(chips for chips, _, _ in cases))]
+    for chips, at, expected in cases:
+        waveform = _plan(mode)[-1].encode(chips, 0.5)
+        decoded = [(decode_frame, waveform)]
+        if at is None:
+            decoded.append((decode_from_chips, chips))
+        else:  # equal half energies in chip `at`
+            waveform[SAMPLES_PER_CHIP * at : SAMPLES_PER_CHIP * (at + 1)] = 0.5
+        for decode, signal in decoded:
+            with pytest.raises(FrameDecodeError) as exc:
+                decode(signal, mode)
+            assert (exc.value.stage, str(exc.value)) == expected
+    # decode_from_chips checks its chips before any plan stage runs
+    with pytest.raises(FrameDecodeError) as exc:
+        decode_from_chips(_overwrite(cases[-1][0], 0, [2]), mode)
+    assert (exc.value.stage, str(exc.value)) == ("chips", "chips must contain only 0s and 1s")
 
 
 # --- the transmit chain checks its input once ---------------------------------

@@ -13,11 +13,11 @@ from owpan.phy.fec import RsCode, rs_decode, rs_encode
 from owpan.phy.frames import FrameDecodeError, chips_to_hex, decode_frame, decode_from_chips
 from owpan.phy.line_codes import (
     TABLE_4B6B,
+    _bad_word,
     _decode_words,
     _encode_4b6b,
     _encode_8b10b,
     _manchester_encode,
-    _raise_bad_word,
 )
 from owpan.phy.modes import mode_by_name
 
@@ -43,7 +43,8 @@ def _decoded(code, chips):
     raising at the first bad word as the receive chain does."""
     chips = _u8(chips)
     values, bad = _decode_words(chips, *code)
-    _raise_bad_word(chips, code[0], bad)
+    if bad.any():
+        raise _bad_word(chips, code[0], bad, int(np.flatnonzero(bad)[0]))
     return values
 
 
@@ -226,10 +227,8 @@ def test_8b10b_rejects_bad_length():
 def _8b10b_line(out, chips, status, rd):
     """One word's line of the digest: its output and the disparity after it
     (a valid word moves the disparity by its own imbalance), or its error."""
-    try:
-        _raise_bad_word(chips, 10, status)
-    except ValueError as exc:
-        return f"{exc}|0"
+    if status[0]:
+        return f"{_bad_word(chips, 10, status, 0)}|0"
     return f"{bytes(out).hex()}|{rd + 2 * int(chips.sum()) - 10}"
 
 

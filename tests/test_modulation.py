@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from owpan import _kernels
 from owpan._kernels import _BLOCK
-from owpan.phy.frames import _plan
+from owpan.phy.frames import _plan, _receive
 from owpan.phy.modes import mode_by_name
 from owpan.phy.modulation import (
     SAMPLES_PER_CHIP,
@@ -22,8 +22,9 @@ dimmings = st.floats(min_value=0.05, max_value=0.95)
 
 
 # Each stage as the frame chains call it: the modulators on checked chips
-# and a checked dimming, the demodulators as the first decode form of a
-# mode's plan, which checks the samples and raises at a VPPM tie.
+# and a checked dimming, the demodulators as the receive chain runs the
+# last stage of a mode's plan, which checks the samples and raises at a
+# VPPM tie.
 
 def ook_wave(chips):
     return _ook_modulate(np.array(chips, dtype=np.uint8))
@@ -34,8 +35,8 @@ def vppm_wave(bits, dimming):
 
 
 def _demodulator(name):
-    _, (demodulate, *_) = _plan(mode_by_name(name))
-    return demodulate
+    stage = _plan(mode_by_name(name))[-1]
+    return lambda samples: _receive(samples, (stage,))
 
 
 ook_read = _demodulator("phy2-ook-96m")
@@ -113,8 +114,10 @@ def test_vppm_symbols_are_mirrors():
 
 
 def test_vppm_rejects_degenerate_dimming():
-    for bad in (0.0, 1.0, -0.1, 1.5):
-        with pytest.raises(ValueError, match=r"^dimming must lie in \(0, 1\)"):
+    # text (which numpy would parse), None, a complex number and a longer
+    # array are no dimming either, and fail the same way
+    for bad in (0.0, 1.0, -0.1, 1.5, "0.5", None, 0.5 + 0j, np.array([0.3, 0.4])):
+        with pytest.raises(ValueError, match=r"^dimming must lie in \(0, 1\), got "):
             _dimming(bad)
 
 

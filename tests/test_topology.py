@@ -173,13 +173,6 @@ def test_node_tags_accept_any_collection(field, collection):
     assert getattr(node, field) == frozenset({"ab", "c"})
 
 
-def test_line_of_sight_by_scenario():
-    for s in (1, 2, 3):
-        assert Link(1, 2, Technology.VLC_LED, scenario=s).line_of_sight
-    for s in (4, 5, 6):
-        assert not Link(1, 2, Technology.VLC_LED, scenario=s).line_of_sight
-
-
 def test_node_lookup():
     t = Topology(nodes=(Node(7, UD),), links=())
     assert t.node(7).kind is UD
