@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .channels import _all, _first_bad, _laser_gain, diffuse_gain, los_gain
-from .params import LinkBudgetParams, _real
+from .channels import _check_gain, _first_bad, _laser_gain, diffuse_gain, los_gain
+from .params import LinkBudgetParams, _integer, _real, _reals
 
 __all__ = [
     "CSV_HEADER",
@@ -70,17 +69,9 @@ class SweepSpec:
     points: int = 200
 
     def __post_init__(self) -> None:
-        # operator.index admits ints and numpy integers, not 2.5 or 3.0
-        try:
-            object.__setattr__(self, "points", operator.index(self.points))
-        except TypeError:
-            raise ValueError(f"points must be an integer, got {self.points!r}") from None
-        # stored as Python floats, as LinkBudgetParams stores its numbers
+        object.__setattr__(self, "points", _integer(self.points, "points", ValueError))
         for end in ("start", "stop"):
-            try:
-                object.__setattr__(self, end, _real(getattr(self, end)))
-            except (TypeError, ValueError, OverflowError):
-                raise ValueError(f"{end} must be a number, got {getattr(self, end)!r}") from None
+            object.__setattr__(self, end, _real(getattr(self, end), end, ValueError))
         if self.points < 2:
             raise ValueError(f"need at least 2 grid points, got {self.points!r}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
@@ -107,12 +98,11 @@ class CapacityCurve:
     fixed_params: LinkBudgetParams
 
     def __post_init__(self) -> None:
-        # stored as Python floats, as LinkBudgetParams stores its numbers, so
-        # the CSV shows a numpy scalar or a bool as the number it stands for
         try:
-            alpha = _real(self.alpha_db_per_km)
-            x, caps = tuple(map(_real, self.x)), tuple(map(_real, self.capacity_bps))
-        except (TypeError, ValueError, OverflowError):
+            alpha = _real(self.alpha_db_per_km, "alpha_db_per_km", TypeError)
+            x = _reals(self.x, "x", TypeError)
+            caps = _reals(self.capacity_bps, "capacity_bps", TypeError)
+        except TypeError:
             raise ValueError("alpha_db_per_km, x and capacity_bps must be real numbers") from None
         object.__setattr__(self, "alpha_db_per_km", alpha)
         object.__setattr__(self, "x", x)
@@ -154,18 +144,10 @@ def _check_bandwidth(bandwidth: float) -> None:
 
 def _check_ratio(pr_over_n0_db) -> None:
     # > -inf and <= _MAX_DB is finite and <= _MAX_DB, in comparisons alone
-    usable = (-math.inf < pr_over_n0_db) & (pr_over_n0_db <= _MAX_DB)
-    if not _all(usable):
-        bad = _first_bad(pr_over_n0_db, np.logical_not(usable))
+    bad = _first_bad(pr_over_n0_db, (-math.inf < pr_over_n0_db) & (pr_over_n0_db <= _MAX_DB))
+    if bad is not None:
         rule = f"<= {_MAX_DB} dB" if math.isfinite(bad) else "finite"
         raise ValueError(f"pr_over_n0_db must be {rule}, got {bad!r}")
-
-
-def _check_channel_gain(channel_gain) -> None:
-    in_range = (0.0 <= channel_gain) & (channel_gain <= 1.0)
-    if not _all(in_range):
-        bad = _first_bad(channel_gain, np.logical_not(in_range))
-        raise ValueError(f"channel_gain must lie in [0, 1], got {bad!r}")
 
 
 def _snr(pr_over_n0_db, responsivity, channel_gain, bandwidth):
@@ -217,7 +199,7 @@ def electrical_snr(
     """
     _check_bandwidth(bandwidth)
     _check_ratio(pr_over_n0_db)
-    _check_channel_gain(channel_gain)
+    _check_gain(channel_gain)
     if not 0.0 <= responsivity < math.inf:
         raise ValueError(f"responsivity must be finite and >= 0, got {responsivity!r}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -233,9 +215,8 @@ def link_capacity(snr: float | np.ndarray, bandwidth: float) -> float | np.ndarr
     properties rely on that.  Every SNR must be finite and >= 0; a NaN or
     infinite one is rejected.
     """
-    in_range = (snr >= 0.0) & (snr < math.inf)
-    if not _all(in_range):
-        bad = _first_bad(snr, np.logical_not(in_range))
+    bad = _first_bad(snr, (snr >= 0.0) & (snr < math.inf))
+    if bad is not None:
         raise ValueError(f"snr must be {'>= 0' if bad < 0.0 else 'finite'}, got {bad!r}")
     _check_bandwidth(bandwidth)
     return _capacity(snr, bandwidth)
@@ -255,7 +236,7 @@ def indoor_link_capacity(params: LinkBudgetParams) -> float:
     """Capacity of the LED downlink at the DC channel gain."""
     gain = float(los_gain(params)) + float(diffuse_gain(params))
     _check_ratio(params.pr_over_n0)
-    _check_channel_gain(gain)
+    _check_gain(gain)
     with np.errstate(over="ignore", invalid="ignore"):
         snr = _snr(params.pr_over_n0, params.pd_responsivity, gain, params.bandwidth)
     return _capacity(snr, params.bandwidth)
@@ -315,8 +296,7 @@ def sweep_capacity(
     x = tuple(grid.tolist())
     # the checks of CapacityCurve.__post_init__, run once for every curve:
     # the grid is shared and the capacities are one array.  tolist() gives
-    # the tuples of Python floats a curve stores, as LinkBudgetParams gives
-    # its coefficients, so no conversion is left to do either
+    # the tuples of Python floats a curve stores, so no conversion is left
     _check_grid(x)
     if not ((0.0 <= caps) & (caps < math.inf)).all():
         raise ValueError(_CAPACITY_RULE)

@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .params import LinkBudgetParams
+from .params import LinkBudgetParams, _real
 
 __all__ = [
     "ChannelGain",
@@ -48,9 +48,8 @@ class ChannelGain(float):
     """Dimensionless optical power gain, constrained to [0, 1]."""
 
     def __new__(cls, value: float) -> "ChannelGain":
-        value = float(value)
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"channel gain {value!r} outside [0, 1]")
+        value = _real(value, "channel gain", ValueError)
+        _check_gain(value)
         return super().__new__(cls, value)
 
 
@@ -99,38 +98,40 @@ def _any(mask) -> bool:
     return mask.any() if type(mask) is np.ndarray else mask
 
 
-def _all(mask) -> bool:
-    """Whether a check's mask holds everywhere, read as :func:`_any` reads it."""
-    return mask.all() if type(mask) is np.ndarray else mask
+def _first_bad(value, ok):
+    """None where a check's mask ``ok``, read as :func:`_any` reads a mask,
+    holds everywhere; else, for a range error to name, the first element of
+    ``value`` where ``ok`` fails (a scalar is its own) as a Python number."""
+    if ok.all() if type(ok) is np.ndarray else ok:
+        return None
+    return np.asarray(value)[np.logical_not(ok)][0].item()
 
 
-def _first_bad(value, bad):
-    """``value`` if it is a scalar, else its first element where ``bad`` holds,
-    so a range error names one number instead of printing the array."""
-    if np.ndim(value) == 0:
-        return value
-    return np.asarray(value)[bad][0].item()
+def _check_gain(value) -> None:
+    """The [0, 1] rule of every channel gain, a scalar's or an array's."""
+    bad = _first_bad(value, (0.0 <= value) & (value <= 1.0))
+    if bad is not None:
+        raise ValueError(f"channel gain outside [0, 1], got {bad!r}")
 
 
 def _gain(value) -> ChannelGain | np.ndarray:
-    """A core's gain after one [0, 1] check, which names a bad scalar as it
-    names an array's first bad element: a scalar as :class:`ChannelGain`,
+    """A core's gain after the [0, 1] check: a scalar as :class:`ChannelGain`,
     an array as it is."""
-    in_range = (0.0 <= value) & (value <= 1.0)
-    if not _all(in_range):
-        bad = np.asarray(value)[~in_range][0].item()
-        raise ValueError(f"channel gain outside [0, 1], got {bad!r}")
-    return ChannelGain(value) if in_range.ndim == 0 else value
+    if np.ndim(value) == 0:
+        return ChannelGain(value)
+    _check_gain(value)
+    return value
 
 
 # Input checks.  A NaN passes each of them; in a gain it surfaces as a NaN
-# gain, which the [0, 1] check of _gain rejects.
+# gain, which the [0, 1] check of _check_gain rejects.
 
 
 def _check_not_negative(value, name: str) -> None:
-    negative = value < 0.0
-    if _any(negative):
-        raise ValueError(f"{name} must be >= 0, got {_first_bad(value, negative)!r}")
+    # not < 0, so that a NaN passes
+    bad = _first_bad(value, np.logical_not(value < 0.0))
+    if bad is not None:
+        raise ValueError(f"{name} must be >= 0, got {bad!r}")
 
 
 def _check_beam(beam_waist, wavelength) -> None:

@@ -39,7 +39,8 @@ from dataclasses import dataclass
 from functools import partial
 from random import Random
 
-from .topology import Topology, _as_integer, _as_real
+from ..params import _integer, _real
+from .topology import Topology
 
 __all__ = [
     "FlowSpec",
@@ -87,19 +88,14 @@ class FlowSpec:
             raise SimulationError(
                 f"flow name {self.name!r} must not contain a comma, a double quote, CR or LF"
             )
-        for end in ("src", "dst"):
-            value = _as_integer(getattr(self, end), f"flow {self.name}: {end}", SimulationError)
-            object.__setattr__(self, end, value)
+        for field in ("src", "dst", "packet_bytes"):
+            value = _integer(getattr(self, field), f"flow {self.name}: {field}", SimulationError)
+            object.__setattr__(self, field, value)
         # a route from a node to itself crosses no link
         if self.src == self.dst:
             raise SimulationError(
                 f"flow {self.name}: source and destination coincide ({self.src})"
             )
-        object.__setattr__(
-            self,
-            "packet_bytes",
-            _as_integer(self.packet_bytes, f"flow {self.name}: packet_bytes", SimulationError),
-        )
         if self.packet_bytes < 1:
             raise SimulationError(f"flow {self.name}: packet_bytes must be >= 1")
         # the simulator times a packet by its bit count as a float
@@ -109,12 +105,12 @@ class FlowSpec:
             raise SimulationError(
                 f"flow {self.name}: packet_bytes is too large: its bit count overflows a float"
             ) from None
-        start = _as_real(self.start, f"flow {self.name}: start time", SimulationError)
+        start = _real(self.start, f"flow {self.name}: start time", SimulationError)
         object.__setattr__(self, "start", start)
         if not start >= 0:
             raise SimulationError(f"flow {self.name}: start time must be >= 0, got {start}")
         if self.rate_bps is not None:
-            rate = _as_real(self.rate_bps, f"flow {self.name}: rate", SimulationError)
+            rate = _real(self.rate_bps, f"flow {self.name}: rate", SimulationError)
             object.__setattr__(self, "rate_bps", rate)
             if not rate > 0:
                 raise SimulationError(f"flow {self.name}: rate must be positive or saturating")
@@ -240,7 +236,9 @@ def run_simulation(topology: Topology, flows, duration: float, seed: int = 0) ->
       capacity: the bits serialised by then, a packet cut by the horizon
       counting in part.  Up to rounding it equals ``utilization *
       capacity * duration``.  It is a float sum of service times, so 93
-      whole packets of 1000 B may read as ``743999.9999999971``.
+      whole packets of 1000 B may read as ``743999.9999999971``.  A link
+      busy for 10 s at 1e308 bit/s carries more bits than the largest
+      float, and reads ``inf`` beside its flows' finite throughputs.
     - Every delivered packet's latency is kept until the end, because exact
       nearest-rank percentiles need every value; memory grows with the
       packets delivered.
@@ -258,10 +256,10 @@ def run_simulation(topology: Topology, flows, duration: float, seed: int = 0) ->
       absolute value, so a negative seed would repeat a positive one.
     """
     flows = list(flows)
-    duration = _as_real(duration, "duration", SimulationError)
+    duration = _real(duration, "duration", SimulationError)
     if not 0 < duration < math.inf:
         raise SimulationError(f"duration must be positive and finite, got {duration}")
-    seed = _as_integer(seed, "seed", SimulationError)
+    seed = _integer(seed, "seed", SimulationError)
     if seed < 0:
         raise SimulationError(f"seed must be a non-negative integer, got {seed}")
     names = [f.name for f in flows]

@@ -10,12 +10,11 @@ is exactly what the aggregate class captures.
 from __future__ import annotations
 
 import math
-import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 
-from ..params import _real
+from ..params import _integer, _real
 
 __all__ = [
     "Technology",
@@ -34,25 +33,6 @@ __all__ = [
 
 class TopologyError(ValueError):
     """A topology violates a structural invariant."""
-
-
-def _as_integer(value, what: str, error: type = TopologyError) -> int:
-    # operator.index admits ints and numpy integers, not 2.0 or 1.5; callers
-    # that compute with the value keep the int it returns, not a numpy scalar
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise error(f"{what} must be an integer, got {value!r}") from None
-
-
-def _as_real(value, what: str, error: type = TopologyError) -> float:
-    # stored as a Python float, as LinkBudgetParams stores its numbers: a
-    # numpy float would reach the simulator's CSV as np.float64(...), and a
-    # str, None or an array of several values fails here, not in a comparison
-    try:
-        return _real(value)
-    except (TypeError, ValueError, OverflowError):
-        raise error(f"{what} must be a number, got {value!r}") from None
 
 
 class Technology(Enum):
@@ -93,13 +73,24 @@ class Node:
     name: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "address", _as_integer(self.address, "node address"))
+        object.__setattr__(self, "address", _integer(self.address, "node address", TopologyError))
         if not 0 <= self.address < 2**64:
             raise TopologyError(f"address {self.address} outside 64-bit range")
         # frozenset("ab") would be the tags "a" and "b"
         if isinstance(self.protocols, (str, bytes)):
             raise TopologyError(f"protocols must be a collection of tags, got {self.protocols!r}")
         object.__setattr__(self, "protocols", frozenset(self.protocols))
+
+
+# each numeric field of a Link, its name in errors, and its reader
+_LINK_NUMBERS = (
+    ("src", "link source", _integer),
+    ("dst", "link destination", _integer),
+    ("scenario", "scenario", _integer),
+    ("channel_count", "channel count", _integer),
+    ("capacity_bps", "link capacity", _real),
+    ("propagation_delay", "propagation delay", _real),
+)
 
 
 @dataclass(frozen=True)
@@ -115,23 +106,12 @@ class Link:
     channel_count: int = 1
 
     def __post_init__(self):
-        # each integer field keeps the int _as_integer returns: a numpy
-        # integer or a bool endpoint would reach the simulator's CSV as
-        # np.int64(1) or True
-        object.__setattr__(self, "src", _as_integer(self.src, "link source"))
-        object.__setattr__(self, "dst", _as_integer(self.dst, "link destination"))
+        for name, what, read in _LINK_NUMBERS:
+            object.__setattr__(self, name, read(getattr(self, name), what, TopologyError))
         if self.src == self.dst:
             raise TopologyError(f"link endpoints coincide (address {self.src})")
-        object.__setattr__(self, "scenario", _as_integer(self.scenario, "scenario"))
-        object.__setattr__(
-            self, "channel_count", _as_integer(self.channel_count, "channel count")
-        )
         if self.scenario not in range(1, 7):
             raise TopologyError(f"scenario {self.scenario} not in 1..6")
-        object.__setattr__(self, "capacity_bps", _as_real(self.capacity_bps, "link capacity"))
-        object.__setattr__(
-            self, "propagation_delay", _as_real(self.propagation_delay, "propagation delay")
-        )
         if not 0 < self.capacity_bps < math.inf:
             raise TopologyError(
                 f"link capacity must be positive and finite, got {self.capacity_bps}"

@@ -19,6 +19,7 @@ Example::
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import Field, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable
@@ -104,11 +105,7 @@ class LinkBudgetParams:
     def __post_init__(self) -> None:
         for f in fields(self):
             many, value = isinstance(f.default, tuple), getattr(self, f.name)
-            try:
-                value = tuple(map(_real, value)) if many else _real(value)
-            except (TypeError, ValueError, OverflowError):
-                kind = "a sequence of numbers" if many else "a number"
-                raise ParamsError(f"{f.name}: must be {kind}, got {value!r}") from None
+            value = (_reals if many else _real)(value, f"{f.name}:", ParamsError)
             if value == ():
                 raise ParamsError(f"{f.name}: need at least one value")
             low, high, interval = f.metadata["range"]
@@ -128,12 +125,47 @@ class LinkBudgetParams:
             object.__setattr__(self, f.name, type(f.default)(value))
 
 
-def _real(value) -> float:
-    # a numpy float would reach the sweep CSV as np.float64(...); .item()
-    # also reads a one-element array, where float() warns
-    if isinstance(value, (str, bytes)):
-        raise TypeError(value)
-    return float(value.item() if hasattr(value, "item") else value)
+# The one number reader of every numeric input, by the rule that "Numbers"
+# in docs/file-formats.md states.  It stores a Python float or int: a numpy
+# scalar would reach a CSV as np.float64(...), a bool as True.  Text is no
+# number, though float() parses it.
+_TEXT = (str, bytes, bytearray, memoryview)
+
+
+def _real(value, what: str, error: type) -> float:
+    """``value`` as a Python float, or ``error`` naming ``what``.  ``.item()``
+    reads a numpy scalar or a 0-d or one-element array, where float() warns."""
+    if type(value) is float:
+        return value
+    try:
+        number = value.item() if hasattr(value, "item") else value
+        if not isinstance(number, _TEXT):
+            return float(number)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"{what} must be a number, got {value!r}")
+
+
+def _reals(values, what: str, error: type) -> tuple[float, ...]:
+    """A sequence of numbers as a tuple of Python floats, or ``error``: text,
+    which iterates by characters or byte values, is no such sequence."""
+    if not isinstance(values, _TEXT):
+        try:
+            return tuple([_real(v, what, TypeError) for v in values])
+        except TypeError:
+            pass
+    raise error(f"{what} must be a sequence of numbers, got {values!r}")
+
+
+def _integer(value, what: str, error: type) -> int:
+    """``value`` as a Python int, or ``error`` naming ``what``: an int, a bool
+    or a numpy integer, but no float such as 2.0 and no text."""
+    if type(value) is int:
+        return value
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
 
 
 # what the text before a unit may end in: a separator or the end of a number

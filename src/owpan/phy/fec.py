@@ -26,6 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .. import _kernels
+from ..params import _integer
 from .line_codes import _as_uint8, _popcount
 
 __all__ = [
@@ -75,6 +76,8 @@ class RsCode:
     k: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _integer(self.n, "RS code n", ValueError))
+        object.__setattr__(self, "k", _integer(self.k, "RS code k", ValueError))
         if not 0 < self.k < self.n <= 15:
             raise ValueError(f"need 0 < k < n <= 15, got RS({self.n},{self.k})")
 

@@ -18,10 +18,12 @@ numbers (see docs/phy-modes.md for the full table and the reasoning).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO
 
+from ..params import _real
 from .fec import ConvCode, RsCode
 
 __all__ = [
@@ -119,10 +121,15 @@ class PhyMode:
     fec_note: str = ""
 
     def __post_init__(self) -> None:
-        if self.nominal_rate <= 0.0:
-            raise ValueError(f"{self.name}: nominal_rate must be > 0")
-        if self.clock_rate is not None and self.clock_rate <= 0.0:
-            raise ValueError(f"{self.name}: clock_rate must be > 0")
+        if self.clock_rate is None and self.bound:
+            raise ValueError(f"{self.name}: a PHY I/II mode needs a clock_rate")
+        for field in ("clock_rate", "nominal_rate", "nominal_rate_max"):
+            value = getattr(self, field)
+            if value is not None or field == "nominal_rate":
+                value = _real(value, f"{self.name}: {field}", ValueError)
+                if not 0.0 < value < math.inf:
+                    raise ValueError(f"{self.name}: {field} must be finite and > 0, got {value!r}")
+                object.__setattr__(self, field, value)
 
     def __hash__(self) -> int:
         # equal modes share a name; hashing all ten fields takes 1.7 us
@@ -150,7 +157,6 @@ def data_rate(mode: PhyMode) -> float:
     """
     if not mode.bound:
         return mode.nominal_rate
-    assert mode.clock_rate is not None
     rate = (
         mode.clock_rate
         * float(mode.line_code.ratio)

@@ -34,11 +34,13 @@ float64 widening.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
 from .. import _kernels
+from ..params import _real
 
 __all__ = ["SAMPLES_PER_CHIP"]
 
@@ -92,18 +94,13 @@ def _vppm_table(dimming: float) -> np.ndarray:
 
 
 def _dimming(value) -> float:
-    # checked in (0, 1), as the Python float that keys _vppm_table, also for
-    # a numpy scalar or a 0-d or one-element array (float() warns on the
-    # last); text (which numpy parses), None, a complex number or a longer
-    # array is no dimming
-    number = value
-    if type(value) is not float:
-        try:
-            array = np.asarray(value)
-            number = None if array.dtype.kind in "USc" else array.astype(np.float64).item()
-        except (TypeError, ValueError):
-            number = None
-    if number is None or not 0.0 < number < 1.0:
+    # checked in (0, 1), as the Python float that keys _vppm_table; what the
+    # number reader rejects is no dimming either, and fails the same way
+    try:
+        number = _real(value, "dimming", TypeError)
+    except TypeError:
+        number = math.nan
+    if not 0.0 < number < 1.0:
         raise ValueError(f"dimming must lie in (0, 1), got {value!r}")
     return number
 

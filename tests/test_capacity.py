@@ -675,7 +675,7 @@ class TestArrayCapacity:
             (lambda: link_capacity(grid, 1e6), "snr must be >= 0, got -5.0"),
             (
                 lambda: electrical_snr(30.0, 0.8, np.array([0.5, 1.5, 2.0])),
-                r"channel_gain must lie in \[0, 1\], got 1.5",
+                r"channel gain outside \[0, 1\], got 1.5",
             ),
             (
                 lambda: outdoor_link_capacity(LinkBudgetParams(), 5.0, span=grid),

@@ -727,12 +727,14 @@ def test_simulate_a_bit_count_past_the_largest_float(tmp_path, capsys):
     )
     code, out, err = run_cli(["simulate", "--topology", str(cfg)], capsys)
     assert code == 0
-    row = next(r for r in csv.DictReader(io.StringIO(out)) if r["kind"] == "flow")
-    delivered = int(row["delivered"])
+    rows = {r["kind"]: r for r in csv.DictReader(io.StringIO(out))}
+    delivered = int(rows["flow"]["delivered"])
     assert delivered > 1
-    throughput = float(row["throughput_bps"])
+    throughput = float(rows["flow"]["throughput_bps"])
     assert math.isfinite(throughput)
     assert throughput == delivered * 2**1023 / 10
+    # the bits the link carried really exceed the largest float
+    assert rows["link"]["bits_carried"] == "inf"
     assert "flow f: " in err
 
 

@@ -101,6 +101,14 @@ def test_rs_code_validation():
     assert short.t == 3
 
 
+def test_rs_code_fields_are_ints():
+    # a float is no symbol count, and a bool reads as the int it equals
+    with pytest.raises(ValueError, match="^RS code n must be an integer, got 15.0$"):
+        RsCode(15.0, 11.0)
+    assert str(RsCode(15, True)) == "RS(15,1)"
+    assert [type(v) for v in (RsCode(np.int64(15), 11).n, RsCode(15, True).k)] == [int, int]
+
+
 def test_rs_encode_is_systematic():
     data = np.arange(11, dtype=np.uint8)[None, :]
     cw = rs_encode(data, RsCode(15, 11))

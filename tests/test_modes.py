@@ -1,6 +1,8 @@
 """PHY mode catalog: rate arithmetic, lookups, and the TSV dump."""
 
+import dataclasses
 import io
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -130,6 +132,20 @@ def test_mode_validation():
             inner_code=None,
             nominal_rate=1.0,
         )
+
+
+@pytest.mark.parametrize("field", ["clock_rate", "nominal_rate", "nominal_rate_max"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_mode_rates_are_finite_and_positive(field, value):
+    with pytest.raises(ValueError, match=f"^phy3-csk: {field} must be finite and > 0, got "):
+        dataclasses.replace(mode_by_name("phy3-csk"), **{field: value})
+
+
+def test_a_bound_mode_without_a_clock_fails_at_construction():
+    with pytest.raises(ValueError, match="^phy1-ook-11k: a PHY I/II mode needs a clock_rate$"):
+        dataclasses.replace(mode_by_name("phy1-ook-11k"), clock_rate=None)
+    # a catalog-only mode may publish no numeric clock
+    assert mode_by_name("phy4-ufsook").clock_rate is None
 
 
 def test_only_phy1_and_2_are_bound():

@@ -249,6 +249,8 @@ class TestDeclarations:
         [
             ("attenuation_coeffs", 5.0, "must be a sequence of numbers, got 5.0"),
             ("attenuation_coeffs", ["5"], r"must be a sequence of numbers, got \['5'\]"),
+            # bytes iterate as byte values, yet are text
+            ("attenuation_coeffs", b"12", "must be a sequence of numbers, got b'12'"),
             ("span", "160", "must be a number, got '160'"),
             ("span", None, "must be a number, got None"),
             ("span", np.array([1.0, 2.0]), r"must be a number, got array\(\[1\., 2\.\]\)"),
