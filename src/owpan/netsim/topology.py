@@ -14,7 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 
-from ..params import _integer, _real
+from ..params import _TEXT, _integer, _real
 
 __all__ = [
     "Technology",
@@ -77,7 +77,7 @@ class Node:
         if not 0 <= self.address < 2**64:
             raise TopologyError(f"address {self.address} outside 64-bit range")
         # frozenset("ab") would be the tags "a" and "b"
-        if isinstance(self.protocols, (str, bytes)):
+        if isinstance(self.protocols, _TEXT):
             raise TopologyError(f"protocols must be a collection of tags, got {self.protocols!r}")
         object.__setattr__(self, "protocols", frozenset(self.protocols))
 

@@ -159,9 +159,13 @@ def test_link_endpoints_must_be_integers():
 
 
 @pytest.mark.parametrize("field", ["protocols"])
-@pytest.mark.parametrize("tags", ["ab", b"ab"], ids=["str", "bytes"])
+@pytest.mark.parametrize(
+    "tags",
+    ["ab", b"ab", bytearray(b"ab"), memoryview(b"ab")],
+    ids=["str", "bytes", "bytearray", "memoryview"],
+)
 def test_node_tags_must_not_be_a_string(field, tags):
-    # frozenset("ab") is the two tags "a" and "b"
+    # frozenset("ab") is the two tags "a" and "b", frozenset(b"ab") 97 and 98
     with pytest.raises(TopologyError, match=f"^{field} must be a collection of tags"):
         Node(1, UD, **{field: tags})
 
