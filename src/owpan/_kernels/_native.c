@@ -27,19 +27,22 @@
  * C API nor Cython is needed.  The design follows Karn's libfec:
  *
  * - This file builds no table: when the module loads, it copies the
- *   GF(16) tables, the RS maps and POW10 from owpan._kernels._tables,
- *   whose arrays _pure computes with.  RS parity and syndromes are packed
- *   GF(16)-linear maps: entry 16*j + v holds v times row j, one symbol per
- *   nibble of a uint64, so a map costs one lookup and one XOR per symbol.
- *   Rows with a non-zero syndrome run Berlekamp-Massey, Chien and Forney
- *   exactly as _pure._correct does.
+ *   GF(16) tables, the RS maps, the K=7 trellises with their branch
+ *   metrics and POW10 from owpan._kernels._tables, whose arrays _pure
+ *   computes with.  Every static is written then and never after, so no
+ *   call changes a table.  RS parity and syndromes are packed GF(16)-linear
+ *   maps: entry 16*j + v holds v times row j, one symbol per nibble of a
+ *   uint64, so a map costs one lookup and one XOR per symbol.  Rows with a
+ *   non-zero syndrome run Berlekamp-Massey, Chien and Forney exactly as
+ *   _pure._correct does.
  * - A shortened RS row's missing leading symbols are implicit zeros, as
  *   libfec's pad: they select no entry of a map, so the map is read from
  *   the row of the first sent symbol on, and a correction that lands in
  *   them fails the row.
- * - Viterbi reads the 128 branch metrics of a step from one row of a
- *   cached 3^R x 128 table, runs add-compare-select over the 64 states
- *   and keeps each step's survivor decisions in one uint64.
+ * - Viterbi decodes on the two trellises of _tables only, R = 3 and 4: it
+ *   reads the 128 branch metrics of a step from one row of the copied
+ *   3^R x 128 table, runs add-compare-select over the 64 states and keeps
+ *   each step's survivor decisions in one uint64.
  * - The demodulators make one pass over the samples, where _pure makes
  *   four numpy calls per block of chips; VPPM makes a second pass only
  *   to mark ties, when the first counted any.
@@ -71,12 +74,19 @@
 #include <string.h>
 
 #define N 15
-#define MAX_NOUT 6
-#define NCACHE 4
 
 static uint8_t EXP[30], MUL[16][16], INV[16];
 static uint64_t PARITY[N][16 * N];   /* PARITY[k]: k data symbols -> 15-k parity */
 static uint64_t SYNDROME[N][16 * N]; /* SYNDROME[nroots]: codeword -> S_1..S_nroots */
+
+/* The K=7 trellis of width R = 3 or 4 is TRELLIS[R - 3]: its (128, R)
+   output table, and the 128 branch metrics of each of its 3^R
+   observation symbols, the even words 0, 2, ..., 126 first and then the
+   odd ones, so the two candidates for state ns sit at ns and 64 + ns. */
+static struct {
+    uint8_t table[128 * 4];
+    uint8_t bm[81][128];
+} TRELLIS[2];
 
 static PyObject *np_empty, *np_ascontiguousarray, *np_ndarray, *dtype_u8,
     *dtype_bool, *dtype_f4, *dtype_f8;
@@ -378,50 +388,11 @@ static PyObject *rs_decode_blocks(PyObject *self, PyObject *args, PyObject *kwar
     return Py_BuildValue("(NN)", out, failed);
 }
 
-/* (3^R, 128) Hamming distances from each observation symbol to each
-   word, cached by output table: see _pure._branch_metrics.  A row holds
-   the even words 0, 2, ..., 126 first and then the odd ones, so the two
-   candidates for state ns sit at ns and 64 + ns. */
-static struct {
-    int nout;
-    uint8_t table[128 * MAX_NOUT];
-    uint8_t *bm;
-} cache[NCACHE];
-static int cache_next;
-
-static const uint8_t *branch_metrics(const uint8_t *table, int nout)
+static PyObject *viterbi(const uint8_t *obs, Py_ssize_t steps, int nout)
 {
-    for (int i = 0; i < NCACHE; i++)
-        if (cache[i].bm && cache[i].nout == nout && !memcmp(cache[i].table, table, 128 * nout))
-            return cache[i].bm;
-    int nsym = 1;
-    for (int j = 0; j < nout; j++)
-        nsym *= 3;
-    uint8_t *bm = PyMem_Malloc(128 * nsym);
-    if (bm == NULL) {
-        PyErr_NoMemory();
-        return NULL;
-    }
-    for (int s = 0; s < nsym; s++)
-        for (int w = 0; w < 128; w++) {
-            int dist = 0;
-            for (int j = 0, rest = s; j < nout; j++, rest /= 3)
-                dist += rest % 3 != 2 && table[w * nout + j] != rest % 3;
-            bm[128 * s + 64 * (w & 1) + (w >> 1)] = (uint8_t)dist;
-        }
-    PyMem_Free(cache[cache_next].bm);
-    cache[cache_next].bm = bm;
-    cache[cache_next].nout = nout;
-    memcpy(cache[cache_next].table, table, 128 * nout);
-    cache_next = (cache_next + 1) % NCACHE;
-    return bm;
-}
-
-static PyObject *viterbi(const uint8_t *obs, Py_ssize_t steps, const uint8_t *table, int nout)
-{
-    const uint8_t *bm = branch_metrics(table, nout);
+    const uint8_t(*bm)[128] = TRELLIS[nout - 3].bm;
     uint8_t *bits;
-    PyObject *out = bm ? new_array(steps, -1, dtype_u8, &bits) : NULL;
+    PyObject *out = new_array(steps, -1, dtype_u8, &bits);
     if (out == NULL)
         return NULL;
     uint64_t *dec = PyMem_Malloc(steps ? steps * sizeof(uint64_t) : 1);
@@ -443,7 +414,7 @@ static PyObject *viterbi(const uint8_t *obs, Py_ssize_t steps, const uint8_t *ta
         int sym = 0;
         for (int j = nout - 1; j >= 0; j--)
             sym = 3 * sym + obs[j];
-        const uint8_t *even_bm = bm + 128 * sym, *odd_bm = even_bm + 64;
+        const uint8_t *even_bm = bm[sym], *odd_bm = even_bm + 64;
         for (int i = 0; i < 32; i++) {
             int32_t e0 = pm[2 * i] + even_bm[i], o0 = pm[2 * i + 1] + odd_bm[i];
             int32_t e1 = pm[2 * i] + even_bm[i + 32], o1 = pm[2 * i + 1] + odd_bm[i + 32];
@@ -486,22 +457,21 @@ static PyObject *viterbi_decode(PyObject *self, PyObject *args, PyObject *kwargs
         PyBuffer_Release(&obs);
         return NULL;
     }
-    int nout = table.ndim == 2 ? (int)table.shape[1] : 0;
+    /* only the trellises of _tables._TRELLISES decode */
+    Py_ssize_t nout = table.ndim == 2 && table.shape[0] == 128 ? table.shape[1] : 0;
     const uint8_t *o = obs.buf;
     uint8_t top = 0;
     for (Py_ssize_t i = 0; i < obs.len; i++)
         top = o[i] > top ? o[i] : top;
-    if (table.ndim != 2 || table.shape[0] != 128)
-        PyErr_SetString(PyExc_ValueError, "out_table must have shape (128, R)");
-    else if (nout < 1 || nout > MAX_NOUT)
-        PyErr_Format(PyExc_ValueError, "out_table width %d outside 1..%d", nout, MAX_NOUT);
+    if (nout < 3 || nout > 4 || memcmp(table.buf, TRELLIS[nout - 3].table, table.len))
+        PyErr_SetString(PyExc_ValueError, "out_table must equal the K=7 trellis of width 3 or 4");
     else if (obs.len % nout)
-        PyErr_Format(PyExc_ValueError, "observation length %zd not a multiple of %d", obs.len,
+        PyErr_Format(PyExc_ValueError, "observation length %zd not a multiple of %zd", obs.len,
                      nout);
     else if (top > 2)
         PyErr_SetString(PyExc_ValueError, "observations must be 0, 1 or 2 (erased)");
     else
-        out = viterbi(obs.buf, obs.len / nout, table.buf, nout);
+        out = viterbi(obs.buf, obs.len / nout, (int)nout);
     PyBuffer_Release(&obs);
     PyBuffer_Release(&table);
     return out;
@@ -1113,8 +1083,8 @@ static struct PyModuleDef module = {
 };
 
 /* Copy table, a new reference to an array from owpan._kernels._tables (or
-   NULL, an error set), into dst.  The import fails, naming the table and
-   k > 0, the argument that made it, unless the table has size bytes. */
+   NULL, an error set), into dst.  The import fails, naming the table by
+   the format name with its argument k, unless the table has size bytes. */
 static int copy_table(PyObject *table, const char *name, int k, void *dst, Py_ssize_t size)
 {
     Py_buffer view;
@@ -1125,33 +1095,57 @@ static int copy_table(PyObject *table, const char *name, int k, void *dst, Py_ss
     rc = view.len == size ? 0 : -1;
     if (rc == 0)
         memcpy(dst, view.buf, size);
-    else if (k > 0)
-        PyErr_Format(PyExc_ImportError, "owpan._kernels._tables.%s(%d) has %zd bytes, not %zd",
-                     name, k, view.len, size);
-    else
-        PyErr_Format(PyExc_ImportError, "owpan._kernels._tables.%s has %zd bytes, not %zd",
-                     name, view.len, size);
+    else {
+        PyObject *what = PyUnicode_FromFormat(name, k);
+        if (what)
+            PyErr_Format(PyExc_ImportError, "owpan._kernels._tables.%U has %zd bytes, not %zd",
+                         what, view.len, size);
+        Py_XDECREF(what);
+    }
     PyBuffer_Release(&view);
     return rc;
 }
 
-/* The GF(16) tables, the RS maps and POW10 from their one definition, the
-   arrays _pure computes with. */
+/* TRELLIS[R - 3] from _tables' trellis of width R and its (3^R, 128) int32
+   branch metrics, each row's words reordered even first. */
+static int copy_trellis(PyObject *trellises, PyObject *metrics, int nout)
+{
+    int32_t natural[81][128];
+    int nsym = nout == 3 ? 27 : 81;
+    if (copy_table(PyObject_CallMethod(trellises, "__getitem__", "i", nout), "_TRELLISES[%d]",
+                   nout, TRELLIS[nout - 3].table, 128 * nout) ||
+        copy_table(PyObject_CallMethod(metrics, "__getitem__", "i", nout),
+                   "_BRANCH_METRICS[%d]", nout, natural, nsym * sizeof natural[0]))
+        return -1;
+    for (int s = 0; s < nsym; s++)
+        for (int w = 0; w < 128; w++)
+            TRELLIS[nout - 3].bm[s][64 * (w & 1) + (w >> 1)] = (uint8_t)natural[s][w];
+    return 0;
+}
+
+/* The GF(16) tables, the RS maps, the trellises with their branch metrics
+   and POW10 from their one definition, the arrays _pure computes with. */
 static int load_tables(void)
 {
     PyObject *t = PyImport_ImportModule("owpan._kernels._tables");
     if (t == NULL)
         return -1;
+    PyObject *trellises = PyObject_GetAttrString(t, "_TRELLISES");
+    PyObject *metrics = PyObject_GetAttrString(t, "_BRANCH_METRICS");
     int rc = copy_table(PyObject_GetAttrString(t, "_EXP"), "_EXP", 0, EXP, sizeof EXP) ||
              copy_table(PyObject_GetAttrString(t, "_MUL"), "_MUL", 0, MUL, sizeof MUL) ||
              copy_table(PyObject_GetAttrString(t, "_INV"), "_INV", 0, INV, sizeof INV) ||
              copy_table(PyObject_CallMethod(t, "_pow10_table", NULL), "_pow10_table()", 0,
-                        POW10, sizeof POW10);
+                        POW10, sizeof POW10) ||
+             trellises == NULL || metrics == NULL || copy_trellis(trellises, metrics, 3) ||
+             copy_trellis(trellises, metrics, 4);
+    Py_XDECREF(trellises);
+    Py_XDECREF(metrics);
     /* PARITY[k] uses its first 16 * k entries */
     for (int k = 1; k < N && !rc; k++)
-        rc = copy_table(PyObject_CallMethod(t, "_parity_map", "i", k), "_parity_map", k,
+        rc = copy_table(PyObject_CallMethod(t, "_parity_map", "i", k), "_parity_map(%d)", k,
                         PARITY[k], 16 * k * sizeof(uint64_t)) ||
-             copy_table(PyObject_CallMethod(t, "_syndrome_map", "i", k), "_syndrome_map", k,
+             copy_table(PyObject_CallMethod(t, "_syndrome_map", "i", k), "_syndrome_map(%d)", k,
                         SYNDROME[k], sizeof SYNDROME[k]);
     Py_DECREF(t);
     return rc ? -1 : 0;

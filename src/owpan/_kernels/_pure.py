@@ -19,7 +19,9 @@ must match bit for bit.  Both backends expose the same eight callables:
 
 The decoders convert their arrays to uint8 and raise ``ValueError`` for a
 shape, ``k``, symbol or observation outside the contract; a failed RS row
-returns the received data.
+returns the received data.  ``viterbi_decode`` decodes on the two
+trellises of ``_tables._TRELLISES`` only: a table whose uint8 contents
+equal neither, whatever its dtype, raises ``ValueError``.
 
 The RS kernels code shortened RS(15, k) too, as Karn's libfec does with
 its ``pad``: the missing leading symbols are implicit zeros, neither sent
@@ -87,32 +89,33 @@ not depend on the batch size:
 The RS maps, too, gather ``_BLOCK`` rows at a time, so a 64 KiB frame's
 65,537 blocks need no frame-sized index or gather array.
 
-The GF(16) tables and the RS parity and syndrome maps are those of
-:mod:`owpan._kernels._tables`, the same arrays the native extension
-copies when it loads.  They and the tables built here, which depend only
-on ``k`` or on the trellis output table, are built once, cached and
-read-only.  When both predecessors of a state have the
-same path metric, the Viterbi keeps the even word ``2*state``; the native
-kernel breaks ties the same way.
+The GF(16) tables, the RS parity and syndrome maps, the trellises and
+their branch metrics are those of :mod:`owpan._kernels._tables`, the same
+arrays the native extension copies when it loads.  They and the locator
+tables built here, which depend only on ``k``, are built once, cached and
+read-only.  When both predecessors of a state have the same path metric,
+the Viterbi keeps the even word ``2*state``; the native kernel breaks ties
+the same way.
 """
 
 from __future__ import annotations
 
 import operator
-from functools import cache, lru_cache
+from functools import cache
 
 import numpy as np
 
 from . import _BLOCK
 from ._tables import (
+    _BRANCH_METRICS,
     _EXP,
     _INV,
     _MUL,
     _N,
     _NIBBLES,
+    _TRELLISES,
     _linear_map,
     _parity_map,
-    _readonly,
     _syndrome_map,
 )
 
@@ -121,8 +124,6 @@ BACKEND = "pure"
 # a located root alpha^j marks an error in column 14 - (15 - j) % 15
 _ROOT_COL = (14 - (15 - np.arange(15)) % 15) % 15
 
-# the largest trellis output width R; the branch-metric table has 3^R rows
-_MAX_NOUT = 6
 # Viterbi steps per block of gathered branch metrics, (block, 128) int32
 _BLOCK_STEPS = 2048
 
@@ -292,34 +293,19 @@ def _correct(code: np.ndarray, synd: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return fixed, failed
 
 
-@lru_cache(maxsize=8)
-def _branch_metrics(table_bytes: bytes, nout: int) -> np.ndarray:
-    """(3^R, 128) Hamming distances from each observation symbol to each word.
-
-    Symbol s holds chip j in base-3 digit j (0, 1, or 2 for an erasure,
-    which adds no distance); word w's chips are row w of the output table.
-    """
-    table = np.frombuffer(table_bytes, dtype=np.uint8).reshape(128, nout)
-    digits = (np.arange(3**nout)[:, None] // 3 ** np.arange(nout)) % 3
-    differ = (table[None, :, :] != digits[:, None, :]) & (digits != 2)[:, None, :]
-    return _readonly(differ.sum(axis=2, dtype=np.int32))
-
-
 def viterbi_decode(obs: np.ndarray, out_table: np.ndarray) -> np.ndarray:
     """Hard-decision Viterbi over the 64-state rate-1/R trellis.
 
     ``obs`` holds R chips per trellis step, values 0/1 or 2 for an erased
-    (punctured) position; ``out_table`` has shape (128, R), row index
-    ``(bit << 6) | state``.  Returns one decoded bit per step, including
-    whatever tail the encoder appended.
+    (punctured) position; ``out_table`` is ``_tables._TRELLISES[R]``, R = 3
+    or 4, row index ``(bit << 6) | state``.  Returns one decoded bit per
+    step, including whatever tail the encoder appended.
     """
     obs = np.ascontiguousarray(obs, dtype=np.uint8)
     out_table = np.ascontiguousarray(out_table, dtype=np.uint8)
-    if out_table.ndim != 2 or out_table.shape[0] != 128:
-        raise ValueError("out_table must have shape (128, R)")
-    nout = out_table.shape[1]
-    if not 0 < nout <= _MAX_NOUT:
-        raise ValueError(f"out_table width {nout} outside 1..{_MAX_NOUT}")
+    nout = out_table.shape[1] if out_table.ndim == 2 else 0
+    if nout not in _TRELLISES or not np.array_equal(out_table, _TRELLISES[nout]):
+        raise ValueError("out_table must equal the K=7 trellis of width 3 or 4")
     if obs.size % nout:
         raise ValueError(f"observation length {obs.size} not a multiple of {nout}")
     if obs.size and obs.max() > 2:
@@ -327,7 +313,7 @@ def viterbi_decode(obs: np.ndarray, out_table: np.ndarray) -> np.ndarray:
     steps = obs.size // nout
     chips = obs.reshape(steps, nout)
     digits = 3 ** np.arange(nout)
-    table = _branch_metrics(out_table.tobytes(), nout)
+    table = _BRANCH_METRICS[nout]
 
     # transition w = (bit<<6)|state maps to next state w>>1, so the two
     # predecessors of state ns are words 2*ns and 2*ns+1.  pm holds the

@@ -3,7 +3,9 @@
 ``_pure`` computes with these arrays, and the compiled ``_native`` copies
 them when it loads: the GF(16) tables ``_EXP``, ``_LOG``, ``_MUL`` and
 ``_INV`` (x^4 + x + 1), the packed RS maps ``_parity_map(k)`` and
-``_syndrome_map(nroots)``, and ``_pow10_table()``, the powers of ten of the
+``_syndrome_map(nroots)``, the K=7 convolutional code's trellises
+``_TRELLISES`` and their branch metrics ``_BRANCH_METRICS``, both keyed by
+the width R (3 and 4), and ``_pow10_table()``, the powers of ten of the
 native ``float_reprs``.  Every array here is read-only; each map is built
 once and cached.
 """
@@ -100,6 +102,34 @@ def _syndrome_map(nroots: int) -> np.ndarray:
     """
     powers = (14 - np.arange(_N))[:, None] * np.arange(1, nroots + 1)[None, :]
     return _linear_map(_EXP[powers % 15])
+
+
+def _out_table(gens: tuple[int, ...]) -> np.ndarray:
+    """(128, R) output bits of the K=7 code with generators ``gens``: row
+    ``(bit << 6) | state``, state the previous six input bits."""
+    taps = np.arange(128)[:, None] & np.array(gens)
+    return _readonly((sum((taps >> i) & 1 for i in range(7)) & 1).astype(np.uint8))
+
+
+def _branch_metrics(table: np.ndarray) -> np.ndarray:
+    """(3^R, 128) int32 Hamming distances from each observation symbol to
+    each word w, whose chips are row w of the (128, R) ``table``.  Symbol s
+    holds chip j in base-3 digit j: 0, 1, or 2 for an erasure, which adds
+    no distance."""
+    nout = table.shape[1]
+    digits = (np.arange(3**nout)[:, None] // 3 ** np.arange(nout)) % 3
+    # the distance of an observed chip (row) from a sent one (column)
+    cost = np.array([[0, 1], [1, 0], [0, 0]], dtype=np.int32)
+    return _readonly(sum(cost[digits[:, j, None], table[:, j]] for j in range(nout)))
+
+
+# the rate-1/3 mother code (generators 133, 171, 165 octal) and its rate-1/4
+# extension by 117; rate 2/3 punctures the rate-1/3 trellis
+_TRELLISES = {
+    3: _out_table((0o133, 0o171, 0o165)),
+    4: _out_table((0o117, 0o133, 0o171, 0o165)),
+}
+_BRANCH_METRICS = {nout: _branch_metrics(table) for nout, table in _TRELLISES.items()}
 
 
 # the decimal exponents whose powers Schubfach reads for finite doubles

@@ -117,26 +117,19 @@ def _cmd_rate_table(args) -> int:
 
 def _cmd_codec_roundtrip(args) -> int:
     if not 0 <= args.bytes <= frames.MAX_PAYLOAD:
-        print(
-            f"error: --bytes must lie in 0..{frames.MAX_PAYLOAD}, got {args.bytes}",
-            file=sys.stderr,
-        )
-        return 1
+        raise ValueError(f"--bytes must lie in 0..{frames.MAX_PAYLOAD}, got {args.bytes}")
     if args.seed < 0:
         # Random seeds from an int's absolute value: -7 would replay seed 7
-        print(f"error: --seed must be a non-negative integer, got {args.seed}", file=sys.stderr)
-        return 1
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     if args.mode == "all":
         modes = [m for m in phy_mode_catalog() if m.bound]
     else:
         try:
             modes = [mode_by_name(args.mode)]
         except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 1
+            raise ValueError(exc.args[0]) from None
         if not modes[0].bound:
-            print(f"error: {args.mode} is catalog-only, no codec bound", file=sys.stderr)
-            return 1
+            raise ValueError(f"{args.mode} is catalog-only, no codec bound")
     rng = Random(args.seed)
     failures = 0
     with _open_output(args.output) as out:
@@ -157,11 +150,7 @@ def _cmd_simulate(args) -> int:
     config = load_network_config(args.topology)
     duration = args.duration if args.duration is not None else config.duration
     if duration is None:
-        print(
-            "error: no duration: give --duration or a 'sim duration=' line",
-            file=sys.stderr,
-        )
-        return 1
+        raise ValueError("no duration: give --duration or a 'sim duration=' line")
     seed = args.seed if args.seed is not None else (config.seed or 0)
     metrics = run_simulation(config.topology, config.flows, duration, seed=seed)
     with _open_output(args.output) as out:

@@ -81,10 +81,12 @@ class FlowSpec:
     start: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise SimulationError(f"flow name must be a str, got {self.name!r}")
         if not self.name:
             raise SimulationError("flow needs a non-empty name")
         # the metrics CSV writes the name as one bare cell
-        if any(c in str(self.name) for c in ',"\r\n'):
+        if any(c in self.name for c in ',"\r\n'):
             raise SimulationError(
                 f"flow name {self.name!r} must not contain a comma, a double quote, CR or LF"
             )

@@ -26,8 +26,9 @@ from fractions import Fraction
 import numpy as np
 
 from .. import _kernels
+from .._kernels._tables import _TRELLISES
 from ..params import _integer
-from .line_codes import _as_uint8, _popcount
+from .line_codes import _as_uint8
 
 __all__ = [
     "RsCode",
@@ -42,16 +43,7 @@ __all__ = [
 CC_CONSTRAINT_LENGTH = 7
 _TAIL = CC_CONSTRAINT_LENGTH - 1
 
-
-def _out_table(gens: tuple[int, ...]) -> np.ndarray:
-    # row index: (input bit << 6) | state, state = previous six bits
-    w = np.arange(128, dtype=np.uint16)
-    cols = [_popcount(w & g, 7) & 1 for g in gens]
-    return np.stack(cols, axis=1).astype(np.uint8)
-
-
-_TABLE_R13 = _out_table((0o133, 0o171, 0o165))
-_TABLE_R14 = _out_table((0o117, 0o133, 0o171, 0o165))
+_TABLE_R13, _TABLE_R14 = _TRELLISES[3], _TRELLISES[4]
 
 # each rate's trellis output table, and the coded bits it keeps over two
 # steps (None: all of them); rate 2/3 keeps g133 and g171, then g133: the

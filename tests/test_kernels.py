@@ -179,6 +179,16 @@ def test_viterbi_backends_agree():
         assert a.tolist() == b.tolist()
 
 
+@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.BACKEND)
+def test_viterbi_reads_the_trellis_by_its_uint8_contents(backend):
+    # a float64 copy of the rate-1/3 trellis, as a caller may hold it, is
+    # read as uint8 and decodes as the trellis does
+    obs = np.random.default_rng(11).integers(0, 3, size=90).astype(np.uint8)
+    copy = _TABLE_R13.astype(np.float64)
+    expected = backend.viterbi_decode(obs, _TABLE_R13)
+    assert backend.viterbi_decode(obs, copy).tolist() == expected.tolist()
+
+
 def _damaged_chips(rng, chips):
     """``chips`` as sent, with 1-3 chips flipped, cut short and extended."""
     flipped = chips.copy()
@@ -1117,8 +1127,8 @@ def _pure_caches():
         yield _pure._parity_map(k)
         yield _pure._syndrome_map(15 - k)
         yield from _pure._locator_tables(15 - k)
-    for table in (_TABLE_R13, _TABLE_R14):
-        yield _pure._branch_metrics(table.tobytes(), table.shape[1])
+    yield from _tables._TRELLISES.values()
+    yield from _tables._BRANCH_METRICS.values()
 
 
 def test_pure_cached_tables_reject_writes():
@@ -1172,6 +1182,13 @@ def test_pure_batch_decode_equals_row_by_row(k):
             assert row_data[0].tolist() == data[i].tolist()
 
 
+def _flipped(table, row, col):
+    """A copy of ``table`` with the bit at (row, col) flipped."""
+    out = table.copy()
+    out[row, col] ^= 1
+    return out
+
+
 # one input outside each kernel's contract, and the message that both
 # backends raise for it
 _CONTRACT_ERRORS = {
@@ -1223,11 +1240,16 @@ _CONTRACT_ERRORS = {
     ),
     "table-width-7": (
         lambda m: m.viterbi_decode(np.zeros(7, np.uint8), np.zeros((128, 7))),
-        "out_table width 7 outside 1..6",
+        "out_table must equal the K=7 trellis of width 3 or 4",
     ),
     "table-64-rows": (
         lambda m: m.viterbi_decode(np.zeros(6, np.uint8), _TABLE_R13[:64]),
-        "out_table must have shape (128, R)",
+        "out_table must equal the K=7 trellis of width 3 or 4",
+    ),
+    # a table of the trellis's shape decodes only if it is the trellis
+    "table-bit-flipped": (
+        lambda m: m.viterbi_decode(np.zeros(8, np.uint8), _flipped(_TABLE_R14, 75, 1)),
+        "out_table must equal the K=7 trellis of width 3 or 4",
     ),
     "ook-3-samples": (
         lambda m: m.ook_demodulate(np.zeros((2, 3))),
@@ -1336,6 +1358,7 @@ def test_pure_rejects_inputs_outside_the_contract(backend, case):
         call(backend)
 
 
+@pytest.mark.rss_bound
 @pytest.mark.skipif(sys.platform == "win32", reason="needs the resource module")
 def test_pure_viterbi_memory_does_not_grow_with_the_trellis(run_fresh):
     """200,000 steps at R = 4 add a few MB of peak memory, not 100 MB.

@@ -453,6 +453,15 @@ def test_flow_name_must_fit_one_csv_cell(name):
         FlowSpec(name, 1, 2)
 
 
+@pytest.mark.parametrize("name", [5, b"ab", 1.5, ("x",)], ids=repr)
+def test_flow_name_must_be_a_str(name):
+    # 5 and b"ab" reached the metrics CSV as "flow,5,..." and "flow,b'ab',...",
+    # and ("x",) was refused for a comma it does not contain
+    with pytest.raises(SimulationError) as exc:
+        FlowSpec(name, 1, 2)
+    assert str(exc.value) == f"flow name must be a str, got {name!r}"
+
+
 def test_flow_from_a_node_to_itself_is_rejected():
     # its empty route "delivered" every packet at once over no link
     for end in (1, np.int64(1)):
